@@ -40,6 +40,7 @@ from .inference import (
     ModelKind,
     Posterior,
     apm_posterior,
+    infer,
     mv_predict,
     nbap_posterior,
     nbi_posterior,
@@ -128,6 +129,7 @@ __all__ = [
     "fit_supervised",
     "generate",
     "greedy_plan",
+    "infer",
     "information_gain",
     "inject_correlation",
     "load_model",

@@ -15,12 +15,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from .evaluation import budget_sweep
 from .infogain import IgConfig, IgMode
-from .inference import ModelKind, predict
+from .inference import ModelKind, infer
 from .io import (
     parse_budgets,
     parse_int_list,
@@ -34,9 +35,6 @@ from .model import (
     LabelSpace,
     NbiModel,
     load_model,
-    model_from_dict,
-    nbi_model_from_dict,
-    nbi_model_to_dict,
     save_model,
     with_costs,
     with_labels,
@@ -48,15 +46,14 @@ THREADS_ENV = "CROWDPLAN_THREADS"
 
 
 def _threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
+    """The thread count to use: --threads, else $CROWDPLAN_THREADS, else 1, within 1..cpu_count."""
+    if value is None:
+        env = os.environ.get(THREADS_ENV, "").strip()
         try:
-            return max(1, int(env))
+            value = int(env) if env else 1
         except ValueError:
             raise InputError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return 1
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _parse_costs(text: str, num_paths: int) -> list[Fraction]:
@@ -67,22 +64,6 @@ def _parse_costs(text: str, num_paths: int) -> list[Fraction]:
         return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad costs {text!r}: {exc}") from None
-
-
-def _load_any(path: str) -> ApmModel | NbiModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read model file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model file is not valid JSON: {exc}") from None
-    kind = doc.get("kind", "apm")
-    if kind == "apm":
-        return model_from_dict(doc)
-    if kind == "nbi":
-        return nbi_model_from_dict(doc)
-    raise InputError(f"unknown model kind {kind!r} in file")
 
 
 def _names(model: ApmModel | NbiModel) -> tuple[str, ...]:
@@ -106,17 +87,7 @@ def _cmd_learn(args) -> int:
         raise InputError("mv has no parameters to learn")
     if kind is ModelKind.NBI:
         model, report = fit_nbi(data, cfg=cfg)
-        doc = nbi_model_to_dict(
-            NbiModel(
-                labels=labels,
-                prior=model.prior,
-                worker_cpts=model.worker_cpts,
-                sparse_workers=model.sparse_workers,
-            )
-        )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        model = replace(model, labels=labels)
     else:
         if kind is ModelKind.NBAP and not args.share_workers:
             raise InputError("nbap requires shared worker tables")
@@ -124,7 +95,7 @@ def _cmd_learn(args) -> int:
         model = with_labels(model, labels)
         if args.costs:
             model = with_costs(model, _parse_costs(args.costs, model.num_paths))
-        save_model(model, args.out)
+    save_model(model, args.out)
     print(
         json.dumps(
             {
@@ -171,22 +142,16 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    kind = ModelKind(args.model_kind)
-    model = _load_any(args.model)
-    if kind in (ModelKind.APM, ModelKind.NBAP) and not isinstance(model, ApmModel):
-        raise InputError(f"{kind.value} inference needs an apm model file")
-    if kind is ModelKind.NBI and not isinstance(model, NbiModel):
-        raise InputError("nbi inference needs an nbi model file")
+    model = load_model(args.model, kinds=("apm", "nbi"))
     names = _names(model)
     data, _ = read_votes_csv(args.votes, names=names)
-    rows = []
-    for sample in sorted(data.samples, key=lambda s: s.task_id):
-        post = predict(kind, model, sample)
-        rows.append(
-            [sample.task_id, names[post.prediction], repr(post.confidence)]
-            + [repr(float(p)) for p in post.probs]
-            + ["1" if post.degenerate_evidence else "0"]
-        )
+    samples = sorted(data.samples, key=lambda s: s.task_id)
+    rows = [
+        [sample.task_id, names[post.prediction], repr(post.confidence)]
+        + [repr(float(p)) for p in post.probs]
+        + ["1" if post.degenerate_evidence else "0"]
+        for sample, post in zip(samples, infer(args.model_kind, model, samples))
+    ]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

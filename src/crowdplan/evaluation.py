@@ -21,7 +21,7 @@ from ._parallel import map_ordered
 from ._rng import derive_seed, substream
 from .errors import InputError
 from .infogain import IgConfig
-from .inference import ModelKind, Posterior, predict
+from .inference import ModelKind, Posterior, infer
 from .learning import EmConfig, fit_em, fit_nbi
 from .model import AccessPlan, Dataset, NbiModel, TaskSample, with_costs
 from .planner import Strategy, build_plan
@@ -197,14 +197,13 @@ def _score_fold(
             kept = [e for e in executed if not e.skipped]
             skipped = len(executed) - len(kept)
             truths = [e.sample.truth for e in kept]
+            samples = [e.sample for e in kept]
             for kind in kinds:
                 if kind is ModelKind.NBI:
-                    posts = [
-                        predict(kind, nbi_model, _known_workers_only(e.sample, nbi_model))
-                        for e in kept
-                    ]
+                    known = [_known_workers_only(s, nbi_model) for s in samples]
+                    posts = infer(kind, nbi_model, known)
                 else:
-                    posts = [predict(kind, apm_model, e.sample) for e in kept]
+                    posts = infer(kind, apm_model, samples)
                 rows.append(
                     FoldRow(
                         model=kind.value,

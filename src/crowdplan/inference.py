@@ -1,8 +1,15 @@
 """Posterior computation for the four aggregation models.
 
-All posteriors are computed in log space. Votes inside a path are accumulated
-in a canonical order (label counts in label order, or votes sorted by worker id
-and label), so shuffling the stored vote order changes nothing, bit for bit.
+`infer(kind, model, samples)` is the entry point: it tabulates the samples'
+votes into one `VoteTable`, checks them against the model's layout once, and
+computes every posterior in one batched pass through the kernels in
+`_kernel`. `predict` and the per-kind functions (`apm_posterior`, ...) run the
+same code on a batch of one.
+
+All posteriors are computed in log space. The vote table sorts votes into a
+canonical order (task id, then path, then worker id, then label) before any
+sum is taken, so shuffling the stored votes, or the tasks, changes nothing,
+bit for bit.
 
 The four model kinds:
 
@@ -21,12 +28,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import InputError
-from .model import ApmModel, Cpt, NbiModel, TaskSample
+from ._kernel import apm_log_joints, direct_log_joints, log, logsumexp, path_factors, vote_evidence
+from .errors import InputError, MissingWorkerCptError
+from .model import ApmModel, NbiModel, TaskSample, VoteTable
 
 
 class ModelKind(str, enum.Enum):
@@ -54,65 +62,102 @@ class Posterior:
         object.__setattr__(self, "probs", arr)
 
 
-def _finish(probs: np.ndarray, degenerate: bool = False) -> Posterior:
-    pred = int(np.argmax(probs))
-    return Posterior(
-        probs=probs,
-        prediction=pred,
-        confidence=float(probs[pred]),
-        degenerate_evidence=degenerate,
+def _log_stack(rows: list[np.ndarray], k: int) -> np.ndarray:
+    return log(np.array(rows, dtype=np.float64).reshape(-1, k, k))
+
+
+def _apm(model: ApmModel, table: VoteTable) -> np.ndarray:
+    pairs, slot_idx = table.path_worker_slots()
+    log_tables = _log_stack(
+        [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs],
+        model.num_labels,
     )
+    log_path_cpts = _log_stack([c.rows for c in model.path_cpts], model.num_labels)
+    _, factors = path_factors(log_path_cpts, vote_evidence(table, slot_idx, log_tables))
+    return apm_log_joints(log(model.prior), factors, table.active)
 
 
-def _from_log_joint(log_joint: np.ndarray, prior: np.ndarray) -> Posterior:
-    norm = logsumexp(log_joint)
-    if not np.isfinite(norm):
-        return _finish(prior.copy(), degenerate=True)
-    return _finish(np.exp(log_joint - norm))
+def _nbap(model: ApmModel, table: VoteTable) -> np.ndarray:
+    marginals = [pc.rows @ wc.rows for pc, wc in zip(model.path_cpts, model.worker_cpts)]
+    rows = _log_stack(marginals, model.num_labels)[table.path_idx, :, table.label]
+    return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
-def _log(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(rows)
+def _nbi(model: NbiModel, table: VoteTable) -> np.ndarray:
+    if (table.worker_idx < 0).any():
+        raise MissingWorkerCptError(str(None))
+    log_tables = _log_stack([model.vote_cpt(w).rows for w in table.workers], model.num_labels)
+    rows = log_tables[table.worker_idx, :, table.label]
+    return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
-def _label_counts(votes, k: int) -> np.ndarray:
-    counts = np.zeros(k, dtype=np.float64)
-    for _, v in votes:
-        counts[v] += 1.0
-    return counts
+def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: VoteTable) -> np.ndarray:
+    """log p(y, x) under `kind` for every task of `table`, shape (n, K), in table order."""
+    return {ModelKind.APM: _apm, ModelKind.NBAP: _nbap, ModelKind.NBI: _nbi}[kind](model, table)
 
 
-def _sorted_votes(votes):
-    return sorted(votes, key=lambda wv: (str(wv[0]), wv[1]))
+def _check(kind: ModelKind | str, model: ApmModel | NbiModel) -> ModelKind:
+    try:
+        kind = ModelKind(kind)
+    except ValueError:
+        raise InputError(f"unknown model kind {kind!r}") from None
+    if kind is ModelKind.NBI and not isinstance(model, NbiModel):
+        raise InputError("nbi prediction needs an NbiModel")
+    if kind in (ModelKind.APM, ModelKind.NBAP) and not isinstance(model, ApmModel):
+        raise InputError(f"{kind.value} prediction needs an ApmModel")
+    if kind is ModelKind.NBAP:
+        for i in range(model.num_paths):
+            if not model.is_shared(i):
+                raise InputError(f"nbap requires shared worker CPTs; path {i} is per-worker")
+    return kind
 
 
-def _path_log_evidence(model: ApmModel, path: int, votes) -> np.ndarray:
-    """log prod_j p(x_j | z) for one path, as a vector over latent states z."""
+def infer(
+    kind: ModelKind | str, model: ApmModel | NbiModel, samples: Sequence[TaskSample]
+) -> list[Posterior]:
+    """Posteriors of many tasks in one batched pass, in the order of `samples`.
+
+    Votes are checked against the model's layout first: a path index beyond
+    an apm model's paths or a label index beyond its labels is an InputError.
+    """
+    kind = _check(kind, model)
     k = model.num_labels
-    table = model.worker_cpts[path]
-    if isinstance(table, Cpt):
-        counts = _label_counts(votes, k)
-        seen = counts > 0
-        return _log(table.rows[:, seen]) @ counts[seen]
-    acc = np.zeros(k, dtype=np.float64)
-    for worker, v in _sorted_votes(votes):
-        acc += _log(model.vote_cpt(path, worker).rows[:, v])
-    return acc
+    table = VoteTable.build(
+        samples, k, model.num_paths if isinstance(model, ApmModel) else None
+    )
+    n = table.num_samples
+    if kind is ModelKind.MV:
+        counts = np.zeros((n, k))
+        np.add.at(counts, (table.sample_idx, table.label), 1.0)
+        totals = counts.sum(axis=1, keepdims=True)
+        probs = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / k)
+        degenerate = np.zeros(n, dtype=bool)
+    else:
+        log_joint = table_log_joint(kind, model, table)
+        norm = logsumexp(log_joint, axis=1)
+        degenerate = ~np.isfinite(norm)
+        with np.errstate(invalid="ignore"):
+            probs = np.exp(log_joint - norm[:, None])
+        probs[degenerate] = model.prior
+    back = np.argsort(table.order)
+    probs, degenerate = probs[back], degenerate[back]
+    pred = np.argmax(probs, axis=1)
+    conf = probs[np.arange(n), pred]
+    return [
+        Posterior(probs=p, prediction=int(y), confidence=float(c), degenerate_evidence=bool(d))
+        for p, y, c, d in zip(probs, pred, conf, degenerate)
+    ]
 
 
 def apm_log_joint(model: ApmModel, sample: TaskSample) -> np.ndarray:
     """log p(y, votes) for every outcome y, latent path states summed out."""
-    log_joint = _log(model.prior).copy()
-    for path in sorted(sample.votes):
-        evidence = _path_log_evidence(model, path, sample.votes[path])
-        log_joint += logsumexp(_log(model.path_cpts[path].rows) + evidence[None, :], axis=1)
-    return log_joint
+    _check(ModelKind.APM, model)
+    return _apm(model, VoteTable.build([sample], model.num_labels, model.num_paths))[0]
 
 
 def apm_posterior(model: ApmModel, sample: TaskSample) -> Posterior:
     """Exact posterior under the full access path model."""
-    return _from_log_joint(apm_log_joint(model, sample), model.prior)
+    return infer(ModelKind.APM, model, [sample])[0]
 
 
 def nbap_posterior(model: ApmModel, sample: TaskSample) -> Posterior:
@@ -121,50 +166,19 @@ def nbap_posterior(model: ApmModel, sample: TaskSample) -> Posterior:
     Uses the same parameters as `apm_posterior`; only the independence
     assumption differs. Requires shared worker tables on every path.
     """
-    for i in range(model.num_paths):
-        if not model.is_shared(i):
-            raise InputError(f"nbap requires shared worker CPTs; path {i} is per-worker")
-    log_joint = _log(model.prior).copy()
-    for path in sorted(sample.votes):
-        marginal = model.path_cpts[path].rows @ model.worker_cpts[path].rows
-        counts = _label_counts(sample.votes[path], model.num_labels)
-        log_joint += _log(marginal) @ counts
-    return _from_log_joint(log_joint, model.prior)
+    return infer(ModelKind.NBAP, model, [sample])[0]
 
 
 def nbi_posterior(model: NbiModel, sample: TaskSample) -> Posterior:
     """Posterior under per-worker naive Bayes; every vote needs a known worker."""
-    log_joint = _log(model.prior).copy()
-    flat = [wv for path in sorted(sample.votes) for wv in sample.votes[path]]
-    for worker, v in _sorted_votes(flat):
-        log_joint += _log(model.vote_cpt(worker).rows[:, v])
-    return _from_log_joint(log_joint, model.prior)
+    return infer(ModelKind.NBI, model, [sample])[0]
 
 
 def mv_predict(model: ApmModel | NbiModel, sample: TaskSample) -> Posterior:
     """Majority vote. Posterior probabilities are vote shares; no votes means uniform."""
-    k = model.num_labels
-    flat = [wv for votes in sample.votes.values() for wv in votes]
-    if not flat:
-        return _finish(np.full(k, 1.0 / k))
-    counts = _label_counts(flat, k)
-    return _finish(counts / counts.sum())
+    return infer(ModelKind.MV, model, [sample])[0]
 
 
 def predict(kind: ModelKind | str, model: ApmModel | NbiModel, sample: TaskSample) -> Posterior:
-    """Dispatch to the posterior routine for `kind`, checking the model type."""
-    try:
-        kind = ModelKind(kind)
-    except ValueError:
-        raise InputError(f"unknown model kind {kind!r}") from None
-    if kind is ModelKind.MV:
-        return mv_predict(model, sample)
-    if kind is ModelKind.NBI:
-        if not isinstance(model, NbiModel):
-            raise InputError("nbi prediction needs an NbiModel")
-        return nbi_posterior(model, sample)
-    if not isinstance(model, ApmModel):
-        raise InputError(f"{kind.value} prediction needs an ApmModel")
-    if kind is ModelKind.NBAP:
-        return nbap_posterior(model, sample)
-    return apm_posterior(model, sample)
+    """Posterior of one task under `kind`, checking the model type."""
+    return infer(kind, model, [sample])[0]

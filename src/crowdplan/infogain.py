@@ -29,8 +29,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
+from ._kernel import apm_log_joints, count_evidence, log, logsumexp, path_factors
 from ._parallel import map_ordered
 from ._rng import categorical, categorical_rows, substream
 from .errors import InputError, NumericError, ResourceLimitError
@@ -99,11 +100,6 @@ def _require_shared(model: ApmModel, counts: Sequence[int]) -> None:
             )
 
 
-def _log(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(rows)
-
-
 @lru_cache(maxsize=4096)
 def _compositions(total: int, k: int) -> np.ndarray:
     """All k-vectors of non-negative ints summing to total, lexicographic."""
@@ -143,23 +139,16 @@ def exact_conditional_entropy(
             f"exact enumeration needs {size} count vectors, limit is {exact_limit}"
         )
 
-    log_terms = _log(model.prior)[None, :]
+    log_terms = log(model.prior)[None, :]
     log_mult = np.zeros(1)
     for i, s_i in enumerate(counts):
         if s_i == 0:
             continue
         vecs = _compositions(s_i, k)
         log_c = gammaln(s_i + 1) - gammaln(vecs + 1).sum(axis=1)
-        logw = _log(model.worker_cpts[i].rows)
-        with np.errstate(invalid="ignore"):
-            weighted = np.where(
-                vecs[:, None, :] > 0, vecs[:, None, :] * logw[None, :, :], 0.0
-            )
-        evid = weighted.sum(axis=2)
-        factor = logsumexp(
-            _log(model.path_cpts[i].rows)[None, :, :] + evid[:, None, :], axis=2
-        )
-        log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
+        evidence = count_evidence(vecs[:, None, :], log(model.worker_cpts[i].rows)[None])
+        _, factor = path_factors(log(model.path_cpts[i].rows)[None], evidence)
+        log_terms = (log_terms[:, None, :] + factor[None, :, 0, :]).reshape(-1, k)
         log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
 
     log_pxy = log_terms + log_mult[:, None]
@@ -168,7 +157,7 @@ def exact_conditional_entropy(
         pxy = np.exp(log_pxy)
         contrib = np.where(pxy > 0, pxy * (log_px[:, None] - log_pxy), 0.0)
     mass = float(pxy.sum())
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:
         raise NumericError(f"enumerated evidence mass {mass} is not 1")
     return float(contrib.sum())
 
@@ -189,14 +178,10 @@ def _sample_block(
             v = categorical_rows(rng, table[z])
             np.add.at(label_counts, (np.arange(size), pos, v), 1.0)
 
-    log_x = np.stack([_log(model.worker_cpts[i].rows) for i in active])
-    log_zy = np.stack([_log(model.path_cpts[i].rows) for i in active])
-    finite_log = np.where(np.isinf(log_x), 0.0, log_x)
-    evid = np.einsum("niv,izv->niz", label_counts, finite_log)
-    blocked = np.einsum("niv,izv->niz", label_counts, np.isinf(log_x).astype(np.float64))
-    evid[blocked > 0] = -np.inf
-    factors = logsumexp(log_zy[None, :, :, :] + evid[:, :, None, :], axis=3)
-    log_joint = _log(model.prior)[None, :] + factors.sum(axis=1)
+    log_x = log(np.stack([model.worker_cpts[i].rows for i in active]))
+    log_zy = log(np.stack([model.path_cpts[i].rows for i in active]))
+    _, factors = path_factors(log_zy, count_evidence(label_counts, log_x))
+    log_joint = apm_log_joints(log(model.prior), factors)
     norm = logsumexp(log_joint, axis=1)
     log_post = log_joint - norm[:, None]
     with np.errstate(invalid="ignore"):

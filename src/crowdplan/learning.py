@@ -27,10 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
+from ._kernel import apm_log_joints, direct_log_joints, log, logsumexp, path_factors, vote_evidence
 from ._rng import substream
 from .errors import InputError
+from .inference import ModelKind, table_log_joint
 from .model import (
     AccessPathSpec,
     ApmModel,
@@ -38,6 +39,7 @@ from .model import (
     Dataset,
     LabelSpace,
     NbiModel,
+    VoteTable,
     validate_model,
 )
 
@@ -66,9 +68,9 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise InputError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.smoothing_alpha < 0:
+        if not self.smoothing_alpha >= 0:
             raise InputError(f"smoothing_alpha must be >= 0, got {self.smoothing_alpha}")
         if self.restarts < 1:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
@@ -99,71 +101,36 @@ class _Params(NamedTuple):
     tables: np.ndarray         # (C, K, K), one vote table per slot, row z, col v
 
 
-class _VoteData(NamedTuple):
-    num_samples: int
-    num_paths: int
-    num_labels: int
-    sample_idx: np.ndarray     # (V,)
-    path_idx: np.ndarray       # (V,)
-    slot_idx: np.ndarray       # (V,) which table generated the vote
-    label: np.ndarray          # (V,)
-    y_known: np.ndarray        # (n,) truth index or -1
-    slot_path: tuple[int, ...]           # owning path per table slot
-    slot_worker: tuple[str | None, ...]  # worker id per slot, None when shared
-    voteless_paths: tuple[int, ...]
+class _Slots(NamedTuple):
+    idx: np.ndarray                 # (V,) which vote table generated each vote
+    path: tuple[int, ...]           # owning path per table
+    worker: tuple[str | None, ...]  # worker id per table, None when shared
 
 
-def _prepare(data: Dataset, share_workers: bool) -> _VoteData:
-    n, num_paths, k = len(data.samples), data.num_paths, data.num_labels
+def _slots(t: VoteTable, share_workers: bool) -> _Slots:
     if share_workers:
-        slot_of = {(p, None): p for p in range(num_paths)}
-        slot_path = tuple(range(num_paths))
-        slot_worker: tuple[str | None, ...] = (None,) * num_paths
-    else:
-        seen = {
-            (p, w)
-            for s in data.samples
-            for p, votes in s.votes.items()
-            for w, _ in votes
-        }
-        if any(w is None for _, w in seen):
-            raise InputError("per-worker fitting requires a worker id on every vote")
-        pairs = sorted(seen, key=lambda pw: (pw[0], str(pw[1])))
-        slot_of = {pw: i for i, pw in enumerate(pairs)}
-        slot_path = tuple(p for p, _ in pairs)
-        slot_worker = tuple(w for _, w in pairs)
-
-    sample_idx, path_idx, slot_idx, label = [], [], [], []
-    seen_paths = set()
-    y_known = np.full(n, -1, dtype=np.int64)
-    for si, s in enumerate(data.samples):
-        if s.truth is not None:
-            y_known[si] = s.truth
-        for p in sorted(s.votes):
-            seen_paths.add(p)
-            for w, v in s.votes[p]:
-                sample_idx.append(si)
-                path_idx.append(p)
-                slot_idx.append(slot_of[(p, w if not share_workers else None)])
-                label.append(v)
-    return _VoteData(
-        num_samples=n,
-        num_paths=num_paths,
-        num_labels=k,
-        sample_idx=np.asarray(sample_idx, dtype=np.int64),
-        path_idx=np.asarray(path_idx, dtype=np.int64),
-        slot_idx=np.asarray(slot_idx, dtype=np.int64),
-        label=np.asarray(label, dtype=np.int64),
-        y_known=y_known,
-        slot_path=slot_path,
-        slot_worker=slot_worker,
-        voteless_paths=tuple(p for p in range(num_paths) if p not in seen_paths),
-    )
+        return _Slots(t.path_idx, tuple(range(t.num_paths)), (None,) * t.num_paths)
+    if (t.worker_idx < 0).any():
+        raise InputError("per-worker fitting requires a worker id on every vote")
+    pairs, idx = t.path_worker_slots()
+    return _Slots(idx, tuple(int(p) for p, _ in pairs), tuple(t.workers[w] for _, w in pairs))
 
 
-def _log(arr: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(arr)
+def _voteless_paths(t: VoteTable) -> tuple[int, ...]:
+    return tuple(int(p) for p in np.setdiff1d(np.arange(t.num_paths), t.path_idx))
+
+
+def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
+    """q(y) per task, a point mass where the truth is known, and the log-likelihood."""
+    k = log_joint.shape[1]
+    norm = logsumexp(log_joint, axis=1)
+    with np.errstate(invalid="ignore"):
+        q_y = np.exp(log_joint - norm[:, None])
+    q_y = np.where(np.isfinite(norm)[:, None], q_y, 1.0 / k)
+    known = truth >= 0
+    q_y[known] = np.eye(k)[truth[known]]
+    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[:, None], axis=1)[:, 0]
+    return q_y, float(np.where(known, at_truth, norm).sum())
 
 
 def _blended_identity(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,49 +145,22 @@ def _init_prior(y_known: np.ndarray, k: int) -> np.ndarray:
     return (counts + 1.0) / (counts.sum() + k)
 
 
-def _init_params(vd: _VoteData, cfg: EmConfig, restart: int) -> _Params:
+def _init_params(t: VoteTable, slots: _Slots, cfg: EmConfig, restart: int) -> _Params:
     rng = substream(cfg.seed, "em-init", restart)
-    k = vd.num_labels
-    path_cpts = np.stack([_blended_identity(k, rng) for _ in range(vd.num_paths)])
-    tables = np.stack([_blended_identity(k, rng) for _ in range(len(vd.slot_path))])
-    return _Params(prior=_init_prior(vd.y_known, k), path_cpts=path_cpts, tables=tables)
+    k = t.num_labels
+    path_cpts = np.stack([_blended_identity(k, rng) for _ in range(t.num_paths)])
+    tables = np.stack([_blended_identity(k, rng) for _ in slots.path])
+    return _Params(prior=_init_prior(t.truth, k), path_cpts=path_cpts, tables=tables)
 
 
-def _vote_log_evidence(params: _Params, vd: _VoteData) -> np.ndarray:
-    """loglik[s, i, z] = sum over votes of sample s on path i of log p(x | z)."""
-    out = np.zeros((vd.num_samples, vd.num_paths, vd.num_labels))
-    if len(vd.sample_idx):
-        vals = _log(params.tables)[vd.slot_idx, :, vd.label]
-        np.add.at(out, (vd.sample_idx, vd.path_idx), vals)
-    return out
-
-
-def _estep(params: _Params, vd: _VoteData):
-    k = vd.num_labels
-    evidence = _vote_log_evidence(params, vd)                     # (n, N, K_z)
-    a = _log(params.path_cpts)[None, :, :, :] + evidence[:, :, None, :]
-    f = logsumexp(a, axis=3)                                      # (n, N, K_y)
-    log_joint = _log(params.prior)[None, :] + f.sum(axis=1)       # (n, K_y)
-
+def _estep(params: _Params, t: VoteTable, slots: _Slots):
+    evidence = vote_evidence(t, slots.idx, log(params.tables))      # (n, N, K_z)
+    terms, f = path_factors(log(params.path_cpts), evidence)        # f: (n, N, K_y)
+    log_joint = apm_log_joints(log(params.prior), f, t.active)      # (n, K_y)
     with np.errstate(invalid="ignore"):
-        q_z = np.exp(a - f[:, :, :, None])
-    q_z = np.where(np.isfinite(f)[:, :, :, None], q_z, 1.0 / k)
-
-    norm = logsumexp(log_joint, axis=1)
-    with np.errstate(invalid="ignore"):
-        q_y = np.exp(log_joint - norm[:, None])
-    q_y = np.where(np.isfinite(norm)[:, None], q_y, 1.0 / k)
-    known = vd.y_known >= 0
-    if known.any():
-        q_y[known] = np.eye(k)[vd.y_known[known]]
-
-    loglik = float(
-        np.where(
-            known,
-            np.take_along_axis(log_joint, np.maximum(vd.y_known, 0)[:, None], axis=1)[:, 0],
-            norm,
-        ).sum()
-    )
+        q_z = np.exp(terms - f[:, :, :, None])
+    q_z = np.where(np.isfinite(f)[:, :, :, None], q_z, 1.0 / t.num_labels)
+    q_y, loglik = _outcome_posterior(log_joint, t.truth)
     return q_y, q_z, loglik
 
 
@@ -230,9 +170,9 @@ def _penalty(params: _Params, alpha: float) -> float:
     return float(
         alpha
         * (
-            _log(params.prior).sum()
-            + _log(params.path_cpts).sum()
-            + _log(params.tables).sum()
+            log(params.prior).sum()
+            + log(params.path_cpts).sum()
+            + log(params.tables).sum()
         )
     )
 
@@ -245,17 +185,12 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(sums > 0, out, uniform)
 
 
-def _mstep(vd: _VoteData, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
+def _mstep(t: VoteTable, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
     prior = _normalize_rows(q_y.sum(axis=0) + alpha)
     path_counts = np.einsum("ky,kiyz->iyz", q_y, q_z) + alpha
     r = np.einsum("ky,kiyz->kiz", q_y, q_z)
-    table_counts = np.zeros((len(vd.slot_path), vd.num_labels, vd.num_labels))
-    if len(vd.sample_idx):
-        np.add.at(
-            table_counts.transpose(0, 2, 1),
-            (vd.slot_idx, vd.label),
-            r[vd.sample_idx, vd.path_idx],
-        )
+    table_counts = np.zeros((len(slots.path), t.num_labels, t.num_labels))
+    np.add.at(table_counts.transpose(0, 2, 1), (slots.idx, t.label), r[t.sample_idx, t.path_idx])
     return _Params(
         prior=prior,
         path_cpts=_normalize_rows(path_counts),
@@ -263,45 +198,46 @@ def _mstep(vd: _VoteData, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Pa
     )
 
 
-def _run_restart(vd: _VoteData, cfg: EmConfig, restart: int):
-    params = _init_params(vd, cfg, restart)
+def _run_restart(t: VoteTable, slots: _Slots, cfg: EmConfig, restart: int):
+    params = _init_params(t, slots, cfg, restart)
     history: list[float] = []
     loglik = -np.inf
     converged = False
     for _ in range(cfg.max_iters):
-        q_y, q_z, loglik = _estep(params, vd)
+        q_y, q_z, loglik = _estep(params, t, slots)
         objective = loglik + _penalty(params, cfg.smoothing_alpha)
         if history and abs(objective - history[-1]) <= cfg.rel_tol * (abs(history[-1]) + 1e-12):
             history.append(objective)
             converged = True
             break
         history.append(objective)
-        params = _mstep(vd, q_y, q_z, cfg.smoothing_alpha)
+        params = _mstep(t, slots, q_y, q_z, cfg.smoothing_alpha)
     return params, history, loglik, converged
 
 
-def _align_latent_states(params: _Params, vd: _VoteData) -> _Params:
+def _align_latent_states(params: _Params, slots: _Slots) -> _Params:
     """Relabel each path's latent states to maximize the diagonal of p(z | y)."""
     path_cpts = params.path_cpts.copy()
     tables = params.tables.copy()
-    for i in range(vd.num_paths):
+    for i in range(len(path_cpts)):
         _, cols = linear_sum_assignment(-path_cpts[i])
-        if np.array_equal(cols, np.arange(vd.num_labels)):
+        if np.array_equal(cols, np.arange(len(cols))):
             continue
         path_cpts[i] = path_cpts[i][:, cols]
-        for slot, owner in enumerate(vd.slot_path):
+        for slot, owner in enumerate(slots.path):
             if owner == i:
                 tables[slot] = tables[slot][cols, :]
     return _Params(prior=params.prior, path_cpts=path_cpts, tables=tables)
 
 
-def _to_model(params: _Params, vd: _VoteData, share_workers: bool) -> ApmModel:
-    k = vd.num_labels
+def _to_model(params: _Params, t: VoteTable, slots: _Slots, share_workers: bool) -> ApmModel:
+    k = t.num_labels
     uniform = Cpt(np.full((k, k), 1.0 / k))
+    voteless = _voteless_paths(t)
     path_cpts: list[Cpt] = []
     worker_cpts = []
-    for i in range(vd.num_paths):
-        if i in vd.voteless_paths:
+    for i in range(t.num_paths):
+        if i in voteless:
             path_cpts.append(uniform)
             worker_cpts.append(uniform)
             continue
@@ -310,15 +246,15 @@ def _to_model(params: _Params, vd: _VoteData, share_workers: bool) -> ApmModel:
             worker_cpts.append(Cpt(params.tables[i]))
         else:
             table = {
-                str(vd.slot_worker[slot]): Cpt(params.tables[slot])
-                for slot, owner in enumerate(vd.slot_path)
+                slots.worker[slot]: Cpt(params.tables[slot])
+                for slot, owner in enumerate(slots.path)
                 if owner == i
             }
             worker_cpts.append(table)
     model = ApmModel(
         labels=LabelSpace(k),
         prior=params.prior,
-        paths=tuple(AccessPathSpec(index=i, cost=Fraction(1)) for i in range(vd.num_paths)),
+        paths=tuple(AccessPathSpec(index=i, cost=Fraction(1)) for i in range(t.num_paths)),
         path_cpts=tuple(path_cpts),
         worker_cpts=tuple(worker_cpts),
     )
@@ -329,15 +265,16 @@ def _to_model(params: _Params, vd: _VoteData, share_workers: bool) -> ApmModel:
 
 
 def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmModel, FitReport]:
-    vd = _prepare(data, share_workers)
+    t = data.vote_table()
+    slots = _slots(t, share_workers)
     best = None
     for restart in range(cfg.restarts):
-        params, history, loglik, converged = _run_restart(vd, cfg, restart)
+        params, history, loglik, converged = _run_restart(t, slots, cfg, restart)
         if best is None or history[-1] > best[1][-1]:
             best = (params, history, loglik, converged, restart)
     params, history, _, converged, restart = best
-    params = _align_latent_states(params, vd)
-    model = _to_model(params, vd, share_workers)
+    params = _align_latent_states(params, slots)
+    model = _to_model(params, t, slots, share_workers)
     final_loglik = log_likelihood(model, data) if len(data) else 0.0
     report = FitReport(
         final_log_likelihood=final_loglik,
@@ -345,7 +282,7 @@ def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmMode
         converged=converged,
         restart_index=restart,
         history=tuple(history),
-        sparse_paths=vd.voteless_paths,
+        sparse_paths=_voteless_paths(t),
     )
     return model, report
 
@@ -371,105 +308,33 @@ def fit_em(
 
 def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
     """Observed-data log-likelihood: latent states summed out, truths used when known."""
-    if isinstance(model, NbiModel):
-        if not len(data):
-            return 0.0
-        return _nbi_log_likelihood(model, data)
-    if data.num_labels != model.num_labels or data.num_paths != model.num_paths:
+    if isinstance(model, ApmModel) and (
+        data.num_labels != model.num_labels or data.num_paths != model.num_paths
+    ):
         raise InputError(
             f"dataset layout ({data.num_paths} paths, {data.num_labels} labels) does not "
             f"match model ({model.num_paths} paths, {model.num_labels} labels)"
         )
     if not len(data):
         return 0.0
-    from .inference import apm_log_joint
-
-    total = 0.0
-    for s in data.samples:
-        log_joint = apm_log_joint(model, s)
-        if s.truth is not None:
-            total += float(log_joint[s.truth])
-        else:
-            total += float(logsumexp(log_joint))
-    return total
+    kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM
+    t = data.vote_table()
+    return _outcome_posterior(table_log_joint(kind, model, t), t.truth)[1]
 
 
 # --- per-worker naive Bayes (latent-class estimation over workers) ---
 
 
-class _NbiData(NamedTuple):
-    num_samples: int
-    num_labels: int
-    sample_idx: np.ndarray
-    worker_idx: np.ndarray
-    label: np.ndarray
-    y_known: np.ndarray
-    workers: tuple[str, ...]
+def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: VoteTable):
+    rows = log(tables)[t.worker_idx, :, t.label]
+    log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)
+    return _outcome_posterior(log_joint, t.truth)
 
 
-def _prepare_nbi(data: Dataset) -> _NbiData:
-    workers = sorted(
-        {
-            str(w)
-            for s in data.samples
-            for votes in s.votes.values()
-            for w, _ in votes
-            if w is not None
-        }
-    )
-    index = {w: i for i, w in enumerate(workers)}
-    sample_idx, worker_idx, label = [], [], []
-    y_known = np.full(len(data.samples), -1, dtype=np.int64)
-    for si, s in enumerate(data.samples):
-        if s.truth is not None:
-            y_known[si] = s.truth
-        for p in sorted(s.votes):
-            for w, v in s.votes[p]:
-                if w is None:
-                    raise InputError(f"task {s.task_id}: nbi fitting requires worker ids")
-                sample_idx.append(si)
-                worker_idx.append(index[str(w)])
-                label.append(v)
-    return _NbiData(
-        num_samples=len(data.samples),
-        num_labels=data.num_labels,
-        sample_idx=np.asarray(sample_idx, dtype=np.int64),
-        worker_idx=np.asarray(worker_idx, dtype=np.int64),
-        label=np.asarray(label, dtype=np.int64),
-        y_known=y_known,
-        workers=tuple(workers),
-    )
-
-
-def _nbi_estep(prior: np.ndarray, tables: np.ndarray, nd: _NbiData):
-    k = nd.num_labels
-    log_joint = np.tile(_log(prior), (nd.num_samples, 1))
-    if len(nd.sample_idx):
-        np.add.at(log_joint, (nd.sample_idx,), _log(tables)[nd.worker_idx, :, nd.label])
-    norm = logsumexp(log_joint, axis=1)
-    with np.errstate(invalid="ignore"):
-        q_y = np.exp(log_joint - norm[:, None])
-    q_y = np.where(np.isfinite(norm)[:, None], q_y, 1.0 / k)
-    known = nd.y_known >= 0
-    if known.any():
-        q_y[known] = np.eye(k)[nd.y_known[known]]
-    loglik = float(
-        np.where(
-            known,
-            np.take_along_axis(log_joint, np.maximum(nd.y_known, 0)[:, None], axis=1)[:, 0],
-            norm,
-        ).sum()
-    )
-    return q_y, loglik
-
-
-def _nbi_mstep(nd: _NbiData, q_y: np.ndarray, alpha: float):
+def _nbi_mstep(t: VoteTable, q_y: np.ndarray, alpha: float):
     prior = _normalize_rows(q_y.sum(axis=0) + alpha)
-    counts = np.zeros((len(nd.workers), nd.num_labels, nd.num_labels))
-    if len(nd.sample_idx):
-        np.add.at(
-            counts.transpose(0, 2, 1), (nd.worker_idx, nd.label), q_y[nd.sample_idx]
-        )
+    counts = np.zeros((len(t.workers), t.num_labels, t.num_labels))
+    np.add.at(counts.transpose(0, 2, 1), (t.worker_idx, t.label), q_y[t.sample_idx])
     return prior, _normalize_rows(counts + alpha)
 
 
@@ -482,21 +347,21 @@ def fit_nbi(
     and flagged sparse; their few votes still count toward the prior.
     """
     cfg = cfg or EmConfig()
-    nd = _prepare_nbi(data)
-    k = nd.num_labels
+    t = data.vote_table()
+    if (t.worker_idx < 0).any():
+        raise InputError("nbi fitting requires a worker id on every vote")
+    k = t.num_labels
     best = None
     for restart in range(cfg.restarts):
         rng = substream(cfg.seed, "nbi-init", restart)
-        prior = _init_prior(nd.y_known, k)
-        tables = np.stack([_blended_identity(k, rng) for _ in nd.workers]) if nd.workers else (
-            np.zeros((0, k, k))
-        )
+        prior = _init_prior(t.truth, k)
+        tables = np.array([_blended_identity(k, rng) for _ in t.workers]).reshape(-1, k, k)
         history: list[float] = []
         converged = False
         for _ in range(cfg.max_iters):
-            q_y, loglik = _nbi_estep(prior, tables, nd)
+            q_y, loglik = _nbi_estep(prior, tables, t)
             objective = loglik + (
-                cfg.smoothing_alpha * (_log(prior).sum() + _log(tables).sum())
+                cfg.smoothing_alpha * (log(prior).sum() + log(tables).sum())
                 if cfg.smoothing_alpha > 0
                 else 0.0
             )
@@ -507,12 +372,12 @@ def fit_nbi(
                 converged = True
                 break
             history.append(objective)
-            prior, tables = _nbi_mstep(nd, q_y, cfg.smoothing_alpha)
+            prior, tables = _nbi_mstep(t, q_y, cfg.smoothing_alpha)
         if best is None or history[-1] > best[3][-1]:
             best = (prior, tables, converged, history, restart)
     prior, tables, converged, history, restart = best
 
-    if not (nd.y_known >= 0).any() and nd.workers:
+    if not (t.truth >= 0).any() and t.workers:
         # No observed truths pin the outcome labels; relabel to put worker
         # agreement mass on the diagonal.
         agreement = tables.sum(axis=0)
@@ -521,11 +386,11 @@ def fit_nbi(
             prior = prior[cols]
             tables = tables[:, cols, :]
 
-    vote_totals = np.bincount(nd.worker_idx, minlength=len(nd.workers))
-    sparse = tuple(w for i, w in enumerate(nd.workers) if vote_totals[i] < min_votes)
+    vote_totals = np.bincount(t.worker_idx, minlength=len(t.workers))
+    sparse = tuple(w for i, w in enumerate(t.workers) if vote_totals[i] < min_votes)
     uniform = np.full((k, k), 1.0 / k)
     worker_cpts = {}
-    for i, w in enumerate(nd.workers):
+    for i, w in enumerate(t.workers):
         worker_cpts[w] = Cpt(uniform if w in sparse else tables[i])
     model = NbiModel(
         labels=LabelSpace(k),
@@ -534,7 +399,7 @@ def fit_nbi(
         sparse_workers=frozenset(sparse),
     )
     report = FitReport(
-        final_log_likelihood=_nbi_log_likelihood(model, data),
+        final_log_likelihood=log_likelihood(model, data),
         iterations=len(history),
         converged=converged,
         restart_index=restart,
@@ -542,18 +407,3 @@ def fit_nbi(
         sparse_workers=sparse,
     )
     return model, report
-
-
-def _nbi_log_likelihood(model: NbiModel, data: Dataset) -> float:
-    total = 0.0
-    log_prior = _log(model.prior)
-    for s in data.samples:
-        log_joint = log_prior.copy()
-        for p in sorted(s.votes):
-            for w, v in s.votes[p]:
-                log_joint = log_joint + _log(model.vote_cpt(w).rows[:, v])
-        if s.truth is not None:
-            total += float(log_joint[s.truth])
-        else:
-            total += float(logsumexp(log_joint))
-    return total

@@ -18,8 +18,9 @@ fitters call it before handing a model out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -84,13 +85,15 @@ class Cpt:
         return self.rows.shape  # type: ignore[return-value]
 
     def violations(self, context: str) -> list[str]:
-        out = []
+        # Every check is written so that NaN fails it.
         rows = self.rows
-        if np.any(rows < -PROB_TOL) or np.any(rows > 1 + PROB_TOL):
+        if not np.all(np.isfinite(rows)):
+            return [f"{context}: non-finite entries"]
+        out = []
+        if not (np.all(rows >= -PROB_TOL) and np.all(rows <= 1 + PROB_TOL)):
             out.append(f"{context}: entries outside [0, 1]")
-        sums = rows.sum(axis=1)
-        for r, s in enumerate(sums):
-            if abs(s - 1.0) > PROB_TOL:
+        for r, s in enumerate(rows.sum(axis=1)):
+            if not abs(s - 1.0) <= PROB_TOL:
                 out.append(f"{context}: row {r} sums to {s:.6g}")
         return out
 
@@ -243,35 +246,113 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.samples)
 
+    def vote_table(self) -> VoteTable:
+        """The dataset's votes as a canonical columnar table."""
+        return VoteTable.build(self.samples, self.num_labels, self.num_paths)
+
+
+@dataclass(frozen=True, eq=False)
+class VoteTable:
+    """The votes of a set of tasks as flat columns, in canonical order.
+
+    Tasks are ordered by task id; within a task, votes are ordered by path,
+    then worker id (votes without one first), then label. The order depends
+    only on what the votes are, so every sum taken over the table in row order
+    is the same, bit for bit, however the votes and tasks were stored.
+
+    Fields:
+        order: input position of each task, shape (n,).
+        truth: truth index per task, -1 when unknown, shape (n,).
+        sample_idx, path_idx, worker_idx, label: one entry per vote, shape (V,);
+            worker_idx indexes `workers`, -1 for a vote without a worker id.
+        workers: the distinct worker ids, sorted.
+    """
+
+    num_paths: int
+    num_labels: int
+    order: np.ndarray
+    truth: np.ndarray
+    sample_idx: np.ndarray
+    path_idx: np.ndarray
+    worker_idx: np.ndarray
+    label: np.ndarray
+    workers: tuple[str, ...]
+
+    @classmethod
+    def build(
+        cls, samples: Sequence[TaskSample], num_labels: int, num_paths: int | None = None
+    ) -> VoteTable:
+        """Tabulate the votes of `samples` and check them against the layout.
+
+        `num_paths=None` takes one more than the largest path index voted on.
+        """
+        order = sorted(range(len(samples)), key=lambda i: samples[i].task_id)
+        tasks = [samples[i] for i in order]
+        ids = [
+            None if w is None else str(w) for s in tasks for vs in s.votes.values() for w, _ in vs
+        ]
+        workers = tuple(sorted(set(ids) - {None}))
+        index = {None: -1, **{w: j for j, w in enumerate(workers)}}
+        flat = [
+            x for r, s in enumerate(tasks) for p, vs in s.votes.items() for _, v in vs for x in (r, p, v)
+        ]
+        cols = np.empty((len(ids), 4), dtype=np.int64)
+        cols[:, [0, 1, 3]] = np.array(flat, dtype=np.int64).reshape(-1, 3)
+        cols[:, 2] = [index[w] for w in ids]
+        cols = cols[np.lexsort(cols.T[::-1])]
+        truth = np.array([-1 if s.truth is None else s.truth for s in tasks], dtype=np.int64)
+        if num_paths is None:
+            num_paths = int(cols[:, 1].max()) + 1 if len(cols) else 0
+        for col, limit, what in ((1, num_paths, "path index"), (3, num_labels, "label")):
+            bad = (cols[:, col] < 0) | (cols[:, col] >= limit)
+            if bad.any():
+                r, value = cols[np.argmax(bad), [0, col]]
+                raise InputError(
+                    f"task {tasks[r].task_id}: {what} {value} outside 0..{limit - 1}"
+                )
+        return cls(
+            num_paths=num_paths,
+            num_labels=num_labels,
+            order=np.asarray(order, dtype=np.int64),
+            truth=truth,
+            sample_idx=cols[:, 0],
+            path_idx=cols[:, 1],
+            worker_idx=cols[:, 2],
+            label=cols[:, 3],
+            workers=workers,
+        )
+
+    @property
+    def num_samples(self) -> int:
+        return len(self.order)
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """(n, N) mask of the (task, path) cells holding at least one vote."""
+        out = np.zeros((self.num_samples, self.num_paths), dtype=bool)
+        out[self.sample_idx, self.path_idx] = True
+        return out
+
+    def path_worker_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (path, worker index) pairs, sorted, and each vote's pair index."""
+        pairs, idx = np.unique(
+            np.stack([self.path_idx, self.worker_idx], axis=1), axis=0, return_inverse=True
+        )
+        return pairs, idx.reshape(-1)
+
 
 def with_costs(model: ApmModel, costs: Sequence[Fraction | int | str]) -> ApmModel:
     """Copy of a model with new path costs."""
     if len(costs) != model.num_paths:
         raise InputError(f"{len(costs)} costs for {model.num_paths} paths")
-    paths = tuple(
-        AccessPathSpec(index=p.index, cost=Fraction(c), name=p.name)
-        for p, c in zip(model.paths, costs)
-    )
-    return ApmModel(
-        labels=model.labels,
-        prior=model.prior,
-        paths=paths,
-        path_cpts=model.path_cpts,
-        worker_cpts=model.worker_cpts,
-    )
+    return replace(model, paths=tuple(replace(p, cost=c) for p, c in zip(model.paths, costs)))
 
 
 def with_labels(model: ApmModel, labels: LabelSpace) -> ApmModel:
     """Copy of a model with a different label space (same cardinality)."""
     if labels.cardinality != model.num_labels:
         raise InputError("label cardinality mismatch")
-    return ApmModel(
-        labels=labels,
-        prior=model.prior,
-        paths=model.paths,
-        path_cpts=model.path_cpts,
-        worker_cpts=model.worker_cpts,
-    )
+    return replace(model, labels=labels)
 
 
 def as_counts(plan: AccessPlan | Sequence[int], num_paths: int) -> tuple[int, ...]:
@@ -295,40 +376,39 @@ def plan_cost(model: ApmModel, plan: AccessPlan | Sequence[int]) -> Fraction:
 
 def validate_model(model: ApmModel) -> list[str]:
     """Check every model invariant; return human-readable violations, empty if sound."""
-    out: list[str] = []
     k = model.num_labels
-    prior = model.prior
-    if prior.shape != (k,):
-        out.append(f"prior: expected length {k}, got shape {prior.shape}")
-    else:
-        if np.any(prior < -PROB_TOL) or np.any(prior > 1 + PROB_TOL):
-            out.append("prior: entries outside [0, 1]")
-        s = prior.sum()
-        if abs(s - 1.0) > PROB_TOL:
-            out.append(f"prior: sums to {s:.6g}")
+    out = _prior_violations(model.prior, k)
     for i, spec in enumerate(model.paths):
         where = f"path {i}"
         if spec.index != i:
             out.append(f"{where}: spec index {spec.index} does not match position")
         if spec.cost <= 0:
             out.append(f"{where}: non-positive cost {spec.cost}")
-        pc = model.path_cpts[i]
-        if pc.shape != (k, k):
-            out.append(f"{where}: path CPT shape {pc.shape}, expected {(k, k)}")
-        else:
-            out.extend(pc.violations(f"{where} path CPT"))
+        out.extend(_table_violations({"path CPT": model.path_cpts[i]}, k, where))
         wc = model.worker_cpts[i]
         tables = {"shared": wc} if isinstance(wc, Cpt) else dict(wc)
         if not tables:
             out.append(f"{where}: no worker CPTs")
-        for wid, t in tables.items():
-            if t.shape != (k, k):
-                out.append(f"{where} worker {wid}: CPT shape {t.shape}, expected {(k, k)}")
-            else:
-                out.extend(t.violations(f"{where} worker {wid} CPT"))
+        out.extend(_table_violations(tables, k, f"{where} worker"))
     names = model.labels.names
     if names is not None and len(set(names)) != len(names):
         out.append("label names not unique")
+    return out
+
+
+def _prior_violations(prior: np.ndarray, k: int) -> list[str]:
+    if prior.shape != (k,):
+        return [f"prior: expected length {k}, got shape {prior.shape}"]
+    return Cpt(prior[None, :]).violations("prior")
+
+
+def _table_violations(tables: Mapping[str, Cpt], k: int, where: str) -> list[str]:
+    out = []
+    for name, t in tables.items():
+        if t.shape != (k, k):
+            out.append(f"{where} {name}: shape {t.shape}, expected {(k, k)}")
+        else:
+            out.extend(t.violations(f"{where} {name}"))
     return out
 
 
@@ -374,31 +454,27 @@ def nbi_model_to_dict(model: NbiModel) -> dict:
     return doc
 
 
+def _labels_from(doc: Mapping) -> LabelSpace:
+    names = doc["labels"].get("names")
+    return LabelSpace(
+        cardinality=int(doc["labels"]["cardinality"]),
+        names=tuple(names) if names is not None else None,
+    )
+
+
 def nbi_model_from_dict(doc: Mapping) -> NbiModel:
     try:
-        labels_doc = doc["labels"]
-        names = labels_doc.get("names")
-        labels = LabelSpace(
-            cardinality=int(labels_doc["cardinality"]),
-            names=tuple(names) if names is not None else None,
-        )
         model = NbiModel(
-            labels=labels,
+            labels=_labels_from(doc),
             prior=np.asarray(doc["prior"], dtype=np.float64),
             worker_cpts={str(w): Cpt(rows) for w, rows in doc["workers"].items()},
             sparse_workers=frozenset(doc.get("sparse_workers", ())),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed nbi model document: {exc}") from None
-    k = model.num_labels
-    problems: list[str] = []
-    if model.prior.shape != (k,) or abs(model.prior.sum() - 1.0) > PROB_TOL:
-        problems.append("prior malformed")
-    for w, t in model.worker_cpts.items():
-        if t.shape != (k, k):
-            problems.append(f"worker {w}: CPT shape {t.shape}")
-        else:
-            problems.extend(t.violations(f"worker {w} CPT"))
+    problems = _prior_violations(model.prior, model.num_labels) + _table_violations(
+        model.worker_cpts, model.num_labels, "worker"
+    )
     if problems:
         raise InputError("invalid nbi model: " + "; ".join(problems))
     return model
@@ -447,12 +523,7 @@ def model_to_dict(model: ApmModel) -> dict:
 
 def model_from_dict(doc: Mapping) -> ApmModel:
     try:
-        labels_doc = doc["labels"]
-        names = labels_doc.get("names")
-        labels = LabelSpace(
-            cardinality=int(labels_doc["cardinality"]),
-            names=tuple(names) if names is not None else None,
-        )
+        labels = _labels_from(doc)
         prior = np.asarray(doc["prior"], dtype=np.float64)
         paths = []
         path_cpts = []
@@ -489,13 +560,21 @@ def model_from_dict(doc: Mapping) -> ApmModel:
     return model
 
 
-def save_model(model: ApmModel, path: str) -> None:
+def save_model(model: ApmModel | NbiModel, path: str) -> None:
+    doc = nbi_model_to_dict(model) if isinstance(model, NbiModel) else model_to_dict(model)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def load_model(path: str) -> ApmModel:
+_LOADERS = {"apm": model_from_dict, "nbi": nbi_model_from_dict}
+
+
+def load_model(path: str, kinds: Sequence[str] = ("apm",)) -> ApmModel | NbiModel:
+    """Read a model file and build the model its `kind` field names (apm when absent).
+
+    Only files of a kind listed in `kinds` are accepted.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -503,6 +582,11 @@ def load_model(path: str) -> ApmModel:
         raise InputError(f"cannot read model file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"model file is not valid JSON: {exc}") from None
-    if doc.get("kind", "apm") != "apm":
-        raise InputError(f"expected an apm model file, got kind {doc.get('kind')!r}")
-    return model_from_dict(doc)
+    if not isinstance(doc, dict):
+        raise InputError("model file must hold a JSON object")
+    kind = doc.get("kind", "apm")
+    if kind not in _LOADERS:
+        raise InputError(f"unknown model kind {kind!r} in file")
+    if kind not in kinds:
+        raise InputError(f"expected {' or '.join(kinds)} model file, got kind {kind!r}")
+    return _LOADERS[kind](doc)

@@ -1,13 +1,16 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdplan.cli import main
+from crowdplan.cli import _threads, main
 from crowdplan.errors import InputError
+from crowdplan.inference import infer
 from crowdplan.io import parse_budgets, parse_int_list, read_votes_csv, write_votes_csv
-from crowdplan.model import Dataset, TaskSample, save_model
+from crowdplan.model import Dataset, TaskSample, load_model, save_model
 from crowdplan.simulator import generate
 
 from _oracles import sym_model
@@ -340,6 +343,77 @@ class TestCliExitCodes:
             ]
         )
         assert rc == 2
+
+
+def write_nbi_model(path, table=((0.9, 0.1), (0.2, 0.8))):
+    doc = {
+        "kind": "nbi",
+        "labels": {"cardinality": 2, "names": ["no", "yes"]},
+        "prior": [0.5, 0.5],
+        "workers": {"a": [list(row) for row in table]},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCliInputChecks:
+    def infer(self, tmp_path, model, rows, kind):
+        votes = tmp_path / "votes.csv"
+        write_csv(votes, rows)
+        out = tmp_path / "p.csv"
+        argv = ["infer", "--model", model, "--votes", str(votes), "--model-kind", kind]
+        return main(argv + ["--out", str(out)])
+
+    @pytest.mark.parametrize("kind", ["apm", "nbap", "mv"])
+    def test_path_beyond_model_exits_two(self, tmp_path, capsys, kind):
+        assert self.infer(tmp_path, EXAMPLE, ["t1,5,,no,", "t2,0,,yes,"], kind) == 2
+        assert "path index 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["apm", "nbap", "mv", "nbi"])
+    def test_label_beyond_model_exits_two(self, tmp_path, capsys, kind):
+        model = write_nbi_model(tmp_path / "nbi.json") if kind == "nbi" else EXAMPLE
+        assert self.infer(tmp_path, model, ["t1,0,a,maybe,", "t2,0,a,no,"], kind) == 2
+        assert "maybe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["apm", "nbap", "mv", "nbi"])
+    def test_label_index_beyond_model_is_input_error(self, tmp_path, kind):
+        nbi = kind == "nbi"
+        model = load_model(write_nbi_model(tmp_path / "nbi.json"), ("nbi",)) if nbi else (
+            load_model(EXAMPLE)
+        )
+        task = TaskSample(task_id="t", votes={0: (("a" if nbi else None, 2),)})
+        with pytest.raises(InputError, match="label 2"):
+            infer(kind, model, [task])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["prior", "path_cpt", "shared_cpt"])
+    def test_non_finite_model_exits_two(self, tmp_path, capsys, where, bad):
+        doc = json.loads(Path(EXAMPLE).read_text())
+        if where == "prior":
+            doc["prior"][0] = bad
+        else:
+            doc["paths"][0][where][0][0] = bad
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        assert main(["plan", "--model", str(model), "--budget", "9"]) == 2
+        assert self.infer(tmp_path, str(model), ["t1,0,,no,"], "apm") == 2
+        err = capsys.readouterr().err
+        assert err.count("non-finite") == 2
+
+    def test_non_finite_nbi_model_exits_two(self, tmp_path, capsys):
+        model = write_nbi_model(tmp_path / "nbi.json", ((float("nan"), 0.5), (0.5, 0.5)))
+        assert self.infer(tmp_path, model, ["t1,0,a,no,"], "nbi") == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_threads_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _threads(64) == 3
+        assert _threads(2) == 2
+        assert _threads(0) == 1
+        monkeypatch.setenv("CROWDPLAN_THREADS", "64")
+        assert _threads(None) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _threads(None) == 1
 
 
 class TestCliDeterminism:

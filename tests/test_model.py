@@ -18,6 +18,7 @@ from crowdplan.model import (
     load_model,
     model_from_dict,
     model_to_dict,
+    nbi_model_from_dict,
     plan_cost,
     save_model,
     validate_model,
@@ -110,6 +111,35 @@ class TestValidation:
             worker_cpts=m.worker_cpts,
         )
         assert validate_model(broken)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries_reported(self, bad):
+        assert Cpt(np.array([[bad, 0.2], [0.1, 0.9]])).violations("t") == [
+            "t: non-finite entries"
+        ]
+        m = sym_model([0.5, 0.5], [0.8], [0.9])
+        broken = ApmModel(
+            labels=m.labels,
+            prior=np.array([bad, 0.5]),
+            paths=m.paths,
+            path_cpts=m.path_cpts,
+            worker_cpts=m.worker_cpts,
+        )
+        assert validate_model(broken) == ["prior: non-finite entries"]
+
+    def test_nbi_document_with_nan_rejected(self):
+        doc = {
+            "kind": "nbi",
+            "labels": {"cardinality": 2},
+            "prior": [0.5, 0.5],
+            "workers": {"a": [[float("nan"), 0.5], [0.5, 0.5]]},
+        }
+        with pytest.raises(InputError, match="non-finite"):
+            nbi_model_from_dict(doc)
+        doc["workers"]["a"][0][0] = 0.5
+        doc["prior"] = [float("nan"), 1.0]
+        with pytest.raises(InputError, match="non-finite"):
+            nbi_model_from_dict(doc)
 
     def test_misnumbered_path_reported(self):
         m = sym_model([0.5, 0.5], [0.8, 0.8], [0.9, 0.9])
