@@ -105,10 +105,17 @@ class MetricRow:
     neg_log_likelihood: float
     tasks_evaluated: int
     tasks_skipped: int
+    tasks_short_filled: int
 
 
 @dataclass(frozen=True)
 class FoldRow:
+    """Scores for one (model, strategy, budget, fold) cell.
+
+    tasks_short_filled counts evaluated tasks that had fewer recorded votes
+    on some path than the plan asked for; skipped tasks are not among them.
+    """
+
     model: str
     strategy: str
     budget: Fraction
@@ -117,6 +124,7 @@ class FoldRow:
     neg_log_likelihood: float
     tasks_evaluated: int
     tasks_skipped: int
+    tasks_short_filled: int
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,7 @@ def _score_fold(
             ]
             kept = [e for e in executed if not e.skipped]
             skipped = len(executed) - len(kept)
+            short_filled = sum(1 for e in kept if e.short_filled)
             truths = [e.sample.truth for e in kept]
             samples = [e.sample for e in kept]
             for kind in kinds:
@@ -214,6 +223,7 @@ def _score_fold(
                         neg_log_likelihood=neg_log_likelihood(posts, truths),
                         tasks_evaluated=len(kept),
                         tasks_skipped=skipped,
+                        tasks_short_filled=short_filled,
                     )
                 )
     return rows
@@ -280,6 +290,7 @@ def budget_sweep(
                         / len(cell),
                         tasks_evaluated=sum(r.tasks_evaluated for r in cell),
                         tasks_skipped=sum(r.tasks_skipped for r in cell),
+                        tasks_short_filled=sum(r.tasks_short_filled for r in cell),
                     )
                 )
     return SweepResult(rows=tuple(averaged), fold_rows=tuple(fold_rows))

@@ -16,8 +16,11 @@ sampled
     (seed, block), so the result is independent of thread count and evaluation
     order. The standard error reported is std / sqrt(G).
 
-auto picks exact when the raw assignment count K^(sum S_i) fits the limit,
-otherwise sampled.
+auto picks exact when the enumeration exact mode would perform, the count
+vectors prod_i C(S_i + K - 1, K - 1), is at most both `exact_limit` and the
+number of votes the sampled estimator would simulate, G * sum S_i. One count
+vector costs about as much as one simulated vote, so auto takes exact, which
+has no sampling error, wherever it is no dearer than sampling.
 """
 
 from __future__ import annotations
@@ -170,13 +173,16 @@ def _sample_block(
     k = model.num_labels
     active = [i for i, c in enumerate(counts) if c > 0]
     y = categorical(rng, model.prior, size)
-    label_counts = np.zeros((size, len(active), k), dtype=np.float64)
+    labels = np.arange(k)
+    label_counts = np.empty((size, len(active), k), dtype=np.float64)
     for pos, i in enumerate(active):
         z = categorical_rows(rng, model.path_cpts[i].rows[y])
-        table = model.worker_cpts[i].rows
-        for _ in range(counts[i]):
-            v = categorical_rows(rng, table[z])
-            np.add.at(label_counts, (np.arange(size), pos, v), 1.0)
+        edges = np.cumsum(model.worker_cpts[i].rows, axis=1)[z]
+        # One call draws the same uniforms as counts[i] calls of `size` each,
+        # row by row, and the same inverse-CDF lookup as `categorical_rows`.
+        u = rng.random((counts[i], size)) * edges[:, -1]
+        v = np.minimum((edges < u[:, :, None]).sum(axis=2), k - 1)
+        label_counts[:, pos, :] = (v[:, :, None] == labels).sum(axis=0)
 
     log_x = log(np.stack([model.worker_cpts[i].rows for i in active]))
     log_zy = log(np.stack([model.path_cpts[i].rows for i in active]))
@@ -220,10 +226,16 @@ def sampled_conditional_entropy(
 
 
 def _resolve_mode(cfg: IgConfig, counts: Sequence[int], k: int) -> IgMode:
+    """The mode `information_gain` uses for a plan: cfg.mode, or auto's choice.
+
+    Auto takes exact when the count vectors to enumerate are at most
+    exact_limit and at most the votes sampling would simulate, G per planned
+    vote. An empty plan needs no enumeration and counts as exact.
+    """
     if cfg.mode is not IgMode.AUTO:
         return cfg.mode
-    total_votes = sum(counts)
-    if total_votes * math.log(k) <= math.log(cfg.exact_limit):
+    cap = min(cfg.exact_limit, cfg.num_samples * max(sum(counts), 1))
+    if exact_count_vectors(counts, k) <= cap:
         return IgMode.EXACT
     return IgMode.SAMPLED
 

@@ -112,6 +112,8 @@ def _slots(t: VoteTable, share_workers: bool) -> _Slots:
         return _Slots(t.path_idx, tuple(range(t.num_paths)), (None,) * t.num_paths)
     if (t.worker_idx < 0).any():
         raise InputError("per-worker fitting requires a worker id on every vote")
+    if not t.worker_idx.size:
+        raise InputError("per-worker fitting needs at least one vote")
     pairs, idx = t.path_worker_slots()
     return _Slots(idx, tuple(int(p) for p, _ in pairs), tuple(t.workers[w] for _, w in pairs))
 

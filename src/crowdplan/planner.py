@@ -9,21 +9,46 @@ factor and `exhaustive_opt` the true optimum for small instances.
 
 Budgets and costs are exact rationals throughout, so affordability is an
 integer comparison and a plan that spends the whole budget is exactly
-feasible. In sampled mode each greedy step evaluates every candidate under the
-same derived seed (common random numbers), which removes sampling noise from
-the comparison between candidates within a step.
+feasible.
+
+Each greedy step uses one estimator for its base plan and all its candidates:
+it is sampled if any affordable candidate would be sampled (in auto mode,
+see the `infogain` docstring), else exact, so a marginal gain never subtracts
+an exact value from a noisy one.
+
+Exact steps are lazy (accelerated greedy: Minoux 1978; CELF, Leskovec et al.
+2007). The base gain is the previous step's winning estimate, and every exact
+marginal gain is kept: by diminishing returns it bounds the same vote's gain
+at any larger plan. A step re-scores candidates in order of their bounds,
+highest first, and stops once no unscored bound plus `_NEG_TOL` (slack for
+rounding) reaches the best fresh ratio, so it picks the same vote as scoring
+every candidate would. When the final plan resolves exact, its gain is the
+last winner's estimate.
+
+Sampled steps score every candidate under the same derived seed (common
+random numbers), which removes sampling noise from the comparison between
+candidates within a step; a stale sampled value is not a bound, so nothing
+carries over between sampled steps.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._rng import derive_seed, substream
 from .errors import InputError, ResourceLimitError
-from .infogain import IgConfig, IgEstimate, IgMode, information_gain
+from .infogain import (
+    _NEG_TOL,
+    IgConfig,
+    IgEstimate,
+    IgMode,
+    _resolve_mode,
+    information_gain,
+)
 from .model import AccessPlan, ApmModel, plan_cost
 
 
@@ -77,6 +102,17 @@ def approximation_bound(model: ApmModel, budget) -> float:
     return 1.0 - math.exp(-(1.0 - gamma))
 
 
+def _step_mode(cfg: IgConfig, counts: list[int], affordable: list[int], k: int) -> IgMode:
+    """One estimator for a whole greedy step: sampled if any candidate would be."""
+    for i in affordable:
+        counts[i] += 1
+        mode = _resolve_mode(cfg, counts, k)
+        counts[i] -= 1
+        if mode is IgMode.SAMPLED:
+            return mode
+    return IgMode.EXACT
+
+
 def greedy_plan(
     model: ApmModel,
     budget,
@@ -87,42 +123,73 @@ def greedy_plan(
 
     Each step adds the affordable single vote maximizing gain per cost; ties go
     to the lowest path index; steps with no positive gain end the search early.
+    Exact steps evaluate lazily (see the module docstring) and pick the same
+    vote as evaluating every candidate would.
     """
     cfg = ig_cfg or IgConfig()
     b = _coerce_budget(budget)
     counts = [0] * model.num_paths
     spent = Fraction(0)
     trace: list[TraceStep] = []
+    # The exact estimate of the current plan, when the last step was exact.
+    known: IgEstimate | None = None
+    # The latest exact marginal gain of one more vote per path: by
+    # submodularity an upper bound on that gain at any larger plan.
+    stale: dict[int, float] = {}
     step = 0
     while True:
         affordable = [i for i, c in enumerate(model.costs) if c <= b - spent]
         if not affordable:
             break
-        step_cfg = cfg
-        if cfg.mode is not IgMode.EXACT:
-            step_cfg = replace(cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
-        base = information_gain(model, counts, step_cfg, threads).value
+        mode = _step_mode(cfg, counts, affordable, model.num_labels)
+        exact = mode is IgMode.EXACT
+        step_cfg = replace(cfg, mode=mode)
+        if exact:
+            if known is None:
+                known = information_gain(model, counts, step_cfg, threads)
+            base = known.value
+        else:
+            step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
+            base = information_gain(model, counts, step_cfg, threads).value
+
+        # Candidates in order of their bounds; a sampled step has none and
+        # scores every candidate, in path order.
+        heap = [
+            (-(stale[i] + _NEG_TOL) / float(model.costs[i]) if exact and i in stale
+             else -math.inf, i)
+            for i in affordable
+        ]
+        heapq.heapify(heap)
         best = None
-        for i in affordable:
+        while heap:
+            neg_bound, i = heapq.heappop(heap)
+            if -neg_bound < (best[2] if best else 0.0):
+                break
             counts[i] += 1
-            delta = information_gain(model, counts, step_cfg, threads).value - base
+            est = information_gain(model, counts, step_cfg, threads)
             counts[i] -= 1
+            delta = est.value - base
+            if exact:
+                stale[i] = delta
             if delta <= 0:
                 continue
             ratio = delta / float(model.costs[i])
-            if best is None or ratio > best[2]:
-                best = (i, delta, ratio)
+            if best is None or ratio > best[2] or (ratio == best[2] and i < best[0]):
+                best = (i, delta, ratio, est)
         if best is None:
             break
-        i, delta, ratio = best
+        i, delta, ratio, est = best
         counts[i] += 1
         spent += model.costs[i]
         trace.append(TraceStep(step=step, path=i, delta_ig=delta, ratio=ratio))
+        known = est if exact else None
         step += 1
+    if known is None or _resolve_mode(cfg, counts, model.num_labels) is not IgMode.EXACT:
+        known = information_gain(model, counts, cfg, threads)
     return PlanResult(
         plan=AccessPlan(tuple(counts)),
         cost=spent,
-        ig=information_gain(model, counts, cfg, threads),
+        ig=known,
         trace=tuple(trace),
     )
 
@@ -133,10 +200,13 @@ def exhaustive_opt(
     ig_cfg: IgConfig | None = None,
     enumeration_limit: int = 200_000,
 ) -> PlanResult:
-    """True optimum by enumerating every feasible plan with exact gain.
+    """True optimum by enumerating every maximal feasible plan with exact gain.
 
-    Ties prefer the lexicographically smallest plan. Raises ResourceLimitError
-    when the feasible set exceeds enumeration_limit.
+    A plan is maximal when no path is still affordable with what it leaves of
+    the budget. Gain is monotone, so a non-maximal plan cannot beat the
+    maximal plans that extend it, and only maximal plans are scored. Ties
+    prefer the lexicographically smallest maximal plan. Raises
+    ResourceLimitError when the feasible set exceeds enumeration_limit.
     """
     cfg = ig_cfg or IgConfig()
     b = _coerce_budget(budget)
@@ -150,12 +220,15 @@ def exhaustive_opt(
         )
 
     exact_cfg = replace(cfg, mode=IgMode.EXACT)
+    cheapest = min(model.costs)
     best_counts: tuple[int, ...] | None = None
     best_ig: IgEstimate | None = None
 
     def recurse(path: int, prefix: list[int], remaining: Fraction):
         nonlocal best_counts, best_ig
         if path == model.num_paths:
+            if remaining >= cheapest:
+                return
             est = information_gain(model, prefix, exact_cfg)
             if best_ig is None or est.value > best_ig.value:
                 best_counts = tuple(prefix)

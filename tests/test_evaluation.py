@@ -241,3 +241,48 @@ class TestAgainstDirectScoring:
         row = res.rows[0]
         assert row.tasks_evaluated == 50
         assert 0.4 <= row.accuracy <= 1.0
+
+
+class TestShortFilled:
+    def ragged_data(self, num_tasks=60):
+        """Three votes on path 0 per task, 0 to 3 on path 1, so some tasks run short."""
+        m = sym_model([0.5, 0.5], [0.85, 0.75], [0.9, 0.8])
+        full = generate(m, [3, 3], num_tasks, seed=21)
+        samples = []
+        for j, s in enumerate(full.samples):
+            votes = {0: s.votes[0]}
+            if j % 4:
+                votes[1] = s.votes[1][: j % 4]
+            samples.append(TaskSample(task_id=s.task_id, votes=votes, truth=s.truth))
+        return Dataset(samples=tuple(samples), num_paths=2, num_labels=2)
+
+    def test_sweep_counts_short_filled_tasks(self):
+        data = self.ragged_data()
+        res = budget_sweep(
+            data, model_kinds=["mv", "apm"], strategies=["equal"], budgets=[4], folds=1, seed=5
+        )
+        # equal at budget 4 with unit costs asks for two votes on each path
+        want = sum(
+            1 for s in data.samples if len(s.votes.get(1, ())) < 2
+        )
+        assert 0 < want < len(data.samples)
+        for row in res.fold_rows + res.rows:
+            assert row.tasks_short_filled == want
+            assert row.tasks_evaluated == len(data.samples)
+            assert row.tasks_skipped == 0
+
+    def test_sweep_csv_has_short_filled_column(self, tmp_path):
+        from crowdplan.cli import main
+        from crowdplan.io import write_votes_csv
+
+        votes = tmp_path / "votes.csv"
+        out = tmp_path / "sweep.csv"
+        write_votes_csv(self.ragged_data(), str(votes))
+        rc = main(
+            ["sweep", "--votes", str(votes), "--budgets", "4", "--models", "mv",
+             "--strategies", "equal", "--folds", "2", "--seed", "3", "--out", str(out)]
+        )
+        assert rc == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert header[-3:] == ["tasks", "skipped", "short_filled"]
+        assert sum(int(r[-1]) for r in rows) == 30  # tasks with fewer than two votes on path 1

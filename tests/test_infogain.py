@@ -164,6 +164,26 @@ class TestSampledEntropy:
             )
             assert abs(h - exact) < max(5 * se, 0.01)
 
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            ("two paths", (0.5083152835193311, 0.004727373970008095)),
+            ("two blocks", (0.400673684810626, 0.0007997221299531129)),
+            ("three labels", (0.5330749408182333, 0.013917592862895014)),
+        ],
+    )
+    def test_draws_are_pinned(self, case, want):
+        """Frozen estimates: any change to how votes are drawn from the streams shows here."""
+        model, counts, g, seed = {
+            "two paths": (sym_model([0.6, 0.4], [0.85, 0.7], [0.8, 0.9]), [2, 1], 1000, 3),
+            "two blocks": (sym_model([0.5, 0.5], [0.9], [0.8]), [5], 2 * 8192 + 7, 11),
+            "three labels": (random_model(np.random.default_rng(5), 3, k=3), [3, 0, 2], 500, 2),
+        }[case]
+        got = sampled_conditional_entropy(
+            model, counts, IgConfig(mode=IgMode.SAMPLED, num_samples=g, seed=seed)
+        )
+        assert got == pytest.approx(want, abs=1e-14)
+
     def test_stderr_scales_down(self):
         m = sym_model([0.6, 0.4], [0.8, 0.75], [0.85, 0.7])
         small = sampled_conditional_entropy(
@@ -184,10 +204,27 @@ class TestModeSelection:
 
     def test_auto_falls_back_to_sampling(self):
         m = sym_model([0.5, 0.5], [0.9], [0.8])
-        cfg = IgConfig(mode=IgMode.AUTO, num_samples=8192, exact_limit=100)
+        cfg = IgConfig(mode=IgMode.AUTO, num_samples=8192, exact_limit=10)
         est = information_gain(m, [40], cfg)
         assert est.mode is IgMode.SAMPLED
         assert est.stderr > 0.0
+
+    def test_auto_counts_the_real_enumeration(self):
+        """21 votes on the bundled model is 2^21 assignments but only 480 count vectors."""
+        from importlib.resources import files
+
+        from crowdplan.infogain import _resolve_mode
+        from crowdplan.model import load_model
+
+        m = load_model(str(files("crowdplan") / "data" / "example_model.json"))
+        assert exact_count_vectors([9, 7, 5], 2) == 480
+        assert _resolve_mode(IgConfig(), [9, 7, 5], 2) is IgMode.EXACT
+        est = information_gain(m, [9, 7, 5])
+        assert est.mode is IgMode.EXACT
+        assert est.value == information_gain(m, [9, 7, 5], EXACT).value
+        # the cap is also the votes sampling would simulate: G per planned vote
+        assert _resolve_mode(IgConfig(num_samples=20), [9, 7, 5], 2) is IgMode.SAMPLED
+        assert _resolve_mode(IgConfig(num_samples=20, exact_limit=1), [0, 0, 0], 2) is IgMode.EXACT
 
     def test_exact_mode_respects_limit(self):
         m = sym_model([0.5, 0.5], [0.9] * 3, [0.8] * 3)

@@ -222,6 +222,12 @@ class TestEm:
         with pytest.raises(InputError):
             fit_em(data, share_workers=False, cfg=FAST)
 
+    def test_per_worker_mode_needs_votes(self):
+        """Without a single vote there is no worker to fit a table for."""
+        data = Dataset(samples=(TaskSample("t0", {}),), num_paths=1, num_labels=2)
+        with pytest.raises(InputError):
+            fit_em(data, share_workers=False, cfg=FAST)
+
 
 class TestNbi:
     def make_data(self, accs, num_tasks, seed, hide_truth=False):

@@ -1,35 +1,46 @@
-"""Property tests: the batched posteriors and log-likelihood against the oracles.
+"""Property tests: the batched posteriors and log-likelihood against the oracles,
+the lazy greedy planner against an eager reference, and EM monotonicity.
 
 Models are drawn at random with shared and per-worker vote tables, and their
-tables may hold exact zeros, so impossible votes and degenerate evidence
-come up. Every claim is checked task by task against the brute-force
-references in `_oracles.py`.
+tables may hold exact zeros, so impossible votes, degenerate evidence and
+exact ties between candidate votes come up. Posteriors are checked task by
+task against the brute-force references in `_oracles.py`.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdplan.planner as planner
+from crowdplan._rng import derive_seed
+from crowdplan.errors import InputError
 from crowdplan.inference import infer
-from crowdplan.learning import log_likelihood
+from crowdplan.infogain import IgConfig, IgMode, information_gain
+from crowdplan.learning import EmConfig, fit_em, fit_nbi, log_likelihood
 from crowdplan.model import (
     AccessPathSpec,
+    AccessPlan,
     ApmModel,
     Cpt,
     Dataset,
     LabelSpace,
     NbiModel,
     TaskSample,
+    with_costs,
 )
+from crowdplan.planner import TraceStep, greedy_plan
 
 from _oracles import (
     enum_joint_of_assignment,
     enum_posterior,
     naive_path_posterior,
     naive_worker_posterior,
+    sym_model,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -181,3 +192,162 @@ def test_log_likelihood_is_sum_of_oracle_log_joints(data):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
     other = Dataset(samples=tuple(shuffled(data.draw, tasks)), **layout)
     assert log_likelihood(model, other) == got
+
+
+# --- greedy planner ---
+
+COSTS = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
+
+
+@st.composite
+def priced_models(draw):
+    model = draw(apm_models(shared_only=True))
+    return with_costs(model, [draw(COSTS) for _ in range(model.num_paths)])
+
+
+def eager_greedy(model, budget, cfg):
+    """Cost-scaled greedy that scores every affordable candidate at every step."""
+    b = Fraction(budget)
+    counts = [0] * model.num_paths
+    spent = Fraction(0)
+    trace = []
+    step = 0
+    while True:
+        affordable = [i for i, c in enumerate(model.costs) if c <= b - spent]
+        if not affordable:
+            break
+        step_cfg = cfg
+        if cfg.mode is not IgMode.EXACT:
+            step_cfg = replace(cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
+        base = information_gain(model, counts, step_cfg).value
+        best = None
+        for i in affordable:
+            counts[i] += 1
+            delta = information_gain(model, counts, step_cfg).value - base
+            counts[i] -= 1
+            if delta <= 0:
+                continue
+            ratio = delta / float(model.costs[i])
+            if best is None or ratio > best[2]:
+                best = (i, delta, ratio)
+        if best is None:
+            break
+        i, delta, ratio = best
+        counts[i] += 1
+        spent += model.costs[i]
+        trace.append(TraceStep(step=step, path=i, delta_ig=delta, ratio=ratio))
+        step += 1
+    return AccessPlan(tuple(counts)), information_gain(model, counts, cfg), tuple(trace)
+
+
+@PROPERTY
+@given(
+    priced_models(),
+    st.integers(0, 8),
+    st.sampled_from(
+        [
+            IgConfig(mode=IgMode.EXACT),
+            IgConfig(),
+            IgConfig(mode=IgMode.SAMPLED, num_samples=64, seed=7),
+        ]
+    ),
+)
+def test_greedy_matches_eager_reference(model, budget, cfg):
+    """Lazy exact steps pick the same votes, with the same gain bits, as scoring every candidate."""
+    got = greedy_plan(model, budget, cfg)
+    plan, ig, trace = eager_greedy(model, budget, cfg)
+    assert got.plan == plan
+    assert got.trace == trace
+    assert got.ig == ig
+
+
+@st.composite
+def symmetric_models(draw):
+    """Identical paths, so candidates tie exactly and the lowest-index rule decides."""
+    n = draw(st.integers(2, 3))
+    return sym_model(
+        draw(st.sampled_from([[0.5, 0.5], [0.6, 0.4]])),
+        [draw(st.sampled_from([0.7, 0.8, 0.85, 0.9]))] * n,
+        [draw(st.sampled_from([0.6, 0.75, 0.8]))] * n,
+        costs=[draw(st.sampled_from([1, 2]))] * n,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(symmetric_models(), st.integers(1, 12))
+def test_greedy_ties_match_eager_reference(model, budget):
+    cfg = IgConfig(mode=IgMode.EXACT)
+    got = greedy_plan(model, budget, cfg)
+    plan, ig, trace = eager_greedy(model, budget, cfg)
+    assert got.plan == plan
+    assert got.trace == trace
+    assert got.ig == ig
+
+
+def _step_groups(calls):
+    """Split a greedy run's information_gain calls into steps.
+
+    Step t scores the plan it starts from (t votes) and candidates one vote
+    larger, and never scores a plan twice; any other call starts step t + 1.
+    """
+    groups, step, seen = [], 0, set()
+    for plan, mode in calls:
+        if not groups or sum(plan) not in (step, step + 1) or plan in seen:
+            step += bool(groups)
+            assert sum(plan) in (step, step + 1), calls
+            groups.append([])
+            seen = set()
+        seen.add(plan)
+        groups[-1].append(mode)
+    return groups
+
+
+@PROPERTY
+@given(priced_models(), st.integers(1, 8), st.integers(2, 60), st.integers(1, 40))
+def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples):
+    """Near auto's threshold a step's candidates straddle it; the step still uses one mode."""
+    cfg = IgConfig(num_samples=samples, exact_limit=exact_limit, seed=3)
+    calls = []
+    scorer = planner.information_gain
+
+    def recording(model, plan, step_cfg=None, threads=1):
+        est = scorer(model, plan, step_cfg, threads)
+        if step_cfg is not cfg:  # the caller's own config scores the final plan, not a step
+            calls.append((tuple(plan), est.mode))
+        return est
+
+    planner.information_gain = recording
+    try:
+        result = greedy_plan(model, budget, cfg)
+    finally:
+        planner.information_gain = scorer
+    groups = _step_groups(calls)
+    assert len(groups) >= len(result.trace)
+    for modes in groups:
+        assert len(set(modes)) == 1, groups
+
+
+# --- EM ---
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_em_history_never_decreases(data, alpha):
+    model = data.draw(apm_models())
+    shared = not has_per_worker_path(model)
+    tasks = data.draw(
+        task_lists(model.num_paths, model.num_labels, per_worker=not shared, labeled=True)
+    )
+    dataset = Dataset(samples=tuple(tasks), num_paths=model.num_paths, num_labels=model.num_labels)
+    cfg = EmConfig(max_iters=25, rel_tol=1e-12, smoothing_alpha=alpha, restarts=2, seed=1)
+    if not shared and not any(t.total_votes for t in tasks):
+        with pytest.raises(InputError):
+            fit_em(dataset, share_workers=False, cfg=cfg)
+        return
+    reports = [fit_em(dataset, share_workers=shared, cfg=cfg)[1]]
+    if not shared:
+        reports.append(fit_nbi(dataset, cfg=cfg, min_votes=1)[1])
+    for report in reports:
+        hist = report.history
+        assert len(hist) == report.iterations
+        assert all(b >= a - 1e-8 for a, b in zip(hist, hist[1:])), hist
