@@ -3,8 +3,7 @@
 All randomness in the package flows through substreams keyed by a user seed
 plus a structural path (task index, block index, restart index, ...). Streams
 are backed by Philox, a counter-based generator, so any unit of work can be
-computed in isolation -- in any order, on any thread -- and still produce the
-same draws.
+computed in isolation, in any order, and still produce the same draws.
 
 String key parts are folded to fixed 64-bit integers with BLAKE2s so that ids
 coming from data files key streams stably across runs and platforms.

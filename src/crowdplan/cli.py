@@ -2,7 +2,7 @@
 
 Subcommands: learn, plan, infer, simulate, sweep. Every command taking a
 --seed is bit-reproducible: rerunning with the same arguments produces
-byte-identical files and stdout, regardless of --threads.
+byte-identical files and stdout.
 
 Exit codes: 0 success, 2 bad input, 3 resource limit exceeded, 4 numeric
 failure.
@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from .evaluation import budget_sweep
@@ -35,35 +33,13 @@ from .model import (
     LabelSpace,
     NbiModel,
     load_model,
+    path_costs,
     save_model,
     with_costs,
     with_labels,
 )
 from .planner import Strategy, approximation_bound, build_plan
 from .simulator import generate, inject_correlation
-
-THREADS_ENV = "CROWDPLAN_THREADS"
-
-
-def _threads(value: int | None) -> int:
-    """The thread count to use: --threads, else $CROWDPLAN_THREADS, else 1, within 1..cpu_count."""
-    if value is None:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise InputError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return max(1, min(value, os.cpu_count() or 1))
-
-
-def _parse_costs(text: str, num_paths: int) -> list[Fraction]:
-    parts = parse_list(text)
-    if len(parts) != num_paths:
-        raise InputError(f"{len(parts)} costs for {num_paths} paths")
-    try:
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad costs {text!r}: {exc}") from None
 
 
 def _names(model: ApmModel | NbiModel) -> tuple[str, ...]:
@@ -91,10 +67,11 @@ def _cmd_learn(args) -> int:
     else:
         if kind is ModelKind.NBAP and not args.share_workers:
             raise InputError("nbap requires shared worker tables")
+        costs = path_costs(parse_list(args.costs), data.num_paths) if args.costs else None
         model, report = fit_em(data, share_workers=args.share_workers, cfg=cfg)
         model = with_labels(model, labels)
-        if args.costs:
-            model = with_costs(model, _parse_costs(args.costs, model.num_paths))
+        if costs:
+            model = with_costs(model, costs)
     save_model(model, args.out)
     print(
         json.dumps(
@@ -114,14 +91,7 @@ def _cmd_learn(args) -> int:
 def _cmd_plan(args) -> int:
     model = load_model(args.model)
     cfg = IgConfig(mode=IgMode(args.ig), num_samples=args.samples, seed=args.seed)
-    result = build_plan(
-        args.strategy,
-        model,
-        args.budget,
-        seed=args.seed,
-        ig_cfg=cfg,
-        threads=_threads(args.threads),
-    )
+    result = build_plan(args.strategy, model, args.budget, seed=args.seed, ig_cfg=cfg)
     try:
         bound = approximation_bound(model, args.budget)
     except InputError:
@@ -171,10 +141,9 @@ def _cmd_simulate(args) -> int:
         raise InputError(f"plan has {len(counts)} entries for {model.num_paths} paths")
     if not 0.0 <= args.inject_p <= 1.0:
         raise InputError(f"--inject-p must be in [0, 1], got {args.inject_p}")
-    threads = _threads(args.threads)
-    data = generate(model, counts, args.tasks, seed=args.seed, threads=threads)
+    data = generate(model, counts, args.tasks, seed=args.seed)
     if args.inject_p > 0:
-        data = inject_correlation(data, args.inject_p, seed=args.seed, threads=threads)
+        data = inject_correlation(data, args.inject_p, seed=args.seed)
     write_votes_csv(data, args.out, names=_names(model))
     print(f"wrote {len(data.samples)} tasks to {args.out}")
     return 0
@@ -190,18 +159,16 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         restarts=args.restarts,
     )
-    costs = _parse_costs(args.costs, data.num_paths) if args.costs else None
     result = budget_sweep(
         data,
         model_kinds=parse_list(args.models),
         strategies=parse_list(args.strategies),
-        budgets=[Fraction(b) for b in parse_budgets(args.budgets)],
+        budgets=parse_budgets(args.budgets),
         folds=args.folds,
         ig_cfg=cfg,
         seed=args.seed,
         em_cfg=em_cfg,
-        costs=costs,
-        threads=_threads(args.threads),
+        costs=parse_list(args.costs) if args.costs else None,
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -262,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ig", default="auto", choices=[m.value for m in IgMode])
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=_cmd_plan)
 
     p = sub.add_parser("infer", help="posteriors for every task in a votes file")
@@ -278,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, required=True)
     p.add_argument("--inject-p", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -292,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ig", default="auto", choices=[m.value for m in IgMode])
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_em_args(p)
     p.set_defaults(fn=_cmd_sweep)
@@ -316,6 +280,11 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except CrowdPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Inputs are opened under InputError, so what reaches here is an output.
+        where = exc.filename or "output"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

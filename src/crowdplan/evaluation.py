@@ -17,13 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import map_ordered
 from ._rng import derive_seed, substream
 from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, Posterior, infer
 from .learning import EmConfig, fit_em, fit_nbi
-from .model import AccessPlan, Dataset, NbiModel, TaskSample, with_costs
+from .model import AccessPlan, Dataset, NbiModel, TaskSample, path_costs, with_costs
 from .planner import Strategy, build_plan
 
 _NLL_FLOOR = 1e-12
@@ -229,6 +228,18 @@ def _score_fold(
     return rows
 
 
+def _members(cls, values, what: str) -> list:
+    """Enum members for `values`; an unknown value is an InputError naming it."""
+    out = []
+    for v in values:
+        try:
+            out.append(cls(v))
+        except ValueError:
+            choices = ", ".join(m.value for m in cls)
+            raise InputError(f"unknown {what} {v!r}; choose from {choices}") from None
+    return out
+
+
 def budget_sweep(
     data: Dataset,
     model_kinds: Sequence[ModelKind | str],
@@ -239,14 +250,16 @@ def budget_sweep(
     seed: int = 0,
     em_cfg: EmConfig | None = None,
     costs: Sequence[Fraction | int | str] | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Cross-validated accuracy and likelihood across budgets and strategies."""
     if folds < 1:
         raise InputError(f"folds must be >= 1, got {folds}")
-    kinds = [ModelKind(k) for k in model_kinds]
-    strats = [Strategy(s) for s in strategies]
-    budget_list = [Fraction(b) for b in budgets]
+    kinds = _members(ModelKind, model_kinds, "model kind")
+    strats = _members(Strategy, strategies, "strategy")
+    try:
+        budget_list = [Fraction(b) for b in budgets]
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"bad budgets {list(budgets)}") from None
     if not kinds or not strats or not budget_list:
         raise InputError("model_kinds, strategies and budgets must be non-empty")
     for s in data.samples:
@@ -254,20 +267,15 @@ def budget_sweep(
             raise InputError(f"task {s.task_id} has no truth; sweeps need labeled data")
     ig_cfg = ig_cfg or IgConfig()
     em_cfg = em_cfg or EmConfig()
-    cost_list = [Fraction(c) for c in costs] if costs is not None else [Fraction(1)] * data.num_paths
-    if len(cost_list) != data.num_paths:
-        raise InputError(f"{len(cost_list)} costs for {data.num_paths} paths")
+    cost_list = path_costs(costs if costs is not None else [1] * data.num_paths, data.num_paths)
 
-    splits = _fold_split(data, folds, seed)
-    fold_rows_nested = map_ordered(
-        lambda item: _score_fold(
-            item[0], item[1][0], item[1][1], kinds, strats, budget_list,
-            ig_cfg, em_cfg, cost_list, seed,
-        ),
-        list(enumerate(splits)),
-        threads,
-    )
-    fold_rows = [row for rows in fold_rows_nested for row in rows]
+    fold_rows = [
+        row
+        for fold, (train, test) in enumerate(_fold_split(data, folds, seed))
+        for row in _score_fold(
+            fold, train, test, kinds, strats, budget_list, ig_cfg, em_cfg, cost_list, seed
+        )
+    ]
 
     averaged = []
     for kind in kinds:

@@ -13,8 +13,8 @@ sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
     model and average the exact posterior entropy H(Y | x) of each draw. Draws
     are partitioned into fixed-size blocks with one counter-based stream per
-    (seed, block), so the result is independent of thread count and evaluation
-    order. The standard error reported is std / sqrt(G).
+    (seed, block), so the result does not depend on evaluation order. The
+    standard error reported is std / sqrt(G).
 
 auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `exact_limit` and the
@@ -35,7 +35,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._kernel import apm_log_joints, count_evidence, log, logsumexp, path_factors
-from ._parallel import map_ordered
 from ._rng import categorical, categorical_rows, substream
 from .errors import InputError, NumericError, ResourceLimitError
 from .model import AccessPlan, ApmModel, Cpt, as_counts
@@ -167,8 +166,8 @@ def exact_conditional_entropy(
 
 def _sample_block(
     model: ApmModel, counts: Sequence[int], seed: int, block: int, size: int
-) -> tuple[int, float, float]:
-    """Draw `size` vote sets and return (n, sum H, sum H^2) of posterior entropies."""
+) -> tuple[float, float]:
+    """Draw `size` vote sets and return (sum H, sum H^2) of their posterior entropies."""
     rng = substream(seed, "ig-block", block)
     k = model.num_labels
     active = [i for i, c in enumerate(counts) if c > 0]
@@ -193,14 +192,13 @@ def _sample_block(
     with np.errstate(invalid="ignore"):
         post = np.exp(log_post)
         ent = -np.where(post > 0, post * log_post, 0.0).sum(axis=1)
-    return size, float(ent.sum()), float((ent * ent).sum())
+    return float(ent.sum()), float((ent * ent).sum())
 
 
 def sampled_conditional_entropy(
     model: ApmModel,
     plan: AccessPlan | Sequence[int],
     cfg: IgConfig,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of H(Y | X_S) and its standard error."""
     counts = as_counts(plan, model.num_paths)
@@ -208,13 +206,10 @@ def sampled_conditional_entropy(
     if sum(counts) == 0:
         return prior_entropy(model.prior), 0.0
     g = cfg.num_samples
-    blocks = [(b, min(_BLOCK, g - b * _BLOCK)) for b in range((g + _BLOCK - 1) // _BLOCK)]
-    parts = map_ordered(
-        lambda bs: _sample_block(model, counts, cfg.seed, bs[0], bs[1]), blocks, threads
-    )
     total_h = 0.0
     total_h2 = 0.0
-    for _, sh, sh2 in parts:
+    for b in range((g + _BLOCK - 1) // _BLOCK):
+        sh, sh2 = _sample_block(model, counts, cfg.seed, b, min(_BLOCK, g - b * _BLOCK))
         total_h += sh
         total_h2 += sh2
     mean = total_h / g
@@ -244,7 +239,6 @@ def information_gain(
     model: ApmModel,
     plan: AccessPlan | Sequence[int],
     cfg: IgConfig | None = None,
-    threads: int = 1,
 ) -> IgEstimate:
     """IG(Y; X_S) = H(Y) - H(Y | X_S) for a plan, in nats."""
     cfg = cfg or IgConfig()
@@ -260,7 +254,7 @@ def information_gain(
                 raise NumericError(f"exact information gain {value} below -{_NEG_TOL}")
             value = 0.0
         return IgEstimate(value=value, stderr=0.0, mode=IgMode.EXACT)
-    h_cond, stderr = sampled_conditional_entropy(model, counts, cfg, threads)
+    h_cond, stderr = sampled_conditional_entropy(model, counts, cfg)
     return IgEstimate(value=h_prior - h_cond, stderr=stderr, mode=IgMode.SAMPLED)
 
 

@@ -9,6 +9,7 @@ that mapping travels with any model learned from the file.
 from __future__ import annotations
 
 import csv
+import io
 from typing import Sequence
 
 from .errors import InputError
@@ -47,11 +48,17 @@ def read_votes_csv(
     order: list[str] = []
     max_path = -1
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read votes file: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != VOTES_HEADER:
             raise InputError(
@@ -88,6 +95,8 @@ def read_votes_csv(
                         f"line {line}: task {task_id} has conflicting truths"
                     )
                 truths[task_id] = truth
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(mapper.names) < 2:
         raise InputError("votes file mentions fewer than 2 distinct labels")
     samples = tuple(

@@ -341,10 +341,25 @@ class VoteTable:
         return pairs, idx.reshape(-1)
 
 
+def path_costs(costs: Sequence[Fraction | int | str], num_paths: int) -> tuple[Fraction, ...]:
+    """Exact per-path costs: one positive rational per path."""
+    if len(costs) != num_paths:
+        raise InputError(f"{len(costs)} costs for {num_paths} paths")
+    out = []
+    for i, text in enumerate(costs):
+        try:
+            cost = Fraction(text)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InputError(f"path {i}: bad cost {text!r}") from None
+        if cost <= 0:
+            raise InputError(f"path {i}: non-positive cost {cost}")
+        out.append(cost)
+    return tuple(out)
+
+
 def with_costs(model: ApmModel, costs: Sequence[Fraction | int | str]) -> ApmModel:
-    """Copy of a model with new path costs."""
-    if len(costs) != model.num_paths:
-        raise InputError(f"{len(costs)} costs for {model.num_paths} paths")
+    """Copy of a model with new path costs, each positive."""
+    costs = path_costs(costs, model.num_paths)
     return replace(model, paths=tuple(replace(p, cost=c) for p, c in zip(model.paths, costs)))
 
 
@@ -378,6 +393,8 @@ def validate_model(model: ApmModel) -> list[str]:
     """Check every model invariant; return human-readable violations, empty if sound."""
     k = model.num_labels
     out = _prior_violations(model.prior, k)
+    if not model.paths:
+        out.append("model has no access paths")
     for i, spec in enumerate(model.paths):
         where = f"path {i}"
         if spec.index != i:
@@ -454,10 +471,21 @@ def nbi_model_to_dict(model: NbiModel) -> dict:
     return doc
 
 
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _labels_from(doc: Mapping) -> LabelSpace:
-    names = doc["labels"].get("names")
+    labels = _mapping(doc["labels"], "labels")
+    names = labels.get("names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise InputError("labels.names must be a list of strings")
     return LabelSpace(
-        cardinality=int(doc["labels"]["cardinality"]),
+        cardinality=int(labels["cardinality"]),
         names=tuple(names) if names is not None else None,
     )
 
@@ -467,10 +495,12 @@ def nbi_model_from_dict(doc: Mapping) -> NbiModel:
         model = NbiModel(
             labels=_labels_from(doc),
             prior=np.asarray(doc["prior"], dtype=np.float64),
-            worker_cpts={str(w): Cpt(rows) for w, rows in doc["workers"].items()},
+            worker_cpts={
+                str(w): Cpt(rows) for w, rows in _mapping(doc["workers"], "workers").items()
+            },
             sparse_workers=frozenset(doc.get("sparse_workers", ())),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed nbi model document: {exc}") from None
     problems = _prior_violations(model.prior, model.num_labels) + _table_violations(
         model.worker_cpts, model.num_labels, "worker"
@@ -529,6 +559,7 @@ def model_from_dict(doc: Mapping) -> ApmModel:
         path_cpts = []
         worker_cpts: list[WorkerCpts] = []
         for i, entry in enumerate(doc["paths"]):
+            entry = _mapping(entry, f"path entry {i}")
             if int(entry["id"]) != i:
                 raise InputError(f"path entry {i} has id {entry['id']}")
             paths.append(
@@ -540,12 +571,11 @@ def model_from_dict(doc: Mapping) -> ApmModel:
             if "shared_cpt" in entry:
                 worker_cpts.append(Cpt(entry["shared_cpt"]))
             elif "worker_cpts" in entry:
-                worker_cpts.append(
-                    {str(w): Cpt(rows) for w, rows in entry["worker_cpts"].items()}
-                )
+                tables = _mapping(entry["worker_cpts"], f"path {i} worker_cpts")
+                worker_cpts.append({str(w): Cpt(rows) for w, rows in tables.items()})
             else:
                 raise InputError(f"path {i}: neither shared_cpt nor worker_cpts present")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model document: {exc}") from None
     model = ApmModel(
         labels=labels,
@@ -585,7 +615,7 @@ def load_model(path: str, kinds: Sequence[str] = ("apm",)) -> ApmModel | NbiMode
     if not isinstance(doc, dict):
         raise InputError("model file must hold a JSON object")
     kind = doc.get("kind", "apm")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise InputError(f"unknown model kind {kind!r} in file")
     if kind not in kinds:
         raise InputError(f"expected {' or '.join(kinds)} model file, got kind {kind!r}")

@@ -117,7 +117,6 @@ def greedy_plan(
     model: ApmModel,
     budget,
     ig_cfg: IgConfig | None = None,
-    threads: int = 1,
 ) -> PlanResult:
     """Cost-scaled greedy vote acquisition.
 
@@ -146,11 +145,11 @@ def greedy_plan(
         step_cfg = replace(cfg, mode=mode)
         if exact:
             if known is None:
-                known = information_gain(model, counts, step_cfg, threads)
+                known = information_gain(model, counts, step_cfg)
             base = known.value
         else:
             step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
-            base = information_gain(model, counts, step_cfg, threads).value
+            base = information_gain(model, counts, step_cfg).value
 
         # Candidates in order of their bounds; a sampled step has none and
         # scores every candidate, in path order.
@@ -166,7 +165,7 @@ def greedy_plan(
             if -neg_bound < (best[2] if best else 0.0):
                 break
             counts[i] += 1
-            est = information_gain(model, counts, step_cfg, threads)
+            est = information_gain(model, counts, step_cfg)
             counts[i] -= 1
             delta = est.value - base
             if exact:
@@ -185,7 +184,7 @@ def greedy_plan(
         known = est if exact else None
         step += 1
     if known is None or _resolve_mode(cfg, counts, model.num_labels) is not IgMode.EXACT:
-        known = information_gain(model, counts, cfg, threads)
+        known = information_gain(model, counts, cfg)
     return PlanResult(
         plan=AccessPlan(tuple(counts)),
         cost=spent,
@@ -257,7 +256,6 @@ def baseline_plan(
     budget,
     seed: int = 0,
     ig_cfg: IgConfig | None = None,
-    threads: int = 1,
 ) -> PlanResult:
     """Reference allocations: random, single-best-path, or equal spread."""
     strategy = Strategy(strategy)
@@ -305,7 +303,7 @@ def baseline_plan(
     return PlanResult(
         plan=AccessPlan(tuple(counts)),
         cost=spent,
-        ig=information_gain(model, counts, cfg, threads),
+        ig=information_gain(model, counts, cfg),
     )
 
 
@@ -315,13 +313,12 @@ def build_plan(
     budget,
     seed: int = 0,
     ig_cfg: IgConfig | None = None,
-    threads: int = 1,
     enumeration_limit: int = 200_000,
 ) -> PlanResult:
     """Uniform entry point over all strategies."""
     strategy = Strategy(strategy)
     if strategy is Strategy.GREEDY:
-        return greedy_plan(model, budget, ig_cfg, threads)
+        return greedy_plan(model, budget, ig_cfg)
     if strategy is Strategy.OPT:
         return exhaustive_opt(model, budget, ig_cfg, enumeration_limit)
-    return baseline_plan(strategy, model, budget, seed, ig_cfg, threads)
+    return baseline_plan(strategy, model, budget, seed, ig_cfg)

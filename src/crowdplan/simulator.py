@@ -3,7 +3,7 @@
 Generation samples ancestrally from a model: truth, then one latent state per
 path, then votes. Each task owns one counter-based stream keyed by
 (seed, task index) and draws in a fixed order, so generation is reproducible
-regardless of execution order or thread count.
+and no task's draws depend on any other task.
 
 `inject_correlation` degrades vote independence the way herding does: walking
 the votes of a path in stored order, each vote after the first is replaced,
@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._parallel import map_ordered
 from ._rng import categorical, substream
 from .errors import InputError
 from .model import AccessPlan, ApmModel, Cpt, Dataset, TaskSample, Vote, as_counts
@@ -63,18 +62,13 @@ def generate(
     votes_per_path: AccessPlan | Sequence[int],
     num_tasks: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> Dataset:
     """Sample `num_tasks` tasks with the given vote counts per path."""
     if num_tasks < 0:
         raise InputError(f"num_tasks must be non-negative, got {num_tasks}")
     counts = as_counts(votes_per_path, model.num_paths)
-    samples = map_ordered(
-        lambda t: _generate_task(model, counts, seed, t), range(num_tasks), threads
-    )
-    return Dataset(
-        samples=tuple(samples), num_paths=model.num_paths, num_labels=model.num_labels
-    )
+    samples = tuple(_generate_task(model, counts, seed, t) for t in range(num_tasks))
+    return Dataset(samples=samples, num_paths=model.num_paths, num_labels=model.num_labels)
 
 
 def _inject_task(sample: TaskSample, p: float, seed: int, num_labels: int) -> TaskSample:
@@ -95,16 +89,12 @@ def _inject_task(sample: TaskSample, p: float, seed: int, num_labels: int) -> Ta
     return TaskSample(task_id=sample.task_id, votes=votes, truth=sample.truth)
 
 
-def inject_correlation(
-    data: Dataset, p: float, seed: int = 0, threads: int = 1
-) -> Dataset:
+def inject_correlation(data: Dataset, p: float, seed: int = 0) -> Dataset:
     """Replace votes with the running within-path majority with probability p."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"correlation probability must be in [0, 1], got {p}")
-    samples = map_ordered(
-        lambda s: _inject_task(s, p, seed, data.num_labels), data.samples, threads
-    )
-    return Dataset(samples=tuple(samples), num_paths=data.num_paths, num_labels=data.num_labels)
+    samples = tuple(_inject_task(s, p, seed, data.num_labels) for s in data.samples)
+    return Dataset(samples=samples, num_paths=data.num_paths, num_labels=data.num_labels)
 
 
 def quantile_paths(accuracies: Mapping[str, float], num_paths: int) -> dict[str, int]:

@@ -137,7 +137,7 @@ def test_05_sampled_gain_tracks_exact():
         exact = exact_conditional_entropy(model, plan)
         for seed in range(5):
             cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=50_000, seed=seed)
-            h, _ = sampled_conditional_entropy(model, plan, cfg, threads=4)
+            h, _ = sampled_conditional_entropy(model, plan, cfg)
             err = abs(h - exact)
             worst = max(worst, err)
             runs += 1
@@ -240,30 +240,30 @@ def test_09_outputs_are_bitwise_deterministic(tmp_path, capsys):
         / "example_model.json"
     )
 
-    def simulate(name, threads):
+    def simulate(name):
         out = tmp_path / name
         rc = main(
             [
                 "simulate", "--model", example, "--plan", "4,3,3",
                 "--tasks", "120", "--seed", "11", "--inject-p", "0.4",
-                "--threads", str(threads), "--out", str(out),
+                "--out", str(out),
             ]
         )
         assert rc == 0
         return out.read_bytes()
 
-    def plan(threads):
+    def plan():
         capsys.readouterr()
         rc = main(
             [
                 "plan", "--model", example, "--budget", "12", "--ig", "sampled",
-                "--samples", "20000", "--seed", "3", "--threads", str(threads),
+                "--samples", "20000", "--seed", "3",
             ]
         )
         assert rc == 0
         return capsys.readouterr().out
 
-    def sweep(name, threads):
+    def sweep(name):
         votes = tmp_path / "votes.csv"
         if not votes.exists():
             assert (
@@ -280,25 +280,22 @@ def test_09_outputs_are_bitwise_deterministic(tmp_path, capsys):
             [
                 "sweep", "--votes", str(votes), "--budgets", "3,9",
                 "--models", "mv,apm", "--strategies", "equal", "--folds", "2",
-                "--seed", "2", "--threads", str(threads), "--out", str(out),
+                "--seed", "2", "--out", str(out),
             ]
         )
         assert rc == 0
         return out.read_bytes()
 
     checks = {
-        "simulate rerun": simulate("s1.csv", 1) == simulate("s2.csv", 1),
-        "simulate threads": simulate("s3.csv", 1) == simulate("s4.csv", 8),
-        "plan rerun": plan(1) == plan(1),
-        "plan threads": plan(1) == plan(8),
-        "sweep rerun": sweep("w1.csv", 1) == sweep("w2.csv", 1),
-        "sweep threads": sweep("w3.csv", 1) == sweep("w4.csv", 8),
+        "simulate rerun": simulate("s1.csv") == simulate("s2.csv"),
+        "plan rerun": plan() == plan(),
+        "sweep rerun": sweep("w1.csv") == sweep("w2.csv"),
     }
     bad = [k for k, v in checks.items() if not v]
     report(
         9,
         not bad,
-        "byte-identical across reruns and thread counts 1 vs 8"
+        "byte-identical across reruns"
         if not bad
         else f"differences in: {', '.join(bad)}",
     )

@@ -145,20 +145,6 @@ class TestBudgetSweep:
             (r.accuracy, r.neg_log_likelihood) for r in b.rows
         ]
 
-    def test_thread_invariance(self):
-        data = self.make_data(num_tasks=120)
-        kwargs = dict(
-            model_kinds=["apm", "nbap"],
-            strategies=["equal"],
-            budgets=[3, 6],
-            folds=2,
-            seed=3,
-        )
-        a = budget_sweep(data, threads=1, **kwargs)
-        b = budget_sweep(data, threads=8, **kwargs)
-        assert a.rows == b.rows
-        assert a.fold_rows == b.fold_rows
-
     def test_single_fold_trains_on_everything(self):
         data = self.make_data(num_tasks=80)
         res = budget_sweep(
@@ -187,6 +173,27 @@ class TestBudgetSweep:
             budget_sweep(data, model_kinds=[], strategies=["equal"], budgets=[3])
         with pytest.raises(InputError):
             budget_sweep(data, model_kinds=["apm"], strategies=["equal"], budgets=[3], folds=0)
+        with pytest.raises(InputError, match="model kind 'bogus'"):
+            budget_sweep(data, model_kinds=["bogus"], strategies=["equal"], budgets=[3])
+        with pytest.raises(InputError, match="strategy 'bogus'"):
+            budget_sweep(data, model_kinds=["apm"], strategies=["bogus"], budgets=[3])
+        with pytest.raises(InputError, match="bad budgets"):
+            budget_sweep(data, model_kinds=["apm"], strategies=["equal"], budgets=["x"])
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_non_positive_costs(self, bad, monkeypatch):
+        import crowdplan.evaluation as evaluation
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("costs must be checked before any fitting")
+
+        monkeypatch.setattr(evaluation, "fit_em", no_fitting)
+        data = self.make_data(num_tasks=20)
+        with pytest.raises(InputError, match="path 0: non-positive cost"):
+            budget_sweep(
+                data, model_kinds=["apm"], strategies=["greedy"], budgets=[3],
+                costs=[bad, 1, 1],
+            )
 
     def test_nbi_survives_unknown_workers(self):
         """Votes from workers absent in training fall back to the class prior."""

@@ -128,13 +128,6 @@ class TestSampledEntropy:
         b = sampled_conditional_entropy(m, [2, 1], cfg)
         assert a == b
 
-    def test_thread_count_does_not_change_result(self):
-        m = sym_model([0.6, 0.4], [0.85, 0.7], [0.8, 0.9])
-        cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=30_000, seed=5)
-        a = sampled_conditional_entropy(m, [2, 2], cfg, threads=1)
-        b = sampled_conditional_entropy(m, [2, 2], cfg, threads=8)
-        assert a == b
-
     def test_different_seeds_differ(self):
         m = sym_model([0.6, 0.4], [0.85, 0.7], [0.8, 0.9])
         a = sampled_conditional_entropy(

@@ -1,12 +1,11 @@
 import csv
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdplan.cli import _threads, main
+from crowdplan.cli import main
 from crowdplan.errors import InputError
 from crowdplan.inference import infer
 from crowdplan.io import parse_budgets, parse_int_list, read_votes_csv, write_votes_csv
@@ -79,6 +78,18 @@ class TestReadVotes:
         f = tmp_path / "v.csv"
         write_csv(f, ["t1,x,,yes,"])
         with pytest.raises(InputError, match="line 2"):
+            read_votes_csv(str(f))
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        f = tmp_path / "v.csv"
+        f.write_bytes(b"task_id,path_id,worker_id,vote,truth\nt1,0,,no,\nt2,0,,y\xffes,\n")
+        with pytest.raises(InputError, match=r"v\.csv: line 3: not valid UTF-8"):
+            read_votes_csv(str(f))
+
+    def test_csv_error_names_file_and_line(self, tmp_path):
+        f = tmp_path / "v.csv"
+        write_csv(f, ["t1,0,,no,", "t2,0,," + "y" * 200_000 + ","])
+        with pytest.raises(InputError, match=r"v\.csv: line 3: field larger than field limit"):
             read_votes_csv(str(f))
 
     def test_single_label_file_rejected(self, tmp_path):
@@ -405,72 +416,109 @@ class TestCliInputChecks:
         assert self.infer(tmp_path, model, ["t1,0,a,no,"], "nbi") == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_threads_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _threads(64) == 3
-        assert _threads(2) == 2
-        assert _threads(0) == 1
-        monkeypatch.setenv("CROWDPLAN_THREADS", "64")
-        assert _threads(None) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _threads(None) == 1
+
+def example_doc():
+    return json.loads(Path(EXAMPLE).read_text())
 
 
-class TestCliDeterminism:
-    def run_simulate(self, tmp_path, name, threads, inject="0.3"):
-        out = tmp_path / name
-        argv = [
-            "simulate",
-            "--model",
-            EXAMPLE,
-            "--plan",
-            "3,2,2",
-            "--tasks",
-            "80",
-            "--seed",
-            "9",
-            "--inject-p",
-            inject,
-            "--out",
-            str(out),
-        ]
-        if threads is not None:
-            argv += ["--threads", str(threads)]
-        rc = main(argv)
-        assert rc == 0
-        return out.read_bytes()
+def labels_as_list(doc):
+    doc["labels"] = [2]
 
-    def test_simulate_threads_byte_identical(self, tmp_path):
-        assert self.run_simulate(tmp_path, "a.csv", 1) == self.run_simulate(
-            tmp_path, "b.csv", 8
+
+def worker_cpts_as_list(doc):
+    path = doc["paths"][0]
+    path["worker_cpts"] = [path.pop("shared_cpt")]
+
+
+def no_paths(doc):
+    doc["paths"] = []
+
+
+class TestCliMalformedInputs:
+    """Bad files and arguments end as `error:` and exit 2, never as a traceback."""
+
+    def votes(self, tmp_path):
+        votes = tmp_path / "votes.csv"
+        argv = ["simulate", "--model", EXAMPLE, "--plan", "2,2,2", "--tasks", "12"]
+        assert main(argv + ["--out", str(votes)]) == 0
+        return str(votes)
+
+    def assert_input_error(self, capsys, rc, *needles):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [
+            (labels_as_list, "labels must be a JSON object"),
+            (worker_cpts_as_list, "worker_cpts must be a JSON object"),
+            (no_paths, "no access paths"),
+        ],
+    )
+    def test_malformed_apm_document(self, tmp_path, capsys, mutate, needle):
+        doc = example_doc()
+        mutate(doc)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        rc = main(["plan", "--model", str(model), "--budget", "9"])
+        self.assert_input_error(capsys, rc, needle)
+
+    def test_nbi_workers_as_list(self, tmp_path, capsys):
+        doc = {"kind": "nbi", "labels": {"cardinality": 2}, "prior": [0.5, 0.5], "workers": [[1]]}
+        model = tmp_path / "nbi.json"
+        model.write_text(json.dumps(doc))
+        votes = tmp_path / "votes.csv"
+        write_csv(votes, ["t1,0,a,0,", "t2,0,a,1,"])
+        rc = main(
+            ["infer", "--model", str(model), "--votes", str(votes), "--model-kind", "nbi",
+             "--out", str(tmp_path / "p.csv")]
         )
+        self.assert_input_error(capsys, rc, "workers must be a JSON object")
 
-    def test_sampled_plan_threads_byte_identical(self, tmp_path, capsys):
-        outs = []
-        for threads in (1, 8):
-            rc = main(
-                [
-                    "plan",
-                    "--model",
-                    EXAMPLE,
-                    "--budget",
-                    "12",
-                    "--ig",
-                    "sampled",
-                    "--samples",
-                    "16384",
-                    "--seed",
-                    "2",
-                    "--threads",
-                    str(threads),
-                ]
-            )
-            assert rc == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+    def test_learn_on_invalid_utf8(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        votes.write_bytes(b"task_id,path_id,worker_id,vote,truth\nt1,0,,n\xffo,\nt2,0,,yes,\n")
+        rc = main(["learn", "--votes", str(votes), "--out", str(tmp_path / "m.json")])
+        self.assert_input_error(capsys, rc, "line 2", "not valid UTF-8")
 
-    def test_env_var_sets_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROWDPLAN_THREADS", "8")
-        with_env = self.run_simulate(tmp_path, "env.csv", None)
-        monkeypatch.delenv("CROWDPLAN_THREADS")
-        assert with_env == self.run_simulate(tmp_path, "plain.csv", None)
+    @pytest.mark.parametrize("costs", ["0,1,1", "-1,1,1"])
+    def test_learn_rejects_non_positive_costs(self, tmp_path, capsys, costs):
+        out = tmp_path / "m.json"
+        rc = main(["learn", "--votes", self.votes(tmp_path), f"--costs={costs}", "--out", str(out)])
+        self.assert_input_error(capsys, rc, "non-positive cost")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("costs", ["0,1,1", "-1,1,1"])
+    def test_sweep_rejects_non_positive_costs(self, tmp_path, capsys, costs):
+        rc = main(
+            ["sweep", "--votes", self.votes(tmp_path), "--budgets", "3", "--folds", "2",
+             f"--costs={costs}", "--out", str(tmp_path / "s.csv")]
+        )
+        self.assert_input_error(capsys, rc, "non-positive cost")
+
+    @pytest.mark.parametrize(
+        "flag, what", [("--models", "model kind"), ("--strategies", "strategy")]
+    )
+    def test_sweep_names_unknown_choice(self, tmp_path, capsys, flag, what):
+        rc = main(
+            ["sweep", "--votes", self.votes(tmp_path), "--budgets", "3", flag, "bogus",
+             "--out", str(tmp_path / "s.csv")]
+        )
+        self.assert_input_error(capsys, rc, f"unknown {what} 'bogus'")
+
+    def test_unwritable_outputs(self, tmp_path, capsys):
+        votes = self.votes(tmp_path)
+        capsys.readouterr()
+        out = str(tmp_path / "missing" / "x")
+        commands = [
+            ["learn", "--votes", votes],
+            ["simulate", "--model", EXAMPLE, "--plan", "1,1,1", "--tasks", "3"],
+            ["infer", "--model", EXAMPLE, "--votes", votes],
+            ["sweep", "--votes", votes, "--budgets", "3", "--models", "mv", "--folds", "2"],
+        ]
+        for argv in commands:
+            rc = main(argv + ["--out", out])
+            self.assert_input_error(capsys, rc, f"cannot write {out}")

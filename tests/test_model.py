@@ -255,6 +255,14 @@ class TestRebuilders:
         with pytest.raises(InputError):
             with_costs(m, [1])
 
+    @pytest.mark.parametrize("bad", [0, -1, "-1/2"])
+    def test_with_costs_rejects_non_positive(self, bad):
+        from crowdplan.model import with_costs
+
+        m = sym_model([0.5, 0.5], [0.8, 0.7], [0.9, 0.9])
+        with pytest.raises(InputError, match="path 1: non-positive cost"):
+            with_costs(m, [1, bad])
+
     def test_with_labels(self):
         from crowdplan.model import with_labels
 

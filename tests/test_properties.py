@@ -7,9 +7,15 @@ exact ties between candidate votes come up. Posteriors are checked task by
 task against the brute-force references in `_oracles.py`.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from hypothesis import strategies as st
 
 import crowdplan.planner as planner
 from crowdplan._rng import derive_seed
+from crowdplan.cli import main
 from crowdplan.errors import InputError
 from crowdplan.inference import infer
 from crowdplan.infogain import IgConfig, IgMode, information_gain
@@ -310,8 +317,8 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
     calls = []
     scorer = planner.information_gain
 
-    def recording(model, plan, step_cfg=None, threads=1):
-        est = scorer(model, plan, step_cfg, threads)
+    def recording(model, plan, step_cfg=None):
+        est = scorer(model, plan, step_cfg)
         if step_cfg is not cfg:  # the caller's own config scores the final plan, not a step
             calls.append((tuple(plan), est.mode))
         return est
@@ -351,3 +358,136 @@ def test_em_history_never_decreases(data, alpha):
         hist = report.history
         assert len(hist) == report.iterations
         assert all(b >= a - 1e-8 for a, b in zip(hist, hist[1:])), hist
+
+
+# --- CLI fuzz ---
+
+EXAMPLE_FILE = files("crowdplan") / "data" / "example_model.json"
+EXAMPLE, EXAMPLE_DOC = str(EXAMPLE_FILE), json.loads(EXAMPLE_FILE.read_text())
+# Each is wrong somewhere in a model document: a wrong type, a non-finite or
+# out-of-range number, a huge id. None is negative and finite, and no positive
+# one is below 1, so a mutated cost never turns negative and keeps greedy
+# planning at budget 9 short.
+BAD_VALUES = st.sampled_from(
+    [None, True, "x", [], {}, [[1]], math.nan, math.inf, -math.inf, 0, 10**20, 1e308, 2.5]
+)
+CSV_FIELDS = st.tuples(
+    st.sampled_from(["t1", "t2", "t3", ""]),
+    st.sampled_from(["0", "1", "2", "3", "50", "-1", "x", ""]),
+    st.sampled_from(["a", "b", ""]),
+    st.sampled_from(["no", "yes", "maybe", ""]),
+    st.sampled_from(["no", "yes", ""]),
+    st.just("extra"),
+)
+NBI_DOC = {
+    "kind": "nbi",
+    "labels": {"cardinality": 2, "names": ["no", "yes"]},
+    "prior": [0.5, 0.5],
+    "workers": {"a": [[0.9, 0.1], [0.2, 0.8]], "b": [[0.7, 0.3], [0.4, 0.6]]},
+}
+GOOD_VOTES = "task_id,path_id,worker_id,vote,truth\nt1,0,a,no,no\nt1,2,b,yes,no\nt2,1,a,yes,yes\n"
+KEYS = (
+    "kind", "labels", "cardinality", "names", "prior", "paths", "id", "cost", "path_cpt",
+    "shared_cpt", "worker_cpts", "workers", "sparse_workers",
+)
+
+
+def _locations(node, prefix=()):
+    """(location, node) for every node of a JSON document, the root included."""
+    yield prefix, node
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _locations(child, prefix + (key,))
+
+
+@st.composite
+def mutated_model_docs(draw):
+    """An apm or nbi document with up to three nodes replaced, dropped or moved to another key."""
+    doc = json.loads(json.dumps(draw(st.sampled_from([EXAMPLE_DOC, NBI_DOC]))))
+    found = list(_locations(doc))
+    containers = [where for where, node in found if isinstance(node, (dict, list))]
+    leaves = [where for where, node in found if not isinstance(node, (dict, list))]
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.one_of(st.sampled_from(containers), st.sampled_from(leaves)))
+        if not where:
+            return draw(BAD_VALUES)
+        parent = doc
+        try:
+            for key in where[:-1]:
+                parent = parent[key]
+            op = draw(st.sampled_from(["replace", "drop", "move"]))
+            if op == "replace" or not isinstance(parent, dict):
+                parent[where[-1]] = draw(BAD_VALUES)
+            elif op == "drop":
+                del parent[where[-1]]
+            else:
+                parent[draw(st.sampled_from(KEYS))] = parent.pop(where[-1])
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this location
+    return doc
+
+
+@st.composite
+def mangled_votes(draw):
+    header = draw(st.sampled_from(["task_id,path_id,worker_id,vote,truth", "task_id,vote", ""]))
+    lines = [header]
+    for fields in draw(st.lists(CSV_FIELDS, max_size=6)):
+        lines.append(",".join(fields[: draw(st.sampled_from([5, 5, 5, 0, 1, 4, 6]))]))
+    raw = bytearray("\n".join(lines).encode())
+    for junk in draw(st.lists(st.sampled_from([b"\xff", b"\x00", b'"', b"\r"]), max_size=2)):
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = junk
+    return bytes(raw)
+
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    if rc:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(mutated_model_docs())
+def test_cli_survives_malformed_model_documents(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        model, votes = os.path.join(tmp, "m.json"), os.path.join(tmp, "v.csv")
+        with open(model, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with open(votes, "w", encoding="utf-8") as fh:
+            fh.write(GOOD_VOTES)
+        _run_cli(["plan", "--model", model, "--budget", "9"])
+        _run_cli(["simulate", "--model", model, "--plan", "1,1,1", "--tasks", "3",
+                  "--out", os.path.join(tmp, "s.csv")])
+        for kind in ("apm", "nbi"):
+            _run_cli(["infer", "--model", model, "--votes", votes, "--model-kind", kind,
+                      "--out", os.path.join(tmp, "p.csv")])
+
+
+@settings(FUZZ, max_examples=80)
+@given(mangled_votes())
+def test_cli_survives_malformed_votes_files(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        votes, nbi = os.path.join(tmp, "v.csv"), os.path.join(tmp, "nbi.json")
+        with open(votes, "wb") as fh:
+            fh.write(raw)
+        with open(nbi, "w", encoding="utf-8") as fh:
+            json.dump(NBI_DOC, fh)
+        out = os.path.join(tmp, "out")
+        em = ["--max-iters", "3", "--restarts", "1"]
+        for kind in ("apm", "nbap", "mv"):
+            _run_cli(["infer", "--model", EXAMPLE, "--votes", votes, "--model-kind", kind,
+                      "--out", out])
+        _run_cli(["infer", "--model", nbi, "--votes", votes, "--model-kind", "nbi", "--out", out])
+        for kind in ("apm", "nbi"):
+            _run_cli(["learn", "--votes", votes, "--model-kind", kind, "--out", out, *em])
+        _run_cli(["sweep", "--votes", votes, "--budgets", "3", "--models", "mv,apm",
+                  "--strategies", "equal", "--folds", "2", "--out", out, *em])

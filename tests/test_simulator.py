@@ -22,12 +22,6 @@ class TestGenerate:
         b = generate(m, [2, 3], 150, seed=42)
         assert a == b
 
-    def test_thread_count_does_not_change_data(self):
-        m = sym_model([0.5, 0.5], [0.8, 0.7], [0.9, 0.85])
-        a = generate(m, [2, 3], 200, seed=7, threads=1)
-        b = generate(m, [2, 3], 200, seed=7, threads=8)
-        assert a == b
-
     def test_seeds_differ(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         assert generate(m, [2], 50, seed=0) != generate(m, [2], 50, seed=1)
