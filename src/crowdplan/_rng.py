@@ -43,15 +43,13 @@ def derive_seed(seed: int, *key: KeyPart) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    """Draw `size` indices from one categorical distribution."""
+def categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn from one categorical distribution by each uniform in u."""
     edges = np.cumsum(probs)
-    u = rng.random(size) * edges[-1]
-    return np.minimum(np.searchsorted(edges, u, side="right"), len(probs) - 1)
+    return np.minimum(np.searchsorted(edges, u * edges[-1], side="right"), len(probs) - 1)
 
 
-def categorical_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Draw one index per row of a matrix of row distributions."""
-    edges = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0]) * edges[:, -1]
-    return np.minimum((edges < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+def categorical_rows(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn by uniform u[..., j] from row j of cumulative weights `edges` (n, K)."""
+    u = u * edges[:, -1]
+    return np.minimum((edges < u[..., None]).sum(axis=-1), edges.shape[1] - 1)

@@ -16,6 +16,19 @@ sampled
     (seed, block), so the result does not depend on evaluation order. The
     standard error reported is std / sqrt(G).
 
+    A block of n draws reads its stream in a fixed layout: n uniforms for the
+    outcomes, then for each voted path, in path order, n for its latent state
+    and n per vote. A path's factor table log p(x_i | y) is therefore fixed by
+    the path, the stream row where its draws start and its vote count.
+    `sampled_conditional_entropies` scores several plans under one config: it
+    draws each block once, builds each distinct table once, and reduces each
+    plan's tables exactly as a lone call would, so every value equals its own
+    `sampled_conditional_entropy` call bit for bit. A plan that votes on all
+    N paths and its N one-vote extensions need 3N - 1 tables per block
+    instead of (N + 1) N: the plan's N, one per extension for the path it
+    grows, and one per later path, whose draws every extension shifts by the
+    same single row.
+
 auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `exact_limit` and the
 number of votes the sampled estimator would simulate, G * sum S_i. One count
@@ -164,35 +177,90 @@ def exact_conditional_entropy(
     return float(contrib.sum())
 
 
-def _sample_block(
-    model: ApmModel, counts: Sequence[int], seed: int, block: int, size: int
-) -> tuple[float, float]:
-    """Draw `size` vote sets and return (sum H, sum H^2) of their posterior entropies."""
-    rng = substream(seed, "ig-block", block)
-    k = model.num_labels
-    active = [i for i, c in enumerate(counts) if c > 0]
-    y = categorical(rng, model.prior, size)
-    labels = np.arange(k)
-    label_counts = np.empty((size, len(active), k), dtype=np.float64)
-    for pos, i in enumerate(active):
-        z = categorical_rows(rng, model.path_cpts[i].rows[y])
-        edges = np.cumsum(model.worker_cpts[i].rows, axis=1)[z]
-        # One call draws the same uniforms as counts[i] calls of `size` each,
-        # row by row, and the same inverse-CDF lookup as `categorical_rows`.
-        u = rng.random((counts[i], size)) * edges[:, -1]
-        v = np.minimum((edges < u[:, :, None]).sum(axis=2), k - 1)
-        label_counts[:, pos, :] = (v[:, :, None] == labels).sum(axis=0)
+def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """log p(x_path | y) for each draw of `len(u) - 1` votes on one path.
 
-    log_x = log(np.stack([model.worker_cpts[i].rows for i in active]))
-    log_zy = log(np.stack([model.path_cpts[i].rows for i in active]))
-    _, factors = path_factors(log_zy, count_evidence(label_counts, log_x))
-    log_joint = apm_log_joints(log(model.prior), factors)
-    norm = logsumexp(log_joint, axis=1)
-    log_post = log_joint - norm[:, None]
-    with np.errstate(invalid="ignore"):
-        post = np.exp(log_post)
-        ent = -np.where(post > 0, post * log_post, 0.0).sum(axis=1)
-    return float(ent.sum()), float((ent * ent).sum())
+    u[0] draws the path's latent state and u[1:] the votes, one row of
+    uniforms per vote, as `len(u)` consecutive draws of a block's stream.
+    """
+    z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
+    v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
+    label_counts = (v[:, :, None] == np.arange(model.num_labels)).sum(axis=0, dtype=np.float64)
+    evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
+    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence)
+    return factor[:, 0, :]
+
+
+def _sample_block(
+    model: ApmModel, plans: Sequence[Sequence[int]], seed: int, block: int, size: int
+) -> list[tuple[float, float]]:
+    """Draw `size` vote sets per plan and return (sum H, sum H^2) per plan.
+
+    Every plan reads the block's one stream from the start (layout in the
+    module docstring), so each (path, stream row, votes) factor table is
+    built once per block, however many plans share it.
+    """
+    rows = max(1 + sum(1 + c for c in counts if c > 0) for counts in plans)
+    u = substream(seed, "ig-block", block).random(rows * size).reshape(rows, size)
+    y = categorical(model.prior, u[0])
+    log_prior = log(model.prior)
+    tables: dict[tuple[int, int, int], np.ndarray] = {}
+    out = []
+    for counts in plans:
+        factors = []
+        row = 1
+        for i, c in enumerate(counts):
+            if c == 0:
+                continue
+            key = (i, row, c)
+            if key not in tables:
+                tables[key] = _path_factor(model, i, y, u[row : row + 1 + c])
+            factors.append(tables[key])
+            row += 1 + c
+        log_joint = apm_log_joints(log_prior, np.stack(factors, axis=1))
+        norm = logsumexp(log_joint, axis=1)
+        log_post = log_joint - norm[:, None]
+        with np.errstate(invalid="ignore"):
+            post = np.exp(log_post)
+            ent = -np.where(post > 0, post * log_post, 0.0).sum(axis=1)
+        out.append((float(ent.sum()), float((ent * ent).sum())))
+    return out
+
+
+def sampled_conditional_entropies(
+    model: ApmModel,
+    plans: Sequence[AccessPlan | Sequence[int]],
+    cfg: IgConfig,
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of H(Y | X_S) and their standard errors, one per plan.
+
+    Each value equals a separate `sampled_conditional_entropy` call bit for
+    bit: all plans read the same blocks of the same streams, and the factor
+    table of a path they draw from the same stream rows is built once.
+    """
+    all_counts = [as_counts(plan, model.num_paths) for plan in plans]
+    for counts in all_counts:
+        _require_shared(model, counts)
+    voted = [counts for counts in all_counts if sum(counts) > 0]
+    g = cfg.num_samples
+    sums = [(0.0, 0.0)] * len(voted)
+    for b in range((g + _BLOCK - 1) // _BLOCK if voted else 0):
+        block = _sample_block(model, voted, cfg.seed, b, min(_BLOCK, g - b * _BLOCK))
+        sums = [(h + sh, h2 + sh2) for (h, h2), (sh, sh2) in zip(sums, block)]
+    out = []
+    totals = iter(sums)
+    for counts in all_counts:
+        if sum(counts) == 0:
+            out.append((prior_entropy(model.prior), 0.0))
+            continue
+        total_h, total_h2 = next(totals)
+        mean = total_h / g
+        if g > 1:
+            var = max(0.0, (total_h2 - g * mean * mean) / (g - 1))
+        else:
+            var = 0.0
+        out.append((mean, math.sqrt(var / g)))
+    return out
 
 
 def sampled_conditional_entropy(
@@ -201,23 +269,7 @@ def sampled_conditional_entropy(
     cfg: IgConfig,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of H(Y | X_S) and its standard error."""
-    counts = as_counts(plan, model.num_paths)
-    _require_shared(model, counts)
-    if sum(counts) == 0:
-        return prior_entropy(model.prior), 0.0
-    g = cfg.num_samples
-    total_h = 0.0
-    total_h2 = 0.0
-    for b in range((g + _BLOCK - 1) // _BLOCK):
-        sh, sh2 = _sample_block(model, counts, cfg.seed, b, min(_BLOCK, g - b * _BLOCK))
-        total_h += sh
-        total_h2 += sh2
-    mean = total_h / g
-    if g > 1:
-        var = max(0.0, (total_h2 - g * mean * mean) / (g - 1))
-    else:
-        var = 0.0
-    return mean, math.sqrt(var / g)
+    return sampled_conditional_entropies(model, [plan], cfg)[0]
 
 
 def _resolve_mode(cfg: IgConfig, counts: Sequence[int], k: int) -> IgMode:

@@ -25,10 +25,17 @@ rounding) reaches the best fresh ratio, so it picks the same vote as scoring
 every candidate would. When the final plan resolves exact, its gain is the
 last winner's estimate.
 
-Sampled steps score every candidate under the same derived seed (common
+Sampled steps score the base plan and every affordable candidate in one
+`sampled_conditional_entropies` call under the step's derived seed (common
 random numbers), which removes sampling noise from the comparison between
-candidates within a step; a stale sampled value is not a bound, so nothing
-carries over between sampled steps.
+candidates within a step. The call draws each block of votes once and builds
+each path's factor table once for all these plans (see the `infogain`
+docstring); each value is bit for bit the one a separate call would give, so
+the plan is the same as scoring the candidates one by one. A stale sampled
+value is not a bound, so nothing carries over between sampled steps.
+
+Every planner checks the path costs (`model.path_costs`) before it loops: a
+zero or negative cost is an InputError.
 """
 
 from __future__ import annotations
@@ -48,8 +55,10 @@ from .infogain import (
     IgMode,
     _resolve_mode,
     information_gain,
+    prior_entropy,
+    sampled_conditional_entropies,
 )
-from .model import AccessPlan, ApmModel, plan_cost
+from .model import AccessPlan, ApmModel, path_costs, plan_cost
 
 
 class Strategy(str, enum.Enum):
@@ -90,10 +99,11 @@ def _coerce_budget(budget) -> Fraction:
 
 def approximation_bound(model: ApmModel, budget) -> float:
     """Worst-case greedy/optimal gain ratio, 1 - e^(-(1 - gamma))."""
+    costs = path_costs(model.costs, model.num_paths)
     b = _coerce_budget(budget)
     if b <= 0:
         raise InputError("approximation bound needs a positive budget")
-    cmax = max(model.costs)
+    cmax = max(costs)
     if cmax > b:
         raise InputError(
             f"path cost {cmax} exceeds budget {b}; the bound only covers gamma < 1"
@@ -126,6 +136,7 @@ def greedy_plan(
     vote as evaluating every candidate would.
     """
     cfg = ig_cfg or IgConfig()
+    costs = path_costs(model.costs, model.num_paths)
     b = _coerce_budget(budget)
     counts = [0] * model.num_paths
     spent = Fraction(0)
@@ -137,7 +148,7 @@ def greedy_plan(
     stale: dict[int, float] = {}
     step = 0
     while True:
-        affordable = [i for i, c in enumerate(model.costs) if c <= b - spent]
+        affordable = [i for i, c in enumerate(costs) if c <= b - spent]
         if not affordable:
             break
         mode = _step_mode(cfg, counts, affordable, model.num_labels)
@@ -149,12 +160,21 @@ def greedy_plan(
             base = known.value
         else:
             step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
-            base = information_gain(model, counts, step_cfg).value
+            plans = [counts] + [
+                counts[:i] + [counts[i] + 1] + counts[i + 1 :] for i in affordable
+            ]
+            h_prior = prior_entropy(model.prior)
+            base_est, *ests = (
+                IgEstimate(value=h_prior - h, stderr=se, mode=IgMode.SAMPLED)
+                for h, se in sampled_conditional_entropies(model, plans, step_cfg)
+            )
+            base = base_est.value
+            scored = dict(zip(affordable, ests))
 
-        # Candidates in order of their bounds; a sampled step has none and
-        # scores every candidate, in path order.
+        # Candidates in order of their bounds; a sampled step has none, and
+        # takes its scored candidates in path order.
         heap = [
-            (-(stale[i] + _NEG_TOL) / float(model.costs[i]) if exact and i in stale
+            (-(stale[i] + _NEG_TOL) / float(costs[i]) if exact and i in stale
              else -math.inf, i)
             for i in affordable
         ]
@@ -164,22 +184,24 @@ def greedy_plan(
             neg_bound, i = heapq.heappop(heap)
             if -neg_bound < (best[2] if best else 0.0):
                 break
-            counts[i] += 1
-            est = information_gain(model, counts, step_cfg)
-            counts[i] -= 1
-            delta = est.value - base
             if exact:
-                stale[i] = delta
+                counts[i] += 1
+                est = information_gain(model, counts, step_cfg)
+                counts[i] -= 1
+                stale[i] = est.value - base
+            else:
+                est = scored[i]
+            delta = est.value - base
             if delta <= 0:
                 continue
-            ratio = delta / float(model.costs[i])
+            ratio = delta / float(costs[i])
             if best is None or ratio > best[2] or (ratio == best[2] and i < best[0]):
                 best = (i, delta, ratio, est)
         if best is None:
             break
         i, delta, ratio, est = best
         counts[i] += 1
-        spent += model.costs[i]
+        spent += costs[i]
         trace.append(TraceStep(step=step, path=i, delta_ig=delta, ratio=ratio))
         known = est if exact else None
         step += 1
@@ -208,8 +230,9 @@ def exhaustive_opt(
     ResourceLimitError when the feasible set exceeds enumeration_limit.
     """
     cfg = ig_cfg or IgConfig()
+    costs = path_costs(model.costs, model.num_paths)
     b = _coerce_budget(budget)
-    caps = [int(b // c) for c in model.costs]
+    caps = [int(b // c) for c in costs]
     total = 1
     for cap in caps:
         total *= cap + 1
@@ -219,7 +242,7 @@ def exhaustive_opt(
         )
 
     exact_cfg = replace(cfg, mode=IgMode.EXACT)
-    cheapest = min(model.costs)
+    cheapest = min(costs)
     best_counts: tuple[int, ...] | None = None
     best_ig: IgEstimate | None = None
 
@@ -233,7 +256,7 @@ def exhaustive_opt(
                 best_counts = tuple(prefix)
                 best_ig = est
             return
-        cost = model.costs[path]
+        cost = costs[path]
         count = 0
         while count * cost <= remaining:
             prefix.append(count)
@@ -260,6 +283,7 @@ def baseline_plan(
     """Reference allocations: random, single-best-path, or equal spread."""
     strategy = Strategy(strategy)
     cfg = ig_cfg or IgConfig()
+    costs = path_costs(model.costs, model.num_paths)
     b = _coerce_budget(budget)
     counts = [0] * model.num_paths
     spent = Fraction(0)
@@ -267,12 +291,12 @@ def baseline_plan(
     if strategy is Strategy.RND:
         rng = substream(seed, "rnd-plan")
         while True:
-            affordable = [i for i, c in enumerate(model.costs) if c <= b - spent]
+            affordable = [i for i, c in enumerate(costs) if c <= b - spent]
             if not affordable:
                 break
             i = affordable[int(rng.integers(0, len(affordable)))]
             counts[i] += 1
-            spent += model.costs[i]
+            spent += costs[i]
     elif strategy is Strategy.BEST:
         exact_cfg = replace(cfg, mode=IgMode.EXACT)
         best_path = None
@@ -283,14 +307,14 @@ def baseline_plan(
             gain = information_gain(model, one, exact_cfg).value
             if gain > best_gain:
                 best_path, best_gain = i, gain
-        if model.costs[best_path] <= b:
-            counts[best_path] = int(b // model.costs[best_path])
-            spent = model.costs[best_path] * counts[best_path]
+        if costs[best_path] <= b:
+            counts[best_path] = int(b // costs[best_path])
+            spent = costs[best_path] * counts[best_path]
     elif strategy is Strategy.EQUAL:
         progressed = True
         while progressed:
             progressed = False
-            for i, c in enumerate(model.costs):
+            for i, c in enumerate(costs):
                 if c <= b - spent:
                     counts[i] += 1
                     spent += c

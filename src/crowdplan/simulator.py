@@ -24,7 +24,7 @@ from .model import AccessPlan, ApmModel, Cpt, Dataset, TaskSample, Vote, as_coun
 
 
 def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
-    return int(categorical(rng, probs, 1)[0])
+    return int(categorical(probs, rng.random(1))[0])
 
 
 def _path_workers(model: ApmModel, path: int) -> tuple[str, ...] | None:

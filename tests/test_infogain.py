@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import crowdplan.infogain as infogain
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.infogain import (
     IgConfig,
@@ -12,6 +13,7 @@ from crowdplan.infogain import (
     exact_count_vectors,
     information_gain,
     prior_entropy,
+    sampled_conditional_entropies,
     sampled_conditional_entropy,
 )
 
@@ -186,6 +188,37 @@ class TestSampledEntropy:
             m, [3, 2], IgConfig(mode=IgMode.SAMPLED, num_samples=8192 * 32, seed=0)
         )
         assert large[1] < small[1]
+
+
+class TestSharedBlocks:
+    """A greedy step's plans share one stream per block and each path table it draws."""
+
+    def test_step_builds_each_table_once_per_block(self, monkeypatch):
+        """Base tables 5, candidates' own paths 5, later paths shifted once 4: 14, not 6 x 5."""
+        model = random_model(np.random.default_rng(4), 5, k=4, costs=[1, 2, 2, 3, 4])
+        cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=8192 + 1, seed=2)
+        base = [5, 4, 3, 3, 2]
+        plans = [base] + [base[:i] + [base[i] + 1] + base[i + 1 :] for i in range(5)]
+        built = []
+        original = infogain._path_factor
+
+        def counting(model, path, *args):
+            built.append(path)
+            return original(model, path, *args)
+
+        monkeypatch.setattr(infogain, "_path_factor", counting)
+        together = sampled_conditional_entropies(model, plans, cfg)
+        assert len(built) == 2 * 14  # two blocks
+        built.clear()
+        apart = [sampled_conditional_entropy(model, plan, cfg) for plan in plans]
+        assert len(built) == 2 * 30
+        assert together == apart
+
+    def test_per_worker_plan_rejected(self):
+        model = random_model(np.random.default_rng(1), 2, per_worker=True)
+        cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=10)
+        with pytest.raises(InputError):
+            sampled_conditional_entropies(model, [[0, 0], [1, 0]], cfg)
 
 
 class TestModeSelection:

@@ -204,3 +204,45 @@ class TestBuildPlan:
             build_plan("greedy", m, -1)
         with pytest.raises(ValueError):
             build_plan("clever", m, 1)
+
+
+class TestNonPositiveCosts:
+    """A hand-built model's costs are checked before any planning loop.
+
+    Without the check a zero cost divides by zero in greedy and opt, and
+    equal, rnd and opt never run out of budget.
+    """
+
+    @staticmethod
+    def model(cost):
+        return sym_model([0.5, 0.5], [0.9, 0.8], [0.8, 0.7], costs=[1, cost])
+
+    @pytest.mark.parametrize("cost", [0, -1])
+    def test_greedy(self, cost):
+        with pytest.raises(InputError, match="non-positive cost"):
+            greedy_plan(self.model(cost), 4)
+
+    @pytest.mark.parametrize("cost", [0, -1])
+    def test_opt(self, cost):
+        with pytest.raises(InputError, match="non-positive cost"):
+            exhaustive_opt(self.model(cost), 4)
+
+    @pytest.mark.parametrize("cost", [0, -1])
+    def test_equal(self, cost):
+        with pytest.raises(InputError, match="non-positive cost"):
+            baseline_plan(Strategy.EQUAL, self.model(cost), 4)
+
+    @pytest.mark.parametrize("cost", [0, -1])
+    def test_rnd(self, cost):
+        with pytest.raises(InputError, match="non-positive cost"):
+            baseline_plan(Strategy.RND, self.model(cost), 4, seed=1)
+
+    @pytest.mark.parametrize("cost", [0, -1])
+    def test_best(self, cost):
+        with pytest.raises(InputError, match="non-positive cost"):
+            baseline_plan(Strategy.BEST, self.model(cost), 4)
+
+    @pytest.mark.parametrize("cost", [0, -1])
+    def test_approximation_bound(self, cost):
+        with pytest.raises(InputError, match="non-positive cost"):
+            approximation_bound(self.model(cost), 4)

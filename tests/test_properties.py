@@ -1,5 +1,6 @@
 """Property tests: the batched posteriors and log-likelihood against the oracles,
-the lazy greedy planner against an eager reference, and EM monotonicity.
+the lazy greedy planner against an eager reference, a greedy step's batched
+sampled scores against separate calls, and EM monotonicity.
 
 Models are drawn at random with shared and per-worker vote tables, and their
 tables may hold exact zeros, so impossible votes, degenerate evidence and
@@ -27,7 +28,13 @@ from crowdplan._rng import derive_seed
 from crowdplan.cli import main
 from crowdplan.errors import InputError
 from crowdplan.inference import infer
-from crowdplan.infogain import IgConfig, IgMode, information_gain
+from crowdplan.infogain import (
+    IgConfig,
+    IgMode,
+    information_gain,
+    sampled_conditional_entropies,
+    sampled_conditional_entropy,
+)
 from crowdplan.learning import EmConfig, fit_em, fit_nbi, log_likelihood
 from crowdplan.model import (
     AccessPathSpec,
@@ -70,8 +77,8 @@ def cpts(draw, k):
 
 
 @st.composite
-def apm_models(draw, shared_only=False):
-    k = draw(st.integers(2, 3))
+def apm_models(draw, shared_only=False, max_labels=3):
+    k = draw(st.integers(2, max_labels))
     n = draw(st.integers(1, 3))
     worker_cpts = []
     for _ in range(n):
@@ -292,7 +299,7 @@ def test_greedy_ties_match_eager_reference(model, budget):
 
 
 def _step_groups(calls):
-    """Split a greedy run's information_gain calls into steps.
+    """Split the plans a greedy run scores, in order, into steps.
 
     Step t scores the plan it starts from (t votes) and candidates one vote
     larger, and never scores a plan twice; any other call starts step t + 1.
@@ -316,6 +323,7 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
     cfg = IgConfig(num_samples=samples, exact_limit=exact_limit, seed=3)
     calls = []
     scorer = planner.information_gain
+    batch_scorer = planner.sampled_conditional_entropies
 
     def recording(model, plan, step_cfg=None):
         est = scorer(model, plan, step_cfg)
@@ -323,15 +331,44 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
             calls.append((tuple(plan), est.mode))
         return est
 
+    def recording_batch(model, plans, step_cfg):
+        calls.extend((tuple(plan), IgMode.SAMPLED) for plan in plans)
+        return batch_scorer(model, plans, step_cfg)
+
     planner.information_gain = recording
+    planner.sampled_conditional_entropies = recording_batch
     try:
         result = greedy_plan(model, budget, cfg)
     finally:
         planner.information_gain = scorer
+        planner.sampled_conditional_entropies = batch_scorer
     groups = _step_groups(calls)
     assert len(groups) >= len(result.trace)
     for modes in groups:
         assert len(set(modes)) == 1, groups
+
+
+# --- sampled information gain ---
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(apm_models(shared_only=True, max_labels=4), st.data())
+@pytest.mark.parametrize("samples", [1, 97, 8192 + 7])
+def test_batched_sampled_scorer_matches_separate_calls(samples, model, data):
+    """A greedy step's plans scored together give each plan's own estimate, bit for bit.
+
+    Every plan is checked twice: after a drawn base, and after the empty base,
+    whose candidates each open a path with no votes.
+    """
+    cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=samples, seed=data.draw(st.integers(0, 99)))
+    n = model.num_paths
+    drawn = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    for base in (drawn, [0] * n):
+        plans = [base] + [base[:i] + [base[i] + 1] + base[i + 1 :] for i in range(n)]
+        got = sampled_conditional_entropies(model, plans, cfg)
+        want = [sampled_conditional_entropy(model, plan, cfg) for plan in plans]
+        assert got == want
+        assert all(type(h) is float and type(se) is float for h, se in got)
 
 
 # --- EM ---
