@@ -64,10 +64,11 @@ def execute_plan_on_sample(
 
     Selection is without replacement; a path with fewer recorded votes than
     requested contributes everything it has and the task is marked
-    short-filled. A task left with no votes at all is marked skipped.
+    short-filled. A task left with no votes at all is marked skipped. The
+    task's stream is opened only when some path has more votes than it needs.
     """
     counts = plan.counts if isinstance(plan, AccessPlan) else tuple(int(c) for c in plan)
-    rng = substream(seed, "exec", sample.task_id)
+    rng = None
     votes = {}
     short = False
     for path in sorted(sample.votes):
@@ -82,6 +83,8 @@ def execute_plan_on_sample(
                 short = True
             votes[path] = have
             continue
+        if rng is None:
+            rng = substream(seed, "exec", sample.task_id)
         picked = sorted(rng.choice(len(have), size=want, replace=False).tolist())
         votes[path] = tuple(have[i] for i in picked)
     short = short or any(

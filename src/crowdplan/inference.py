@@ -127,8 +127,8 @@ def infer(
     )
     n = table.num_samples
     if kind is ModelKind.MV:
-        counts = np.zeros((n, k))
-        np.add.at(counts, (table.sample_idx, table.label), 1.0)
+        counts = np.bincount(table.sample_idx * k + table.label, minlength=n * k)
+        counts = counts.reshape(n, k).astype(np.float64)
         totals = counts.sum(axis=1, keepdims=True)
         probs = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / k)
         degenerate = np.zeros(n, dtype=bool)

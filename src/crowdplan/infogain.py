@@ -7,7 +7,9 @@ exact
     Votes on a path are exchangeable given the latent path state, so the sum
     over vote assignments collapses to a sum over per-path label count vectors
     weighted by multinomial multiplicities. The enumeration size is the product
-    over paths of C(S_i + K - 1, K - 1), far below K^(sum S_i).
+    over paths of C(S_i + K - 1, K - 1), far below K^(sum S_i). Each path's
+    count vectors and factors are built once per model and reused by every
+    later plan that puts the same number of votes on that path.
 
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
@@ -47,7 +49,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from ._kernel import apm_log_joints, count_evidence, log, logsumexp, path_factors
+from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
 from ._rng import categorical, categorical_rows, substream
 from .errors import InputError, NumericError, ResourceLimitError
 from .model import AccessPlan, ApmModel, Cpt, as_counts
@@ -141,10 +143,28 @@ def exact_count_vectors(counts: Sequence[int], k: int) -> int:
     return total
 
 
+def _count_vector_table(model: ApmModel, path: int, votes: int):
+    """Log multinomial multiplicity and path factor log p(x_path | y) of every
+    label count vector of `votes` votes on `path`, shapes (V,) and (V, K)."""
+    vecs = _compositions(votes, model.num_labels)
+    log_c = gammaln(votes + 1) - gammaln(vecs + 1).sum(axis=1)
+    evidence = count_evidence(vecs[:, None, :], log(model.worker_cpts[path].rows)[None])
+    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence)
+    factor = np.ascontiguousarray(factor[:, 0, :])
+    for arr in (log_c, factor):
+        arr.setflags(write=False)
+    return log_c, factor
+
+
 def exact_conditional_entropy(
     model: ApmModel, plan: AccessPlan | Sequence[int], exact_limit: int = 1_000_000
 ) -> float:
-    """H(Y | X_S) by exact enumeration over per-path count vectors."""
+    """H(Y | X_S) by exact enumeration over per-path count vectors.
+
+    A path's table depends only on the model, the path and its vote count, so
+    it is built once per model and kept in `model.count_vector_tables`; lazy
+    greedy, `exhaustive_opt` and `check_submodularity` reuse it on every call.
+    """
     counts = as_counts(plan, model.num_paths)
     _require_shared(model, counts)
     k = model.num_labels
@@ -156,21 +176,25 @@ def exact_conditional_entropy(
 
     log_terms = log(model.prior)[None, :]
     log_mult = np.zeros(1)
+    tables = model.count_vector_tables
     for i, s_i in enumerate(counts):
         if s_i == 0:
             continue
-        vecs = _compositions(s_i, k)
-        log_c = gammaln(s_i + 1) - gammaln(vecs + 1).sum(axis=1)
-        evidence = count_evidence(vecs[:, None, :], log(model.worker_cpts[i].rows)[None])
-        _, factor = path_factors(log(model.path_cpts[i].rows)[None], evidence)
-        log_terms = (log_terms[:, None, :] + factor[None, :, 0, :]).reshape(-1, k)
+        if (i, s_i) not in tables:
+            tables[i, s_i] = _count_vector_table(model, i, s_i)
+        log_c, factor = tables[i, s_i]
+        log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
         log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
 
-    log_pxy = log_terms + log_mult[:, None]
+    # The enumeration is the largest array here, so the last steps reuse it.
+    log_pxy = log_terms
+    log_pxy += log_mult[:, None]
     log_px = logsumexp(log_pxy, axis=1)
     with np.errstate(invalid="ignore"):
         pxy = np.exp(log_pxy)
-        contrib = np.where(pxy > 0, pxy * (log_px[:, None] - log_pxy), 0.0)
+        surprise = np.subtract(log_px[:, None], log_pxy, out=log_pxy)
+        surprise *= pxy
+        contrib = np.where(pxy > 0, surprise, 0.0)
     mass = float(pxy.sum())
     if not abs(mass - 1.0) <= 1e-6:
         raise NumericError(f"enumerated evidence mass {mass} is not 1")
@@ -222,7 +246,7 @@ def _sample_block(
         log_post = log_joint - norm[:, None]
         with np.errstate(invalid="ignore"):
             post = np.exp(log_post)
-            ent = -np.where(post > 0, post * log_post, 0.0).sum(axis=1)
+            ent = -label_sum(np.where(post > 0, post * log_post, 0.0))
         out.append((float(ent.sum()), float((ent * ent).sum())))
     return out
 

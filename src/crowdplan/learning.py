@@ -28,7 +28,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._kernel import apm_log_joints, direct_log_joints, log, logsumexp, path_factors, vote_evidence
+from ._kernel import (
+    apm_log_joints,
+    direct_log_joints,
+    label_sum,
+    log,
+    logsumexp,
+    path_factors,
+    scatter_rows,
+    vote_evidence,
+)
 from ._rng import substream
 from .errors import InputError
 from .inference import ModelKind, table_log_joint
@@ -122,6 +131,14 @@ def _voteless_paths(t: VoteTable) -> tuple[int, ...]:
     return tuple(int(p) for p in np.setdiff1d(np.arange(t.num_paths), t.path_idx))
 
 
+def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
+    """The slots of each path, in slot order, from one scan of the slots."""
+    out: list[list[int]] = [[] for _ in range(num_paths)]
+    for slot, owner in enumerate(slots.path):
+        out[owner].append(slot)
+    return out
+
+
 def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
     """q(y) per task, a point mass where the truth is known, and the log-likelihood."""
     k = log_joint.shape[1]
@@ -187,12 +204,18 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(sums > 0, out, uniform)
 
 
+def _label_scatter(num_tables: int, table_idx: np.ndarray, t: VoteTable, rows: np.ndarray):
+    """counts[c, z, x]: the sum of rows[v, z] over the votes v on table c with label x."""
+    k = t.num_labels
+    counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
+    return np.ascontiguousarray(counts.reshape(num_tables, k, k).transpose(0, 2, 1))
+
+
 def _mstep(t: VoteTable, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
     prior = _normalize_rows(q_y.sum(axis=0) + alpha)
     path_counts = np.einsum("ky,kiyz->iyz", q_y, q_z) + alpha
-    r = np.einsum("ky,kiyz->kiz", q_y, q_z)
-    table_counts = np.zeros((len(slots.path), t.num_labels, t.num_labels))
-    np.add.at(table_counts.transpose(0, 2, 1), (slots.idx, t.label), r[t.sample_idx, t.path_idx])
+    r = label_sum(q_y[:, None, :, None] * q_z, axis=2)
+    table_counts = _label_scatter(len(slots.path), slots.idx, t, r[t.sample_idx, t.path_idx])
     return _Params(
         prior=prior,
         path_cpts=_normalize_rows(path_counts),
@@ -217,8 +240,11 @@ def _run_restart(t: VoteTable, slots: _Slots, cfg: EmConfig, restart: int):
     return params, history, loglik, converged
 
 
-def _align_latent_states(params: _Params, slots: _Slots) -> _Params:
-    """Relabel each path's latent states to maximize the diagonal of p(z | y)."""
+def _align_latent_states(params: _Params, owned: list[list[int]]) -> _Params:
+    """Relabel each path's latent states to maximize the diagonal of p(z | y).
+
+    `owned[i]` lists the slots of path i, whose tables are relabeled with it.
+    """
     path_cpts = params.path_cpts.copy()
     tables = params.tables.copy()
     for i in range(len(path_cpts)):
@@ -226,16 +252,17 @@ def _align_latent_states(params: _Params, slots: _Slots) -> _Params:
         if np.array_equal(cols, np.arange(len(cols))):
             continue
         path_cpts[i] = path_cpts[i][:, cols]
-        for slot, owner in enumerate(slots.path):
-            if owner == i:
-                tables[slot] = tables[slot][cols, :]
+        for slot in owned[i]:
+            tables[slot] = tables[slot][cols, :]
     return _Params(prior=params.prior, path_cpts=path_cpts, tables=tables)
 
 
-def _to_model(params: _Params, t: VoteTable, slots: _Slots, share_workers: bool) -> ApmModel:
+def _to_model(
+    params: _Params, t: VoteTable, slots: _Slots, owned: list[list[int]], share_workers: bool
+) -> ApmModel:
     k = t.num_labels
     uniform = Cpt(np.full((k, k), 1.0 / k))
-    voteless = _voteless_paths(t)
+    voteless = set(_voteless_paths(t))
     path_cpts: list[Cpt] = []
     worker_cpts = []
     for i in range(t.num_paths):
@@ -247,12 +274,7 @@ def _to_model(params: _Params, t: VoteTable, slots: _Slots, share_workers: bool)
         if share_workers:
             worker_cpts.append(Cpt(params.tables[i]))
         else:
-            table = {
-                slots.worker[slot]: Cpt(params.tables[slot])
-                for slot, owner in enumerate(slots.path)
-                if owner == i
-            }
-            worker_cpts.append(table)
+            worker_cpts.append({slots.worker[slot]: Cpt(params.tables[slot]) for slot in owned[i]})
     model = ApmModel(
         labels=LabelSpace(k),
         prior=params.prior,
@@ -275,8 +297,9 @@ def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmMode
         if best is None or history[-1] > best[1][-1]:
             best = (params, history, loglik, converged, restart)
     params, history, _, converged, restart = best
-    params = _align_latent_states(params, slots)
-    model = _to_model(params, t, slots, share_workers)
+    owned = _slots_by_path(slots, t.num_paths)
+    params = _align_latent_states(params, owned)
+    model = _to_model(params, t, slots, owned, share_workers)
     final_loglik = log_likelihood(model, data) if len(data) else 0.0
     report = FitReport(
         final_log_likelihood=final_loglik,
@@ -335,8 +358,7 @@ def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: VoteTable):
 
 def _nbi_mstep(t: VoteTable, q_y: np.ndarray, alpha: float):
     prior = _normalize_rows(q_y.sum(axis=0) + alpha)
-    counts = np.zeros((len(t.workers), t.num_labels, t.num_labels))
-    np.add.at(counts.transpose(0, 2, 1), (t.worker_idx, t.label), q_y[t.sample_idx])
+    counts = _label_scatter(len(t.workers), t.worker_idx, t, q_y[t.sample_idx])
     return prior, _normalize_rows(counts + alpha)
 
 

@@ -161,6 +161,15 @@ class ApmModel:
     def is_shared(self, path: int) -> bool:
         return isinstance(self.worker_cpts[path], Cpt)
 
+    @cached_property
+    def count_vector_tables(self) -> dict:
+        """Memo of `infogain`'s per-path exact tables, keyed by (path, votes).
+
+        The parameters are frozen, so an entry never goes stale; a copy made
+        with `dataclasses.replace` starts with an empty memo.
+        """
+        return {}
+
     def vote_cpt(self, path: int, worker_id: str | None) -> Cpt:
         """The table governing one vote on `path` cast by `worker_id`."""
         table = self.worker_cpts[path]

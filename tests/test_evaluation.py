@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crowdplan.evaluation as evaluation
 from crowdplan.errors import InputError
 from crowdplan.evaluation import (
     accuracy,
@@ -102,6 +103,24 @@ class TestExecutePlan:
     def test_truth_preserved(self):
         ex = execute_plan_on_sample(self.sample(), [1, 1], seed=2)
         assert ex.sample.truth == 0
+
+    def test_stream_opened_only_to_subsample(self, monkeypatch):
+        """A task whose every path has at most the votes it needs opens no stream."""
+        opened = []
+        original = evaluation.substream
+
+        def counting(seed, *key):
+            opened.append(key)
+            return original(seed, *key)
+
+        monkeypatch.setattr(evaluation, "substream", counting)
+        for plan in ([3, 1], [5, 1], [0, 0], [3, 0], [4, 2]):
+            execute_plan_on_sample(self.sample(), plan, seed=0)
+        assert opened == []
+        lazy = execute_plan_on_sample(self.sample(), [2, 1], seed=9)
+        assert opened == [("exec", "t1")]
+        eager = sorted(original(9, "exec", "t1").choice(3, size=2, replace=False))
+        assert lazy.sample.votes_for(0) == tuple(self.sample().votes_for(0)[i] for i in eager)
 
 
 class TestBudgetSweep:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from crowdplan.infogain import (
     sampled_conditional_entropies,
     sampled_conditional_entropy,
 )
+from crowdplan.planner import exhaustive_opt, greedy_plan
 
 from _oracles import enum_conditional_entropy, random_model, sym_model
 
@@ -120,6 +122,64 @@ class TestExactEntropy:
         m = random_model(rng, 2, per_worker=True)
         with pytest.raises(InputError):
             exact_conditional_entropy(m, [1, 1])
+
+
+class TestCountVectorMemo:
+    """Each (path, votes) count-vector table is built once per model and kept on it."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+        original = infogain._count_vector_table
+
+        def wrapper(model, path, votes):
+            built.append((id(model), path, votes))
+            return original(model, path, votes)
+
+        monkeypatch.setattr(infogain, "_count_vector_table", wrapper)
+        return built
+
+    def test_greedy_and_opt_build_each_table_once(self, monkeypatch):
+        model = random_model(np.random.default_rng(4), 5, k=4, costs=[1, 2, 2, 3, 4])
+        fresh = replace(model)
+        calls = []
+        original = infogain.exact_conditional_entropy
+
+        def recording(model, plan, *args):
+            calls.append(tuple(plan))
+            return original(model, plan, *args)
+
+        monkeypatch.setattr(infogain, "exact_conditional_entropy", recording)
+        built = self.counting(monkeypatch)
+        greedy = greedy_plan(model, 14, EXACT)
+        opt = exhaustive_opt(model, 6)
+        assert len(built) == len(set(built))
+        assert {m for m, _, _ in built} == {id(model)}
+        needed = {(i, c) for plan in calls for i, c in enumerate(plan) if c}
+        assert {(i, c) for _, i, c in built} == needed
+        assert sum(1 for plan in calls for c in plan if c) > 2 * len(built)
+        # A copy has its own memo and gets the same bits from it.
+        built.clear()
+        assert greedy_plan(fresh, 14, EXACT) == greedy
+        assert exhaustive_opt(fresh, 6) == opt
+        assert built and {m for m, _, _ in built} == {id(fresh)}
+
+    def test_models_keep_their_own_tables(self, monkeypatch):
+        """Same plan, same (path, votes) keys, different parameters: each model's own values."""
+        rng = np.random.default_rng(12)
+        a, b = random_model(rng, 2, k=3), random_model(rng, 2, k=3)
+        plan = [2, 1]
+        h_a = exact_conditional_entropy(a, plan)
+        h_b = exact_conditional_entropy(b, plan)
+        assert h_a != h_b
+        assert h_a == exact_conditional_entropy(a, plan)
+        assert h_b == exact_conditional_entropy(replace(b), plan)
+        assert h_a == pytest.approx(enum_conditional_entropy(a, plan), abs=1e-12)
+        assert h_b == pytest.approx(enum_conditional_entropy(b, plan), abs=1e-12)
+        built = self.counting(monkeypatch)
+        exact_conditional_entropy(a, [2, 2])
+        exact_conditional_entropy(b, [2, 2])
+        assert built == [(id(a), 1, 2), (id(b), 1, 2)]
 
 
 class TestSampledEntropy:

@@ -1,0 +1,269 @@
+"""The scoring kernels against the plain numpy forms they replace.
+
+`logsumexp` and the label-axis sums reduce a short axis as one pass per
+entry, and the scatter-adds run on `np.bincount`. The references below are
+the plain forms: numpy reductions over the axis, `np.einsum` and `np.add.at`.
+For K <= 7 both must agree bit for bit, ties, -inf entries and all -inf
+slices included; from K = 8 numpy sums pairwise, so there they agree to
+1e-12. Scatters keep their bits at every K.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crowdplan.learning as learning
+from crowdplan._kernel import (
+    count_evidence,
+    direct_log_joints,
+    label_sum,
+    logsumexp,
+    vote_evidence,
+)
+from crowdplan.inference import infer
+from crowdplan.model import TaskSample, VoteTable
+
+from _oracles import enum_posterior, random_model
+
+PARITY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+BIT_K = st.integers(2, 7)
+WIDE_K = st.integers(8, 10)
+
+
+# --- the plain forms ---
+
+
+def ref_logsumexp(a, axis=-1):
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        rest = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
+    out = np.where(np.isfinite(a_max), np.log1p(rest / m) + np.log(m) + a_max, a_max)
+    return np.squeeze(out, axis=axis)
+
+
+def ref_count_evidence(counts, log_tables):
+    counts = counts[..., None, :]
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, counts * log_tables, 0.0).sum(axis=-1)
+
+
+def ref_vote_evidence(table, slot_idx, log_tables):
+    out = np.zeros((table.num_samples, table.num_paths, table.num_labels))
+    np.add.at(out, (table.sample_idx, table.path_idx), log_tables[slot_idx, :, table.label])
+    return out
+
+
+def ref_direct_log_joints(log_prior, sample_idx, vote_rows, num_samples):
+    out = np.tile(log_prior, (num_samples, 1))
+    np.add.at(out, sample_idx, vote_rows)
+    return out
+
+
+def ref_mstep(t, slots, q_y, q_z, alpha):
+    prior = learning._normalize_rows(q_y.sum(axis=0) + alpha)
+    path_counts = np.einsum("ky,kiyz->iyz", q_y, q_z) + alpha
+    r = np.einsum("ky,kiyz->kiz", q_y, q_z)
+    table_counts = np.zeros((len(slots.path), t.num_labels, t.num_labels))
+    np.add.at(table_counts.transpose(0, 2, 1), (slots.idx, t.label), r[t.sample_idx, t.path_idx])
+    return learning._Params(
+        prior=prior,
+        path_cpts=learning._normalize_rows(path_counts),
+        tables=learning._normalize_rows(table_counts + alpha),
+    )
+
+
+def ref_nbi_mstep(t, q_y, alpha):
+    prior = learning._normalize_rows(q_y.sum(axis=0) + alpha)
+    counts = np.zeros((len(t.workers), t.num_labels, t.num_labels))
+    np.add.at(counts.transpose(0, 2, 1), (t.worker_idx, t.label), q_y[t.sample_idx])
+    return prior, learning._normalize_rows(counts + alpha)
+
+
+def ref_mv_probs(table, k):
+    counts = np.zeros((table.num_samples, k))
+    np.add.at(counts, (table.sample_idx, table.label), 1.0)
+    totals = counts.sum(axis=1, keepdims=True)
+    probs = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / k)
+    return probs[np.argsort(table.order)]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# --- inputs ---
+
+
+def log_scores(rng, shape):
+    """Log-domain values with exact ties, -inf entries and all -inf slices on the last axis."""
+    a = rng.normal(-3.0, 4.0, size=shape)
+    pooled = rng.random(shape) < 0.5
+    a[pooled] = rng.choice([-4.5, -1.25, 0.0, 2.0, -np.inf], size=int(pooled.sum()))
+    a[rng.random(shape[:-1]) < 0.1] = -np.inf
+    return a
+
+
+def log_tables(rng, n, k):
+    """Log of n row-stochastic k x k tables, some entries exactly 0."""
+    p = rng.random((n, k, k)) * (rng.random((n, k, k)) > 0.25)
+    p[..., 0] += 1e-3
+    return learning.log(p / p.sum(axis=-1, keepdims=True))
+
+
+def vote_table(rng, k, paths, tasks=12, workers=4):
+    samples = [TaskSample(task_id="first", votes={0: (("w0", 0),)})]
+    for t in range(tasks):
+        votes = {}
+        for p in range(paths):
+            n = int(rng.integers(0, 5))
+            if n:
+                votes[p] = tuple(
+                    (f"w{int(rng.integers(workers))}", int(rng.integers(k))) for _ in range(n)
+                )
+        truth = int(rng.integers(k)) if rng.random() < 0.5 else None
+        samples.append(TaskSample(task_id=f"t{rng.integers(10**6)}-{t}", votes=votes, truth=truth))
+    return VoteTable.build(samples, k, paths), samples
+
+
+def posteriors(rng, shape):
+    """Non-negative weights along the last axis, some exactly 0, rows summing to 1."""
+    w = rng.random(shape) * (rng.random(shape) > 0.2)
+    w[..., 0] += 1e-3
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+# --- label-axis reductions ---
+
+
+@PARITY
+@given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_logsumexp_bits(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    for lead, axis in (((rows,), 1), ((rows, 2, k), 3), ((rows, 3), 1), ((), 0)):
+        a = np.moveaxis(log_scores(rng, lead + (k,)), -1, axis)
+        same_bits(logsumexp(a, axis=axis), ref_logsumexp(a, axis=axis))
+
+
+def test_logsumexp_all_minus_inf_and_ties():
+    a = np.array([[-np.inf] * 3, [0.5, 0.5, 0.5], [0.0, -np.inf, 0.0], [1.0, -np.inf, -np.inf]])
+    got = logsumexp(a, axis=1)
+    same_bits(got, ref_logsumexp(a, axis=1))
+    assert got[0] == -np.inf
+    assert got[3] == 1.0
+
+
+@PARITY
+@given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_label_sums_bits(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    a = log_scores(rng, (rows, 3, k))
+    same_bits(label_sum(a), a.sum(axis=-1))
+    same_bits(label_sum(np.moveaxis(a, -1, 1), axis=1), a.sum(axis=-1))
+    counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
+    tables = log_tables(rng, 1, k)
+    same_bits(count_evidence(counts, tables), ref_count_evidence(counts, tables))
+    post = posteriors(rng, (rows, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(post > 0, post * np.log(post), 0.0)
+    same_bits(label_sum(terms), terms.sum(axis=1))
+
+
+def test_label_sum_starts_from_zero():
+    """numpy's sum starts from 0.0, so a slice of -0.0 sums to +0.0."""
+    a = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.5, -2.0]])
+    same_bits(label_sum(a), a.sum(axis=-1))
+
+
+@PARITY
+@given(k=WIDE_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_wide_label_axes_within_1e12(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    a = log_scores(rng, (rows, 2, k))
+    close(logsumexp(a, axis=2), ref_logsumexp(a, axis=2))
+    finite = rng.normal(-3, 4, size=(rows, k))
+    close(label_sum(finite), finite.sum(axis=-1))
+    counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
+    tables = log_tables(rng, 1, k)
+    close(count_evidence(counts, tables), ref_count_evidence(counts, tables))
+
+
+def test_nine_label_posterior_matches_enumeration():
+    rng = np.random.default_rng(9)
+    model = random_model(rng, 2, k=9)
+    task = TaskSample(task_id="t", votes={0: ((None, 3), (None, 3), (None, 7)), 1: ((None, 0),)})
+    post = infer("apm", model, [task])[0]
+    np.testing.assert_allclose(post.probs, enum_posterior(model, task), atol=1e-12, rtol=0)
+
+
+# --- scatter-adds ---
+
+
+@PARITY
+@given(k=st.integers(2, 10), paths=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_scatters_bits(k, paths, seed):
+    rng = np.random.default_rng(seed)
+    t, samples = vote_table(rng, k, paths)
+    pairs, slot_idx = t.path_worker_slots()
+    tables = log_tables(rng, len(pairs), k)
+    same_bits(vote_evidence(t, slot_idx, tables), ref_vote_evidence(t, slot_idx, tables))
+
+    log_prior = learning.log(posteriors(rng, (k,)))
+    rows = tables[slot_idx, :, t.label]
+    same_bits(
+        direct_log_joints(log_prior, t.sample_idx, rows, t.num_samples),
+        ref_direct_log_joints(log_prior, t.sample_idx, rows, t.num_samples),
+    )
+
+    q_y = posteriors(rng, (t.num_samples, k))
+    q_z = posteriors(rng, (t.num_samples, paths, k, k))
+    alpha = float(rng.choice([0.0, 1.0, 0.37]))
+    for share in (True, False):
+        slots = learning._slots(t, share)
+        got = learning._mstep(t, slots, q_y, q_z, alpha)
+        want = ref_mstep(t, slots, q_y, q_z, alpha)
+        for g, w in zip(got, want):
+            if k <= 7:
+                same_bits(g, w)
+            else:
+                close(g, w)
+    for g, w in zip(learning._nbi_mstep(t, q_y, alpha), ref_nbi_mstep(t, q_y, alpha)):
+        same_bits(g, w)
+    got = np.stack([p.probs for p in infer("mv", random_model(rng, paths, k=k), samples)])
+    same_bits(got, ref_mv_probs(t, k))
+
+
+def test_empty_scatters():
+    t = VoteTable.build([TaskSample(task_id="a", votes={})], 3, 2)
+    _, slot_idx = t.path_worker_slots()
+    same_bits(
+        vote_evidence(t, slot_idx, np.zeros((0, 3, 3))),
+        ref_vote_evidence(t, slot_idx, np.zeros((0, 3, 3))),
+    )
+    log_prior = np.log([0.2, 0.3, 0.5])
+    same_bits(
+        direct_log_joints(log_prior, t.sample_idx, np.zeros((0, 3)), 1),
+        ref_direct_log_joints(log_prior, t.sample_idx, np.zeros((0, 3)), 1),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 4, 7])
+def test_log_prior_goes_in_ahead_of_votes(k):
+    """A task's sum starts from its log prior, as np.tile then np.add.at does."""
+    log_prior = np.log(np.linspace(1.0, 2.0, k) / np.linspace(1.0, 2.0, k).sum())
+    rows = np.full((3, k), 1e-17)
+    idx = np.array([0, 0, 0])
+    want = ref_direct_log_joints(log_prior, idx, rows, 2)
+    same_bits(direct_log_joints(log_prior, idx, rows, 2), want)

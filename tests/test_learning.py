@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import crowdplan.learning as learning
 from crowdplan.errors import InputError
 from crowdplan.learning import (
     EmConfig,
@@ -215,6 +216,45 @@ class TestEm:
         assert sorted(model.worker_cpts[0]) == ["a", "b"]
         assert sorted(model.worker_cpts[1]) == ["c"]
         assert report.converged
+
+    def test_model_assembly_scans_slots_once(self, monkeypatch):
+        """Building the model scans the slot owners and the voteless paths once, not per path."""
+        scans = {"iter": 0, "contains": 0}
+
+        class Counting(tuple):
+            def __iter__(self):
+                scans["iter"] += 1
+                return super().__iter__()
+
+            def __contains__(self, item):
+                scans["contains"] += 1
+                return super().__contains__(item)
+
+        real_slots, real_voteless = learning._slots, learning._voteless_paths
+
+        def counted_slots(t, share):
+            slots = real_slots(t, share)
+            return slots._replace(path=Counting(slots.path))
+
+        monkeypatch.setattr(learning, "_slots", counted_slots)
+        monkeypatch.setattr(learning, "_voteless_paths", lambda t: Counting(real_voteless(t)))
+        # 40 voted paths with two workers each, and an empty path after each.
+        samples = tuple(
+            TaskSample(
+                task_id=f"t{t}",
+                votes={2 * p: ((f"w{t % 2}", (t + p) % 2),) for p in range(40)},
+                truth=t % 2,
+            )
+            for t in range(6)
+        )
+        data = Dataset(samples=samples, num_paths=80, num_labels=2)
+        model, report = fit_em(
+            data, share_workers=False, cfg=EmConfig(max_iters=2, restarts=1)
+        )
+        assert report.sparse_paths == tuple(range(1, 80, 2))
+        assert all(sorted(model.worker_cpts[2 * p]) == ["w0", "w1"] for p in range(40))
+        assert scans["contains"] == 0
+        assert scans["iter"] <= 3
 
     def test_per_worker_mode_needs_ids(self):
         truth = sym_model([0.5, 0.5], [0.9], [0.8])
