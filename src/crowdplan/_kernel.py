@@ -9,7 +9,7 @@ Two kernels give log p(y, x) for n tasks at once, shape (n, K):
   This is naive Bayes over workers, and over paths (nbap) when the rows come
   from the path marginals p(x | y) = sum_z p(z | y) p(x | z).
 
-Evidence comes from a `VoteTable` (`vote_evidence`) or from label count
+Evidence comes from a `Dataset` (`vote_evidence`) or from label count
 vectors (`count_evidence`). Scatter-adds follow the table's canonical row
 order, so results do not depend on how the votes were stored.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import VoteTable
+from .model import Dataset
 
 
 def log(x) -> np.ndarray:
@@ -79,7 +79,7 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     )
 
 
-def vote_evidence(table: VoteTable, slot_idx: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
+def vote_evidence(table: Dataset, slot_idx: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
     """evidence[s, i, z]: the sum over task s's votes on path i of log p(x | z).
 
     `log_tables[c]` is the log vote table (row z, column x) of slot c, and

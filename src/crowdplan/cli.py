@@ -19,7 +19,7 @@ from dataclasses import replace
 from .errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from .evaluation import budget_sweep
 from .infogain import IgConfig, IgMode
-from .inference import ModelKind, infer
+from .inference import ModelKind, table_posteriors
 from .io import (
     parse_budgets,
     parse_int_list,
@@ -115,12 +115,12 @@ def _cmd_infer(args) -> int:
     model = load_model(args.model, kinds=("apm", "nbi"))
     names = _names(model)
     data, _ = read_votes_csv(args.votes, names=names)
-    samples = sorted(data.samples, key=lambda s: s.task_id)
+    probs, pred, degenerate = table_posteriors(args.model_kind, model, data)
     rows = [
-        [sample.task_id, names[post.prediction], repr(post.confidence)]
-        + [repr(float(p)) for p in post.probs]
-        + ["1" if post.degenerate_evidence else "0"]
-        for sample, post in zip(samples, infer(args.model_kind, model, samples))
+        [task_id, names[y], repr(ps[y])] + [repr(p) for p in ps] + ["1" if d else "0"]
+        for task_id, ps, y, d in zip(
+            data.task_ids, probs.tolist(), pred.tolist(), degenerate.tolist()
+        )
     ]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -145,7 +145,7 @@ def _cmd_simulate(args) -> int:
     if args.inject_p > 0:
         data = inject_correlation(data, args.inject_p, seed=args.seed)
     write_votes_csv(data, args.out, names=_names(model))
-    print(f"wrote {len(data.samples)} tasks to {args.out}")
+    print(f"wrote {len(data)} tasks to {args.out}")
     return 0
 
 

@@ -20,32 +20,40 @@ import numpy as np
 from ._rng import derive_seed, substream
 from .errors import InputError
 from .infogain import IgConfig
-from .inference import ModelKind, Posterior, infer
+from .inference import ModelKind, Posterior, table_posteriors
 from .learning import EmConfig, fit_em, fit_nbi
-from .model import AccessPlan, Dataset, NbiModel, TaskSample, path_costs, with_costs
+from .model import AccessPlan, Dataset, TaskSample, path_costs, with_costs
 from .planner import Strategy, build_plan
 
 _NLL_FLOOR = 1e-12
 
 
-def accuracy(posteriors: Sequence[Posterior], truths: Sequence[int]) -> float:
-    """Fraction of tasks whose predicted label matches the truth."""
+def _accuracy(prediction: np.ndarray, truth: np.ndarray) -> float:
+    return int(np.count_nonzero(prediction == truth)) / len(truth) if len(truth) else 0.0
+
+
+def _neg_log_likelihood(at_truth: np.ndarray) -> float:
+    total = 0.0  # summed task by task, in order
+    for surprise in np.log(np.maximum(at_truth, _NLL_FLOOR)).tolist():
+        total -= surprise
+    return total
+
+
+def _same_length(posteriors: Sequence[Posterior], truths: Sequence[int]) -> None:
     if len(posteriors) != len(truths):
         raise InputError("posteriors and truths differ in length")
-    if not posteriors:
-        return 0.0
-    hits = sum(1 for p, t in zip(posteriors, truths) if p.prediction == t)
-    return hits / len(posteriors)
+
+
+def accuracy(posteriors: Sequence[Posterior], truths: Sequence[int]) -> float:
+    """Fraction of tasks whose predicted label matches the truth."""
+    _same_length(posteriors, truths)
+    return _accuracy(np.array([p.prediction for p in posteriors]), np.array(truths))
 
 
 def neg_log_likelihood(posteriors: Sequence[Posterior], truths: Sequence[int]) -> float:
     """Sum of -log posterior mass on the true label, floored at 1e-12."""
-    if len(posteriors) != len(truths):
-        raise InputError("posteriors and truths differ in length")
-    total = 0.0
-    for post, t in zip(posteriors, truths):
-        total -= float(np.log(max(float(post.probs[t]), _NLL_FLOOR)))
-    return total
+    _same_length(posteriors, truths)
+    return _neg_log_likelihood(np.array([p.probs[t] for p, t in zip(posteriors, truths)]))
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,31 @@ class ExecutedSample:
     sample: TaskSample
     short_filled: bool
     skipped: bool
+
+
+def _execute(table: Dataset, counts: np.ndarray, seed: int) -> np.ndarray:
+    """Mask of the table's votes that a plan buys.
+
+    A (task, path) holding more votes than the plan asks for gives a draw
+    without replacement, by stored position, from its task's stream; the
+    stream is opened only then and drawn from path by path.
+    """
+    s = table.stored
+    task, path = table.sample_idx[s], table.path_idx[s]
+    start = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(path, prepend=-1))
+    have = np.diff(start, append=len(s))
+    want = counts[path[start]]
+    draw = (want > 0) & (want < have)
+    keep = np.arange(len(s)) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have)
+    owner = None
+    for g in np.flatnonzero(draw).tolist():
+        if task[start[g]] != owner:
+            owner = task[start[g]]
+            rng = substream(seed, "exec", table.task_ids[owner])
+        keep[start[g] + rng.choice(int(have[g]), size=int(want[g]), replace=False)] = True
+    bought = np.empty_like(keep)
+    bought[s] = keep
+    return bought
 
 
 def execute_plan_on_sample(
@@ -67,33 +100,16 @@ def execute_plan_on_sample(
     short-filled. A task left with no votes at all is marked skipped. The
     task's stream is opened only when some path has more votes than it needs.
     """
-    counts = plan.counts if isinstance(plan, AccessPlan) else tuple(int(c) for c in plan)
-    rng = None
-    votes = {}
-    short = False
-    for path in sorted(sample.votes):
-        if path >= len(counts):
-            raise InputError(f"task {sample.task_id}: path {path} outside plan")
-        want = counts[path]
-        have = sample.votes[path]
-        if want == 0:
-            continue
-        if want >= len(have):
-            if want > len(have):
-                short = True
-            votes[path] = have
-            continue
-        if rng is None:
-            rng = substream(seed, "exec", sample.task_id)
-        picked = sorted(rng.choice(len(have), size=want, replace=False).tolist())
-        votes[path] = tuple(have[i] for i in picked)
-    short = short or any(
-        counts[p] > 0 and p not in sample.votes for p in range(len(counts))
-    )
-    executed = TaskSample(task_id=sample.task_id, votes=votes, truth=sample.truth)
-    return ExecutedSample(
-        sample=executed, short_filled=short, skipped=executed.total_votes == 0
-    )
+    counts = np.array(plan.counts if isinstance(plan, AccessPlan) else plan, dtype=np.int64)
+    outside = [p for p in sorted(sample.votes) if p >= len(counts)]
+    if outside:
+        raise InputError(f"task {sample.task_id}: path {outside[0]} outside plan")
+    labels = [v for votes in sample.votes.values() for _, v in votes] + [sample.truth or 0]
+    table = Dataset([sample], len(counts), max(labels) + 1)
+    bought = _execute(table, counts, seed)
+    executed = table.select(np.ones(1, dtype=bool), bought).samples[0]
+    short = bool((counts > np.bincount(table.path_idx, minlength=len(counts))).any())
+    return ExecutedSample(sample=executed, short_filled=short, skipped=not bought.any())
 
 
 @dataclass(frozen=True)
@@ -135,39 +151,20 @@ class SweepResult:
     fold_rows: tuple[FoldRow, ...]
 
 
-def _fold_split(data: Dataset, folds: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    ids = sorted(range(len(data.samples)), key=lambda i: data.samples[i].task_id)
+def _test_folds(table: Dataset, folds: int, seed: int) -> list[np.ndarray]:
+    """Mask of each fold's test tasks; the tasks are dealt out in a seeded shuffle."""
+    n = table.num_samples
     if folds == 1:
-        full = Dataset(
-            samples=tuple(data.samples[i] for i in ids),
-            num_paths=data.num_paths,
-            num_labels=data.num_labels,
-        )
-        return [(full, full)]
-    if folds > len(ids):
-        raise InputError(f"{folds} folds for {len(ids)} tasks")
-    order = substream(seed, "folds").permutation(len(ids))
-    shuffled = [ids[i] for i in order]
-    out = []
+        return [np.ones(n, dtype=bool)]
+    if folds > n:
+        raise InputError(f"{folds} folds for {n} tasks")
+    order = substream(seed, "folds").permutation(n)
+    masks = []
     for f in range(folds):
-        test_ids = set(shuffled[f::folds])
-        train = tuple(data.samples[i] for i in ids if i not in test_ids)
-        test = tuple(data.samples[i] for i in ids if i in test_ids)
-        out.append(
-            (
-                Dataset(samples=train, num_paths=data.num_paths, num_labels=data.num_labels),
-                Dataset(samples=test, num_paths=data.num_paths, num_labels=data.num_labels),
-            )
-        )
-    return out
-
-
-def _known_workers_only(sample: TaskSample, model: NbiModel) -> TaskSample:
-    votes = {
-        p: tuple(wv for wv in vs if wv[0] is not None and str(wv[0]) in model.worker_cpts)
-        for p, vs in sample.votes.items()
-    }
-    return TaskSample(task_id=sample.task_id, votes=votes, truth=sample.truth)
+        test = np.zeros(n, dtype=bool)
+        test[order[f::folds]] = True
+        masks.append(test)
+    return masks
 
 
 def _score_fold(
@@ -184,11 +181,16 @@ def _score_fold(
 ) -> list[FoldRow]:
     apm_model, _ = fit_em(train, share_workers=True, cfg=em_cfg)
     apm_model = with_costs(apm_model, costs)
-    nbi_model = None
     if ModelKind.NBI in kinds:
         nbi_model, _ = fit_nbi(train, cfg=em_cfg)
+        # nbi scores only the votes of workers it was fitted on
+        known = [w in nbi_model.worker_cpts for w in test.workers] + [False]
+        nbi_rows = np.array(known, dtype=bool)[test.worker_idx]
 
-    ordered_tasks = sorted(test.samples, key=lambda s: s.task_id)
+    shape = (len(test), test.num_paths)
+    have = np.bincount(
+        test.sample_idx * test.num_paths + test.path_idx, minlength=shape[0] * shape[1]
+    ).reshape(shape)
     rows = []
     for strategy in strategies:
         for budget in budgets:
@@ -199,32 +201,29 @@ def _score_fold(
                 seed=derive_seed(seed, "plan", fold, strategy.value, str(budget)),
                 ig_cfg=ig_cfg,
             )
+            counts = np.array(plan.plan.counts, dtype=np.int64)
             cell_seed = derive_seed(seed, "exec", fold, strategy.value, str(budget))
-            executed = [
-                execute_plan_on_sample(task, plan.plan, cell_seed)
-                for task in ordered_tasks
-            ]
-            kept = [e for e in executed if not e.skipped]
-            skipped = len(executed) - len(kept)
-            short_filled = sum(1 for e in kept if e.short_filled)
-            truths = [e.sample.truth for e in kept]
-            samples = [e.sample for e in kept]
+            bought = _execute(test, counts, cell_seed)
+            kept = np.bincount(test.sample_idx[bought], minlength=test.num_samples) > 0
+            short_filled = int(np.count_nonzero(kept & (have < counts).any(axis=1)))
+            truth = test.truth[kept]
+            executed = test.select(kept, bought)
             for kind in kinds:
                 if kind is ModelKind.NBI:
-                    known = [_known_workers_only(s, nbi_model) for s in samples]
-                    posts = infer(kind, nbi_model, known)
+                    model, votes = nbi_model, test.select(kept, bought & nbi_rows)
                 else:
-                    posts = infer(kind, apm_model, samples)
+                    model, votes = apm_model, executed
+                probs, pred, _ = table_posteriors(kind, model, votes)
                 rows.append(
                     FoldRow(
                         model=kind.value,
                         strategy=strategy.value,
                         budget=budget,
                         fold=fold,
-                        accuracy=accuracy(posts, truths),
-                        neg_log_likelihood=neg_log_likelihood(posts, truths),
-                        tasks_evaluated=len(kept),
-                        tasks_skipped=skipped,
+                        accuracy=_accuracy(pred, truth),
+                        neg_log_likelihood=_neg_log_likelihood(probs[range(len(truth)), truth]),
+                        tasks_evaluated=len(truth),
+                        tasks_skipped=test.num_samples - len(truth),
                         tasks_short_filled=short_filled,
                     )
                 )
@@ -265,18 +264,19 @@ def budget_sweep(
         raise InputError(f"bad budgets {list(budgets)}") from None
     if not kinds or not strats or not budget_list:
         raise InputError("model_kinds, strategies and budgets must be non-empty")
-    for s in data.samples:
-        if s.truth is None:
-            raise InputError(f"task {s.task_id} has no truth; sweeps need labeled data")
+    unlabeled = data.first_unlabeled()
+    if unlabeled is not None:
+        raise InputError(f"task {unlabeled} has no truth; sweeps need labeled data")
     ig_cfg = ig_cfg or IgConfig()
     em_cfg = em_cfg or EmConfig()
     cost_list = path_costs(costs if costs is not None else [1] * data.num_paths, data.num_paths)
 
     fold_rows = [
         row
-        for fold, (train, test) in enumerate(_fold_split(data, folds, seed))
+        for fold, test in enumerate(_test_folds(data, folds, seed))
         for row in _score_fold(
-            fold, train, test, kinds, strats, budget_list, ig_cfg, em_cfg, cost_list, seed
+            fold, data if folds == 1 else data.select(~test), data.select(test),
+            kinds, strats, budget_list, ig_cfg, em_cfg, cost_list, seed,
         )
     ]
 

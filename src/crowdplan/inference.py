@@ -1,10 +1,10 @@
 """Posterior computation for the four aggregation models.
 
-`infer(kind, model, samples)` is the entry point: it tabulates the samples'
-votes into one `VoteTable`, checks them against the model's layout once, and
-computes every posterior in one batched pass through the kernels in
-`_kernel`. `predict` and the per-kind functions (`apm_posterior`, ...) run the
-same code on a batch of one.
+`table_posteriors(kind, model, table)` checks a `Dataset` against the
+model's layout once and computes every posterior in one batched pass through
+the kernels in `_kernel`. `infer(kind, model, samples)` tabulates per-task
+objects first and wraps each row in a `Posterior`; `predict` and the per-kind
+functions (`apm_posterior`, ...) run it on a batch of one.
 
 All posteriors are computed in log space. The vote table sorts votes into a
 canonical order (task id, then path, then worker id, then label) before any
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._kernel import apm_log_joints, direct_log_joints, log, logsumexp, path_factors, vote_evidence
 from .errors import InputError, MissingWorkerCptError
-from .model import ApmModel, NbiModel, TaskSample, VoteTable
+from .model import ApmModel, Dataset, NbiModel, TaskSample
 
 
 class ModelKind(str, enum.Enum):
@@ -66,7 +66,7 @@ def _log_stack(rows: list[np.ndarray], k: int) -> np.ndarray:
     return log(np.array(rows, dtype=np.float64).reshape(-1, k, k))
 
 
-def _apm(model: ApmModel, table: VoteTable) -> np.ndarray:
+def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
     pairs, slot_idx = table.path_worker_slots()
     log_tables = _log_stack(
         [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs],
@@ -77,13 +77,13 @@ def _apm(model: ApmModel, table: VoteTable) -> np.ndarray:
     return apm_log_joints(log(model.prior), factors, table.active)
 
 
-def _nbap(model: ApmModel, table: VoteTable) -> np.ndarray:
+def _nbap(model: ApmModel, table: Dataset) -> np.ndarray:
     marginals = [pc.rows @ wc.rows for pc, wc in zip(model.path_cpts, model.worker_cpts)]
     rows = _log_stack(marginals, model.num_labels)[table.path_idx, :, table.label]
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
-def _nbi(model: NbiModel, table: VoteTable) -> np.ndarray:
+def _nbi(model: NbiModel, table: Dataset) -> np.ndarray:
     if (table.worker_idx < 0).any():
         raise MissingWorkerCptError(str(None))
     log_tables = _log_stack([model.vote_cpt(w).rows for w in table.workers], model.num_labels)
@@ -91,7 +91,7 @@ def _nbi(model: NbiModel, table: VoteTable) -> np.ndarray:
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
-def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: VoteTable) -> np.ndarray:
+def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: Dataset) -> np.ndarray:
     """log p(y, x) under `kind` for every task of `table`, shape (n, K), in table order."""
     return {ModelKind.APM: _apm, ModelKind.NBAP: _nbap, ModelKind.NBI: _nbi}[kind](model, table)
 
@@ -112,19 +112,17 @@ def _check(kind: ModelKind | str, model: ApmModel | NbiModel) -> ModelKind:
     return kind
 
 
-def infer(
-    kind: ModelKind | str, model: ApmModel | NbiModel, samples: Sequence[TaskSample]
-) -> list[Posterior]:
-    """Posteriors of many tasks in one batched pass, in the order of `samples`.
+def table_posteriors(
+    kind: ModelKind | str, model: ApmModel | NbiModel, table: Dataset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probabilities (n, K), prediction and degenerate flag of every task, in table order.
 
     Votes are checked against the model's layout first: a path index beyond
     an apm model's paths or a label index beyond its labels is an InputError.
     """
     kind = _check(kind, model)
     k = model.num_labels
-    table = VoteTable.build(
-        samples, k, model.num_paths if isinstance(model, ApmModel) else None
-    )
+    table = table.within(k, model.num_paths if isinstance(model, ApmModel) else None)
     n = table.num_samples
     if kind is ModelKind.MV:
         counts = np.bincount(table.sample_idx * k + table.label, minlength=n * k)
@@ -139,10 +137,18 @@ def infer(
         with np.errstate(invalid="ignore"):
             probs = np.exp(log_joint - norm[:, None])
         probs[degenerate] = model.prior
+    return probs, np.argmax(probs, axis=1), degenerate
+
+
+def infer(
+    kind: ModelKind | str, model: ApmModel | NbiModel, samples: Sequence[TaskSample]
+) -> list[Posterior]:
+    """Posteriors of many tasks in one batched pass, in the order of `samples`."""
+    _check(kind, model)
+    table = Dataset(samples, None, model.num_labels)
     back = np.argsort(table.order)
-    probs, degenerate = probs[back], degenerate[back]
-    pred = np.argmax(probs, axis=1)
-    conf = probs[np.arange(n), pred]
+    probs, pred, degenerate = (a[back] for a in table_posteriors(kind, model, table))
+    conf = probs[np.arange(len(back)), pred]
     return [
         Posterior(probs=p, prediction=int(y), confidence=float(c), degenerate_evidence=bool(d))
         for p, y, c, d in zip(probs, pred, conf, degenerate)
@@ -152,7 +158,7 @@ def infer(
 def apm_log_joint(model: ApmModel, sample: TaskSample) -> np.ndarray:
     """log p(y, votes) for every outcome y, latent path states summed out."""
     _check(ModelKind.APM, model)
-    return _apm(model, VoteTable.build([sample], model.num_labels, model.num_paths))[0]
+    return _apm(model, Dataset([sample], model.num_paths, model.num_labels))[0]
 
 
 def apm_posterior(model: ApmModel, sample: TaskSample) -> Posterior:

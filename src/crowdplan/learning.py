@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +49,6 @@ from .model import (
     Dataset,
     LabelSpace,
     NbiModel,
-    VoteTable,
     validate_model,
 )
 
@@ -116,7 +116,7 @@ class _Slots(NamedTuple):
     worker: tuple[str | None, ...]  # worker id per table, None when shared
 
 
-def _slots(t: VoteTable, share_workers: bool) -> _Slots:
+def _slots(t: Dataset, share_workers: bool) -> _Slots:
     if share_workers:
         return _Slots(t.path_idx, tuple(range(t.num_paths)), (None,) * t.num_paths)
     if (t.worker_idx < 0).any():
@@ -127,7 +127,7 @@ def _slots(t: VoteTable, share_workers: bool) -> _Slots:
     return _Slots(idx, tuple(int(p) for p, _ in pairs), tuple(t.workers[w] for _, w in pairs))
 
 
-def _voteless_paths(t: VoteTable) -> tuple[int, ...]:
+def _voteless_paths(t: Dataset) -> tuple[int, ...]:
     return tuple(int(p) for p in np.setdiff1d(np.arange(t.num_paths), t.path_idx))
 
 
@@ -152,11 +152,12 @@ def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
     return q_y, float(np.where(known, at_truth, norm).sum())
 
 
-def _blended_identity(k: int, rng: np.random.Generator) -> np.ndarray:
+def _blended_identities(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """n jittered near-identity K x K tables, (n, K, K), from one draw of n*K*K uniforms."""
     base = _IDENTITY_BLEND * np.eye(k) + (1.0 - _IDENTITY_BLEND) / k
-    rows = base + rng.uniform(-_JITTER, _JITTER, size=(k, k))
+    rows = base + rng.uniform(-_JITTER, _JITTER, size=(n, k, k))
     rows = np.clip(rows, 1e-6, None)
-    return rows / rows.sum(axis=1, keepdims=True)
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def _init_prior(y_known: np.ndarray, k: int) -> np.ndarray:
@@ -164,15 +165,15 @@ def _init_prior(y_known: np.ndarray, k: int) -> np.ndarray:
     return (counts + 1.0) / (counts.sum() + k)
 
 
-def _init_params(t: VoteTable, slots: _Slots, cfg: EmConfig, restart: int) -> _Params:
+def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Params:
     rng = substream(cfg.seed, "em-init", restart)
     k = t.num_labels
-    path_cpts = np.stack([_blended_identity(k, rng) for _ in range(t.num_paths)])
-    tables = np.stack([_blended_identity(k, rng) for _ in slots.path])
+    path_cpts = _blended_identities(t.num_paths, k, rng)
+    tables = _blended_identities(len(slots.path), k, rng)
     return _Params(prior=_init_prior(t.truth, k), path_cpts=path_cpts, tables=tables)
 
 
-def _estep(params: _Params, t: VoteTable, slots: _Slots):
+def _estep(params: _Params, t: Dataset, slots: _Slots):
     evidence = vote_evidence(t, slots.idx, log(params.tables))      # (n, N, K_z)
     terms, f = path_factors(log(params.path_cpts), evidence)        # f: (n, N, K_y)
     log_joint = apm_log_joints(log(params.prior), f, t.active)      # (n, K_y)
@@ -183,17 +184,11 @@ def _estep(params: _Params, t: VoteTable, slots: _Slots):
     return q_y, q_z, loglik
 
 
-def _penalty(params: _Params, alpha: float) -> float:
+def _penalty(params: tuple[np.ndarray, ...], alpha: float) -> float:
+    """The smoothing term of the objective: alpha times the summed logs of every table."""
     if alpha == 0.0:
         return 0.0
-    return float(
-        alpha
-        * (
-            log(params.prior).sum()
-            + log(params.path_cpts).sum()
-            + log(params.tables).sum()
-        )
-    )
+    return float(alpha * sum(log(table).sum() for table in params))
 
 
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -204,14 +199,14 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(sums > 0, out, uniform)
 
 
-def _label_scatter(num_tables: int, table_idx: np.ndarray, t: VoteTable, rows: np.ndarray):
+def _label_scatter(num_tables: int, table_idx: np.ndarray, t: Dataset, rows: np.ndarray):
     """counts[c, z, x]: the sum of rows[v, z] over the votes v on table c with label x."""
     k = t.num_labels
     counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
     return np.ascontiguousarray(counts.reshape(num_tables, k, k).transpose(0, 2, 1))
 
 
-def _mstep(t: VoteTable, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
+def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
     prior = _normalize_rows(q_y.sum(axis=0) + alpha)
     path_counts = np.einsum("ky,kiyz->iyz", q_y, q_z) + alpha
     r = label_sum(q_y[:, None, :, None] * q_z, axis=2)
@@ -223,21 +218,28 @@ def _mstep(t: VoteTable, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha:
     )
 
 
-def _run_restart(t: VoteTable, slots: _Slots, cfg: EmConfig, restart: int):
-    params = _init_params(t, slots, cfg, restart)
-    history: list[float] = []
-    loglik = -np.inf
-    converged = False
-    for _ in range(cfg.max_iters):
-        q_y, q_z, loglik = _estep(params, t, slots)
-        objective = loglik + _penalty(params, cfg.smoothing_alpha)
-        if history and abs(objective - history[-1]) <= cfg.rel_tol * (abs(history[-1]) + 1e-12):
+def _em(cfg: EmConfig, init, estep, mstep):
+    """EM from `init(restart)` per restart; the highest final objective wins.
+
+    `estep(params)` gives the posteriors and the log-likelihood, `mstep(*posteriors)`
+    the next parameters. A restart stops once the objective changes by at most
+    `cfg.rel_tol` relative to the last. Returns (params, history, converged, restart).
+    """
+    best = None
+    for restart in range(cfg.restarts):
+        params, history, converged = init(restart), [], False
+        for _ in range(cfg.max_iters):
+            *posteriors, loglik = estep(params)
+            objective = loglik + _penalty(params, cfg.smoothing_alpha)
+            if history and abs(objective - history[-1]) <= cfg.rel_tol * (abs(history[-1]) + 1e-12):
+                history.append(objective)
+                converged = True
+                break
             history.append(objective)
-            converged = True
-            break
-        history.append(objective)
-        params = _mstep(t, slots, q_y, q_z, cfg.smoothing_alpha)
-    return params, history, loglik, converged
+            params = mstep(*posteriors)
+        if best is None or history[-1] > best[1][-1]:
+            best = (params, history, converged, restart)
+    return best
 
 
 def _align_latent_states(params: _Params, owned: list[list[int]]) -> _Params:
@@ -258,7 +260,7 @@ def _align_latent_states(params: _Params, owned: list[list[int]]) -> _Params:
 
 
 def _to_model(
-    params: _Params, t: VoteTable, slots: _Slots, owned: list[list[int]], share_workers: bool
+    params: _Params, t: Dataset, slots: _Slots, owned: list[list[int]], share_workers: bool
 ) -> ApmModel:
     k = t.num_labels
     uniform = Cpt(np.full((k, k), 1.0 / k))
@@ -289,17 +291,16 @@ def _to_model(
 
 
 def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmModel, FitReport]:
-    t = data.vote_table()
-    slots = _slots(t, share_workers)
-    best = None
-    for restart in range(cfg.restarts):
-        params, history, loglik, converged = _run_restart(t, slots, cfg, restart)
-        if best is None or history[-1] > best[1][-1]:
-            best = (params, history, loglik, converged, restart)
-    params, history, _, converged, restart = best
-    owned = _slots_by_path(slots, t.num_paths)
+    slots = _slots(data, share_workers)
+    params, history, converged, restart = _em(
+        cfg,
+        lambda restart: _init_params(data, slots, cfg, restart),
+        lambda params: _estep(params, data, slots),
+        lambda q_y, q_z: _mstep(data, slots, q_y, q_z, cfg.smoothing_alpha),
+    )
+    owned = _slots_by_path(slots, data.num_paths)
     params = _align_latent_states(params, owned)
-    model = _to_model(params, t, slots, owned, share_workers)
+    model = _to_model(params, data, slots, owned, share_workers)
     final_loglik = log_likelihood(model, data) if len(data) else 0.0
     report = FitReport(
         final_log_likelihood=final_loglik,
@@ -307,7 +308,7 @@ def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmMode
         converged=converged,
         restart_index=restart,
         history=tuple(history),
-        sparse_paths=_voteless_paths(t),
+        sparse_paths=_voteless_paths(data),
     )
     return model, report
 
@@ -317,9 +318,9 @@ def fit_supervised(
 ) -> tuple[ApmModel, FitReport]:
     """Fit with every truth observed; only the path states are latent."""
     cfg = cfg or EmConfig()
-    for s in data.samples:
-        if s.truth is None:
-            raise InputError(f"task {s.task_id} has no truth; use fit_em for partial labels")
+    unlabeled = data.first_unlabeled()
+    if unlabeled is not None:
+        raise InputError(f"task {unlabeled} has no truth; use fit_em for partial labels")
     return _fit_apm(data, share_workers, cfg)
 
 
@@ -343,20 +344,19 @@ def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
     if not len(data):
         return 0.0
     kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM
-    t = data.vote_table()
-    return _outcome_posterior(table_log_joint(kind, model, t), t.truth)[1]
+    return _outcome_posterior(table_log_joint(kind, model, data), data.truth)[1]
 
 
 # --- per-worker naive Bayes (latent-class estimation over workers) ---
 
 
-def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: VoteTable):
+def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: Dataset):
     rows = log(tables)[t.worker_idx, :, t.label]
     log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)
     return _outcome_posterior(log_joint, t.truth)
 
 
-def _nbi_mstep(t: VoteTable, q_y: np.ndarray, alpha: float):
+def _nbi_mstep(t: Dataset, q_y: np.ndarray, alpha: float):
     prior = _normalize_rows(q_y.sum(axis=0) + alpha)
     counts = _label_scatter(len(t.workers), t.worker_idx, t, q_y[t.sample_idx])
     return prior, _normalize_rows(counts + alpha)
@@ -371,37 +371,20 @@ def fit_nbi(
     and flagged sparse; their few votes still count toward the prior.
     """
     cfg = cfg or EmConfig()
-    t = data.vote_table()
-    if (t.worker_idx < 0).any():
+    if (data.worker_idx < 0).any():
         raise InputError("nbi fitting requires a worker id on every vote")
-    k = t.num_labels
-    best = None
-    for restart in range(cfg.restarts):
-        rng = substream(cfg.seed, "nbi-init", restart)
-        prior = _init_prior(t.truth, k)
-        tables = np.array([_blended_identity(k, rng) for _ in t.workers]).reshape(-1, k, k)
-        history: list[float] = []
-        converged = False
-        for _ in range(cfg.max_iters):
-            q_y, loglik = _nbi_estep(prior, tables, t)
-            objective = loglik + (
-                cfg.smoothing_alpha * (log(prior).sum() + log(tables).sum())
-                if cfg.smoothing_alpha > 0
-                else 0.0
-            )
-            if history and abs(objective - history[-1]) <= cfg.rel_tol * (
-                abs(history[-1]) + 1e-12
-            ):
-                history.append(objective)
-                converged = True
-                break
-            history.append(objective)
-            prior, tables = _nbi_mstep(t, q_y, cfg.smoothing_alpha)
-        if best is None or history[-1] > best[3][-1]:
-            best = (prior, tables, converged, history, restart)
-    prior, tables, converged, history, restart = best
+    k = data.num_labels
+    (prior, tables), history, converged, restart = _em(
+        cfg,
+        lambda restart: (
+            _init_prior(data.truth, k),
+            _blended_identities(len(data.workers), k, substream(cfg.seed, "nbi-init", restart)),
+        ),
+        lambda params: _nbi_estep(*params, data),
+        lambda q_y: _nbi_mstep(data, q_y, cfg.smoothing_alpha),
+    )
 
-    if not (t.truth >= 0).any() and t.workers:
+    if not (data.truth >= 0).any() and data.workers:
         # No observed truths pin the outcome labels; relabel to put worker
         # agreement mass on the diagonal.
         agreement = tables.sum(axis=0)
@@ -410,12 +393,12 @@ def fit_nbi(
             prior = prior[cols]
             tables = tables[:, cols, :]
 
-    vote_totals = np.bincount(t.worker_idx, minlength=len(t.workers))
-    sparse = tuple(w for i, w in enumerate(t.workers) if vote_totals[i] < min_votes)
+    is_sparse = np.bincount(data.worker_idx, minlength=len(data.workers)) < min_votes
+    sparse = tuple(compress(data.workers, is_sparse))
     uniform = np.full((k, k), 1.0 / k)
     worker_cpts = {}
-    for i, w in enumerate(t.workers):
-        worker_cpts[w] = Cpt(uniform if w in sparse else tables[i])
+    for i, w in enumerate(data.workers):
+        worker_cpts[w] = Cpt(uniform if is_sparse[i] else tables[i])
     model = NbiModel(
         labels=LabelSpace(k),
         prior=prior,

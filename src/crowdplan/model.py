@@ -1,4 +1,4 @@
-"""Core model types: label spaces, conditional probability tables, access paths.
+"""Core model types: label spaces, conditional probability tables, access paths, datasets.
 
 The access path model is a three-layer tree. A task's true label Y feeds one
 latent quality node Z_i per access path, and each vote collected on path i is
@@ -13,14 +13,19 @@ Types are frozen; array fields are marked read-only after construction. Value
 level checks (row sums, cost positivity) live in `validate_model` so that a
 broken model can be constructed, inspected, and reported on -- loaders and
 fitters call it before handing a model out.
+
+A `Dataset` is stored as flat vote columns, checked against its layout once
+when it is built. Folds and vote subsets are row selections of it, and
+per-task `TaskSample` objects are a view built only when asked for.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -228,57 +233,35 @@ class TaskSample:
         return sum(len(v) for v in self.votes.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """A collection of task samples over a fixed path and label layout."""
+    """Tasks over a fixed path and label layout, stored as flat, checked vote columns.
 
-    samples: tuple[TaskSample, ...]
-    num_paths: int
-    num_labels: int
+    Rows are in canonical order: tasks by task id; within a task, votes by
+    path, then worker id (votes without one first), then label. The order
+    depends only on what the votes are, so every sum taken over the rows in
+    order is the same, bit for bit, however the votes and tasks were stored.
+    `order` and `stored` keep the stored order: tasks as given, then path,
+    then each (task, path)'s votes as given.
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        seen: set[str] = set()
-        for s in self.samples:
-            if s.task_id in seen:
-                raise InputError(f"duplicate task id {s.task_id!r}")
-            seen.add(s.task_id)
-            for p, votes in s.votes.items():
-                if not 0 <= p < self.num_paths:
-                    raise InputError(f"task {s.task_id}: path index {p} out of range")
-                for _, v in votes:
-                    if not 0 <= v < self.num_labels:
-                        raise InputError(f"task {s.task_id}: label {v} out of range")
-            if s.truth is not None and not 0 <= s.truth < self.num_labels:
-                raise InputError(f"task {s.task_id}: truth {s.truth} out of range")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def vote_table(self) -> VoteTable:
-        """The dataset's votes as a canonical columnar table."""
-        return VoteTable.build(self.samples, self.num_labels, self.num_paths)
-
-
-@dataclass(frozen=True, eq=False)
-class VoteTable:
-    """The votes of a set of tasks as flat columns, in canonical order.
-
-    Tasks are ordered by task id; within a task, votes are ordered by path,
-    then worker id (votes without one first), then label. The order depends
-    only on what the votes are, so every sum taken over the table in row order
-    is the same, bit for bit, however the votes and tasks were stored.
+    `Dataset(samples, num_paths, num_labels)` tabulates per-task objects
+    (`num_paths=None` as in `tabulate`); `samples` is the per-task view, built
+    on first use. Datasets are equal when their layouts and their tasks, in
+    stored order, are.
 
     Fields:
-        order: input position of each task, shape (n,).
+        task_ids: the task ids, sorted.
+        order: stored position of each task, shape (n,).
         truth: truth index per task, -1 when unknown, shape (n,).
         sample_idx, path_idx, worker_idx, label: one entry per vote, shape (V,);
             worker_idx indexes `workers`, -1 for a vote without a worker id.
         workers: the distinct worker ids, sorted.
+        stored: the row of each vote in stored order, shape (V,).
     """
 
     num_paths: int
     num_labels: int
+    task_ids: tuple[str, ...]
     order: np.ndarray
     truth: np.ndarray
     sample_idx: np.ndarray
@@ -286,54 +269,167 @@ class VoteTable:
     worker_idx: np.ndarray
     label: np.ndarray
     workers: tuple[str, ...]
+    stored: np.ndarray
+
+    def __init__(self, samples: Sequence[TaskSample], num_paths: int | None, num_labels: int):
+        codes: dict[str | None, int] = {}
+        flat = np.fromiter(
+            (
+                x
+                for i, s in enumerate(samples)
+                for p, vs in s.votes.items()
+                for w, v in vs
+                for x in (i, p, codes.setdefault(None if w is None else str(w), len(codes)), v)
+            ),
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        truth = [-1 if s.truth is None else s.truth for s in samples]
+        ids = [s.task_id for s in samples]
+        columns = Dataset.tabulate(ids, truth, *flat.T, list(codes), num_labels, num_paths)
+        self.__dict__.update(columns.__dict__)
 
     @classmethod
-    def build(
-        cls, samples: Sequence[TaskSample], num_labels: int, num_paths: int | None = None
-    ) -> VoteTable:
-        """Tabulate the votes of `samples` and check them against the layout.
+    def _of(cls, **columns) -> Dataset:
+        for value in columns.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        data = cls.__new__(cls)
+        data.__dict__.update(columns)
+        return data
 
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    num_samples = property(__len__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        layout = (self.num_paths, self.num_labels)
+        return layout == (other.num_paths, other.num_labels) and self.samples == other.samples
+
+    @classmethod
+    def tabulate(
+        cls, task_ids, truth, task, path, worker, label, worker_ids, num_labels, num_paths=None
+    ) -> Dataset:
+        """Sort votes given in stored order into a checked dataset.
+
+        Task i has id `task_ids[i]` and truth `truth[i]` (-1 when unknown).
+        Vote j belongs to task `task[j]`, lies on path `path[j]`, was cast by
+        `worker_ids[worker[j]]` (None for no id) and has label `label[j]`.
         `num_paths=None` takes one more than the largest path index voted on.
         """
-        order = sorted(range(len(samples)), key=lambda i: samples[i].task_id)
-        tasks = [samples[i] for i in order]
-        ids = [
-            None if w is None else str(w) for s in tasks for vs in s.votes.values() for w, _ in vs
-        ]
-        workers = tuple(sorted(set(ids) - {None}))
-        index = {None: -1, **{w: j for j, w in enumerate(workers)}}
-        flat = [
-            x for r, s in enumerate(tasks) for p, vs in s.votes.items() for _, v in vs for x in (r, p, v)
-        ]
-        cols = np.empty((len(ids), 4), dtype=np.int64)
-        cols[:, [0, 1, 3]] = np.array(flat, dtype=np.int64).reshape(-1, 3)
-        cols[:, 2] = [index[w] for w in ids]
-        cols = cols[np.lexsort(cols.T[::-1])]
-        truth = np.array([-1 if s.truth is None else s.truth for s in tasks], dtype=np.int64)
+        seen: set = set()
+        for tid in task_ids:
+            if tid in seen:
+                raise InputError(f"duplicate task id {tid!r}")
+            seen.add(tid)
+        by_id = np.array(sorted(range(len(task_ids)), key=task_ids.__getitem__), dtype=np.int64)
+        rank = np.empty_like(by_id)
+        rank[by_id] = np.arange(len(by_id))
+        workers = tuple(sorted({w for w in worker_ids if w is not None}))
+        index = {w: j for j, w in enumerate(workers)}
+        task, path, label = (np.asarray(c, dtype=np.int64) for c in (task, path, label))
+        worker_of = np.array([index.get(w, -1) for w in worker_ids], dtype=np.int64)
+        worker = worker_of[np.asarray(worker, dtype=np.int64)]
+        canon = np.lexsort((label, worker, path, rank[task]))
+        row_of = np.empty_like(canon)
+        row_of[canon] = np.arange(len(canon))
         if num_paths is None:
-            num_paths = int(cols[:, 1].max()) + 1 if len(cols) else 0
-        for col, limit, what in ((1, num_paths, "path index"), (3, num_labels, "label")):
-            bad = (cols[:, col] < 0) | (cols[:, col] >= limit)
-            if bad.any():
-                r, value = cols[np.argmax(bad), [0, col]]
-                raise InputError(
-                    f"task {tasks[r].task_id}: {what} {value} outside 0..{limit - 1}"
-                )
-        return cls(
+            num_paths = int(path.max(initial=-1)) + 1
+        return cls._of(
             num_paths=num_paths,
             num_labels=num_labels,
-            order=np.asarray(order, dtype=np.int64),
-            truth=truth,
-            sample_idx=cols[:, 0],
-            path_idx=cols[:, 1],
-            worker_idx=cols[:, 2],
-            label=cols[:, 3],
+            task_ids=tuple(task_ids[i] for i in by_id.tolist()),
+            order=by_id,
+            truth=np.asarray(truth, dtype=np.int64)[by_id],
+            sample_idx=rank[task][canon],
+            path_idx=path[canon],
+            worker_idx=worker[canon],
+            label=label[canon],
             workers=workers,
+            stored=row_of[np.lexsort((path, task))],
+        )._checked()
+
+    def stored_columns(self) -> dict:
+        """The arguments of `tabulate` that rebuild this table."""
+        by_pos, s = np.argsort(self.order), self.stored
+        return dict(
+            task_ids=[self.task_ids[r] for r in by_pos.tolist()],
+            truth=self.truth[by_pos],
+            task=self.order[self.sample_idx[s]],
+            path=self.path_idx[s],
+            worker=self.worker_idx[s],
+            label=self.label[s],
+            worker_ids=self.workers + (None,),
+            num_labels=self.num_labels,
+            num_paths=self.num_paths,
         )
 
-    @property
-    def num_samples(self) -> int:
-        return len(self.order)
+    def _checked(self) -> Dataset:
+        """Self, once every path, label and truth lies inside the layout."""
+        for task, value, low, limit, what in (
+            (self.sample_idx, self.path_idx, 0, self.num_paths, "path index"),
+            (self.sample_idx, self.label, 0, self.num_labels, "label"),
+            (np.arange(self.num_samples), self.truth, -1, self.num_labels, "truth"),
+        ):
+            bad = (value < low) | (value >= limit)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise InputError(
+                    f"task {self.task_ids[task[j]]}: {what} {value[j]} outside 0..{limit - 1}"
+                )
+        return self
+
+    def within(self, num_labels: int, num_paths: int | None = None) -> Dataset:
+        """This table checked against, and laid out for, a model's labels and paths."""
+        num_paths = self.num_paths if num_paths is None else num_paths
+        if (num_labels, num_paths) == (self.num_labels, self.num_paths):
+            return self
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        columns.update(num_labels=num_labels, num_paths=num_paths)
+        return Dataset._of(**columns)._checked()
+
+    def select(self, tasks: np.ndarray, rows: np.ndarray | None = None) -> Dataset:
+        """The tasks in mask `tasks` with those of their votes in mask `rows`.
+
+        Both orders carry over, so nothing is sorted. `workers` keeps the ids
+        still voting; a selected task may be left without votes.
+        """
+        keep = tasks[self.sample_idx] if rows is None else rows & tasks[self.sample_idx]
+        voting = np.zeros(len(self.workers) + 1, dtype=bool)
+        voting[self.worker_idx[keep]] = True  # the last entry stands for no id
+        worker_of = np.append(np.cumsum(voting[:-1]) - 1, -1)
+        return Dataset._of(
+            num_paths=self.num_paths,
+            num_labels=self.num_labels,
+            task_ids=tuple(compress(self.task_ids, tasks)),
+            order=np.argsort(np.argsort(self.order[tasks])),
+            truth=self.truth[tasks],
+            sample_idx=(np.cumsum(tasks) - 1)[self.sample_idx[keep]],
+            path_idx=self.path_idx[keep],
+            worker_idx=worker_of[self.worker_idx[keep]],
+            label=self.label[keep],
+            workers=tuple(compress(self.workers, voting)),
+            stored=(np.cumsum(keep) - 1)[self.stored[keep[self.stored]]],
+        )
+
+    @cached_property
+    def samples(self) -> tuple[TaskSample, ...]:
+        """The tasks as `TaskSample` objects, in stored order."""
+        c = self.stored_columns()
+        votes: list[dict] = [{} for _ in c["task_ids"]]
+        for i, p, w, v in zip(*(c[k].tolist() for k in ("task", "path", "worker", "label"))):
+            votes[i].setdefault(p, []).append((c["worker_ids"][w], v))
+        return tuple(
+            TaskSample(tid, {p: tuple(vs) for p, vs in vote.items()}, None if y < 0 else y)
+            for tid, vote, y in zip(c["task_ids"], votes, c["truth"].tolist())
+        )
+
+    def first_unlabeled(self) -> str | None:
+        """The id of the first task, in stored order, without a truth."""
+        missing = np.flatnonzero(self.truth < 0)
+        return self.task_ids[missing[np.argmin(self.order[missing])]] if len(missing) else None
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -402,6 +498,7 @@ def validate_model(model: ApmModel) -> list[str]:
     """Check every model invariant; return human-readable violations, empty if sound."""
     k = model.num_labels
     out = _prior_violations(model.prior, k)
+    sound: set[int] = set()
     if not model.paths:
         out.append("model has no access paths")
     for i, spec in enumerate(model.paths):
@@ -410,12 +507,12 @@ def validate_model(model: ApmModel) -> list[str]:
             out.append(f"{where}: spec index {spec.index} does not match position")
         if spec.cost <= 0:
             out.append(f"{where}: non-positive cost {spec.cost}")
-        out.extend(_table_violations({"path CPT": model.path_cpts[i]}, k, where))
+        out.extend(_table_violations({"path CPT": model.path_cpts[i]}, k, where, sound))
         wc = model.worker_cpts[i]
         tables = {"shared": wc} if isinstance(wc, Cpt) else dict(wc)
         if not tables:
             out.append(f"{where}: no worker CPTs")
-        out.extend(_table_violations(tables, k, f"{where} worker"))
+        out.extend(_table_violations(tables, k, f"{where} worker", sound))
     names = model.labels.names
     if names is not None and len(set(names)) != len(names):
         out.append("label names not unique")
@@ -428,13 +525,26 @@ def _prior_violations(prior: np.ndarray, k: int) -> list[str]:
     return Cpt(prior[None, :]).violations("prior")
 
 
-def _table_violations(tables: Mapping[str, Cpt], k: int, where: str) -> list[str]:
+def _table_violations(
+    tables: Mapping[str, Cpt], k: int, where: str, sound: set[int]
+) -> list[str]:
+    """Violations of each table; `sound` holds the ids of tables already found sound.
+
+    A table object shared by many places (fitting gives every voteless path
+    one uniform table) is checked once. An unsound one is reported wherever
+    it appears.
+    """
     out = []
     for name, t in tables.items():
+        if id(t) in sound:
+            continue
         if t.shape != (k, k):
             out.append(f"{where} {name}: shape {t.shape}, expected {(k, k)}")
-        else:
-            out.extend(t.violations(f"{where} {name}"))
+            continue
+        found = t.violations(f"{where} {name}")
+        if not found:
+            sound.add(id(t))
+        out.extend(found)
     return out
 
 
@@ -512,7 +622,7 @@ def nbi_model_from_dict(doc: Mapping) -> NbiModel:
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed nbi model document: {exc}") from None
     problems = _prior_violations(model.prior, model.num_labels) + _table_violations(
-        model.worker_cpts, model.num_labels, "worker"
+        model.worker_cpts, model.num_labels, "worker", set()
     )
     if problems:
         raise InputError("invalid nbi model: " + "; ".join(problems))

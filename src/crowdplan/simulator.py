@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import categorical, substream
 from .errors import InputError
-from .model import AccessPlan, ApmModel, Cpt, Dataset, TaskSample, Vote, as_counts
+from .model import AccessPlan, ApmModel, Cpt, Dataset, as_counts
 
 
 def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -38,23 +38,29 @@ def _path_workers(model: ApmModel, path: int) -> tuple[str, ...] | None:
 
 
 def _generate_task(
-    model: ApmModel, counts: Sequence[int], seed: int, index: int
-) -> TaskSample:
+    model: ApmModel, counts: Sequence[int], seed: int, index: int, votes: tuple, workers: dict
+) -> int:
+    """Draw task `index`: return its truth and append its votes to the columns `votes`.
+
+    The columns are task index, path, worker code and label; `workers` codes
+    worker ids (None for a shared table) in first-seen order.
+    """
     rng = substream(seed, "gen", index)
     y = _draw(rng, model.prior)
-    votes: dict[int, tuple[Vote, ...]] = {}
+    task, paths, worker_code, label = votes
     for path in range(model.num_paths):
         if counts[path] == 0:
             continue
         z = _draw(rng, model.path_cpts[path].rows[y])
-        workers = _path_workers(model, path)
-        collected = []
+        names = _path_workers(model, path)
         for j in range(counts[path]):
-            worker = None if workers is None else workers[j % len(workers)]
-            table = model.worker_cpts[path] if workers is None else model.worker_cpts[path][worker]
-            collected.append((worker, _draw(rng, table.rows[z])))
-        votes[path] = tuple(collected)
-    return TaskSample(task_id=f"t{index:06d}", votes=votes, truth=y)
+            worker = None if names is None else names[j % len(names)]
+            table = model.worker_cpts[path] if names is None else model.worker_cpts[path][worker]
+            task.append(index)
+            paths.append(path)
+            worker_code.append(workers.setdefault(worker, len(workers)))
+            label.append(_draw(rng, table.rows[z]))
+    return y
 
 
 def generate(
@@ -67,34 +73,32 @@ def generate(
     if num_tasks < 0:
         raise InputError(f"num_tasks must be non-negative, got {num_tasks}")
     counts = as_counts(votes_per_path, model.num_paths)
-    samples = tuple(_generate_task(model, counts, seed, t) for t in range(num_tasks))
-    return Dataset(samples=samples, num_paths=model.num_paths, num_labels=model.num_labels)
-
-
-def _inject_task(sample: TaskSample, p: float, seed: int, num_labels: int) -> TaskSample:
-    rng = substream(seed, "inject", sample.task_id)
-    votes: dict[int, tuple[Vote, ...]] = {}
-    for path in sorted(sample.votes):
-        processed: list[Vote] = []
-        tally = np.zeros(num_labels, dtype=np.int64)
-        for j, (worker, label) in enumerate(sample.votes[path]):
-            if j > 0 and rng.random() < p:
-                top = int(tally.max())
-                leaders = np.flatnonzero(tally == top)
-                if len(leaders) == 1:
-                    label = int(leaders[0])
-            processed.append((worker, label))
-            tally[label] += 1
-        votes[path] = tuple(processed)
-    return TaskSample(task_id=sample.task_id, votes=votes, truth=sample.truth)
+    votes: tuple = ([], [], [], [])
+    workers: dict = {}
+    truths = [_generate_task(model, counts, seed, t, votes, workers) for t in range(num_tasks)]
+    ids = [f"t{t:06d}" for t in range(num_tasks)]
+    return Dataset.tabulate(ids, truths, *votes, list(workers), model.num_labels, model.num_paths)
 
 
 def inject_correlation(data: Dataset, p: float, seed: int = 0) -> Dataset:
     """Replace votes with the running within-path majority with probability p."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"correlation probability must be in [0, 1], got {p}")
-    samples = tuple(_inject_task(s, p, seed, data.num_labels) for s in data.samples)
-    return Dataset(samples=samples, num_paths=data.num_paths, num_labels=data.num_labels)
+    cols = data.stored_columns()
+    labels = []
+    task = path = rng = tally = None
+    for r, i, label in zip(*(cols[c].tolist() for c in ("task", "path", "label"))):
+        if r != task:
+            task, path, rng = r, None, substream(seed, "inject", cols["task_ids"][r])
+        if i != path:
+            path, tally = i, [0] * data.num_labels
+        elif rng.random() < p:
+            top = max(tally)
+            if tally.count(top) == 1:
+                label = tally.index(top)
+        labels.append(label)
+        tally[label] += 1
+    return Dataset.tabulate(**{**cols, "label": labels})
 
 
 def quantile_paths(accuracies: Mapping[str, float], num_paths: int) -> dict[str, int]:

@@ -1,0 +1,124 @@
+"""Byte-identity of a fixed CLI session against pinned digests.
+
+Every output of a small seeded session is hashed: simulate with correlation
+injected, learn three ways, infer five ways and a four-model sweep. The
+digests were taken before the dataset layer became columnar, so a change that
+moves any byte of any output fails here, not only one that breaks a rerun.
+
+The votes file is written by this test from a fixed seed. It is ragged (0 to
+4 votes per path) and per worker, its tasks are not in id order, truth sits on
+some rows of a task only, and each path's votes are stored in descending
+worker-id order. Stored order and the canonical worker-id order therefore
+differ in every path with two or more votes; plan execution, correlation
+injection and writing must follow the stored one.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+from importlib.resources import files
+
+import numpy as np
+
+from crowdplan.cli import main
+
+EXAMPLE = str(files("crowdplan") / "data" / "example_model.json")
+EM = ("--max-iters", "15", "--restarts", "2", "--seed", "3")
+
+# (name, argv with {d} for the working directory, output file)
+SESSION = (
+    ("simulate", ("simulate", "--model", EXAMPLE, "--plan", "3,2,3", "--tasks", "60",
+                  "--inject-p", "0.4", "--seed", "5", "--out", "{d}/sim.csv"), "sim.csv"),
+    ("learn.apm", ("learn", "--votes", "{d}/votes.csv", *EM, "--out", "{d}/apm.json"), "apm.json"),
+    ("learn.pw", ("learn", "--votes", "{d}/votes.csv", "--no-share-workers", *EM,
+                  "--out", "{d}/pw.json"), "pw.json"),
+    ("learn.nbi", ("learn", "--votes", "{d}/votes.csv", "--model-kind", "nbi", *EM,
+                   "--out", "{d}/nbi.json"), "nbi.json"),
+    ("infer.apm", ("infer", "--model", "{d}/apm.json", "--votes", "{d}/votes.csv",
+                   "--model-kind", "apm", "--out", "{d}/i_apm.csv"), "i_apm.csv"),
+    ("infer.nbap", ("infer", "--model", "{d}/apm.json", "--votes", "{d}/votes.csv",
+                    "--model-kind", "nbap", "--out", "{d}/i_nbap.csv"), "i_nbap.csv"),
+    ("infer.mv", ("infer", "--model", "{d}/apm.json", "--votes", "{d}/votes.csv",
+                  "--model-kind", "mv", "--out", "{d}/i_mv.csv"), "i_mv.csv"),
+    ("infer.nbi", ("infer", "--model", "{d}/nbi.json", "--votes", "{d}/votes.csv",
+                   "--model-kind", "nbi", "--out", "{d}/i_nbi.csv"), "i_nbi.csv"),
+    ("infer.pw", ("infer", "--model", "{d}/pw.json", "--votes", "{d}/votes.csv",
+                  "--model-kind", "apm", "--out", "{d}/i_pw.csv"), "i_pw.csv"),
+    ("sweep", ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,nbap,mv,nbi",
+               "--strategies", "greedy,equal", "--budgets", "4,9", "--folds", "3",
+               "--costs", "1,2,3", "--max-iters", "10", "--restarts", "1", "--seed", "3",
+               "--out", "{d}/sweep.csv"), "sweep.csv"),
+)
+
+# sha256 of (stdout with the directory replaced by "<d>", output file bytes)
+PINNED = {
+    "votes.csv": "7e2ea72e44827c5a779b862e7466fb5e5f7ea6817d065480195394b721260ca3",
+    "simulate": "108833ffca5b6fe9f2b1d65a2cb9a692592a8e5e6da4a923624b80500f6ec99f",
+    "learn.apm": "9c33ad52a06d691fd07f57aaad7cd4049f87e81ad26ec643d6ce2496ce5ab47e",
+    "learn.pw": "5ab6eaeed167f4f0e2582705fd6043abfbc30abec2c7edf704d9fd3da9545d38",
+    "learn.nbi": "b8ea5687a510d7a3556d1e1284a37a2032ae9ec9d7e6518bae8dc2c5e66fd9ab",
+    "infer.apm": "4e0783e36bac96245915833625c73e2bba7c37f67259063858588e2031ae0a6b",
+    "infer.nbap": "417691b91a935f25637726d0cc5f7205ec7d3be156fb37d7b0118296efd8e67d",
+    "infer.mv": "c83647b9879bbe729f4a7c1c1a598bce954d78dcb7878f5926ebdb286ae1f72d",
+    "infer.nbi": "50d76f480ac3901e4a28ce55987c6cb83a31f95912a35876dd920c5103fb5152",
+    "infer.pw": "e7d77a682e140a6f653dd9f4fcb11b9ecedf2475928571fa2722cd71585871a8",
+    "sweep": "484d0c3a00c1eee2a261a0b040178de55464bf7141b1bb13d029cdebef839c99",
+}
+
+
+def ragged_votes(seed: int = 2024, num_tasks: int = 90) -> list[list[str]]:
+    """Rows of a labeled per-worker votes file; see the module docstring."""
+    rng = np.random.default_rng(seed)
+    pools = [[f"p{i}w{j}" for j in range(7)] for i in range(3)]
+    accuracy = rng.uniform(0.6, 0.9, size=(3, 7))
+    ids = [f"task{n:03d}" for n in rng.permutation(num_tasks)]
+    rows = []
+    for t, task in enumerate(ids):
+        y = int(rng.random() < 0.4)
+        votes = []
+        for i in range(3):
+            path = []
+            for j in rng.choice(7, size=int(rng.integers(0, 5)), replace=False):
+                right = rng.random() < accuracy[i, j]
+                worker = f"p{i}x{t}-{j}" if rng.random() < 0.05 else pools[i][j]
+                path.append([task, str(i), worker, ("no", "yes")[y if right else 1 - y]])
+            votes.extend(sorted(path, key=lambda row: row[2], reverse=True))
+        if not votes:
+            votes.append([task, "0", pools[0][0], ("no", "yes")[y]])
+        for k, vote in enumerate(votes):
+            vote.append(("no", "yes")[y] if k == 0 or rng.random() < 0.3 else "")
+        rows.extend(votes)
+    return rows
+
+
+def _digest(stdout: str, out) -> str:
+    h = hashlib.sha256(stdout.encode("utf-8"))
+    h.update(b"\0")
+    h.update(out.read_bytes())
+    return h.hexdigest()
+
+
+def test_votes_file_stores_paths_out_of_worker_order():
+    groups: dict[tuple[str, str], list[str]] = {}
+    for task, path, worker, _, _ in ragged_votes():
+        groups.setdefault((task, path), []).append(worker)
+    multi = [ws for ws in groups.values() if len(ws) > 1]
+    assert len(multi) > 100
+    assert all(ws != sorted(ws) for ws in multi)
+
+
+def test_cli_session_is_byte_identical_to_pinned(tmp_path, capsys):
+    votes = tmp_path / "votes.csv"
+    with open(votes, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task_id", "path_id", "worker_id", "vote", "truth"])
+        writer.writerows(ragged_votes())
+    got = {"votes.csv": hashlib.sha256(votes.read_bytes()).hexdigest()}
+    for name, argv, out in SESSION:
+        capsys.readouterr()
+        rc = main([a.replace("{d}", str(tmp_path)) for a in argv])
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "<d>")
+        assert rc == 0, name
+        got[name] = _digest(stdout, tmp_path / out)
+    assert got == PINNED

@@ -5,6 +5,7 @@ from crowdplan.errors import InputError, MissingWorkerCptError
 from crowdplan.inference import (
     ModelKind,
     apm_posterior,
+    infer,
     mv_predict,
     nbap_posterior,
     nbi_posterior,
@@ -280,3 +281,13 @@ class TestDispatch:
             predict("apm", nm, s)
         with pytest.raises(InputError):
             predict("nope", m, s)
+
+    def test_batch_is_checked_like_a_dataset(self):
+        """`infer` tabulates its samples as a Dataset: repeated task ids and bad truths fail."""
+        m = sym_model([0.5, 0.5], [0.9], [0.8])
+        s = TaskSample(task_id="t", votes={0: ((None, 1),)})
+        with pytest.raises(InputError, match="duplicate task id 't'"):
+            infer("apm", m, [s, s])
+        with pytest.raises(InputError, match="truth 2"):
+            infer("mv", m, [TaskSample(task_id="t", votes={0: ((None, 1),)}, truth=2)])
+        assert len(infer("apm", m, [s, TaskSample(task_id="u", votes={})])) == 2

@@ -9,10 +9,12 @@ from crowdplan.cli import main
 from crowdplan.errors import InputError
 from crowdplan.inference import infer
 from crowdplan.io import parse_budgets, parse_int_list, read_votes_csv, write_votes_csv
+from crowdplan.evaluation import budget_sweep
 from crowdplan.model import Dataset, TaskSample, load_model, save_model
 from crowdplan.simulator import generate
 
 from _oracles import sym_model
+from test_golden import ragged_votes
 
 from importlib.resources import files
 
@@ -106,6 +108,63 @@ class TestReadVotes:
         rows = list(csv.DictReader(f.open()))
         assert rows[0]["vote"] == "yes"
         assert rows[0]["truth"] == "no"
+
+
+class TestTabulation:
+    """Each CLI command tabulates its votes file once and builds no per-task objects."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch, tmp_path):
+        votes = tmp_path / "votes.csv"
+        with open(votes, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["task_id", "path_id", "worker_id", "vote", "truth"])
+            writer.writerows(ragged_votes(num_tasks=40))
+        seen = {"tabulate": 0, "task_samples": 0}
+        tabulate = Dataset.tabulate.__func__
+        post_init = TaskSample.__post_init__
+
+        def counted_tabulate(cls, *args, **kwargs):
+            seen["tabulate"] += 1
+            return tabulate(cls, *args, **kwargs)
+
+        def counted_post_init(sample):
+            seen["task_samples"] += 1
+            post_init(sample)
+
+        monkeypatch.setattr(Dataset, "tabulate", classmethod(counted_tabulate))
+        monkeypatch.setattr(TaskSample, "__post_init__", counted_post_init)
+        return seen, votes
+
+    def run(self, seen, argv):
+        seen.update(tabulate=0, task_samples=0)
+        assert main(argv) == 0
+        return dict(seen)
+
+    def test_learn_and_infer(self, counts, tmp_path):
+        seen, votes = counts
+        em = ["--max-iters", "3", "--restarts", "2"]
+        once = {"tabulate": 1, "task_samples": 0}
+        fits = {"apm": [], "pw": ["--no-share-workers"], "nbi": ["--model-kind", "nbi"]}
+        for name, extra in fits.items():
+            argv = ["learn", "--votes", str(votes), *extra, *em, "--out", str(tmp_path / name)]
+            assert self.run(seen, argv) == once, name
+        infers = (("apm", "apm"), ("nbap", "apm"), ("mv", "apm"), ("nbi", "nbi"), ("apm", "pw"))
+        for kind, fit in infers:
+            argv = ["infer", "--model", str(tmp_path / fit), "--votes", str(votes),
+                    "--model-kind", kind, "--out", str(tmp_path / "post.csv")]
+            assert self.run(seen, argv) == once, (kind, fit)
+
+    def test_sweep_cells_select_rows_without_tabulating(self, counts, tmp_path):
+        seen, votes = counts
+        argv = ["sweep", "--votes", str(votes), "--models", "apm,nbap,mv,nbi",
+                "--strategies", "greedy,equal", "--budgets", "3,6", "--folds", "2",
+                "--max-iters", "3", "--restarts", "1", "--out", str(tmp_path / "sweep.csv")]
+        assert self.run(seen, argv) == {"tabulate": 1, "task_samples": 0}
+        data, _ = read_votes_csv(str(votes))
+        seen.update(tabulate=0)
+        budget_sweep(data, ["apm", "nbi"], ["equal"], [3, 6], folds=3)
+        assert seen == {"tabulate": 0, "task_samples": 0}
 
 
 class TestParsers:

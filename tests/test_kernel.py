@@ -22,7 +22,7 @@ from crowdplan._kernel import (
     vote_evidence,
 )
 from crowdplan.inference import infer
-from crowdplan.model import TaskSample, VoteTable
+from crowdplan.model import Dataset, TaskSample
 
 from _oracles import enum_posterior, random_model
 
@@ -135,7 +135,7 @@ def vote_table(rng, k, paths, tasks=12, workers=4):
                 )
         truth = int(rng.integers(k)) if rng.random() < 0.5 else None
         samples.append(TaskSample(task_id=f"t{rng.integers(10**6)}-{t}", votes=votes, truth=truth))
-    return VoteTable.build(samples, k, paths), samples
+    return Dataset(samples, paths, k), samples
 
 
 def posteriors(rng, shape):
@@ -246,7 +246,7 @@ def test_scatters_bits(k, paths, seed):
 
 
 def test_empty_scatters():
-    t = VoteTable.build([TaskSample(task_id="a", votes={})], 3, 2)
+    t = Dataset([TaskSample(task_id="a", votes={})], 2, 3)
     _, slot_idx = t.path_worker_slots()
     same_bits(
         vote_evidence(t, slot_idx, np.zeros((0, 3, 3))),

@@ -256,6 +256,28 @@ class TestEm:
         assert scans["contains"] == 0
         assert scans["iter"] <= 3
 
+    def test_each_distinct_table_is_validated_once(self, monkeypatch):
+        """Voteless paths share one uniform table, checked once rather than per path."""
+        checked = []
+        real = Cpt.violations
+
+        def counting(table, context):
+            checked.append(context)
+            return real(table, context)
+
+        monkeypatch.setattr(Cpt, "violations", counting)
+        samples = (
+            TaskSample("t0", {0: ((None, 0),), 59: ((None, 1), (None, 1))}, truth=0),
+            TaskSample("t1", {0: ((None, 1),)}, truth=1),
+        )
+        data = Dataset(samples=samples, num_paths=60, num_labels=2)
+        model, report = fit_em(data, cfg=EmConfig(max_iters=3, restarts=1))
+        assert len(report.sparse_paths) == 58
+        # the prior, then a path table and a vote table for each of the two
+        # voted paths, and the shared uniform table
+        assert len(checked) == 6
+        assert validate_model(model) == []
+
     def test_per_worker_mode_needs_ids(self):
         truth = sym_model([0.5, 0.5], [0.9], [0.8])
         data = generate(truth, [2], 50, seed=0)

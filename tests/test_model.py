@@ -244,6 +244,42 @@ class TestPlanAndSamples:
             Dataset(samples=(s, s), num_paths=1, num_labels=2)
 
 
+class TestDatasetColumns:
+    def test_selection_matches_a_fresh_tabulation(self):
+        """Selected rows keep the stored and canonical orders a new dataset would have."""
+        rng = np.random.default_rng(5)
+
+        def votes():
+            return tuple((f"w{rng.integers(6)}", int(rng.integers(3))) for _ in range(3))
+
+        samples = [
+            TaskSample(f"t{rng.integers(1000):03d}-{i}", {0: votes(), 2: votes()}, i % 3)
+            for i in range(40)
+        ]
+        data = Dataset(samples, num_paths=3, num_labels=3)
+        tasks = rng.random(40) < 0.5
+        rows = rng.random(len(data.label)) < 0.6
+        chosen = data.select(tasks, rows)
+        # the j-th vote in stored order is row data.stored[j]
+        picked = (rows & tasks[data.sample_idx])[data.stored].tolist()
+        flat = [(s, p, vote) for s in samples for p in sorted(s.votes) for vote in s.votes[p]]
+        votes = {s.task_id: {} for s in samples if tasks[data.task_ids.index(s.task_id)]}
+        for (s, p, vote), keep in zip(flat, picked):
+            if keep:
+                votes[s.task_id].setdefault(p, []).append(vote)
+        expect = [
+            TaskSample(s.task_id, {p: tuple(v) for p, v in votes[s.task_id].items()}, s.truth)
+            for s in samples
+            if s.task_id in votes
+        ]
+        fresh = Dataset(expect, num_paths=3, num_labels=3)
+        assert chosen.samples == fresh.samples
+        for name in ("task_ids", "order", "truth", "sample_idx", "path_idx", "worker_idx"):
+            np.testing.assert_array_equal(getattr(chosen, name), getattr(fresh, name), err_msg=name)
+        for name in ("label", "workers", "stored"):
+            np.testing.assert_array_equal(getattr(chosen, name), getattr(fresh, name), err_msg=name)
+
+
 class TestRebuilders:
     def test_with_costs(self):
         from crowdplan.model import with_costs
