@@ -39,12 +39,7 @@ from .infogain import (
 from .inference import (
     ModelKind,
     Posterior,
-    apm_posterior,
     infer,
-    mv_predict,
-    nbap_posterior,
-    nbi_posterior,
-    predict,
 )
 from .io import read_votes_csv, write_votes_csv
 from .learning import (
@@ -115,7 +110,6 @@ __all__ = [
     "TaskSample",
     "TraceStep",
     "accuracy",
-    "apm_posterior",
     "approximation_bound",
     "baseline_plan",
     "budget_sweep",
@@ -134,12 +128,8 @@ __all__ = [
     "inject_correlation",
     "load_model",
     "log_likelihood",
-    "mv_predict",
-    "nbap_posterior",
-    "nbi_posterior",
     "neg_log_likelihood",
     "plan_cost",
-    "predict",
     "prior_entropy",
     "quantile_paths",
     "read_votes_csv",

@@ -48,15 +48,19 @@ def _names(model: ApmModel | NbiModel) -> tuple[str, ...]:
     return tuple(str(i) for i in range(model.num_labels))
 
 
-def _cmd_learn(args) -> int:
-    data, names = read_votes_csv(args.votes)
-    cfg = EmConfig(
+def _em_config(args) -> EmConfig:
+    return EmConfig(
         max_iters=args.max_iters,
         rel_tol=args.tol,
         smoothing_alpha=args.alpha,
         seed=args.seed,
         restarts=args.restarts,
     )
+
+
+def _cmd_learn(args) -> int:
+    data, names = read_votes_csv(args.votes)
+    cfg = _em_config(args)
     kind = ModelKind(args.model_kind)
     labels = LabelSpace(cardinality=data.num_labels, names=names)
     if kind is ModelKind.MV:
@@ -137,8 +141,6 @@ def _cmd_infer(args) -> int:
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     counts = parse_int_list(args.plan, "plan")
-    if len(counts) != model.num_paths:
-        raise InputError(f"plan has {len(counts)} entries for {model.num_paths} paths")
     if not 0.0 <= args.inject_p <= 1.0:
         raise InputError(f"--inject-p must be in [0, 1], got {args.inject_p}")
     data = generate(model, counts, args.tasks, seed=args.seed)
@@ -152,13 +154,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     data, _ = read_votes_csv(args.votes)
     cfg = IgConfig(mode=IgMode(args.ig), num_samples=args.samples, seed=args.seed)
-    em_cfg = EmConfig(
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        smoothing_alpha=args.alpha,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
     result = budget_sweep(
         data,
         model_kinds=parse_list(args.models),
@@ -167,7 +162,7 @@ def _cmd_sweep(args) -> int:
         folds=args.folds,
         ig_cfg=cfg,
         seed=args.seed,
-        em_cfg=em_cfg,
+        em_cfg=_em_config(args),
         costs=parse_list(args.costs) if args.costs else None,
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -269,18 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CrowdPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ResourceLimitError):
+            return 3
+        return 4 if isinstance(exc, NumericError) else 2
     except OSError as exc:
         # Inputs are opened under InputError, so what reaches here is an output.
         where = exc.filename or "output"

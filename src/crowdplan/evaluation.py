@@ -260,7 +260,7 @@ def budget_sweep(
     strats = _members(Strategy, strategies, "strategy")
     try:
         budget_list = [Fraction(b) for b in budgets]
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
         raise InputError(f"bad budgets {list(budgets)}") from None
     if not kinds or not strats or not budget_list:
         raise InputError("model_kinds, strategies and budgets must be non-empty")

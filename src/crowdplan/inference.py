@@ -3,8 +3,8 @@
 `table_posteriors(kind, model, table)` checks a `Dataset` against the
 model's layout once and computes every posterior in one batched pass through
 the kernels in `_kernel`. `infer(kind, model, samples)` tabulates per-task
-objects first and wraps each row in a `Posterior`; `predict` and the per-kind
-functions (`apm_posterior`, ...) run it on a batch of one.
+objects first and wraps each row in a `Posterior`; the posterior of one task
+is `infer(kind, model, [sample])[0]`.
 
 All posteriors are computed in log space. The vote table sorts votes into a
 canonical order (task id, then path, then worker id, then label) before any
@@ -153,38 +153,3 @@ def infer(
         Posterior(probs=p, prediction=int(y), confidence=float(c), degenerate_evidence=bool(d))
         for p, y, c, d in zip(probs, pred, conf, degenerate)
     ]
-
-
-def apm_log_joint(model: ApmModel, sample: TaskSample) -> np.ndarray:
-    """log p(y, votes) for every outcome y, latent path states summed out."""
-    _check(ModelKind.APM, model)
-    return _apm(model, Dataset([sample], model.num_paths, model.num_labels))[0]
-
-
-def apm_posterior(model: ApmModel, sample: TaskSample) -> Posterior:
-    """Exact posterior under the full access path model."""
-    return infer(ModelKind.APM, model, [sample])[0]
-
-
-def nbap_posterior(model: ApmModel, sample: TaskSample) -> Posterior:
-    """Posterior treating every vote on a path as independent given the outcome.
-
-    Uses the same parameters as `apm_posterior`; only the independence
-    assumption differs. Requires shared worker tables on every path.
-    """
-    return infer(ModelKind.NBAP, model, [sample])[0]
-
-
-def nbi_posterior(model: NbiModel, sample: TaskSample) -> Posterior:
-    """Posterior under per-worker naive Bayes; every vote needs a known worker."""
-    return infer(ModelKind.NBI, model, [sample])[0]
-
-
-def mv_predict(model: ApmModel | NbiModel, sample: TaskSample) -> Posterior:
-    """Majority vote. Posterior probabilities are vote shares; no votes means uniform."""
-    return infer(ModelKind.MV, model, [sample])[0]
-
-
-def predict(kind: ModelKind | str, model: ApmModel | NbiModel, sample: TaskSample) -> Posterior:
-    """Posterior of one task under `kind`, checking the model type."""
-    return infer(kind, model, [sample])[0]

@@ -242,41 +242,25 @@ def _em(cfg: EmConfig, init, estep, mstep):
     return best
 
 
-def _align_latent_states(params: _Params, owned: list[list[int]]) -> _Params:
-    """Relabel each path's latent states to maximize the diagonal of p(z | y).
+def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -> ApmModel:
+    """Assemble the fitted model in one pass over the voted paths.
 
-    `owned[i]` lists the slots of path i, whose tables are relabeled with it.
+    Each voted path's latent states are relabeled to maximize the diagonal of
+    p(z | y), and its slots' vote tables with them. Voteless paths share one
+    uniform table.
     """
-    path_cpts = params.path_cpts.copy()
-    tables = params.tables.copy()
-    for i in range(len(path_cpts)):
-        _, cols = linear_sum_assignment(-path_cpts[i])
-        if np.array_equal(cols, np.arange(len(cols))):
-            continue
-        path_cpts[i] = path_cpts[i][:, cols]
-        for slot in owned[i]:
-            tables[slot] = tables[slot][cols, :]
-    return _Params(prior=params.prior, path_cpts=path_cpts, tables=tables)
-
-
-def _to_model(
-    params: _Params, t: Dataset, slots: _Slots, owned: list[list[int]], share_workers: bool
-) -> ApmModel:
     k = t.num_labels
     uniform = Cpt(np.full((k, k), 1.0 / k))
-    voteless = set(_voteless_paths(t))
-    path_cpts: list[Cpt] = []
-    worker_cpts = []
-    for i in range(t.num_paths):
-        if i in voteless:
-            path_cpts.append(uniform)
-            worker_cpts.append(uniform)
-            continue
-        path_cpts.append(Cpt(params.path_cpts[i]))
+    path_cpts: list[Cpt] = [uniform] * t.num_paths
+    worker_cpts: list = [uniform] * t.num_paths
+    owned = _slots_by_path(slots, t.num_paths)
+    for i in np.unique(t.path_idx).tolist():
+        _, cols = linear_sum_assignment(-params.path_cpts[i])
+        path_cpts[i] = Cpt(params.path_cpts[i][:, cols])
         if share_workers:
-            worker_cpts.append(Cpt(params.tables[i]))
+            worker_cpts[i] = Cpt(params.tables[i][cols, :])
         else:
-            worker_cpts.append({slots.worker[slot]: Cpt(params.tables[slot]) for slot in owned[i]})
+            worker_cpts[i] = {slots.worker[s]: Cpt(params.tables[s][cols, :]) for s in owned[i]}
     model = ApmModel(
         labels=LabelSpace(k),
         prior=params.prior,
@@ -298,9 +282,7 @@ def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmMode
         lambda params: _estep(params, data, slots),
         lambda q_y, q_z: _mstep(data, slots, q_y, q_z, cfg.smoothing_alpha),
     )
-    owned = _slots_by_path(slots, data.num_paths)
-    params = _align_latent_states(params, owned)
-    model = _to_model(params, data, slots, owned, share_workers)
+    model = _to_model(params, data, slots, share_workers)
     final_loglik = log_likelihood(model, data) if len(data) else 0.0
     report = FitReport(
         final_log_likelihood=final_loglik,

@@ -454,7 +454,7 @@ def path_costs(costs: Sequence[Fraction | int | str], num_paths: int) -> tuple[F
     for i, text in enumerate(costs):
         try:
             cost = Fraction(text)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (OverflowError, TypeError, ValueError, ZeroDivisionError):
             raise InputError(f"path {i}: bad cost {text!r}") from None
         if cost <= 0:
             raise InputError(f"path {i}: non-positive cost {cost}")

@@ -90,7 +90,7 @@ class PlanResult:
 def _coerce_budget(budget) -> Fraction:
     try:
         b = Fraction(budget)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (OverflowError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad budget {budget!r}: {exc}") from None
     if b < 0:
         raise InputError(f"budget must be non-negative, got {b}")
@@ -337,12 +337,11 @@ def build_plan(
     budget,
     seed: int = 0,
     ig_cfg: IgConfig | None = None,
-    enumeration_limit: int = 200_000,
 ) -> PlanResult:
     """Uniform entry point over all strategies."""
     strategy = Strategy(strategy)
     if strategy is Strategy.GREEDY:
         return greedy_plan(model, budget, ig_cfg)
     if strategy is Strategy.OPT:
-        return exhaustive_opt(model, budget, ig_cfg, enumeration_limit)
+        return exhaustive_opt(model, budget, ig_cfg)
     return baseline_plan(strategy, model, budget, seed, ig_cfg)

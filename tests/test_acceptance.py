@@ -23,7 +23,7 @@ from crowdplan.infogain import (
     exact_conditional_entropy,
     sampled_conditional_entropy,
 )
-from crowdplan.inference import apm_posterior
+from crowdplan.inference import infer
 from crowdplan.learning import EmConfig, fit_em, fit_supervised
 from crowdplan.model import Dataset, TaskSample
 from crowdplan.planner import approximation_bound, exhaustive_opt, greedy_plan
@@ -57,7 +57,7 @@ def test_01_posterior_matches_full_joint_enumeration():
         sample = random_sample(rng, model, max_votes=2)
         if sum(len(v) for v in sample.votes.values()) > 4:
             sample = random_sample(rng, model, max_votes=1)
-        got = apm_posterior(model, sample).probs
+        got = infer("apm", model, [sample])[0].probs
         want = enum_posterior(model, sample)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ from crowdplan.evaluation import (
     execute_plan_on_sample,
     neg_log_likelihood,
 )
-from crowdplan.inference import Posterior, apm_posterior
+from crowdplan.inference import Posterior
 from crowdplan.model import Dataset, TaskSample
 from crowdplan.simulator import generate, inject_correlation
 

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from crowdplan.errors import InputError, MissingWorkerCptError
-from crowdplan.inference import (
-    ModelKind,
-    apm_posterior,
-    infer,
-    mv_predict,
-    nbap_posterior,
-    nbi_posterior,
-    predict,
-)
+from crowdplan.inference import ModelKind, infer
 from crowdplan.model import Cpt, LabelSpace, NbiModel, TaskSample
 
 from _oracles import (
@@ -22,6 +14,11 @@ from _oracles import (
     sym_cpt,
     sym_model,
 )
+
+
+def repeated(label, repeats):
+    """One task with `repeats` pooled votes for `label` on path 0, its id the count."""
+    return TaskSample(task_id=str(repeats), votes={0: ((None, label),) * repeats})
 
 
 def make_nbi(worker_accs, prior=(0.5, 0.5)):
@@ -36,26 +33,27 @@ class TestMajorityVote:
     def test_probs_are_vote_shares(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 1), (None, 1), (None, 0))})
-        p = mv_predict(m, s)
+        p = infer("mv", m, [s])[0]
         np.testing.assert_allclose(p.probs, [1 / 3, 2 / 3])
         assert p.prediction == 1
 
     def test_tie_goes_to_lowest_label(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 1), (None, 0))})
-        assert mv_predict(m, s).prediction == 0
+        assert infer("mv", m, [s])[0].prediction == 0
 
     def test_no_votes_is_uniform(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         s = TaskSample(task_id="t", votes={})
-        p = mv_predict(m, s)
+        p = infer("mv", m, [s])[0]
         np.testing.assert_allclose(p.probs, [0.5, 0.5])
 
     def test_vote_order_irrelevant(self):
         m = sym_model([0.5, 0.5], [0.8, 0.8], [0.9, 0.9])
         a = TaskSample(task_id="t", votes={0: ((None, 1), (None, 0)), 1: ((None, 1),)})
-        b = TaskSample(task_id="t", votes={1: ((None, 1),), 0: ((None, 0), (None, 1))})
-        assert np.array_equal(mv_predict(m, a).probs, mv_predict(m, b).probs)
+        b = TaskSample(task_id="u", votes={1: ((None, 1),), 0: ((None, 0), (None, 1))})
+        pa, pb = infer("mv", m, [a, b])
+        assert np.array_equal(pa.probs, pb.probs)
 
 
 class TestApmPosterior:
@@ -63,7 +61,7 @@ class TestApmPosterior:
         """One vote through a 0.9-accurate path read by a 0.8-accurate pool."""
         m = sym_model([0.5, 0.5], [0.9], [0.8])
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
-        p = apm_posterior(m, s)
+        p = infer("apm", m, [s])[0]
         assert p.probs[1] == pytest.approx(0.74, abs=1e-12)
         assert p.prediction == 1
         assert p.confidence == pytest.approx(0.74, abs=1e-12)
@@ -76,13 +74,13 @@ class TestApmPosterior:
             per_worker = bool(rng.integers(0, 2))
             m = random_model(rng, n, k=k, per_worker=per_worker)
             s = random_sample(rng, m)
-            got = apm_posterior(m, s).probs
+            got = infer("apm", m, [s])[0].probs
             want = enum_posterior(m, s)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_empty_sample_returns_prior(self):
         m = sym_model([0.3, 0.7], [0.9], [0.8])
-        p = apm_posterior(m, TaskSample(task_id="t", votes={}))
+        p = infer("apm", m, [TaskSample(task_id="t", votes={})])[0]
         np.testing.assert_allclose(p.probs, [0.3, 0.7], atol=1e-15)
         assert not p.degenerate_evidence
 
@@ -96,15 +94,14 @@ class TestApmPosterior:
             for path, votes in s.votes.items():
                 order = rng.permutation(len(votes))
                 shuffled[path] = tuple(votes[i] for i in order)
-            s2 = TaskSample(task_id="t0", votes=shuffled)
-            a = apm_posterior(m, s).probs
-            b = apm_posterior(m, s2).probs
-            assert np.array_equal(a, b)
+            s2 = TaskSample(task_id="t1", votes=shuffled)
+            a, b = infer("apm", m, [s, s2])
+            assert np.array_equal(a.probs, b.probs)
 
     def test_conflicting_certain_paths_flag_degenerate(self):
         m = sym_model([0.4, 0.6], [1.0, 1.0], [1.0, 1.0])
         s = TaskSample(task_id="t", votes={0: ((None, 0),), 1: ((None, 1),)})
-        p = apm_posterior(m, s)
+        p = infer("apm", m, [s])[0]
         assert p.degenerate_evidence
         np.testing.assert_allclose(p.probs, [0.4, 0.6])
 
@@ -118,18 +115,18 @@ class TestApmPosterior:
             worker_cpts=({"a": sym_cpt(0.95), "b": sym_cpt(0.6)},),
         )
         s = TaskSample(task_id="t", votes={0: (("a", 1), ("b", 0))})
-        got = apm_posterior(mixed, s).probs
+        got = infer("apm", mixed, [s])[0].probs
         want = enum_posterior(mixed, s)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
         with pytest.raises(MissingWorkerCptError):
-            apm_posterior(mixed, TaskSample(task_id="t", votes={0: (("zz", 1),)}))
+            infer("apm", mixed, [TaskSample(task_id="t", votes={0: (("zz", 1),)})])
 
 
 class TestNbiPosterior:
     def test_two_agreeing_reliable_workers(self):
         nm = make_nbi({"a": 0.9, "b": 0.9})
         s = TaskSample(task_id="t", votes={0: (("a", 0), ("b", 0))})
-        p = nbi_posterior(nm, s)
+        p = infer("nbi", nm, [s])[0]
         assert p.probs[0] == pytest.approx(0.81 / 0.82, abs=1e-12)
 
     def test_matches_naive_oracle(self):
@@ -146,27 +143,26 @@ class TestNbiPosterior:
             s = TaskSample(task_id="t", votes={0: votes})
             rows = {w: nm.worker_cpts[w].rows for w in workers}
             want = naive_worker_posterior(nm.prior, rows, votes)
-            np.testing.assert_allclose(nbi_posterior(nm, s).probs, want, atol=1e-12)
+            np.testing.assert_allclose(infer("nbi", nm, [s])[0].probs, want, atol=1e-12)
 
     def test_votes_pool_across_paths(self):
         nm = make_nbi({"a": 0.9, "b": 0.8})
         one_path = TaskSample(task_id="t", votes={0: (("a", 1), ("b", 1))})
-        two_paths = TaskSample(task_id="t", votes={0: (("a", 1),), 1: (("b", 1),)})
-        assert np.array_equal(
-            nbi_posterior(nm, one_path).probs, nbi_posterior(nm, two_paths).probs
-        )
+        two_paths = TaskSample(task_id="u", votes={0: (("a", 1),), 1: (("b", 1),)})
+        a, b = infer("nbi", nm, [one_path, two_paths])
+        assert np.array_equal(a.probs, b.probs)
 
     def test_unknown_worker_raises(self):
         nm = make_nbi({"a": 0.9})
         s = TaskSample(task_id="t", votes={0: (("ghost", 1),)})
         with pytest.raises(MissingWorkerCptError) as exc:
-            nbi_posterior(nm, s)
+            infer("nbi", nm, [s])
         assert exc.value.worker_id == "ghost"
 
     def test_conflicting_certain_workers_fall_back_to_prior(self):
         nm = make_nbi({"a": 1.0, "b": 1.0}, prior=(0.25, 0.75))
         s = TaskSample(task_id="t", votes={0: (("a", 0), ("b", 1))})
-        p = nbi_posterior(nm, s)
+        p = infer("nbi", nm, [s])[0]
         assert p.degenerate_evidence
         np.testing.assert_allclose(p.probs, [0.25, 0.75])
 
@@ -176,9 +172,9 @@ class TestNbapPosterior:
         """With a perfectly faithful path the marginal is just the pool table."""
         m = sym_model([0.5, 0.5], [1.0], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 0), (None, 0))})
-        p = nbap_posterior(m, s)
+        p = infer("nbap", m, [s])[0]
         assert p.probs[0] == pytest.approx(0.81 / 0.82, abs=1e-12)
-        q = apm_posterior(m, s)
+        q = infer("apm", m, [s])[0]
         assert p.probs[0] == pytest.approx(q.probs[0], abs=1e-12)
 
     def test_matches_marginal_oracle(self):
@@ -187,7 +183,7 @@ class TestNbapPosterior:
             k = int(rng.integers(2, 4))
             m = random_model(rng, int(rng.integers(1, 4)), k=k)
             s = random_sample(rng, m)
-            got = nbap_posterior(m, s).probs
+            got = infer("nbap", m, [s])[0].probs
             want = naive_path_posterior(m, s)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -196,7 +192,7 @@ class TestNbapPosterior:
         m = random_model(rng, 2, per_worker=True)
         s = TaskSample(task_id="t", votes={0: (("w0_0", 1),)})
         with pytest.raises(InputError):
-            nbap_posterior(m, s)
+            infer("nbap", m, [s])
 
 
 class TestConfidenceDamping:
@@ -208,39 +204,34 @@ class TestConfidenceDamping:
             path_acc = float(rng.uniform(0.6, 0.95))
             worker_acc = float(rng.uniform(0.6, 0.95))
             m = sym_model([0.5, 0.5], [path_acc], [worker_acc])
-            for repeats in range(2, 7):
-                s = TaskSample(task_id="t", votes={0: ((None, 0),) * repeats})
-                apm = apm_posterior(m, s).confidence
-                nbap = nbap_posterior(m, s).confidence
-                assert apm < nbap - 1e-12
+            samples = [repeated(0, r) for r in range(2, 7)]
+            for apm, nbap in zip(infer("apm", m, samples), infer("nbap", m, samples)):
+                assert apm.confidence < nbap.confidence - 1e-12
 
     def test_frozen_two_vote_gap(self):
         m = sym_model([0.5, 0.5], [0.9], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 0), (None, 0))})
-        assert apm_posterior(m, s).probs[0] == pytest.approx(
+        assert infer("apm", m, [s])[0].probs[0] == pytest.approx(
             0.8902439024390244, abs=1e-12
         )
-        assert nbap_posterior(m, s).probs[0] == pytest.approx(
+        assert infer("nbap", m, [s])[0].probs[0] == pytest.approx(
             0.9540295119182747, abs=1e-12
         )
 
     def test_gap_grows_with_repeats(self):
         m = sym_model([0.5, 0.5], [0.85], [0.8])
-        gaps = []
-        for repeats in range(1, 8):
-            s = TaskSample(task_id="t", votes={0: ((None, 0),) * repeats})
-            gaps.append(
-                nbap_posterior(m, s).confidence - apm_posterior(m, s).confidence
-            )
+        samples = [repeated(0, r) for r in range(1, 8)]
+        gaps = [
+            nbap.confidence - apm.confidence
+            for apm, nbap in zip(infer("apm", m, samples), infer("nbap", m, samples))
+        ]
         assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
     def test_degenerate_path_gives_equality(self):
         m = sym_model([0.5, 0.5], [1.0], [0.8])
-        for repeats in range(1, 6):
-            s = TaskSample(task_id="t", votes={0: ((None, 0),) * repeats})
-            a = apm_posterior(m, s).probs
-            b = nbap_posterior(m, s).probs
-            np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+        samples = [repeated(0, r) for r in range(1, 6)]
+        for a, b in zip(infer("apm", m, samples), infer("nbap", m, samples)):
+            np.testing.assert_allclose(a.probs, b.probs, atol=1e-12, rtol=0)
 
 
 class TestMonotoneAgreement:
@@ -253,9 +244,8 @@ class TestMonotoneAgreement:
                 [float(rng.uniform(0.55, 0.95))],
             )
             prev = 0.5
-            for repeats in range(1, 9):
-                s = TaskSample(task_id="t", votes={0: ((None, 1),) * repeats})
-                cur = apm_posterior(m, s).probs[1]
+            for post in infer("apm", m, [repeated(1, r) for r in range(1, 9)]):
+                cur = post.probs[1]
                 assert cur >= prev - 1e-12
                 prev = cur
 
@@ -266,21 +256,23 @@ class TestDispatch:
         nm = make_nbi({"a": 0.9})
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
         sw = TaskSample(task_id="t", votes={0: (("a", 1),)})
-        assert predict("apm", m, s).probs[1] == apm_posterior(m, s).probs[1]
-        assert predict(ModelKind.NBAP, m, s).probs[1] == nbap_posterior(m, s).probs[1]
-        assert predict("nbi", nm, sw).probs[1] == nbi_posterior(nm, sw).probs[1]
-        assert predict("mv", m, s).prediction == 1
+        for kind in ModelKind:
+            model, sample = (nm, sw) if kind is ModelKind.NBI else (m, s)
+            by_enum = infer(kind, model, [sample])[0].probs
+            assert np.array_equal(by_enum, infer(kind.value, model, [sample])[0].probs)
+        assert infer("mv", m, [s])[0].prediction == 1
+
 
     def test_wrong_model_type(self):
         m = sym_model([0.5, 0.5], [0.9], [0.8])
         nm = make_nbi({"a": 0.9})
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
         with pytest.raises(InputError):
-            predict("nbi", m, s)
+            infer("nbi", m, [s])
         with pytest.raises(InputError):
-            predict("apm", nm, s)
+            infer("apm", nm, [s])
         with pytest.raises(InputError):
-            predict("nope", m, s)
+            infer("nope", m, [s])
 
     def test_batch_is_checked_like_a_dataset(self):
         """`infer` tabulates its samples as a Dataset: repeated task ids and bad truths fail."""

@@ -5,8 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crowdplan import cli
 from crowdplan.cli import main
-from crowdplan.errors import InputError
+from crowdplan.errors import (
+    CrowdPlanError,
+    InputError,
+    MissingWorkerCptError,
+    NumericError,
+    ResourceLimitError,
+)
 from crowdplan.inference import infer
 from crowdplan.io import parse_budgets, parse_int_list, read_votes_csv, write_votes_csv
 from crowdplan.evaluation import budget_sweep
@@ -372,6 +379,34 @@ class TestCliExitCodes:
             ["plan", "--model", EXAMPLE, "--budget", "400", "--strategy", "opt"]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (InputError("bad input"), 2),
+            (MissingWorkerCptError("w9"), 2),
+            (CrowdPlanError("other failure"), 2),
+            (ResourceLimitError("too many plans"), 3),
+            (NumericError("posterior is NaN"), 4),
+        ],
+    )
+    def test_error_type_picks_exit_code(self, monkeypatch, capsys, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_model", fail)
+        rc = main(["plan", "--model", EXAMPLE, "--budget", "3"])
+        assert rc == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_simulate_plan_length_mismatch(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        rc = main(
+            ["simulate", "--model", EXAMPLE, "--plan", "1,1", "--tasks", "5", "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: plan has 2 entries for 3 paths\n"
+        assert not out.exists()
 
     def test_bad_inject_p(self, tmp_path):
         rc = main(

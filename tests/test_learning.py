@@ -256,6 +256,25 @@ class TestEm:
         assert scans["contains"] == 0
         assert scans["iter"] <= 3
 
+    def test_latent_states_are_aligned_on_voted_paths_only(self, monkeypatch):
+        """One assignment per voted path, none for the 39 voteless paths between them."""
+        calls = []
+        real = learning.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return real(cost)
+
+        monkeypatch.setattr(learning, "linear_sum_assignment", counting)
+        samples = (
+            TaskSample("t0", {0: ((None, 0),), 40: ((None, 1),)}, truth=0),
+            TaskSample("t1", {0: ((None, 1),)}, truth=1),
+        )
+        data = Dataset(samples=samples, num_paths=None, num_labels=2)
+        model, report = fit_em(data, cfg=EmConfig(max_iters=3, restarts=1))
+        assert model.num_paths == 41 and len(report.sparse_paths) == 39
+        assert len(calls) == 2
+
     def test_each_distinct_table_is_validated_once(self, monkeypatch):
         """Voteless paths share one uniform table, checked once rather than per path."""
         checked = []

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from crowdplan.errors import InputError, ResourceLimitError
+from crowdplan.evaluation import budget_sweep
 from crowdplan.infogain import IgConfig, IgMode, information_gain
-from crowdplan.model import plan_cost
+from crowdplan.model import plan_cost, with_costs
 from crowdplan.planner import (
     Strategy,
     approximation_bound,
@@ -16,6 +17,8 @@ from crowdplan.planner import (
     exhaustive_opt,
     greedy_plan,
 )
+
+from crowdplan.simulator import generate
 
 from _oracles import random_model, sym_model
 
@@ -246,3 +249,24 @@ class TestNonPositiveCosts:
     def test_approximation_bound(self, cost):
         with pytest.raises(InputError, match="non-positive cost"):
             approximation_bound(self.model(cost), 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: greedy_plan(m, math.inf),
+        lambda m: approximation_bound(m, math.inf),
+        lambda m: with_costs(m, [math.inf] * m.num_paths),
+        lambda m: budget_sweep(
+            generate(m, [1] * m.num_paths, 4, seed=0),
+            model_kinds=["apm"],
+            strategies=["equal"],
+            budgets=[math.inf],
+        ),
+    ],
+    ids=["greedy_plan", "approximation_bound", "with_costs", "budget_sweep"],
+)
+def test_infinite_floats_are_input_errors(call):
+    """An infinite budget or cost has no exact rational form; it is bad input."""
+    with pytest.raises(InputError):
+        call(sym_model([0.5, 0.5], [0.9, 0.8, 0.7], [0.8, 0.8, 0.8]))
