@@ -43,20 +43,17 @@ def derive_seed(seed: int, *key: KeyPart) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index drawn from one categorical distribution by each uniform in u."""
-    edges = np.cumsum(probs)
-    return np.minimum(np.searchsorted(edges, u * edges[-1], side="right"), len(probs) - 1)
-
-
 def categorical_rows(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index drawn by uniform u[..., j] from row j of cumulative weights `edges` (n, K).
+    """Index drawn by each uniform in u from its row of cumulative weights `edges` (..., K).
 
-    The edges below each scaled uniform are counted one category at a time,
-    which for small K is much faster than a sum over a length-K last axis.
+    u broadcasts against `edges[..., 0]`. The draw is the number of edges at
+    or below u times the row total, capped at K - 1: the inverse CDF, which
+    skips a leading category of zero weight even at u = 0. The edges are
+    compared one category at a time, which for small K is much faster than a
+    sum over a length-K last axis.
     """
-    u = u * edges[:, -1]
+    u = u * edges[..., -1]
     below = 0
-    for col in edges.T:
-        below = below + (col < u)
-    return np.minimum(below, edges.shape[1] - 1)
+    for k in range(edges.shape[-1]):
+        below = below + (edges[..., k] <= u)
+    return np.minimum(below, edges.shape[-1] - 1)

@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from .evaluation import budget_sweep
@@ -198,6 +199,7 @@ def _add_em_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=3)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdplan",

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
-from ._rng import categorical, categorical_rows, substream
+from ._rng import categorical_rows, substream
 from .errors import InputError, NumericError, ResourceLimitError
 from .model import AccessPlan, ApmModel, Cpt, as_counts
 
@@ -226,7 +226,7 @@ def _sample_block(
     """
     rows = max(1 + sum(1 + c for c in counts if c > 0) for counts in plans)
     u = substream(seed, "ig-block", block).random(rows * size).reshape(rows, size)
-    y = categorical(model.prior, u[0])
+    y = categorical_rows(np.cumsum(model.prior)[None], u[0])
     log_prior = log(model.prior)
     tables: dict[tuple[int, int, int], np.ndarray] = {}
     out = []

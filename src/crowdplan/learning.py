@@ -250,7 +250,7 @@ def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -
     uniform table.
     """
     k = t.num_labels
-    uniform = Cpt(np.full((k, k), 1.0 / k))
+    uniform, one = Cpt(np.full((k, k), 1.0 / k)), Fraction(1)
     path_cpts: list[Cpt] = [uniform] * t.num_paths
     worker_cpts: list = [uniform] * t.num_paths
     owned = _slots_by_path(slots, t.num_paths)
@@ -264,7 +264,7 @@ def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -
     model = ApmModel(
         labels=LabelSpace(k),
         prior=params.prior,
-        paths=tuple(AccessPathSpec(index=i, cost=Fraction(1)) for i in range(t.num_paths)),
+        paths=tuple(AccessPathSpec(index=i, cost=one) for i in range(t.num_paths)),
         path_cpts=tuple(path_cpts),
         worker_cpts=tuple(worker_cpts),
     )

@@ -118,7 +118,8 @@ class AccessPathSpec:
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        if not isinstance(self.cost, Fraction):
+            object.__setattr__(self, "cost", Fraction(self.cost))
 
 
 WorkerCpts = Union[Cpt, Mapping[str, Cpt]]

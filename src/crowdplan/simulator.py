@@ -2,14 +2,27 @@
 
 Generation samples ancestrally from a model: truth, then one latent state per
 path, then votes. Each task owns one counter-based stream keyed by
-(seed, task index) and draws in a fixed order, so generation is reproducible
-and no task's draws depend on any other task.
+(seed, "gen", task index), so generation is reproducible and no task's draws
+depend on any other task. A task takes all its uniforms in one call, in the
+order: its truth; then for each path with votes in the plan, in path order,
+the path's latent state and then its votes in turn. A plan of S_i votes on
+path i therefore reads 1 + sum over voted paths of (1 + S_i) uniforms per
+task. The j-th vote on a per-worker path is cast by the j-th worker in id
+order, wrapping round when the plan asks for more votes than there are
+workers.
 
 `inject_correlation` degrades vote independence the way herding does: walking
 the votes of a path in stored order, each vote after the first is replaced,
 with probability p, by the running majority of the votes already processed in
 that path. Ties keep the original vote. With p = 1 and binary labels every
-vote in a path equals its first vote.
+vote in a path equals its first vote. A task takes one uniform per vote after
+the first on each of its paths, in stored order, from one stream keyed by
+(seed, "inject", task id); a task with no such vote opens no stream.
+
+Every draw maps a uniform u to the first category whose cumulative weight
+exceeds u times the row total (`_rng.categorical_rows`). Taking a task's n
+uniforms in one call gives the same doubles as n single calls, so batching
+the draws over all tasks changed no stream layout and no output bit.
 """
 
 from __future__ import annotations
@@ -18,49 +31,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._rng import categorical, substream
+from ._rng import categorical_rows, substream
 from .errors import InputError
 from .model import AccessPlan, ApmModel, Cpt, Dataset, as_counts
 
 
-def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
-    return int(categorical(probs, rng.random(1))[0])
-
-
-def _path_workers(model: ApmModel, path: int) -> tuple[str, ...] | None:
+def _vote_tables(model: ApmModel, path: int) -> tuple[list[str | None], np.ndarray]:
+    """The workers voting on `path`, in round-robin order (None for a shared
+    table), and the cumulative rows of each one's table, shape (W, K, K)."""
     table = model.worker_cpts[path]
     if isinstance(table, Cpt):
-        return None
-    workers = tuple(sorted(table))
-    if not workers:
+        return [None], np.cumsum(table.rows, axis=1)[None]
+    names = sorted(table)
+    if not names:
         raise InputError(f"path {path} has no workers to vote")
-    return workers
-
-
-def _generate_task(
-    model: ApmModel, counts: Sequence[int], seed: int, index: int, votes: tuple, workers: dict
-) -> int:
-    """Draw task `index`: return its truth and append its votes to the columns `votes`.
-
-    The columns are task index, path, worker code and label; `workers` codes
-    worker ids (None for a shared table) in first-seen order.
-    """
-    rng = substream(seed, "gen", index)
-    y = _draw(rng, model.prior)
-    task, paths, worker_code, label = votes
-    for path in range(model.num_paths):
-        if counts[path] == 0:
-            continue
-        z = _draw(rng, model.path_cpts[path].rows[y])
-        names = _path_workers(model, path)
-        for j in range(counts[path]):
-            worker = None if names is None else names[j % len(names)]
-            table = model.worker_cpts[path] if names is None else model.worker_cpts[path][worker]
-            task.append(index)
-            paths.append(path)
-            worker_code.append(workers.setdefault(worker, len(workers)))
-            label.append(_draw(rng, table.rows[z]))
-    return y
+    return names, np.stack([np.cumsum(table[w].rows, axis=1) for w in names])
 
 
 def generate(
@@ -73,11 +58,33 @@ def generate(
     if num_tasks < 0:
         raise InputError(f"num_tasks must be non-negative, got {num_tasks}")
     counts = as_counts(votes_per_path, model.num_paths)
-    votes: tuple = ([], [], [], [])
-    workers: dict = {}
-    truths = [_generate_task(model, counts, seed, t, votes, workers) for t in range(num_tasks)]
-    ids = [f"t{t:06d}" for t in range(num_tasks)]
-    return Dataset.tabulate(ids, truths, *votes, list(workers), model.num_labels, model.num_paths)
+    voted = [i for i, c in enumerate(counts) if c > 0]
+    width = 1 + sum(1 + counts[i] for i in voted)
+    u = np.array([substream(seed, "gen", t).random(width) for t in range(num_tasks)])
+    u = u.reshape(num_tasks, width)
+    y = categorical_rows(np.cumsum(model.prior)[None], u[:, 0])
+    labels, slot_workers, col = [np.zeros((num_tasks, 0), dtype=np.int64)], [], 1
+    for i in voted:
+        z = categorical_rows(np.cumsum(model.path_cpts[i].rows, axis=1)[y], u[:, col])
+        names, edges = _vote_tables(model, i)
+        owner = np.arange(counts[i]) % len(names)
+        # Vote j of task t draws from row z[t] of its worker's table.
+        votes = u[:, col + 1 : col + 1 + counts[i]].T
+        labels.append(categorical_rows(edges[owner[:, None], z], votes).T)
+        slot_workers.extend(names[w] for w in owner)
+        col += 1 + counts[i]
+    code = {w: c for c, w in enumerate(dict.fromkeys(slot_workers))}
+    return Dataset.tabulate(
+        [f"t{t:06d}" for t in range(num_tasks)],
+        y,
+        np.repeat(np.arange(num_tasks), len(slot_workers)),
+        np.tile(np.repeat(voted, [counts[i] for i in voted]), num_tasks),
+        np.tile([code[w] for w in slot_workers], num_tasks),
+        np.hstack(labels).ravel(),
+        list(code) if num_tasks else [],  # no tasks, no worker ids
+        model.num_labels,
+        model.num_paths,
+    )
 
 
 def inject_correlation(data: Dataset, p: float, seed: int = 0) -> Dataset:
@@ -85,20 +92,29 @@ def inject_correlation(data: Dataset, p: float, seed: int = 0) -> Dataset:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"correlation probability must be in [0, 1], got {p}")
     cols = data.stored_columns()
-    labels = []
-    task = path = rng = tally = None
-    for r, i, label in zip(*(cols[c].tolist() for c in ("task", "path", "label"))):
-        if r != task:
-            task, path, rng = r, None, substream(seed, "inject", cols["task_ids"][r])
-        if i != path:
-            path, tally = i, [0] * data.num_labels
-        elif rng.random() < p:
-            top = max(tally)
-            if tally.count(top) == 1:
-                label = tally.index(top)
-        labels.append(label)
-        tally[label] += 1
-    return Dataset.tabulate(**{**cols, "label": labels})
+    task, path = cols["task"], cols["path"]
+    label = cols["label"].copy()
+    first = np.ones(len(label), dtype=bool)
+    first[1:] = (task[1:] != task[:-1]) | (path[1:] != path[:-1])
+    draws = np.bincount(task[~first], minlength=len(data)).tolist()
+    u = [substream(seed, "inject", cols["task_ids"][t]).random(m) for t, m in enumerate(draws) if m]
+    replace = np.zeros(len(label), dtype=bool)
+    replace[~first] = np.concatenate([np.empty(0), *u]) < p
+    # Walk the votes by position in their (task, path) group, every group at
+    # once; the tally counts each group's labels after replacement.
+    start = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    position = np.arange(len(label)) - start[group]
+    by_position = np.argsort(position, kind="stable")
+    tally = np.zeros((len(start), data.num_labels), dtype=np.int64)
+    for rows in np.split(by_position, np.cumsum(np.bincount(position))[:-1]):
+        g = group[rows]
+        seen = tally[g]
+        top = seen.max(axis=1)
+        take = replace[rows] & ((seen == top[:, None]).sum(axis=1) == 1)
+        label[rows[take]] = seen[take].argmax(axis=1)
+        tally[g, label[rows]] += 1
+    return Dataset.tabulate(**{**cols, "label": label})
 
 
 def quantile_paths(accuracies: Mapping[str, float], num_paths: int) -> dict[str, int]:

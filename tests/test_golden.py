@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 from importlib.resources import files
 
 import numpy as np
@@ -122,3 +123,39 @@ def test_cli_session_is_byte_identical_to_pinned(tmp_path, capsys):
         assert rc == 0, name
         got[name] = _digest(stdout, tmp_path / out)
     assert got == PINNED
+
+
+# A per-worker K=3 model whose tables hold zero entries. The simulate plan
+# skips path 1 and puts more votes on paths 0 and 2 than they have workers, so
+# worker assignment wraps round-robin.
+PER_WORKER_MODEL = {
+    "kind": "apm",
+    "labels": {"cardinality": 3},
+    "prior": [0.2, 0.5, 0.3],
+    "paths": [
+        {"id": 0, "cost": "1", "path_cpt": [[0.8, 0.2, 0.0], [0.1, 0.7, 0.2], [0.0, 0.3, 0.7]],
+         "worker_cpts": {
+             "c": [[0.6, 0.4, 0.0], [0.2, 0.6, 0.2], [0.1, 0.1, 0.8]],
+             "a": [[0.9, 0.05, 0.05], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]],
+             "b": [[0.5, 0.5, 0.0], [0.3, 0.4, 0.3], [0.0, 0.2, 0.8]]}},
+        {"id": 1, "cost": "2", "path_cpt": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         "shared_cpt": [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]]},
+        {"id": 2, "cost": "3", "path_cpt": [[0.6, 0.3, 0.1], [0.0, 0.9, 0.1], [0.2, 0.0, 0.8]],
+         "worker_cpts": {
+             "y": [[0.0, 0.5, 0.5], [0.1, 0.8, 0.1], [0.3, 0.0, 0.7]],
+             "x": [[0.95, 0.05, 0.0], [0.2, 0.6, 0.2], [0.0, 0.1, 0.9]]}},
+    ],
+}
+# sha256 as in PINNED, taken before generation and injection were batched.
+PER_WORKER_SIMULATE = "cb619595053ff87df3c1a48a1a07d3198312d30d4668c7d1ae00b1e3590759be"
+
+
+def test_per_worker_simulate_is_byte_identical_to_pinned(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(PER_WORKER_MODEL), encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--model", str(model), "--plan", "5,0,4", "--tasks", "80",
+               "--inject-p", "0.5", "--seed", "7", "--out", str(out)])
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<d>")
+    assert rc == 0
+    assert _digest(stdout, out) == PER_WORKER_SIMULATE

@@ -357,6 +357,17 @@ class TestCliPipeline:
         assert rc == 0
         assert out.read_text().strip() == "task_id,path_id,worker_id,vote,truth"
 
+    def test_parser_is_built_once_and_each_call_sees_its_own_defaults(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        write_csv(votes, [",".join(row) for row in ragged_votes(num_tasks=30)])
+        learn = ["learn", "--votes", str(votes), "--max-iters", "5", "--restarts", "1"]
+        assert main([*learn, "--no-share-workers", "--out", str(tmp_path / "pw.json")]) == 0
+        assert main([*learn, "--out", str(tmp_path / "shared.json")]) == 0
+        pw, shared = (json.loads((tmp_path / f).read_text()) for f in ("pw.json", "shared.json"))
+        assert all("worker_cpts" in p and "shared_cpt" not in p for p in pw["paths"])
+        assert all("shared_cpt" in p and "worker_cpts" not in p for p in shared["paths"])
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestCliExitCodes:
     def test_missing_model_file(self, tmp_path, capsys):

@@ -1,11 +1,213 @@
+"""The simulator, and its batched draws against the per-task loops they replaced.
+
+`generate` and `inject_correlation` draw every task's uniforms in one call
+and run each draw as a pass over all tasks. `ref_generate` and
+`ref_inject_correlation` below are the per-task loops that drew one uniform
+per call; the batched forms must reproduce their columns and truths exactly.
+"""
+
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crowdplan.simulator as simulator
+from crowdplan._rng import categorical_rows, substream
 from crowdplan.errors import InputError
-from crowdplan.model import Dataset, TaskSample
+from crowdplan.model import AccessPathSpec, ApmModel, Cpt, Dataset, LabelSpace, TaskSample
 from crowdplan.simulator import generate, inject_correlation, quantile_paths
 
 from _oracles import sym_cpt, sym_model
+
+PARITY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# --- the per-task references ---
+
+
+def ref_draw(rng, probs):
+    edges = np.cumsum(probs)
+    u = rng.random(1)
+    return int(np.minimum(np.searchsorted(edges, u * edges[-1], side="right"), len(probs) - 1)[0])
+
+
+def ref_generate(model, counts, num_tasks, seed):
+    task, paths, worker_code, label, workers, truths = [], [], [], [], {}, []
+    for index in range(num_tasks):
+        rng = substream(seed, "gen", index)
+        y = ref_draw(rng, model.prior)
+        for path in range(model.num_paths):
+            if counts[path] == 0:
+                continue
+            z = ref_draw(rng, model.path_cpts[path].rows[y])
+            table = model.worker_cpts[path]
+            names = None if isinstance(table, Cpt) else tuple(sorted(table))
+            for j in range(counts[path]):
+                worker = None if names is None else names[j % len(names)]
+                cpt = table if names is None else table[worker]
+                task.append(index)
+                paths.append(path)
+                worker_code.append(workers.setdefault(worker, len(workers)))
+                label.append(ref_draw(rng, cpt.rows[z]))
+        truths.append(y)
+    ids = [f"t{t:06d}" for t in range(num_tasks)]
+    return Dataset.tabulate(
+        ids, truths, task, paths, worker_code, label, list(workers), model.num_labels, model.num_paths
+    )
+
+
+def ref_inject_correlation(data, p, seed):
+    cols = data.stored_columns()
+    labels = []
+    task = path = rng = tally = None
+    for r, i, label in zip(*(cols[c].tolist() for c in ("task", "path", "label"))):
+        if r != task:
+            task, path, rng = r, None, substream(seed, "inject", cols["task_ids"][r])
+        if i != path:
+            path, tally = i, [0] * data.num_labels
+        elif rng.random() < p:
+            top = max(tally)
+            if tally.count(top) == 1:
+                label = tally.index(top)
+        labels.append(label)
+        tally[label] += 1
+    return Dataset.tabulate(**{**cols, "label": labels})
+
+
+def assert_same_columns(got, want):
+    a, b = got.stored_columns(), want.stored_columns()
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert a[key].tolist() == np.asarray(b[key]).tolist(), key
+        else:
+            assert a[key] == b[key], key
+    assert got.task_ids == want.task_ids
+    assert got.truth.tolist() == want.truth.tolist()
+
+
+@st.composite
+def rows(draw, k):
+    """A probability row from small integer weights, zeros included."""
+    w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return [x / sum(w) for x in w]
+
+
+@st.composite
+def models(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3))
+
+    def table():
+        return Cpt([draw(rows(k)) for _ in range(k)])
+
+    worker_cpts = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            worker_cpts.append(table())
+        else:
+            ids = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+            worker_cpts.append({w: table() for w in ids})
+    return ApmModel(
+        labels=LabelSpace(k),
+        prior=draw(rows(k)),
+        paths=tuple(AccessPathSpec(index=i, cost=Fraction(1)) for i in range(n)),
+        path_cpts=tuple(table() for _ in range(n)),
+        worker_cpts=tuple(worker_cpts),
+    )
+
+
+@st.composite
+def ragged_datasets(draw):
+    """Tasks with 0 to 4 votes per path, voteless tasks and 1-vote paths included."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text("xyz", min_size=1, max_size=3), max_size=12, unique=True))
+    samples = []
+    for tid in ids:
+        votes = {}
+        for i in range(n):
+            path = draw(
+                st.lists(
+                    st.tuples(st.sampled_from([None, "a", "b", "c"]), st.integers(0, k - 1)),
+                    max_size=4,
+                )
+            )
+            if path:
+                votes[i] = tuple(path)
+        truth = draw(st.none() | st.integers(0, k - 1))
+        samples.append(TaskSample(task_id=tid, votes=votes, truth=truth))
+    return Dataset(samples, n, k)
+
+
+class TestBatchedDrawsMatchPerTaskLoops:
+    @PARITY
+    @given(models(), st.data(), st.integers(0, 30), st.integers(0, 2**32))
+    def test_generate(self, model, data, num_tasks, seed):
+        counts = data.draw(
+            st.lists(st.integers(0, 6), min_size=model.num_paths, max_size=model.num_paths)
+        )
+        want = ref_generate(model, counts, num_tasks, seed)
+        assert_same_columns(generate(model, counts, num_tasks, seed), want)
+
+    @PARITY
+    @given(models(), st.data(), st.integers(1, 20), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 99))
+    def test_inject_after_generate(self, model, data, num_tasks, p, seed):
+        counts = data.draw(
+            st.lists(st.integers(0, 6), min_size=model.num_paths, max_size=model.num_paths)
+        )
+        base = generate(model, counts, num_tasks, seed)
+        assert_same_columns(
+            inject_correlation(base, p, seed + 1), ref_inject_correlation(base, p, seed + 1)
+        )
+
+    @PARITY
+    @given(ragged_datasets(), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32))
+    def test_inject_on_ragged_data(self, data, p, seed):
+        assert_same_columns(inject_correlation(data, p, seed), ref_inject_correlation(data, p, seed))
+
+
+class TestStreams:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        keys = []
+
+        def counting(seed, *key):
+            keys.append(key)
+            return substream(seed, *key)
+
+        monkeypatch.setattr(simulator, "substream", counting)
+        return keys
+
+    def test_generate_opens_one_stream_per_task(self, opened):
+        m = sym_model([0.5, 0.5], [0.8, 0.7, 0.6], [0.9, 0.85, 0.8])
+        generate(m, [3, 0, 2], 25, seed=4)
+        assert opened == [("gen", t) for t in range(25)]
+
+    def test_inject_skips_tasks_without_a_second_vote_on_a_path(self, opened):
+        samples = (
+            TaskSample(task_id="lone", votes={0: ((None, 0),), 1: ((None, 1),)}),
+            TaskSample(task_id="empty", votes={}),
+            TaskSample(task_id="pair", votes={0: ((None, 1),), 1: ((None, 0), (None, 1))}),
+        )
+        inject_correlation(Dataset(samples, 2, 2), 0.5, seed=1)
+        assert opened == [("inject", "pair")]
+
+
+class TestDrawRule:
+    def test_zero_uniform_skips_leading_zero_weight(self):
+        edges = np.cumsum([[0.0, 0.5, 0.5]], axis=1)
+        assert categorical_rows(edges, np.zeros(1)).tolist() == [1]
+
+    def test_matches_searchsorted_right(self):
+        probs = np.array([[0.0, 0.25, 0.0, 0.75], [0.5, 0.0, 0.5, 0.0]])
+        edges = np.cumsum(probs, axis=1)
+        u = np.array([0.0, 0.25, 0.5, 0.999, 1 - 2**-53])
+        for row, e in enumerate(edges):
+            want = np.minimum(np.searchsorted(e, u * e[-1], side="right"), 3)
+            assert categorical_rows(edges[row][None], u).tolist() == want.tolist()
 
 
 class TestGenerate:
