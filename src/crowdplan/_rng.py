@@ -12,17 +12,24 @@ coming from data files key streams stably across runs and platforms.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
+
+from .errors import InputError
 
 KeyPart = int | str
 
 
 def _fold(part: KeyPart) -> int:
-    if isinstance(part, int):
-        return part & 0xFFFFFFFFFFFFFFFF
-    digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    """A seed or key part as 64 bits; anything but an int or a str is an InputError."""
+    if isinstance(part, str):
+        digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "little")
+    try:
+        return operator.index(part) & 0xFFFFFFFFFFFFFFFF
+    except TypeError:
+        raise InputError(f"a seed must be an int or a str, got {part!r}") from None
 
 
 def substream(seed: int, *key: KeyPart) -> np.random.Generator:

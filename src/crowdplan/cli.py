@@ -95,7 +95,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_plan(args) -> int:
     model = load_model(args.model)
-    cfg = IgConfig(mode=IgMode(args.ig), num_samples=args.samples, seed=args.seed)
+    cfg = IgConfig(mode=args.ig, num_samples=args.samples, seed=args.seed)
     result = build_plan(args.strategy, model, args.budget, seed=args.seed, ig_cfg=cfg)
     try:
         bound = approximation_bound(model, args.budget)
@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     data, _ = read_votes_csv(args.votes)
-    cfg = IgConfig(mode=IgMode(args.ig), num_samples=args.samples, seed=args.seed)
+    cfg = IgConfig(mode=args.ig, num_samples=args.samples, seed=args.seed)
     result = budget_sweep(
         data,
         model_kinds=parse_list(args.models),

@@ -7,6 +7,10 @@ same vote subsets. Metrics come back per fold and averaged over folds.
 
 All aggregation runs over tasks in sorted task-id order and every random
 choice is keyed by task id, so metric rows do not depend on dataset order.
+
+`budget_sweep` parses its model kinds, strategies, budgets and costs as
+inference, the planner and the model types do, before it fits fold 0, so a
+bad one is an InputError that costs no fitting.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, Posterior, table_posteriors
 from .learning import EmConfig, fit_em, fit_nbi
-from .model import AccessPlan, Dataset, TaskSample, path_costs, with_costs
-from .planner import Strategy, build_plan
+from .model import AccessPlan, Dataset, TaskSample, member, path_costs, with_costs
+from .planner import Strategy, _coerce_budget, build_plan
 
 _NLL_FLOOR = 1e-12
 
@@ -100,7 +104,8 @@ def execute_plan_on_sample(
     short-filled. A task left with no votes at all is marked skipped. The
     task's stream is opened only when some path has more votes than it needs.
     """
-    counts = np.array(plan.counts if isinstance(plan, AccessPlan) else plan, dtype=np.int64)
+    plan = plan if isinstance(plan, AccessPlan) else AccessPlan(plan)
+    counts = np.array(plan.counts, dtype=np.int64)
     outside = [p for p in sorted(sample.votes) if p >= len(counts)]
     if outside:
         raise InputError(f"task {sample.task_id}: path {outside[0]} outside plan")
@@ -230,18 +235,6 @@ def _score_fold(
     return rows
 
 
-def _members(cls, values, what: str) -> list:
-    """Enum members for `values`; an unknown value is an InputError naming it."""
-    out = []
-    for v in values:
-        try:
-            out.append(cls(v))
-        except ValueError:
-            choices = ", ".join(m.value for m in cls)
-            raise InputError(f"unknown {what} {v!r}; choose from {choices}") from None
-    return out
-
-
 def budget_sweep(
     data: Dataset,
     model_kinds: Sequence[ModelKind | str],
@@ -256,12 +249,12 @@ def budget_sweep(
     """Cross-validated accuracy and likelihood across budgets and strategies."""
     if folds < 1:
         raise InputError(f"folds must be >= 1, got {folds}")
-    kinds = _members(ModelKind, model_kinds, "model kind")
-    strats = _members(Strategy, strategies, "strategy")
+    kinds = [member(ModelKind, k, "model kind") for k in model_kinds]
+    strats = [member(Strategy, s, "strategy") for s in strategies]
     try:
-        budget_list = [Fraction(b) for b in budgets]
-    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
-        raise InputError(f"bad budgets {list(budgets)}") from None
+        budget_list = [_coerce_budget(b) for b in budgets]
+    except InputError as exc:
+        raise InputError(f"bad budgets {list(budgets)}: {exc}") from None
     if not kinds or not strats or not budget_list:
         raise InputError("model_kinds, strategies and budgets must be non-empty")
     unlabeled = data.first_unlabeled()

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._kernel import apm_log_joints, direct_log_joints, log, logsumexp, path_factors, vote_evidence
 from .errors import InputError, MissingWorkerCptError
-from .model import ApmModel, Dataset, NbiModel, TaskSample
+from .model import ApmModel, Dataset, NbiModel, TaskSample, member
 
 
 class ModelKind(str, enum.Enum):
@@ -97,10 +97,7 @@ def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: Dataset)
 
 
 def _check(kind: ModelKind | str, model: ApmModel | NbiModel) -> ModelKind:
-    try:
-        kind = ModelKind(kind)
-    except ValueError:
-        raise InputError(f"unknown model kind {kind!r}") from None
+    kind = member(ModelKind, kind, "model kind")
     if kind is ModelKind.NBI and not isinstance(model, NbiModel):
         raise InputError("nbi prediction needs an NbiModel")
     if kind in (ModelKind.APM, ModelKind.NBAP) and not isinstance(model, ApmModel):

@@ -52,7 +52,7 @@ from scipy.special import gammaln
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
 from ._rng import categorical_rows, substream
 from .errors import InputError, NumericError, ResourceLimitError
-from .model import AccessPlan, ApmModel, Cpt, as_counts
+from .model import AccessPlan, ApmModel, as_count, as_counts, member
 
 _BLOCK = 8192
 _NEG_TOL = 1e-9
@@ -81,11 +81,9 @@ class IgConfig:
     exact_limit: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", IgMode(self.mode))
-        if self.num_samples < 1:
-            raise InputError(f"num_samples must be >= 1, got {self.num_samples}")
-        if self.exact_limit < 1:
-            raise InputError(f"exact_limit must be >= 1, got {self.exact_limit}")
+        object.__setattr__(self, "mode", member(IgMode, self.mode, "IG mode"))
+        for name in ("num_samples", "exact_limit"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
 
 
 @dataclass(frozen=True)
@@ -143,14 +141,19 @@ def exact_count_vectors(counts: Sequence[int], k: int) -> int:
     return total
 
 
+def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray:
+    """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (V, K)."""
+    evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
+    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence)
+    return factor[:, 0, :]
+
+
 def _count_vector_table(model: ApmModel, path: int, votes: int):
     """Log multinomial multiplicity and path factor log p(x_path | y) of every
     label count vector of `votes` votes on `path`, shapes (V,) and (V, K)."""
     vecs = _compositions(votes, model.num_labels)
     log_c = gammaln(votes + 1) - gammaln(vecs + 1).sum(axis=1)
-    evidence = count_evidence(vecs[:, None, :], log(model.worker_cpts[path].rows)[None])
-    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence)
-    factor = np.ascontiguousarray(factor[:, 0, :])
+    factor = np.ascontiguousarray(_factors(model, path, vecs))
     for arr in (log_c, factor):
         arr.setflags(write=False)
     return log_c, factor
@@ -210,9 +213,7 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
     v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
     label_counts = (v[:, :, None] == np.arange(model.num_labels)).sum(axis=0, dtype=np.float64)
-    evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
-    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence)
-    return factor[:, 0, :]
+    return _factors(model, path, label_counts)
 
 
 def _sample_block(

@@ -21,6 +21,7 @@ dataset, config, and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
@@ -49,6 +50,7 @@ from .model import (
     Dataset,
     LabelSpace,
     NbiModel,
+    as_count,
     validate_model,
 )
 
@@ -75,14 +77,12 @@ class EmConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("max_iters", "restarts"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
         if not self.rel_tol > 0:
             raise InputError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.smoothing_alpha >= 0:
-            raise InputError(f"smoothing_alpha must be >= 0, got {self.smoothing_alpha}")
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        if not 0 <= self.smoothing_alpha < math.inf:
+            raise InputError(f"smoothing_alpha must be finite and >= 0, got {self.smoothing_alpha}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,21 @@ def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -
     return model
 
 
-def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmModel, FitReport]:
+def fit_supervised(
+    data: Dataset, share_workers: bool = True, cfg: EmConfig | None = None
+) -> tuple[ApmModel, FitReport]:
+    """Fit with every truth observed; only the path states are latent."""
+    unlabeled = data.first_unlabeled()
+    if unlabeled is not None:
+        raise InputError(f"task {unlabeled} has no truth; use fit_em for partial labels")
+    return fit_em(data, share_workers, cfg)
+
+
+def fit_em(
+    data: Dataset, share_workers: bool = True, cfg: EmConfig | None = None
+) -> tuple[ApmModel, FitReport]:
+    """Fit with truths optional; unlabeled tasks contribute through their posterior."""
+    cfg = cfg or EmConfig()
     slots = _slots(data, share_workers)
     params, history, converged, restart = _em(
         cfg,
@@ -293,25 +307,6 @@ def _fit_apm(data: Dataset, share_workers: bool, cfg: EmConfig) -> tuple[ApmMode
         sparse_paths=_voteless_paths(data),
     )
     return model, report
-
-
-def fit_supervised(
-    data: Dataset, share_workers: bool = True, cfg: EmConfig | None = None
-) -> tuple[ApmModel, FitReport]:
-    """Fit with every truth observed; only the path states are latent."""
-    cfg = cfg or EmConfig()
-    unlabeled = data.first_unlabeled()
-    if unlabeled is not None:
-        raise InputError(f"task {unlabeled} has no truth; use fit_em for partial labels")
-    return _fit_apm(data, share_workers, cfg)
-
-
-def fit_em(
-    data: Dataset, share_workers: bool = True, cfg: EmConfig | None = None
-) -> tuple[ApmModel, FitReport]:
-    """Fit with truths optional; unlabeled tasks contribute through their posterior."""
-    cfg = cfg or EmConfig()
-    return _fit_apm(data, share_workers, cfg)
 
 
 def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:

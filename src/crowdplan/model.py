@@ -9,10 +9,11 @@ Path costs are exact rationals. Budget feasibility is decided with integer
 arithmetic, never with float comparisons, so a plan that spends the whole
 budget is exactly affordable.
 
-Types are frozen; array fields are marked read-only after construction. Value
-level checks (row sums, cost positivity) live in `validate_model` so that a
-broken model can be constructed, inspected, and reported on -- loaders and
-fitters call it before handing a model out.
+Types are frozen; array fields are marked read-only after construction.
+Scalar fields are checked by their own types: `LabelSpace`, `AccessPathSpec`
+(an exact cost above 0) and `AccessPlan` (integer counts, 0 or more). The
+tables and the prior, which carry a tolerance, are reported together by
+`validate_model`; loaders and fitters call it before handing a model out.
 
 A `Dataset` is stored as flat vote columns, checked against its layout once
 when it is built. Folds and vote subsets are row selections of it, and
@@ -22,6 +23,7 @@ per-task `TaskSample` objects are a view built only when asked for.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -109,7 +111,8 @@ class AccessPathSpec:
 
     Args:
         index: position of the path in the model, 0-based.
-        cost: exact price of one vote on this path.
+        cost: price of one vote on this path, above 0: anything `Fraction`
+            reads, kept as that exact rational.
         name: optional display name.
     """
 
@@ -118,8 +121,15 @@ class AccessPathSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.cost, Fraction):
-            object.__setattr__(self, "cost", Fraction(self.cost))
+        cost = self.cost
+        if not isinstance(cost, Fraction):  # fitting passes one shared Fraction to every path
+            try:
+                cost = Fraction(cost)
+            except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+                raise InputError(f"path {self.index}: bad cost {cost!r}") from None
+            object.__setattr__(self, "cost", cost)
+        if cost.numerator <= 0:
+            raise InputError(f"path {self.index}: non-positive cost {cost}")
 
 
 WorkerCpts = Union[Cpt, Mapping[str, Cpt]]
@@ -188,15 +198,12 @@ class ApmModel:
 
 @dataclass(frozen=True)
 class AccessPlan:
-    """How many votes to buy on each path."""
+    """How many votes to buy on each path: integers, 0 or more."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts):
-            raise InputError(f"plan counts must be non-negative, got {counts}")
+        object.__setattr__(self, "counts", tuple(as_count(c, "plan count") for c in self.counts))
 
     @property
     def total_votes(self) -> int:
@@ -219,11 +226,14 @@ class TaskSample:
     truth: int | None = None
 
     def __post_init__(self):
-        normal = {
-            int(p): tuple((w, int(v)) for w, v in vs)
-            for p, vs in self.votes.items()
-            if len(vs) > 0
-        }
+        try:
+            normal = {
+                operator.index(p): tuple((w, operator.index(v)) for w, v in vs)
+                for p, vs in self.votes.items()
+                if len(vs) > 0
+            }
+        except TypeError:
+            raise InputError(f"task {self.task_id}: path ids and labels must be integers") from None
         object.__setattr__(self, "votes", normal)
 
     def votes_for(self, path: int) -> tuple[Vote, ...]:
@@ -448,19 +458,10 @@ class Dataset:
 
 
 def path_costs(costs: Sequence[Fraction | int | str], num_paths: int) -> tuple[Fraction, ...]:
-    """Exact per-path costs: one positive rational per path."""
+    """Exact per-path costs, each checked as `AccessPathSpec` checks it."""
     if len(costs) != num_paths:
         raise InputError(f"{len(costs)} costs for {num_paths} paths")
-    out = []
-    for i, text in enumerate(costs):
-        try:
-            cost = Fraction(text)
-        except (OverflowError, TypeError, ValueError, ZeroDivisionError):
-            raise InputError(f"path {i}: bad cost {text!r}") from None
-        if cost <= 0:
-            raise InputError(f"path {i}: non-positive cost {cost}")
-        out.append(cost)
-    return tuple(out)
+    return tuple(AccessPathSpec(i, cost).cost for i, cost in enumerate(costs))
 
 
 def with_costs(model: ApmModel, costs: Sequence[Fraction | int | str]) -> ApmModel:
@@ -476,13 +477,31 @@ def with_labels(model: ApmModel, labels: LabelSpace) -> ApmModel:
     return replace(model, labels=labels)
 
 
+def as_count(value, what: str, low: int = 0) -> int:
+    """`value` as an int of at least `low`; ints, numpy ints and bools are ints."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if out < low:
+        raise InputError(f"{what} must be >= {low}, got {out}")
+    return out
+
+
+def member(cls, value, what: str):
+    """The member of enum `cls` whose value is `value`; an unknown value is an InputError."""
+    try:
+        return cls(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in cls)
+        raise InputError(f"unknown {what} {value!r}; choose from {choices}") from None
+
+
 def as_counts(plan: AccessPlan | Sequence[int], num_paths: int) -> tuple[int, ...]:
-    """Coerce a plan argument to a validated counts tuple of length num_paths."""
-    counts = plan.counts if isinstance(plan, AccessPlan) else tuple(int(c) for c in plan)
+    """A plan argument's checked counts, one per path."""
+    counts = (plan if isinstance(plan, AccessPlan) else AccessPlan(plan)).counts
     if len(counts) != num_paths:
         raise InputError(f"plan has {len(counts)} entries for {num_paths} paths")
-    if any(c < 0 for c in counts):
-        raise InputError(f"plan counts must be non-negative, got {counts}")
     return counts
 
 
@@ -506,17 +525,12 @@ def validate_model(model: ApmModel) -> list[str]:
         where = f"path {i}"
         if spec.index != i:
             out.append(f"{where}: spec index {spec.index} does not match position")
-        if spec.cost <= 0:
-            out.append(f"{where}: non-positive cost {spec.cost}")
         out.extend(_table_violations({"path CPT": model.path_cpts[i]}, k, where, sound))
         wc = model.worker_cpts[i]
         tables = {"shared": wc} if isinstance(wc, Cpt) else dict(wc)
         if not tables:
             out.append(f"{where}: no worker CPTs")
         out.extend(_table_violations(tables, k, f"{where} worker", sound))
-    names = model.labels.names
-    if names is not None and len(set(names)) != len(names):
-        out.append("label names not unique")
     return out
 
 
@@ -630,20 +644,6 @@ def nbi_model_from_dict(doc: Mapping) -> NbiModel:
     return model
 
 
-def _cost_to_str(cost: Fraction) -> str:
-    if cost.denominator == 1:
-        return str(cost.numerator)
-    return f"{cost.numerator}/{cost.denominator}"
-
-
-def _cost_from_str(text: str) -> Fraction:
-    try:
-        cost = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad cost {text!r}: {exc}") from None
-    return cost
-
-
 def model_to_dict(model: ApmModel) -> dict:
     """Plain-JSON form of a model. Floats keep full precision via repr."""
     doc: dict = {
@@ -657,7 +657,7 @@ def model_to_dict(model: ApmModel) -> dict:
     for i, spec in enumerate(model.paths):
         entry: dict = {
             "id": i,
-            "cost": _cost_to_str(spec.cost),
+            "cost": str(spec.cost),
             "path_cpt": model.path_cpts[i].rows.tolist(),
         }
         if spec.name is not None:
@@ -682,11 +682,7 @@ def model_from_dict(doc: Mapping) -> ApmModel:
             entry = _mapping(entry, f"path entry {i}")
             if int(entry["id"]) != i:
                 raise InputError(f"path entry {i} has id {entry['id']}")
-            paths.append(
-                AccessPathSpec(
-                    index=i, cost=_cost_from_str(str(entry["cost"])), name=entry.get("name")
-                )
-            )
+            paths.append(AccessPathSpec(index=i, cost=str(entry["cost"]), name=entry.get("name")))
             path_cpts.append(Cpt(entry["path_cpt"]))
             if "shared_cpt" in entry:
                 worker_cpts.append(Cpt(entry["shared_cpt"]))

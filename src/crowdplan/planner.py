@@ -33,9 +33,6 @@ each path's factor table once for all these plans (see the `infogain`
 docstring); each value is bit for bit the one a separate call would give, so
 the plan is the same as scoring the candidates one by one. A stale sampled
 value is not a bound, so nothing carries over between sampled steps.
-
-Every planner checks the path costs (`model.path_costs`) before it loops: a
-zero or negative cost is an InputError.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .infogain import (
     prior_entropy,
     sampled_conditional_entropies,
 )
-from .model import AccessPlan, ApmModel, path_costs, plan_cost
+from .model import AccessPlan, ApmModel, member, plan_cost
 
 
 class Strategy(str, enum.Enum):
@@ -99,11 +96,10 @@ def _coerce_budget(budget) -> Fraction:
 
 def approximation_bound(model: ApmModel, budget) -> float:
     """Worst-case greedy/optimal gain ratio, 1 - e^(-(1 - gamma))."""
-    costs = path_costs(model.costs, model.num_paths)
     b = _coerce_budget(budget)
     if b <= 0:
         raise InputError("approximation bound needs a positive budget")
-    cmax = max(costs)
+    cmax = max(model.costs)
     if cmax > b:
         raise InputError(
             f"path cost {cmax} exceeds budget {b}; the bound only covers gamma < 1"
@@ -136,7 +132,7 @@ def greedy_plan(
     vote as evaluating every candidate would.
     """
     cfg = ig_cfg or IgConfig()
-    costs = path_costs(model.costs, model.num_paths)
+    costs = model.costs
     b = _coerce_budget(budget)
     counts = [0] * model.num_paths
     spent = Fraction(0)
@@ -230,7 +226,7 @@ def exhaustive_opt(
     ResourceLimitError when the feasible set exceeds enumeration_limit.
     """
     cfg = ig_cfg or IgConfig()
-    costs = path_costs(model.costs, model.num_paths)
+    costs = model.costs
     b = _coerce_budget(budget)
     caps = [int(b // c) for c in costs]
     total = 1
@@ -281,9 +277,9 @@ def baseline_plan(
     ig_cfg: IgConfig | None = None,
 ) -> PlanResult:
     """Reference allocations: random, single-best-path, or equal spread."""
-    strategy = Strategy(strategy)
+    strategy = member(Strategy, strategy, "strategy")
     cfg = ig_cfg or IgConfig()
-    costs = path_costs(model.costs, model.num_paths)
+    costs = model.costs
     b = _coerce_budget(budget)
     counts = [0] * model.num_paths
     spent = Fraction(0)
@@ -339,7 +335,7 @@ def build_plan(
     ig_cfg: IgConfig | None = None,
 ) -> PlanResult:
     """Uniform entry point over all strategies."""
-    strategy = Strategy(strategy)
+    strategy = member(Strategy, strategy, "strategy")
     if strategy is Strategy.GREEDY:
         return greedy_plan(model, budget, ig_cfg)
     if strategy is Strategy.OPT:

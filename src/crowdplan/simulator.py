@@ -33,7 +33,7 @@ import numpy as np
 
 from ._rng import categorical_rows, substream
 from .errors import InputError
-from .model import AccessPlan, ApmModel, Cpt, Dataset, as_counts
+from .model import AccessPlan, ApmModel, Cpt, Dataset, as_count, as_counts
 
 
 def _vote_tables(model: ApmModel, path: int) -> tuple[list[str | None], np.ndarray]:
@@ -55,8 +55,7 @@ def generate(
     seed: int = 0,
 ) -> Dataset:
     """Sample `num_tasks` tasks with the given vote counts per path."""
-    if num_tasks < 0:
-        raise InputError(f"num_tasks must be non-negative, got {num_tasks}")
+    num_tasks = as_count(num_tasks, "num_tasks")
     counts = as_counts(votes_per_path, model.num_paths)
     voted = [i for i, c in enumerate(counts) if c > 0]
     width = 1 + sum(1 + counts[i] for i in voted)

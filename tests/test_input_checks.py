@@ -1,0 +1,229 @@
+"""Each planning input is checked once, by the type or function that takes it in.
+
+Costs are checked by `AccessPathSpec`, plan counts by `AccessPlan`, budgets by
+the planner, config fields by their config types and seeds where every stream
+key is folded. A bad value is an InputError; a good one is kept exactly, never
+truncated or rounded.
+"""
+
+import math
+import operator
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crowdplan.evaluation as evaluation
+from crowdplan.cli import main
+from crowdplan.errors import InputError
+from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
+from crowdplan.infogain import IgConfig, IgMode, information_gain
+from crowdplan.learning import EmConfig
+from crowdplan.model import (
+    AccessPathSpec,
+    AccessPlan,
+    TaskSample,
+    model_from_dict,
+    model_to_dict,
+    with_costs,
+)
+from crowdplan.planner import greedy_plan
+from crowdplan.simulator import generate
+
+from _oracles import sym_model
+
+MODEL = sym_model([0.6, 0.4], [0.9, 0.8, 0.7], [0.85, 0.8, 0.75], costs=[1, 2, "1/2"])
+EXACT = IgConfig(mode=IgMode.EXACT)
+SAMPLE = TaskSample("t", {0: ((None, 0), (None, 1), (None, 0)), 1: ((None, 1),) * 3})
+
+
+@pytest.mark.parametrize(
+    "cost, needle",
+    [
+        ("x", "bad cost 'x'"),
+        (math.inf, "bad cost inf"),
+        (math.nan, "bad cost nan"),
+        (None, "bad cost None"),
+        ("1/0", "bad cost '1/0'"),
+        (-1, "non-positive cost -1"),
+        ("-1/2", "non-positive cost -1/2"),
+    ],
+)
+def test_access_path_spec_rejects_bad_costs(cost, needle):
+    with pytest.raises(InputError, match=re.escape(f"path 3: {needle}")):
+        AccessPathSpec(index=3, cost=cost)
+
+
+def test_model_file_cost_error_names_the_path():
+    doc = model_to_dict(MODEL)
+    doc["paths"][1]["cost"] = "abc"
+    with pytest.raises(InputError, match="path 1: bad cost 'abc'"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("counts", [(1.7, 0), ("2", 0), (Fraction(2), 0)])
+def test_plan_counts_must_be_integers(counts):
+    with pytest.raises(InputError, match="plan count must be an integer"):
+        AccessPlan(counts)
+
+
+@pytest.mark.parametrize("plan", [[-1, 1], [1.7, 1]])
+def test_executed_plan_counts_are_checked(plan):
+    with pytest.raises(InputError, match="plan count"):
+        execute_plan_on_sample(SAMPLE, plan)
+
+
+def test_fractional_plan_is_not_scored_as_truncated():
+    with pytest.raises(InputError, match="plan count"):
+        information_gain(MODEL, [1.5, 0, 0])
+
+
+@pytest.mark.parametrize("votes", [{0.5: ((None, 1),)}, {0: ((None, 1.7),)}])
+def test_task_sample_ids_must_be_integers(votes):
+    with pytest.raises(InputError, match="task t: path ids and labels must be integers"):
+        TaskSample("t", votes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EmConfig(max_iters=2.5),
+        lambda: EmConfig(restarts=2.5),
+        lambda: EmConfig(smoothing_alpha=math.inf),
+        lambda: IgConfig(num_samples=2.5),
+        lambda: IgConfig(exact_limit=2.5),
+    ],
+    ids=["max_iters", "restarts", "alpha", "num_samples", "exact_limit"],
+)
+def test_config_fields_are_checked_on_construction(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def test_unknown_ig_mode_names_the_choices():
+    with pytest.raises(InputError, match="unknown IG mode 'x'; choose from exact, sampled, auto"):
+        IgConfig(mode="x")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generate(MODEL, [1, 1, 1], 2.5),
+        lambda: generate(MODEL, [1, 1, 1], 2, seed=1.5),
+        lambda: information_gain(MODEL, [2, 2, 2], IgConfig(mode=IgMode.SAMPLED, seed=1.5)),
+    ],
+    ids=["num_tasks", "generate_seed", "ig_seed"],
+)
+def test_simulation_and_sampling_arguments_are_checked(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_sweep_rejects_a_negative_budget_before_fitting(monkeypatch):
+    def no_fitting(*args, **kwargs):
+        raise AssertionError("budgets must be checked before any fitting")
+
+    monkeypatch.setattr(evaluation, "fit_em", no_fitting)
+    data = generate(MODEL, [2, 2, 2], 20, seed=0)
+    with pytest.raises(InputError, match=r"bad budgets \[3, -1\]: budget must be non-negative"):
+        budget_sweep(data, model_kinds=["apm"], strategies=["greedy"], budgets=[3, -1])
+
+
+@pytest.mark.parametrize("kind", ["apm", "nbi"])
+def test_learn_with_infinite_alpha_exits_2(tmp_path, capsys, kind):
+    votes = tmp_path / "votes.csv"
+    rows = [f"t{i},{p},w{p},{(i + p) % 2}," for i in range(6) for p in (0, 1)]
+    votes.write_text("task_id,path_id,worker_id,vote,truth\n" + "\n".join(rows) + "\n")
+    argv = ["learn", "--votes", str(votes), "--model-kind", kind, "--alpha", "inf"]
+    assert main(argv + ["--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: smoothing_alpha must be finite")
+
+
+VALUES = st.one_of(
+    st.integers(-3, 8),
+    st.fractions(-3, 8, max_denominator=12),
+    st.decimals(-3, 8, places=2, allow_nan=False, allow_infinity=False).map(str),
+    st.floats(-3, 8).filter(lambda x: not x.is_integer()),
+    st.sampled_from([math.inf, -math.inf, math.nan, None, "", "abc", "1/0", "nan", "2x"]),
+)
+
+
+def rational(value):
+    """The exact rational `value` stands for, or None."""
+    try:
+        return Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def integer(value):
+    """The int `value` is, or None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def check(valid, call, expected):
+    """A valid input gives the expected result; an invalid one is an InputError."""
+    if valid:
+        assert call() == expected()
+    else:
+        with pytest.raises(InputError):
+            call()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(VALUES, VALUES, VALUES, VALUES, st.one_of(VALUES, st.text(max_size=3)))
+def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks, seed):
+    price, n, b, t = rational(cost), integer(count), rational(budget), integer(tasks)
+    good_cost = price is not None and price > 0
+    good_count = n is not None and n >= 0
+    good_budget = b is not None and b >= 0
+    good_tasks = t is not None and t >= 0
+    good_seed = isinstance(seed, str) or integer(seed) is not None
+    same_seed = seed if isinstance(seed, str) else integer(seed)
+
+    check(good_cost, lambda: AccessPathSpec(0, cost).cost, lambda: price)
+    check(good_cost, lambda: with_costs(MODEL, [1, cost, 1]).costs, lambda: (1, price, 1))
+    check(good_count, lambda: AccessPlan((count, 2)).counts, lambda: (n, 2))
+
+    def greedy_leftover():
+        result = greedy_plan(MODEL, budget, EXACT)
+        return result.cost <= b and b - result.cost < min(MODEL.costs)
+
+    check(good_budget, greedy_leftover, lambda: True)
+
+    def executed():
+        ex = execute_plan_on_sample(SAMPLE, [count, 1], seed=seed)
+        return [len(ex.sample.votes_for(p)) for p in (0, 1)]
+
+    check(good_count and good_seed, executed, lambda: [min(n, 3), 1])
+
+    def gain(plan, seed):
+        cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=16, seed=seed)
+        return information_gain(MODEL, plan, cfg).value
+
+    check(
+        good_count and good_seed,
+        lambda: gain([count, 1, 0], seed),
+        lambda: gain([n, 1, 0], same_seed),
+    )
+    check(
+        good_count,
+        lambda: information_gain(MODEL, [count, 1, 0], EXACT).value,
+        lambda: information_gain(MODEL, (n, 1, 0), EXACT).value,
+    )
+
+    def votes_per_path():
+        data = generate(MODEL, [count, 1, 0], tasks, seed=seed)
+        return len(data), np.bincount(data.path_idx, minlength=3).tolist()
+
+    check(
+        good_count and good_tasks and (good_seed or t == 0),
+        votes_per_path,
+        lambda: (t, [n * t, t, 0]),
+    )

@@ -91,15 +91,8 @@ class TestValidation:
         assert any("sums to 0.9" in m for m in msgs)
 
     def test_nonpositive_cost_reported(self):
-        m = sym_model([0.5, 0.5], [0.8], [0.9])
-        broken = ApmModel(
-            labels=m.labels,
-            prior=m.prior,
-            paths=(AccessPathSpec(index=0, cost=Fraction(0)),),
-            path_cpts=m.path_cpts,
-            worker_cpts=m.worker_cpts,
-        )
-        assert any("non-positive cost" in v for v in validate_model(broken))
+        with pytest.raises(InputError, match="path 0: non-positive cost"):
+            AccessPathSpec(index=0, cost=0)
 
     def test_prior_must_normalize(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])

@@ -205,7 +205,7 @@ class TestBuildPlan:
         assert res.plan.counts == (3,)
         with pytest.raises(InputError):
             build_plan("greedy", m, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="unknown strategy 'clever'"):
             build_plan("clever", m, 1)
 
 
