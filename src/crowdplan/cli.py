@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 
 from .errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
@@ -78,18 +78,9 @@ def _cmd_learn(args) -> int:
         if costs:
             model = with_costs(model, costs)
     save_model(model, args.out)
-    print(
-        json.dumps(
-            {
-                "final_log_likelihood": report.final_log_likelihood,
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "restart_index": report.restart_index,
-                "sparse_paths": list(report.sparse_paths),
-                "sparse_workers": list(report.sparse_workers),
-            }
-        )
-    )
+    summary = asdict(report)
+    del summary["history"]
+    print(json.dumps(summary))
     return 0
 
 

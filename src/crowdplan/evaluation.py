@@ -69,14 +69,18 @@ class ExecutedSample:
     skipped: bool
 
 
-def _execute(table: Dataset, counts: np.ndarray, seed: int) -> np.ndarray:
-    """Mask of the table's votes that a plan buys.
+def _execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the table's votes that a plan buys and of its short-filled tasks.
 
     A (task, path) holding more votes than the plan asks for gives a draw
     without replacement, by stored position, from its task's stream; the
-    stream is opened only then and drawn from path by path.
+    stream is opened only then and drawn from path by path. A task is
+    short-filled when some path holds fewer votes than the plan asks for.
+    Counts above the table's vote count only short-fill, so they are capped
+    at one more than it and every count fits an int64.
     """
     s = table.stored
+    counts = np.array([min(c, len(s) + 1) for c in plan.counts], dtype=np.int64)
     task, path = table.sample_idx[s], table.path_idx[s]
     start = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(path, prepend=-1))
     have = np.diff(start, append=len(s))
@@ -91,7 +95,8 @@ def _execute(table: Dataset, counts: np.ndarray, seed: int) -> np.ndarray:
         keep[start[g] + rng.choice(int(have[g]), size=int(want[g]), replace=False)] = True
     bought = np.empty_like(keep)
     bought[s] = keep
-    return bought
+    filled = np.bincount(task[start[(want > 0) & (want <= have)]], minlength=len(table))
+    return bought, filled < np.count_nonzero(counts)
 
 
 def execute_plan_on_sample(
@@ -105,16 +110,15 @@ def execute_plan_on_sample(
     task's stream is opened only when some path has more votes than it needs.
     """
     plan = plan if isinstance(plan, AccessPlan) else AccessPlan(plan)
-    counts = np.array(plan.counts, dtype=np.int64)
-    outside = [p for p in sorted(sample.votes) if p >= len(counts)]
+    num_paths = len(plan.counts)
+    outside = [p for p in sorted(sample.votes) if p >= num_paths]
     if outside:
         raise InputError(f"task {sample.task_id}: path {outside[0]} outside plan")
     labels = [v for votes in sample.votes.values() for _, v in votes] + [sample.truth or 0]
-    table = Dataset([sample], len(counts), max(labels) + 1)
-    bought = _execute(table, counts, seed)
+    table = Dataset([sample], num_paths, max(labels) + 1)
+    bought, short = _execute(table, plan, seed)
     executed = table.select(np.ones(1, dtype=bool), bought).samples[0]
-    short = bool((counts > np.bincount(table.path_idx, minlength=len(counts))).any())
-    return ExecutedSample(sample=executed, short_filled=short, skipped=not bought.any())
+    return ExecutedSample(sample=executed, short_filled=bool(short[0]), skipped=not bought.any())
 
 
 @dataclass(frozen=True)
@@ -132,22 +136,14 @@ class MetricRow:
 
 
 @dataclass(frozen=True)
-class FoldRow:
+class FoldRow(MetricRow):
     """Scores for one (model, strategy, budget, fold) cell.
 
     tasks_short_filled counts evaluated tasks that had fewer recorded votes
     on some path than the plan asked for; skipped tasks are not among them.
     """
 
-    model: str
-    strategy: str
-    budget: Fraction
     fold: int
-    accuracy: float
-    neg_log_likelihood: float
-    tasks_evaluated: int
-    tasks_skipped: int
-    tasks_short_filled: int
 
 
 @dataclass(frozen=True)
@@ -192,10 +188,6 @@ def _score_fold(
         known = [w in nbi_model.worker_cpts for w in test.workers] + [False]
         nbi_rows = np.array(known, dtype=bool)[test.worker_idx]
 
-    shape = (len(test), test.num_paths)
-    have = np.bincount(
-        test.sample_idx * test.num_paths + test.path_idx, minlength=shape[0] * shape[1]
-    ).reshape(shape)
     rows = []
     for strategy in strategies:
         for budget in budgets:
@@ -206,11 +198,10 @@ def _score_fold(
                 seed=derive_seed(seed, "plan", fold, strategy.value, str(budget)),
                 ig_cfg=ig_cfg,
             )
-            counts = np.array(plan.plan.counts, dtype=np.int64)
             cell_seed = derive_seed(seed, "exec", fold, strategy.value, str(budget))
-            bought = _execute(test, counts, cell_seed)
+            bought, short = _execute(test, plan.plan, cell_seed)
             kept = np.bincount(test.sample_idx[bought], minlength=test.num_samples) > 0
-            short_filled = int(np.count_nonzero(kept & (have < counts).any(axis=1)))
+            short_filled = int(np.count_nonzero(kept & short))
             truth = test.truth[kept]
             executed = test.select(kept, bought)
             for kind in kinds:
@@ -273,17 +264,14 @@ def budget_sweep(
         )
     ]
 
+    cells: dict[tuple, list[FoldRow]] = {}
+    for r in fold_rows:  # fold by fold, so each cell's sums run in fold order
+        cells.setdefault((r.model, r.strategy, r.budget), []).append(r)
     averaged = []
     for kind in kinds:
         for strategy in strats:
             for budget in budget_list:
-                cell = [
-                    r
-                    for r in fold_rows
-                    if r.model == kind.value
-                    and r.strategy == strategy.value
-                    and r.budget == budget
-                ]
+                cell = cells[kind.value, strategy.value, budget]
                 averaged.append(
                     MetricRow(
                         model=kind.value,

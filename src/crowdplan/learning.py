@@ -22,7 +22,7 @@ dataset, config, and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
@@ -218,12 +218,14 @@ def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: f
     )
 
 
-def _em(cfg: EmConfig, init, estep, mstep):
+def _em(cfg: EmConfig, init, estep, mstep) -> tuple[object, FitReport]:
     """EM from `init(restart)` per restart; the highest final objective wins.
 
     `estep(params)` gives the posteriors and the log-likelihood, `mstep(*posteriors)`
     the next parameters. A restart stops once the objective changes by at most
-    `cfg.rel_tol` relative to the last. Returns (params, history, converged, restart).
+    `cfg.rel_tol` relative to the last. Returns the winning parameters and a
+    report of their restart; the fitter fills in `final_log_likelihood`, NaN
+    here, and its sparse list.
     """
     best = None
     for restart in range(cfg.restarts):
@@ -237,8 +239,8 @@ def _em(cfg: EmConfig, init, estep, mstep):
                 break
             history.append(objective)
             params = mstep(*posteriors)
-        if best is None or history[-1] > best[1][-1]:
-            best = (params, history, converged, restart)
+        if best is None or history[-1] > best[1].history[-1]:
+            best = (params, FitReport(math.nan, len(history), converged, restart, tuple(history)))
     return best
 
 
@@ -290,23 +292,15 @@ def fit_em(
     """Fit with truths optional; unlabeled tasks contribute through their posterior."""
     cfg = cfg or EmConfig()
     slots = _slots(data, share_workers)
-    params, history, converged, restart = _em(
+    params, report = _em(
         cfg,
         lambda restart: _init_params(data, slots, cfg, restart),
         lambda params: _estep(params, data, slots),
         lambda q_y, q_z: _mstep(data, slots, q_y, q_z, cfg.smoothing_alpha),
     )
     model = _to_model(params, data, slots, share_workers)
-    final_loglik = log_likelihood(model, data) if len(data) else 0.0
-    report = FitReport(
-        final_log_likelihood=final_loglik,
-        iterations=len(history),
-        converged=converged,
-        restart_index=restart,
-        history=tuple(history),
-        sparse_paths=_voteless_paths(data),
-    )
-    return model, report
+    final = log_likelihood(model, data)
+    return model, replace(report, final_log_likelihood=final, sparse_paths=_voteless_paths(data))
 
 
 def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
@@ -351,7 +345,7 @@ def fit_nbi(
     if (data.worker_idx < 0).any():
         raise InputError("nbi fitting requires a worker id on every vote")
     k = data.num_labels
-    (prior, tables), history, converged, restart = _em(
+    (prior, tables), report = _em(
         cfg,
         lambda restart: (
             _init_prior(data.truth, k),
@@ -382,12 +376,5 @@ def fit_nbi(
         worker_cpts=worker_cpts,
         sparse_workers=frozenset(sparse),
     )
-    report = FitReport(
-        final_log_likelihood=log_likelihood(model, data),
-        iterations=len(history),
-        converged=converged,
-        restart_index=restart,
-        history=tuple(history),
-        sparse_workers=sparse,
-    )
-    return model, report
+    final = log_likelihood(model, data)
+    return model, replace(report, final_log_likelihood=final, sparse_workers=sparse)

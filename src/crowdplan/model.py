@@ -235,6 +235,8 @@ class TaskSample:
         except TypeError:
             raise InputError(f"task {self.task_id}: path ids and labels must be integers") from None
         object.__setattr__(self, "votes", normal)
+        if self.truth is not None:
+            object.__setattr__(self, "truth", as_count(self.truth, f"task {self.task_id}: truth"))
 
     def votes_for(self, path: int) -> tuple[Vote, ...]:
         return self.votes.get(path, ())
@@ -592,16 +594,18 @@ class NbiModel:
         return self.worker_cpts[worker_id]
 
 
-def nbi_model_to_dict(model: NbiModel) -> dict:
-    doc: dict = {
-        "kind": "nbi",
-        "labels": {"cardinality": model.num_labels},
-        "prior": model.prior.tolist(),
-        "workers": {w: t.rows.tolist() for w, t in sorted(model.worker_cpts.items())},
-        "sparse_workers": sorted(model.sparse_workers),
-    }
+def _doc(kind: str, model: ApmModel | NbiModel) -> dict:
+    """The head of a model document: its kind, its labels and its prior."""
+    labels: dict = {"cardinality": model.num_labels}
     if model.labels.names is not None:
-        doc["labels"]["names"] = list(model.labels.names)
+        labels["names"] = list(model.labels.names)
+    return {"kind": kind, "labels": labels, "prior": model.prior.tolist()}
+
+
+def nbi_model_to_dict(model: NbiModel) -> dict:
+    doc = _doc("nbi", model)
+    doc["workers"] = {w: t.rows.tolist() for w, t in sorted(model.worker_cpts.items())}
+    doc["sparse_workers"] = sorted(model.sparse_workers)
     return doc
 
 
@@ -619,7 +623,7 @@ def _labels_from(doc: Mapping) -> LabelSpace:
     ):
         raise InputError("labels.names must be a list of strings")
     return LabelSpace(
-        cardinality=int(labels["cardinality"]),
+        cardinality=as_count(labels["cardinality"], "labels.cardinality", 2),
         names=tuple(names) if names is not None else None,
     )
 
@@ -646,14 +650,8 @@ def nbi_model_from_dict(doc: Mapping) -> NbiModel:
 
 def model_to_dict(model: ApmModel) -> dict:
     """Plain-JSON form of a model. Floats keep full precision via repr."""
-    doc: dict = {
-        "kind": "apm",
-        "labels": {"cardinality": model.num_labels},
-        "prior": model.prior.tolist(),
-        "paths": [],
-    }
-    if model.labels.names is not None:
-        doc["labels"]["names"] = list(model.labels.names)
+    doc = _doc("apm", model)
+    doc["paths"] = []
     for i, spec in enumerate(model.paths):
         entry: dict = {
             "id": i,

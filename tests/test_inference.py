@@ -159,6 +159,11 @@ class TestNbiPosterior:
             infer("nbi", nm, [s])
         assert exc.value.worker_id == "ghost"
 
+    def test_vote_without_worker_id_raises(self):
+        s = TaskSample(task_id="t", votes={0: ((None, 1),)})
+        with pytest.raises(MissingWorkerCptError, match="no CPT for worker 'None'"):
+            infer("nbi", make_nbi({"a": 0.9}), [s])
+
     def test_conflicting_certain_workers_fall_back_to_prior(self):
         nm = make_nbi({"a": 1.0, "b": 1.0}, prior=(0.25, 0.75))
         s = TaskSample(task_id="t", votes={0: (("a", 0), ("b", 1))})

@@ -76,6 +76,18 @@ def test_executed_plan_counts_are_checked(plan):
         execute_plan_on_sample(SAMPLE, plan)
 
 
+@pytest.mark.parametrize("count", [2**31, 2**32, 2**63, 2**64])
+def test_huge_executed_plan_counts_short_fill(count):
+    executed = execute_plan_on_sample(SAMPLE, [count, 1])
+    assert executed.sample.votes_for(0) == SAMPLE.votes_for(0)
+    assert executed.short_filled
+
+
+def test_path_outside_the_executed_plan():
+    with pytest.raises(InputError, match="task t: path 1 outside plan"):
+        execute_plan_on_sample(SAMPLE, [1])
+
+
 def test_fractional_plan_is_not_scored_as_truncated():
     with pytest.raises(InputError, match="plan count"):
         information_gain(MODEL, [1.5, 0, 0])
@@ -85,6 +97,12 @@ def test_fractional_plan_is_not_scored_as_truncated():
 def test_task_sample_ids_must_be_integers(votes):
     with pytest.raises(InputError, match="task t: path ids and labels must be integers"):
         TaskSample("t", votes)
+
+
+@pytest.mark.parametrize("truth, needle", [(1.7, "an integer, got 1.7"), (-1, ">= 0, got -1")])
+def test_task_sample_truth_must_be_a_label_index(truth, needle):
+    with pytest.raises(InputError, match=re.escape(f"task t: truth must be {needle}")):
+        TaskSample("t", {0: ((None, 1),)}, truth=truth)
 
 
 @pytest.mark.parametrize(

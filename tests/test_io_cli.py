@@ -539,6 +539,22 @@ def no_paths(doc):
     doc["paths"] = []
 
 
+def fractional_cardinality(doc):
+    doc["labels"]["cardinality"] = 2.5
+
+
+def cardinality_as_text(doc):
+    doc["labels"]["cardinality"] = "2"
+
+
+def misnumbered_path(doc):
+    doc["paths"][0]["id"] = 5
+
+
+def path_without_vote_tables(doc):
+    del doc["paths"][0]["shared_cpt"]
+
+
 class TestCliMalformedInputs:
     """Bad files and arguments end as `error:` and exit 2, never as a traceback."""
 
@@ -561,6 +577,10 @@ class TestCliMalformedInputs:
             (labels_as_list, "labels must be a JSON object"),
             (worker_cpts_as_list, "worker_cpts must be a JSON object"),
             (no_paths, "no access paths"),
+            (fractional_cardinality, "labels.cardinality must be an integer, got 2.5"),
+            (cardinality_as_text, "labels.cardinality must be an integer, got '2'"),
+            (misnumbered_path, "path entry 0 has id 5"),
+            (path_without_vote_tables, "path 0: neither shared_cpt nor worker_cpts present"),
         ],
     )
     def test_malformed_apm_document(self, tmp_path, capsys, mutate, needle):
@@ -570,6 +590,50 @@ class TestCliMalformedInputs:
         model.write_text(json.dumps(doc))
         rc = main(["plan", "--model", str(model), "--budget", "9"])
         self.assert_input_error(capsys, rc, needle)
+
+    def test_model_file_that_is_not_json(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text("{not json")
+        rc = main(["plan", "--model", str(model), "--budget", "9"])
+        self.assert_input_error(capsys, rc, "model file is not valid JSON")
+
+    def test_missing_votes_file(self, tmp_path, capsys):
+        rc = main(["learn", "--votes", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m")])
+        self.assert_input_error(capsys, rc, "cannot read votes file")
+
+    def test_header_field_over_the_csv_limit(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id," + "x" * 140_000 + ",worker_id,vote,truth\n")
+        rc = main(["learn", "--votes", str(votes), "--out", str(tmp_path / "m.json")])
+        self.assert_input_error(capsys, rc, "line 1", "field larger than field limit")
+
+    def test_learn_nbap_needs_shared_tables(self, tmp_path, capsys):
+        argv = ["learn", "--votes", self.votes(tmp_path), "--model-kind", "nbap"]
+        rc = main(argv + ["--no-share-workers", "--out", str(tmp_path / "m.json")])
+        self.assert_input_error(capsys, rc, "nbap requires shared worker tables")
+
+    def test_more_folds_than_tasks(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        write_csv(votes, ["t1,0,,no,no", "t2,0,,yes,yes"])
+        rc = main(
+            ["sweep", "--votes", str(votes), "--budgets", "3", "--folds", "5",
+             "--out", str(tmp_path / "s.csv")]
+        )
+        self.assert_input_error(capsys, rc, "5 folds for 2 tasks")
+
+    @pytest.mark.parametrize(
+        "budgets, needle", [("3..4..5..6", "bad budget range"), (",", "bad budget list")]
+    )
+    def test_sweep_rejects_bad_budgets(self, tmp_path, capsys, budgets, needle):
+        rc = main(
+            ["sweep", "--votes", self.votes(tmp_path), f"--budgets={budgets}",
+             "--out", str(tmp_path / "s.csv")]
+        )
+        self.assert_input_error(capsys, rc, needle)
+
+    def test_plan_below_the_largest_cost_has_no_bound(self, capsys):
+        assert main(["plan", "--model", EXAMPLE, "--budget", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] is None
 
     def test_nbi_workers_as_list(self, tmp_path, capsys):
         doc = {"kind": "nbi", "labels": {"cardinality": 2}, "prior": [0.5, 0.5], "workers": [[1]]}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,10 @@ class TestLabelSpace:
         with pytest.raises(InputError):
             ls.index_of("nope")
 
+    def test_index_of_needs_names(self):
+        with pytest.raises(InputError, match="label space has no names"):
+            LabelSpace(2).index_of("a")
+
 
 class TestValidation:
     def test_valid_model_has_no_violations(self):
@@ -133,6 +138,22 @@ class TestValidation:
         doc["prior"] = [float("nan"), 1.0]
         with pytest.raises(InputError, match="non-finite"):
             nbi_model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("prior", np.array([1.0]), "prior: expected length 2, got shape (1,)"),
+            (
+                "path_cpts",
+                (Cpt(np.full((2, 3), 1 / 3)),),
+                "path 0 path CPT: shape (2, 3), expected (2, 2)",
+            ),
+            ("worker_cpts", ({},), "path 0: no worker CPTs"),
+        ],
+    )
+    def test_malformed_parameters_reported(self, field, value, message):
+        m = sym_model([0.5, 0.5], [0.8], [0.9])
+        assert validate_model(replace(m, **{field: value})) == [message]
 
     def test_misnumbered_path_reported(self):
         m = sym_model([0.5, 0.5], [0.8, 0.8], [0.9, 0.9])

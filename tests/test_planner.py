@@ -185,6 +185,11 @@ class TestBaselines:
         leftover = Fraction(11) - plan_cost(m, a.plan)
         assert leftover < min(m.costs)
 
+    def test_greedy_is_not_a_baseline(self):
+        m = sym_model([0.5, 0.5], [0.9, 0.8], [0.8, 0.8])
+        with pytest.raises(InputError, match="greedy is not a baseline"):
+            baseline_plan("greedy", m, 4)
+
     def test_random_varies_with_seed(self):
         m = sym_model([0.5, 0.5], [0.9, 0.8], [0.8, 0.8])
         seen = {baseline_plan(Strategy.RND, m, 9, seed=s).plan.counts for s in range(6)}

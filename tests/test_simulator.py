@@ -383,3 +383,7 @@ class TestQuantilePaths:
     def test_needs_enough_workers(self):
         with pytest.raises(InputError):
             quantile_paths({"a": 0.5, "b": 0.6}, 3)
+
+    def test_needs_a_path(self):
+        with pytest.raises(InputError, match="num_paths must be >= 1, got 0"):
+            quantile_paths({"a": 0.5}, 0)
