@@ -7,12 +7,16 @@ computed in isolation, in any order, and still produce the same draws.
 
 String key parts are folded to fixed 64-bit integers with BLAKE2s so that ids
 coming from data files key streams stably across runs and platforms.
+`substreams` gives one stream per task from one shared generator, with keys
+derived in one array pass that replays numpy's `SeedSequence`, the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,6 +44,67 @@ def substream(seed: int, *key: KeyPart) -> np.random.Generator:
     """
     entropy = [_fold(seed)] + [_fold(part) for part in key]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+# numpy's SeedSequence constants: hash multipliers for mixing (A) and output (B).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0xFFFFFFFF
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """Column of init * mult**i mod 2**32, i < n; hashmix i xors row i, multiplies by row i + 1."""
+    return np.array([init * pow(mult, i, 2**32) & _MASK32 for i in range(n)], np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, into: np.ndarray | None = None):
+    """SeedSequence's hashmix of `value`, then its mix into the pool words `into` if given."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    value ^= value >> 16
+    if into is None:
+        return value
+    into = _MIX_L * into - _MIX_R * value
+    return into ^ into >> 16
+
+
+def stream_keys(seed: KeyPart, prefix: tuple, parts: Iterable) -> np.ndarray:
+    """The Philox key of `substream(seed, *prefix, part)` for each part, shape (n, 2).
+
+    Like numpy's `SeedSequence`, it splits each folded int into little-endian
+    32-bit words (0 as one word), hash-mixes them into a pool of 4 words and
+    makes each key word from two output words, but on uint32 arrays with one
+    column per part. Empty `parts` fold nothing, not even the seed.
+    """
+    folded = np.array([_fold(part) for part in parts], dtype=np.uint64)
+    folds = map(_fold, (seed, *prefix) if len(folded) else ())
+    head = [[w] for f in folds for w in (f & _MASK32, f >> 32)[: 1 + (f >> 32 > 0)]]
+    # A one-word part's high word is 0, like padding; past the pool only two-word parts mix it in.
+    entropy = np.zeros((max(len(head) + 2, 4), len(folded)), dtype=np.uint32)
+    entropy[: len(head)] = head
+    entropy[len(head) : len(head) + 2] = folded & _MASK32, folded >> 32
+    h = _hash_consts(_INIT_A, _MULT_A, 1 + 4 * len(entropy))
+    pool = _hashmix(entropy[:4], h[:5])
+    for src in range(4):  # a source word is unchanged while it mixes into the other three
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _hashmix(pool[src], h[4 + 3 * src : 8 + 3 * src], pool[dst])
+    for src in range(4, len(entropy)):
+        mixed = _hashmix(entropy[src], h[4 * src : 4 * src + 5], pool)
+        pool = mixed if src <= len(head) else np.where(folded > _MASK32, mixed, pool)
+    out = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 5))
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+
+
+def substreams(seed: KeyPart, prefix: tuple, parts: Iterable) -> Iterator[np.random.Generator]:
+    """Yield, part by part, the stream `substream(seed, *prefix, part)`: one shared
+    generator reset to the part's key from `stream_keys`, counter 0 and an empty
+    buffer, so each is valid only until the next one is taken."""
+    keys = stream_keys(seed, prefix, parts).tolist()
+    bits = np.random.Philox(0)
+    rng, state = np.random.Generator(bits), bits.state  # counter 0, nothing buffered
+    for key in keys:
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
 
 
 def derive_seed(seed: int, *key: KeyPart) -> int:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import derive_seed, substream
+from ._rng import derive_seed, substream, substreams
 from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, Posterior, table_posteriors
@@ -73,8 +73,8 @@ def _execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, n
     """Masks of the table's votes that a plan buys and of its short-filled tasks.
 
     A (task, path) holding more votes than the plan asks for gives a draw
-    without replacement, by stored position, from its task's stream; the
-    stream is opened only then and drawn from path by path. A task is
+    without replacement, by stored position, from its task's stream, drawn
+    path by path; only such tasks get a stream (`_rng.substreams`). A task is
     short-filled when some path holds fewer votes than the plan asks for.
     Counts above the table's vote count only short-fill, so they are capped
     at one more than it and every count fits an int64.
@@ -87,11 +87,12 @@ def _execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, n
     want = counts[path[start]]
     draw = (want > 0) & (want < have)
     keep = np.arange(len(s)) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have)
-    owner = None
-    for g in np.flatnonzero(draw).tolist():
-        if task[start[g]] != owner:
-            owner = task[start[g]]
-            rng = substream(seed, "exec", table.task_ids[owner])
+    groups = np.flatnonzero(draw)
+    owner = task[start[groups]]
+    opens = np.diff(owner, prepend=-1) != 0
+    streams = substreams(seed, ("exec",), [table.task_ids[t] for t in owner[opens].tolist()])
+    for g, new in zip(groups.tolist(), opens.tolist()):
+        rng = next(streams) if new else rng
         keep[start[g] + rng.choice(int(have[g]), size=int(want[g]), replace=False)] = True
     bought = np.empty_like(keep)
     bought[s] = keep

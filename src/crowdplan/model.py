@@ -58,8 +58,7 @@ class LabelSpace:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.cardinality < 2:
-            raise InputError(f"label cardinality must be >= 2, got {self.cardinality}")
+        object.__setattr__(self, "cardinality", as_count(self.cardinality, "labels.cardinality", 2))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != self.cardinality:
@@ -342,9 +341,12 @@ class Dataset:
         rank[by_id] = np.arange(len(by_id))
         workers = tuple(sorted({w for w in worker_ids if w is not None}))
         index = {w: j for j, w in enumerate(workers)}
-        task, path, label = (np.asarray(c, dtype=np.int64) for c in (task, path, label))
-        worker_of = np.array([index.get(w, -1) for w in worker_ids], dtype=np.int64)
-        worker = worker_of[np.asarray(worker, dtype=np.int64)]
+        columns = [np.asarray(c) for c in (truth, task, path, worker, label)]
+        for name, column in zip(("truth", "task", "path", "worker", "label"), columns):
+            if column.size and column.dtype.kind not in "biu":
+                raise InputError(f"{name} column must hold integers, got dtype {column.dtype}")
+        truth, task, path, worker, label = (c.astype(np.int64, copy=False) for c in columns)
+        worker = np.array([index.get(w, -1) for w in worker_ids], dtype=np.int64)[worker]
         canon = np.lexsort((label, worker, path, rank[task]))
         row_of = np.empty_like(canon)
         row_of[canon] = np.arange(len(canon))
@@ -355,7 +357,7 @@ class Dataset:
             num_labels=num_labels,
             task_ids=tuple(task_ids[i] for i in by_id.tolist()),
             order=by_id,
-            truth=np.asarray(truth, dtype=np.int64)[by_id],
+            truth=truth[by_id],
             sample_idx=rank[task][canon],
             path_idx=path[canon],
             worker_idx=worker[canon],
@@ -623,7 +625,7 @@ def _labels_from(doc: Mapping) -> LabelSpace:
     ):
         raise InputError("labels.names must be a list of strings")
     return LabelSpace(
-        cardinality=as_count(labels["cardinality"], "labels.cardinality", 2),
+        cardinality=labels["cardinality"],
         names=tuple(names) if names is not None else None,
     )
 

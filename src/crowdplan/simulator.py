@@ -20,9 +20,9 @@ the first on each of its paths, in stored order, from one stream keyed by
 (seed, "inject", task id); a task with no such vote opens no stream.
 
 Every draw maps a uniform u to the first category whose cumulative weight
-exceeds u times the row total (`_rng.categorical_rows`). Taking a task's n
-uniforms in one call gives the same doubles as n single calls, so batching
-the draws over all tasks changed no stream layout and no output bit.
+exceeds u times the row total (`_rng.categorical_rows`). A task takes its n
+uniforms from its stream in one call, and `_rng.substreams` derives all the
+tasks' stream keys in one pass; neither changes a stream or an output bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._rng import categorical_rows, substream
+from ._rng import categorical_rows, substreams
 from .errors import InputError
 from .model import AccessPlan, ApmModel, Cpt, Dataset, as_count, as_counts
 
@@ -59,7 +59,7 @@ def generate(
     counts = as_counts(votes_per_path, model.num_paths)
     voted = [i for i, c in enumerate(counts) if c > 0]
     width = 1 + sum(1 + counts[i] for i in voted)
-    u = np.array([substream(seed, "gen", t).random(width) for t in range(num_tasks)])
+    u = np.array([rng.random(width) for rng in substreams(seed, ("gen",), range(num_tasks))])
     u = u.reshape(num_tasks, width)
     y = categorical_rows(np.cumsum(model.prior)[None], u[:, 0])
     labels, slot_workers, col = [np.zeros((num_tasks, 0), dtype=np.int64)], [], 1
@@ -96,7 +96,9 @@ def inject_correlation(data: Dataset, p: float, seed: int = 0) -> Dataset:
     first = np.ones(len(label), dtype=bool)
     first[1:] = (task[1:] != task[:-1]) | (path[1:] != path[:-1])
     draws = np.bincount(task[~first], minlength=len(data)).tolist()
-    u = [substream(seed, "inject", cols["task_ids"][t]).random(m) for t, m in enumerate(draws) if m]
+    drawing = [t for t, m in enumerate(draws) if m]
+    streams = substreams(seed, ("inject",), [cols["task_ids"][t] for t in drawing])
+    u = [rng.random(draws[t]) for t, rng in zip(drawing, streams)]
     replace = np.zeros(len(label), dtype=bool)
     replace[~first] = np.concatenate([np.empty(0), *u]) < p
     # Walk the votes by position in their (task, path) group, every group at

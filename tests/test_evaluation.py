@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import crowdplan.evaluation as evaluation
+import crowdplan._rng as _rng
+from crowdplan._rng import stream_keys, substream
 from crowdplan.errors import InputError
 from crowdplan.evaluation import (
     accuracy,
@@ -107,19 +108,19 @@ class TestExecutePlan:
     def test_stream_opened_only_to_subsample(self, monkeypatch):
         """A task whose every path has at most the votes it needs opens no stream."""
         opened = []
-        original = evaluation.substream
 
-        def counting(seed, *key):
-            opened.append(key)
-            return original(seed, *key)
+        def recording(seed, prefix, parts):
+            parts = list(parts)
+            opened.extend((*prefix, part) for part in parts)
+            return stream_keys(seed, prefix, parts)
 
-        monkeypatch.setattr(evaluation, "substream", counting)
+        monkeypatch.setattr(_rng, "stream_keys", recording)
         for plan in ([3, 1], [5, 1], [0, 0], [3, 0], [4, 2]):
             execute_plan_on_sample(self.sample(), plan, seed=0)
         assert opened == []
         lazy = execute_plan_on_sample(self.sample(), [2, 1], seed=9)
         assert opened == [("exec", "t1")]
-        eager = sorted(original(9, "exec", "t1").choice(3, size=2, replace=False))
+        eager = sorted(substream(9, "exec", "t1").choice(3, size=2, replace=False))
         assert lazy.sample.votes_for(0) == tuple(self.sample().votes_for(0)[i] for i in eager)
 
 

@@ -25,6 +25,7 @@ from crowdplan.learning import EmConfig
 from crowdplan.model import (
     AccessPathSpec,
     AccessPlan,
+    Dataset,
     TaskSample,
     model_from_dict,
     model_to_dict,
@@ -103,6 +104,19 @@ def test_task_sample_ids_must_be_integers(votes):
 def test_task_sample_truth_must_be_a_label_index(truth, needle):
     with pytest.raises(InputError, match=re.escape(f"task t: truth must be {needle}")):
         TaskSample("t", {0: ((None, 1),)}, truth=truth)
+
+
+@pytest.mark.parametrize("column", ["truth", "task", "path", "worker", "label"])
+def test_tabulate_rejects_fractional_columns(column):
+    columns = dict(truth=[1], task=[0], path=[0], worker=[0], label=[1])
+    columns[column] = [0.9]
+    with pytest.raises(InputError, match=f"{column} column must hold integers, got dtype float64"):
+        Dataset.tabulate(["t"], **columns, worker_ids=[None], num_labels=2)
+
+
+def test_tabulate_takes_empty_columns():
+    data = Dataset.tabulate(["t"], [1], [], [], [], [], [], 2)
+    assert data.samples == (TaskSample("t", {}, truth=1),)
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,11 @@ class TestLabelSpace:
         with pytest.raises(InputError):
             LabelSpace(1)
 
+    @pytest.mark.parametrize("cardinality", [2.5, "2", None])
+    def test_cardinality_must_be_an_integer(self, cardinality):
+        with pytest.raises(InputError, match="labels.cardinality must be an integer"):
+            LabelSpace(cardinality)
+
     def test_names_must_match_cardinality(self):
         with pytest.raises(InputError):
             LabelSpace(2, names=("a", "b", "c"))

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crowdplan.simulator as simulator
-from crowdplan._rng import categorical_rows, substream
+import crowdplan._rng as _rng
+from crowdplan._rng import categorical_rows, stream_keys, substream
 from crowdplan.errors import InputError
 from crowdplan.model import AccessPathSpec, ApmModel, Cpt, Dataset, LabelSpace, TaskSample
 from crowdplan.simulator import generate, inject_correlation, quantile_paths
@@ -172,13 +172,15 @@ class TestBatchedDrawsMatchPerTaskLoops:
 class TestStreams:
     @pytest.fixture
     def opened(self, monkeypatch):
+        """The key of every stream derived, as (*prefix, part)."""
         keys = []
 
-        def counting(seed, *key):
-            keys.append(key)
-            return substream(seed, *key)
+        def recording(seed, prefix, parts):
+            parts = list(parts)
+            keys.extend((*prefix, part) for part in parts)
+            return stream_keys(seed, prefix, parts)
 
-        monkeypatch.setattr(simulator, "substream", counting)
+        monkeypatch.setattr(_rng, "stream_keys", recording)
         return keys
 
     def test_generate_opens_one_stream_per_task(self, opened):
