@@ -95,16 +95,20 @@ def stream_keys(seed: KeyPart, prefix: tuple, parts: Iterable) -> np.ndarray:
 
 
 def substreams(seed: KeyPart, prefix: tuple, parts: Iterable) -> Iterator[np.random.Generator]:
-    """Yield, part by part, the stream `substream(seed, *prefix, part)`: one shared
+    """The stream `substream(seed, *prefix, part)` of each part in turn: one shared
     generator reset to the part's key from `stream_keys`, counter 0 and an empty
-    buffer, so each is valid only until the next one is taken."""
+    buffer, so each is valid only until the next one is taken. The keys are
+    derived, and the seed checked, by the call itself."""
     keys = stream_keys(seed, prefix, parts).tolist()
     bits = np.random.Philox(0)
     rng, state = np.random.Generator(bits), bits.state  # counter 0, nothing buffered
-    for key in keys:
+
+    def reset(key: list[int]) -> np.random.Generator:
         state["state"]["key"] = key
         bits.state = state
-        yield rng
+        return rng
+
+    return map(reset, keys)
 
 
 def derive_seed(seed: int, *key: KeyPart) -> int:

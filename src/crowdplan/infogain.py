@@ -52,7 +52,7 @@ from scipy.special import gammaln
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
 from ._rng import categorical_rows, substream
 from .errors import InputError, NumericError, ResourceLimitError
-from .model import AccessPlan, ApmModel, as_count, as_counts, member
+from .model import AccessPlan, ApmModel, as_count, as_counts, check_cells, member
 
 _BLOCK = 8192
 _NEG_TOL = 1e-9
@@ -226,7 +226,9 @@ def _sample_block(
     built once per block, however many plans share it.
     """
     rows = max(1 + sum(1 + c for c in counts if c > 0) for counts in plans)
-    u = substream(seed, "ig-block", block).random(rows * size).reshape(rows, size)
+    rng = substream(seed, "ig-block", block)
+    check_cells(rows * size, "sampled information gain")
+    u = rng.random(rows * size).reshape(rows, size)
     y = categorical_rows(np.cumsum(model.prior)[None], u[0])
     log_prior = log(model.prior)
     tables: dict[tuple[int, int, int], np.ndarray] = {}

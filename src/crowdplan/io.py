@@ -5,17 +5,19 @@ Labels in files are strings; they map to dense indices in order of first
 appearance (scanning rows top to bottom, vote column before truth column), and
 that mapping travels with any model learned from the file.
 
-`read_votes_csv` codes the rows straight into the columns of one `Dataset`
-and checks whole columns at once; an error still names the first bad line,
-as a row-by-row reader would. Tasks are stored in first-seen order and each
-(task, path)'s votes in file order, the order `write_votes_csv` writes back.
+`read_votes_csv` reads the file in one pass and codes each row into four ints
+(task, path, worker, vote) as it goes, so the first check that fails is the
+error, at its line. Each column keeps its codes in a dict keyed by the raw
+field: a repeated field costs one lookup, and only a miss strips and checks
+it. A field is cached only once it has passed its check. Tasks are stored in
+first-seen order and each (task, path)'s votes in file order, the order
+`write_votes_csv` writes back.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -26,87 +28,20 @@ from .model import Dataset
 VOTES_HEADER = ("task_id", "path_id", "worker_id", "vote", "truth")
 
 
-def _coded(entries: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Each entry's code and the distinct stripped values, numbered in first-seen order."""
-    values: dict[str, int] = {}
-    code = {raw: values.setdefault(raw.strip(), len(values)) for raw in dict.fromkeys(entries)}
-    return np.fromiter(map(code.__getitem__, entries), np.int64, len(entries)), list(values)
+class _BadField(Exception):
+    """A row's first failed check; the reader adds the line."""
 
 
-def _five_fields(rows: list[list[str]], stop: InputError | None):
-    """The five-field rows after the header, their lines, and the error that ends reading.
+class _Codes(dict):
+    """One column's code per raw field; a miss strips the field and codes it."""
 
-    Blank rows are skipped; any other row ends reading with its error, which
-    comes before `stop`, the CSV error that cut the file short.
-    """
-    if not set(map(len, rows)) - {5}:
-        return rows, np.arange(2, len(rows) + 2), stop
-    good, lines = [], []
-    for at, row in enumerate(rows, start=2):
-        if len(row) == 5:
-            good.append(row)
-            lines.append(at)
-        elif row and not (len(row) == 1 and not row[0].strip()):
-            stop = InputError(f"line {at}: expected 5 fields, got {len(row)}")
-            break
-    return good, np.array(lines, dtype=np.int64), stop
+    def __init__(self, code):
+        super().__init__()
+        self.code = code
 
-
-def _path_id(text: str) -> int | None:
-    """The field's integer, None when it holds none or one too large to index with."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if value < 2**63 else None
-
-
-def _table(columns: list[tuple[np.ndarray, list[str]]], lines: np.ndarray, names, stop):
-    """Check the coded columns, then tabulate them and name the labels.
-
-    The error raised is the one a row-by-row reader meets first: the earliest
-    line, within a line the fields from left to right, and `stop`, the error
-    that ended reading, after every bad row before it.
-    """
-    (task, path, worker, both), (task_ids, path_texts, worker_ids, label_texts) = zip(*columns)
-    path_ids = [_path_id(p) for p in path_texts]
-    bad_path = np.array([p is None for p in path_ids], dtype=bool)[path]
-    path_id = np.array([max(p or 0, -1) for p in path_ids], dtype=np.int64)[path]
-    names = [t for t in label_texts if t] if names is None else names
-    index = {n: i for i, n in enumerate(names)}
-    # -1 marks an empty field, -2 a label outside `names`
-    labels = np.array([index.get(t, -2) if t else -1 for t in label_texts], dtype=np.int64)
-    vote, truth = labels[both].reshape(-1, 2).T
-    has_truth = truth != -1
-    first_truth = np.full(len(task_ids), -1, dtype=np.int64)
-    with_truth, first = np.unique(task[has_truth], return_index=True)
-    first_truth[with_truth] = truth[has_truth][first]
-    unknown = "label {!r} not in the model's label set"
-    checks = (  # (bad rows, message for row j), in the order a row's fields are read
-        (task == (task_ids.index("") if "" in task_ids else -1), lambda j: "empty task_id"),
-        (bad_path, lambda j: f"bad path_id {path_texts[path[j]]!r}"),
-        (path_id < 0, lambda j: f"negative path_id {path_ids[path[j]]}"),
-        (vote == -1, lambda j: "empty vote"),
-        (vote == -2, lambda j: unknown.format(label_texts[both[2 * j]])),
-        (truth == -2, lambda j: unknown.format(label_texts[both[2 * j + 1]])),
-        (
-            has_truth & (truth != first_truth[task]),
-            lambda j: f"task {task_ids[task[j]]} has conflicting truths",
-        ),
-    )
-    found = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
-    if found:
-        j, i = min(found)
-        raise InputError(f"line {lines[j]}: {checks[i][1](j)}")
-    if stop is not None:
-        raise stop
-    if len(names) < 2:
-        raise InputError("votes file mentions fewer than 2 distinct labels")
-    workers = [w or None for w in worker_ids]
-    return (
-        Dataset.tabulate(task_ids, first_truth, task, path_id, worker, vote, workers, len(names)),
-        tuple(names),
-    )
+    def __missing__(self, raw: str) -> int:
+        out = self[raw] = self.code(raw.strip())
+        return out
 
 
 def read_votes_csv(
@@ -127,21 +62,68 @@ def read_votes_csv(
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    task_ids: dict[str, int] = {}
+    worker_ids: dict[str, int] = {}
+    label_ids = {n: i for i, n in enumerate(names or ())}
+
+    def task_code(text: str) -> int:
+        if not text:
+            raise _BadField("empty task_id")
+        return task_ids.setdefault(text, len(task_ids))
+
+    def path_code(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 2**63
+        if value >= 2**63:  # no integer, or one too large to index with
+            raise _BadField(f"bad path_id {text!r}")
+        if value < 0:
+            raise _BadField(f"negative path_id {value}")
+        return value
+
+    def label_code(text: str) -> int:  # -1 for an empty field
+        if text and text not in label_ids:
+            if names is not None:
+                raise _BadField(f"label {text!r} not in the model's label set")
+            label_ids[text] = len(label_ids)
+        return label_ids[text] if text else -1
+
+    tasks, paths, labels = _Codes(task_code), _Codes(path_code), _Codes(label_code)
+    workers = _Codes(lambda text: worker_ids.setdefault(text, len(worker_ids)))
+    truths: dict[int, int] = {}
+    codes: list[int] = []  # task, path, worker and vote of each vote in turn
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows, stop = [], None
     try:
-        for row in reader:
-            rows.append(row)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != VOTES_HEADER:
+            raise InputError(f"votes file must start with header {','.join(VOTES_HEADER)}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 5:
+                if row and (len(row) > 1 or row[0].strip()):  # blank rows are skipped
+                    raise _BadField(f"expected 5 fields, got {len(row)}")
+                continue
+            task_raw, path_raw, worker_raw, vote_raw, truth_raw = row
+            task = tasks[task_raw]
+            codes += (task, paths[path_raw], workers[worker_raw], labels[vote_raw])
+            if codes[-1] < 0:
+                raise _BadField("empty vote")
+            truth = labels[truth_raw]
+            if truth >= 0 and truths.setdefault(task, truth) != truth:
+                raise _BadField(f"task {task_raw.strip()} has conflicting truths")
+    except _BadField as exc:
+        raise InputError(f"line {line}: {exc}") from None
     except csv.Error as exc:
-        stop = InputError(f"{path}: line {reader.line_num}: {exc}")
-    if stop is not None and not rows:
-        raise stop
-    if not rows or tuple(h.strip() for h in rows[0]) != VOTES_HEADER:
-        raise InputError(f"votes file must start with header {','.join(VOTES_HEADER)}")
-    good, lines, stop = _five_fields(rows[1:], stop)
-    tasks, paths, workers, votes, truths = zip(*good) if good else ((),) * 5
-    labels = list(chain.from_iterable(zip(votes, truths)))  # vote and truth by turns
-    return _table([_coded(c) for c in (tasks, paths, workers, labels)], lines, names, stop)
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    label_names = tuple(label_ids) if names is None else tuple(names)
+    if len(label_names) < 2:
+        raise InputError("votes file mentions fewer than 2 distinct labels")
+    first_truth = np.full(len(task_ids), -1, dtype=np.int64)
+    first_truth[list(truths)] = list(truths.values())
+    columns = np.array(codes, dtype=np.int64).reshape(-1, 4).T
+    worker_names = [w or None for w in worker_ids]
+    data = Dataset.tabulate(list(task_ids), first_truth, *columns, worker_names, len(label_names))
+    return data, label_names
 
 
 def write_votes_csv(data: Dataset, path: str, names: Sequence[str] | None = None) -> None:

@@ -51,6 +51,7 @@ from .model import (
     LabelSpace,
     NbiModel,
     as_count,
+    check_cells,
     validate_model,
 )
 
@@ -291,6 +292,7 @@ def fit_em(
 ) -> tuple[ApmModel, FitReport]:
     """Fit with truths optional; unlabeled tasks contribute through their posterior."""
     cfg = cfg or EmConfig()
+    check_cells(data.num_paths * data.num_labels**2, "fitting every path's table")
     slots = _slots(data, share_workers)
     params, report = _em(
         cfg,

@@ -32,9 +32,11 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, MissingWorkerCptError
+from .errors import InputError, MissingWorkerCptError, ResourceLimitError
 
 PROB_TOL = 1e-9
+# The most cells one array built for a simulation, a sampled-IG block or a fit may have.
+MAX_CELLS = 2**27
 
 
 def _frozen_array(values, shape_hint: str, ndim: int) -> np.ndarray:
@@ -490,6 +492,12 @@ def as_count(value, what: str, low: int = 0) -> int:
     if out < low:
         raise InputError(f"{what} must be >= {low}, got {out}")
     return out
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Raise ResourceLimitError before `what` builds an array of more than MAX_CELLS cells."""
+    if cells > MAX_CELLS:
+        raise ResourceLimitError(f"{what} needs {cells} array cells, limit is {MAX_CELLS}")
 
 
 def member(cls, value, what: str):

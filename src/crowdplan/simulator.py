@@ -33,7 +33,7 @@ import numpy as np
 
 from ._rng import categorical_rows, substreams
 from .errors import InputError
-from .model import AccessPlan, ApmModel, Cpt, Dataset, as_count, as_counts
+from .model import AccessPlan, ApmModel, Cpt, Dataset, as_count, as_counts, check_cells
 
 
 def _vote_tables(model: ApmModel, path: int) -> tuple[list[str | None], np.ndarray]:
@@ -59,7 +59,10 @@ def generate(
     counts = as_counts(votes_per_path, model.num_paths)
     voted = [i for i, c in enumerate(counts) if c > 0]
     width = 1 + sum(1 + counts[i] for i in voted)
-    u = np.array([rng.random(width) for rng in substreams(seed, ("gen",), range(num_tasks))])
+    streams = substreams(seed, ("gen",), range(num_tasks))
+    # Checked at 0 tasks too: the per-task vote layout is built either way.
+    check_cells(max(num_tasks, 1) * width, "simulation")
+    u = np.array([rng.random(width) for rng in streams])
     u = u.reshape(num_tasks, width)
     y = categorical_rows(np.cumsum(model.prior)[None], u[:, 0])
     labels, slot_workers, col = [np.zeros((num_tasks, 0), dtype=np.int64)], [], 1

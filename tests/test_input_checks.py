@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import crowdplan.evaluation as evaluation
 from crowdplan.cli import main
-from crowdplan.errors import InputError
+from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
 from crowdplan.infogain import IgConfig, IgMode, information_gain
 from crowdplan.learning import EmConfig
 from crowdplan.model import (
+    MAX_CELLS,
     AccessPathSpec,
     AccessPlan,
     Dataset,
@@ -199,9 +200,13 @@ def integer(value):
         return None
 
 
-def check(valid, call, expected):
-    """A valid input gives the expected result; an invalid one is an InputError."""
-    if valid:
+def check(valid, call, expected, too_big=False):
+    """A valid input gives the expected result, or a ResourceLimitError when it
+    is too big to compute; an invalid one is an InputError."""
+    if valid and too_big:
+        with pytest.raises(ResourceLimitError):
+            call()
+    elif valid:
         assert call() == expected()
     else:
         with pytest.raises(InputError):
@@ -209,11 +214,19 @@ def check(valid, call, expected):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(VALUES, VALUES, VALUES, VALUES, st.one_of(VALUES, st.text(max_size=3)))
+@given(
+    VALUES,
+    st.one_of(VALUES, st.sampled_from([2**31, 2**32, 2**63])),
+    VALUES,
+    VALUES,
+    st.one_of(VALUES, st.text(max_size=3)),
+)
 def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks, seed):
     price, n, b, t = rational(cost), integer(count), rational(budget), integer(tasks)
     good_cost = price is not None and price > 0
     good_count = n is not None and n >= 0
+    # Above MAX_CELLS votes on one path, no simulation, sampled block or enumeration fits.
+    huge = good_count and n > MAX_CELLS
     good_budget = b is not None and b >= 0
     good_tasks = t is not None and t >= 0
     good_seed = isinstance(seed, str) or integer(seed) is not None
@@ -243,11 +256,13 @@ def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks
         good_count and good_seed,
         lambda: gain([count, 1, 0], seed),
         lambda: gain([n, 1, 0], same_seed),
+        huge,
     )
     check(
         good_count,
         lambda: information_gain(MODEL, [count, 1, 0], EXACT).value,
         lambda: information_gain(MODEL, (n, 1, 0), EXACT).value,
+        huge,
     )
 
     def votes_per_path():
@@ -258,4 +273,5 @@ def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks
         good_count and good_tasks and (good_seed or t == 0),
         votes_per_path,
         lambda: (t, [n * t, t, 0]),
+        huge,
     )

@@ -89,6 +89,23 @@ class TestReadVotes:
         with pytest.raises(InputError, match="line 2"):
             read_votes_csv(str(f))
 
+    @pytest.mark.parametrize(
+        "path_id, error",
+        [
+            ("9223372036854775807", None),
+            ("9223372036854775808", "bad path_id '9223372036854775808'"),
+        ],
+    )
+    def test_path_id_bound(self, tmp_path, path_id, error):
+        f = tmp_path / "v.csv"
+        write_csv(f, ["t1,0,,no,", f"t2,{path_id},,yes,"])
+        if error is None:
+            assert read_votes_csv(str(f))[0].num_paths == 2**63
+            return
+        with pytest.raises(InputError) as exc:
+            read_votes_csv(str(f))
+        assert str(exc.value) == f"line 3: {error}"
+
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         f = tmp_path / "v.csv"
         f.write_bytes(b"task_id,path_id,worker_id,vote,truth\nt1,0,,no,\nt2,0,,y\xffes,\n")
@@ -390,6 +407,39 @@ class TestCliExitCodes:
             ["plan", "--model", EXAMPLE, "--budget", "400", "--strategy", "opt"]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (
+                ["simulate", "--model", EXAMPLE, "--plan", "2147483648,0,0", "--tasks", "1"],
+                "simulation needs 2147483650 array cells",
+            ),
+            (
+                ["simulate", "--model", EXAMPLE, "--plan", f"{2**63},0,0", "--tasks", "1"],
+                "simulation needs 9223372036854775810 array cells",
+            ),
+            (
+                ["plan", "--model", EXAMPLE, "--strategy", "best", "--budget", "1e30"],
+                "sampled information gain needs",
+            ),
+            (
+                ["learn", "--votes", "VOTES"],
+                "fitting every path's table needs 4000000000004 array cells",
+            ),
+        ],
+        ids=["simulate-2^31", "simulate-2^63", "plan-best", "learn-sparse-path"],
+    )
+    def test_arrays_beyond_the_size_limit_exit_3(self, tmp_path, capsys, argv, needle):
+        votes = tmp_path / "votes.csv"
+        write_csv(votes, ["t1,0,w,a,", "t2,1000000000000,w,b,", "t3,0,w,a,a"])
+        out = tmp_path / "out"
+        argv = [str(votes) if a == "VOTES" else a for a in argv]
+        rc = main(argv + ([] if argv[0] == "plan" else ["--out", str(out)]))
+        err = capsys.readouterr().err
+        assert (rc, err.count("\n")) == (3, 1)
+        assert err.startswith(f"error: {needle}")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "exc, code",

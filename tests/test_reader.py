@@ -1,12 +1,12 @@
-"""The columnar votes reader against the row-by-row reader it replaced.
+"""The one-pass votes reader against the per-task reader it replaced.
 
-`reference_read_votes_csv` is the reader as it stood before votes were read
-straight into columns, kept here verbatim except that it returns plain
+`reference_read_votes_csv` is the reader as it stood before votes were coded
+into a dataset's columns, kept here verbatim except that it returns plain
 per-task data instead of building a dataset. Generated files mix padded and
 quoted fields, blank lines, empty worker ids, interleaved tasks, truth on some
 rows only, conflicting truths, bad and negative path ids, empty votes and
-wrong field counts. The new reader must store the same votes per task, in the
-same order, with the same label names and layout, or fail with the same
+wrong field counts. `read_votes_csv` must store the same votes per task, in
+the same order, with the same label names and layout, or fail with the same
 message.
 """
 
