@@ -31,11 +31,19 @@ sampled
     grows, and one per later path, whose draws every extension shifts by the
     same single row.
 
+    A table scores each distinct drawn count vector once, as exact mode
+    does: c votes over K labels give at most C(c + K - 1, K - 1) of them (56
+    for c = 5, K = 4) however many draws a block holds. Scoring works row by
+    row, so gathering the distinct rows back to the draws gives every draw's
+    factors bit for bit.
+
 auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `exact_limit` and the
-number of votes the sampled estimator would simulate, G * sum S_i. One count
-vector costs about as much as one simulated vote, so auto takes exact, which
-has no sampling error, wherever it is no dearer than sampling.
+number of votes the sampled estimator would simulate, G * sum S_i. Measured
+on a 2-core x86 machine at G = 10^4, one count vector of an enumeration of
+10^5 to 10^6 costs 1.4 to 3.2 times one simulated vote, so auto takes exact,
+which has no sampling error, wherever it costs at most about three times what
+sampling would.
 """
 
 from __future__ import annotations
@@ -209,11 +217,25 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
 
     u[0] draws the path's latent state and u[1:] the votes, one row of
     uniforms per vote, as `len(u)` consecutive draws of a block's stream.
+
+    Each distinct label count vector is scored once, keyed by the counts of
+    labels 0..K-2 as a number in base votes + 1, or one draw per group when
+    that number might not fit in int64.
     """
+    k = model.num_labels
     z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
     v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
-    label_counts = (v[:, :, None] == np.arange(model.num_labels)).sum(axis=0, dtype=np.float64)
-    return _factors(model, path, label_counts)
+    if len(u) ** (k - 1) <= np.iinfo(np.int64).max:
+        digits = len(u) ** np.arange(k, dtype=np.int64)
+        digits[-1] = 0
+        code = digits[v].sum(axis=0)
+    else:
+        code = np.arange(v.shape[1])
+    distinct, group = np.unique(code, return_inverse=True)
+    member = np.empty(len(distinct), dtype=np.intp)
+    member[group] = np.arange(len(group))  # any one draw of each group
+    label_counts = (v[:, member, None] == np.arange(k)).sum(axis=0, dtype=np.float64)
+    return np.take(_factors(model, path, label_counts), group, axis=0)
 
 
 def _sample_block(

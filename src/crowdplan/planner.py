@@ -55,7 +55,7 @@ from .infogain import (
     prior_entropy,
     sampled_conditional_entropies,
 )
-from .model import AccessPlan, ApmModel, member, plan_cost
+from .model import AccessPlan, ApmModel, check_cells, member, plan_cost
 
 
 class Strategy(str, enum.Enum):
@@ -92,6 +92,13 @@ def _coerce_budget(budget) -> Fraction:
     if b < 0:
         raise InputError(f"budget must be non-negative, got {b}")
     return b
+
+
+def _check_votes(model: ApmModel, b: Fraction) -> None:
+    """ResourceLimitError, before a search that buys one vote per step starts,
+    when the budget buys more votes than the size guard allows: no sampled
+    block or enumeration could hold the plan."""
+    check_cells(max((b // c for c in model.costs), default=0), f"a plan at budget {b}")
 
 
 def approximation_bound(model: ApmModel, budget) -> float:
@@ -134,6 +141,7 @@ def greedy_plan(
     cfg = ig_cfg or IgConfig()
     costs = model.costs
     b = _coerce_budget(budget)
+    _check_votes(model, b)
     counts = [0] * model.num_paths
     spent = Fraction(0)
     trace: list[TraceStep] = []
@@ -285,6 +293,7 @@ def baseline_plan(
     spent = Fraction(0)
 
     if strategy is Strategy.RND:
+        _check_votes(model, b)
         rng = substream(seed, "rnd-plan")
         while True:
             affordable = [i for i, c in enumerate(costs) if c <= b - spent]
@@ -307,6 +316,7 @@ def baseline_plan(
             counts[best_path] = int(b // costs[best_path])
             spent = costs[best_path] * counts[best_path]
     elif strategy is Strategy.EQUAL:
+        _check_votes(model, b)
         progressed = True
         while progressed:
             progressed = False

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdplan.infogain as infogain
+from crowdplan._rng import categorical_rows
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.infogain import (
     IgConfig,
@@ -17,6 +20,7 @@ from crowdplan.infogain import (
     sampled_conditional_entropies,
     sampled_conditional_entropy,
 )
+from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace
 from crowdplan.planner import exhaustive_opt, greedy_plan
 
 from _oracles import enum_conditional_entropy, random_model, sym_model
@@ -274,11 +278,126 @@ class TestSharedBlocks:
         assert len(built) == 2 * 30
         assert together == apart
 
+    def test_each_table_scores_each_distinct_count_vector_once(self, monkeypatch):
+        """The same step's 14 tables per block: `_factors` sees at most one row
+        per count vector of c votes over K labels, C(c + K - 1, K - 1), not one per draw."""
+        model = random_model(np.random.default_rng(4), 5, k=4, costs=[1, 2, 2, 3, 4])
+        cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=8192 + 1, seed=2)
+        base = [5, 4, 3, 3, 2]
+        plans = [base] + [base[:i] + [base[i] + 1] + base[i + 1 :] for i in range(5)]
+        seen = []
+        table = {}
+        path_factor, factors = infogain._path_factor, infogain._factors
+
+        def drawing(model, path, y, u):
+            table["votes"], table["draws"] = len(u) - 1, len(y)
+            return path_factor(model, path, y, u)
+
+        def scoring(model, path, label_counts):
+            seen.append((table["votes"], table["draws"], len(label_counts)))
+            return factors(model, path, label_counts)
+
+        monkeypatch.setattr(infogain, "_path_factor", drawing)
+        monkeypatch.setattr(infogain, "_factors", scoring)
+        sampled_conditional_entropies(model, plans, cfg)
+        assert len(seen) == 2 * 14
+        assert sorted({draws for _, draws, _ in seen}) == [1, 8192]
+        for votes, draws, rows in seen:
+            assert rows <= min(draws, math.comb(votes + 3, 3))
+
     def test_per_worker_plan_rejected(self):
         model = random_model(np.random.default_rng(1), 2, per_worker=True)
         cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=10)
         with pytest.raises(InputError):
             sampled_conditional_entropies(model, [[0, 0], [1, 0]], cfg)
+
+
+def per_draw_path_factor(model, path, y, u):
+    """`_path_factor` without grouping: every draw's label counts scored on their own."""
+    z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
+    v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
+    label_counts = (v[:, :, None] == np.arange(model.num_labels)).sum(axis=0, dtype=np.float64)
+    return infogain._factors(model, path, label_counts)
+
+
+def one_path_block(k, votes, draws, seed, zeros=False, same=False):
+    """A one-path model and a block's outcomes and uniforms for `votes` votes.
+
+    `zeros` zeroes about half of each CPT row, so that -inf factors appear;
+    `same` gives every draw the same outcome and uniforms, so one count vector.
+    """
+    rng = np.random.default_rng(seed)
+
+    def cpt():
+        rows = rng.dirichlet(np.ones(k), size=k)
+        if zeros:
+            rows[rng.random((k, k)) < 0.5] = 0.0
+            rows[np.arange(k), rng.integers(0, k, size=k)] += 0.5
+            rows /= rows.sum(axis=1, keepdims=True)
+        return Cpt(rows)
+
+    model = ApmModel(
+        labels=LabelSpace(k),
+        prior=np.full(k, 1.0 / k),
+        paths=(AccessPathSpec(index=0, cost=1),),
+        path_cpts=(cpt(),),
+        worker_cpts=(cpt(),),
+    )
+    y = rng.integers(0, k, size=draws)
+    u = rng.random((votes + 1, draws))
+    if same:
+        y[:] = y[0]
+        u[:] = u[:, :1]
+    return model, y, u
+
+
+def assert_same_bits(model, y, u):
+    got = infogain._path_factor(model, 0, y, u)
+    want = per_draw_path_factor(model, 0, y, u)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestDistinctCountVectors:
+    """Scoring each distinct count vector once gives every draw's factors bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(2, 10),
+        st.integers(1, 60),
+        st.sampled_from([1, 7, 8192]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_grouped_factors_equal_per_draw_factors(self, k, votes, draws, seed, zeros, same):
+        assert_same_bits(*one_path_block(k, votes, draws, seed, zeros, same))
+
+    def test_zero_cpt_entries_give_the_same_minus_inf(self):
+        got = assert_same_bits(*one_path_block(4, 6, 8192, seed=3, zeros=True))
+        assert np.isneginf(got).any() and np.isfinite(got).any()
+
+    @pytest.mark.parametrize("votes", [126, 127, 130])
+    def test_keys_past_int64_give_one_group_per_draw(self, monkeypatch, votes):
+        """At K=10 the key (votes + 1)^9 fits in int64 up to 126 votes; past
+        that each draw is its own group, with the same bits."""
+        fits = (votes + 1) ** 9 <= np.iinfo(np.int64).max
+        assert fits == (votes == 126)
+        model, y, u = one_path_block(10, votes, 8192, seed=votes, zeros=True, same=True)
+        rows = []
+        factors = infogain._factors
+
+        def scoring(model, path, label_counts):
+            rows.append(len(label_counts))
+            return factors(model, path, label_counts)
+
+        monkeypatch.setattr(infogain, "_factors", scoring)
+        infogain._path_factor(model, 0, y, u)
+        assert rows == [1 if fits else 8192]
+        monkeypatch.undo()
+        assert_same_bits(model, y, u)
+        assert_same_bits(*one_path_block(10, votes, 8192, seed=votes, zeros=True))
 
 
 class TestModeSelection:

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdplan
 from crowdplan import cli
 from crowdplan.cli import main
 from crowdplan.errors import (
@@ -440,6 +444,18 @@ class TestCliExitCodes:
         assert (rc, err.count("\n")) == (3, 1)
         assert err.startswith(f"error: {needle}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["equal", "rnd", "greedy"])
+    def test_budget_beyond_the_size_limit_exits_3_at_once(self, strategy):
+        """These strategies buy one vote per step, so the guard must come before the loop."""
+        env = dict(os.environ, PYTHONPATH=str(Path(crowdplan.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "crowdplan.cli", "plan", "--model", EXAMPLE,
+             "--strategy", strategy, "--budget", "1e30"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr.count("\n")) == (3, "", 1)
+        assert done.stderr.startswith(f"error: a plan at budget {10**30} needs")
 
     @pytest.mark.parametrize(
         "exc, code",
