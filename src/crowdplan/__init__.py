@@ -33,6 +33,7 @@ from .infogain import (
     check_submodularity,
     exact_conditional_entropy,
     information_gain,
+    information_gains,
     prior_entropy,
     sampled_conditional_entropy,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "greedy_plan",
     "infer",
     "information_gain",
+    "information_gains",
     "inject_correlation",
     "load_model",
     "log_likelihood",

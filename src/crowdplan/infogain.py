@@ -44,6 +44,10 @@ on a 2-core x86 machine at G = 10^4, one count vector of an enumeration of
 10^5 to 10^6 costs 1.4 to 3.2 times one simulated vote, so auto takes exact,
 which has no sampling error, wherever it costs at most about three times what
 sampling would.
+
+`information_gains` is the one builder of `IgEstimate`s: it resolves each
+plan's mode alone and scores all sampled plans in one batched call. Every
+planner hands it its candidates as one list.
 """
 
 from __future__ import annotations
@@ -322,7 +326,7 @@ def sampled_conditional_entropy(
 
 
 def _resolve_mode(cfg: IgConfig, counts: Sequence[int], k: int) -> IgMode:
-    """The mode `information_gain` uses for a plan: cfg.mode, or auto's choice.
+    """The mode `information_gains` uses for a plan: cfg.mode, or auto's choice.
 
     Auto takes exact when the count vectors to enumerate are at most
     exact_limit and at most the votes sampling would simulate, G per planned
@@ -336,27 +340,44 @@ def _resolve_mode(cfg: IgConfig, counts: Sequence[int], k: int) -> IgMode:
     return IgMode.SAMPLED
 
 
+def information_gains(
+    model: ApmModel,
+    plans: Sequence[AccessPlan | Sequence[int]],
+    cfg: IgConfig | None = None,
+) -> list[IgEstimate]:
+    """IG(Y; X_S) = H(Y) - H(Y | X_S) for each plan, in nats, in the mode `cfg`
+    resolves for that plan alone. All sampled plans share one
+    `sampled_conditional_entropies` call, which a lone call matches bit for bit.
+    """
+    cfg = cfg or IgConfig()
+    all_counts = [as_counts(plan, model.num_paths) for plan in plans]
+    modes = [_resolve_mode(cfg, counts, model.num_labels) for counts in all_counts]
+    h_prior = prior_entropy(model.prior)
+    sampled = [c for c, mode in zip(all_counts, modes) if mode is IgMode.SAMPLED and any(c)]
+    entropies = iter(sampled_conditional_entropies(model, sampled, cfg))
+    out = []
+    for counts, mode in zip(all_counts, modes):
+        value, stderr = 0.0, 0.0
+        if any(counts) and mode is IgMode.EXACT:
+            value = h_prior - exact_conditional_entropy(model, counts, cfg.exact_limit)
+            if value < 0:
+                if value < -_NEG_TOL:
+                    raise NumericError(f"exact information gain {value} below -{_NEG_TOL}")
+                value = 0.0
+        elif any(counts):
+            h_cond, stderr = next(entropies)
+            value = h_prior - h_cond
+        out.append(IgEstimate(value=value, stderr=stderr, mode=mode))
+    return out
+
+
 def information_gain(
     model: ApmModel,
     plan: AccessPlan | Sequence[int],
     cfg: IgConfig | None = None,
 ) -> IgEstimate:
     """IG(Y; X_S) = H(Y) - H(Y | X_S) for a plan, in nats."""
-    cfg = cfg or IgConfig()
-    counts = as_counts(plan, model.num_paths)
-    mode = _resolve_mode(cfg, counts, model.num_labels)
-    h_prior = prior_entropy(model.prior)
-    if sum(counts) == 0:
-        return IgEstimate(value=0.0, stderr=0.0, mode=mode)
-    if mode is IgMode.EXACT:
-        value = h_prior - exact_conditional_entropy(model, counts, cfg.exact_limit)
-        if value < 0:
-            if value < -_NEG_TOL:
-                raise NumericError(f"exact information gain {value} below -{_NEG_TOL}")
-            value = 0.0
-        return IgEstimate(value=value, stderr=0.0, mode=IgMode.EXACT)
-    h_cond, stderr = sampled_conditional_entropy(model, counts, cfg)
-    return IgEstimate(value=h_prior - h_cond, stderr=stderr, mode=IgMode.SAMPLED)
+    return information_gains(model, [plan], cfg)[0]
 
 
 @dataclass(frozen=True)

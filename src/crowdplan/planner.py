@@ -26,19 +26,21 @@ every candidate would. When the final plan resolves exact, its gain is the
 last winner's estimate.
 
 Sampled steps score the base plan and every affordable candidate in one
-`sampled_conditional_entropies` call under the step's derived seed (common
-random numbers), which removes sampling noise from the comparison between
+`information_gains` call under the step's derived seed (common random
+numbers), which removes sampling noise from the comparison between
 candidates within a step. The call draws each block of votes once and builds
 each path's factor table once for all these plans (see the `infogain`
 docstring); each value is bit for bit the one a separate call would give, so
 the plan is the same as scoring the candidates one by one. A stale sampled
 value is not a bound, so nothing carries over between sampled steps.
+`exhaustive_opt` and `best` also score all their candidates in one call.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,8 +54,7 @@ from .infogain import (
     IgMode,
     _resolve_mode,
     information_gain,
-    prior_entropy,
-    sampled_conditional_entropies,
+    information_gains,
 )
 from .model import AccessPlan, ApmModel, check_cells, member, plan_cost
 
@@ -116,14 +117,13 @@ def approximation_bound(model: ApmModel, budget) -> float:
 
 
 def _step_mode(cfg: IgConfig, counts: list[int], affordable: list[int], k: int) -> IgMode:
-    """One estimator for a whole greedy step: sampled if any candidate would be."""
-    for i in affordable:
-        counts[i] += 1
-        mode = _resolve_mode(cfg, counts, k)
-        counts[i] -= 1
-        if mode is IgMode.SAMPLED:
-            return mode
-    return IgMode.EXACT
+    """One estimator for a whole greedy step: sampled if any candidate would be.
+
+    All candidates have the same vote total, so auto gives them one cap, and a
+    vote on path i multiplies the enumeration by (s_i + K) / (s_i + 1): the
+    largest enumeration, which decides, is a vote on the least-voted path."""
+    i = min(affordable, key=counts.__getitem__)
+    return _resolve_mode(cfg, counts[:i] + [counts[i] + 1] + counts[i + 1 :], k)
 
 
 def greedy_plan(
@@ -167,11 +167,7 @@ def greedy_plan(
             plans = [counts] + [
                 counts[:i] + [counts[i] + 1] + counts[i + 1 :] for i in affordable
             ]
-            h_prior = prior_entropy(model.prior)
-            base_est, *ests = (
-                IgEstimate(value=h_prior - h, stderr=se, mode=IgMode.SAMPLED)
-                for h, se in sampled_conditional_entropies(model, plans, step_cfg)
-            )
+            base_est, *ests = information_gains(model, plans, step_cfg)
             base = base_est.value
             scored = dict(zip(affordable, ests))
 
@@ -231,50 +227,32 @@ def exhaustive_opt(
     the budget. Gain is monotone, so a non-maximal plan cannot beat the
     maximal plans that extend it, and only maximal plans are scored. Ties
     prefer the lexicographically smallest maximal plan. Raises
-    ResourceLimitError when the feasible set exceeds enumeration_limit.
+    ResourceLimitError when the box searched, prod_i (floor(B / c_i) + 1)
+    count vectors, a superset of the feasible plans, exceeds enumeration_limit.
     """
     cfg = ig_cfg or IgConfig()
     costs = model.costs
     b = _coerce_budget(budget)
     caps = [int(b // c) for c in costs]
-    total = 1
-    for cap in caps:
-        total *= cap + 1
+    total = math.prod(cap + 1 for cap in caps)
     if total > enumeration_limit:
         raise ResourceLimitError(
             f"{total} candidate plans exceed the enumeration limit {enumeration_limit}"
         )
 
-    exact_cfg = replace(cfg, mode=IgMode.EXACT)
-    cheapest = min(costs)
-    best_counts: tuple[int, ...] | None = None
-    best_ig: IgEstimate | None = None
-
-    def recurse(path: int, prefix: list[int], remaining: Fraction):
-        nonlocal best_counts, best_ig
-        if path == model.num_paths:
-            if remaining >= cheapest:
-                return
-            est = information_gain(model, prefix, exact_cfg)
-            if best_ig is None or est.value > best_ig.value:
-                best_counts = tuple(prefix)
-                best_ig = est
-            return
-        cost = costs[path]
-        count = 0
-        while count * cost <= remaining:
-            prefix.append(count)
-            recurse(path + 1, prefix, remaining - count * cost)
-            prefix.pop()
-            count += 1
-
-    recurse(0, [], b)
-    assert best_counts is not None and best_ig is not None
-    return PlanResult(
-        plan=AccessPlan(best_counts),
-        cost=plan_cost(model, best_counts),
-        ig=best_ig,
-    )
+    # Integer units of 1 / lcm(denominators) keep the filter below exact.
+    scale = math.lcm(b.denominator, *(c.denominator for c in costs))
+    units = [int(c * scale) for c in costs]
+    left = int(b * scale)
+    cheapest = min(units)
+    plans = [
+        counts
+        for counts in itertools.product(*(range(cap + 1) for cap in caps))
+        if 0 <= left - sum(n * u for n, u in zip(counts, units)) < cheapest
+    ]
+    ests = information_gains(model, plans, replace(cfg, mode=IgMode.EXACT))
+    est, counts = max(zip(ests, plans), key=lambda pair: pair[0].value)  # first maximum
+    return PlanResult(plan=AccessPlan(counts), cost=plan_cost(model, counts), ig=est)
 
 
 def baseline_plan(
@@ -303,15 +281,11 @@ def baseline_plan(
             counts[i] += 1
             spent += costs[i]
     elif strategy is Strategy.BEST:
+        n = model.num_paths
+        ones = [[int(i == j) for j in range(n)] for i in range(n)]
         exact_cfg = replace(cfg, mode=IgMode.EXACT)
-        best_path = None
-        best_gain = -1.0
-        for i in range(model.num_paths):
-            one = [0] * model.num_paths
-            one[i] = 1
-            gain = information_gain(model, one, exact_cfg).value
-            if gain > best_gain:
-                best_path, best_gain = i, gain
+        gains = [est.value for est in information_gains(model, ones, exact_cfg)]
+        best_path = gains.index(max(gains))
         if costs[best_path] <= b:
             counts[best_path] = int(b // costs[best_path])
             spent = costs[best_path] * counts[best_path]

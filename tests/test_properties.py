@@ -1,6 +1,7 @@
 """Property tests: the batched posteriors and log-likelihood against the oracles,
 the lazy greedy planner against an eager reference, a greedy step's batched
-sampled scores against separate calls, and EM monotonicity.
+sampled scores against separate calls, the batched IG scorer and the planners
+that use it against their one-plan-at-a-time references, and EM monotonicity.
 
 Models are drawn at random with shared and per-worker vote tables, and their
 tables may hold exact zeros, so impossible votes, degenerate evidence and
@@ -26,12 +27,18 @@ from hypothesis import strategies as st
 import crowdplan.planner as planner
 from crowdplan._rng import derive_seed
 from crowdplan.cli import main
-from crowdplan.errors import InputError
+from crowdplan.errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from crowdplan.inference import infer
 from crowdplan.infogain import (
     IgConfig,
+    IgEstimate,
     IgMode,
+    _resolve_mode,
+    exact_conditional_entropy,
+    exact_count_vectors,
     information_gain,
+    information_gains,
+    prior_entropy,
     sampled_conditional_entropies,
     sampled_conditional_entropy,
 )
@@ -45,9 +52,11 @@ from crowdplan.model import (
     LabelSpace,
     NbiModel,
     TaskSample,
+    as_counts,
+    plan_cost,
     with_costs,
 )
-from crowdplan.planner import TraceStep, greedy_plan
+from crowdplan.planner import PlanResult, TraceStep, baseline_plan, exhaustive_opt, greedy_plan
 
 from _oracles import (
     enum_joint_of_assignment,
@@ -323,7 +332,7 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
     cfg = IgConfig(num_samples=samples, exact_limit=exact_limit, seed=3)
     calls = []
     scorer = planner.information_gain
-    batch_scorer = planner.sampled_conditional_entropies
+    batch_scorer = planner.information_gains
 
     def recording(model, plan, step_cfg=None):
         est = scorer(model, plan, step_cfg)
@@ -331,17 +340,18 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
             calls.append((tuple(plan), est.mode))
         return est
 
-    def recording_batch(model, plans, step_cfg):
-        calls.extend((tuple(plan), IgMode.SAMPLED) for plan in plans)
-        return batch_scorer(model, plans, step_cfg)
+    def recording_batch(model, plans, step_cfg=None):
+        ests = batch_scorer(model, plans, step_cfg)
+        calls.extend((tuple(plan), est.mode) for plan, est in zip(plans, ests))
+        return ests
 
     planner.information_gain = recording
-    planner.sampled_conditional_entropies = recording_batch
+    planner.information_gains = recording_batch
     try:
         result = greedy_plan(model, budget, cfg)
     finally:
         planner.information_gain = scorer
-        planner.sampled_conditional_entropies = batch_scorer
+        planner.information_gains = batch_scorer
     groups = _step_groups(calls)
     assert len(groups) >= len(result.trace)
     for modes in groups:
@@ -369,6 +379,195 @@ def test_batched_sampled_scorer_matches_separate_calls(samples, model, data):
         want = [sampled_conditional_entropy(model, plan, cfg) for plan in plans]
         assert got == want
         assert all(type(h) is float and type(se) is float for h, se in got)
+
+
+# --- one IG builder: the batched planners against their one-plan references ---
+
+
+def bits(est):
+    return est.value.hex(), est.stderr.hex(), est.mode
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the CrowdPlanError it raised."""
+    try:
+        return fn(*args)
+    except CrowdPlanError as exc:
+        return type(exc), str(exc)
+
+
+def reference_information_gain(model, plan, cfg):
+    """The one-plan body `information_gains` replaced."""
+    counts = as_counts(plan, model.num_paths)
+    mode = _resolve_mode(cfg, counts, model.num_labels)
+    h_prior = prior_entropy(model.prior)
+    if sum(counts) == 0:
+        return IgEstimate(value=0.0, stderr=0.0, mode=mode)
+    if mode is IgMode.EXACT:
+        value = h_prior - exact_conditional_entropy(model, counts, cfg.exact_limit)
+        if value < 0:
+            if value < -1e-9:
+                raise NumericError(f"exact information gain {value} below -1e-09")
+            value = 0.0
+        return IgEstimate(value=value, stderr=0.0, mode=IgMode.EXACT)
+    h_cond, stderr = sampled_conditional_entropy(model, counts, cfg)
+    return IgEstimate(value=h_prior - h_cond, stderr=stderr, mode=IgMode.SAMPLED)
+
+
+def reference_opt(model, budget, enumeration_limit):
+    """The recursive `exhaustive_opt`: score maximal plans as the recursion reaches them."""
+    costs = model.costs
+    b = Fraction(budget)
+    total = 1
+    for c in costs:
+        total *= int(b // c) + 1
+    if total > enumeration_limit:
+        raise ResourceLimitError(
+            f"{total} candidate plans exceed the enumeration limit {enumeration_limit}"
+        )
+    cfg = IgConfig(mode=IgMode.EXACT)
+    best = [None, None]
+
+    def recurse(path, prefix, remaining):
+        if path == model.num_paths:
+            if remaining < min(costs):
+                est = reference_information_gain(model, prefix, cfg)
+                if best[1] is None or est.value > best[1].value:
+                    best[:] = [tuple(prefix), est]
+            return
+        count = 0
+        while count * costs[path] <= remaining:
+            recurse(path + 1, prefix + [count], remaining - count * costs[path])
+            count += 1
+
+    recurse(0, [], b)
+    counts, est = best
+    return counts, plan_cost(model, counts), bits(est)
+
+
+def reference_best(model, budget):
+    """The one-plan-at-a-time `best` baseline: the first path with the largest one-vote gain."""
+    n, b = model.num_paths, Fraction(budget)
+    cfg = IgConfig(mode=IgMode.EXACT)
+    best_path, best_gain = None, -1.0
+    for i in range(n):
+        gain = reference_information_gain(model, [int(i == j) for j in range(n)], cfg).value
+        if gain > best_gain:
+            best_path, best_gain = i, gain
+    counts = [0] * n
+    if model.costs[best_path] <= b:
+        counts[best_path] = int(b // model.costs[best_path])
+    return tuple(counts)
+
+
+def reference_step_mode(cfg, counts, affordable, k):
+    """Resolve every candidate of a greedy step; sampled if any is."""
+    for i in affordable:
+        counts[i] += 1
+        mode = _resolve_mode(cfg, counts, k)
+        counts[i] -= 1
+        if mode is IgMode.SAMPLED:
+            return mode
+    return IgMode.EXACT
+
+
+PLAN_COSTS = st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)]
+)
+# 0, fractions, and budgets below every path cost on the models drawn here.
+BUDGETS = st.sampled_from([0, Fraction(1, 4), Fraction(2, 7), Fraction(1, 3), Fraction(5, 3)]) | (
+    st.integers(1, 6)
+)
+
+
+@st.composite
+def opt_models(draw):
+    """Random models with integer and fractional costs, or exactly tied symmetric ones."""
+    if draw(st.booleans()):
+        return draw(symmetric_models())
+    model = draw(apm_models(shared_only=True))
+    return with_costs(model, [draw(PLAN_COSTS) for _ in range(model.num_paths)])
+
+
+@PROPERTY
+@given(opt_models(), BUDGETS, st.sampled_from([200_000, 30]))
+def test_exhaustive_opt_matches_recursive_reference(model, budget, limit):
+    """Same counts, cost and gain bits; ties go to the lexicographically smallest plan."""
+    want = outcome(reference_opt, model, budget, limit)
+    got = outcome(exhaustive_opt, model, budget, None, limit)
+    if isinstance(got, PlanResult):
+        got = got.plan.counts, got.cost, bits(got.ig)
+    assert got == want
+
+
+@PROPERTY
+@given(opt_models(), BUDGETS)
+def test_best_baseline_matches_one_plan_reference(model, budget):
+    got = baseline_plan("best", model, budget)
+    assert got.plan.counts == reference_best(model, budget)
+    assert bits(got.ig) == bits(reference_information_gain(model, got.plan, IgConfig()))
+
+
+@st.composite
+def ig_models(draw):
+    """Shared-table models; in half, path states ignore the outcome, so exact IG
+    rounds to either side of 0 and the clamp decides."""
+    model = draw(apm_models(shared_only=True))
+    if draw(st.booleans()):
+        flat = [Cpt(np.tile(cpt.rows[0], (model.num_labels, 1))) for cpt in model.path_cpts]
+        model = replace(model, path_cpts=flat)
+    return model
+
+
+@PROPERTY
+@given(
+    ig_models(),
+    st.data(),
+    st.sampled_from(list(IgMode)),
+    st.integers(1, 40),
+    st.integers(1, 60),
+    st.integers(0, 9),
+)
+def test_information_gains_matches_one_plan_reference(model, data, mode, samples, limit, seed):
+    """A batch mixing empty, exact and sampled plans gives each plan its lone estimate, bit for bit.
+
+    A small exact_limit and G put auto's threshold among the drawn plans; in
+    forced exact mode a plan past exact_limit raises, in batch as alone.
+    """
+    cfg = IgConfig(mode=mode, num_samples=samples, exact_limit=limit, seed=seed)
+    counts = st.lists(st.integers(0, 4), min_size=model.num_paths, max_size=model.num_paths)
+    plans = data.draw(st.lists(counts, min_size=1, max_size=6))
+    want = outcome(lambda: [bits(reference_information_gain(model, p, cfg)) for p in plans])
+    got = outcome(lambda: [bits(est) for est in information_gains(model, plans, cfg)])
+    assert got == want
+
+
+@PROPERTY
+@given(
+    st.integers(2, 5),
+    st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    st.data(),
+    st.sampled_from(list(IgMode)),
+)
+def test_step_mode_matches_every_candidate_reference(k, counts, data, mode):
+    """Resolving the least-voted affordable candidate gives the mode resolving all of them does.
+
+    The cap, exact_limit or G times the candidates' votes, is drawn at or
+    just below one candidate's enumeration, so candidates straddle it.
+    """
+    paths = range(len(counts))
+    affordable = sorted(data.draw(st.sets(st.sampled_from(paths), min_size=1)))
+    sizes = [
+        exact_count_vectors(counts[:i] + [counts[i] + 1] + counts[i + 1 :], k) for i in paths
+    ]
+    cap = max(1, data.draw(st.sampled_from(sizes)) - data.draw(st.integers(0, 1)))
+    votes = sum(counts) + 1
+    samples, limit = data.draw(
+        st.sampled_from([(10**9, cap), (max(1, cap // votes), 10**9), (1, 1), (10**9, 10**9)])
+    )
+    cfg = IgConfig(mode=mode, num_samples=samples, exact_limit=limit)
+    want = reference_step_mode(cfg, list(counts), affordable, k)
+    assert planner._step_mode(cfg, list(counts), affordable, k) is want
 
 
 # --- EM ---
