@@ -59,7 +59,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
 from ._rng import categorical_rows, substream
@@ -160,11 +159,66 @@ def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray
     return factor[:, 0, :]
 
 
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _lgam(x: int) -> float:
+    """log Gamma(x) at a positive integer x, as cephes `lgam` computes it.
+
+    This is the cephes routine behind `scipy.special.gammaln`, restricted to
+    positive integers: the exact product below 13, Stirling's series with
+    cephes' 5-term correction polynomial below 1000 and its 3-term form from
+    1000 on. It keeps cephes' operation order and takes logs with libm
+    (`math.log`), so every value equals `gammaln(x)` bit for bit.
+    """
+    if x < 13:
+        return math.log(float(math.factorial(x - 1)))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _STIRLING[0]
+    for a in _STIRLING[1:]:
+        s = s * p + a
+    return q + s / x
+
+
+_factorial_table = np.empty(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table of log(m!) = lgam(m + 1) for m = 0..n at least.
+
+    The table is filled once and grown on demand; a grown table is built in
+    full before it replaces the old one, so a reader never sees a partial one.
+    """
+    global _factorial_table
+    table = _factorial_table
+    if len(table) <= n:
+        size = max(n + 1, 2 * len(table))
+        table = np.array([_lgam(m + 1) for m in range(size)])
+        table.setflags(write=False)
+        _factorial_table = table
+    return table
+
+
 def _count_vector_table(model: ApmModel, path: int, votes: int):
     """Log multinomial multiplicity and path factor log p(x_path | y) of every
     label count vector of `votes` votes on `path`, shapes (V,) and (V, K)."""
     vecs = _compositions(votes, model.num_labels)
-    log_c = gammaln(votes + 1) - gammaln(vecs + 1).sum(axis=1)
+    table = _log_factorials(votes)
+    log_c = table[votes] - table[vecs].sum(axis=1)
     factor = np.ascontiguousarray(_factors(model, path, vecs))
     for arr in (log_c, factor):
         arr.setflags(write=False)

@@ -28,7 +28,6 @@ from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._kernel import (
     apm_log_joints,
@@ -41,7 +40,7 @@ from ._kernel import (
     vote_evidence,
 )
 from ._rng import substream
-from .errors import InputError
+from .errors import InputError, NumericError
 from .inference import ModelKind, table_log_joint
 from .model import (
     AccessPathSpec,
@@ -245,6 +244,66 @@ def _em(cfg: EmConfig, init, estep, mstep) -> tuple[object, FitReport]:
     return best
 
 
+def _max_assignment(weights: np.ndarray) -> list[int]:
+    """The column matched to each row of a square matrix, maximizing the total weight.
+
+    A port of scipy's `rectangular_lsap`, the shortest augmenting path solver
+    after Crouse, "On implementing 2D rectangular assignment algorithms"
+    (IEEE TAES 2016), for square matrices. It keeps that solver's arithmetic
+    and tie rules (columns scanned in reverse order, a free column preferred
+    on ties, reduced costs ((min + c) - u) - v, the same dual updates), so it
+    returns exactly the columns of `scipy.optimize.linear_sum_assignment(-weights)`.
+
+    Raises NumericError if an entry is NaN or infinite, or if the reduced
+    costs overflow, where scipy reports the matrix infeasible.
+    """
+    if not np.isfinite(weights).all():
+        raise NumericError("cannot relabel states: a table holds NaN or an infinity")
+    cost = (-weights).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, shortest[j]
+            if lowest == math.inf:
+                raise NumericError("cannot relabel states: the reduced costs overflowed")
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -> ApmModel:
     """Assemble the fitted model in one pass over the voted paths.
 
@@ -258,7 +317,7 @@ def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -
     worker_cpts: list = [uniform] * t.num_paths
     owned = _slots_by_path(slots, t.num_paths)
     for i in np.unique(t.path_idx).tolist():
-        _, cols = linear_sum_assignment(-params.path_cpts[i])
+        cols = _max_assignment(params.path_cpts[i])
         path_cpts[i] = Cpt(params.path_cpts[i][:, cols])
         if share_workers:
             worker_cpts[i] = Cpt(params.tables[i][cols, :])
@@ -361,8 +420,8 @@ def fit_nbi(
         # No observed truths pin the outcome labels; relabel to put worker
         # agreement mass on the diagonal.
         agreement = tables.sum(axis=0)
-        _, cols = linear_sum_assignment(-agreement.T)
-        if not np.array_equal(cols, np.arange(k)):
+        cols = _max_assignment(agreement.T)
+        if cols != list(range(k)):
             prior = prior[cols]
             tables = tables[:, cols, :]
 

@@ -259,13 +259,13 @@ class TestEm:
     def test_latent_states_are_aligned_on_voted_paths_only(self, monkeypatch):
         """One assignment per voted path, none for the 39 voteless paths between them."""
         calls = []
-        real = learning.linear_sum_assignment
+        real = learning._max_assignment
 
-        def counting(cost):
-            calls.append(cost.shape)
-            return real(cost)
+        def counting(weights):
+            calls.append(weights.shape)
+            return real(weights)
 
-        monkeypatch.setattr(learning, "linear_sum_assignment", counting)
+        monkeypatch.setattr(learning, "_max_assignment", counting)
         samples = (
             TaskSample("t0", {0: ((None, 0),), 40: ((None, 1),)}, truth=0),
             TaskSample("t1", {0: ((None, 1),)}, truth=1),
