@@ -159,3 +159,60 @@ def test_per_worker_simulate_is_byte_identical_to_pinned(tmp_path, capsys):
     stdout = capsys.readouterr().out.replace(str(tmp_path), "<d>")
     assert rc == 0
     assert _digest(stdout, out) == PER_WORKER_SIMULATE
+
+
+# `plan` on the bundled model (costs 2, 3, 4): every strategy at budgets that
+# leave nothing affordable (0, 1 — `best` included), a fractional budget, and
+# two that buy several votes; then greedy at 30 under each IG mode.
+PLAN_REQUESTS = tuple(
+    (f"{strategy}@{budget}", ("--strategy", strategy, "--budget", budget))
+    for strategy in ("greedy", "opt", "best", "equal", "rnd")
+    for budget in ("0", "1", "7/2", "9", "30")
+) + (
+    ("greedy@30.exact", ("--budget", "30", "--ig", "exact")),
+    ("greedy@30.auto", ("--budget", "30", "--ig", "auto")),
+    ("greedy@30.sampled", ("--budget", "30", "--ig", "sampled", "--samples", "500")),
+)
+
+# sha256 of "<exit code>\0<stdout>\0<stderr>" of `plan --model EXAMPLE ...`, taken
+# before greedy's step estimator and the plan result got one builder each.
+PLAN_PINNED = {
+    "greedy@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "greedy@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "greedy@7/2": "7ce358a5bda812f4d0fb33791901ed15ca3bc9b7bb23a453973b71a4e18dbfa4",
+    "greedy@9": "029810a58bbd10201859265738e32c0694b4e09e55ca0ee174528b5184d746eb",
+    "greedy@30": "a2d38fedb4814cec13d1f165b0a7397d1d83b63213b120d6e3b2f66f49c23129",
+    "opt@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "opt@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "opt@7/2": "7ce358a5bda812f4d0fb33791901ed15ca3bc9b7bb23a453973b71a4e18dbfa4",
+    "opt@9": "029810a58bbd10201859265738e32c0694b4e09e55ca0ee174528b5184d746eb",
+    "opt@30": "a2d38fedb4814cec13d1f165b0a7397d1d83b63213b120d6e3b2f66f49c23129",
+    "best@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "best@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "best@7/2": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "best@9": "5c9970cf4edea89ea7d19010143400e598d62aeba287e54aefef576f83523e24",
+    "best@30": "1dc4dbc05fb155d74f2f3fa91442d19525a39446ddf928e6e83273cf85257efb",
+    "equal@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "equal@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "equal@7/2": "f364cde7f0c74b1eb3bb52a2213c2fd3d30d054ff06d3f48b71d7d3cffb20b03",
+    "equal@9": "029810a58bbd10201859265738e32c0694b4e09e55ca0ee174528b5184d746eb",
+    "equal@30": "c07cf88a8cebec434ae7839babdcc660fb64811f19cd0d141069e2766ff1651a",
+    "rnd@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "rnd@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
+    "rnd@7/2": "f364cde7f0c74b1eb3bb52a2213c2fd3d30d054ff06d3f48b71d7d3cffb20b03",
+    "rnd@9": "4a5735550cb5cccc9eb4fa7b09e5af6f2e490a3cdab5d4122a730aa556f2dd3b",
+    "rnd@30": "f0f72530fb713326986f4314760c02c5b7092924f66b1527f945f0813dc84b0d",
+    "greedy@30.exact": "a2d38fedb4814cec13d1f165b0a7397d1d83b63213b120d6e3b2f66f49c23129",
+    "greedy@30.auto": "a2d38fedb4814cec13d1f165b0a7397d1d83b63213b120d6e3b2f66f49c23129",
+    "greedy@30.sampled": "6a42a9f1dce52c943464223f1a3b2b18c98063234695e723a9eac821dc769cc8",
+}
+
+
+def test_plan_requests_are_byte_identical_to_pinned(capsys):
+    got = {}
+    for name, argv in PLAN_REQUESTS:
+        capsys.readouterr()
+        rc = main(["plan", "--model", EXAMPLE, *argv])
+        out, err = capsys.readouterr()
+        got[name] = hashlib.sha256(f"{rc}\0{out}\0{err}".encode("utf-8")).hexdigest()
+    assert got == PLAN_PINNED
