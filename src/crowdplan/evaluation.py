@@ -26,7 +26,7 @@ from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, Posterior, table_posteriors
 from .learning import EmConfig, fit_em, fit_nbi
-from .model import AccessPlan, Dataset, TaskSample, member, path_costs, with_costs
+from .model import AccessPlan, Dataset, TaskSample, as_count, member, path_costs, with_costs
 from .planner import Strategy, _coerce_budget, build_plan
 
 _NLL_FLOOR = 1e-12
@@ -111,12 +111,8 @@ def execute_plan_on_sample(
     task's stream is opened only when some path has more votes than it needs.
     """
     plan = plan if isinstance(plan, AccessPlan) else AccessPlan(plan)
-    num_paths = len(plan.counts)
-    outside = [p for p in sorted(sample.votes) if p >= num_paths]
-    if outside:
-        raise InputError(f"task {sample.task_id}: path {outside[0]} outside plan")
     labels = [v for votes in sample.votes.values() for _, v in votes] + [sample.truth or 0]
-    table = Dataset([sample], num_paths, max(labels) + 1)
+    table = Dataset([sample], len(plan.counts), max(labels) + 1)
     bought, short = _execute(table, plan, seed)
     executed = table.select(np.ones(1, dtype=bool), bought).samples[0]
     return ExecutedSample(sample=executed, short_filled=bool(short[0]), skipped=not bought.any())
@@ -239,8 +235,7 @@ def budget_sweep(
     costs: Sequence[Fraction | int | str] | None = None,
 ) -> SweepResult:
     """Cross-validated accuracy and likelihood across budgets and strategies."""
-    if folds < 1:
-        raise InputError(f"folds must be >= 1, got {folds}")
+    folds = as_count(folds, "folds", 1)
     kinds = [member(ModelKind, k, "model kind") for k in model_kinds]
     strats = [member(Strategy, s, "strategy") for s in strategies]
     try:

@@ -91,12 +91,13 @@ def _nbi(model: NbiModel, table: Dataset) -> np.ndarray:
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
-def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: Dataset) -> np.ndarray:
-    """log p(y, x) under `kind` for every task of `table`, shape (n, K), in table order."""
-    return {ModelKind.APM: _apm, ModelKind.NBAP: _nbap, ModelKind.NBI: _nbi}[kind](model, table)
+_LOG_JOINTS = {ModelKind.APM: _apm, ModelKind.NBAP: _nbap, ModelKind.NBI: _nbi}
 
 
-def _check(kind: ModelKind | str, model: ApmModel | NbiModel) -> ModelKind:
+def _check(
+    kind: ModelKind | str, model: ApmModel | NbiModel, table: Dataset
+) -> tuple[ModelKind, Dataset]:
+    """The kind checked against the model, and the table laid out for the model."""
     kind = member(ModelKind, kind, "model kind")
     if kind is ModelKind.NBI and not isinstance(model, NbiModel):
         raise InputError("nbi prediction needs an NbiModel")
@@ -106,7 +107,15 @@ def _check(kind: ModelKind | str, model: ApmModel | NbiModel) -> ModelKind:
         for i in range(model.num_paths):
             if not model.is_shared(i):
                 raise InputError(f"nbap requires shared worker CPTs; path {i} is per-worker")
-    return kind
+    paths = model.num_paths if isinstance(model, ApmModel) else None
+    return kind, table.within(model.num_labels, paths)
+
+
+def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: Dataset) -> np.ndarray:
+    """log p(y, x) under `kind` for every task of `table`, shape (n, K), in table order;
+    the table is checked against the model's layout first, as in `table_posteriors`."""
+    kind, table = _check(kind, model, table)
+    return _LOG_JOINTS[kind](model, table)
 
 
 def table_posteriors(
@@ -117,9 +126,8 @@ def table_posteriors(
     Votes are checked against the model's layout first: a path index beyond
     an apm model's paths or a label index beyond its labels is an InputError.
     """
-    kind = _check(kind, model)
+    kind, table = _check(kind, model, table)
     k = model.num_labels
-    table = table.within(k, model.num_paths if isinstance(model, ApmModel) else None)
     n = table.num_samples
     if kind is ModelKind.MV:
         counts = np.bincount(table.sample_idx * k + table.label, minlength=n * k)
@@ -128,7 +136,7 @@ def table_posteriors(
         probs = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / k)
         degenerate = np.zeros(n, dtype=bool)
     else:
-        log_joint = table_log_joint(kind, model, table)
+        log_joint = _LOG_JOINTS[kind](model, table)
         norm = logsumexp(log_joint, axis=1)
         degenerate = ~np.isfinite(norm)
         with np.errstate(invalid="ignore"):
@@ -141,7 +149,6 @@ def infer(
     kind: ModelKind | str, model: ApmModel | NbiModel, samples: Sequence[TaskSample]
 ) -> list[Posterior]:
     """Posteriors of many tasks in one batched pass, in the order of `samples`."""
-    _check(kind, model)
     table = Dataset(samples, None, model.num_labels)
     back = np.argsort(table.order)
     probs, pred, degenerate = (a[back] for a in table_posteriors(kind, model, table))

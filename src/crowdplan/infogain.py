@@ -461,16 +461,16 @@ def check_submodularity(
     max_votes_per_path: int = 3,
     exact_limit: int = 1_000_000,
 ) -> SubmodularityReport:
-    """Randomized check that exact IG has diminishing returns over vote multisets."""
+    """Randomized check that exact IG, as `information_gain` gives it to the planner,
+    has diminishing returns over vote multisets."""
     n = model.num_paths
+    trials = as_count(trials, "trials")
+    cfg = IgConfig(mode=IgMode.EXACT, exact_limit=exact_limit)
     cache: dict[tuple[int, ...], float] = {}
 
     def ig(counts: tuple[int, ...]) -> float:
         if counts not in cache:
-            cache[counts] = (
-                prior_entropy(model.prior)
-                - exact_conditional_entropy(model, counts, exact_limit)
-            )
+            cache[counts] = information_gain(model, counts, cfg).value
         return cache[counts]
 
     def plus(counts: tuple[int, ...], path: int) -> tuple[int, ...]:

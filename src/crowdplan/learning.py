@@ -365,14 +365,8 @@ def fit_em(
 
 
 def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
-    """Observed-data log-likelihood: latent states summed out, truths used when known."""
-    if isinstance(model, ApmModel) and (
-        data.num_labels != model.num_labels or data.num_paths != model.num_paths
-    ):
-        raise InputError(
-            f"dataset layout ({data.num_paths} paths, {data.num_labels} labels) does not "
-            f"match model ({model.num_paths} paths, {model.num_labels} labels)"
-        )
+    """Observed-data log-likelihood: latent states summed out, truths used when known;
+    a vote or truth outside the model's paths or labels is an InputError."""
     if not len(data):
         return 0.0
     kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM

@@ -344,10 +344,19 @@ class Dataset:
         workers = tuple(sorted({w for w in worker_ids if w is not None}))
         index = {w: j for j, w in enumerate(workers)}
         columns = [np.asarray(c) for c in (truth, task, path, worker, label)]
-        for name, column in zip(("truth", "task", "path", "worker", "label"), columns):
+        sizes = (len(task_ids),) + (len(columns[1]),) * 4
+        for name, column, size in zip(("truth", "task", "path", "worker", "label"), columns, sizes):
             if column.size and column.dtype.kind not in "biu":
                 raise InputError(f"{name} column must hold integers, got dtype {column.dtype}")
+            if len(column) != size:
+                raise InputError(f"{name} column has {len(column)} entries, expected {size}")
         truth, task, path, worker, label = (c.astype(np.int64, copy=False) for c in columns)
+        for name, column, ids in (("task", task, task_ids), ("worker", worker, worker_ids)):
+            bad = (column < 0) | (column >= len(ids))
+            if bad.any():
+                raise InputError(
+                    f"{name} column: index {column[np.argmax(bad)]} outside 0..{len(ids) - 1}"
+                )
         worker = np.array([index.get(w, -1) for w in worker_ids], dtype=np.int64)[worker]
         canon = np.lexsort((label, worker, path, rank[task]))
         row_of = np.empty_like(canon)
@@ -376,9 +385,9 @@ class Dataset:
             truth=self.truth[by_pos],
             task=self.order[self.sample_idx[s]],
             path=self.path_idx[s],
-            worker=self.worker_idx[s],
+            worker=self.worker_idx[s] + 1,
             label=self.label[s],
-            worker_ids=self.workers + (None,),
+            worker_ids=(None,) + self.workers,
             num_labels=self.num_labels,
             num_paths=self.num_paths,
         )
@@ -456,11 +465,13 @@ class Dataset:
         return out
 
     def path_worker_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (path, worker index) pairs, sorted, and each vote's pair index."""
-        pairs, idx = np.unique(
-            np.stack([self.path_idx, self.worker_idx], axis=1), axis=0, return_inverse=True
-        )
-        return pairs, idx.reshape(-1)
+        """The distinct (path, worker index) pairs, sorted, and each vote's pair index.
+
+        Keyed in 1-D by dense path code * (workers + 1) + worker + 1, which cannot overflow."""
+        paths, code = np.unique(self.path_idx, return_inverse=True)
+        width = len(self.workers) + 1
+        keys, idx = np.unique(code * width + self.worker_idx + 1, return_inverse=True)
+        return np.stack([paths[keys // width], keys % width - 1], axis=1), idx
 
 
 def path_costs(costs: Sequence[Fraction | int | str], num_paths: int) -> tuple[Fraction, ...]:

@@ -116,14 +116,13 @@ def approximation_bound(model: ApmModel, budget) -> float:
     return 1.0 - math.exp(-(1.0 - gamma))
 
 
-def _step_mode(cfg: IgConfig, counts: list[int], affordable: list[int], k: int) -> IgMode:
-    """One estimator for a whole greedy step: sampled if any candidate would be.
+def _plus(counts: list[int], i: int) -> list[int]:
+    """`counts` with one more vote on path i."""
+    return counts[:i] + [counts[i] + 1] + counts[i + 1 :]
 
-    All candidates have the same vote total, so auto gives them one cap, and a
-    vote on path i multiplies the enumeration by (s_i + K) / (s_i + 1): the
-    largest enumeration, which decides, is a vote on the least-voted path."""
-    i = min(affordable, key=counts.__getitem__)
-    return _resolve_mode(cfg, counts[:i] + [counts[i] + 1] + counts[i + 1 :], k)
+
+def _result(model: ApmModel, counts, ig: IgEstimate, trace=()) -> PlanResult:
+    return PlanResult(AccessPlan(tuple(counts)), plan_cost(model, counts), ig, tuple(trace))
 
 
 def greedy_plan(
@@ -155,18 +154,18 @@ def greedy_plan(
         affordable = [i for i, c in enumerate(costs) if c <= b - spent]
         if not affordable:
             break
-        mode = _step_mode(cfg, counts, affordable, model.num_labels)
-        exact = mode is IgMode.EXACT
-        step_cfg = replace(cfg, mode=mode)
+        exact = all(
+            _resolve_mode(cfg, _plus(counts, i), model.num_labels) is IgMode.EXACT
+            for i in affordable
+        )
+        step_cfg = replace(cfg, mode=IgMode.EXACT if exact else IgMode.SAMPLED)
         if exact:
             if known is None:
                 known = information_gain(model, counts, step_cfg)
             base = known.value
         else:
             step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
-            plans = [counts] + [
-                counts[:i] + [counts[i] + 1] + counts[i + 1 :] for i in affordable
-            ]
+            plans = [counts] + [_plus(counts, i) for i in affordable]
             base_est, *ests = information_gains(model, plans, step_cfg)
             base = base_est.value
             scored = dict(zip(affordable, ests))
@@ -185,9 +184,7 @@ def greedy_plan(
             if -neg_bound < (best[2] if best else 0.0):
                 break
             if exact:
-                counts[i] += 1
-                est = information_gain(model, counts, step_cfg)
-                counts[i] -= 1
+                est = information_gain(model, _plus(counts, i), step_cfg)
                 stale[i] = est.value - base
             else:
                 est = scored[i]
@@ -207,12 +204,7 @@ def greedy_plan(
         step += 1
     if known is None or _resolve_mode(cfg, counts, model.num_labels) is not IgMode.EXACT:
         known = information_gain(model, counts, cfg)
-    return PlanResult(
-        plan=AccessPlan(tuple(counts)),
-        cost=spent,
-        ig=known,
-        trace=tuple(trace),
-    )
+    return _result(model, counts, known, trace)
 
 
 def exhaustive_opt(
@@ -252,7 +244,7 @@ def exhaustive_opt(
     ]
     ests = information_gains(model, plans, replace(cfg, mode=IgMode.EXACT))
     est, counts = max(zip(ests, plans), key=lambda pair: pair[0].value)  # first maximum
-    return PlanResult(plan=AccessPlan(counts), cost=plan_cost(model, counts), ig=est)
+    return _result(model, counts, est)
 
 
 def baseline_plan(
@@ -286,9 +278,7 @@ def baseline_plan(
         exact_cfg = replace(cfg, mode=IgMode.EXACT)
         gains = [est.value for est in information_gains(model, ones, exact_cfg)]
         best_path = gains.index(max(gains))
-        if costs[best_path] <= b:
-            counts[best_path] = int(b // costs[best_path])
-            spent = costs[best_path] * counts[best_path]
+        counts[best_path] = int(b // costs[best_path])
     elif strategy is Strategy.EQUAL:
         _check_votes(model, b)
         progressed = True
@@ -304,11 +294,7 @@ def baseline_plan(
             f"{strategy.value} is not a baseline; call greedy_plan or exhaustive_opt"
         )
 
-    return PlanResult(
-        plan=AccessPlan(tuple(counts)),
-        cost=spent,
-        ig=information_gain(model, counts, cfg),
-    )
+    return _result(model, counts, information_gain(model, counts, cfg))
 
 
 def build_plan(

@@ -128,8 +128,7 @@ def quantile_paths(accuracies: Mapping[str, float], num_paths: int) -> dict[str,
     equal size as possible; band 0 holds the least accurate workers. Returns
     worker id -> path index.
     """
-    if num_paths < 1:
-        raise InputError(f"num_paths must be >= 1, got {num_paths}")
+    num_paths = as_count(num_paths, "num_paths", 1)
     n = len(accuracies)
     if n < num_paths:
         raise InputError(f"{n} workers cannot fill {num_paths} paths")

@@ -20,7 +20,7 @@ import crowdplan.evaluation as evaluation
 from crowdplan.cli import main
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
-from crowdplan.infogain import IgConfig, IgMode, information_gain
+from crowdplan.infogain import IgConfig, IgMode, check_submodularity, information_gain
 from crowdplan.learning import EmConfig
 from crowdplan.model import (
     MAX_CELLS,
@@ -33,7 +33,7 @@ from crowdplan.model import (
     with_costs,
 )
 from crowdplan.planner import greedy_plan
-from crowdplan.simulator import generate
+from crowdplan.simulator import generate, quantile_paths
 
 from _oracles import sym_model
 
@@ -86,7 +86,7 @@ def test_huge_executed_plan_counts_short_fill(count):
 
 
 def test_path_outside_the_executed_plan():
-    with pytest.raises(InputError, match="task t: path 1 outside plan"):
+    with pytest.raises(InputError, match="task t: path index 1 outside 0..0"):
         execute_plan_on_sample(SAMPLE, [1])
 
 
@@ -113,6 +113,28 @@ def test_tabulate_rejects_fractional_columns(column):
     columns[column] = [0.9]
     with pytest.raises(InputError, match=f"{column} column must hold integers, got dtype float64"):
         Dataset.tabulate(["t"], **columns, worker_ids=[None], num_labels=2)
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        (dict(task=[-1, -1]), "task column: index -1 outside 0..1"),
+        (dict(task=[0, 2]), "task column: index 2 outside 0..1"),
+        (dict(worker=[-1, 0]), "worker column: index -1 outside 0..0"),
+        (dict(worker=[0, 1]), "worker column: index 1 outside 0..0"),
+        (dict(truth=[-1]), "truth column has 1 entries, expected 2"),
+        (dict(path=[0]), "path column has 1 entries, expected 2"),
+        (dict(label=[0, 1, 1]), "label column has 3 entries, expected 2"),
+    ],
+    ids=["negative-task", "task-past-end", "negative-worker", "worker-past-end",
+         "short-truth", "short-path", "long-label"],
+)
+def test_tabulate_checks_index_columns(change, needle):
+    """A bad index is named, never wrapped to the last task or worker id."""
+    columns = dict(truth=[-1, -1], task=[0, 1], path=[0, 0], worker=[0, 0], label=[0, 1])
+    columns.update(change)
+    with pytest.raises(InputError, match=re.escape(needle)):
+        Dataset.tabulate(["a", "b"], **columns, worker_ids=["w"], num_labels=2)
 
 
 def test_tabulate_takes_empty_columns():
@@ -147,8 +169,13 @@ def test_unknown_ig_mode_names_the_choices():
         lambda: generate(MODEL, [1, 1, 1], 2.5),
         lambda: generate(MODEL, [1, 1, 1], 2, seed=1.5),
         lambda: information_gain(MODEL, [2, 2, 2], IgConfig(mode=IgMode.SAMPLED, seed=1.5)),
+        lambda: budget_sweep(generate(MODEL, [1, 1, 1], 4), ["mv"], ["equal"], [2], folds=2.5),
+        lambda: check_submodularity(MODEL, trials=2.5),
+        lambda: check_submodularity(MODEL, trials=-1),
+        lambda: quantile_paths({"a": 0.5, "b": 0.7, "c": 0.9}, num_paths=2.5),
     ],
-    ids=["num_tasks", "generate_seed", "ig_seed"],
+    ids=["num_tasks", "generate_seed", "ig_seed", "folds", "trials", "negative_trials",
+         "num_paths"],
 )
 def test_simulation_and_sampling_arguments_are_checked(call):
     with pytest.raises(InputError):

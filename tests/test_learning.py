@@ -66,10 +66,16 @@ class TestLogLikelihood:
         m = uniform_model()
         assert log_likelihood(m, Dataset(samples=(), num_paths=1, num_labels=2)) == 0.0
 
+    def test_nbi_label_outside_the_model_rejected(self):
+        m = NbiModel(LabelSpace(2), np.array([0.5, 0.5]), worker_cpts={"w": sym_cpt(0.8)})
+        data = Dataset(samples=(TaskSample("t", {0: (("w", 2),)}),), num_paths=1, num_labels=3)
+        with pytest.raises(InputError, match="task t: label 2 outside 0..1"):
+            log_likelihood(m, data)
+
     def test_layout_mismatch_rejected(self):
         m = uniform_model(num_paths=1)
-        data = Dataset(samples=(), num_paths=2, num_labels=2)
-        with pytest.raises(InputError):
+        data = Dataset(samples=(TaskSample("t", {1: ((None, 0),)}),), num_paths=2, num_labels=2)
+        with pytest.raises(InputError, match="task t: path index 1 outside 0..0"):
             log_likelihood(m, data)
 
 

@@ -298,6 +298,29 @@ class TestDatasetColumns:
         for name in ("label", "workers", "stored"):
             np.testing.assert_array_equal(getattr(chosen, name), getattr(fresh, name), err_msg=name)
 
+    @pytest.mark.parametrize(
+        "task, path, worker, worker_ids",
+        [
+            ([0, 0, 1, 1, 1], [2, 0, 2, 2, 0], [1, 0, 2, 1, 0], [None, "b", "a"]),
+            ([0, 1, 1], [2**62, 3, 2**62], [0, 1, 0], [None, "w"]),
+            ([0, 0, 1], [1, 1, 0], [0, 0, 0], [None]),
+            ([], [], [], []),
+        ],
+        ids=["mixed", "huge-path-id", "no-worker-ids", "empty"],
+    )
+    def test_path_worker_slots_match_a_2d_unique(self, task, path, worker, worker_ids):
+        data = Dataset.tabulate(
+            ["a", "b"], [-1, -1], task, path, worker, [0] * len(task), worker_ids, 2
+        )
+        want_pairs, want_idx = np.unique(
+            np.stack([data.path_idx, data.worker_idx], axis=1), axis=0, return_inverse=True
+        )
+        pairs, idx = data.path_worker_slots()
+        assert pairs.dtype == want_pairs.dtype == idx.dtype == np.int64
+        np.testing.assert_array_equal(pairs, want_pairs)
+        np.testing.assert_array_equal(idx, want_idx.reshape(-1))
+        assert pairs.shape == want_pairs.shape and idx.shape == (len(task),)
+
 
 class TestRebuilders:
     def test_with_costs(self):

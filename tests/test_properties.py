@@ -35,7 +35,6 @@ from crowdplan.infogain import (
     IgMode,
     _resolve_mode,
     exact_conditional_entropy,
-    exact_count_vectors,
     information_gain,
     information_gains,
     prior_entropy,
@@ -460,17 +459,6 @@ def reference_best(model, budget):
     return tuple(counts)
 
 
-def reference_step_mode(cfg, counts, affordable, k):
-    """Resolve every candidate of a greedy step; sampled if any is."""
-    for i in affordable:
-        counts[i] += 1
-        mode = _resolve_mode(cfg, counts, k)
-        counts[i] -= 1
-        if mode is IgMode.SAMPLED:
-            return mode
-    return IgMode.EXACT
-
-
 PLAN_COSTS = st.sampled_from(
     [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)]
 )
@@ -540,34 +528,6 @@ def test_information_gains_matches_one_plan_reference(model, data, mode, samples
     want = outcome(lambda: [bits(reference_information_gain(model, p, cfg)) for p in plans])
     got = outcome(lambda: [bits(est) for est in information_gains(model, plans, cfg)])
     assert got == want
-
-
-@PROPERTY
-@given(
-    st.integers(2, 5),
-    st.lists(st.integers(0, 6), min_size=1, max_size=5),
-    st.data(),
-    st.sampled_from(list(IgMode)),
-)
-def test_step_mode_matches_every_candidate_reference(k, counts, data, mode):
-    """Resolving the least-voted affordable candidate gives the mode resolving all of them does.
-
-    The cap, exact_limit or G times the candidates' votes, is drawn at or
-    just below one candidate's enumeration, so candidates straddle it.
-    """
-    paths = range(len(counts))
-    affordable = sorted(data.draw(st.sets(st.sampled_from(paths), min_size=1)))
-    sizes = [
-        exact_count_vectors(counts[:i] + [counts[i] + 1] + counts[i + 1 :], k) for i in paths
-    ]
-    cap = max(1, data.draw(st.sampled_from(sizes)) - data.draw(st.integers(0, 1)))
-    votes = sum(counts) + 1
-    samples, limit = data.draw(
-        st.sampled_from([(10**9, cap), (max(1, cap // votes), 10**9), (1, 1), (10**9, 10**9)])
-    )
-    cfg = IgConfig(mode=mode, num_samples=samples, exact_limit=limit)
-    want = reference_step_mode(cfg, list(counts), affordable, k)
-    assert planner._step_mode(cfg, list(counts), affordable, k) is want
 
 
 # --- EM ---
