@@ -35,7 +35,7 @@ from .infogain import (
     information_gain,
     information_gains,
     prior_entropy,
-    sampled_conditional_entropy,
+    sampled_conditional_entropies,
 )
 from .inference import (
     ModelKind,
@@ -135,7 +135,7 @@ __all__ = [
     "prior_entropy",
     "quantile_paths",
     "read_votes_csv",
-    "sampled_conditional_entropy",
+    "sampled_conditional_entropies",
     "save_model",
     "validate_model",
     "with_costs",

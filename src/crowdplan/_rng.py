@@ -73,10 +73,11 @@ def stream_keys(seed: KeyPart, prefix: tuple, parts: Iterable) -> np.ndarray:
     Like numpy's `SeedSequence`, it splits each folded int into little-endian
     32-bit words (0 as one word), hash-mixes them into a pool of 4 words and
     makes each key word from two output words, but on uint32 arrays with one
-    column per part. Empty `parts` fold nothing, not even the seed.
+    column per part. The seed and prefix are folded, and so checked, even for
+    empty `parts`.
     """
     folded = np.array([_fold(part) for part in parts], dtype=np.uint64)
-    folds = map(_fold, (seed, *prefix) if len(folded) else ())
+    folds = map(_fold, (seed, *prefix))
     head = [[w] for f in folds for w in (f & _MASK32, f >> 32)[: 1 + (f >> 32 > 0)]]
     # A one-word part's high word is 0, like padding; past the pool only two-word parts mix it in.
     entropy = np.zeros((max(len(head) + 2, 4), len(folded)), dtype=np.uint32)

@@ -108,7 +108,8 @@ def execute_plan_on_sample(
     Selection is without replacement; a path with fewer recorded votes than
     requested contributes everything it has and the task is marked
     short-filled. A task left with no votes at all is marked skipped. The
-    task's stream is opened only when some path has more votes than it needs.
+    task's stream is opened only when some path has more votes than it needs;
+    the seed is checked either way.
     """
     plan = plan if isinstance(plan, AccessPlan) else AccessPlan(plan)
     labels = [v for votes in sample.votes.values() for _, v in votes] + [sample.truth or 0]

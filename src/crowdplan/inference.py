@@ -115,6 +115,8 @@ def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: Dataset)
     """log p(y, x) under `kind` for every task of `table`, shape (n, K), in table order;
     the table is checked against the model's layout first, as in `table_posteriors`."""
     kind, table = _check(kind, model, table)
+    if kind is ModelKind.MV:
+        raise InputError("mv has no log joint")
     return _LOG_JOINTS[kind](model, table)
 
 

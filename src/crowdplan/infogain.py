@@ -24,8 +24,8 @@ sampled
     the path, the stream row where its draws start and its vote count.
     `sampled_conditional_entropies` scores several plans under one config: it
     draws each block once, builds each distinct table once, and reduces each
-    plan's tables exactly as a lone call would, so every value equals its own
-    `sampled_conditional_entropy` call bit for bit. A plan that votes on all
+    plan's tables exactly as a lone call would, so every value equals that of
+    a call with the plan alone, bit for bit. A plan that votes on all
     N paths and its N one-vote extensions need 3N - 1 tables per block
     instead of (N + 1) N: the plan's N, one per extension for the path it
     grows, and one per later path, whose draws every extension shifts by the
@@ -67,6 +67,7 @@ from .model import AccessPlan, ApmModel, as_count, as_counts, check_cells, membe
 
 _BLOCK = 8192
 _NEG_TOL = 1e-9
+_AUDIT_VOTES = 3  # largest base vote count per path in check_submodularity
 
 
 class IgMode(str, enum.Enum):
@@ -194,34 +195,23 @@ def _lgam(x: int) -> float:
     return q + s / x
 
 
-_factorial_table = np.empty(0)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of log(m!) = lgam(m + 1) for m = 0..n at least.
-
-    The table is filled once and grown on demand; a grown table is built in
-    full before it replaces the old one, so a reader never sees a partial one.
-    """
-    global _factorial_table
-    table = _factorial_table
-    if len(table) <= n:
-        size = max(n + 1, 2 * len(table))
-        table = np.array([_lgam(m + 1) for m in range(size)])
-        table.setflags(write=False)
-        _factorial_table = table
-    return table
+@lru_cache(maxsize=4096)
+def _count_vectors(votes: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every label count vector of `votes` votes over k labels, shape (V, k), and
+    its log multinomial multiplicity log(votes!) - sum_j log(c_j!), shape (V,)."""
+    vecs = _compositions(votes, k)
+    log_fact = np.array([_lgam(m + 1) for m in range(votes + 1)])
+    log_c = log_fact[votes] - log_fact[vecs].sum(axis=1)
+    log_c.setflags(write=False)
+    return vecs, log_c
 
 
 def _count_vector_table(model: ApmModel, path: int, votes: int):
     """Log multinomial multiplicity and path factor log p(x_path | y) of every
     label count vector of `votes` votes on `path`, shapes (V,) and (V, K)."""
-    vecs = _compositions(votes, model.num_labels)
-    table = _log_factorials(votes)
-    log_c = table[votes] - table[vecs].sum(axis=1)
+    vecs, log_c = _count_vectors(votes, model.num_labels)
     factor = np.ascontiguousarray(_factors(model, path, vecs))
-    for arr in (log_c, factor):
-        arr.setflags(write=False)
+    factor.setflags(write=False)
     return log_c, factor
 
 
@@ -341,9 +331,9 @@ def sampled_conditional_entropies(
 ) -> list[tuple[float, float]]:
     """Monte Carlo estimates of H(Y | X_S) and their standard errors, one per plan.
 
-    Each value equals a separate `sampled_conditional_entropy` call bit for
-    bit: all plans read the same blocks of the same streams, and the factor
-    table of a path they draw from the same stream rows is built once.
+    Each value equals that of a call with its plan alone, bit for bit: all
+    plans read the same blocks of the same streams, and the factor table of a
+    path they draw from the same stream rows is built once.
     """
     all_counts = [as_counts(plan, model.num_paths) for plan in plans]
     for counts in all_counts:
@@ -368,15 +358,6 @@ def sampled_conditional_entropies(
             var = 0.0
         out.append((mean, math.sqrt(var / g)))
     return out
-
-
-def sampled_conditional_entropy(
-    model: ApmModel,
-    plan: AccessPlan | Sequence[int],
-    cfg: IgConfig,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of H(Y | X_S) and its standard error."""
-    return sampled_conditional_entropies(model, [plan], cfg)[0]
 
 
 def _resolve_mode(cfg: IgConfig, counts: Sequence[int], k: int) -> IgMode:
@@ -454,18 +435,12 @@ class SubmodularityReport:
         return not self.violations and not self.monotonicity_violations
 
 
-def check_submodularity(
-    model: ApmModel,
-    trials: int,
-    seed: int = 0,
-    max_votes_per_path: int = 3,
-    exact_limit: int = 1_000_000,
-) -> SubmodularityReport:
+def check_submodularity(model: ApmModel, trials: int, seed: int = 0) -> SubmodularityReport:
     """Randomized check that exact IG, as `information_gain` gives it to the planner,
-    has diminishing returns over vote multisets."""
+    has diminishing returns over vote multisets of at most _AUDIT_VOTES votes per path."""
     n = model.num_paths
     trials = as_count(trials, "trials")
-    cfg = IgConfig(mode=IgMode.EXACT, exact_limit=exact_limit)
+    cfg = IgConfig(mode=IgMode.EXACT)
     cache: dict[tuple[int, ...], float] = {}
 
     def ig(counts: tuple[int, ...]) -> float:
@@ -481,7 +456,7 @@ def check_submodularity(
     worst = math.inf
     for t in range(trials):
         rng = substream(seed, "submod", t)
-        big = tuple(int(v) for v in rng.integers(0, max_votes_per_path + 1, size=n))
+        big = tuple(int(v) for v in rng.integers(0, _AUDIT_VOTES + 1, size=n))
         small = tuple(int(rng.integers(0, c + 1)) for c in big)
         v = int(rng.integers(0, n))
         gain_small = ig(plus(small, v)) - ig(small)

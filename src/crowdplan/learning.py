@@ -56,6 +56,7 @@ from .model import (
 
 _IDENTITY_BLEND = 0.7
 _JITTER = 0.02
+_MIN_WORKER_VOTES = 5  # fit_nbi gives a worker with fewer votes a uniform table
 
 
 @dataclass(frozen=True)
@@ -388,13 +389,11 @@ def _nbi_mstep(t: Dataset, q_y: np.ndarray, alpha: float):
     return prior, _normalize_rows(counts + alpha)
 
 
-def fit_nbi(
-    data: Dataset, cfg: EmConfig | None = None, min_votes: int = 5
-) -> tuple[NbiModel, FitReport]:
+def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitReport]:
     """Fit per-worker vote tables and the class prior.
 
-    Workers with fewer than min_votes observed votes are given uniform tables
-    and flagged sparse; their few votes still count toward the prior.
+    Workers with fewer than _MIN_WORKER_VOTES observed votes are given uniform
+    tables and flagged sparse; their few votes still count toward the prior.
     """
     cfg = cfg or EmConfig()
     if (data.worker_idx < 0).any():
@@ -419,7 +418,7 @@ def fit_nbi(
             prior = prior[cols]
             tables = tables[:, cols, :]
 
-    is_sparse = np.bincount(data.worker_idx, minlength=len(data.workers)) < min_votes
+    is_sparse = np.bincount(data.worker_idx, minlength=len(data.workers)) < _MIN_WORKER_VOTES
     sparse = tuple(compress(data.workers, is_sparse))
     uniform = np.full((k, k), 1.0 / k)
     worker_cpts = {}

@@ -206,10 +206,6 @@ class AccessPlan:
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(as_count(c, "plan count") for c in self.counts))
 
-    @property
-    def total_votes(self) -> int:
-        return sum(self.counts)
-
 
 Vote = tuple[Union[str, None], int]
 
@@ -361,8 +357,10 @@ class Dataset:
         canon = np.lexsort((label, worker, path, rank[task]))
         row_of = np.empty_like(canon)
         row_of[canon] = np.arange(len(canon))
+        num_labels = as_count(num_labels, "num_labels", 1)
         if num_paths is None:
             num_paths = int(path.max(initial=-1)) + 1
+        num_paths = as_count(num_paths, "num_paths")
         return cls._of(
             num_paths=num_paths,
             num_labels=num_labels,

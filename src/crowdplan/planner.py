@@ -58,6 +58,8 @@ from .infogain import (
 )
 from .model import AccessPlan, ApmModel, check_cells, member, plan_cost
 
+_OPT_LIMIT = 200_000  # most candidate count vectors exhaustive_opt searches
+
 
 class Strategy(str, enum.Enum):
     GREEDY = "greedy"
@@ -207,12 +209,7 @@ def greedy_plan(
     return _result(model, counts, known, trace)
 
 
-def exhaustive_opt(
-    model: ApmModel,
-    budget,
-    ig_cfg: IgConfig | None = None,
-    enumeration_limit: int = 200_000,
-) -> PlanResult:
+def exhaustive_opt(model: ApmModel, budget, ig_cfg: IgConfig | None = None) -> PlanResult:
     """True optimum by enumerating every maximal feasible plan with exact gain.
 
     A plan is maximal when no path is still affordable with what it leaves of
@@ -220,16 +217,16 @@ def exhaustive_opt(
     maximal plans that extend it, and only maximal plans are scored. Ties
     prefer the lexicographically smallest maximal plan. Raises
     ResourceLimitError when the box searched, prod_i (floor(B / c_i) + 1)
-    count vectors, a superset of the feasible plans, exceeds enumeration_limit.
+    count vectors, a superset of the feasible plans, exceeds _OPT_LIMIT.
     """
     cfg = ig_cfg or IgConfig()
     costs = model.costs
     b = _coerce_budget(budget)
     caps = [int(b // c) for c in costs]
     total = math.prod(cap + 1 for cap in caps)
-    if total > enumeration_limit:
+    if total > _OPT_LIMIT:
         raise ResourceLimitError(
-            f"{total} candidate plans exceed the enumeration limit {enumeration_limit}"
+            f"{total} candidate plans exceed the enumeration limit {_OPT_LIMIT}"
         )
 
     # Integer units of 1 / lcm(denominators) keep the filter below exact.

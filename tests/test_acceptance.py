@@ -21,7 +21,7 @@ from crowdplan.infogain import (
     IgMode,
     check_submodularity,
     exact_conditional_entropy,
-    sampled_conditional_entropy,
+    sampled_conditional_entropies,
 )
 from crowdplan.inference import infer
 from crowdplan.learning import EmConfig, fit_em, fit_supervised
@@ -137,7 +137,7 @@ def test_05_sampled_gain_tracks_exact():
         exact = exact_conditional_entropy(model, plan)
         for seed in range(5):
             cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=50_000, seed=seed)
-            h, _ = sampled_conditional_entropy(model, plan, cfg)
+            [(h, _)] = sampled_conditional_entropies(model, [plan], cfg)
             err = abs(h - exact)
             worst = max(worst, err)
             runs += 1

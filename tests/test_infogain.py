@@ -18,7 +18,6 @@ from crowdplan.infogain import (
     information_gain,
     prior_entropy,
     sampled_conditional_entropies,
-    sampled_conditional_entropy,
 )
 from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace
 from crowdplan.planner import exhaustive_opt, greedy_plan
@@ -190,24 +189,24 @@ class TestSampledEntropy:
     def test_deterministic_given_seed(self):
         m = sym_model([0.6, 0.4], [0.85, 0.7], [0.8, 0.9])
         cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=20_000, seed=3)
-        a = sampled_conditional_entropy(m, [2, 1], cfg)
-        b = sampled_conditional_entropy(m, [2, 1], cfg)
+        a = sampled_conditional_entropies(m, [[2, 1]], cfg)
+        b = sampled_conditional_entropies(m, [[2, 1]], cfg)
         assert a == b
 
     def test_different_seeds_differ(self):
         m = sym_model([0.6, 0.4], [0.85, 0.7], [0.8, 0.9])
-        a = sampled_conditional_entropy(
-            m, [2, 1], IgConfig(mode=IgMode.SAMPLED, num_samples=10_000, seed=0)
+        a = sampled_conditional_entropies(
+            m, [[2, 1]], IgConfig(mode=IgMode.SAMPLED, num_samples=10_000, seed=0)
         )
-        b = sampled_conditional_entropy(
-            m, [2, 1], IgConfig(mode=IgMode.SAMPLED, num_samples=10_000, seed=1)
+        b = sampled_conditional_entropies(
+            m, [[2, 1]], IgConfig(mode=IgMode.SAMPLED, num_samples=10_000, seed=1)
         )
         assert a != b
 
     def test_empty_plan_short_circuits(self):
         m = sym_model([0.3, 0.7], [0.9], [0.8])
-        h, se = sampled_conditional_entropy(
-            m, [0], IgConfig(mode=IgMode.SAMPLED, num_samples=100)
+        [(h, se)] = sampled_conditional_entropies(
+            m, [[0]], IgConfig(mode=IgMode.SAMPLED, num_samples=100)
         )
         assert h == prior_entropy(m.prior)
         assert se == 0.0
@@ -218,8 +217,8 @@ class TestSampledEntropy:
             m = random_model(rng, 2, k=2)
             counts = [2, 2]
             exact = exact_conditional_entropy(m, counts)
-            h, se = sampled_conditional_entropy(
-                m, counts, IgConfig(mode=IgMode.SAMPLED, num_samples=40_000, seed=trial)
+            [(h, se)] = sampled_conditional_entropies(
+                m, [counts], IgConfig(mode=IgMode.SAMPLED, num_samples=40_000, seed=trial)
             )
             assert abs(h - exact) < max(5 * se, 0.01)
 
@@ -238,18 +237,18 @@ class TestSampledEntropy:
             "two blocks": (sym_model([0.5, 0.5], [0.9], [0.8]), [5], 2 * 8192 + 7, 11),
             "three labels": (random_model(np.random.default_rng(5), 3, k=3), [3, 0, 2], 500, 2),
         }[case]
-        got = sampled_conditional_entropy(
-            model, counts, IgConfig(mode=IgMode.SAMPLED, num_samples=g, seed=seed)
+        [got] = sampled_conditional_entropies(
+            model, [counts], IgConfig(mode=IgMode.SAMPLED, num_samples=g, seed=seed)
         )
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_stderr_scales_down(self):
         m = sym_model([0.6, 0.4], [0.8, 0.75], [0.85, 0.7])
-        small = sampled_conditional_entropy(
-            m, [3, 2], IgConfig(mode=IgMode.SAMPLED, num_samples=8192 * 2, seed=0)
+        [small] = sampled_conditional_entropies(
+            m, [[3, 2]], IgConfig(mode=IgMode.SAMPLED, num_samples=8192 * 2, seed=0)
         )
-        large = sampled_conditional_entropy(
-            m, [3, 2], IgConfig(mode=IgMode.SAMPLED, num_samples=8192 * 32, seed=0)
+        [large] = sampled_conditional_entropies(
+            m, [[3, 2]], IgConfig(mode=IgMode.SAMPLED, num_samples=8192 * 32, seed=0)
         )
         assert large[1] < small[1]
 
@@ -274,7 +273,7 @@ class TestSharedBlocks:
         together = sampled_conditional_entropies(model, plans, cfg)
         assert len(built) == 2 * 14  # two blocks
         built.clear()
-        apart = [sampled_conditional_entropy(model, plan, cfg) for plan in plans]
+        apart = [sampled_conditional_entropies(model, [plan], cfg)[0] for plan in plans]
         assert len(built) == 2 * 30
         assert together == apart
 

@@ -20,6 +20,7 @@ import crowdplan.evaluation as evaluation
 from crowdplan.cli import main
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
+from crowdplan.inference import table_log_joint
 from crowdplan.infogain import IgConfig, IgMode, check_submodularity, information_gain
 from crowdplan.learning import EmConfig
 from crowdplan.model import (
@@ -33,7 +34,7 @@ from crowdplan.model import (
     with_costs,
 )
 from crowdplan.planner import greedy_plan
-from crowdplan.simulator import generate, quantile_paths
+from crowdplan.simulator import generate, inject_correlation, quantile_paths
 
 from _oracles import sym_model
 
@@ -125,16 +126,23 @@ def test_tabulate_rejects_fractional_columns(column):
         (dict(truth=[-1]), "truth column has 1 entries, expected 2"),
         (dict(path=[0]), "path column has 1 entries, expected 2"),
         (dict(label=[0, 1, 1]), "label column has 3 entries, expected 2"),
+        (dict(num_labels=2.5), "num_labels must be an integer, got 2.5"),
+        (dict(num_labels=0), "num_labels must be >= 1, got 0"),
+        (dict(num_paths=2.5), "num_paths must be an integer, got 2.5"),
+        (dict(num_paths=-1), "num_paths must be >= 0, got -1"),
     ],
     ids=["negative-task", "task-past-end", "negative-worker", "worker-past-end",
-         "short-truth", "short-path", "long-label"],
+         "short-truth", "short-path", "long-label", "fractional-labels", "no-labels",
+         "fractional-paths", "negative-paths"],
 )
 def test_tabulate_checks_index_columns(change, needle):
-    """A bad index is named, never wrapped to the last task or worker id."""
+    """A bad index or layout count is named, never wrapped to the last task
+    or worker id, nor truncated."""
     columns = dict(truth=[-1, -1], task=[0, 1], path=[0, 0], worker=[0, 0], label=[0, 1])
+    columns.update(num_labels=2)
     columns.update(change)
     with pytest.raises(InputError, match=re.escape(needle)):
-        Dataset.tabulate(["a", "b"], **columns, worker_ids=["w"], num_labels=2)
+        Dataset.tabulate(["a", "b"], **columns, worker_ids=["w"])
 
 
 def test_tabulate_takes_empty_columns():
@@ -173,9 +181,14 @@ def test_unknown_ig_mode_names_the_choices():
         lambda: check_submodularity(MODEL, trials=2.5),
         lambda: check_submodularity(MODEL, trials=-1),
         lambda: quantile_paths({"a": 0.5, "b": 0.7, "c": 0.9}, num_paths=2.5),
+        lambda: inject_correlation(generate(MODEL, [1, 1, 1], 3), 0.5, seed=1.5),
+        lambda: execute_plan_on_sample(SAMPLE, [3, 3], seed=1.5),
+        lambda: generate(MODEL, [1, 1, 1], 0, seed=1.5),
+        lambda: table_log_joint("mv", MODEL, generate(MODEL, [1, 1, 1], 3)),
     ],
     ids=["num_tasks", "generate_seed", "ig_seed", "folds", "trials", "negative_trials",
-         "num_paths"],
+         "num_paths", "inject_seed_no_draw", "execute_seed_no_draw", "generate_seed_no_tasks",
+         "mv_log_joint"],
 )
 def test_simulation_and_sampling_arguments_are_checked(call):
     with pytest.raises(InputError):
@@ -297,7 +310,7 @@ def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks
         return len(data), np.bincount(data.path_idx, minlength=3).tolist()
 
     check(
-        good_count and good_tasks and (good_seed or t == 0),
+        good_count and good_tasks and good_seed,
         votes_per_path,
         lambda: (t, [n * t, t, 0]),
         huge,

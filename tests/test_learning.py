@@ -358,6 +358,41 @@ class TestNbi:
         )
         assert direct < 0.06
 
+    def test_unlabeled_fit_relabels_prior_and_tables_alike(self, monkeypatch):
+        """Without truths, the fit's outcome labels are permuted to put worker
+        agreement on the diagonal: the prior and every worker table's rows by
+        the same columns. Seed 4 draws tables whose fit needs the 3-cycle."""
+        k, rng = 3, np.random.default_rng(4)
+        per = sym_model([0.5, 0.5], [1.0] * 3, [0.5] * 3)
+        per = type(per)(
+            labels=LabelSpace(k),
+            prior=rng.dirichlet([1.0] * k),
+            paths=per.paths,
+            path_cpts=(Cpt(np.eye(k)),) * 3,
+            worker_cpts=tuple({w: Cpt(rng.dirichlet([0.5] * k, size=k))} for w in "abc"),
+        )
+        data = generate(per, [1, 1, 1], 60, seed=4)
+        data = Dataset.tabulate(**{**data.stored_columns(), "truth": np.full(len(data), -1)})
+        cfg = EmConfig(max_iters=50, restarts=1, seed=4)
+        cols = []
+        real = learning._max_assignment
+
+        def recording(weights):
+            cols.append(real(weights))
+            return cols[-1]
+
+        monkeypatch.setattr(learning, "_max_assignment", recording)
+        model, _ = fit_nbi(data, cfg)
+        monkeypatch.setattr(learning, "_max_assignment", lambda w: list(range(k)))
+        raw, _ = fit_nbi(data, cfg)
+        assert cols == [[1, 2, 0]]
+        assert not model.sparse_workers
+        np.testing.assert_array_equal(model.prior, raw.prior[cols[0]])
+        for w in "abc":
+            np.testing.assert_array_equal(
+                model.worker_cpts[w].rows, raw.worker_cpts[w].rows[cols[0]]
+            )
+
     def test_sparse_worker_gets_uniform_table(self):
         accs = {"alice": 0.9, "bob": 0.8}
         data = self.make_data(accs, 300, seed=7)
@@ -367,7 +402,7 @@ class TestNbi:
         data = Dataset(
             samples=data.samples + (lonely,), num_paths=2, num_labels=2
         )
-        model, report = fit_nbi(data, cfg=FAST, min_votes=5)
+        model, report = fit_nbi(data, cfg=FAST)
         assert "drifter" in model.sparse_workers
         assert "drifter" in report.sparse_workers
         np.testing.assert_allclose(model.worker_cpts["drifter"].rows, 0.5)

@@ -137,7 +137,7 @@ class TestExhaustive:
     def test_enumeration_limit(self):
         m = sym_model([0.5, 0.5], [0.9] * 3, [0.8] * 3)
         with pytest.raises(ResourceLimitError):
-            exhaustive_opt(m, 50, EXACT, enumeration_limit=100)
+            exhaustive_opt(m, 60, EXACT)  # 61^3 = 226,981 candidate count vectors
 
     def test_greedy_meets_guarantee(self):
         rng = np.random.default_rng(99)

@@ -18,6 +18,7 @@ import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from importlib.resources import files
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from crowdplan.infogain import (
     information_gains,
     prior_entropy,
     sampled_conditional_entropies,
-    sampled_conditional_entropy,
 )
 from crowdplan.learning import EmConfig, fit_em, fit_nbi, log_likelihood
 from crowdplan.model import (
@@ -375,7 +375,7 @@ def test_batched_sampled_scorer_matches_separate_calls(samples, model, data):
     for base in (drawn, [0] * n):
         plans = [base] + [base[:i] + [base[i] + 1] + base[i + 1 :] for i in range(n)]
         got = sampled_conditional_entropies(model, plans, cfg)
-        want = [sampled_conditional_entropy(model, plan, cfg) for plan in plans]
+        want = [sampled_conditional_entropies(model, [plan], cfg)[0] for plan in plans]
         assert got == want
         assert all(type(h) is float and type(se) is float for h, se in got)
 
@@ -409,7 +409,7 @@ def reference_information_gain(model, plan, cfg):
                 raise NumericError(f"exact information gain {value} below -1e-09")
             value = 0.0
         return IgEstimate(value=value, stderr=0.0, mode=IgMode.EXACT)
-    h_cond, stderr = sampled_conditional_entropy(model, counts, cfg)
+    [(h_cond, stderr)] = sampled_conditional_entropies(model, [counts], cfg)
     return IgEstimate(value=h_prior - h_cond, stderr=stderr, mode=IgMode.SAMPLED)
 
 
@@ -482,7 +482,8 @@ def opt_models(draw):
 def test_exhaustive_opt_matches_recursive_reference(model, budget, limit):
     """Same counts, cost and gain bits; ties go to the lexicographically smallest plan."""
     want = outcome(reference_opt, model, budget, limit)
-    got = outcome(exhaustive_opt, model, budget, None, limit)
+    with patch.object(planner, "_OPT_LIMIT", limit):
+        got = outcome(exhaustive_opt, model, budget)
     if isinstance(got, PlanResult):
         got = got.plan.counts, got.cost, bits(got.ig)
     assert got == want
@@ -549,7 +550,7 @@ def test_em_history_never_decreases(data, alpha):
         return
     reports = [fit_em(dataset, share_workers=shared, cfg=cfg)[1]]
     if not shared:
-        reports.append(fit_nbi(dataset, cfg=cfg, min_votes=1)[1])
+        reports.append(fit_nbi(dataset, cfg=cfg)[1])
     for report in reports:
         hist = report.history
         assert len(hist) == report.iterations

@@ -43,8 +43,14 @@ def test_streams_match_numpy_seed_sequence(seed, prefix, drawn):
         assert choice.tolist() == ref.choice(5, size=3, replace=False).tolist()
 
 
-def test_no_parts_fold_nothing():
-    assert stream_keys(1.5, ("gen",), []).shape == (0, 2)
-    assert list(substreams(1.5, ("gen",), range(0))) == []
-    with pytest.raises(InputError, match="a seed must be an int or a str, got 1.5"):
-        stream_keys(1.5, ("gen",), [0])
+def test_no_parts_still_check_the_seed_and_prefix():
+    assert stream_keys(1, ("gen",), []).shape == (0, 2)
+    assert list(substreams(1, ("gen",), range(0))) == []
+    for call in (
+        lambda: stream_keys(1.5, ("gen",), []),
+        lambda: substreams(1.5, ("gen",), range(0)),
+        lambda: stream_keys(1, (1.5,), []),
+        lambda: stream_keys(1.5, ("gen",), [0]),
+    ):
+        with pytest.raises(InputError, match="a seed must be an int or a str, got 1.5"):
+            call()

@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 import crowdplan
 from crowdplan.errors import NumericError
-from crowdplan.infogain import _compositions, _count_vector_table, _lgam, _log_factorials
+from crowdplan.infogain import _compositions, _count_vector_table, _lgam
 from crowdplan.learning import _max_assignment
 
 from _oracles import random_model
@@ -33,10 +33,9 @@ def bits(a):
 
 class TestLogFactorials:
     def test_table_matches_gammaln_to_200000(self):
-        table = _log_factorials(200_000)
-        assert len(table) > 200_000 and not table.flags.writeable
-        m = np.arange(len(table), dtype=np.float64)
-        assert np.array_equal(bits(table), bits(gammaln(m + 1)))
+        got = np.array([_lgam(m + 1) for m in range(200_001)])
+        m = np.arange(200_001, dtype=np.float64)
+        assert np.array_equal(bits(got), bits(gammaln(m + 1)))
 
     @pytest.mark.parametrize("x", [1, 2, 3, 12, 13, 14, 999, 1000, 1001, 10**8, 10**8 + 1])
     def test_branch_edges(self, x):
