@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import cache
 
 from .errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
@@ -68,15 +68,14 @@ def _cmd_learn(args) -> int:
         raise InputError("mv has no parameters to learn")
     if kind is ModelKind.NBI:
         model, report = fit_nbi(data, cfg=cfg)
-        model = replace(model, labels=labels)
     else:
         if kind is ModelKind.NBAP and not args.share_workers:
             raise InputError("nbap requires shared worker tables")
         costs = path_costs(parse_list(args.costs), data.num_paths) if args.costs else None
         model, report = fit_em(data, share_workers=args.share_workers, cfg=cfg)
-        model = with_labels(model, labels)
         if costs:
             model = with_costs(model, costs)
+    model = with_labels(model, labels)
     save_model(model, args.out)
     summary = asdict(report)
     del summary["history"]

@@ -44,7 +44,7 @@ class ModelKind(str, enum.Enum):
     APM = "apm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
     """A distribution over outcomes plus its argmax summary.
 

@@ -7,9 +7,10 @@ exact
     Votes on a path are exchangeable given the latent path state, so the sum
     over vote assignments collapses to a sum over per-path label count vectors
     weighted by multinomial multiplicities. The enumeration size is the product
-    over paths of C(S_i + K - 1, K - 1), far below K^(sum S_i). Each path's
-    count vectors and factors are built once per model and reused by every
-    later plan that puts the same number of votes on that path.
+    over paths of C(S_i + K - 1, K - 1), far below K^(sum S_i), and at most
+    `EXACT_LIMIT`. Each path's count vectors and factors are built once per
+    model, kept in a memo here that holds the model weakly, and reused by
+    every later plan that puts the same number of votes on that path.
 
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
@@ -38,7 +39,7 @@ sampled
     factors bit for bit.
 
 auto picks exact when the enumeration exact mode would perform, the count
-vectors prod_i C(S_i + K - 1, K - 1), is at most both `exact_limit` and the
+vectors prod_i C(S_i + K - 1, K - 1), is at most both `EXACT_LIMIT` and the
 number of votes the sampled estimator would simulate, G * sum S_i. Measured
 on a 2-core x86 machine at G = 10^4, one count vector of an enumeration of
 10^5 to 10^6 costs 1.4 to 3.2 times one simulated vote, so auto takes exact,
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -61,10 +63,11 @@ from typing import Sequence
 import numpy as np
 
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
-from ._rng import categorical_rows, substream
+from ._rng import _fold, categorical_rows, substream, substreams
 from .errors import InputError, NumericError, ResourceLimitError
 from .model import AccessPlan, ApmModel, as_count, as_counts, check_cells, member
 
+EXACT_LIMIT = 1_000_000  # most count vectors one exact enumeration may hold
 _BLOCK = 8192
 _NEG_TOL = 1e-9
 _AUDIT_VOTES = 3  # largest base vote count per path in check_submodularity
@@ -83,19 +86,17 @@ class IgConfig:
     Args:
         mode: exact, sampled, or auto.
         num_samples: Monte Carlo draws G for sampled mode.
-        seed: base seed for the sampled estimator's streams.
-        exact_limit: largest enumeration exact mode will attempt.
+        seed: base seed for the sampled estimator's streams, an int or a str.
     """
 
     mode: IgMode = IgMode.AUTO
     num_samples: int = 10_000
     seed: int = 0
-    exact_limit: int = 1_000_000
 
     def __post_init__(self):
         object.__setattr__(self, "mode", member(IgMode, self.mode, "IG mode"))
-        for name in ("num_samples", "exact_limit"):
-            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
+        object.__setattr__(self, "num_samples", as_count(self.num_samples, "num_samples", 1))
+        _fold(self.seed)
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,11 @@ def _compositions(total: int, k: int) -> np.ndarray:
         out = np.concatenate(rows, axis=0)
     out.setflags(write=False)
     return out
+
+
+def _plus(counts: Sequence[int], i: int) -> tuple[int, ...]:
+    """`counts` with one more vote on path i."""
+    return (*counts[:i], counts[i] + 1, *counts[i + 1 :])
 
 
 def exact_count_vectors(counts: Sequence[int], k: int) -> int:
@@ -215,27 +221,35 @@ def _count_vector_table(model: ApmModel, path: int, votes: int):
     return log_c, factor
 
 
-def exact_conditional_entropy(
-    model: ApmModel, plan: AccessPlan | Sequence[int], exact_limit: int = 1_000_000
-) -> float:
-    """H(Y | X_S) by exact enumeration over per-path count vectors.
+# Each model's exact tables, keyed by (path, votes). A model's parameters are
+# frozen, so an entry never goes stale. Models hash by identity, so a copy made
+# with `dataclasses.replace` starts with an empty memo; the weak keys keep no
+# model alive.
+_TABLES: weakref.WeakKeyDictionary[ApmModel, dict] = weakref.WeakKeyDictionary()
+
+
+def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int]) -> float:
+    """H(Y | X_S) by exact enumeration over per-path count vectors, at most
+    `EXACT_LIMIT` of them, else ResourceLimitError.
 
     A path's table depends only on the model, the path and its vote count, so
-    it is built once per model and kept in `model.count_vector_tables`; lazy
-    greedy, `exhaustive_opt` and `check_submodularity` reuse it on every call.
+    it is built once per model and kept in this module's memo; lazy greedy,
+    `exhaustive_opt` and `check_submodularity` reuse it on every call.
     """
     counts = as_counts(plan, model.num_paths)
     _require_shared(model, counts)
     k = model.num_labels
     size = exact_count_vectors(counts, k)
-    if size > exact_limit:
+    if size > EXACT_LIMIT:
         raise ResourceLimitError(
-            f"exact enumeration needs {size} count vectors, limit is {exact_limit}"
+            f"exact enumeration needs {size} count vectors, limit is {EXACT_LIMIT}"
         )
 
     log_terms = log(model.prior)[None, :]
     log_mult = np.zeros(1)
-    tables = model.count_vector_tables
+    tables = _TABLES.get(model)
+    if tables is None:
+        tables = _TABLES[model] = {}
     for i, s_i in enumerate(counts):
         if s_i == 0:
             continue
@@ -364,12 +378,12 @@ def _resolve_mode(cfg: IgConfig, counts: Sequence[int], k: int) -> IgMode:
     """The mode `information_gains` uses for a plan: cfg.mode, or auto's choice.
 
     Auto takes exact when the count vectors to enumerate are at most
-    exact_limit and at most the votes sampling would simulate, G per planned
+    `EXACT_LIMIT` and at most the votes sampling would simulate, G per planned
     vote. An empty plan needs no enumeration and counts as exact.
     """
     if cfg.mode is not IgMode.AUTO:
         return cfg.mode
-    cap = min(cfg.exact_limit, cfg.num_samples * max(sum(counts), 1))
+    cap = min(EXACT_LIMIT, cfg.num_samples * max(sum(counts), 1))
     if exact_count_vectors(counts, k) <= cap:
         return IgMode.EXACT
     return IgMode.SAMPLED
@@ -394,7 +408,7 @@ def information_gains(
     for counts, mode in zip(all_counts, modes):
         value, stderr = 0.0, 0.0
         if any(counts) and mode is IgMode.EXACT:
-            value = h_prior - exact_conditional_entropy(model, counts, cfg.exact_limit)
+            value = h_prior - exact_conditional_entropy(model, counts)
             if value < 0:
                 if value < -_NEG_TOL:
                     raise NumericError(f"exact information gain {value} below -{_NEG_TOL}")
@@ -436,31 +450,24 @@ class SubmodularityReport:
 
 
 def check_submodularity(model: ApmModel, trials: int, seed: int = 0) -> SubmodularityReport:
-    """Randomized check that exact IG, as `information_gain` gives it to the planner,
+    """Randomized check that exact IG, as `information_gains` gives it to the planner,
     has diminishing returns over vote multisets of at most _AUDIT_VOTES votes per path."""
     n = model.num_paths
     trials = as_count(trials, "trials")
     cfg = IgConfig(mode=IgMode.EXACT)
-    cache: dict[tuple[int, ...], float] = {}
-
-    def ig(counts: tuple[int, ...]) -> float:
-        if counts not in cache:
-            cache[counts] = information_gain(model, counts, cfg).value
-        return cache[counts]
-
-    def plus(counts: tuple[int, ...], path: int) -> tuple[int, ...]:
-        return counts[:path] + (counts[path] + 1,) + counts[path + 1 :]
-
     violations = []
     mono_violations = []
     worst = math.inf
-    for t in range(trials):
-        rng = substream(seed, "submod", t)
+    for rng in substreams(seed, ("submod",), range(trials)):
         big = tuple(int(v) for v in rng.integers(0, _AUDIT_VOTES + 1, size=n))
         small = tuple(int(rng.integers(0, c + 1)) for c in big)
         v = int(rng.integers(0, n))
-        gain_small = ig(plus(small, v)) - ig(small)
-        gain_big = ig(plus(big, v)) - ig(big)
+        plans = [small, _plus(small, v), big, _plus(big, v)]
+        ig_small, ig_small_v, ig_big, ig_big_v = (
+            est.value for est in information_gains(model, plans, cfg)
+        )
+        gain_small = ig_small_v - ig_small
+        gain_big = ig_big_v - ig_big
         margin = gain_small - gain_big
         worst = min(worst, margin)
         if margin < -_NEG_TOL:

@@ -39,7 +39,7 @@ from ._kernel import (
     scatter_rows,
     vote_evidence,
 )
-from ._rng import substream
+from ._rng import _fold, substream
 from .errors import InputError, NumericError
 from .inference import ModelKind, table_log_joint
 from .model import (
@@ -67,7 +67,7 @@ class EmConfig:
         max_iters: hard cap on EM iterations per restart.
         rel_tol: relative objective improvement below which EM stops.
         smoothing_alpha: pseudo-count added to every table cell in the M-step.
-        seed: base seed for initialization jitter.
+        seed: base seed for initialization jitter, an int or a str.
         restarts: independent initializations; the best final objective wins.
     """
 
@@ -80,6 +80,7 @@ class EmConfig:
     def __post_init__(self):
         for name in ("max_iters", "restarts"):
             object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
+        _fold(self.seed)
         if not self.rel_tol > 0:
             raise InputError(f"rel_tol must be > 0, got {self.rel_tol}")
         if not 0 <= self.smoothing_alpha < math.inf:

@@ -10,6 +10,8 @@ arithmetic, never with float comparisons, so a plan that spends the whole
 budget is exactly affordable.
 
 Types are frozen; array fields are marked read-only after construction.
+`Cpt`, `ApmModel` and `NbiModel` compare and hash by identity; their values
+compare through `model_to_dict` and `nbi_model_to_dict`.
 Scalar fields are checked by their own types: `LabelSpace`, `AccessPathSpec`
 (an exact cost above 0) and `AccessPlan` (integer counts, 0 or more). The
 tables and the prior, which carry a tolerance, are reported together by
@@ -79,7 +81,7 @@ class LabelSpace:
             raise InputError(f"unknown label {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cpt:
     """A conditional probability table, one distribution per row."""
 
@@ -136,7 +138,7 @@ class AccessPathSpec:
 WorkerCpts = Union[Cpt, Mapping[str, Cpt]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApmModel:
     """Full parameter set of the access path model.
 
@@ -177,15 +179,6 @@ class ApmModel:
 
     def is_shared(self, path: int) -> bool:
         return isinstance(self.worker_cpts[path], Cpt)
-
-    @cached_property
-    def count_vector_tables(self) -> dict:
-        """Memo of `infogain`'s per-path exact tables, keyed by (path, votes).
-
-        The parameters are frozen, so an entry never goes stale; a copy made
-        with `dataclasses.replace` starts with an empty memo.
-        """
-        return {}
 
     def vote_cpt(self, path: int, worker_id: str | None) -> Cpt:
         """The table governing one vote on `path` cast by `worker_id`."""
@@ -485,7 +478,7 @@ def with_costs(model: ApmModel, costs: Sequence[Fraction | int | str]) -> ApmMod
     return replace(model, paths=tuple(replace(p, cost=c) for p, c in zip(model.paths, costs)))
 
 
-def with_labels(model: ApmModel, labels: LabelSpace) -> ApmModel:
+def with_labels(model: ApmModel | NbiModel, labels: LabelSpace) -> ApmModel | NbiModel:
     """Copy of a model with a different label space (same cardinality)."""
     if labels.cardinality != model.num_labels:
         raise InputError("label cardinality mismatch")
@@ -584,7 +577,7 @@ def _table_violations(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NbiModel:
     """Per-worker naive Bayes parameters: votes depend on the outcome directly.
 

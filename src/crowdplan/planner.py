@@ -52,6 +52,7 @@ from .infogain import (
     IgConfig,
     IgEstimate,
     IgMode,
+    _plus,
     _resolve_mode,
     information_gain,
     information_gains,
@@ -116,11 +117,6 @@ def approximation_bound(model: ApmModel, budget) -> float:
         )
     gamma = float(cmax / b)
     return 1.0 - math.exp(-(1.0 - gamma))
-
-
-def _plus(counts: list[int], i: int) -> list[int]:
-    """`counts` with one more vote on path i."""
-    return counts[:i] + [counts[i] + 1] + counts[i + 1 :]
 
 
 def _result(model: ApmModel, counts, ig: IgEstimate, trace=()) -> PlanResult:

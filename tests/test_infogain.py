@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,8 +118,8 @@ class TestExactEntropy:
 
     def test_enumeration_limit(self):
         m = sym_model([0.5, 0.5], [0.9] * 2, [0.8] * 2)
-        with pytest.raises(ResourceLimitError):
-            exact_conditional_entropy(m, [3, 3], exact_limit=10)
+        with mock.patch.object(infogain, "EXACT_LIMIT", 10), pytest.raises(ResourceLimitError):
+            exact_conditional_entropy(m, [3, 3])
 
     def test_per_worker_tables_rejected(self):
         rng = np.random.default_rng(1)
@@ -128,7 +129,7 @@ class TestExactEntropy:
 
 
 class TestCountVectorMemo:
-    """Each (path, votes) count-vector table is built once per model and kept on it."""
+    """Each (path, votes) count-vector table is built once per model and kept for it."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -408,8 +409,9 @@ class TestModeSelection:
 
     def test_auto_falls_back_to_sampling(self):
         m = sym_model([0.5, 0.5], [0.9], [0.8])
-        cfg = IgConfig(mode=IgMode.AUTO, num_samples=8192, exact_limit=10)
-        est = information_gain(m, [40], cfg)
+        cfg = IgConfig(mode=IgMode.AUTO, num_samples=8192)
+        with mock.patch.object(infogain, "EXACT_LIMIT", 10):
+            est = information_gain(m, [40], cfg)
         assert est.mode is IgMode.SAMPLED
         assert est.stderr > 0.0
 
@@ -428,19 +430,17 @@ class TestModeSelection:
         assert est.value == information_gain(m, [9, 7, 5], EXACT).value
         # the cap is also the votes sampling would simulate: G per planned vote
         assert _resolve_mode(IgConfig(num_samples=20), [9, 7, 5], 2) is IgMode.SAMPLED
-        assert _resolve_mode(IgConfig(num_samples=20, exact_limit=1), [0, 0, 0], 2) is IgMode.EXACT
+        with mock.patch.object(infogain, "EXACT_LIMIT", 1):
+            assert _resolve_mode(IgConfig(num_samples=20), [0, 0, 0], 2) is IgMode.EXACT
 
     def test_exact_mode_respects_limit(self):
         m = sym_model([0.5, 0.5], [0.9] * 3, [0.8] * 3)
-        cfg = IgConfig(mode=IgMode.EXACT, exact_limit=4)
-        with pytest.raises(ResourceLimitError):
-            information_gain(m, [2, 2, 2], cfg)
+        with mock.patch.object(infogain, "EXACT_LIMIT", 4), pytest.raises(ResourceLimitError):
+            information_gain(m, [2, 2, 2], EXACT)
 
     def test_config_validation(self):
         with pytest.raises(InputError):
             IgConfig(num_samples=0)
-        with pytest.raises(InputError):
-            IgConfig(exact_limit=0)
 
 
 class TestSubmodularityCheck:

@@ -9,6 +9,7 @@ truncated or rounded.
 import math
 import operator
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -157,9 +158,11 @@ def test_tabulate_takes_empty_columns():
         lambda: EmConfig(restarts=2.5),
         lambda: EmConfig(smoothing_alpha=math.inf),
         lambda: IgConfig(num_samples=2.5),
-        lambda: IgConfig(exact_limit=2.5),
+        lambda: IgConfig(seed=1.5),
+        lambda: IgConfig(seed=[1]),
+        lambda: EmConfig(seed=1.5),
     ],
-    ids=["max_iters", "restarts", "alpha", "num_samples", "exact_limit"],
+    ids=["max_iters", "restarts", "alpha", "num_samples", "ig_seed", "ig_seed_list", "em_seed"],
 )
 def test_config_fields_are_checked_on_construction(make):
     with pytest.raises(InputError):
@@ -180,15 +183,18 @@ def test_unknown_ig_mode_names_the_choices():
         lambda: budget_sweep(generate(MODEL, [1, 1, 1], 4), ["mv"], ["equal"], [2], folds=2.5),
         lambda: check_submodularity(MODEL, trials=2.5),
         lambda: check_submodularity(MODEL, trials=-1),
+        lambda: check_submodularity(MODEL, 0, seed=1.5),
         lambda: quantile_paths({"a": 0.5, "b": 0.7, "c": 0.9}, num_paths=2.5),
         lambda: inject_correlation(generate(MODEL, [1, 1, 1], 3), 0.5, seed=1.5),
         lambda: execute_plan_on_sample(SAMPLE, [3, 3], seed=1.5),
         lambda: generate(MODEL, [1, 1, 1], 0, seed=1.5),
         lambda: table_log_joint("mv", MODEL, generate(MODEL, [1, 1, 1], 3)),
+        lambda: replace(MODEL, path_cpts=MODEL.path_cpts[:2]),
+        lambda: generate(replace(MODEL, worker_cpts=(*MODEL.worker_cpts[:2], {})), [1, 1, 1], 2),
     ],
     ids=["num_tasks", "generate_seed", "ig_seed", "folds", "trials", "negative_trials",
-         "num_paths", "inject_seed_no_draw", "execute_seed_no_draw", "generate_seed_no_tasks",
-         "mv_log_joint"],
+         "audit_seed_no_trials", "num_paths", "inject_seed_no_draw", "execute_seed_no_draw",
+         "generate_seed_no_tasks", "mv_log_joint", "misaligned_model", "no_workers_to_vote"],
 )
 def test_simulation_and_sampling_arguments_are_checked(call):
     with pytest.raises(InputError):

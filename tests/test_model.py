@@ -1,11 +1,13 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
 from crowdplan.errors import InputError
+from crowdplan.inference import Posterior
 from crowdplan.model import (
     AccessPathSpec,
     AccessPlan,
@@ -179,6 +181,23 @@ class TestImmutability:
             m.prior[0] = 0.3
         with pytest.raises(ValueError):
             m.path_cpts[0].rows[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Cpt([[1, 0], [0, 1]]),
+            lambda: load_model(str(files("crowdplan") / "data" / "example_model.json")),
+            lambda: NbiModel(LabelSpace(2), [0.5, 0.5], {"a": Cpt([[1, 0], [0, 1]])}),
+            lambda: Posterior([0.5, 0.5], 0, 0.5),
+        ],
+        ids=["cpt", "apm_model", "nbi_model", "posterior"],
+    )
+    def test_array_holders_compare_by_identity(self, make):
+        """`==`, `!=` and `hash` never raise; values compare through `model_to_dict`."""
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
 
 
 class TestSerialization:

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdplan.infogain as infogain
 import crowdplan.planner as planner
 from crowdplan._rng import derive_seed
 from crowdplan.cli import main
@@ -52,6 +53,8 @@ from crowdplan.model import (
     NbiModel,
     TaskSample,
     as_counts,
+    model_to_dict,
+    nbi_model_to_dict,
     plan_cost,
     with_costs,
 )
@@ -216,6 +219,31 @@ def test_log_likelihood_is_sum_of_oracle_log_joints(data):
     assert log_likelihood(model, other) == got
 
 
+@PROPERTY
+@given(st.data(), st.integers(1, 3), st.integers(2, 3))
+def test_permuting_votes_and_tasks_leaves_learning_bitwise_unchanged(data, num_paths, k):
+    """Shared and per-worker `fit_em` and `fit_nbi` give equal model documents
+    and reports, or the same error, on shuffled tasks."""
+    tasks = data.draw(task_lists(num_paths, k, labeled=True))
+    cfg = EmConfig(max_iters=20, rel_tol=1e-12, restarts=2, seed=data.draw(st.integers(0, 9)))
+
+    fits = [
+        (model_to_dict, lambda table: fit_em(table, True, cfg)),
+        (model_to_dict, lambda table: fit_em(table, False, cfg)),
+        (nbi_model_to_dict, lambda table: fit_nbi(table, cfg)),
+    ]
+
+    def document(to_dict, fit, table):
+        model, report = fit(table)
+        return to_dict(model), report
+
+    def learned(samples):
+        table = Dataset(samples=tuple(samples), num_paths=num_paths, num_labels=k)
+        return [outcome(document, to_dict, fit, table) for to_dict, fit in fits]
+
+    assert learned(shuffled(data.draw, tasks)) == learned(tasks)
+
+
 # --- greedy planner ---
 
 COSTS = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
@@ -328,7 +356,7 @@ def _step_groups(calls):
 @given(priced_models(), st.integers(1, 8), st.integers(2, 60), st.integers(1, 40))
 def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples):
     """Near auto's threshold a step's candidates straddle it; the step still uses one mode."""
-    cfg = IgConfig(num_samples=samples, exact_limit=exact_limit, seed=3)
+    cfg = IgConfig(num_samples=samples, seed=3)
     calls = []
     scorer = planner.information_gain
     batch_scorer = planner.information_gains
@@ -347,7 +375,8 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
     planner.information_gain = recording
     planner.information_gains = recording_batch
     try:
-        result = greedy_plan(model, budget, cfg)
+        with patch.object(infogain, "EXACT_LIMIT", exact_limit):
+            result = greedy_plan(model, budget, cfg)
     finally:
         planner.information_gain = scorer
         planner.information_gains = batch_scorer
@@ -403,7 +432,7 @@ def reference_information_gain(model, plan, cfg):
     if sum(counts) == 0:
         return IgEstimate(value=0.0, stderr=0.0, mode=mode)
     if mode is IgMode.EXACT:
-        value = h_prior - exact_conditional_entropy(model, counts, cfg.exact_limit)
+        value = h_prior - exact_conditional_entropy(model, counts)
         if value < 0:
             if value < -1e-9:
                 raise NumericError(f"exact information gain {value} below -1e-09")
@@ -520,14 +549,15 @@ def ig_models(draw):
 def test_information_gains_matches_one_plan_reference(model, data, mode, samples, limit, seed):
     """A batch mixing empty, exact and sampled plans gives each plan its lone estimate, bit for bit.
 
-    A small exact_limit and G put auto's threshold among the drawn plans; in
-    forced exact mode a plan past exact_limit raises, in batch as alone.
+    A small EXACT_LIMIT and G put auto's threshold among the drawn plans; in
+    forced exact mode a plan past EXACT_LIMIT raises, in batch as alone.
     """
-    cfg = IgConfig(mode=mode, num_samples=samples, exact_limit=limit, seed=seed)
+    cfg = IgConfig(mode=mode, num_samples=samples, seed=seed)
     counts = st.lists(st.integers(0, 4), min_size=model.num_paths, max_size=model.num_paths)
     plans = data.draw(st.lists(counts, min_size=1, max_size=6))
-    want = outcome(lambda: [bits(reference_information_gain(model, p, cfg)) for p in plans])
-    got = outcome(lambda: [bits(est) for est in information_gains(model, plans, cfg)])
+    with patch.object(infogain, "EXACT_LIMIT", limit):
+        want = outcome(lambda: [bits(reference_information_gain(model, p, cfg)) for p in plans])
+        got = outcome(lambda: [bits(est) for est in information_gains(model, plans, cfg)])
     assert got == want
 
 
