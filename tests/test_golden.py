@@ -216,3 +216,36 @@ def test_plan_requests_are_byte_identical_to_pinned(capsys):
         out, err = capsys.readouterr()
         got[name] = hashlib.sha256(f"{rc}\0{out}\0{err}".encode("utf-8")).hexdigest()
     assert got == PLAN_PINNED
+
+
+# A sweep over every strategy in each IG mode: pins `rnd`'s per-cell seeds,
+# `best` and `opt` inside a sweep, and greedy's sampled steps (--ig sampled).
+SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
+             "--strategies", "greedy,equal,rnd,best,opt", "--budgets", "4,9", "--folds", "2",
+             "--costs", "1,2,3", "--samples", "300", "--max-iters", "10", "--restarts", "1",
+             "--seed", "3", "--out", "{d}/sweep.csv")
+
+# sha256 of "<exit code>\0<stdout>\0<output file>", taken before greedy, equal
+# and rnd shared one purchase loop.
+SWEEP_ALL_PINNED = {
+    "auto": "9b66c50dc672a4cbb1e26ed86fcfdd8c803130d4e7603abbf139e39523ef4880",
+    "exact": "9b66c50dc672a4cbb1e26ed86fcfdd8c803130d4e7603abbf139e39523ef4880",
+    "sampled": "38a8cc873fd97d9afe02294c337f9ceb239713947c84a7a10bdd761ca9075dfd",
+}
+
+
+def test_sweep_over_every_strategy_and_ig_mode_is_byte_identical_to_pinned(tmp_path, capsys):
+    votes = tmp_path / "votes.csv"
+    with open(votes, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task_id", "path_id", "worker_id", "vote", "truth"])
+        writer.writerows(ragged_votes(seed=11, num_tasks=60))
+    got = {}
+    for mode in SWEEP_ALL_PINNED:
+        capsys.readouterr()
+        rc = main([a.replace("{d}", str(tmp_path)) for a in SWEEP_ALL] + ["--ig", mode])
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "<d>")
+        h = hashlib.sha256(f"{rc}\0{stdout}\0".encode("utf-8"))
+        h.update((tmp_path / "sweep.csv").read_bytes())
+        got[mode] = h.hexdigest()
+    assert got == SWEEP_ALL_PINNED
