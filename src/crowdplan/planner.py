@@ -11,6 +11,11 @@ Budgets and costs are exact rationals throughout, so affordability is an
 integer comparison and a plan that spends the whole budget is exactly
 feasible.
 
+Greedy, `equal` and `rnd` buy through one loop, `_buy`, with one size guard;
+each names the next vote: the best ratio, the affordable path with the fewest
+votes (lowest index on ties), or a uniform draw. `exhaustive_opt` always
+scores exactly.
+
 Each greedy step uses one estimator for its base plan and all its candidates:
 it is sampled if any affordable candidate would be sampled (in auto mode,
 see the `infogain` docstring), else exact, so a marginal gain never subtracts
@@ -39,13 +44,12 @@ value is not a bound, so nothing carries over between sampled steps.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._rng import derive_seed, substream
+from ._rng import _fold, derive_seed, substream
 from .errors import InputError, ResourceLimitError
 from .infogain import (
     _NEG_TOL,
@@ -60,6 +64,7 @@ from .infogain import (
 from .model import AccessPlan, ApmModel, check_cells, member, plan_cost
 
 _OPT_LIMIT = 200_000  # most candidate count vectors exhaustive_opt searches
+_EXACT = IgConfig(mode=IgMode.EXACT)  # exact mode reads no other IgConfig field
 
 
 class Strategy(str, enum.Enum):
@@ -98,11 +103,22 @@ def _coerce_budget(budget) -> Fraction:
     return b
 
 
-def _check_votes(model: ApmModel, b: Fraction) -> None:
-    """ResourceLimitError, before a search that buys one vote per step starts,
-    when the budget buys more votes than the size guard allows: no sampled
-    block or enumeration could hold the plan."""
-    check_cells(max((b // c for c in model.costs), default=0), f"a plan at budget {b}")
+def _buy(model: ApmModel, b: Fraction, pick) -> list[int]:
+    """Buy one vote on the path `pick(counts, affordable)` names until nothing
+    is affordable or it names None. ResourceLimitError first when the budget
+    buys more votes than the size guard allows: no sampled block or
+    enumeration could hold the plan."""
+    costs = model.costs
+    check_cells(max((b // c for c in costs), default=0), f"a plan at budget {b}")
+    counts = [0] * model.num_paths
+    left = b
+    while affordable := [i for i, c in enumerate(costs) if c <= left]:
+        i = pick(counts, affordable)
+        if i is None:
+            break
+        counts[i] += 1
+        left -= costs[i]
+    return counts
 
 
 def approximation_bound(model: ApmModel, budget) -> float:
@@ -138,20 +154,15 @@ def greedy_plan(
     cfg = ig_cfg or IgConfig()
     costs = model.costs
     b = _coerce_budget(budget)
-    _check_votes(model, b)
-    counts = [0] * model.num_paths
-    spent = Fraction(0)
     trace: list[TraceStep] = []
     # The exact estimate of the current plan, when the last step was exact.
     known: IgEstimate | None = None
     # The latest exact marginal gain of one more vote per path: by
     # submodularity an upper bound on that gain at any larger plan.
     stale: dict[int, float] = {}
-    step = 0
-    while True:
-        affordable = [i for i, c in enumerate(costs) if c <= b - spent]
-        if not affordable:
-            break
+
+    def pick(counts, affordable):
+        nonlocal known
         exact = all(
             _resolve_mode(cfg, _plus(counts, i), model.num_labels) is IgMode.EXACT
             for i in affordable
@@ -162,7 +173,7 @@ def greedy_plan(
                 known = information_gain(model, counts, step_cfg)
             base = known.value
         else:
-            step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
+            step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", len(trace)))
             plans = [counts] + [_plus(counts, i) for i in affordable]
             base_est, *ests = information_gains(model, plans, step_cfg)
             base = base_est.value
@@ -170,15 +181,13 @@ def greedy_plan(
 
         # Candidates in order of their bounds; a sampled step has none, and
         # takes its scored candidates in path order.
-        heap = [
+        order = sorted(
             (-(stale[i] + _NEG_TOL) / float(costs[i]) if exact and i in stale
              else -math.inf, i)
             for i in affordable
-        ]
-        heapq.heapify(heap)
+        )
         best = None
-        while heap:
-            neg_bound, i = heapq.heappop(heap)
+        for neg_bound, i in order:
             if -neg_bound < (best[2] if best else 0.0):
                 break
             if exact:
@@ -193,19 +202,19 @@ def greedy_plan(
             if best is None or ratio > best[2] or (ratio == best[2] and i < best[0]):
                 best = (i, delta, ratio, est)
         if best is None:
-            break
+            return None
         i, delta, ratio, est = best
-        counts[i] += 1
-        spent += costs[i]
-        trace.append(TraceStep(step=step, path=i, delta_ig=delta, ratio=ratio))
+        trace.append(TraceStep(step=len(trace), path=i, delta_ig=delta, ratio=ratio))
         known = est if exact else None
-        step += 1
+        return i
+
+    counts = _buy(model, b, pick)
     if known is None or _resolve_mode(cfg, counts, model.num_labels) is not IgMode.EXACT:
         known = information_gain(model, counts, cfg)
     return _result(model, counts, known, trace)
 
 
-def exhaustive_opt(model: ApmModel, budget, ig_cfg: IgConfig | None = None) -> PlanResult:
+def exhaustive_opt(model: ApmModel, budget) -> PlanResult:
     """True optimum by enumerating every maximal feasible plan with exact gain.
 
     A plan is maximal when no path is still affordable with what it leaves of
@@ -215,7 +224,6 @@ def exhaustive_opt(model: ApmModel, budget, ig_cfg: IgConfig | None = None) -> P
     ResourceLimitError when the box searched, prod_i (floor(B / c_i) + 1)
     count vectors, a superset of the feasible plans, exceeds _OPT_LIMIT.
     """
-    cfg = ig_cfg or IgConfig()
     costs = model.costs
     b = _coerce_budget(budget)
     caps = [int(b // c) for c in costs]
@@ -235,7 +243,7 @@ def exhaustive_opt(model: ApmModel, budget, ig_cfg: IgConfig | None = None) -> P
         for counts in itertools.product(*(range(cap + 1) for cap in caps))
         if 0 <= left - sum(n * u for n, u in zip(counts, units)) < cheapest
     ]
-    ests = information_gains(model, plans, replace(cfg, mode=IgMode.EXACT))
+    ests = information_gains(model, plans, _EXACT)
     est, counts = max(zip(ests, plans), key=lambda pair: pair[0].value)  # first maximum
     return _result(model, counts, est)
 
@@ -249,39 +257,22 @@ def baseline_plan(
 ) -> PlanResult:
     """Reference allocations: random, single-best-path, or equal spread."""
     strategy = member(Strategy, strategy, "strategy")
+    _fold(seed)
     cfg = ig_cfg or IgConfig()
-    costs = model.costs
     b = _coerce_budget(budget)
-    counts = [0] * model.num_paths
-    spent = Fraction(0)
 
     if strategy is Strategy.RND:
-        _check_votes(model, b)
         rng = substream(seed, "rnd-plan")
-        while True:
-            affordable = [i for i, c in enumerate(costs) if c <= b - spent]
-            if not affordable:
-                break
-            i = affordable[int(rng.integers(0, len(affordable)))]
-            counts[i] += 1
-            spent += costs[i]
+        counts = _buy(model, b, lambda counts, ok: ok[int(rng.integers(0, len(ok)))])
     elif strategy is Strategy.BEST:
         n = model.num_paths
         ones = [[int(i == j) for j in range(n)] for i in range(n)]
-        exact_cfg = replace(cfg, mode=IgMode.EXACT)
-        gains = [est.value for est in information_gains(model, ones, exact_cfg)]
+        gains = [est.value for est in information_gains(model, ones, _EXACT)]
         best_path = gains.index(max(gains))
-        counts[best_path] = int(b // costs[best_path])
+        counts = [0] * n
+        counts[best_path] = int(b // model.costs[best_path])
     elif strategy is Strategy.EQUAL:
-        _check_votes(model, b)
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, c in enumerate(costs):
-                if c <= b - spent:
-                    counts[i] += 1
-                    spent += c
-                    progressed = True
+        counts = _buy(model, b, lambda counts, ok: min(ok, key=lambda i: (counts[i], i)))
     else:
         raise InputError(
             f"{strategy.value} is not a baseline; call greedy_plan or exhaustive_opt"
@@ -299,8 +290,9 @@ def build_plan(
 ) -> PlanResult:
     """Uniform entry point over all strategies."""
     strategy = member(Strategy, strategy, "strategy")
+    _fold(seed)
     if strategy is Strategy.GREEDY:
         return greedy_plan(model, budget, ig_cfg)
     if strategy is Strategy.OPT:
-        return exhaustive_opt(model, budget, ig_cfg)
+        return exhaustive_opt(model, budget)
     return baseline_plan(strategy, model, budget, seed, ig_cfg)

@@ -99,7 +99,7 @@ def test_03_greedy_meets_approximation_bound():
         model = random_model(rng, n, k=2, costs=costs)
         budget = int(rng.integers(max(costs), 9))
         greedy = greedy_plan(model, budget, EXACT)
-        opt = exhaustive_opt(model, budget, EXACT)
+        opt = exhaustive_opt(model, budget)
         bound = approximation_bound(model, budget)
         if greedy.ig.value < bound * opt.ig.value - 1e-9:
             failures += 1

@@ -34,7 +34,7 @@ from crowdplan.model import (
     model_to_dict,
     with_costs,
 )
-from crowdplan.planner import greedy_plan
+from crowdplan.planner import baseline_plan, build_plan, greedy_plan
 from crowdplan.simulator import generate, inject_correlation, quantile_paths
 
 from _oracles import sym_model
@@ -191,10 +191,15 @@ def test_unknown_ig_mode_names_the_choices():
         lambda: table_log_joint("mv", MODEL, generate(MODEL, [1, 1, 1], 3)),
         lambda: replace(MODEL, path_cpts=MODEL.path_cpts[:2]),
         lambda: generate(replace(MODEL, worker_cpts=(*MODEL.worker_cpts[:2], {})), [1, 1, 1], 2),
+        lambda: baseline_plan("equal", MODEL, 3, seed=1.5),
+        lambda: baseline_plan("best", MODEL, 3, seed=1.5),
+        lambda: build_plan("greedy", MODEL, 3, seed=1.5),
+        lambda: build_plan("opt", MODEL, 3, seed=[1]),
     ],
     ids=["num_tasks", "generate_seed", "ig_seed", "folds", "trials", "negative_trials",
          "audit_seed_no_trials", "num_paths", "inject_seed_no_draw", "execute_seed_no_draw",
-         "generate_seed_no_tasks", "mv_log_joint", "misaligned_model", "no_workers_to_vote"],
+         "generate_seed_no_tasks", "mv_log_joint", "misaligned_model", "no_workers_to_vote",
+         "equal_seed_no_draw", "best_seed_no_draw", "greedy_seed_no_draw", "opt_seed_list"],
 )
 def test_simulation_and_sampling_arguments_are_checked(call):
     with pytest.raises(InputError):
@@ -287,6 +292,11 @@ def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks
         return result.cost <= b and b - result.cost < min(MODEL.costs)
 
     check(good_budget, greedy_leftover, lambda: True)
+    check(
+        good_budget and good_seed,
+        lambda: baseline_plan("equal", MODEL, budget, seed=seed),
+        lambda: baseline_plan("equal", MODEL, b, seed=same_seed),
+    )
 
     def executed():
         ex = execute_plan_on_sample(SAMPLE, [count, 1], seed=seed)

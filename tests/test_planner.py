@@ -124,20 +124,20 @@ class TestExhaustive:
             costs = [int(c) for c in rng.integers(1, 4, size=2)]
             m = random_model(rng, 2, k=2, costs=costs)
             budget = int(rng.integers(max(costs), 7))
-            res = exhaustive_opt(m, budget, EXACT)
+            res = exhaustive_opt(m, budget)
             want_plan, want_ig = self.enumerate_best(m, budget)
             assert res.plan.counts == want_plan
             assert res.ig.value == pytest.approx(want_ig, abs=1e-12)
 
     def test_tie_prefers_lexicographically_smallest(self):
         m = sym_model([0.5, 0.5], [0.9, 0.9], [0.8, 0.8])
-        res = exhaustive_opt(m, 1, EXACT)
+        res = exhaustive_opt(m, 1)
         assert res.plan.counts == (0, 1)
 
     def test_enumeration_limit(self):
         m = sym_model([0.5, 0.5], [0.9] * 3, [0.8] * 3)
         with pytest.raises(ResourceLimitError):
-            exhaustive_opt(m, 60, EXACT)  # 61^3 = 226,981 candidate count vectors
+            exhaustive_opt(m, 60)  # 61^3 = 226,981 candidate count vectors
 
     def test_greedy_meets_guarantee(self):
         rng = np.random.default_rng(99)
@@ -147,7 +147,7 @@ class TestExhaustive:
             m = random_model(rng, n, k=2, costs=costs)
             budget = int(rng.integers(max(costs), 9))
             greedy = greedy_plan(m, budget, EXACT)
-            opt = exhaustive_opt(m, budget, EXACT)
+            opt = exhaustive_opt(m, budget)
             bound = approximation_bound(m, budget)
             assert greedy.ig.value >= bound * opt.ig.value - 1e-9
 

@@ -1,7 +1,8 @@
 """Property tests: the batched posteriors and log-likelihood against the oracles,
 the lazy greedy planner against an eager reference, a greedy step's batched
 sampled scores against separate calls, the batched IG scorer and the planners
-that use it against their one-plan-at-a-time references, and EM monotonicity.
+that use it against their one-plan-at-a-time references, the `equal` and `rnd`
+pick rules against their own purchase loops, and EM monotonicity.
 
 Models are drawn at random with shared and per-worker vote tables, and their
 tables may hold exact zeros, so impossible votes, degenerate evidence and
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 import crowdplan.infogain as infogain
 import crowdplan.planner as planner
-from crowdplan._rng import derive_seed
+from crowdplan._rng import derive_seed, substream
 from crowdplan.cli import main
 from crowdplan.errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from crowdplan.inference import infer
@@ -524,6 +525,50 @@ def test_best_baseline_matches_one_plan_reference(model, budget):
     got = baseline_plan("best", model, budget)
     assert got.plan.counts == reference_best(model, budget)
     assert bits(got.ig) == bits(reference_information_gain(model, got.plan, IgConfig()))
+
+
+def reference_equal(costs, b):
+    """`equal` as a round-robin: one vote on each affordable path in index
+    order, round after round, until a round buys nothing."""
+    counts, spent = [0] * len(costs), Fraction(0)
+    progressed = True
+    while progressed:
+        progressed = False
+        for i, c in enumerate(costs):
+            if c <= b - spent:
+                counts[i] += 1
+                spent += c
+                progressed = True
+    return tuple(counts)
+
+
+def reference_rnd(costs, b, seed):
+    """`rnd` with its own loop: a uniform draw among the affordable paths per vote."""
+    counts, spent = [0] * len(costs), Fraction(0)
+    rng = substream(seed, "rnd-plan")
+    while True:
+        affordable = [i for i, c in enumerate(costs) if c <= b - spent]
+        if not affordable:
+            return tuple(counts)
+        i = affordable[int(rng.integers(0, len(affordable)))]
+        counts[i] += 1
+        spent += costs[i]
+
+
+@PROPERTY
+@given(
+    st.lists(PLAN_COSTS, min_size=1, max_size=4),
+    st.integers(0, 80).map(lambda n: Fraction(n, 2)),
+    st.integers(0, 2**32),
+)
+def test_equal_and_rnd_match_their_reference_loops(costs, budget, seed):
+    model = sym_model([0.6, 0.4], [0.8] * len(costs), [0.7] * len(costs), costs=costs)
+    # One draw per sampled IG keeps the score of a plan of up to 140 votes cheap.
+    cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=1)
+    equal = baseline_plan("equal", model, budget, seed=seed, ig_cfg=cfg)
+    assert equal.plan.counts == reference_equal(model.costs, budget)
+    rnd = baseline_plan("rnd", model, budget, seed=seed, ig_cfg=cfg)
+    assert rnd.plan.counts == reference_rnd(model.costs, budget, seed)
 
 
 @st.composite
