@@ -249,3 +249,56 @@ def test_sweep_over_every_strategy_and_ig_mode_is_byte_identical_to_pinned(tmp_p
         h.update((tmp_path / "sweep.csv").read_bytes())
         got[mode] = h.hexdigest()
     assert got == SWEEP_ALL_PINNED
+
+
+def _peaked_rows(diag):
+    """K=4 rows with the given diagonal; the rest of row r split 3:2:1 in column order."""
+    rows = []
+    for r, d in enumerate(diag):
+        rest = [(1 - d) * share / 6 for share in (3, 2, 1)]
+        rows.append(rest[:r] + [d] + rest[r:])
+    return rows
+
+
+# A wide K=4 model: 5 shared-table paths with costs 1,2,2,3,4. Exact greedy at
+# B=26 scores enumerations of up to a few hundred thousand count vectors, and
+# auto greedy at B=40 takes sampled steps on 2,000 draws, so these requests
+# reach the code paths that the bundled model's small plans never do.
+WIDE_MODEL = {
+    "kind": "apm",
+    "labels": {"cardinality": 4},
+    "prior": [0.24, 0.26, 0.27, 0.23],
+    "paths": [
+        {"id": i, "cost": cost, "path_cpt": _peaked_rows(path_diag),
+         "shared_cpt": _peaked_rows(worker_diag)}
+        for i, (cost, path_diag, worker_diag) in enumerate((
+            ("1", (0.62, 0.64, 0.61, 0.63), (0.60, 0.61, 0.59, 0.62)),
+            ("2", (0.70, 0.71, 0.69, 0.72), (0.68, 0.67, 0.69, 0.68)),
+            ("2", (0.74, 0.73, 0.75, 0.74), (0.72, 0.73, 0.71, 0.72)),
+            ("3", (0.80, 0.81, 0.79, 0.80), (0.78, 0.77, 0.79, 0.78)),
+            ("4", (0.86, 0.85, 0.87, 0.86), (0.84, 0.85, 0.83, 0.84)),
+        ))
+    ],
+}
+WIDE_REQUESTS = (
+    ("greedy@26.exact", ("--budget", "26", "--ig", "exact")),
+    ("greedy@40.auto", ("--budget", "40", "--samples", "2000", "--seed", "0")),
+)
+# sha256 as in PLAN_PINNED, taken before exact enumerations were scored in row
+# blocks and sampled path tables were gathered from the exact memo.
+WIDE_PINNED = {
+    "greedy@26.exact": "404550074eeba1719557b5192d0dec674cf63d4575f53ae10adcff6a6f1dadd3",
+    "greedy@40.auto": "5e7aa8b58a77bfeaa16d896fdcb29f96fde869bb24ebd3dd46737f9123b3a2b6",
+}
+
+
+def test_wide_plan_requests_are_byte_identical_to_pinned(tmp_path, capsys):
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(WIDE_MODEL), encoding="utf-8")
+    got = {}
+    for name, argv in WIDE_REQUESTS:
+        capsys.readouterr()
+        rc = main(["plan", "--model", str(model), *argv])
+        out, err = capsys.readouterr()
+        got[name] = hashlib.sha256(f"{rc}\0{out}\0{err}".encode("utf-8")).hexdigest()
+    assert got == WIDE_PINNED
