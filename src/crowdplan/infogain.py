@@ -12,6 +12,13 @@ exact
     model, kept in a memo here that holds the model weakly, and reused by
     every later plan that puts the same number of votes on that path.
 
+    The enumeration is scored in row blocks of at most `_EXACT_ROWS` rows
+    over the last voted path, each laid out label-major (K, rows) so that
+    every per-label pass reads contiguous memory. Each entry's terms go into
+    one (V, K) array, which is summed as a whole-array evaluation sums it, so
+    the value keeps every bit of that evaluation; peak memory is about that
+    array plus one block.
+
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
     model and average the exact posterior entropy H(Y | x) of each draw. Draws
@@ -32,11 +39,14 @@ sampled
     grows, and one per later path, whose draws every extension shifts by the
     same single row.
 
-    A table scores each distinct drawn count vector once, as exact mode
-    does: c votes over K labels give at most C(c + K - 1, K - 1) of them (56
-    for c = 5, K = 4) however many draws a block holds. Scoring works row by
-    row, so gathering the distinct rows back to the draws gives every draw's
-    factors bit for bit.
+    A table gathers each draw's factors from the exact memo: c votes over K
+    labels give one of C(c + K - 1, K - 1) count vectors (56 for c = 5,
+    K = 4), the rows of the memo's table for (path, c), however many draws a
+    block holds. Scoring works row by row, so a gathered row equals the row
+    scored from the draw's own counts, bit for bit. Where that table would
+    hold more rows than the block has draws, or its dense rank array more
+    than `_RANK_LIMIT` entries, the table scores each distinct drawn count
+    vector once instead and gathers those rows back to the draws.
 
 auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `EXACT_LIMIT` and the
@@ -65,10 +75,12 @@ import numpy as np
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
 from ._rng import _fold, categorical_rows, substream, substreams
 from .errors import InputError, NumericError, ResourceLimitError
-from .model import AccessPlan, ApmModel, as_count, as_counts, check_cells, member
+from .model import AccessPlan, ApmModel, Cpt, as_count, as_counts, check_cells, member
 
 EXACT_LIMIT = 1_000_000  # most count vectors one exact enumeration may hold
-_BLOCK = 8192
+_BLOCK = 8192  # draws per sampled block
+_EXACT_ROWS = 1 << 14  # most enumeration rows one exact block scores
+_RANK_LIMIT = 1 << 16  # most codes a sampled table's dense rank array holds
 _NEG_TOL = 1e-9
 _AUDIT_VOTES = 3  # largest base vote count per path in check_submodularity
 
@@ -112,8 +124,15 @@ class IgEstimate:
 
 
 def prior_entropy(prior: np.ndarray | Sequence[float]) -> float:
-    """Shannon entropy of a distribution in nats; 0 log 0 counts as 0."""
+    """Shannon entropy of a distribution in nats; 0 log 0 counts as 0.
+
+    InputError unless `prior` is a finite distribution: entries in [0, 1]
+    summing to 1.
+    """
     p = np.asarray(prior, dtype=np.float64)
+    found = Cpt(p[None]).violations("prior")
+    if found:
+        raise InputError("; ".join(found))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
     return float(-terms.sum())
@@ -221,11 +240,28 @@ def _count_vector_table(model: ApmModel, path: int, votes: int):
     return log_c, factor
 
 
-# Each model's exact tables, keyed by (path, votes). A model's parameters are
-# frozen, so an entry never goes stale. Models hash by identity, so a copy made
-# with `dataclasses.replace` starts with an empty memo; the weak keys keep no
-# model alive.
+# Each model's memo: its exact tables, keyed by (path, votes) and built on
+# first use, and, taken when the memo is made, its prior entropy H(Y) under
+# "h_prior" and its log prior as a (K, 1) column under "log_prior". A model's
+# parameters are frozen, so an entry never goes stale. Models hash by identity,
+# so a copy made with `dataclasses.replace` starts with an empty memo; the weak
+# keys keep no model alive.
 _TABLES: weakref.WeakKeyDictionary[ApmModel, dict] = weakref.WeakKeyDictionary()
+
+
+def _memo(model: ApmModel) -> dict:
+    memo = _TABLES.get(model)
+    if memo is None:
+        h_prior = prior_entropy(model.prior)
+        memo = _TABLES[model] = {"h_prior": h_prior, "log_prior": log(model.prior)[:, None]}
+    return memo
+
+
+def _table(memo: dict, model: ApmModel, path: int, votes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's `_count_vector_table` for (path, votes), from its memo."""
+    if (path, votes) not in memo:
+        memo[path, votes] = _count_vector_table(model, path, votes)
+    return memo[path, votes]
 
 
 def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int]) -> float:
@@ -235,6 +271,18 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
     A path's table depends only on the model, the path and its vote count, so
     it is built once per model and kept in this module's memo; lazy greedy,
     `exhaustive_opt` and `check_submodularity` reuse it on every call.
+
+    Enumeration row r = p * V_last + j pairs row p of the outer sum over every
+    voted path but the last, built once label-major as a (K, P) array, with
+    row j of the last path's table. The rows are scored in blocks of at most
+    `_EXACT_ROWS`, a range of p, or of j when the last path alone is wider
+    than a block. Each block is label-major, so `logsumexp` and every pass
+    after it run over contiguous rows, and its per-entry terms go transposed
+    into one (V, K) array. Every entry is computed with the same operations in
+    the same order as a whole-array (V, K) evaluation, and the (V, K) array is
+    summed as that evaluation sums it, so the result keeps every bit. Peak
+    memory is that array, the outer sum (at most 1/K of its size) and one
+    block.
     """
     counts = as_counts(plan, model.num_paths)
     _require_shared(model, counts)
@@ -245,33 +293,57 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
             f"exact enumeration needs {size} count vectors, limit is {EXACT_LIMIT}"
         )
 
-    log_terms = log(model.prior)[None, :]
-    log_mult = np.zeros(1)
-    tables = _TABLES.get(model)
-    if tables is None:
-        tables = _TABLES[model] = {}
-    for i, s_i in enumerate(counts):
-        if s_i == 0:
-            continue
-        if (i, s_i) not in tables:
-            tables[i, s_i] = _count_vector_table(model, i, s_i)
-        log_c, factor = tables[i, s_i]
-        log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
-        log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
+    memo = _memo(model)
+    tables = [_table(memo, model, i, s_i) for i, s_i in enumerate(counts) if s_i > 0]
+    # The empty plan has one row, whose last-path terms add 0.
+    last_c, last_factor = tables.pop() if tables else (np.zeros(1), np.zeros((1, k)))
+    outer = memo["log_prior"]
+    outer_mult = np.zeros(1)
+    for log_c, factor in tables:
+        outer = (outer[:, :, None] + factor.T[:, None, :]).reshape(k, -1)
+        outer_mult = (outer_mult[:, None] + log_c[None, :]).reshape(-1)
 
-    # The enumeration is the largest array here, so the last steps reuse it.
-    log_pxy = log_terms
-    log_pxy += log_mult[:, None]
-    log_px = logsumexp(log_pxy, axis=1)
-    with np.errstate(invalid="ignore"):
-        pxy = np.exp(log_pxy)
-        surprise = np.subtract(log_px[:, None], log_pxy, out=log_pxy)
-        surprise *= pxy
-        contrib = np.where(pxy > 0, surprise, 0.0)
-    mass = float(pxy.sum())
+    last_t = last_factor.T
+    width = len(last_c)
+    step_p = max(1, _EXACT_ROWS // width)
+    step_j = min(width, _EXACT_ROWS)
+    contrib = np.zeros((size, k))
+    mass = 0.0
+    for p in range(0, outer.shape[1], step_p):
+        for j in range(0, width, step_j):
+            log_pxy = outer[:, p : p + step_p, None] + last_t[:, None, j : j + step_j]
+            log_pxy = log_pxy.reshape(k, -1)
+            log_pxy += (outer_mult[p : p + step_p, None] + last_c[j : j + step_j]).reshape(-1)
+            log_px = logsumexp(log_pxy, axis=0)
+            pxy = np.exp(log_pxy)
+            # Only where pxy > 0, as np.where(pxy > 0, ...) kept; contrib's 0.0
+            # stays elsewhere, and no -inf - -inf is taken.
+            scored = pxy > 0
+            surprise = np.subtract(log_px, log_pxy, out=log_pxy, where=scored)
+            row = p * width + j
+            np.multiply(surprise, pxy, out=contrib[row : row + pxy.shape[1]].T, where=scored)
+            mass += float(pxy.sum())
     if not abs(mass - 1.0) <= 1e-6:
         raise NumericError(f"enumerated evidence mass {mass} is not 1")
     return float(contrib.sum())
+
+
+def _digits(votes: int, k: int) -> np.ndarray:
+    """Place values that code a count vector of `votes` votes by the counts of
+    labels 0..K-2 as a number in base votes + 1, a code below (votes + 1)^(K-1)."""
+    digits = (votes + 1) ** np.arange(k, dtype=np.int64)
+    digits[-1] = 0
+    return digits
+
+
+@lru_cache(maxsize=64)
+def _ranks(votes: int, k: int) -> np.ndarray:
+    """Row of each count vector of `_compositions(votes, k)`, indexed by its code."""
+    vecs = _compositions(votes, k)
+    rank = np.zeros((votes + 1) ** (k - 1), dtype=np.intp)
+    rank[vecs @ _digits(votes, k)] = np.arange(len(vecs))
+    rank.setflags(write=False)
+    return rank
 
 
 def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -280,19 +352,26 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     u[0] draws the path's latent state and u[1:] the votes, one row of
     uniforms per vote, as `len(u)` consecutive draws of a block's stream.
 
-    Each distinct label count vector is scored once, keyed by the counts of
-    labels 0..K-2 as a number in base votes + 1, or one draw per group when
-    that number might not fit in int64.
+    Each draw's label counts are coded as in `_digits`, and its row is
+    gathered from the memo's exact table for (path, votes) through a dense
+    rank array. `_factors` scores row by row, so a gathered row equals the row
+    scored from the draw's own counts, bit for bit. The fallback, where that
+    table would hold more rows than the block has draws or there are more
+    than `_RANK_LIMIT` codes: score each distinct drawn count vector once,
+    grouped by code, or one draw per group when a code might not fit in int64.
     """
     k = model.num_labels
+    votes = len(u) - 1
     z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
     v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
-    if len(u) ** (k - 1) <= np.iinfo(np.int64).max:
-        digits = len(u) ** np.arange(k, dtype=np.int64)
-        digits[-1] = 0
-        code = digits[v].sum(axis=0)
-    else:
+    codes = (votes + 1) ** (k - 1)
+    if codes > np.iinfo(np.int64).max:
         code = np.arange(v.shape[1])
+    else:
+        code = _digits(votes, k)[v].sum(axis=0)
+        if codes <= _RANK_LIMIT and math.comb(votes + k - 1, k - 1) <= len(y):
+            _, factor = _table(_memo(model), model, path, votes)
+            return np.take(factor, _ranks(votes, k)[code], axis=0)
     distinct, group = np.unique(code, return_inverse=True)
     member = np.empty(len(distinct), dtype=np.intp)
     member[group] = np.arange(len(group))  # any one draw of each group
@@ -362,7 +441,7 @@ def sampled_conditional_entropies(
     totals = iter(sums)
     for counts in all_counts:
         if sum(counts) == 0:
-            out.append((prior_entropy(model.prior), 0.0))
+            out.append((_memo(model)["h_prior"], 0.0))
             continue
         total_h, total_h2 = next(totals)
         mean = total_h / g
@@ -401,7 +480,7 @@ def information_gains(
     cfg = cfg or IgConfig()
     all_counts = [as_counts(plan, model.num_paths) for plan in plans]
     modes = [_resolve_mode(cfg, counts, model.num_labels) for counts in all_counts]
-    h_prior = prior_entropy(model.prior)
+    h_prior = _memo(model)["h_prior"]
     sampled = [c for c, mode in zip(all_counts, modes) if mode is IgMode.SAMPLED and any(c)]
     entropies = iter(sampled_conditional_entropies(model, sampled, cfg))
     out = []

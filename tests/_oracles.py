@@ -4,7 +4,9 @@ Everything here works by brute force in plain Python arithmetic: full-joint
 enumeration over (outcome, every latent path state), raw enumeration over all
 vote assignments for conditional entropy, and naive products for the
 independence-assuming posteriors. Nothing imports the package's inference or
-information-gain code paths.
+information-gain code paths, except `whole_array_exact_conditional_entropy`:
+a former implementation kept as the bit-for-bit reference for the blocked one,
+which must share the package's tables and kernels to share its bits.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from crowdplan._kernel import log, logsumexp
+from crowdplan.infogain import _count_vector_table
 from crowdplan.model import (
     AccessPathSpec,
     ApmModel,
@@ -80,6 +84,28 @@ def enum_conditional_entropy(model: ApmModel, counts) -> float:
             if pxy > 0.0:
                 terms.append(pxy * math.log(px / pxy))
     return math.fsum(terms)
+
+
+def whole_array_exact_conditional_entropy(model: ApmModel, counts) -> float:
+    """H(Y | X_S) as `exact_conditional_entropy` computed it before it scored
+    row blocks: the whole enumeration as one (V, K) array, each path's terms
+    added in path order, `logsumexp` over its strided label axis."""
+    k = model.num_labels
+    log_terms = log(model.prior)[None, :]
+    log_mult = np.zeros(1)
+    for i, s_i in enumerate(counts):
+        if s_i == 0:
+            continue
+        log_c, factor = _count_vector_table(model, i, s_i)
+        log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
+        log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
+    log_pxy = log_terms + log_mult[:, None]
+    log_px = logsumexp(log_pxy, axis=1)
+    with np.errstate(invalid="ignore"):
+        pxy = np.exp(log_pxy)
+        surprise = (log_px[:, None] - log_pxy) * pxy
+        contrib = np.where(pxy > 0, surprise, 0.0)
+    return float(contrib.sum())
 
 
 def naive_worker_posterior(prior, worker_rows: dict[str, np.ndarray], votes):

@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crowdplan.infogain as infogain
+from crowdplan._kernel import logsumexp
 from crowdplan._rng import categorical_rows
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.infogain import (
@@ -23,7 +24,12 @@ from crowdplan.infogain import (
 from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace
 from crowdplan.planner import exhaustive_opt, greedy_plan
 
-from _oracles import enum_conditional_entropy, random_model, sym_model
+from _oracles import (
+    enum_conditional_entropy,
+    random_model,
+    sym_model,
+    whole_array_exact_conditional_entropy,
+)
 
 EXACT = IgConfig(mode=IgMode.EXACT)
 
@@ -40,6 +46,32 @@ class TestPriorEntropy:
 
     def test_point_mass_is_zero(self):
         assert prior_entropy([1.0, 0.0]) == 0.0
+
+    def test_nan_entry_is_an_input_error(self):
+        with pytest.raises(InputError, match="prior: non-finite entries"):
+            prior_entropy([math.nan, 0.5])
+
+    def test_entries_outside_unit_interval_are_an_input_error(self):
+        with pytest.raises(InputError, match=r"prior: entries outside \[0, 1\]"):
+            prior_entropy([2, -1])
+
+    def test_taken_once_per_model(self, monkeypatch):
+        """Information gains read H(Y) from the model's memo, so the prior is
+        checked once per model, not once per call."""
+        calls = []
+
+        def counting(prior):
+            calls.append(prior)
+            return original(prior)
+
+        original = infogain.prior_entropy
+        monkeypatch.setattr(infogain, "prior_entropy", counting)
+        m = sym_model([0.3, 0.7], [0.9, 0.8], [0.8, 0.7])
+        sampled = IgConfig(mode=IgMode.SAMPLED, num_samples=50)
+        for _ in range(3):
+            infogain.information_gains(m, [[0, 0], [1, 0], [2, 1]], EXACT)
+            infogain.information_gains(m, [[0, 0], [1, 1]], sampled)
+        assert len(calls) == 1
 
 
 class TestExactEntropy:
@@ -126,6 +158,90 @@ class TestExactEntropy:
         m = random_model(rng, 2, per_worker=True)
         with pytest.raises(InputError):
             exact_conditional_entropy(m, [1, 1])
+
+
+def zeroed_model(k, num_paths, seed, zeros):
+    """A shared-table model; `zeros` zeroes about 40% of each CPT's entries, so
+    that -inf factors and terms appear."""
+    rng = np.random.default_rng(seed)
+
+    def cpt():
+        rows = rng.dirichlet(np.ones(k), size=k)
+        if zeros:
+            rows[rng.random((k, k)) < 0.4] = 0.0
+            rows[np.arange(k), rng.integers(0, k, size=k)] += 0.5
+            rows /= rows.sum(axis=1, keepdims=True)
+        return Cpt(rows)
+
+    return ApmModel(
+        labels=LabelSpace(k),
+        prior=rng.dirichlet(np.ones(k)),
+        paths=tuple(AccessPathSpec(index=i, cost=1) for i in range(num_paths)),
+        path_cpts=tuple(cpt() for _ in range(num_paths)),
+        worker_cpts=tuple(cpt() for _ in range(num_paths)),
+    )
+
+
+def assert_same_exact_bits(model, counts):
+    got = exact_conditional_entropy(model, counts)
+    want = whole_array_exact_conditional_entropy(model, counts)
+    assert got.hex() == want.hex()
+
+
+class TestBlockedExact:
+    """Scoring the enumeration in label-major row blocks keeps every bit of the
+    whole-array evaluation, whatever the block size."""
+
+    # rows per block, from the enumeration's size and its last path's width
+    SHAPES = {
+        "one block": lambda size, width: size,
+        "one block plus 1": lambda size, width: max(1, size - 1),
+        "several blocks": lambda size, width: max(1, size // 4),
+        "last path wider": lambda size, width: max(1, width - 1),
+        "one row each": lambda size, width: 1,
+    }
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(2, 10),
+        st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(sorted(SHAPES)),
+    )
+    @example(2, [0], 0, False, "one block")  # the empty plan: one row
+    @example(10, [0, 0, 0], 1, True, "one row each")
+    @example(4, [0, 3, 0, 2], 2, True, "last path wider")
+    def test_blocks_keep_every_bit(self, k, votes, seed, zeros, shape):
+        counts = list(votes)
+        while exact_count_vectors(counts, k) > 2000:
+            counts[counts.index(max(counts))] -= 1
+        voted = [c for c in counts if c > 0]
+        width = exact_count_vectors(voted[-1:], k)
+        rows = self.SHAPES[shape](exact_count_vectors(counts, k), width)
+        model = zeroed_model(k, len(counts), seed, zeros)
+        blocks = []
+
+        def recording(a, axis):
+            blocks.append(a.shape[1])
+            return logsumexp(a, axis)
+
+        with mock.patch.object(infogain, "_EXACT_ROWS", rows), \
+                mock.patch.object(infogain, "logsumexp", recording):
+            assert_same_exact_bits(model, counts)
+        assert sum(blocks) == exact_count_vectors(counts, k)
+        assert max(blocks) <= rows
+
+    def test_wide_enumerations_keep_every_bit(self):
+        """At the real block size: enumerations of many blocks, and a last path
+        of 45 votes, whose 17,296 count vectors are wider than a block."""
+        assert math.comb(45 + 3, 3) > infogain._EXACT_ROWS
+        model = random_model(np.random.default_rng(4), 5, k=4, costs=[1, 2, 2, 3, 4])
+        for counts in ([2, 2, 3, 2, 2], [3, 3, 2, 2, 1], [0, 0, 0, 0, 45], [1, 0, 0, 0, 45]):
+            assert exact_count_vectors(counts, 4) > infogain._EXACT_ROWS
+            assert_same_exact_bits(model, counts)
+        zeroed = zeroed_model(4, 5, seed=8, zeros=True)
+        assert_same_exact_bits(zeroed, [2, 2, 3, 2, 2])
 
 
 class TestCountVectorMemo:
@@ -279,31 +395,45 @@ class TestSharedBlocks:
         assert together == apart
 
     def test_each_table_scores_each_distinct_count_vector_once(self, monkeypatch):
-        """The same step's 14 tables per block: `_factors` sees at most one row
-        per count vector of c votes over K labels, C(c + K - 1, K - 1), not one per draw."""
+        """The same step's 14 tables per block. In the 8,192-draw block `_factors`
+        runs only inside `_count_vector_table`, once per (path, votes) the step
+        touches, on its C(c + K - 1, K - 1) count vectors; the 1-draw block,
+        smaller than every memo table, scores its one draw per table instead."""
         model = random_model(np.random.default_rng(4), 5, k=4, costs=[1, 2, 2, 3, 4])
         cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=8192 + 1, seed=2)
         base = [5, 4, 3, 3, 2]
         plans = [base] + [base[:i] + [base[i] + 1] + base[i + 1 :] for i in range(5)]
         seen = []
-        table = {}
-        path_factor, factors = infogain._path_factor, infogain._factors
+        now = {"table": None}
+        path_factor = infogain._path_factor
+        build, factors = infogain._count_vector_table, infogain._factors
 
         def drawing(model, path, y, u):
-            table["votes"], table["draws"] = len(u) - 1, len(y)
+            now["draws"] = len(y)
             return path_factor(model, path, y, u)
 
+        def building(model, path, votes):
+            now["table"] = (path, votes)
+            try:
+                return build(model, path, votes)
+            finally:
+                now["table"] = None
+
         def scoring(model, path, label_counts):
-            seen.append((table["votes"], table["draws"], len(label_counts)))
+            seen.append((now["draws"], now["table"], len(label_counts)))
             return factors(model, path, label_counts)
 
         monkeypatch.setattr(infogain, "_path_factor", drawing)
+        monkeypatch.setattr(infogain, "_count_vector_table", building)
         monkeypatch.setattr(infogain, "_factors", scoring)
         sampled_conditional_entropies(model, plans, cfg)
-        assert len(seen) == 2 * 14
-        assert sorted({draws for _, draws, _ in seen}) == [1, 8192]
-        for votes, draws, rows in seen:
-            assert rows <= min(draws, math.comb(votes + 3, 3))
+        touched = {(i, c) for plan in plans for i, c in enumerate(plan)}
+        assert len(touched) == 10
+        built = [(table, rows) for draws, table, rows in seen if draws == 8192]
+        assert sorted(table for table, _ in built) == sorted(touched)
+        assert all(rows == math.comb(votes + 3, 3) for (_, votes), rows in built)
+        assert [(table, rows) for draws, table, rows in seen if draws == 1] == [(None, 1)] * 14
+        assert len(seen) == 10 + 14
 
     def test_per_worker_plan_rejected(self):
         model = random_model(np.random.default_rng(1), 2, per_worker=True)
