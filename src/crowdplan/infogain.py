@@ -233,9 +233,13 @@ def _count_vectors(votes: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_vector_table(model: ApmModel, path: int, votes: int):
     """Log multinomial multiplicity and path factor log p(x_path | y) of every
-    label count vector of `votes` votes on `path`, shapes (V,) and (V, K)."""
+    label count vector of `votes` votes on `path`, shapes (V,) and (V, K).
+
+    The factor is stored column-major, so its transpose, the label-major
+    (K, V) table that exact mode broadcasts along V, is contiguous.
+    """
     vecs, log_c = _count_vectors(votes, model.num_labels)
-    factor = np.ascontiguousarray(_factors(model, path, vecs))
+    factor = np.asfortranarray(_factors(model, path, vecs))
     factor.setflags(write=False)
     return log_c, factor
 
@@ -316,8 +320,8 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
             log_pxy += (outer_mult[p : p + step_p, None] + last_c[j : j + step_j]).reshape(-1)
             log_px = logsumexp(log_pxy, axis=0)
             pxy = np.exp(log_pxy)
-            # Only where pxy > 0, as np.where(pxy > 0, ...) kept; contrib's 0.0
-            # stays elsewhere, and no -inf - -inf is taken.
+            # Terms count only where pxy > 0: contrib keeps its 0.0 elsewhere,
+            # and no -inf - -inf is formed.
             scored = pxy > 0
             surprise = np.subtract(log_px, log_pxy, out=log_pxy, where=scored)
             row = p * width + j

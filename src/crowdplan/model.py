@@ -97,12 +97,12 @@ class Cpt:
     def violations(self, context: str) -> list[str]:
         # Every check is written so that NaN fails it.
         rows = self.rows
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             return [f"{context}: non-finite entries"]
         out = []
-        if not (np.all(rows >= -PROB_TOL) and np.all(rows <= 1 + PROB_TOL)):
+        if not ((rows >= -PROB_TOL).all() and (rows <= 1 + PROB_TOL).all()):
             out.append(f"{context}: entries outside [0, 1]")
-        for r, s in enumerate(rows.sum(axis=1)):
+        for r, s in enumerate(rows.sum(axis=1).tolist()):
             if not abs(s - 1.0) <= PROB_TOL:
                 out.append(f"{context}: row {r} sums to {s:.6g}")
         return out

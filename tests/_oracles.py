@@ -89,7 +89,10 @@ def enum_conditional_entropy(model: ApmModel, counts) -> float:
 def whole_array_exact_conditional_entropy(model: ApmModel, counts) -> float:
     """H(Y | X_S) as `exact_conditional_entropy` computed it before it scored
     row blocks: the whole enumeration as one (V, K) array, each path's terms
-    added in path order, `logsumexp` over its strided label axis."""
+    added in path order, `logsumexp` over its strided label axis. Its tables
+    are taken row-major, as it took them: numpy lays out an elementwise
+    result after its inputs and sums an array in memory order, so a
+    column-major table would change the last bits of its sums."""
     k = model.num_labels
     log_terms = log(model.prior)[None, :]
     log_mult = np.zeros(1)
@@ -97,6 +100,7 @@ def whole_array_exact_conditional_entropy(model: ApmModel, counts) -> float:
         if s_i == 0:
             continue
         log_c, factor = _count_vector_table(model, i, s_i)
+        factor = np.ascontiguousarray(factor)
         log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
         log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
     log_pxy = log_terms + log_mult[:, None]
