@@ -52,9 +52,9 @@ auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `EXACT_LIMIT` and the
 number of votes the sampled estimator would simulate, G * sum S_i. Measured
 on a 2-core x86 machine at G = 10^4, one count vector of an enumeration of
-10^5 to 10^6 costs 0.8 to 2.0 times one simulated vote (six plans on a K=4,
+10^5 to 10^6 costs 0.6 to 1.5 times one simulated vote (six plans on a K=4,
 5-path model), so auto takes exact, which has no sampling error, wherever it
-costs at most about twice what sampling would.
+costs at most about 1.5 times what sampling would.
 
 `information_gains` is the one builder of `IgEstimate`s: it resolves each
 plan's mode alone and scores all sampled plans in one batched call. Every
