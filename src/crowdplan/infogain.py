@@ -9,8 +9,14 @@ exact
     weighted by multinomial multiplicities. The enumeration size is the product
     over paths of C(S_i + K - 1, K - 1), far below K^(sum S_i), and at most
     `EXACT_LIMIT`. Each path's count vectors and factors are built once per
-    model, kept in a memo here that holds the model weakly, and reused by
-    every later plan that puts the same number of votes on that path.
+    model content, kept in a memo here, and reused by every later plan that
+    puts the same number of votes on that path. The memo is found by what its
+    tables are computed from: the prior and each path's CPT and shared worker
+    CPT, as shapes and bytes. So a model loaded again from the same file, or
+    copied with new labels, reuses the tables of the first. A live model
+    keeps its memo; besides those, the memos of the `_KEPT` most recently
+    used contents stay alive, so at most that many dead models' tables are
+    held in memory.
 
     The enumeration is scored in row blocks of at most `_EXACT_ROWS` rows
     over the last voted path, each laid out label-major (K, rows) so that
@@ -83,6 +89,7 @@ _EXACT_ROWS = 1 << 14  # most enumeration rows one exact block scores
 _RANK_LIMIT = 1 << 16  # most codes a sampled table's dense rank array holds
 _NEG_TOL = 1e-9
 _AUDIT_VOTES = 3  # largest base vote count per path in check_submodularity
+_KEPT = 4  # most recently used model contents whose memos outlive their models
 
 
 class IgMode(str, enum.Enum):
@@ -244,20 +251,40 @@ def _count_vector_table(model: ApmModel, path: int, votes: int):
     return log_c, factor
 
 
-# Each model's memo: its exact tables, keyed by (path, votes) and built on
-# first use, and, taken when the memo is made, its prior entropy H(Y) under
+# Each model content's memo: its exact tables, keyed by (path, votes) and built
+# on first use, and, taken when the memo is made, its prior entropy H(Y) under
 # "h_prior" and its log prior as a (K, 1) column under "log_prior". A model's
-# parameters are frozen, so an entry never goes stale. Models hash by identity,
-# so a copy made with `dataclasses.replace` starts with an empty memo; the weak
-# keys keep no model alive.
+# parameters are frozen and its arrays are its own copies, so an entry never
+# goes stale. `_TABLES` finds a live model's memo in one lookup and keeps no
+# model alive; `_shared_memo` finds it by content for a model made later, a
+# `dataclasses.replace` copy or a reload from the same file.
 _TABLES: weakref.WeakKeyDictionary[ApmModel, dict] = weakref.WeakKeyDictionary()
+
+
+def _content(model: ApmModel) -> tuple:
+    """What a model's tables are computed from: its label count, and the shape
+    and bytes of its prior and of each path's CPT and shared worker CPT (None
+    for a per-worker path). Labels and costs stay out; no table reads them."""
+    key = [model.num_labels, model.prior.shape, model.prior.tobytes()]
+    for path, workers in zip(model.path_cpts, model.worker_cpts):
+        key += [path.shape, path.rows.tobytes()]
+        key.append((workers.shape, workers.rows.tobytes()) if isinstance(workers, Cpt) else None)
+    return tuple(key)
+
+
+@lru_cache(maxsize=_KEPT)
+def _shared_memo(content: tuple) -> dict:
+    """The memo of a model content; the last `_KEPT` contents' memos stay alive."""
+    return {}
 
 
 def _memo(model: ApmModel) -> dict:
     memo = _TABLES.get(model)
     if memo is None:
-        h_prior = prior_entropy(model.prior)
-        memo = _TABLES[model] = {"h_prior": h_prior, "log_prior": log(model.prior)[:, None]}
+        memo = _shared_memo(_content(model))
+        if not memo:
+            memo.update(h_prior=prior_entropy(model.prior), log_prior=log(model.prior)[:, None])
+        _TABLES[model] = memo
     return memo
 
 
@@ -272,9 +299,10 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
     """H(Y | X_S) by exact enumeration over per-path count vectors, at most
     `EXACT_LIMIT` of them, else ResourceLimitError.
 
-    A path's table depends only on the model, the path and its vote count, so
-    it is built once per model and kept in this module's memo; lazy greedy,
-    `exhaustive_opt` and `check_submodularity` reuse it on every call.
+    A path's table depends only on the model's content, the path and its vote
+    count, so it is built once per content and kept in this module's memo;
+    lazy greedy, `exhaustive_opt`, `check_submodularity` and later requests on
+    the same model, reloaded or relabelled, reuse it.
 
     Enumeration row r = p * V_last + j pairs row p of the outer sum over every
     voted path but the last, built once label-major as a (K, P) array, with

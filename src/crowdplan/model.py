@@ -42,7 +42,9 @@ MAX_CELLS = 2**27
 
 
 def _frozen_array(values, shape_hint: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    # Its own copy: a caller's array stays writable, and later writes to it
+    # cannot reach the model, whose content keys its exact tables.
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise InputError(f"{shape_hint}: expected {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)

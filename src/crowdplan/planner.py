@@ -221,8 +221,9 @@ def exhaustive_opt(model: ApmModel, budget) -> PlanResult:
     the budget. Gain is monotone, so a non-maximal plan cannot beat the
     maximal plans that extend it, and only maximal plans are scored. Ties
     prefer the lexicographically smallest maximal plan. Raises
-    ResourceLimitError when the box searched, prod_i (floor(B / c_i) + 1)
-    count vectors, a superset of the feasible plans, exceeds _OPT_LIMIT.
+    ResourceLimitError when the box of plans with at most floor(B / c_i)
+    votes per path, prod_i (floor(B / c_i) + 1) count vectors, a superset of
+    the feasible plans, exceeds _OPT_LIMIT.
     """
     costs = model.costs
     b = _coerce_budget(budget)
@@ -233,16 +234,20 @@ def exhaustive_opt(model: ApmModel, budget) -> PlanResult:
             f"{total} candidate plans exceed the enumeration limit {_OPT_LIMIT}"
         )
 
-    # Integer units of 1 / lcm(denominators) keep the filter below exact.
+    # Integer units of 1 / lcm(denominators) keep the arithmetic below exact.
+    # A plan is maximal when 0 <= rest - n_last * u_last < cheapest, where rest
+    # is what its other paths leave: n_last runs over a range per prefix.
     scale = math.lcm(b.denominator, *(c.denominator for c in costs))
     units = [int(c * scale) for c in costs]
     left = int(b * scale)
     cheapest = min(units)
-    plans = [
-        counts
-        for counts in itertools.product(*(range(cap + 1) for cap in caps))
-        if 0 <= left - sum(n * u for n, u in zip(counts, units)) < cheapest
-    ]
+    *head, u_last = units
+    plans = []
+    for prefix in itertools.product(*(range(cap + 1) for cap in caps[:-1])):
+        rest = left - sum(n * u for n, u in zip(prefix, head))
+        if rest >= 0:
+            low = max(0, (rest - cheapest) // u_last + 1)
+            plans += [(*prefix, n) for n in range(low, rest // u_last + 1)]
     ests = information_gains(model, plans, _EXACT)
     est, counts = max(zip(ests, plans), key=lambda pair: pair[0].value)  # first maximum
     return _result(model, counts, est)

@@ -1,5 +1,9 @@
+import gc
+import json
 import math
+import weakref
 from dataclasses import replace
+from importlib.resources import files
 from unittest import mock
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crowdplan.infogain as infogain
+from crowdplan import cli
 from crowdplan._kernel import logsumexp
 from crowdplan._rng import categorical_rows
 from crowdplan.errors import InputError, ResourceLimitError
@@ -21,7 +26,7 @@ from crowdplan.infogain import (
     prior_entropy,
     sampled_conditional_entropies,
 )
-from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace
+from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace, with_labels
 from crowdplan.planner import exhaustive_opt, greedy_plan
 
 from _oracles import (
@@ -32,6 +37,16 @@ from _oracles import (
 )
 
 EXACT = IgConfig(mode=IgMode.EXACT)
+EXAMPLE = files("crowdplan") / "data" / "example_model.json"
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty exact memo. The memo is keyed by model content and outlives its
+    models, so a test that counts builds must not find tables that an earlier
+    test built for a model of the same content."""
+    infogain._TABLES.clear()
+    infogain._shared_memo.cache_clear()
 
 
 class TestPriorEntropy:
@@ -55,9 +70,9 @@ class TestPriorEntropy:
         with pytest.raises(InputError, match=r"prior: entries outside \[0, 1\]"):
             prior_entropy([2, -1])
 
-    def test_taken_once_per_model(self, monkeypatch):
+    def test_taken_once_per_model(self, monkeypatch, fresh_memo):
         """Information gains read H(Y) from the model's memo, so the prior is
-        checked once per model, not once per call."""
+        checked once per model content, not once per call."""
         calls = []
 
         def counting(prior):
@@ -244,8 +259,12 @@ class TestBlockedExact:
         assert_same_exact_bits(zeroed, [2, 2, 3, 2, 2])
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestCountVectorMemo:
-    """Each (path, votes) count-vector table is built once per model and kept for it."""
+    """Each (path, votes) count-vector table is built once per model content: the
+    prior and each path's CPT and shared worker CPT, by shape and bytes. Models
+    equal in content share one memo, and the memos of the `_KEPT` most recently
+    used contents outlive their models."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -278,11 +297,12 @@ class TestCountVectorMemo:
         needed = {(i, c) for plan in calls for i, c in enumerate(plan) if c}
         assert {(i, c) for _, i, c in built} == needed
         assert sum(1 for plan in calls for c in plan if c) > 2 * len(built)
-        # A copy has its own memo and gets the same bits from it.
+        # A copy of the same content shares the memo: it builds nothing and
+        # gets the same bits.
         built.clear()
         assert greedy_plan(fresh, 14, EXACT) == greedy
         assert exhaustive_opt(fresh, 6) == opt
-        assert built and {m for m, _, _ in built} == {id(fresh)}
+        assert built == []
 
     def test_models_keep_their_own_tables(self, monkeypatch):
         """Same plan, same (path, votes) keys, different parameters: each model's own values."""
@@ -300,6 +320,61 @@ class TestCountVectorMemo:
         exact_conditional_entropy(a, [2, 2])
         exact_conditional_entropy(b, [2, 2])
         assert built == [(id(a), 1, 2), (id(b), 1, 2)]
+
+    def test_cli_requests_on_one_model_file_build_each_table_once(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Each request loads the model anew; its content finds the first
+        request's tables. A file differing in one CPT entry builds its own."""
+        built = self.counting(monkeypatch)
+        plan = ["plan", "--model", str(EXAMPLE), "--budget", "30", "--strategy", "opt"]
+        outputs = []
+        for _ in range(3):
+            assert cli.main(plan) == 0
+            outputs.append(capsys.readouterr().out)
+        tables = [(path, votes) for _, path, votes in built]
+        assert tables and len(tables) == len(set(tables))
+        assert outputs[1:] == outputs[:1] * 2
+
+        doc = json.loads(EXAMPLE.read_text())
+        doc["paths"][1]["shared_cpt"][0][0] += 2.0**-40  # within the row-sum tolerance
+        nudged = tmp_path / "nudged.json"
+        nudged.write_text(json.dumps(doc))
+        built.clear()
+        assert cli.main([plan[0], "--model", str(nudged), *plan[3:]]) == 0
+        assert sorted((path, votes) for _, path, votes in built) == sorted(tables)
+
+    def test_transposed_cpt_with_the_same_bytes_does_not_share(self):
+        rows = np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]])
+        a = ApmModel(LabelSpace(2), [0.5, 0.5], [AccessPathSpec(0, 1)], [Cpt(rows)], [{}])
+        b = replace(a, path_cpts=(Cpt(rows.reshape(3, 2)),))
+        assert a.path_cpts[0].rows.tobytes() == b.path_cpts[0].rows.tobytes()
+        assert infogain._memo(a) is not infogain._memo(b)
+
+    def test_relabelled_copy_shares_its_tables(self, monkeypatch):
+        model = random_model(np.random.default_rng(7), 3, k=3)
+        plan = [2, 1, 3]
+        h = exact_conditional_entropy(model, plan)
+        built = self.counting(monkeypatch)
+        renamed = with_labels(model, LabelSpace(3, ("a", "b", "c")))
+        assert exact_conditional_entropy(renamed, plan) == h
+        assert infogain._memo(renamed) is infogain._memo(model)
+        assert built == []
+
+    def test_memos_of_dead_models_are_kept_for_the_last_contents_only(self):
+        rng = np.random.default_rng(9)
+        model = random_model(rng, 2, k=3)
+        exact_conditional_entropy(model, [0, 2])
+        table = weakref.ref(infogain._memo(model)[1, 2][1])
+        del model
+        others = [random_model(rng, 2, k=3) for _ in range(infogain._KEPT)]
+        for other in others[:-1]:
+            exact_conditional_entropy(other, [0, 2])
+        gc.collect()
+        assert table() is not None  # one of the last _KEPT contents
+        exact_conditional_entropy(others[-1], [0, 2])
+        gc.collect()
+        assert table() is None
 
 
 class TestSampledEntropy:
@@ -394,7 +469,7 @@ class TestSharedBlocks:
         assert len(built) == 2 * 30
         assert together == apart
 
-    def test_each_table_scores_each_distinct_count_vector_once(self, monkeypatch):
+    def test_each_table_scores_each_distinct_count_vector_once(self, monkeypatch, fresh_memo):
         """The same step's 14 tables per block. In the 8,192-draw block `_factors`
         runs only inside `_count_vector_table`, once per (path, votes) the step
         touches, on its C(c + K - 1, K - 1) count vectors; the 1-draw block,

@@ -182,6 +182,19 @@ class TestImmutability:
         with pytest.raises(ValueError):
             m.path_cpts[0].rows[0, 0] = 0.5
 
+    def test_arrays_are_copied_from_the_caller(self):
+        """A model's arrays are its own: writing through the caller's array,
+        or a view of it, changes no table, and the caller's array stays writable."""
+        base = np.array([[0.9, 0.1], [0.2, 0.8]])
+        prior = np.array([0.5, 0.5])
+        cpt = Cpt(base[:])
+        model = ApmModel(LabelSpace(2), prior, [AccessPathSpec(0, 1)], [cpt], [cpt])
+        base[0, 0] = 0.5
+        prior[0] = 0.3
+        assert cpt.rows.tolist() == [[0.9, 0.1], [0.2, 0.8]]
+        assert model.prior.tolist() == [0.5, 0.5]
+        assert base.flags.writeable and prior.flags.writeable
+
     @pytest.mark.parametrize(
         "make",
         [

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crowdplan.planner as planner
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep
-from crowdplan.infogain import IgConfig, IgMode, information_gain
+from crowdplan.infogain import IgConfig, IgEstimate, IgMode, information_gain
 from crowdplan.model import plan_cost, with_costs
 from crowdplan.planner import (
     Strategy,
@@ -128,6 +129,32 @@ class TestExhaustive:
             want_plan, want_ig = self.enumerate_best(m, budget)
             assert res.plan.counts == want_plan
             assert res.ig.value == pytest.approx(want_ig, abs=1e-12)
+
+    def test_scores_the_maximal_plans_of_the_box_in_box_order(self, monkeypatch):
+        """The plans scored are those of the box that leave less than the
+        cheapest cost, in lexicographic order: 1-4 paths, rational costs,
+        budgets 0-8 in halves, boxes of at most 5,000 count vectors."""
+        rng = np.random.default_rng(23)
+        scored = []
+
+        def recording(model, plans, cfg):
+            scored.append(list(plans))
+            return [IgEstimate(0.0, 0.0, cfg.mode)] * len(plans)
+
+        monkeypatch.setattr(planner, "information_gains", recording)
+        for trial in range(200):
+            n = int(rng.integers(1, 5))
+            costs = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 5, size=(n, 2))]
+            budget = Fraction(int(rng.integers(0, 17)), 2)
+            m = random_model(rng, n, k=2, costs=costs)
+            caps = [int(budget // c) for c in costs]
+            if math.prod(cap + 1 for cap in caps) > 5000:
+                continue
+            box = itertools.product(*(range(cap + 1) for cap in caps))
+            want = [p for p in box if 0 <= budget - plan_cost(m, p) < min(costs)]
+            scored.clear()
+            exhaustive_opt(m, budget)
+            assert scored == [want]
 
     def test_tie_prefers_lexicographically_smallest(self):
         m = sym_model([0.5, 0.5], [0.9, 0.9], [0.8, 0.8])
