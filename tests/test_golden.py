@@ -109,20 +109,85 @@ def test_votes_file_stores_paths_out_of_worker_order():
     assert all(ws != sorted(ws) for ws in multi)
 
 
-def test_cli_session_is_byte_identical_to_pinned(tmp_path, capsys):
+def _session_digests(tmp_path, capsys, rows, session) -> dict[str, str]:
+    """Write `rows` as {d}/votes.csv, run `session` and digest each step as in PINNED."""
     votes = tmp_path / "votes.csv"
     with open(votes, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "path_id", "worker_id", "vote", "truth"])
-        writer.writerows(ragged_votes())
+        writer.writerows(rows)
     got = {"votes.csv": hashlib.sha256(votes.read_bytes()).hexdigest()}
-    for name, argv, out in SESSION:
+    for name, argv, out in session:
         capsys.readouterr()
         rc = main([a.replace("{d}", str(tmp_path)) for a in argv])
         stdout = capsys.readouterr().out.replace(str(tmp_path), "<d>")
         assert rc == 0, name
         got[name] = _digest(stdout, tmp_path / out)
-    assert got == PINNED
+    return got
+
+
+def test_cli_session_is_byte_identical_to_pinned(tmp_path, capsys):
+    assert _session_digests(tmp_path, capsys, ragged_votes(), SESSION) == PINNED
+
+
+# The session after its simulate step, on a four-label votes file: every label
+# and state axis is K = 4 long, where the rest of this file has K = 2. The
+# learn steps read the file with its truths blanked, so EM infers every outcome.
+FOUR_LABELS = ("ant", "bee", "cat", "dog")
+FOUR_LABEL_SESSION = tuple(
+    (name, tuple(a.replace("votes.csv", "open.csv") for a in argv), out)
+    if name.startswith("learn") else (name, argv, out)
+    for name, argv, out in SESSION[1:]
+)
+
+# sha256 as in PINNED, taken before the kernels put the task axis last.
+FOUR_LABEL_PINNED = {
+    "votes.csv": "e6d07e59fb9c4e7b80e3ce1aef718d4a2c4b741d22260619d69266924c1e76c3",
+    "learn.apm": "5ea6be9c8c0da32a2957f145dbf6a9f1f89de972a363270b7e7c392e909350e9",
+    "learn.pw": "5685878049021f337f6c48955ba650ace622469679da15e5e66d907f1c6fffea",
+    "learn.nbi": "72f9cdaabebc86c4c99ed4eff7da2d195c5d5ea4d8a8b9fa37eae7693abd6a3d",
+    "infer.apm": "ad87fd2743c1172ea9b07ec72955289bd9deab95723819c3940d1d5aa4778442",
+    "infer.nbap": "1c2154153bf00d49158f526c6a19a217b2defb589dc1905b1c1c75004d34dd53",
+    "infer.mv": "9b09448d2cd9b0933d337cedb7ef744fd6cc8796426ab595162bdaf609e89151",
+    "infer.nbi": "096b7b64eafed9e2aecdd1dfc194c9c9dbad5d4967c91ec171e5d226e607477e",
+    "infer.pw": "f7702fe7ffee83056f9f8467edde1f752cb4f4a447569a1e4493143e7b861f61",
+    "sweep": "bb502d37eecbed3e6f47dd8e5270035e9e78133df3022a682e00b924c96b85c4",
+}
+
+
+def four_label_votes(seed: int = 404, num_tasks: int = 80) -> list[list[str]]:
+    """Rows of a labeled per-worker votes file over four labels, ragged as
+    `ragged_votes`: 0 to 4 votes per path, a few one-off workers, and truth on
+    each task's first row and on some others."""
+    rng = np.random.default_rng(seed)
+    pools = [[f"p{i}w{j}" for j in range(6)] for i in range(3)]
+    accuracy = rng.uniform(0.45, 0.85, size=(3, 6))
+    ids = [f"task{n:03d}" for n in rng.permutation(num_tasks)]
+    rows = []
+    for t, task in enumerate(ids):
+        y = int(rng.choice(4, p=[0.4, 0.3, 0.2, 0.1]))
+        votes = []
+        for i in range(3):
+            for j in rng.choice(6, size=int(rng.integers(0, 5)), replace=False):
+                label = y if rng.random() < accuracy[i, j] else int(rng.integers(4))
+                worker = f"p{i}x{t}-{j}" if rng.random() < 0.05 else pools[i][j]
+                votes.append([task, str(i), worker, FOUR_LABELS[label]])
+        if not votes:
+            votes.append([task, "0", pools[0][0], FOUR_LABELS[y]])
+        for k, vote in enumerate(votes):
+            vote.append(FOUR_LABELS[y] if k == 0 or rng.random() < 0.3 else "")
+        rows.extend(votes)
+    return rows
+
+
+def test_four_label_session_is_byte_identical_to_pinned(tmp_path, capsys):
+    rows = four_label_votes()
+    with open(tmp_path / "open.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task_id", "path_id", "worker_id", "vote", "truth"])
+        writer.writerows(row[:4] + [""] for row in rows)
+    got = _session_digests(tmp_path, capsys, rows, FOUR_LABEL_SESSION)
+    assert got == FOUR_LABEL_PINNED
 
 
 # A per-worker K=3 model whose tables hold zero entries. The simulate plan
