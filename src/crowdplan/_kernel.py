@@ -48,6 +48,17 @@ def label_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
+def task_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the trailing task axis, one task at a time in order, from the first.
+
+    numpy sums a contiguous axis pairwise; a running sum adds in order, as
+    numpy sums a leading axis, so the bits match those of a task-major layout.
+    """
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1])
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) along `axis`; a slice of all -inf gives -inf, not NaN.
 
@@ -68,27 +79,34 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """out[j] = the sum of rows[v] over every v with index[v] == j, shape (size, K).
+    """out[:, j] = the sum of rows[:, v] over every v with index[v] == j, shape (K, size).
 
-    Rows are added in their order, from 0.0: the bits of `np.add.at`.
+    Columns are added in their order, from 0.0: the bits of `np.add.at`.
     """
     return np.stack(
-        [np.bincount(index, weights=rows[:, c], minlength=size) for c in range(rows.shape[1])],
-        axis=1,
-        dtype=np.float64,  # bincount returns ints when there are no rows
+        [np.bincount(index, weights=row, minlength=size) for row in rows],
+        dtype=np.float64,  # bincount returns ints when there are no columns
     )
 
 
+def label_columns(log_tables: np.ndarray, table_idx: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """rows[z, v] = log_tables[table_idx[v], z, label[v]], shape (K, V): column label[v]
+    of each vote's K x K table, taken in one flat gather."""
+    k = log_tables.shape[-1]
+    offsets = np.arange(0, k * k, k)[:, None]
+    return log_tables.reshape(-1)[offsets + (table_idx * (k * k) + label)]
+
+
 def vote_evidence(table: Dataset, slot_idx: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
-    """evidence[s, i, z]: the sum over task s's votes on path i of log p(x | z).
+    """evidence[z, i, s]: the sum over task s's votes on path i of log p(x | z).
 
     `log_tables[c]` is the log vote table (row z, column x) of slot c, and
-    `slot_idx` names each vote's slot.
+    `slot_idx` names each vote's slot. Cells are path-major, path * n + task.
     """
     n, paths = table.num_samples, table.num_paths
-    cells = table.sample_idx * paths + table.path_idx
-    rows = log_tables[slot_idx, :, table.label]
-    return scatter_rows(cells, rows, n * paths).reshape(n, paths, table.num_labels)
+    cells = table.path_idx * n + table.sample_idx
+    rows = label_columns(log_tables, slot_idx, table.label)
+    return scatter_rows(cells, rows, paths * n).reshape(table.num_labels, paths, n)
 
 
 def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
@@ -101,34 +119,36 @@ def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
 def path_factors(log_path_cpts: np.ndarray, evidence: np.ndarray):
     """Sum out each path's latent state.
 
-    Returns terms[s, i, y, z] = log p(z | y) + evidence[s, i, z] and the path
-    factors log p(x_i | y) = logsumexp over z of the terms, shape (n, N, K_y).
+    Returns terms[y, z, i, s] = log p(z | y) + evidence[z, i, s] and the path
+    factors log p(x_i | y) = logsumexp over z of the terms, shape (K_y, N, n).
     """
-    terms = log_path_cpts[None, :, :, :] + evidence[:, :, None, :]
-    return terms, logsumexp(terms, axis=3)
+    terms = log_path_cpts.transpose(1, 2, 0)[:, :, :, None] + evidence[None]
+    return terms, logsumexp(terms, axis=1)
 
 
 def apm_log_joints(
     log_prior: np.ndarray, factors: np.ndarray, active: np.ndarray | None = None
 ) -> np.ndarray:
-    """log p(y, x): the log prior plus the factors of the voted paths.
+    """log p(y, x), shape (K, n): the log prior plus the factors of the voted paths,
+    added path by path in order.
 
-    `active` (n, N) marks the paths with votes; a path without votes has
+    `active` (N, n) marks the paths with votes; a path without votes has
     likelihood exactly 1. None means every path has votes.
     """
     if active is not None:
-        factors = np.where(active[:, :, None], factors, 0.0)
-    return log_prior + factors.sum(axis=1)
+        factors = np.where(active, factors, 0.0)
+    return log_prior[:, None] + label_sum(factors, axis=1)
 
 
 def direct_log_joints(
     log_prior: np.ndarray, sample_idx: np.ndarray, vote_rows: np.ndarray, num_samples: int
 ) -> np.ndarray:
-    """log p(y, x) when vote j adds its own row vote_rows[j] = log p(x_j | y).
+    """log p(y, x), shape (K, n), when vote j adds its own column
+    vote_rows[:, j] = log p(x_j | y).
 
     Vote j belongs to task sample_idx[j]. Each task's log prior goes in ahead
     of its votes.
     """
     index = np.concatenate([np.arange(num_samples), sample_idx])
-    rows = np.concatenate([np.broadcast_to(log_prior, (num_samples, len(log_prior))), vote_rows])
-    return scatter_rows(index, rows, num_samples)
+    prior = np.broadcast_to(log_prior[:, None], (len(log_prior), num_samples))
+    return scatter_rows(index, np.concatenate([prior, vote_rows], axis=1), num_samples)

@@ -32,7 +32,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernel import apm_log_joints, direct_log_joints, log, logsumexp, path_factors, vote_evidence
+from ._kernel import (
+    apm_log_joints,
+    direct_log_joints,
+    label_columns,
+    log,
+    logsumexp,
+    path_factors,
+    vote_evidence,
+)
 from .errors import InputError, MissingWorkerCptError
 from .model import ApmModel, Dataset, NbiModel, TaskSample, member
 
@@ -79,7 +87,7 @@ def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
 
 def _nbap(model: ApmModel, table: Dataset) -> np.ndarray:
     marginals = [pc.rows @ wc.rows for pc, wc in zip(model.path_cpts, model.worker_cpts)]
-    rows = _log_stack(marginals, model.num_labels)[table.path_idx, :, table.label]
+    rows = label_columns(_log_stack(marginals, model.num_labels), table.path_idx, table.label)
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
@@ -87,7 +95,7 @@ def _nbi(model: NbiModel, table: Dataset) -> np.ndarray:
     if (table.worker_idx < 0).any():
         raise MissingWorkerCptError(str(None))
     log_tables = _log_stack([model.vote_cpt(w).rows for w in table.workers], model.num_labels)
-    rows = log_tables[table.worker_idx, :, table.label]
+    rows = label_columns(log_tables, table.worker_idx, table.label)
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
@@ -117,7 +125,7 @@ def table_log_joint(kind: ModelKind, model: ApmModel | NbiModel, table: Dataset)
     kind, table = _check(kind, model, table)
     if kind is ModelKind.MV:
         raise InputError("mv has no log joint")
-    return _LOG_JOINTS[kind](model, table)
+    return _LOG_JOINTS[kind](model, table).T
 
 
 def table_posteriors(
@@ -139,11 +147,12 @@ def table_posteriors(
         degenerate = np.zeros(n, dtype=bool)
     else:
         log_joint = _LOG_JOINTS[kind](model, table)
-        norm = logsumexp(log_joint, axis=1)
+        norm = logsumexp(log_joint, axis=0)
         degenerate = ~np.isfinite(norm)
         with np.errstate(invalid="ignore"):
-            probs = np.exp(log_joint - norm[:, None])
-        probs[degenerate] = model.prior
+            probs = np.exp(log_joint - norm)
+        probs[:, degenerate] = model.prior[:, None]
+        probs = probs.T
     return probs, np.argmax(probs, axis=1), degenerate
 
 

@@ -186,10 +186,10 @@ def exact_count_vectors(counts: Sequence[int], k: int) -> int:
 
 
 def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray:
-    """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (V, K)."""
+    """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (K, V)."""
     evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
-    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence)
-    return factor[:, 0, :]
+    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence.T)
+    return factor[:, 0]
 
 
 _STIRLING = (
@@ -240,13 +240,13 @@ def _count_vectors(votes: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_vector_table(model: ApmModel, path: int, votes: int):
     """Log multinomial multiplicity and path factor log p(x_path | y) of every
-    label count vector of `votes` votes on `path`, shapes (V,) and (V, K).
+    label count vector of `votes` votes on `path`, shapes (V,) and (K, V).
 
-    The factor is stored column-major, so its transpose, the label-major
-    (K, V) table that exact mode broadcasts along V, is contiguous.
+    The factor is label-major and C-contiguous, so exact mode broadcasts each
+    label's row along V and sampled mode gathers draws' columns from it.
     """
     vecs, log_c = _count_vectors(votes, model.num_labels)
-    factor = np.asfortranarray(_factors(model, path, vecs))
+    factor = np.ascontiguousarray(_factors(model, path, vecs))
     factor.setflags(write=False)
     return log_c, factor
 
@@ -328,14 +328,13 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
     memo = _memo(model)
     tables = [_table(memo, model, i, s_i) for i, s_i in enumerate(counts) if s_i > 0]
     # The empty plan has one row, whose last-path terms add 0.
-    last_c, last_factor = tables.pop() if tables else (np.zeros(1), np.zeros((1, k)))
+    last_c, last_factor = tables.pop() if tables else (np.zeros(1), np.zeros((k, 1)))
     outer = memo["log_prior"]
     outer_mult = np.zeros(1)
     for log_c, factor in tables:
-        outer = (outer[:, :, None] + factor.T[:, None, :]).reshape(k, -1)
+        outer = (outer[:, :, None] + factor[:, None, :]).reshape(k, -1)
         outer_mult = (outer_mult[:, None] + log_c[None, :]).reshape(-1)
 
-    last_t = last_factor.T
     width = len(last_c)
     step_p = max(1, _EXACT_ROWS // width)
     step_j = min(width, _EXACT_ROWS)
@@ -343,7 +342,7 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
     mass = 0.0
     for p in range(0, outer.shape[1], step_p):
         for j in range(0, width, step_j):
-            log_pxy = outer[:, p : p + step_p, None] + last_t[:, None, j : j + step_j]
+            log_pxy = outer[:, p : p + step_p, None] + last_factor[:, None, j : j + step_j]
             log_pxy = log_pxy.reshape(k, -1)
             log_pxy += (outer_mult[p : p + step_p, None] + last_c[j : j + step_j]).reshape(-1)
             log_px = logsumexp(log_pxy, axis=0)
@@ -403,12 +402,12 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
         code = _digits(votes, k)[v].sum(axis=0)
         if codes <= _RANK_LIMIT and math.comb(votes + k - 1, k - 1) <= len(y):
             _, factor = _table(_memo(model), model, path, votes)
-            return np.take(factor, _ranks(votes, k)[code], axis=0)
+            return np.take(factor, _ranks(votes, k)[code], axis=1)
     distinct, group = np.unique(code, return_inverse=True)
     member = np.empty(len(distinct), dtype=np.intp)
     member[group] = np.arange(len(group))  # any one draw of each group
     label_counts = (v[:, member, None] == np.arange(k)).sum(axis=0, dtype=np.float64)
-    return np.take(_factors(model, path, label_counts), group, axis=0)
+    return np.take(_factors(model, path, label_counts), group, axis=1)
 
 
 def _sample_block(
@@ -440,11 +439,11 @@ def _sample_block(
             factors.append(tables[key])
             row += 1 + c
         log_joint = apm_log_joints(log_prior, np.stack(factors, axis=1))
-        norm = logsumexp(log_joint, axis=1)
-        log_post = log_joint - norm[:, None]
+        norm = logsumexp(log_joint, axis=0)
+        log_post = log_joint - norm
         with np.errstate(invalid="ignore"):
             post = np.exp(log_post)
-            ent = -label_sum(np.where(post > 0, post * log_post, 0.0))
+            ent = -label_sum(np.where(post > 0, post * log_post, 0.0), axis=0)
         out.append((float(ent.sum()), float((ent * ent).sum())))
     return out
 

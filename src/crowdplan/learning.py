@@ -22,6 +22,7 @@ dataset, config, and seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
@@ -32,11 +33,13 @@ import numpy as np
 from ._kernel import (
     apm_log_joints,
     direct_log_joints,
+    label_columns,
     label_sum,
     log,
     logsumexp,
     path_factors,
     scatter_rows,
+    task_sum,
     vote_evidence,
 )
 from ._rng import _fold, substream
@@ -81,6 +84,9 @@ class EmConfig:
         for name in ("max_iters", "restarts"):
             object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
         _fold(self.seed)
+        for name in ("rel_tol", "smoothing_alpha"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InputError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not self.rel_tol > 0:
             raise InputError(f"rel_tol must be > 0, got {self.rel_tol}")
         if not 0 <= self.smoothing_alpha < math.inf:
@@ -142,15 +148,16 @@ def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
 
 
 def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
-    """q(y) per task, a point mass where the truth is known, and the log-likelihood."""
-    k = log_joint.shape[1]
-    norm = logsumexp(log_joint, axis=1)
+    """q(y) of each task from log p(y, x) (K, n), a point mass where the truth is
+    known, shape (K, n), and the log-likelihood."""
+    k = log_joint.shape[0]
+    norm = logsumexp(log_joint, axis=0)
     with np.errstate(invalid="ignore"):
-        q_y = np.exp(log_joint - norm[:, None])
-    q_y = np.where(np.isfinite(norm)[:, None], q_y, 1.0 / k)
+        q_y = np.exp(log_joint - norm)
+    q_y = np.where(np.isfinite(norm), q_y, 1.0 / k)
     known = truth >= 0
-    q_y[known] = np.eye(k)[truth[known]]
-    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[:, None], axis=1)[:, 0]
+    q_y[:, known] = np.eye(k)[:, truth[known]]
+    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None], axis=0)[0]
     return q_y, float(np.where(known, at_truth, norm).sum())
 
 
@@ -176,13 +183,13 @@ def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Par
 
 
 def _estep(params: _Params, t: Dataset, slots: _Slots):
-    evidence = vote_evidence(t, slots.idx, log(params.tables))      # (n, N, K_z)
-    terms, f = path_factors(log(params.path_cpts), evidence)        # f: (n, N, K_y)
-    log_joint = apm_log_joints(log(params.prior), f, t.active)      # (n, K_y)
+    evidence = vote_evidence(t, slots.idx, log(params.tables))      # (K_z, N, n)
+    terms, f = path_factors(log(params.path_cpts), evidence)        # f: (K_y, N, n)
+    log_joint = apm_log_joints(log(params.prior), f, t.active)      # (K_y, n)
     with np.errstate(invalid="ignore"):
-        q_z = np.exp(terms - f[:, :, :, None])
-    q_z = np.where(np.isfinite(f)[:, :, :, None], q_z, 1.0 / t.num_labels)
-    q_y, loglik = _outcome_posterior(log_joint, t.truth)
+        q_z = np.exp(terms - f[:, None])                            # (K_y, K_z, N, n)
+    q_z = np.where(np.isfinite(f)[:, None], q_z, 1.0 / t.num_labels)
+    q_y, loglik = _outcome_posterior(log_joint, t.truth)            # q_y: (K_y, n)
     return q_y, q_z, loglik
 
 
@@ -202,17 +209,19 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _label_scatter(num_tables: int, table_idx: np.ndarray, t: Dataset, rows: np.ndarray):
-    """counts[c, z, x]: the sum of rows[v, z] over the votes v on table c with label x."""
+    """counts[c, z, x]: the sum of rows[z, v] over the votes v on table c with label x."""
     k = t.num_labels
     counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
-    return np.ascontiguousarray(counts.reshape(num_tables, k, k).transpose(0, 2, 1))
+    return np.ascontiguousarray(counts.reshape(k, num_tables, k).transpose(1, 0, 2))
 
 
 def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
-    prior = _normalize_rows(q_y.sum(axis=0) + alpha)
-    path_counts = np.einsum("ky,kiyz->iyz", q_y, q_z) + alpha
-    r = label_sum(q_y[:, None, :, None] * q_z, axis=2)
-    table_counts = _label_scatter(len(slots.path), slots.idx, t, r[t.sample_idx, t.path_idx])
+    prior = _normalize_rows(task_sum(q_y) + alpha)
+    joint = q_y[:, None, None, :] * q_z                                 # (K_y, K_z, N, n)
+    path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 0, 1)) + alpha
+    r = label_sum(joint, axis=0).reshape(t.num_labels, -1)              # (K_z, N * n)
+    cells = t.path_idx * t.num_samples + t.sample_idx
+    table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, cells, axis=1))
     return _Params(
         prior=prior,
         path_cpts=_normalize_rows(path_counts),
@@ -372,21 +381,21 @@ def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
     if not len(data):
         return 0.0
     kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM
-    return _outcome_posterior(table_log_joint(kind, model, data), data.truth)[1]
+    return _outcome_posterior(table_log_joint(kind, model, data).T, data.truth)[1]
 
 
 # --- per-worker naive Bayes (latent-class estimation over workers) ---
 
 
 def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: Dataset):
-    rows = log(tables)[t.worker_idx, :, t.label]
+    rows = label_columns(log(tables), t.worker_idx, t.label)
     log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)
     return _outcome_posterior(log_joint, t.truth)
 
 
 def _nbi_mstep(t: Dataset, q_y: np.ndarray, alpha: float):
-    prior = _normalize_rows(q_y.sum(axis=0) + alpha)
-    counts = _label_scatter(len(t.workers), t.worker_idx, t, q_y[t.sample_idx])
+    prior = _normalize_rows(task_sum(q_y) + alpha)
+    counts = _label_scatter(len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=1))
     return prior, _normalize_rows(counts + alpha)
 
 

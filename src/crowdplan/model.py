@@ -452,9 +452,9 @@ class Dataset:
 
     @cached_property
     def active(self) -> np.ndarray:
-        """(n, N) mask of the (task, path) cells holding at least one vote."""
-        out = np.zeros((self.num_samples, self.num_paths), dtype=bool)
-        out[self.sample_idx, self.path_idx] = True
+        """(N, n) mask of the (path, task) cells holding at least one vote."""
+        out = np.zeros((self.num_paths, self.num_samples), dtype=bool)
+        out[self.path_idx, self.sample_idx] = True
         return out
 
     def path_worker_slots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -100,7 +100,7 @@ def whole_array_exact_conditional_entropy(model: ApmModel, counts) -> float:
         if s_i == 0:
             continue
         log_c, factor = _count_vector_table(model, i, s_i)
-        factor = np.ascontiguousarray(factor)
+        factor = np.ascontiguousarray(factor.T)
         log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
         log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
     log_pxy = log_terms + log_mult[:, None]

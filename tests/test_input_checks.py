@@ -161,8 +161,13 @@ def test_tabulate_takes_empty_columns():
         lambda: IgConfig(seed=1.5),
         lambda: IgConfig(seed=[1]),
         lambda: EmConfig(seed=1.5),
+        lambda: EmConfig(rel_tol="a"),
+        lambda: EmConfig(rel_tol=[1]),
+        lambda: EmConfig(smoothing_alpha="a"),
+        lambda: EmConfig(smoothing_alpha=None),
     ],
-    ids=["max_iters", "restarts", "alpha", "num_samples", "ig_seed", "ig_seed_list", "em_seed"],
+    ids=["max_iters", "restarts", "alpha", "num_samples", "ig_seed", "ig_seed_list", "em_seed",
+         "rel_tol_str", "rel_tol_list", "alpha_str", "alpha_none"],
 )
 def test_config_fields_are_checked_on_construction(make):
     with pytest.raises(InputError):

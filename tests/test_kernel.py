@@ -62,6 +62,39 @@ def ref_direct_log_joints(log_prior, sample_idx, vote_rows, num_samples):
     return out
 
 
+def ref_outcome_posterior(log_joint, truth):
+    k = log_joint.shape[1]
+    norm = ref_logsumexp(log_joint, axis=1)
+    with np.errstate(invalid="ignore"):
+        q_y = np.exp(log_joint - norm[:, None])
+    q_y = np.where(np.isfinite(norm)[:, None], q_y, 1.0 / k)
+    known = truth >= 0
+    q_y[known] = np.eye(k)[truth[known]]
+    at_truth = log_joint[np.arange(len(truth)), np.maximum(truth, 0)]
+    return q_y, float(np.where(known, at_truth, norm).sum())
+
+
+def ref_estep(params, t, slots):
+    """q_y (n, K_y), q_z (n, N, K_y, K_z) and the log-likelihood, task-major."""
+    evidence = ref_vote_evidence(t, slots.idx, learning.log(params.tables))
+    terms = learning.log(params.path_cpts)[None] + evidence[:, :, None, :]
+    f = ref_logsumexp(terms, axis=3)
+    active = np.zeros((t.num_samples, t.num_paths), dtype=bool)
+    active[t.sample_idx, t.path_idx] = True
+    log_joint = learning.log(params.prior) + np.where(active[:, :, None], f, 0.0).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        q_z = np.exp(terms - f[:, :, :, None])
+    q_z = np.where(np.isfinite(f)[:, :, :, None], q_z, 1.0 / t.num_labels)
+    q_y, loglik = ref_outcome_posterior(log_joint, t.truth)
+    return q_y, q_z, loglik
+
+
+def ref_nbi_estep(prior, tables, t):
+    rows = learning.log(tables)[t.worker_idx, :, t.label]
+    log_joint = ref_direct_log_joints(learning.log(prior), t.sample_idx, rows, t.num_samples)
+    return ref_outcome_posterior(log_joint, t.truth)
+
+
 def ref_mstep(t, slots, q_y, q_z, alpha):
     prior = learning._normalize_rows(q_y.sum(axis=0) + alpha)
     path_counts = np.einsum("ky,kiyz->iyz", q_y, q_z) + alpha
@@ -218,12 +251,15 @@ def test_scatters_bits(k, paths, seed):
     t, samples = vote_table(rng, k, paths)
     pairs, slot_idx = t.path_worker_slots()
     tables = log_tables(rng, len(pairs), k)
-    same_bits(vote_evidence(t, slot_idx, tables), ref_vote_evidence(t, slot_idx, tables))
+    same_bits(
+        vote_evidence(t, slot_idx, tables).transpose(2, 1, 0),
+        ref_vote_evidence(t, slot_idx, tables),
+    )
 
     log_prior = learning.log(posteriors(rng, (k,)))
     rows = tables[slot_idx, :, t.label]
     same_bits(
-        direct_log_joints(log_prior, t.sample_idx, rows, t.num_samples),
+        direct_log_joints(log_prior, t.sample_idx, rows.T, t.num_samples).T,
         ref_direct_log_joints(log_prior, t.sample_idx, rows, t.num_samples),
     )
 
@@ -232,14 +268,14 @@ def test_scatters_bits(k, paths, seed):
     alpha = float(rng.choice([0.0, 1.0, 0.37]))
     for share in (True, False):
         slots = learning._slots(t, share)
-        got = learning._mstep(t, slots, q_y, q_z, alpha)
+        got = learning._mstep(t, slots, q_y.T, q_z.transpose(2, 3, 1, 0), alpha)
         want = ref_mstep(t, slots, q_y, q_z, alpha)
         for g, w in zip(got, want):
             if k <= 7:
                 same_bits(g, w)
             else:
                 close(g, w)
-    for g, w in zip(learning._nbi_mstep(t, q_y, alpha), ref_nbi_mstep(t, q_y, alpha)):
+    for g, w in zip(learning._nbi_mstep(t, q_y.T, alpha), ref_nbi_mstep(t, q_y, alpha)):
         same_bits(g, w)
     got = np.stack([p.probs for p in infer("mv", random_model(rng, paths, k=k), samples)])
     same_bits(got, ref_mv_probs(t, k))
@@ -249,12 +285,12 @@ def test_empty_scatters():
     t = Dataset([TaskSample(task_id="a", votes={})], 2, 3)
     _, slot_idx = t.path_worker_slots()
     same_bits(
-        vote_evidence(t, slot_idx, np.zeros((0, 3, 3))),
+        vote_evidence(t, slot_idx, np.zeros((0, 3, 3))).transpose(2, 1, 0),
         ref_vote_evidence(t, slot_idx, np.zeros((0, 3, 3))),
     )
     log_prior = np.log([0.2, 0.3, 0.5])
     same_bits(
-        direct_log_joints(log_prior, t.sample_idx, np.zeros((0, 3)), 1),
+        direct_log_joints(log_prior, t.sample_idx, np.zeros((3, 0)), 1).T,
         ref_direct_log_joints(log_prior, t.sample_idx, np.zeros((0, 3)), 1),
     )
 
@@ -266,4 +302,97 @@ def test_log_prior_goes_in_ahead_of_votes(k):
     rows = np.full((3, k), 1e-17)
     idx = np.array([0, 0, 0])
     want = ref_direct_log_joints(log_prior, idx, rows, 2)
-    same_bits(direct_log_joints(log_prior, idx, rows, 2), want)
+    same_bits(direct_log_joints(log_prior, idx, rows.T, 2).T, want)
+
+
+# --- E-steps ---
+
+
+def task_major(q_y, q_z=None):
+    """The E-step posteriors, q_y (K_y, n) and q_z (K_y, K_z, N, n), in the
+    references' task-major layout."""
+    return q_y.T if q_z is None else (q_y.T, q_z.transpose(3, 2, 0, 1))
+
+
+def estep_table(rng, k, paths, truths):
+    """A vote table with a voteless task and a task whose only vote, label
+    k - 1 on path 0 by worker w0, has probability 0 under every state once
+    `dead_column` is applied; `truths` is "none", "some" or "all"."""
+    t, _ = vote_table(rng, k, paths)
+    samples = [*t.samples, TaskSample("voteless", {}), TaskSample("dead", {0: (("w0", k - 1),)})]
+    for i, s in enumerate(samples):
+        known = truths == "all" or (truths == "some" and rng.random() < 0.5)
+        samples[i] = TaskSample(s.task_id, s.votes, int(rng.integers(k)) if known else None)
+    return Dataset(samples, paths, k)
+
+
+def dead_column(tables, slot, label):
+    """`tables` with column `label` of table `slot` zeroed, rows renormalized."""
+    tables = tables.copy()
+    tables[slot, :, label] = 0.0
+    tables[slot, :, 0 if label else 1] += 1e-3
+    return tables / tables.sum(axis=-1, keepdims=True)
+
+
+def agree(got, want, k):
+    if k <= 7:
+        same_bits(got, want)
+    else:
+        close(got, want)
+
+
+@PARITY
+@given(
+    k=st.integers(2, 10),
+    paths=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    truths=st.sampled_from(["none", "some", "all"]),
+)
+def test_esteps_match_task_major_references(k, paths, seed, truths):
+    rng = np.random.default_rng(seed)
+    t = estep_table(rng, k, paths, truths)
+    dead = int(np.flatnonzero(np.array(t.task_ids) == "dead")[0])
+    kill = rng.random() < 0.5
+    for share in (True, False):
+        slots = learning._slots(t, share)
+        tables = posteriors(rng, (len(slots.path), k, k))
+        if kill:
+            tables = dead_column(tables, slots.idx[t.sample_idx == dead][0], k - 1)
+        params = learning._Params(posteriors(rng, (k,)), posteriors(rng, (paths, k, k)), tables)
+        got_y, got_z, got_ll = learning._estep(params, t, slots)
+        want_y, want_z, want_ll = ref_estep(params, t, slots)
+        for g, w in zip(task_major(got_y, got_z), (want_y, want_z)):
+            agree(g, w, k)
+        agree(got_ll, want_ll, k)
+        if kill and t.truth[dead] < 0:
+            assert (want_y[dead] == 1.0 / k).all()
+
+    workers = posteriors(rng, (len(t.workers), k, k))
+    if kill:
+        workers = dead_column(workers, t.workers.index("w0"), k - 1)
+    prior = posteriors(rng, (k,))
+    got_y, got_ll = learning._nbi_estep(prior, workers, t)
+    want_y, want_ll = ref_nbi_estep(prior, workers, t)
+    agree(task_major(got_y), want_y, k)
+    agree(got_ll, want_ll, k)
+
+
+@pytest.mark.parametrize("tasks", [[], [TaskSample("a", {}), TaskSample("b", {}, truth=1)]])
+def test_esteps_without_tasks_or_votes(tasks):
+    """n = 0, and V = 0: every path inactive, so each log joint is the log prior."""
+    k, paths = 3, 2
+    t = Dataset(tasks, paths, k)
+    rng = np.random.default_rng(0)
+    slots = learning._slots(t, True)
+    params = learning._Params(
+        posteriors(rng, (k,)), posteriors(rng, (paths, k, k)), posteriors(rng, (paths, k, k))
+    )
+    got_y, got_z, got_ll = learning._estep(params, t, slots)
+    want_y, want_z, want_ll = ref_estep(params, t, slots)
+    for g, w in zip(task_major(got_y, got_z), (want_y, want_z)):
+        same_bits(g, w)
+    assert got_ll == want_ll
+    got_y, got_ll = learning._nbi_estep(params.prior, np.zeros((0, k, k)), t)
+    want_y, want_ll = ref_nbi_estep(params.prior, np.zeros((0, k, k)), t)
+    same_bits(task_major(got_y), want_y)
+    assert got_ll == want_ll
