@@ -1,29 +1,37 @@
 """Batched log-space kernels behind inference, fitting and information gain.
 
-Two kernels give log p(y, x) for n tasks at once, shape (n, K):
+Layout: the kernels are label-major. The label and state axes come first and
+the task axis (or, in information gain, the draw or count-vector axis) comes
+last and is contiguous. K is only 2..10, so with the label axis last numpy
+would run each elementwise pass as n inner loops of K elements; label-major,
+each pass is one inner loop over all n (or N * n) entries.
+
+Two kernels give log p(y, x) for n tasks at once, shape (K, n):
 
 * `apm_log_joints` sums the per-path factors of `path_factors`, which sum out
-  each path's latent state from evidence log p(x_i | z) of shape (n, N, K_z).
+  each path's latent state from evidence log p(x_i | z) of shape (K_z, N, n).
   This is the access path model.
-* `direct_log_joints` adds one table row per vote straight onto the outcome.
-  This is naive Bayes over workers, and over paths (nbap) when the rows come
-  from the path marginals p(x | y) = sum_z p(z | y) p(x | z).
+* `direct_log_joints` adds one table column per vote straight onto the
+  outcome. This is naive Bayes over workers, and over paths (nbap) when the
+  columns come from the path marginals p(x | y) = sum_z p(z | y) p(x | z).
 
-Evidence comes from a `Dataset` (`vote_evidence`) or from label count
-vectors (`count_evidence`). Scatter-adds follow the table's canonical row
-order, so results do not depend on how the votes were stored.
+Evidence comes from a `Dataset` (`vote_evidence`, over the path-major cells
+path * n + task) or from label count vectors (`count_evidence`, which keeps
+the count vectors' own layout, label axis last; information gain transposes
+its result before `path_factors`). Scatter-adds follow the table's canonical
+vote order, so results do not depend on how the votes were stored.
 
-Two numpy slow paths are avoided, with the same arithmetic as the plain
-calls:
+Every sum keeps the bits of the plain numpy call on the task-major layout:
 
-* A label or state axis is only K = 2..10 long, and numpy reduces such a
-  short trailing axis at tens of nanoseconds per element. `label_sum` and
-  `logsumexp` instead make one full-width elementwise pass per entry, adding
-  the entries in order from 0.0. numpy's own sum adds up to 7 entries in that
-  same order, so for K <= 7 every result equals `a.sum(axis)` bit for bit;
-  from K = 8 numpy sums pairwise and the two may differ in the last bit.
+* `label_sum` and `logsumexp` make one full-width elementwise pass per entry
+  of a short label, state or path axis, adding the entries in order from
+  0.0. numpy's own sum adds up to 7 entries in that same order, so for
+  K <= 7 every result equals `a.sum(axis)` bit for bit; from K = 8 numpy
+  sums a contiguous axis pairwise and the two may differ in the last bit.
+* `task_sum` adds along the contiguous task axis one task at a time, as
+  numpy sums a leading axis, where a plain sum would add pairwise.
 * `np.add.at` is slow per index. `scatter_rows` runs one `np.bincount` per
-  column instead, which adds its weights in input order, as `np.add.at`
+  label instead, which adds its weights in input order, as `np.add.at`
   does, so the sums keep their bits for every K.
 """
 
@@ -41,7 +49,7 @@ def log(x) -> np.ndarray:
 
 
 def label_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum over a short label axis: 0.0 plus each entry in order, one pass each."""
+    """Sum over a short label or path axis: 0.0 plus each entry in order, one pass each."""
     out = 0.0
     for col in np.moveaxis(a, axis, 0):
         out = out + col
@@ -101,12 +109,11 @@ def vote_evidence(table: Dataset, slot_idx: np.ndarray, log_tables: np.ndarray) 
     """evidence[z, i, s]: the sum over task s's votes on path i of log p(x | z).
 
     `log_tables[c]` is the log vote table (row z, column x) of slot c, and
-    `slot_idx` names each vote's slot. Cells are path-major, path * n + task.
+    `slot_idx` names each vote's slot. Votes are added by their path-major cells.
     """
     n, paths = table.num_samples, table.num_paths
-    cells = table.path_idx * n + table.sample_idx
     rows = label_columns(log_tables, slot_idx, table.label)
-    return scatter_rows(cells, rows, paths * n).reshape(table.num_labels, paths, n)
+    return scatter_rows(table.cells, rows, paths * n).reshape(table.num_labels, paths, n)
 
 
 def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:

@@ -47,12 +47,14 @@ sampled
 
     A table gathers each draw's factors from the exact memo: c votes over K
     labels give one of C(c + K - 1, K - 1) count vectors (56 for c = 5,
-    K = 4), the rows of the memo's table for (path, c), however many draws a
-    block holds. Scoring works row by row, so a gathered row equals the row
-    scored from the draw's own counts, bit for bit. Where that table would
-    hold more rows than the block has draws, or its dense rank array more
-    than `_RANK_LIMIT` entries, the table scores each distinct drawn count
-    vector once instead and gathers those rows back to the draws.
+    K = 4), the columns of the memo's label-major (K, V) table for (path, c),
+    however many draws a block holds. Scoring works count vector by count
+    vector, so a gathered column equals the column scored from the draw's own
+    counts, bit for bit. Where that table would hold more count vectors than
+    the block has draws, or its dense rank array more than `_RANK_LIMIT`
+    entries, the table scores each distinct drawn count vector once instead
+    and gathers those columns back to the draws. A block is scored
+    label-major too, (K, paths, draws), so every pass runs along the draws.
 
 auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `EXACT_LIMIT` and the
@@ -383,13 +385,15 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     u[0] draws the path's latent state and u[1:] the votes, one row of
     uniforms per vote, as `len(u)` consecutive draws of a block's stream.
 
-    Each draw's label counts are coded as in `_digits`, and its row is
-    gathered from the memo's exact table for (path, votes) through a dense
-    rank array. `_factors` scores row by row, so a gathered row equals the row
-    scored from the draw's own counts, bit for bit. The fallback, where that
-    table would hold more rows than the block has draws or there are more
-    than `_RANK_LIMIT` codes: score each distinct drawn count vector once,
-    grouped by code, or one draw per group when a code might not fit in int64.
+    Returns shape (K, draws). Each draw's label counts are coded as in
+    `_digits`, and its column is gathered, along axis 1, from the memo's
+    label-major exact table for (path, votes) through a dense rank array.
+    `_factors` scores count vector by count vector, so a gathered column
+    equals the column scored from the draw's own counts, bit for bit. The
+    fallback, where that table would hold more count vectors than the block
+    has draws or there are more than `_RANK_LIMIT` codes: score each distinct
+    drawn count vector once, grouped by code, or one draw per group when a
+    code might not fit in int64.
     """
     k = model.num_labels
     votes = len(u) - 1

@@ -216,12 +216,11 @@ def _label_scatter(num_tables: int, table_idx: np.ndarray, t: Dataset, rows: np.
 
 
 def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
-    prior = _normalize_rows(task_sum(q_y) + alpha)
+    prior = _normalize_rows(task_sum(q_y) + alpha)                      # q_y: (K_y, n)
     joint = q_y[:, None, None, :] * q_z                                 # (K_y, K_z, N, n)
     path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 0, 1)) + alpha
     r = label_sum(joint, axis=0).reshape(t.num_labels, -1)              # (K_z, N * n)
-    cells = t.path_idx * t.num_samples + t.sample_idx
-    table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, cells, axis=1))
+    table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=1))
     return _Params(
         prior=prior,
         path_cpts=_normalize_rows(path_counts),
@@ -388,13 +387,13 @@ def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
 
 
 def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: Dataset):
-    rows = label_columns(log(tables), t.worker_idx, t.label)
-    log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)
+    rows = label_columns(log(tables), t.worker_idx, t.label)                # (K_y, V)
+    log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)  # (K_y, n)
     return _outcome_posterior(log_joint, t.truth)
 
 
 def _nbi_mstep(t: Dataset, q_y: np.ndarray, alpha: float):
-    prior = _normalize_rows(task_sum(q_y) + alpha)
+    prior = _normalize_rows(task_sum(q_y) + alpha)                          # q_y: (K_y, n)
     counts = _label_scatter(len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=1))
     return prior, _normalize_rows(counts + alpha)
 

@@ -451,11 +451,16 @@ class Dataset:
         return self.task_ids[missing[np.argmin(self.order[missing])]] if len(missing) else None
 
     @cached_property
+    def cells(self) -> np.ndarray:
+        """The path-major (path, task) cell of each vote, path * n + task, shape (V,)."""
+        return self.path_idx * self.num_samples + self.sample_idx
+
+    @cached_property
     def active(self) -> np.ndarray:
         """(N, n) mask of the (path, task) cells holding at least one vote."""
-        out = np.zeros((self.num_paths, self.num_samples), dtype=bool)
-        out[self.path_idx, self.sample_idx] = True
-        return out
+        out = np.zeros(self.num_paths * self.num_samples, dtype=bool)
+        out[self.cells] = True
+        return out.reshape(self.num_paths, self.num_samples)
 
     def path_worker_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (path, worker index) pairs, sorted, and each vote's pair index.
