@@ -6,6 +6,14 @@ last and is contiguous. K is only 2..10, so with the label axis last numpy
 would run each elementwise pass as n inner loops of K elements; label-major,
 each pass is one inner loop over all n (or N * n) entries.
 
+EM fits all of its restarts at once, so the kernels it calls take an
+optional run axis R right after the label and state axes: evidence is
+(K_z, R, N, n), path terms (K_y, K_z, R, N, n) and log joints (K, R, n), from
+tables with a leading run axis, (R, C, K, K). Without it (inference and
+information gain) every shape drops R. The vote gather takes each run's
+tables at a per-run offset, and a scatter runs over the bins r * size + j,
+so a run's sums are those it would get alone.
+
 Two kernels give log p(y, x) for n tasks at once, shape (K, n):
 
 * `apm_log_joints` sums the per-path factors of `path_factors`, which sum out
@@ -48,10 +56,16 @@ def log(x) -> np.ndarray:
         return np.log(x)
 
 
+def _entries(a: np.ndarray, axis: int) -> list[np.ndarray]:
+    """The slices of `a` along `axis`, in order, as views."""
+    lead = (slice(None),) * (axis % a.ndim)
+    return [a[lead + (j,)] for j in range(a.shape[axis])]
+
+
 def label_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum over a short label or path axis: 0.0 plus each entry in order, one pass each."""
     out = 0.0
-    for col in np.moveaxis(a, axis, 0):
+    for col in _entries(a, axis):
         out = out + col
     return out
 
@@ -73,7 +87,7 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     The largest terms are split off and the rest added through log1p, the
     same arithmetic as scipy.special.logsumexp, without its per-call overhead.
     """
-    cols = np.moveaxis(a, axis, 0)
+    cols = _entries(a, axis)
     a_max = cols[0]
     for col in cols[1:]:
         a_max = np.maximum(a_max, col)
@@ -87,33 +101,42 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """out[:, j] = the sum of rows[:, v] over every v with index[v] == j, shape (K, size).
+    """out[:, r, j] = the sum of rows[:, r, v] over every v with index[v] == j, shape
+    (K, R, size); rows without a run axis, (K, V), give (K, size).
 
-    Columns are added in their order, from 0.0: the bits of `np.add.at`.
+    One bincount per label, over the bins r * size + index, so each bin adds
+    its own run's columns in their order, from 0.0: the bits of `np.add.at`.
     """
+    runs = rows.shape[1:-1]
+    num_runs = runs[0] if runs else 1
+    bins = (np.arange(num_runs)[:, None] * size + index).reshape(-1)
     return np.stack(
-        [np.bincount(index, weights=row, minlength=size) for row in rows],
+        [np.bincount(bins, weights=row.reshape(-1), minlength=num_runs * size) for row in rows],
         dtype=np.float64,  # bincount returns ints when there are no columns
-    )
+    ).reshape(len(rows), *runs, size)
 
 
 def label_columns(log_tables: np.ndarray, table_idx: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """rows[z, v] = log_tables[table_idx[v], z, label[v]], shape (K, V): column label[v]
-    of each vote's K x K table, taken in one flat gather."""
-    k = log_tables.shape[-1]
-    offsets = np.arange(0, k * k, k)[:, None]
-    return log_tables.reshape(-1)[offsets + (table_idx * (k * k) + label)]
+    """rows[z, r, v] = log_tables[r, table_idx[v], z, label[v]], shape (K, R, V): column
+    label[v] of each vote's K x K table in each run, taken in one flat gather with a
+    per-run offset. Tables without a run axis, (C, K, K), give (K, V)."""
+    *runs, tables, k, _ = log_tables.shape
+    num_runs = runs[0] if runs else 1
+    cells = np.arange(num_runs)[:, None] * (tables * k * k) + (table_idx * (k * k) + label)
+    rows = log_tables.reshape(-1)[np.arange(0, k * k, k)[:, None, None] + cells]
+    return rows.reshape(k, *runs, -1)
 
 
 def vote_evidence(table: Dataset, slot_idx: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
-    """evidence[z, i, s]: the sum over task s's votes on path i of log p(x | z).
+    """evidence[z, r, i, s]: the sum over task s's votes on path i of log p(x | z) in
+    run r, shape (K_z, R, N, n), or (K_z, N, n) for tables without a run axis.
 
-    `log_tables[c]` is the log vote table (row z, column x) of slot c, and
+    `log_tables[r, c]` is the log vote table (row z, column x) of slot c, and
     `slot_idx` names each vote's slot. Votes are added by their path-major cells.
     """
     n, paths = table.num_samples, table.num_paths
     rows = label_columns(log_tables, slot_idx, table.label)
-    return scatter_rows(table.cells, rows, paths * n).reshape(table.num_labels, paths, n)
+    return scatter_rows(table.cells, rows, paths * n).reshape(*rows.shape[:-1], paths, n)
 
 
 def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
@@ -126,36 +149,41 @@ def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
 def path_factors(log_path_cpts: np.ndarray, evidence: np.ndarray):
     """Sum out each path's latent state.
 
-    Returns terms[y, z, i, s] = log p(z | y) + evidence[z, i, s] and the path
-    factors log p(x_i | y) = logsumexp over z of the terms, shape (K_y, N, n).
+    Returns terms[y, z, r, i, s] = log p(z | y) + evidence[z, r, i, s] and the
+    path factors log p(x_i | y) = logsumexp over z of the terms, shape
+    (K_y, R, N, n). The CPTs are (R, N, K, K); without the run axis, (N, K, K)
+    CPTs and (K_z, N, n) evidence, every result drops it.
     """
-    terms = log_path_cpts.transpose(1, 2, 0)[:, :, :, None] + evidence[None]
+    d = log_path_cpts.ndim
+    terms = log_path_cpts.transpose(d - 2, d - 1, *range(d - 2))[..., None] + evidence[None]
     return terms, logsumexp(terms, axis=1)
 
 
 def apm_log_joints(
     log_prior: np.ndarray, factors: np.ndarray, active: np.ndarray | None = None
 ) -> np.ndarray:
-    """log p(y, x), shape (K, n): the log prior plus the factors of the voted paths,
-    added path by path in order.
+    """log p(y, x), shape (K, R, n): the log prior (K, R) plus the factors
+    (K, R, N, n) of the voted paths, added path by path in order. A prior (K,)
+    and factors (K, N, n) give (K, n).
 
     `active` (N, n) marks the paths with votes; a path without votes has
     likelihood exactly 1. None means every path has votes.
     """
     if active is not None:
         factors = np.where(active, factors, 0.0)
-    return log_prior[:, None] + label_sum(factors, axis=1)
+    return log_prior[..., None] + label_sum(factors, axis=-2)
 
 
 def direct_log_joints(
     log_prior: np.ndarray, sample_idx: np.ndarray, vote_rows: np.ndarray, num_samples: int
 ) -> np.ndarray:
-    """log p(y, x), shape (K, n), when vote j adds its own column
-    vote_rows[:, j] = log p(x_j | y).
+    """log p(y, x), shape (K, R, n), when vote j adds its own column
+    vote_rows[:, r, j] = log p(x_j | y) in run r. A prior (K,) and rows (K, V)
+    give (K, n).
 
-    Vote j belongs to task sample_idx[j]. Each task's log prior goes in ahead
-    of its votes.
+    Vote j belongs to task sample_idx[j]. Each task's log prior (K, R) goes in
+    ahead of its votes.
     """
     index = np.concatenate([np.arange(num_samples), sample_idx])
-    prior = np.broadcast_to(log_prior[:, None], (len(log_prior), num_samples))
-    return scatter_rows(index, np.concatenate([prior, vote_rows], axis=1), num_samples)
+    prior = np.broadcast_to(log_prior[..., None], (*vote_rows.shape[:-1], num_samples))
+    return scatter_rows(index, np.concatenate([prior, vote_rows], axis=-1), num_samples)

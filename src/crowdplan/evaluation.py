@@ -26,7 +26,16 @@ from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, Posterior, table_posteriors
 from .learning import EmConfig, fit_em, fit_nbi
-from .model import AccessPlan, Dataset, TaskSample, as_count, member, path_costs, with_costs
+from .model import (
+    AccessPlan,
+    Dataset,
+    TaskSample,
+    as_config,
+    as_count,
+    member,
+    path_costs,
+    with_costs,
+)
 from .planner import Strategy, _coerce_budget, build_plan
 
 _NLL_FLOOR = 1e-12
@@ -248,8 +257,8 @@ def budget_sweep(
     unlabeled = data.first_unlabeled()
     if unlabeled is not None:
         raise InputError(f"task {unlabeled} has no truth; sweeps need labeled data")
-    ig_cfg = ig_cfg or IgConfig()
-    em_cfg = em_cfg or EmConfig()
+    ig_cfg = as_config(ig_cfg, IgConfig)
+    em_cfg = as_config(em_cfg, EmConfig)
     cost_list = path_costs(costs if costs is not None else [1] * data.num_paths, data.num_paths)
 
     fold_rows = [

@@ -83,7 +83,7 @@ import numpy as np
 from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
 from ._rng import _fold, categorical_rows, substream, substreams
 from .errors import InputError, NumericError, ResourceLimitError
-from .model import AccessPlan, ApmModel, Cpt, as_count, as_counts, check_cells, member
+from .model import AccessPlan, ApmModel, Cpt, as_config, as_count, as_counts, check_cells, member
 
 EXACT_LIMIT = 1_000_000  # most count vectors one exact enumeration may hold
 _BLOCK = 8192  # draws per sampled block
@@ -512,7 +512,7 @@ def information_gains(
     resolves for that plan alone. All sampled plans share one
     `sampled_conditional_entropies` call, which a lone call matches bit for bit.
     """
-    cfg = cfg or IgConfig()
+    cfg = as_config(cfg, IgConfig)
     all_counts = [as_counts(plan, model.num_paths) for plan in plans]
     modes = [_resolve_mode(cfg, counts, model.num_labels) for counts in all_counts]
     h_prior = _memo(model)["h_prior"]

@@ -13,6 +13,14 @@ because it is the quantity EM provably never decreases; with alpha = 0 it is
 the plain log-likelihood. `final_log_likelihood` is always the plain
 observed-data log-likelihood of the returned parameters.
 
+EM fits every restart at once on a run axis: parameters carry a leading run
+axis R (prior (R, K), path CPTs (R, N, K, K), vote tables (R, C, K, K)) and
+the posteriors put it after their label and state axes (q_y (K, R, n), q_z
+(K_y, K_z, R, N, n)). Each run keeps its own initialization stream, objective
+history and stopping test; a run that stops leaves the stack. Every sum
+adds one run's terms in the order a lone restart adds them, so a stacked
+fit gives the bits of fitting its restarts one after another.
+
 Latent path states are only identified up to relabeling, so after fitting,
 each path's states are permuted to put as much mass as possible on the
 diagonal of its p(z | y) table. Fitting is bitwise deterministic for a fixed
@@ -52,6 +60,7 @@ from .model import (
     Dataset,
     LabelSpace,
     NbiModel,
+    as_config,
     as_count,
     check_cells,
     validate_model,
@@ -113,9 +122,9 @@ class FitReport:
 
 
 class _Params(NamedTuple):
-    prior: np.ndarray          # (K,)
-    path_cpts: np.ndarray      # (N, K, K), row y, col z
-    tables: np.ndarray         # (C, K, K), one vote table per slot, row z, col v
+    prior: np.ndarray          # (R, K)
+    path_cpts: np.ndarray      # (R, N, K, K), row y, col z
+    tables: np.ndarray         # (R, C, K, K), one vote table per slot, row z, col v
 
 
 class _Slots(NamedTuple):
@@ -148,17 +157,17 @@ def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
 
 
 def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
-    """q(y) of each task from log p(y, x) (K, n), a point mass where the truth is
-    known, shape (K, n), and the log-likelihood."""
+    """q(y) of each task in each run from log p(y, x) (K, R, n), a point mass where
+    the truth is known, shape (K, R, n), and each run's log-likelihood, shape (R,)."""
     k = log_joint.shape[0]
     norm = logsumexp(log_joint, axis=0)
     with np.errstate(invalid="ignore"):
         q_y = np.exp(log_joint - norm)
     q_y = np.where(np.isfinite(norm), q_y, 1.0 / k)
     known = truth >= 0
-    q_y[:, known] = np.eye(k)[:, truth[known]]
-    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None], axis=0)[0]
-    return q_y, float(np.where(known, at_truth, norm).sum())
+    q_y[..., known] = np.eye(k)[:, None, truth[known]]
+    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None, None], axis=0)[0]
+    return q_y, np.where(known, at_truth, norm).sum(axis=-1)
 
 
 def _blended_identities(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,22 +191,23 @@ def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Par
     return _Params(prior=_init_prior(t.truth, k), path_cpts=path_cpts, tables=tables)
 
 
-def _estep(params: _Params, t: Dataset, slots: _Slots):
-    evidence = vote_evidence(t, slots.idx, log(params.tables))      # (K_z, N, n)
-    terms, f = path_factors(log(params.path_cpts), evidence)        # f: (K_y, N, n)
-    log_joint = apm_log_joints(log(params.prior), f, t.active)      # (K_y, n)
+def _estep(logs: _Params, t: Dataset, slots: _Slots):
+    """The posteriors and log-likelihoods of every run, from the logs of its parameters."""
+    evidence = vote_evidence(t, slots.idx, logs.tables)             # (K_z, R, N, n)
+    terms, f = path_factors(logs.path_cpts, evidence)               # f: (K_y, R, N, n)
+    log_joint = apm_log_joints(logs.prior.T, f, t.active)           # (K_y, R, n)
     with np.errstate(invalid="ignore"):
-        q_z = np.exp(terms - f[:, None])                            # (K_y, K_z, N, n)
+        q_z = np.exp(terms - f[:, None])                            # (K_y, K_z, R, N, n)
     q_z = np.where(np.isfinite(f)[:, None], q_z, 1.0 / t.num_labels)
-    q_y, loglik = _outcome_posterior(log_joint, t.truth)            # q_y: (K_y, n)
+    q_y, loglik = _outcome_posterior(log_joint, t.truth)            # q_y: (K_y, R, n)
     return q_y, q_z, loglik
 
 
-def _penalty(params: tuple[np.ndarray, ...], alpha: float) -> float:
-    """The smoothing term of the objective: alpha times the summed logs of every table."""
+def _penalty(logs: tuple[np.ndarray, ...], alpha: float):
+    """The smoothing term of each run's objective: alpha times the summed logs of its tables."""
     if alpha == 0.0:
         return 0.0
-    return float(alpha * sum(log(table).sum() for table in params))
+    return alpha * sum(table.reshape(len(table), -1).sum(axis=1) for table in logs)
 
 
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -209,49 +219,73 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _label_scatter(num_tables: int, table_idx: np.ndarray, t: Dataset, rows: np.ndarray):
-    """counts[c, z, x]: the sum of rows[z, v] over the votes v on table c with label x."""
-    k = t.num_labels
+    """counts[r, c, z, x]: the sum of rows[z, r, v] over the votes v on table c with label x."""
+    k, runs = t.num_labels, rows.shape[1]
     counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
-    return np.ascontiguousarray(counts.reshape(k, num_tables, k).transpose(1, 0, 2))
+    return np.ascontiguousarray(counts.reshape(k, runs, num_tables, k).transpose(1, 2, 0, 3))
+
+
+def _prior(q_y: np.ndarray, alpha: float) -> np.ndarray:
+    """Each run's prior (R, K) from q_y (K, R, n), its rows contiguous as a lone prior's."""
+    return _normalize_rows(np.ascontiguousarray(task_sum(q_y).T) + alpha)
 
 
 def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
-    prior = _normalize_rows(task_sum(q_y) + alpha)                      # q_y: (K_y, n)
-    joint = q_y[:, None, None, :] * q_z                                 # (K_y, K_z, N, n)
-    path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 0, 1)) + alpha
-    r = label_sum(joint, axis=0).reshape(t.num_labels, -1)              # (K_z, N * n)
-    table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=1))
+    joint = q_y[:, None, :, None] * q_z                                 # (K_y, K_z, R, N, n)
+    path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 3, 0, 1)) + alpha
+    r = label_sum(joint, axis=0)                                        # (K_z, R, N, n)
+    r = r.reshape(*r.shape[:2], -1)                                     # (K_z, R, N * n)
+    table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=-1))
     return _Params(
-        prior=prior,
+        prior=_prior(q_y, alpha),
         path_cpts=_normalize_rows(path_counts),
         tables=_normalize_rows(table_counts + alpha),
     )
 
 
-def _em(cfg: EmConfig, init, estep, mstep) -> tuple[object, FitReport]:
-    """EM from `init(restart)` per restart; the highest final objective wins.
+def _em(cfg: EmConfig, init, estep, mstep) -> tuple[tuple[np.ndarray, ...], FitReport]:
+    """EM on every restart at once; the highest final objective wins, the first on a tie.
 
-    `estep(params)` gives the posteriors and the log-likelihood, `mstep(*posteriors)`
-    the next parameters. A restart stops once the objective changes by at most
-    `cfg.rel_tol` relative to the last. Returns the winning parameters and a
-    report of their restart; the fitter fills in `final_log_likelihood`, NaN
-    here, and its sparse list.
+    `init(restart)` gives one restart's parameters; the restarts are stacked
+    on a leading run axis. `estep(logs)` gives, from the logs of the stacked
+    parameters, the posteriors and each run's log-likelihood, `mstep(*posteriors)`
+    the next stacked parameters. A run stops once its objective changes by at
+    most `cfg.rel_tol` relative to its last, and leaves the stack with the
+    parameters it was evaluated at. Returns the winning restart's parameters
+    and a report of it; the fitter fills in `final_log_likelihood`, NaN here,
+    and its sparse list.
     """
-    best = None
-    for restart in range(cfg.restarts):
-        params, history, converged = init(restart), [], False
-        for _ in range(cfg.max_iters):
-            *posteriors, loglik = estep(params)
-            objective = loglik + _penalty(params, cfg.smoothing_alpha)
+    params = tuple(np.stack(p) for p in zip(*map(init, range(cfg.restarts))))
+    live = list(range(cfg.restarts))  # the restart of each stacked run
+    histories = [[] for _ in live]
+    final: list = [None] * cfg.restarts
+    for _ in range(cfg.max_iters):
+        logs = tuple(map(log, params))
+        *posteriors, loglik = estep(logs)
+        keep = []
+        for j, objective in enumerate((loglik + _penalty(logs, cfg.smoothing_alpha)).tolist()):
+            history = histories[live[j]]
             if history and abs(objective - history[-1]) <= cfg.rel_tol * (abs(history[-1]) + 1e-12):
-                history.append(objective)
-                converged = True
-                break
+                final[live[j]] = tuple(p[j] for p in params)
+            else:
+                keep.append(j)
             history.append(objective)
-            params = mstep(*posteriors)
-        if best is None or history[-1] > best[1].history[-1]:
-            best = (params, FitReport(math.nan, len(history), converged, restart, tuple(history)))
-    return best
+        if not keep:
+            break
+        params = mstep(*posteriors)
+        if len(keep) < len(live):
+            params = tuple(p[keep] for p in params)
+            live = [live[j] for j in keep]
+    converged = [p is not None for p in final]
+    for j, restart in enumerate(live):
+        if not converged[restart]:
+            final[restart] = tuple(p[j] for p in params)
+    best = 0
+    for restart in range(1, cfg.restarts):
+        if histories[restart][-1] > histories[best][-1]:
+            best = restart
+    history = tuple(histories[best])
+    return final[best], FitReport(math.nan, len(history), converged[best], best, history)
 
 
 def _max_assignment(weights: np.ndarray) -> list[int]:
@@ -360,16 +394,21 @@ def fit_em(
     data: Dataset, share_workers: bool = True, cfg: EmConfig | None = None
 ) -> tuple[ApmModel, FitReport]:
     """Fit with truths optional; unlabeled tasks contribute through their posterior."""
-    cfg = cfg or EmConfig()
-    check_cells(data.num_paths * data.num_labels**2, "fitting every path's table")
+    cfg = as_config(cfg, EmConfig)
+    k = data.num_labels
+    check_cells(data.num_paths * k**2, "fitting every path's table")
     slots = _slots(data, share_workers)
+    check_cells(
+        cfg.restarts * k**2 * (data.num_paths * max(data.num_samples, 1) + len(slots.path)),
+        "fitting every restart's tables and posteriors",
+    )
     params, report = _em(
         cfg,
         lambda restart: _init_params(data, slots, cfg, restart),
-        lambda params: _estep(params, data, slots),
+        lambda logs: _estep(_Params(*logs), data, slots),
         lambda q_y, q_z: _mstep(data, slots, q_y, q_z, cfg.smoothing_alpha),
     )
-    model = _to_model(params, data, slots, share_workers)
+    model = _to_model(_Params(*params), data, slots, share_workers)
     final = log_likelihood(model, data)
     return model, replace(report, final_log_likelihood=final, sparse_paths=_voteless_paths(data))
 
@@ -380,22 +419,22 @@ def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
     if not len(data):
         return 0.0
     kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM
-    return _outcome_posterior(table_log_joint(kind, model, data).T, data.truth)[1]
+    log_joint = table_log_joint(kind, model, data).T[:, None]  # one run: (K, 1, n)
+    return float(_outcome_posterior(log_joint, data.truth)[1][0])
 
 
 # --- per-worker naive Bayes (latent-class estimation over workers) ---
 
 
-def _nbi_estep(prior: np.ndarray, tables: np.ndarray, t: Dataset):
-    rows = label_columns(log(tables), t.worker_idx, t.label)                # (K_y, V)
-    log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)  # (K_y, n)
+def _nbi_estep(log_prior: np.ndarray, log_tables: np.ndarray, t: Dataset):
+    rows = label_columns(log_tables, t.worker_idx, t.label)                 # (K_y, R, V)
+    log_joint = direct_log_joints(log_prior.T, t.sample_idx, rows, t.num_samples)  # (K_y, R, n)
     return _outcome_posterior(log_joint, t.truth)
 
 
 def _nbi_mstep(t: Dataset, q_y: np.ndarray, alpha: float):
-    prior = _normalize_rows(task_sum(q_y) + alpha)                          # q_y: (K_y, n)
-    counts = _label_scatter(len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=1))
-    return prior, _normalize_rows(counts + alpha)
+    counts = _label_scatter(len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=-1))
+    return _prior(q_y, alpha), _normalize_rows(counts + alpha)              # q_y: (K_y, R, n)
 
 
 def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitReport]:
@@ -404,17 +443,21 @@ def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitRe
     Workers with fewer than _MIN_WORKER_VOTES observed votes are given uniform
     tables and flagged sparse; their few votes still count toward the prior.
     """
-    cfg = cfg or EmConfig()
+    cfg = as_config(cfg, EmConfig)
     if (data.worker_idx < 0).any():
         raise InputError("nbi fitting requires a worker id on every vote")
     k = data.num_labels
+    check_cells(
+        cfg.restarts * k * (len(data.workers) * k + data.num_samples + len(data.label)),
+        "fitting every restart's tables and posteriors",
+    )
     (prior, tables), report = _em(
         cfg,
         lambda restart: (
             _init_prior(data.truth, k),
             _blended_identities(len(data.workers), k, substream(cfg.seed, "nbi-init", restart)),
         ),
-        lambda params: _nbi_estep(*params, data),
+        lambda logs: _nbi_estep(*logs, data),
         lambda q_y: _nbi_mstep(data, q_y, cfg.smoothing_alpha),
     )
 

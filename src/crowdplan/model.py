@@ -503,6 +503,15 @@ def as_count(value, what: str, low: int = 0) -> int:
     return out
 
 
+def as_config(cfg, cls):
+    """`cfg`, or a default `cls()` for None; anything else that is not a `cls` is an InputError."""
+    if cfg is None:
+        return cls()
+    if not isinstance(cfg, cls):
+        raise InputError(f"expected a {cls.__name__} or None, got {cfg!r}")
+    return cfg
+
+
 def check_cells(cells: int, what: str) -> None:
     """Raise ResourceLimitError before `what` builds an array of more than MAX_CELLS cells."""
     if cells > MAX_CELLS:

@@ -61,7 +61,7 @@ from .infogain import (
     information_gain,
     information_gains,
 )
-from .model import AccessPlan, ApmModel, check_cells, member, plan_cost
+from .model import AccessPlan, ApmModel, as_config, check_cells, member, plan_cost
 
 _OPT_LIMIT = 200_000  # most candidate count vectors exhaustive_opt searches
 _EXACT = IgConfig(mode=IgMode.EXACT)  # exact mode reads no other IgConfig field
@@ -151,7 +151,7 @@ def greedy_plan(
     Exact steps evaluate lazily (see the module docstring) and pick the same
     vote as evaluating every candidate would.
     """
-    cfg = ig_cfg or IgConfig()
+    cfg = as_config(ig_cfg, IgConfig)
     costs = model.costs
     b = _coerce_budget(budget)
     trace: list[TraceStep] = []
@@ -263,7 +263,7 @@ def baseline_plan(
     """Reference allocations: random, single-best-path, or equal spread."""
     strategy = member(Strategy, strategy, "strategy")
     _fold(seed)
-    cfg = ig_cfg or IgConfig()
+    cfg = as_config(ig_cfg, IgConfig)
     b = _coerce_budget(budget)
 
     if strategy is Strategy.RND:

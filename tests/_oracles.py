@@ -4,9 +4,11 @@ Everything here works by brute force in plain Python arithmetic: full-joint
 enumeration over (outcome, every latent path state), raw enumeration over all
 vote assignments for conditional entropy, and naive products for the
 independence-assuming posteriors. Nothing imports the package's inference or
-information-gain code paths, except `whole_array_exact_conditional_entropy`:
-a former implementation kept as the bit-for-bit reference for the blocked one,
-which must share the package's tables and kernels to share its bits.
+information-gain code paths, except two former implementations kept as
+bit-for-bit references, which must share the package's tables and kernels to
+share its bits: `whole_array_exact_conditional_entropy` for the blocked
+exact entropy, and `ref_em_fit`, EM one restart after another, for the
+stacked `learning._em`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from crowdplan._kernel import log, logsumexp
+from crowdplan import learning
+from crowdplan._kernel import (
+    apm_log_joints,
+    direct_log_joints,
+    label_columns,
+    label_sum,
+    log,
+    logsumexp,
+    path_factors,
+    scatter_rows,
+    task_sum,
+    vote_evidence,
+)
 from crowdplan.infogain import _count_vector_table
 from crowdplan.model import (
     AccessPathSpec,
@@ -227,6 +241,117 @@ def random_sample(rng: np.random.Generator, model: ApmModel, max_votes: int = 3)
                 for v in rng.integers(0, model.num_labels, m)
             )
     return TaskSample(task_id="t0", votes=votes)
+
+
+# --- EM one restart at a time, as fitted before restarts were stacked ---
+
+
+def _ref_outcome_posterior(log_joint, truth):
+    k = log_joint.shape[0]
+    norm = logsumexp(log_joint, axis=0)
+    with np.errstate(invalid="ignore"):
+        q_y = np.exp(log_joint - norm)
+    q_y = np.where(np.isfinite(norm), q_y, 1.0 / k)
+    known = truth >= 0
+    q_y[:, known] = np.eye(k)[:, truth[known]]
+    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None], axis=0)[0]
+    return q_y, float(np.where(known, at_truth, norm).sum())
+
+
+def _ref_estep(params, t, slots):
+    prior, path_cpts, tables = params
+    evidence = vote_evidence(t, slots.idx, log(tables))
+    terms, f = path_factors(log(path_cpts), evidence)
+    log_joint = apm_log_joints(log(prior), f, t.active)
+    with np.errstate(invalid="ignore"):
+        q_z = np.exp(terms - f[:, None])
+    q_z = np.where(np.isfinite(f)[:, None], q_z, 1.0 / t.num_labels)
+    q_y, loglik = _ref_outcome_posterior(log_joint, t.truth)
+    return q_y, q_z, loglik
+
+
+def _ref_penalty(params, alpha):
+    if alpha == 0.0:
+        return 0.0
+    return float(alpha * sum(log(table).sum() for table in params))
+
+
+def _ref_label_scatter(num_tables, table_idx, t, rows):
+    k = t.num_labels
+    counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
+    return np.ascontiguousarray(counts.reshape(k, num_tables, k).transpose(1, 0, 2))
+
+
+def _ref_mstep(t, slots, q_y, q_z, alpha):
+    norm = learning._normalize_rows
+    prior = norm(task_sum(q_y) + alpha)
+    joint = q_y[:, None, None, :] * q_z
+    path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 0, 1)) + alpha
+    r = label_sum(joint, axis=0).reshape(t.num_labels, -1)
+    table_counts = _ref_label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=1))
+    return prior, norm(path_counts), norm(table_counts + alpha)
+
+
+def _ref_nbi_estep(params, t):
+    prior, tables = params
+    rows = label_columns(log(tables), t.worker_idx, t.label)
+    log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)
+    return _ref_outcome_posterior(log_joint, t.truth)
+
+
+def _ref_nbi_mstep(t, q_y, alpha):
+    prior = learning._normalize_rows(task_sum(q_y) + alpha)
+    counts = _ref_label_scatter(
+        len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=1)
+    )
+    return prior, learning._normalize_rows(counts + alpha)
+
+
+def _ref_em(cfg, init, estep, mstep):
+    best = None
+    for restart in range(cfg.restarts):
+        params, history, converged = init(restart), [], False
+        for _ in range(cfg.max_iters):
+            *posteriors, loglik = estep(params)
+            objective = loglik + _ref_penalty(params, cfg.smoothing_alpha)
+            if history and abs(objective - history[-1]) <= cfg.rel_tol * (abs(history[-1]) + 1e-12):
+                history.append(objective)
+                converged = True
+                break
+            history.append(objective)
+            params = mstep(*posteriors)
+        if best is None or history[-1] > best[1]["history"][-1]:
+            best = (params, dict(iterations=len(history), converged=converged,
+                                 restart_index=restart, history=tuple(history)))
+    return best
+
+
+def ref_em_fit(data, kind: str, cfg):
+    """The winning parameters and report fields (iterations, converged,
+    restart_index, history) of the EM fit behind `fit_em` (kind "shared" or
+    "per-worker") or `fit_nbi` (kind "nbi"), computed as the package did
+    before it stacked restarts: each restart runs to its end on its own."""
+    alpha = cfg.smoothing_alpha
+    if kind == "nbi":
+        k = data.num_labels
+        return _ref_em(
+            cfg,
+            lambda restart: (
+                learning._init_prior(data.truth, k),
+                learning._blended_identities(
+                    len(data.workers), k, learning.substream(cfg.seed, "nbi-init", restart)
+                ),
+            ),
+            lambda params: _ref_nbi_estep(params, data),
+            lambda q_y: _ref_nbi_mstep(data, q_y, alpha),
+        )
+    slots = learning._slots(data, kind == "shared")
+    return _ref_em(
+        cfg,
+        lambda restart: tuple(learning._init_params(data, slots, cfg, restart)),
+        lambda params: _ref_estep(params, data, slots),
+        lambda q_y, q_z: _ref_mstep(data, slots, q_y, q_z, alpha),
+    )
 
 
 # --- alignment for recovery tests ---

@@ -23,7 +23,7 @@ from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
 from crowdplan.inference import table_log_joint
 from crowdplan.infogain import IgConfig, IgMode, check_submodularity, information_gain
-from crowdplan.learning import EmConfig
+from crowdplan.learning import EmConfig, fit_em, fit_nbi
 from crowdplan.model import (
     MAX_CELLS,
     AccessPathSpec,
@@ -172,6 +172,27 @@ def test_tabulate_takes_empty_columns():
 def test_config_fields_are_checked_on_construction(make):
     with pytest.raises(InputError):
         make()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fit_em(generate(MODEL, [1, 1, 1], 4), cfg=5),
+        lambda: fit_nbi(generate(MODEL, [1, 1, 1], 4), cfg="x"),
+        lambda: budget_sweep(generate(MODEL, [1, 1, 1], 4), ["mv"], ["equal"], [2], em_cfg=5),
+        lambda: budget_sweep(generate(MODEL, [1, 1, 1], 4), ["mv"], ["equal"], [2], ig_cfg=5),
+        lambda: fit_em(generate(MODEL, [1, 1, 1], 4), cfg=0),
+        lambda: greedy_plan(MODEL, 3, ig_cfg=5),
+        lambda: baseline_plan("equal", MODEL, 3, ig_cfg=""),
+        lambda: information_gain(MODEL, [1, 1, 1], EmConfig()),
+    ],
+    ids=["fit_em", "fit_nbi", "sweep_em_cfg", "sweep_ig_cfg", "fit_em_falsy", "greedy_ig_cfg",
+         "baseline_ig_cfg_falsy", "information_gain_em_config"],
+)
+def test_configs_must_be_their_config_type_or_none(call):
+    """None gives the default config; any other value that is not one is an InputError."""
+    with pytest.raises(InputError, match=r"expected a (Em|Ig)Config or None, got"):
+        call()
 
 
 def test_unknown_ig_mode_names_the_choices():

@@ -123,6 +123,24 @@ def ref_mv_probs(table, k):
     return probs[np.argsort(table.order)]
 
 
+def lone(stacked):
+    """Parameters fitted on a stack of one run, without the run axis."""
+    return [p[0] for p in stacked]
+
+
+def lone_estep(params, t, slots):
+    """`learning._estep` on a stack of one run, in the unstacked layout."""
+    logs = learning._Params(*(learning.log(p)[None] for p in params))
+    q_y, q_z, loglik = learning._estep(logs, t, slots)
+    return q_y[:, 0], q_z[:, :, 0], loglik[0]
+
+
+def lone_nbi_estep(prior, tables, t):
+    """`learning._nbi_estep` on a stack of one run, in the unstacked layout."""
+    q_y, loglik = learning._nbi_estep(learning.log(prior)[None], learning.log(tables)[None], t)
+    return q_y[:, 0], loglik[0]
+
+
 def same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -268,14 +286,16 @@ def test_scatters_bits(k, paths, seed):
     alpha = float(rng.choice([0.0, 1.0, 0.37]))
     for share in (True, False):
         slots = learning._slots(t, share)
-        got = learning._mstep(t, slots, q_y.T, q_z.transpose(2, 3, 1, 0), alpha)
+        q_z_one = q_z.transpose(2, 3, 1, 0)[:, :, None]
+        got = lone(learning._mstep(t, slots, q_y.T[:, None], q_z_one, alpha))
         want = ref_mstep(t, slots, q_y, q_z, alpha)
         for g, w in zip(got, want):
             if k <= 7:
                 same_bits(g, w)
             else:
                 close(g, w)
-    for g, w in zip(learning._nbi_mstep(t, q_y.T, alpha), ref_nbi_mstep(t, q_y, alpha)):
+    got = lone(learning._nbi_mstep(t, q_y.T[:, None], alpha))
+    for g, w in zip(got, ref_nbi_mstep(t, q_y, alpha)):
         same_bits(g, w)
     got = np.stack([p.probs for p in infer("mv", random_model(rng, paths, k=k), samples)])
     same_bits(got, ref_mv_probs(t, k))
@@ -359,7 +379,7 @@ def test_esteps_match_task_major_references(k, paths, seed, truths):
         if kill:
             tables = dead_column(tables, slots.idx[t.sample_idx == dead][0], k - 1)
         params = learning._Params(posteriors(rng, (k,)), posteriors(rng, (paths, k, k)), tables)
-        got_y, got_z, got_ll = learning._estep(params, t, slots)
+        got_y, got_z, got_ll = lone_estep(params, t, slots)
         want_y, want_z, want_ll = ref_estep(params, t, slots)
         for g, w in zip(task_major(got_y, got_z), (want_y, want_z)):
             agree(g, w, k)
@@ -371,7 +391,7 @@ def test_esteps_match_task_major_references(k, paths, seed, truths):
     if kill:
         workers = dead_column(workers, t.workers.index("w0"), k - 1)
     prior = posteriors(rng, (k,))
-    got_y, got_ll = learning._nbi_estep(prior, workers, t)
+    got_y, got_ll = lone_nbi_estep(prior, workers, t)
     want_y, want_ll = ref_nbi_estep(prior, workers, t)
     agree(task_major(got_y), want_y, k)
     agree(got_ll, want_ll, k)
@@ -387,12 +407,12 @@ def test_esteps_without_tasks_or_votes(tasks):
     params = learning._Params(
         posteriors(rng, (k,)), posteriors(rng, (paths, k, k)), posteriors(rng, (paths, k, k))
     )
-    got_y, got_z, got_ll = learning._estep(params, t, slots)
+    got_y, got_z, got_ll = lone_estep(params, t, slots)
     want_y, want_z, want_ll = ref_estep(params, t, slots)
     for g, w in zip(task_major(got_y, got_z), (want_y, want_z)):
         same_bits(g, w)
     assert got_ll == want_ll
-    got_y, got_ll = learning._nbi_estep(params.prior, np.zeros((0, k, k)), t)
+    got_y, got_ll = lone_nbi_estep(params.prior, np.zeros((0, k, k)), t)
     want_y, want_ll = ref_nbi_estep(params.prior, np.zeros((0, k, k)), t)
     same_bits(task_major(got_y), want_y)
     assert got_ll == want_ll

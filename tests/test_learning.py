@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import crowdplan.learning as learning
-from crowdplan.errors import InputError
+from crowdplan.cli import main
+from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.learning import (
     EmConfig,
     fit_em,
@@ -22,7 +26,7 @@ from crowdplan.model import (
 )
 from crowdplan.simulator import generate
 
-from _oracles import aligned_worst_row_l1, sym_cpt, sym_model
+from _oracles import aligned_worst_row_l1, ref_em_fit, sym_cpt, sym_model
 
 FAST = EmConfig(max_iters=200, restarts=2, seed=0)
 
@@ -411,3 +415,87 @@ class TestNbi:
         data = generate(sym_model([0.5, 0.5], [0.9], [0.8]), [2], 50, seed=0)
         with pytest.raises(InputError):
             fit_nbi(data)
+
+
+def noisy_table(rng, k, paths, truths, tasks=10, workers=4):
+    """Random votes from workers w0..w3, 0 to 3 per task and path, so EM fits
+    noise and each restart stops where its own objective levels off."""
+    samples = [TaskSample("first", {0: (("w0", int(rng.integers(k))),)})]
+    for t in range(tasks):
+        votes = {}
+        for p in range(paths):
+            n = int(rng.integers(0, 4))
+            if n:
+                votes[p] = tuple(
+                    (f"w{int(rng.integers(workers))}", int(rng.integers(k))) for _ in range(n)
+                )
+        samples.append(TaskSample(f"t{t}", votes))
+    for i, s in enumerate(samples):
+        known = truths == "all" or (truths == "some" and rng.random() < 0.5)
+        samples[i] = TaskSample(s.task_id, s.votes, int(rng.integers(k)) if known else None)
+    return Dataset(samples, paths, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["shared", "per-worker", "nbi"]),
+    truths=st.sampled_from(["none", "some", "all"]),
+    restarts=st.integers(1, 4).map(lambda i: 5 - i),
+    max_iters=st.integers(1, 30).map(lambda i: 31 - i),
+    rel_tol=st.sampled_from([10.0**-e for e in (6, 5, 4, 7, 3, 8, 2, 9, 1, 10, 11, 12)]),
+    alpha=st.sampled_from([0.0, 1.0]),
+    k=st.integers(2, 4),
+    paths=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Four restarts that stop at three or four different iterations, won by a later one.
+@example("shared", "none", 4, 30, 1e-6, 0.0, 3, 2, 66)
+@example("per-worker", "some", 4, 30, 1e-6, 1.0, 3, 2, 4)
+@example("nbi", "none", 4, 30, 1e-6, 1.0, 3, 2, 6)
+@example("shared", "all", 4, 30, 1e-6, 1.0, 3, 2, 0)
+def test_stacked_em_matches_restart_by_restart(
+    kind, truths, restarts, max_iters, rel_tol, alpha, k, paths, seed
+):
+    """Every restart stacked in one EM gives the parameters and report of
+    fitting them one after another, bit for bit, also when restarts stop at
+    different iterations."""
+    data = noisy_table(np.random.default_rng(seed), k, paths, truths)
+    cfg = EmConfig(max_iters, rel_tol, alpha, seed % 1000, restarts)
+    real, fits = learning._em, []
+    with mock.patch.object(learning, "_em", lambda *args: fits.append(real(*args)) or fits[-1]):
+        fit_nbi(data, cfg) if kind == "nbi" else fit_em(data, kind == "shared", cfg)
+    (params, report), = fits
+    want_params, want = ref_em_fit(data, kind, cfg)
+    assert len(params) == len(want_params)
+    for got, ref in zip(params, want_params):
+        assert got.shape == ref.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert np.array(report.history).tobytes() == np.array(want["history"]).tobytes()
+    assert (report.iterations, report.converged, report.restart_index) == (
+        want["iterations"], want["converged"], want["restart_index"]
+    )
+
+
+def test_oversize_stacked_fit_is_refused_before_it_allocates():
+    """Restarts are fitted as one stack, so the size guard counts every restart's
+    (K_y, K_z, N, n) posteriors: 3 * 10^2 * (100 * 5000 + 100) cells here."""
+    data = Dataset([TaskSample(f"t{i}", {}) for i in range(5000)], num_paths=100, num_labels=10)
+    with pytest.raises(ResourceLimitError, match="posteriors needs 150030000 array cells"):
+        fit_em(data, cfg=EmConfig(restarts=3))
+
+
+def test_oversize_stacked_nbi_fit_is_refused_before_it_allocates():
+    """2 * 10^7 restarts of one vote: 2 * 10^7 * 2 * (1 * 2 + 1 + 1) cells."""
+    data = Dataset([TaskSample("t", {0: (("w", 1),)})], num_paths=1, num_labels=2)
+    with pytest.raises(ResourceLimitError, match="posteriors needs 160000000 array cells"):
+        fit_nbi(data, cfg=EmConfig(restarts=2 * 10**7))
+
+
+@pytest.mark.parametrize("kind", ["apm", "nbi"])
+def test_learn_with_oversize_restarts_exits_3(tmp_path, capsys, kind):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("task_id,path_id,worker_id,vote,truth\nt1,0,w,a,\nt2,0,w,b,\n")
+    argv = ["learn", "--votes", str(votes), "--model-kind", kind, "--restarts", str(10**8)]
+    assert main(argv + ["--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fitting every restart's tables and posteriors")
