@@ -8,7 +8,8 @@ computed in isolation, in any order, and still produce the same draws.
 String key parts are folded to fixed 64-bit integers with BLAKE2s so that ids
 coming from data files key streams stably across runs and platforms.
 `substreams` gives one stream per task from one shared generator, with keys
-derived in one array pass that replays numpy's `SeedSequence`, the oracle.
+derived in one array pass that replays numpy's `SeedSequence`, the oracle;
+`substream_words` takes the first raw Philox words of each such stream.
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ def substreams(seed: KeyPart, prefix: tuple, parts: Iterable) -> Iterator[np.ran
         return rng
 
     return map(reset, keys)
+
+
+def substream_words(
+    seed: KeyPart, prefix: tuple, parts: Iterable, counts: Iterable[int]
+) -> np.ndarray:
+    """The first counts[i] raw 64-bit Philox words of `substream(seed, *prefix, part)`
+    for each part i, concatenated, from one `random_raw` call per part."""
+    streams = substreams(seed, prefix, parts)
+    words = [rng.bit_generator.random_raw(c) for rng, c in zip(streams, counts)]
+    return np.concatenate(words) if words else np.zeros(0, dtype=np.uint64)
 
 
 def derive_seed(seed: int, *key: KeyPart) -> int:

@@ -8,6 +8,20 @@ same vote subsets. Metrics come back per fold and averaged over folds.
 All aggregation runs over tasks in sorted task-id order and every random
 choice is keyed by task id, so metric rows do not depend on dataset order.
 
+Plan execution (`_execute`) draws each task's votes without replacement from
+the task's own stream, exactly as numpy's `Generator.choice` would, but
+replays the draws of all tasks together in arrays from the streams' raw
+Philox words: Floyd's algorithm (Bentley & Floyd, CACM 1987) on
+Lemire-bounded 32-bit draws (Lemire, ACM TOMACS 2019). A task whose draws
+the replay does not follow calls `choice` itself.
+
+A fold plans each (strategy, budget) cell on its own, since a cell's plan
+seed depends on its budget. It then executes every cell and scores them all
+in one table holding one copy of the test tasks per cell, with one
+`table_posteriors` call per model kind. A task's posterior depends on its
+own votes alone, so each cell's slice of the rows has the bits of scoring
+the cell by itself, and its NLL is still summed task by task in order.
+
 `budget_sweep` parses its model kinds, strategies, budgets and costs as
 inference, the planner and the model types do, before it fits fold 0, so a
 bad one is an InputError that costs no fitting.
@@ -16,12 +30,13 @@ bad one is an InputError that costs no fitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import derive_seed, substream, substreams
+from ._rng import _fold, derive_seed, substream, substream_words, substreams
 from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, Posterior, table_posteriors
@@ -39,6 +54,12 @@ from .model import (
 from .planner import Strategy, _coerce_budget, build_plan
 
 _NLL_FLOOR = 1e-12
+# numpy's `Generator.choice(n, k, replace=False)` runs Floyd's algorithm for
+# n <= 10,000; above that it may shuffle a tail of all n instead.
+_FLOYD_MAX_POPULATION = 10_000
+# A group drawing more votes than this takes `rng.choice`, so a replay makes
+# at most this many vectorised steps.
+_REPLAY_MAX_PICKS = 64
 
 
 def _accuracy(prediction: np.ndarray, truth: np.ndarray) -> float:
@@ -78,35 +99,144 @@ class ExecutedSample:
     skipped: bool
 
 
-def _execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the table's votes that a plan buys and of its short-filled tasks.
+def _draw_bounds(n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The group and inclusive upper bound of each 32-bit draw that
+    `choice(n[g], k[g], replace=False)` takes, groups in turn, 1 <= k < n.
 
-    A (task, path) holding more votes than the plan asks for gives a draw
-    without replacement, by stored position, from its task's stream, drawn
-    path by path; only such tasks get a stream (`_rng.substreams`). A task is
-    short-filled when some path holds fewer votes than the plan asks for.
-    Counts above the table's vote count only short-fill, so they are capped
-    at one more than it and every count fits an int64.
+    Floyd's algorithm takes k draws bounded by n-k .. n-1, then the shuffle of
+    the k picks takes k - 1 draws bounded by k-1 .. 1.
+    """
+    per = 2 * k - 1
+    group = np.repeat(np.arange(len(k)), per)
+    step = np.arange(len(group)) - np.repeat(np.cumsum(per) - per, per)
+    kg = k[group]
+    return group, np.where(step < kg, n[group] - kg + step, 2 * kg - 2 - step)
+
+
+def _lemire_rejects(draws: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Whether numpy's Lemire bounding of each 32-bit draw to 0..bound rejects it,
+    so that numpy takes another draw: the low word of draw * (bound + 1) falls
+    below (2**32 - 1 - bound) mod (bound + 1)."""
+    return (draws * (bound + 1)) & 0xFFFFFFFF < (0xFFFFFFFF - bound) % (bound + 1)
+
+
+def _floyd(draws: np.ndarray, base: np.ndarray, n: np.ndarray, k: np.ndarray,
+           at: np.ndarray, out: np.ndarray) -> None:
+    """Set out[at[g] + i] for each i that `choice(n[g], k[g], replace=False)` picks.
+
+    Group g's Floyd draws are draws[base[g]:base[g] + k[g]], none of them
+    rejected, 1 <= k < n. Step t bounds each group's draw to 0..j with
+    j = n - k + t and picks it, or j when it is already picked. The shuffle
+    after Floyd only orders the picks, so it is not replayed. Groups run
+    together, one step per pick, the longest first.
+    """
+    longest = np.argsort(-k, kind="stable")
+    k, j0, base, at = k[longest], (n - k)[longest], base[longest], at[longest]
+    for t in range(int(k.max(initial=0))):
+        live = np.count_nonzero(k > t)
+        j = j0[:live] + t
+        pick = (draws[base[:live] + t] * (j + 1)) >> 32
+        pick = np.where(out[at[:live] + pick], j, pick)
+        out[at[:live] + pick] = True
+
+
+def _execute(
+    table: Dataset, plans: Sequence[AccessPlan], seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the votes that each plan buys and of the tasks it short-fills,
+    over `table.tiled(len(plans))`: plan c executes on copy c, keyed by seeds[c].
+
+    A (task, path) holding more votes than a plan asks for is a group: it
+    draws without replacement, by stored position, from its task's stream for
+    that plan, groups in path order. Only tasks with a group get a stream. A
+    task is short-filled when some path holds fewer votes than the plan asks
+    for. Counts above the table's vote count only short-fill, so they are
+    capped at one more than it and every count fits an int64.
+
+    The draws equal `rng.choice(n, k, replace=False)` on the task's stream
+    (`_rng.substreams`), group after group, but are replayed in arrays for
+    every plan at once. A group of k from n takes 2k - 1 32-bit draws, the
+    low then the high half of each raw Philox word, so a task whose groups
+    take D draws reads ceil(D / 2) words from one `random_raw` call
+    (`_rng.substream_words`). Each draw is checked for a Lemire rejection,
+    and Floyd's algorithm then runs for every group at once (`_floyd`).
+
+    A task takes `rng.choice` itself instead, the only other route, when one
+    of its groups has n above `_FLOYD_MAX_POPULATION` (where numpy may take a
+    tail shuffle, whose picks differ) or k above `_REPLAY_MAX_PICKS`, or when
+    any of its draws is rejected (numpy would then take one more draw).
     """
     s = table.stored
-    counts = np.array([min(c, len(s) + 1) for c in plan.counts], dtype=np.int64)
+    v = len(s)
+    counts = np.array([[min(c, v + 1) for c in plan.counts] for plan in plans], dtype=np.int64)
     task, path = table.sample_idx[s], table.path_idx[s]
     start = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(path, prepend=-1))
-    have = np.diff(start, append=len(s))
-    want = counts[path[start]]
+    have = np.diff(start, append=v)
+    want = counts[:, path[start]]
     draw = (want > 0) & (want < have)
-    keep = np.arange(len(s)) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have)
-    groups = np.flatnonzero(draw)
-    owner = task[start[groups]]
-    opens = np.diff(owner, prepend=-1) != 0
-    streams = substreams(seed, ("exec",), [table.task_ids[t] for t in owner[opens].tolist()])
-    for g, new in zip(groups.tolist(), opens.tolist()):
-        rng = next(streams) if new else rng
-        keep[start[g] + rng.choice(int(have[g]), size=int(want[g]), replace=False)] = True
+    keep = np.arange(v) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have, axis=1)
+    for seed in seeds:
+        _fold(seed)  # checked even when nothing is drawn
+    copy, group = np.divmod(np.flatnonzero(draw), len(start))
+    if len(group):
+        g = start[group]
+        _draw(keep.reshape(-1), table, seeds, copy, copy * v + g, have[group], want[copy, group], task[g])
     bought = np.empty_like(keep)
-    bought[s] = keep
-    filled = np.bincount(task[start[(want > 0) & (want <= have)]], minlength=len(table))
-    return bought, filled < np.count_nonzero(counts)
+    bought[:, s] = keep
+    cell = np.arange(len(plans))[:, None] * len(table) + task[start]  # (copy, task) of a group
+    filled = np.bincount(cell[(want > 0) & (want <= have)], minlength=len(plans) * len(table))
+    short = filled.reshape(len(plans), -1) < np.count_nonzero(counts, axis=1)[:, None]
+    return bought.reshape(-1), short.reshape(-1)
+
+
+def _draw(keep: np.ndarray, table: Dataset, seeds: Sequence[int], copy: np.ndarray,
+          at: np.ndarray, n: np.ndarray, k: np.ndarray, task: np.ndarray) -> None:
+    """Set keep[at[g] + i] for each i that group g of task `task[g]` picks under
+    plan `copy[g]` (see `_execute`).
+
+    Groups come plan by plan, then task by task, each task's in path order,
+    with 1 <= k < n.
+    """
+    opens = (np.diff(copy, prepend=-1) != 0) | (np.diff(task, prepend=-1) != 0)
+    first = np.flatnonzero(opens)
+    of_task, tasks, copies = np.cumsum(opens) - 1, task[first], copy[first]
+    per = 2 * k - 1
+
+    def by_plan(mask: np.ndarray) -> list[tuple[int, list[str], slice]]:
+        """The seed, the task ids and the slice of the tasks in `mask` of each plan
+        holding any, in order."""
+        ids = [table.task_ids[t] for t in tasks[mask].tolist()]
+        cuts = np.searchsorted(copies[mask], np.arange(len(seeds) + 1)).tolist()
+        return [
+            (seed, ids[lo:hi], slice(lo, hi))
+            for seed, lo, hi in zip(seeds, cuts, cuts[1:])
+            if hi > lo
+        ]
+
+    slow = np.add.reduceat((n > _FLOYD_MAX_POPULATION) | (k > _REPLAY_MAX_PICKS), first) > 0
+    fast = np.flatnonzero(~slow[of_task])
+    if len(fast):
+        need = np.add.reduceat(per, first)[~slow]
+        size = (need + 1) // 2
+        words = np.concatenate(
+            [substream_words(seed, ("exec",), ids, size[part]) for seed, ids, part in by_plan(~slow)]
+        )
+        used = np.ones(2 * len(words), dtype=bool)
+        used[2 * np.cumsum(size)[need % 2 == 1] - 1] = False  # the spare half of an odd D
+        draws = words.astype("<u8", copy=False).view("<u4")[used].astype(np.int64)
+        group, bound = _draw_bounds(n[fast], k[fast])
+        slow[of_task[fast[group[_lemire_rejects(draws, bound)]]]] = True
+        ok = ~slow[of_task[fast]]
+        base = np.cumsum(per[fast]) - per[fast]
+        _floyd(draws, base[ok], n[fast][ok], k[fast][ok], at[fast][ok], keep)
+    if slow.any():
+        streams = chain.from_iterable(
+            substreams(seed, ("exec",), ids) for seed, ids, _ in by_plan(slow)
+        )
+        by_choice = np.flatnonzero(slow[of_task])
+        for g, new in zip(by_choice.tolist(), opens[by_choice].tolist()):
+            rng = next(streams) if new else rng
+            keep[at[g] + rng.choice(int(n[g]), size=int(k[g]), replace=False)] = True
 
 
 def execute_plan_on_sample(
@@ -123,7 +253,7 @@ def execute_plan_on_sample(
     plan = plan if isinstance(plan, AccessPlan) else AccessPlan(plan)
     labels = [v for votes in sample.votes.values() for _, v in votes] + [sample.truth or 0]
     table = Dataset([sample], len(plan.counts), max(labels) + 1)
-    bought, short = _execute(table, plan, seed)
+    bought, short = _execute(table, [plan], [seed])
     executed = table.select(np.ones(1, dtype=bool), bought).samples[0]
     return ExecutedSample(sample=executed, short_filled=bool(short[0]), skipped=not bought.any())
 
@@ -187,6 +317,8 @@ def _score_fold(
     costs: Sequence[Fraction],
     seed: int,
 ) -> list[FoldRow]:
+    """Fit on `train`, then score every (strategy, budget) cell on `test`: rows
+    cell by cell, model kinds in order within a cell."""
     apm_model, _ = fit_em(train, share_workers=True, cfg=em_cfg)
     apm_model = with_costs(apm_model, costs)
     if ModelKind.NBI in kinds:
@@ -195,41 +327,53 @@ def _score_fold(
         known = [w in nbi_model.worker_cpts for w in test.workers] + [False]
         nbi_rows = np.array(known, dtype=bool)[test.worker_idx]
 
+    cells = [(strategy, budget) for strategy in strategies for budget in budgets]
+    plans = [
+        build_plan(
+            strategy,
+            apm_model,
+            budget,
+            seed=derive_seed(seed, "plan", fold, strategy.value, str(budget)),
+            ig_cfg=ig_cfg,
+        ).plan
+        for strategy, budget in cells
+    ]
+    seeds = [derive_seed(seed, "exec", fold, s.value, str(b)) for s, b in cells]
+    bought, short = _execute(test, plans, seeds)
+    # Every cell's copy of the test tasks in one table, cell by cell, scored
+    # once per kind: a task's posterior comes from its own votes alone.
+    stack = test.tiled(len(cells))
+    kept = np.bincount(stack.sample_idx[bought], minlength=len(stack)) > 0
+    truth = stack.truth[kept]
+    executed_votes = stack.select(kept, bought)
+    scores = []
+    for kind in kinds:
+        if kind is ModelKind.NBI:
+            model, votes = nbi_model, stack.select(kept, bought & np.tile(nbi_rows, len(cells)))
+        else:
+            model, votes = apm_model, executed_votes
+        probs, pred, _ = table_posteriors(kind, model, votes)
+        scores.append((pred, probs[range(len(truth)), truth]))
+
+    n = test.num_samples
+    ends = np.cumsum(np.count_nonzero(kept.reshape(len(cells), n), axis=1)).tolist()
+    short_filled = np.count_nonzero((kept & short).reshape(len(cells), n), axis=1).tolist()
     rows = []
-    for strategy in strategies:
-        for budget in budgets:
-            plan = build_plan(
-                strategy,
-                apm_model,
-                budget,
-                seed=derive_seed(seed, "plan", fold, strategy.value, str(budget)),
-                ig_cfg=ig_cfg,
-            )
-            cell_seed = derive_seed(seed, "exec", fold, strategy.value, str(budget))
-            bought, short = _execute(test, plan.plan, cell_seed)
-            kept = np.bincount(test.sample_idx[bought], minlength=test.num_samples) > 0
-            short_filled = int(np.count_nonzero(kept & short))
-            truth = test.truth[kept]
-            executed = test.select(kept, bought)
-            for kind in kinds:
-                if kind is ModelKind.NBI:
-                    model, votes = nbi_model, test.select(kept, bought & nbi_rows)
-                else:
-                    model, votes = apm_model, executed
-                probs, pred, _ = table_posteriors(kind, model, votes)
-                rows.append(
-                    FoldRow(
-                        model=kind.value,
-                        strategy=strategy.value,
-                        budget=budget,
-                        fold=fold,
-                        accuracy=_accuracy(pred, truth),
-                        neg_log_likelihood=_neg_log_likelihood(probs[range(len(truth)), truth]),
-                        tasks_evaluated=len(truth),
-                        tasks_skipped=test.num_samples - len(truth),
-                        tasks_short_filled=short_filled,
-                    )
+    for (strategy, budget), lo, hi, short_c in zip(cells, [0] + ends, ends, short_filled):
+        for kind, (pred, at_truth) in zip(kinds, scores):
+            rows.append(
+                FoldRow(
+                    model=kind.value,
+                    strategy=strategy.value,
+                    budget=budget,
+                    fold=fold,
+                    accuracy=_accuracy(pred[lo:hi], truth[lo:hi]),
+                    neg_log_likelihood=_neg_log_likelihood(at_truth[lo:hi]),
+                    tasks_evaluated=hi - lo,
+                    tasks_skipped=n - (hi - lo),
+                    tasks_short_filled=short_c,
                 )
+            )
     return rows
 
 

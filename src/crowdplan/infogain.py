@@ -463,6 +463,7 @@ def sampled_conditional_entropies(
     plans read the same blocks of the same streams, and the factor table of a
     path they draw from the same stream rows is built once.
     """
+    cfg = as_config(cfg, IgConfig)
     all_counts = [as_counts(plan, model.num_paths) for plan in plans]
     for counts in all_counts:
         _require_shared(model, counts)

@@ -433,6 +433,30 @@ class Dataset:
             stored=(np.cumsum(keep) - 1)[self.stored[keep[self.stored]]],
         )
 
+    def tiled(self, copies: int) -> Dataset:
+        """`copies` copies of the table, one after another in both orders.
+
+        Copy c of a task gets the id `c:id`, c zero-padded to one width, so
+        the ids stay distinct and sort copy by copy; copy c's tasks and votes
+        are those of index i at c * n + i and c * V + i.
+        """
+        width = len(str(copies - 1))
+        copy = np.arange(copies)[:, None]
+        n, v = len(self), len(self.stored)
+        return Dataset._of(
+            num_paths=self.num_paths,
+            num_labels=self.num_labels,
+            task_ids=tuple(f"{c:0{width}d}:{t}" for c in range(copies) for t in self.task_ids),
+            order=(copy * n + self.order).reshape(-1),
+            truth=np.tile(self.truth, copies),
+            sample_idx=(copy * n + self.sample_idx).reshape(-1),
+            path_idx=np.tile(self.path_idx, copies),
+            worker_idx=np.tile(self.worker_idx, copies),
+            label=np.tile(self.label, copies),
+            workers=self.workers,
+            stored=(copy * v + self.stored).reshape(-1),
+        )
+
     @cached_property
     def samples(self) -> tuple[TaskSample, ...]:
         """The tasks as `TaskSample` objects, in stored order."""

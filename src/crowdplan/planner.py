@@ -296,6 +296,7 @@ def build_plan(
     """Uniform entry point over all strategies."""
     strategy = member(Strategy, strategy, "strategy")
     _fold(seed)
+    ig_cfg = as_config(ig_cfg, IgConfig)
     if strategy is Strategy.GREEDY:
         return greedy_plan(model, budget, ig_cfg)
     if strategy is Strategy.OPT:

@@ -4,11 +4,13 @@ Everything here works by brute force in plain Python arithmetic: full-joint
 enumeration over (outcome, every latent path state), raw enumeration over all
 vote assignments for conditional entropy, and naive products for the
 independence-assuming posteriors. Nothing imports the package's inference or
-information-gain code paths, except two former implementations kept as
+information-gain code paths, except the former implementations kept as
 bit-for-bit references, which must share the package's tables and kernels to
 share its bits: `whole_array_exact_conditional_entropy` for the blocked
-exact entropy, and `ref_em_fit`, EM one restart after another, for the
-stacked `learning._em`.
+exact entropy; `ref_em_fit`, EM one restart after another, for the
+stacked `learning._em`; and `ref_execute` and `ref_score_fold`, plan
+execution by one `rng.choice` per drawn group and fold scoring by one pass
+per (strategy, budget) cell, for `evaluation._execute` and `_score_fold`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from crowdplan import learning
+from crowdplan._rng import derive_seed, substreams
 from crowdplan._kernel import (
     apm_log_joints,
     direct_log_joints,
@@ -32,14 +35,21 @@ from crowdplan._kernel import (
     task_sum,
     vote_evidence,
 )
+from crowdplan.evaluation import FoldRow, _accuracy, _neg_log_likelihood
+from crowdplan.inference import ModelKind, table_posteriors
 from crowdplan.infogain import _count_vector_table
+from crowdplan.learning import fit_em, fit_nbi
 from crowdplan.model import (
     AccessPathSpec,
+    AccessPlan,
     ApmModel,
     Cpt,
+    Dataset,
     LabelSpace,
     TaskSample,
+    with_costs,
 )
+from crowdplan.planner import build_plan
 
 
 def enum_posterior(model: ApmModel, sample: TaskSample) -> np.ndarray:
@@ -352,6 +362,81 @@ def ref_em_fit(data, kind: str, cfg):
         lambda params: _ref_estep(params, data, slots),
         lambda q_y, q_z: _ref_mstep(data, slots, q_y, q_z, alpha),
     )
+
+
+# --- plan execution and fold scoring, one (strategy, budget) cell at a time ---
+
+
+def ref_execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`evaluation._execute` as it was before its draws were replayed in arrays:
+    one `rng.choice` call per drawn (task, path), on the task's stream."""
+    s = table.stored
+    counts = np.array([min(c, len(s) + 1) for c in plan.counts], dtype=np.int64)
+    task, path = table.sample_idx[s], table.path_idx[s]
+    start = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(path, prepend=-1))
+    have = np.diff(start, append=len(s))
+    want = counts[path[start]]
+    draw = (want > 0) & (want < have)
+    keep = np.arange(len(s)) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have)
+    groups = np.flatnonzero(draw)
+    owner = task[start[groups]]
+    opens = np.diff(owner, prepend=-1) != 0
+    streams = substreams(seed, ("exec",), [table.task_ids[t] for t in owner[opens].tolist()])
+    for g, new in zip(groups.tolist(), opens.tolist()):
+        rng = next(streams) if new else rng
+        keep[start[g] + rng.choice(int(have[g]), size=int(want[g]), replace=False)] = True
+    bought = np.empty_like(keep)
+    bought[s] = keep
+    filled = np.bincount(task[start[(want > 0) & (want <= have)]], minlength=len(table))
+    return bought, filled < np.count_nonzero(counts)
+
+
+def ref_score_fold(fold, train, test, kinds, strategies, budgets, ig_cfg, em_cfg, costs, seed):
+    """`evaluation._score_fold` as it was before a fold's cells were scored in one
+    stacked table: per cell, one `ref_execute`, two selections and one
+    `table_posteriors` call per model kind."""
+    apm_model, _ = fit_em(train, share_workers=True, cfg=em_cfg)
+    apm_model = with_costs(apm_model, costs)
+    if ModelKind.NBI in kinds:
+        nbi_model, _ = fit_nbi(train, cfg=em_cfg)
+        known = [w in nbi_model.worker_cpts for w in test.workers] + [False]
+        nbi_rows = np.array(known, dtype=bool)[test.worker_idx]
+    rows = []
+    for strategy in strategies:
+        for budget in budgets:
+            plan = build_plan(
+                strategy,
+                apm_model,
+                budget,
+                seed=derive_seed(seed, "plan", fold, strategy.value, str(budget)),
+                ig_cfg=ig_cfg,
+            )
+            cell_seed = derive_seed(seed, "exec", fold, strategy.value, str(budget))
+            bought, short = ref_execute(test, plan.plan, cell_seed)
+            kept = np.bincount(test.sample_idx[bought], minlength=test.num_samples) > 0
+            short_filled = int(np.count_nonzero(kept & short))
+            truth = test.truth[kept]
+            executed = test.select(kept, bought)
+            for kind in kinds:
+                if kind is ModelKind.NBI:
+                    model, votes = nbi_model, test.select(kept, bought & nbi_rows)
+                else:
+                    model, votes = apm_model, executed
+                probs, pred, _ = table_posteriors(kind, model, votes)
+                rows.append(
+                    FoldRow(
+                        model=kind.value,
+                        strategy=strategy.value,
+                        budget=budget,
+                        fold=fold,
+                        accuracy=_accuracy(pred, truth),
+                        neg_log_likelihood=_neg_log_likelihood(probs[range(len(truth)), truth]),
+                        tasks_evaluated=len(truth),
+                        tasks_skipped=test.num_samples - len(truth),
+                        tasks_short_filled=short_filled,
+                    )
+                )
+    return rows
 
 
 # --- alignment for recovery tests ---

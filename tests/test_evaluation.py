@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdplan._rng as _rng
-from crowdplan._rng import stream_keys, substream
-from crowdplan.errors import InputError
+import crowdplan.evaluation as evaluation
+from crowdplan._rng import stream_keys, substream, substream_words
+from crowdplan.errors import CrowdPlanError, InputError
 from crowdplan.evaluation import (
     accuracy,
     budget_sweep,
@@ -14,10 +19,11 @@ from crowdplan.evaluation import (
     neg_log_likelihood,
 )
 from crowdplan.inference import Posterior
-from crowdplan.model import Dataset, TaskSample
+from crowdplan.learning import EmConfig
+from crowdplan.model import AccessPlan, Dataset, TaskSample
 from crowdplan.simulator import generate, inject_correlation
 
-from _oracles import sym_model
+from _oracles import ref_execute, ref_score_fold, sym_model
 
 
 def posterior_of(probs):
@@ -313,3 +319,126 @@ class TestShortFilled:
         header, *rows = [line.split(",") for line in out.read_text().splitlines()]
         assert header[-3:] == ["tasks", "skipped", "short_filled"]
         assert sum(int(r[-1]) for r in rows) == 30  # tasks with fewer than two votes on path 1
+
+
+def _ragged(seed: int, num_tasks: int, max_votes: int, workers: int, wide: bool = False) -> Dataset:
+    """Labeled tasks on two paths with 0 to `max_votes` named votes per path.
+
+    Task 0 has no votes, so every plan skips it, and task 1 has one vote per
+    path, so a plan asking for two short-fills it. With `wide`, task 2 holds
+    80 votes on path 0, so a plan asking for 65 to 79 draws past the replay's
+    step limit.
+    """
+    rng = np.random.default_rng(seed)
+    samples = []
+    for t in range(num_tasks):
+        sizes = [0, 0] if t == 0 else [1, 1] if t == 1 else rng.integers(0, max_votes + 1, 2)
+        if wide and t == 2:
+            sizes[0] = 80
+        votes = {
+            p: tuple((f"w{int(w)}", int(v)) for w, v in rng.integers(0, [workers, 2], (m, 2)))
+            for p, m in enumerate(sizes)
+            if m
+        }
+        samples.append(TaskSample(f"t{t:02d}", votes, truth=int(rng.integers(0, 2))))
+    return Dataset(samples, 2, 2)
+
+
+class TestReplayedSweep:
+    """The one-pass sweep and its replayed draws against one pass per cell and
+    one `rng.choice` per drawn group (`_oracles.ref_score_fold`, `ref_execute`)."""
+
+    EM = EmConfig(max_iters=4, restarts=2)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_tasks=st.integers(4, 16),
+        max_votes=st.integers(1, 6),
+        workers=st.integers(2, 12),
+        wide=st.booleans(),
+        folds=st.integers(1, 3),
+        kinds=st.lists(st.sampled_from(["mv", "nbi", "nbap", "apm"]), min_size=1, unique=True),
+        strategies=st.lists(
+            st.sampled_from(["equal", "greedy", "rnd", "best", "opt"]), min_size=1, max_size=3,
+            unique=True,
+        ),
+        budgets=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+    )
+    def test_sweep_equals_one_pass_per_cell_bit_for_bit(
+        self, seed, num_tasks, max_votes, workers, wide, folds, kinds, strategies, budgets
+    ):
+        data = _ragged(seed, num_tasks, max_votes, workers, wide)
+        if wide:  # equal at 140 asks for 70 votes per path; greedy and opt would be slow there
+            strategies = [s for s in strategies if s not in ("greedy", "opt")] or ["equal"]
+            budgets = budgets + [140]
+        args = (data, kinds, strategies, budgets, folds)
+        kwargs = dict(seed=seed, em_cfg=self.EM)
+
+        def run():
+            try:
+                return repr(budget_sweep(*args, **kwargs))  # repr keeps every float bit
+            except CrowdPlanError as exc:
+                return repr(exc)
+
+        got = run()
+        with mock.patch.object(evaluation, "_score_fold", ref_score_fold):
+            assert got == run()
+
+    def test_rejected_draw_sends_its_task_alone_to_choice(self, monkeypatch):
+        table = _ragged(5, 12, 6, 4)
+        plans = [AccessPlan((2, 1)), AccessPlan((1, 3)), AccessPlan((2, 1))]
+        seeds = [9, 10, 11]
+        want = [np.concatenate(m) for m in zip(*map(partial(ref_execute, table), plans, seeds))]
+        # Under seed 9 the victim draws 2 of its 4 path-0 votes first: Floyd's first
+        # draw is bounded to 0..2, and a low word of 0 is below (2**32 - 3) % 3 = 1.
+        victim = next(s.task_id for s in table.samples if len(s.votes_for(0)) == 4)
+        chosen = []
+
+        def recording(seed, prefix, parts):
+            parts = list(parts)
+            chosen.extend((seed, part) for part in parts)
+            return _rng.substreams(seed, prefix, parts)
+
+        def same_as_reference():
+            got = evaluation._execute(table, plans, seeds)
+            return all(np.array_equal(mask, ref) for mask, ref in zip(got, want))
+
+        monkeypatch.setattr(evaluation, "substreams", recording)
+        assert same_as_reference()
+        assert chosen == []  # no task meets a rejection unforced
+
+        def first_low_word_zero(seed, prefix, parts, counts):
+            parts, counts = list(parts), list(counts)
+            words = substream_words(seed, prefix, parts, counts)
+            if seed == 9:
+                words[sum(counts[: parts.index(victim)])] &= np.uint64(0xFFFFFFFF00000000)
+            return words
+
+        monkeypatch.setattr(evaluation, "substream_words", first_low_word_zero)
+        assert same_as_reference()
+        assert chosen == [(9, victim)]
+
+    def test_population_above_floyd_limit_takes_choice(self, monkeypatch):
+        """numpy's choice may leave Floyd's algorithm above 10,000 votes (see
+        test_numpy_contract), so such a task calls it, and the others replay."""
+        votes = tuple((None, j % 2) for j in range(10_001))
+        table = Dataset(
+            [TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]}, truth=1)],
+            1,
+            2,
+        )
+        chosen = []
+
+        def recording(seed, prefix, parts):
+            parts = list(parts)
+            chosen.extend(parts)
+            return _rng.substreams(seed, prefix, parts)
+
+        monkeypatch.setattr(evaluation, "substreams", recording)
+        for size in (40, 500):
+            chosen.clear()
+            plan = AccessPlan((size,))
+            got, want = evaluation._execute(table, [plan], [4]), ref_execute(table, plan, 4)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert chosen == ["big"] + ["small"] * (size > 64)

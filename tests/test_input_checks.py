@@ -22,7 +22,13 @@ from crowdplan.cli import main
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
 from crowdplan.inference import table_log_joint
-from crowdplan.infogain import IgConfig, IgMode, check_submodularity, information_gain
+from crowdplan.infogain import (
+    IgConfig,
+    IgMode,
+    check_submodularity,
+    information_gain,
+    sampled_conditional_entropies,
+)
 from crowdplan.learning import EmConfig, fit_em, fit_nbi
 from crowdplan.model import (
     MAX_CELLS,
@@ -193,6 +199,17 @@ def test_configs_must_be_their_config_type_or_none(call):
     """None gives the default config; any other value that is not one is an InputError."""
     with pytest.raises(InputError, match=r"expected a (Em|Ig)Config or None, got"):
         call()
+
+
+def test_build_plan_checks_its_config_for_a_strategy_that_never_reads_it():
+    """`opt` scores exactly whatever the config says, but a bad config is still an error."""
+    with pytest.raises(InputError, match=r"expected a IgConfig or None, got 5"):
+        build_plan("opt", MODEL, 3, ig_cfg=5)
+
+
+def test_sampled_conditional_entropies_checks_its_config():
+    with pytest.raises(InputError, match=r"expected a IgConfig or None, got 5"):
+        sampled_conditional_entropies(MODEL, [[1, 1, 1]], cfg=5)
 
 
 def test_unknown_ig_mode_names_the_choices():

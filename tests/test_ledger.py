@@ -1,0 +1,49 @@
+"""`tools/ledger.py`: a rerun records the same bytes, and a changed output is named."""
+
+import importlib.util
+import json
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+import crowdplan.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_ledger():
+    """The ledger module, loaded without keeping its sys.path and environment edits."""
+    spec = importlib.util.spec_from_file_location("ledger", ROOT / "tools" / "ledger.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", list(sys.path)), mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_ledger_reruns_the_same_and_names_an_edited_output(tmp_path, capsys):
+    ledger = _load_ledger()
+    first, second, planted = (tmp_path / f"{name}.json" for name in ("first", "second", "planted"))
+    run = ["--seeds", "1", "--workloads", "sweep", "--out"]
+    assert ledger.main(run + [str(first)]) == 0
+    assert ledger.main(run + [str(second)]) == 0
+    entries = json.loads(first.read_text())["entries"]
+    assert sorted(entries) == ["sweep/1/inputs", "sweep/1/sweep"]
+    assert entries["sweep/1/sweep"]["rc"] == 0
+    capsys.readouterr()
+    assert ledger.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "same: 2 entries\n"
+
+    sweep = crowdplan.cli.budget_sweep
+
+    def edited(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        row = replace(result.fold_rows[0], accuracy=result.fold_rows[0].accuracy / 2)
+        return replace(result, fold_rows=(row,) + result.fold_rows[1:])
+
+    with mock.patch.object(crowdplan.cli, "budget_sweep", edited):
+        assert ledger.main(run + [str(planted)]) == 0
+    capsys.readouterr()
+    assert ledger.main(["--compare", str(first), str(planted)]) == 1
+    assert capsys.readouterr().out == "sweep/1/sweep: output\n"

@@ -1,9 +1,10 @@
 """Batched stream keys against numpy, the oracle.
 
 `stream_keys` replays numpy's `SeedSequence` mixing for many parts at once,
-and `substreams` hands out one shared generator set to each key in turn.
-Both must give exactly the streams `substream` builds one at a time, so a
-numpy that changed its seeding would fail here.
+and `substreams` hands out one shared generator set to each key in turn;
+`substream_words` reads each one's first raw words. All must give exactly the
+streams `substream` builds one at a time, so a numpy that changed its seeding
+would fail here.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdplan._rng import _fold, stream_keys, substream, substreams
+from crowdplan._rng import _fold, stream_keys, substream, substream_words, substreams
 from crowdplan.errors import InputError
 
 PARITY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -43,12 +44,24 @@ def test_streams_match_numpy_seed_sequence(seed, prefix, drawn):
         assert choice.tolist() == ref.choice(5, size=3, replace=False).tolist()
 
 
+@PARITY
+@given(st.integers(0, 2**64 - 1), st.lists(st.tuples(parts, st.integers(0, 9)), max_size=6))
+def test_words_are_each_streams_first_raw_words(seed, drawn):
+    every, counts = [part for part, _ in drawn], [count for _, count in drawn]
+    want = [substream(seed, "exec", part).bit_generator.random_raw(c) for part, c in drawn]
+    got = substream_words(seed, ("exec",), every, counts)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [w for words in want for w in words.tolist()]
+
+
 def test_no_parts_still_check_the_seed_and_prefix():
     assert stream_keys(1, ("gen",), []).shape == (0, 2)
     assert list(substreams(1, ("gen",), range(0))) == []
+    assert substream_words(1, ("gen",), [], []).tolist() == []
     for call in (
         lambda: stream_keys(1.5, ("gen",), []),
         lambda: substreams(1.5, ("gen",), range(0)),
+        lambda: substream_words(1.5, ("gen",), [], []),
         lambda: stream_keys(1, (1.5,), []),
         lambda: stream_keys(1.5, ("gen",), [0]),
     ):
