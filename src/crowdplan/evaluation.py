@@ -30,8 +30,8 @@ bad one is an InputError that costs no fitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -180,7 +180,8 @@ def _execute(
     copy, group = np.divmod(np.flatnonzero(draw), len(start))
     if len(group):
         g = start[group]
-        _draw(keep.reshape(-1), table, seeds, copy, copy * v + g, have[group], want[copy, group], task[g])
+        k = want[copy, group]
+        _draw(keep.reshape(-1), table, seeds, copy, copy * v + g, have[group], k, task[g])
     bought = np.empty_like(keep)
     bought[:, s] = keep
     cell = np.arange(len(plans))[:, None] * len(table) + task[start]  # (copy, task) of a group
@@ -219,7 +220,7 @@ def _draw(keep: np.ndarray, table: Dataset, seeds: Sequence[int], copy: np.ndarr
         need = np.add.reduceat(per, first)[~slow]
         size = (need + 1) // 2
         words = np.concatenate(
-            [substream_words(seed, ("exec",), ids, size[part]) for seed, ids, part in by_plan(~slow)]
+            [substream_words(seed, ("exec",), ids, size[cut]) for seed, ids, cut in by_plan(~slow)]
         )
         used = np.ones(2 * len(words), dtype=bool)
         used[2 * np.cumsum(size)[need % 2 == 1] - 1] = False  # the spare half of an odd D

@@ -423,11 +423,8 @@ class TestReplayedSweep:
         """numpy's choice may leave Floyd's algorithm above 10,000 votes (see
         test_numpy_contract), so such a task calls it, and the others replay."""
         votes = tuple((None, j % 2) for j in range(10_001))
-        table = Dataset(
-            [TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]}, truth=1)],
-            1,
-            2,
-        )
+        big, small = TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]})
+        table = Dataset([big, small], 1, 2)
         chosen = []
 
         def recording(seed, prefix, parts):

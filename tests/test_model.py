@@ -330,6 +330,30 @@ class TestDatasetColumns:
         for name in ("label", "workers", "stored"):
             np.testing.assert_array_equal(getattr(chosen, name), getattr(fresh, name), err_msg=name)
 
+    def test_tiled_copies_equal_a_fresh_tabulation_of_renamed_tasks(self):
+        """Copy c of every task, id `c:id` with c zero-padded, in a checked table of its own."""
+        rng = np.random.default_rng(8)
+        samples = [
+            TaskSample(
+                f"t{rng.integers(1000):03d}-{i}",
+                {p: tuple((f"w{rng.integers(4)}", int(rng.integers(2))) for _ in range(p + i % 3))
+                 for p in range(3) if p + i % 3},
+                i % 2,
+            )
+            for i in range(9)
+        ]
+        data = Dataset(samples, num_paths=4, num_labels=2)
+        tiled = data.tiled(11)
+        renamed = [
+            TaskSample(f"{c:02d}:{s.task_id}", s.votes, s.truth) for c in range(11) for s in samples
+        ]
+        fresh = Dataset(renamed, num_paths=4, num_labels=2)
+        assert list(tiled.task_ids) == sorted(tiled.task_ids)
+        assert tiled == fresh
+        for name in ("order", "truth", "sample_idx", "path_idx", "worker_idx", "label", "stored"):
+            np.testing.assert_array_equal(getattr(tiled, name), getattr(fresh, name), err_msg=name)
+        assert tiled.workers == fresh.workers
+
     @pytest.mark.parametrize(
         "task, path, worker, worker_ids",
         [

@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import crowdplan.cli  # noqa: E402
+import numpy  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -77,7 +78,8 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
         if key not in a or key not in b:
             lines.append(f"{key}: only in {'B' if key not in a else 'A'}")
         elif a[key] != b[key]:
-            fields = sorted(f for f in a[key].keys() | b[key].keys() if a[key].get(f) != b[key].get(f))
+            differ = (f for f in a[key].keys() | b[key].keys() if a[key].get(f) != b[key].get(f))
+            fields = sorted(differ)
             lines.append(f"{key}: {', '.join(fields)}")
     return lines
 
@@ -103,8 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown workloads {unknown}; choose from {list(workloads.WORKLOADS)}")
     seeds = [int(s) for s in args.seeds.split(",")]
-    import numpy  # already loaded by crowdplan
-
     ledger = {
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
