@@ -350,6 +350,19 @@ class TestReplayedSweep:
 
     EM = EmConfig(max_iters=4, restarts=2)
 
+    @staticmethod
+    def record_choice_tasks(monkeypatch) -> list:
+        """The (seed, task id) of each task that `_execute` sends to `rng.choice`, as it runs."""
+        chosen = []
+
+        def recording(seed, prefix, parts):
+            parts = list(parts)
+            chosen.extend((seed, part) for part in parts)
+            return _rng.substreams(seed, prefix, parts)
+
+        monkeypatch.setattr(evaluation, "substreams", recording)
+        return chosen
+
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -393,18 +406,12 @@ class TestReplayedSweep:
         # Under seed 9 the victim draws 2 of its 4 path-0 votes first: Floyd's first
         # draw is bounded to 0..2, and a low word of 0 is below (2**32 - 3) % 3 = 1.
         victim = next(s.task_id for s in table.samples if len(s.votes_for(0)) == 4)
-        chosen = []
-
-        def recording(seed, prefix, parts):
-            parts = list(parts)
-            chosen.extend((seed, part) for part in parts)
-            return _rng.substreams(seed, prefix, parts)
+        chosen = self.record_choice_tasks(monkeypatch)
 
         def same_as_reference():
             got = evaluation._execute(table, plans, seeds)
             return all(np.array_equal(mask, ref) for mask, ref in zip(got, want))
 
-        monkeypatch.setattr(evaluation, "substreams", recording)
         assert same_as_reference()
         assert chosen == []  # no task meets a rejection unforced
 
@@ -425,17 +432,10 @@ class TestReplayedSweep:
         votes = tuple((None, j % 2) for j in range(10_001))
         big, small = TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]})
         table = Dataset([big, small], 1, 2)
-        chosen = []
-
-        def recording(seed, prefix, parts):
-            parts = list(parts)
-            chosen.extend(parts)
-            return _rng.substreams(seed, prefix, parts)
-
-        monkeypatch.setattr(evaluation, "substreams", recording)
+        chosen = self.record_choice_tasks(monkeypatch)
         for size in (40, 500):
             chosen.clear()
             plan = AccessPlan((size,))
             got, want = evaluation._execute(table, [plan], [4]), ref_execute(table, plan, 4)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert chosen == ["big"] + ["small"] * (size > 64)
+            assert chosen == [(4, "big")] + [(4, "small")] * (size > 64)

@@ -35,7 +35,7 @@ def _replay(key, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, bool]:
     per = 2 * k - 1
     words = np.random.Philox(key=key).random_raw((int(per.sum()) + 1) // 2)
     draws = _draws(words)[: per.sum()]
-    group, bound = _draw_bounds(n, k)
+    _, bound = _draw_bounds(n, k)
     out = np.zeros(int(n.sum()), dtype=bool)
     _floyd(draws, np.cumsum(per) - per, n, k, np.cumsum(n) - n, out)
     return out, bool(_lemire_rejects(draws, bound).any())
