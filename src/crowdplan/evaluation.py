@@ -16,11 +16,13 @@ Lemire-bounded 32-bit draws (Lemire, ACM TOMACS 2019). A task whose draws
 the replay does not follow calls `choice` itself.
 
 A fold plans each (strategy, budget) cell on its own, since a cell's plan
-seed depends on its budget. It then executes every cell and scores them all
-in one table holding one copy of the test tasks per cell, with one
-`table_posteriors` call per model kind. A task's posterior depends on its
-own votes alone, so each cell's slice of the rows has the bits of scoring
-the cell by itself, and its NLL is still summed task by task in order.
+seed depends on its budget. It then executes and scores its cells in stacks:
+one table holding one copy of the test tasks per cell of the stack, with one
+`table_posteriors` call per model kind. A stack holds as many cells as fit
+in `_STACK_CELLS` array cells, and at least one, so memory does not grow
+with the number of budgets. A task's posterior depends on its own votes
+alone, so each cell's slice of the rows has the bits of scoring the cell by
+itself, and its NLL is still summed task by task in order.
 
 `budget_sweep` parses its model kinds, strategies, budgets and costs as
 inference, the planner and the model types do, before it fits fold 0, so a
@@ -43,7 +45,9 @@ from .inference import ModelKind, Posterior, table_posteriors
 from .learning import EmConfig, fit_em, fit_nbi
 from .model import (
     AccessPlan,
+    ApmModel,
     Dataset,
+    NbiModel,
     TaskSample,
     as_config,
     as_count,
@@ -58,8 +62,13 @@ _NLL_FLOOR = 1e-12
 # n <= 10,000; above that it may shuffle a tail of all n instead.
 _FLOYD_MAX_POPULATION = 10_000
 # A group drawing more votes than this takes `rng.choice`, so a replay makes
-# at most this many vectorised steps.
-_REPLAY_MAX_PICKS = 64
+# at most this many vectorised steps. Each step costs about 10 us, and the
+# replay of one such group among 80 small ones broke even with its `choice`
+# call near 20-30 picks, of 16 such groups near 40-48 (2-core x86, numpy 2.4).
+_REPLAY_MAX_PICKS = 32
+# A fold scores at most this many cells of its largest array per stack, so
+# the apm kernels' (K, K, N, tasks) float64 arrays stay near 8 MiB each.
+_STACK_CELLS = 2**20
 
 
 def _accuracy(prediction: np.ndarray, truth: np.ndarray) -> float:
@@ -318,15 +327,17 @@ def _score_fold(
     costs: Sequence[Fraction],
     seed: int,
 ) -> list[FoldRow]:
-    """Fit on `train`, then score every (strategy, budget) cell on `test`: rows
-    cell by cell, model kinds in order within a cell."""
+    """Fit on `train`, then score every (strategy, budget) cell on `test`, in
+    stacks of cells (`_score_stack`): rows cell by cell, model kinds in order
+    within a cell."""
     apm_model, _ = fit_em(train, share_workers=True, cfg=em_cfg)
     apm_model = with_costs(apm_model, costs)
+    nbi = None
     if ModelKind.NBI in kinds:
         nbi_model, _ = fit_nbi(train, cfg=em_cfg)
         # nbi scores only the votes of workers it was fitted on
         known = [w in nbi_model.worker_cpts for w in test.workers] + [False]
-        nbi_rows = np.array(known, dtype=bool)[test.worker_idx]
+        nbi = nbi_model, np.array(known, dtype=bool)[test.worker_idx]
 
     cells = [(strategy, budget) for strategy in strategies for budget in budgets]
     plans = [
@@ -340,9 +351,34 @@ def _score_fold(
         for strategy, budget in cells
     ]
     seeds = [derive_seed(seed, "exec", fold, s.value, str(b)) for s, b in cells]
+    k = apm_model.num_labels
+    size = k * k * test.num_paths * len(test) + len(test.stored)  # apm's terms, the vote masks
+    step = max(1, _STACK_CELLS // size)
+    return [
+        row
+        for lo in range(0, len(cells), step)
+        for row in _score_stack(
+            fold, test, cells[lo : lo + step], plans[lo : lo + step], seeds[lo : lo + step],
+            kinds, apm_model, nbi,
+        )
+    ]
+
+
+def _score_stack(
+    fold: int,
+    test: Dataset,
+    cells: Sequence[tuple[Strategy, Fraction]],
+    plans: Sequence[AccessPlan],
+    seeds: Sequence[int],
+    kinds: Sequence[ModelKind],
+    apm_model: ApmModel,
+    nbi: tuple[NbiModel, np.ndarray] | None,
+) -> list[FoldRow]:
+    """Execute the cells' plans and score them in one table holding one copy of
+    the test tasks per cell, cell by cell, once per kind: a task's posterior
+    comes from its own votes alone. `nbi` is the nbi model and the mask of the
+    test votes it knows the worker of."""
     bought, short = _execute(test, plans, seeds)
-    # Every cell's copy of the test tasks in one table, cell by cell, scored
-    # once per kind: a task's posterior comes from its own votes alone.
     stack = test.tiled(len(cells))
     kept = np.bincount(stack.sample_idx[bought], minlength=len(stack)) > 0
     truth = stack.truth[kept]
@@ -350,7 +386,7 @@ def _score_fold(
     scores = []
     for kind in kinds:
         if kind is ModelKind.NBI:
-            model, votes = nbi_model, stack.select(kept, bought & np.tile(nbi_rows, len(cells)))
+            model, votes = nbi[0], stack.select(kept, bought & np.tile(nbi[1], len(cells)))
         else:
             model, votes = apm_model, executed_votes
         probs, pred, _ = table_posteriors(kind, model, votes)

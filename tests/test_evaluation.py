@@ -326,7 +326,7 @@ def _ragged(seed: int, num_tasks: int, max_votes: int, workers: int, wide: bool 
 
     Task 0 has no votes, so every plan skips it, and task 1 has one vote per
     path, so a plan asking for two short-fills it. With `wide`, task 2 holds
-    80 votes on path 0, so a plan asking for 65 to 79 draws past the replay's
+    80 votes on path 0, so a plan asking for 33 to 79 draws past the replay's
     step limit.
     """
     rng = np.random.default_rng(seed)
@@ -433,9 +433,29 @@ class TestReplayedSweep:
         big, small = TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]})
         table = Dataset([big, small], 1, 2)
         chosen = self.record_choice_tasks(monkeypatch)
-        for size in (40, 500):
+        for size in (20, 500):
             chosen.clear()
             plan = AccessPlan((size,))
             got, want = evaluation._execute(table, [plan], [4]), ref_execute(table, plan, 4)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert chosen == [(4, "big")] + [(4, "small")] * (size > 64)
+            assert chosen == [(4, "big")] + [(4, "small")] * (size > evaluation._REPLAY_MAX_PICKS)
+
+    def test_many_budgets_score_in_several_stacks_bit_for_bit(self, monkeypatch):
+        """A fold whose cells do not fit in one stack scores them stack by stack,
+        with the bits of one pass per cell."""
+        data = _ragged(3, 12, 5, 6)
+        size = 2 * 2 * data.num_paths * len(data) + len(data.stored)  # one fold, K = 2
+        monkeypatch.setattr(evaluation, "_STACK_CELLS", 3 * size + 1)
+        stacks = []
+        score_stack = evaluation._score_stack
+
+        def recording(fold, test, cells, *rest):
+            stacks.append(len(cells))
+            return score_stack(fold, test, cells, *rest)
+
+        monkeypatch.setattr(evaluation, "_score_stack", recording)
+        args = (data, ["mv", "nbi", "nbap", "apm"], ["equal", "rnd"], [1, 2, 3, 4, 6], 1)
+        got = repr(budget_sweep(*args, seed=3, em_cfg=self.EM))
+        assert stacks == [3, 3, 3, 1]
+        with mock.patch.object(evaluation, "_score_fold", ref_score_fold):
+            assert got == repr(budget_sweep(*args, seed=3, em_cfg=self.EM))
