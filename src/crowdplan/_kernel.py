@@ -70,6 +70,21 @@ def label_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
+def label_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[p, j] = the sum over labels y of a[y, p] * b[y, j], shape (P, J).
+
+    As `label_sum` adds: one full-width pass per label, 0.0 plus each label's
+    product in order (the first product stands for 0.0 plus it, which is the
+    same number unless it is -0.0). Not a matmul: its order of additions, and
+    so its last bits, would depend on the BLAS build and its thread count.
+    """
+    out = a[0][:, None] * b[0]
+    term = np.empty_like(out)
+    for y in range(1, len(a)):
+        out += np.multiply(a[y][:, None], b[y], out=term)
+    return out
+
+
 def task_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the trailing task axis, one task at a time in order, from the first.
 

@@ -18,12 +18,20 @@ exact
     used contents stay alive, so at most that many dead models' tables are
     held in memory.
 
-    The enumeration is scored in row blocks of at most `_EXACT_ROWS` rows
-    over the last voted path, each laid out label-major (K, rows) so that
-    every per-label pass reads contiguous memory. Each entry's terms go into
-    one (V, K) array, which is summed as a whole-array evaluation sums it, so
-    the value keeps every bit of that evaluation; peak memory is about that
-    array plus one block.
+    The gain is IG(Y; X_S) = H(C) - H(C | Y), C the voted paths' count
+    vectors. Given Y the paths are independent, so H(C | Y) = sum_i
+    H(C_i | Y) (Cover & Thomas, *Elements of Information Theory*, ch. 2); the
+    memo keeps each term, prior-weighted, beside its path's table. Only H(C)
+    is enumerated. Its p(c) = sum_y p(y, c) is a K-term sum of products of
+    two sides, p(y, c') over every voted path but the last (with the prior)
+    and the last path's p(c_last | y), each scaled by its largest label as
+    the scaled forward algorithm scales its columns (Rabiner, Proc. IEEE
+    1989). The sum is added in order over y, not as a matmul, whose order
+    would follow the BLAS build. A sum below `_UNDERFLOW` is taken again by
+    `logsumexp`, which is -inf, no mass, only where every term is -inf; such
+    a p(c) moves H(C) by less than 1e-247, so what the recompute prevents is
+    0 * log 0, a NaN. Blocks of at most `_EXACT_ROWS` count vectors pass on
+    two sums each, so peak memory is one side plus one block.
 
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
@@ -60,9 +68,9 @@ auto picks exact when the enumeration exact mode would perform, the count
 vectors prod_i C(S_i + K - 1, K - 1), is at most both `EXACT_LIMIT` and the
 number of votes the sampled estimator would simulate, G * sum S_i. Measured
 on a 2-core x86 machine at G = 10^4, one count vector of an enumeration of
-10^5 to 10^6 costs 0.6 to 1.5 times one simulated vote (six plans on a K=4,
+10^5 to 10^6 costs 0.2 to 0.5 times one simulated vote (six plans on a K=4,
 5-path model), so auto takes exact, which has no sampling error, wherever it
-costs at most about 1.5 times what sampling would.
+costs at most about 0.5 times what sampling would.
 
 `information_gains` is the one builder of `IgEstimate`s: it resolves each
 plan's mode alone and scores all sampled plans in one batched call. Every
@@ -76,18 +84,28 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._kernel import apm_log_joints, count_evidence, label_sum, log, logsumexp, path_factors
+from ._kernel import (
+    apm_log_joints,
+    count_evidence,
+    label_products,
+    label_sum,
+    log,
+    logsumexp,
+    path_factors,
+)
 from ._rng import _fold, categorical_rows, substream, substreams
 from .errors import InputError, NumericError, ResourceLimitError
 from .model import AccessPlan, ApmModel, Cpt, as_config, as_count, as_counts, check_cells, member
 
 EXACT_LIMIT = 1_000_000  # most count vectors one exact enumeration may hold
 _BLOCK = 8192  # draws per sampled block
-_EXACT_ROWS = 1 << 14  # most enumeration rows one exact block scores
+_EXACT_ROWS = 1 << 14  # most count vectors one exact block scores
+_UNDERFLOW = 1e-250  # scaled label sums below this are taken again in log space
+_MOST_NEGATIVE = -1.7976931348623157e308  # the most negative float
 _RANK_LIMIT = 1 << 16  # most codes a sampled table's dense rank array holds
 _NEG_TOL = 1e-9
 _AUDIT_VOTES = 3  # largest base vote count per path in check_submodularity
@@ -240,25 +258,55 @@ def _count_vectors(votes: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vecs, log_c
 
 
-def _count_vector_table(model: ApmModel, path: int, votes: int):
-    """Log multinomial multiplicity and path factor log p(x_path | y) of every
-    label count vector of `votes` votes on `path`, shapes (V,) and (K, V).
+class _Side(NamedTuple):
+    """Log probabilities of V count vectors under each label, (K, V), the same
+    scaled by each column's largest, (K, V), and that largest in log, (V,). A
+    column that is -inf under every label scales to zeros, its top -inf."""
 
-    The factor is label-major and C-contiguous, so exact mode broadcasts each
-    label's row along V and sampled mode gathers draws' columns from it.
+    log_p: np.ndarray
+    scaled: np.ndarray
+    top: np.ndarray
+
+
+def _side(log_p: np.ndarray) -> _Side:
+    top = log_p.max(axis=0)
+    # A top of -inf is taken as the most negative float, so its column scales
+    # to exp(-inf) = 0 without forming -inf - -inf.
+    scaled = np.exp(log_p - np.maximum(top, _MOST_NEGATIVE))
+    return _Side(log_p, scaled, top)
+
+
+class _PathTable(NamedTuple):
+    """One path's exact table for one vote count, over its V label count vectors c."""
+
+    log_c: np.ndarray  # (V,) log multinomial multiplicity of c
+    factor: np.ndarray  # (K, V) log p(x | y) of one vote assignment with counts c
+    side: _Side  # of log p(c | y) = factor + log_c
+    entropy: float  # H(C | Y) = sum_y p(y) H(C | Y = y)
+
+
+def _count_vector_table(model: ApmModel, path: int, votes: int) -> _PathTable:
+    """The `_PathTable` of `votes` votes on `path`.
+
+    Its arrays are label-major and C-contiguous, so exact mode broadcasts each
+    label's row along V and sampled mode gathers draws' columns from `factor`.
     """
     vecs, log_c = _count_vectors(votes, model.num_labels)
     factor = np.ascontiguousarray(_factors(model, path, vecs))
-    factor.setflags(write=False)
-    return log_c, factor
+    side = _side(factor + log_c)
+    log_p = np.maximum(side.log_p, _MOST_NEGATIVE)  # so 0 log 0 gives 0, not NaN
+    entropy = -float((model.prior * (np.exp(log_p) * log_p).sum(axis=1)).sum())
+    for a in (factor, *side):
+        a.setflags(write=False)
+    return _PathTable(log_c, factor, side, entropy)
 
 
 # Each model content's memo: its exact tables, keyed by (path, votes) and built
 # on first use, and, taken when the memo is made, its prior entropy H(Y) under
-# "h_prior" and its log prior as a (K, 1) column under "log_prior". A model's
-# parameters are frozen and its arrays are its own copies, so an entry never
-# goes stale. `_TABLES` finds a live model's memo in one lookup and keeps no
-# model alive; `_shared_memo` finds it by content for a model made later, a
+# "h_prior" and the `_side` of its log prior as a (K, 1) column under "prior". A
+# model's parameters are frozen and its arrays are its own copies, so an entry
+# never goes stale. `_TABLES` finds a live model's memo in one lookup and keeps
+# no model alive; `_shared_memo` finds it by content for a model made later, a
 # `dataclasses.replace` copy or a reload from the same file.
 _TABLES: weakref.WeakKeyDictionary[ApmModel, dict] = weakref.WeakKeyDictionary()
 
@@ -285,38 +333,50 @@ def _memo(model: ApmModel) -> dict:
     if memo is None:
         memo = _shared_memo(_content(model))
         if not memo:
-            memo.update(h_prior=prior_entropy(model.prior), log_prior=log(model.prior)[:, None])
+            memo.update(h_prior=prior_entropy(model.prior), prior=_side(log(model.prior)[:, None]))
         _TABLES[model] = memo
     return memo
 
 
-def _table(memo: dict, model: ApmModel, path: int, votes: int) -> tuple[np.ndarray, np.ndarray]:
+def _table(memo: dict, model: ApmModel, path: int, votes: int) -> _PathTable:
     """The model's `_count_vector_table` for (path, votes), from its memo."""
     if (path, votes) not in memo:
         memo[path, votes] = _count_vector_table(model, path, votes)
     return memo[path, votes]
 
 
+def _block(x: _Side, y: _Side) -> tuple[float, float]:
+    """-sum p(c) log p(c) and sum p(c) over the count vectors c = (i, j) that pair
+    column i of x with column j of y. Entry (i, j) is laid out at row i, so
+    the longer side should be y, along the contiguous axis."""
+    pc = label_products(x.scaled, y.scaled)
+    low = None
+    if pc.min() < _UNDERFLOW:
+        low = np.nonzero(pc < _UNDERFLOW)
+        redone = logsumexp(x.log_p[:, low[0]] + y.log_p[:, low[1]], axis=0)
+        pc[low] = 1.0  # its log is replaced below
+    log_pc = np.log(pc)
+    log_pc += x.top[:, None]
+    log_pc += y.top
+    if low is not None:
+        log_pc[low] = np.maximum(redone, _MOST_NEGATIVE)  # so 0 log 0 gives 0
+    pc = np.exp(log_pc, out=pc)
+    return -float((pc * log_pc).sum()), float(pc.sum())
+
+
 def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int]) -> float:
-    """H(Y | X_S) by exact enumeration over per-path count vectors, at most
-    `EXACT_LIMIT` of them, else ResourceLimitError.
+    """H(Y | X_S) = H(Y) - IG(Y; X_S), with IG = H(C) - H(C | Y) as the module
+    docstring sets out, by exact enumeration over per-path count vectors, at
+    most `EXACT_LIMIT` of them, else ResourceLimitError.
 
-    A path's table depends only on the model's content, the path and its vote
-    count, so it is built once per content and kept in this module's memo;
-    lazy greedy, `exhaustive_opt`, `check_submodularity` and later requests on
-    the same model, reloaded or relabelled, reuse it.
-
-    Enumeration row r = p * V_last + j pairs row p of the outer sum over every
-    voted path but the last, built once label-major as a (K, P) array, with
-    row j of the last path's table. The rows are scored in blocks of at most
-    `_EXACT_ROWS`, a range of p, or of j when the last path alone is wider
-    than a block. Each block is label-major, so `logsumexp` and every pass
-    after it run over contiguous rows, and its per-entry terms go transposed
-    into one (V, K) array. Every entry is computed with the same operations in
-    the same order as a whole-array (V, K) evaluation, and the (V, K) array is
-    summed as that evaluation sums it, so the result keeps every bit. Peak
-    memory is that array, the outer sum (at most 1/K of its size) and one
-    block.
+    H(C) pairs two `_Side`s: row p of the outer side, log p(y, c') for the
+    count vectors c' of every voted path but the last, with the prior (the
+    prior's (K, 1) side alone when one path is voted), and row j of the last
+    path's memo side. With a and b the scaled sides,
+    log p(c) = log sum_y a[y, p] b[y, j] + top_p + top_j. The (P, V_last)
+    pairs are scored in blocks of at most `_EXACT_ROWS`, a range of p, or of
+    j when the last path alone is wider than a block; peak memory is the
+    outer side and one block.
     """
     counts = as_counts(plan, model.num_paths)
     _require_shared(model, counts)
@@ -329,36 +389,31 @@ def exact_conditional_entropy(model: ApmModel, plan: AccessPlan | Sequence[int])
 
     memo = _memo(model)
     tables = [_table(memo, model, i, s_i) for i, s_i in enumerate(counts) if s_i > 0]
-    # The empty plan has one row, whose last-path terms add 0.
-    last_c, last_factor = tables.pop() if tables else (np.zeros(1), np.zeros((k, 1)))
-    outer = memo["log_prior"]
-    outer_mult = np.zeros(1)
-    for log_c, factor in tables:
-        outer = (outer[:, :, None] + factor[:, None, :]).reshape(k, -1)
-        outer_mult = (outer_mult[:, None] + log_c[None, :]).reshape(-1)
+    if not tables:
+        return memo["h_prior"]
+    h_cond = sum(t.entropy for t in tables)
+    cols = tables.pop().side
+    rows = memo["prior"]
+    if tables:
+        outer = rows.log_p
+        for t in tables:
+            outer = (outer[:, :, None] + t.side.log_p[:, None, :]).reshape(k, -1)
+        rows = _side(outer)
 
-    width = len(last_c)
+    width = len(cols.top)
     step_p = max(1, _EXACT_ROWS // width)
     step_j = min(width, _EXACT_ROWS)
-    contrib = np.zeros((size, k))
-    mass = 0.0
-    for p in range(0, outer.shape[1], step_p):
+    h_c = mass = 0.0
+    for p in range(0, len(rows.top), step_p):
+        x = _Side(*(a[..., p : p + step_p] for a in rows))
         for j in range(0, width, step_j):
-            log_pxy = outer[:, p : p + step_p, None] + last_factor[:, None, j : j + step_j]
-            log_pxy = log_pxy.reshape(k, -1)
-            log_pxy += (outer_mult[p : p + step_p, None] + last_c[j : j + step_j]).reshape(-1)
-            log_px = logsumexp(log_pxy, axis=0)
-            pxy = np.exp(log_pxy)
-            # Terms count only where pxy > 0: contrib keeps its 0.0 elsewhere,
-            # and no -inf - -inf is formed.
-            scored = pxy > 0
-            surprise = np.subtract(log_px, log_pxy, out=log_pxy, where=scored)
-            row = p * width + j
-            np.multiply(surprise, pxy, out=contrib[row : row + pxy.shape[1]].T, where=scored)
-            mass += float(pxy.sum())
+            y = _Side(*(a[..., j : j + step_j] for a in cols))
+            h, m = _block(x, y) if len(x.top) <= len(y.top) else _block(y, x)
+            h_c += h
+            mass += m
     if not abs(mass - 1.0) <= 1e-6:
         raise NumericError(f"enumerated evidence mass {mass} is not 1")
-    return float(contrib.sum())
+    return memo["h_prior"] - (h_c - h_cond)
 
 
 def _digits(votes: int, k: int) -> np.ndarray:
@@ -405,7 +460,7 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     else:
         code = _digits(votes, k)[v].sum(axis=0)
         if codes <= _RANK_LIMIT and math.comb(votes + k - 1, k - 1) <= len(y):
-            _, factor = _table(_memo(model), model, path, votes)
+            factor = _table(_memo(model), model, path, votes).factor
             return np.take(factor, _ranks(votes, k)[code], axis=1)
     distinct, group = np.unique(code, return_inverse=True)
     member = np.empty(len(distinct), dtype=np.intp)

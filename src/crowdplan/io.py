@@ -127,24 +127,30 @@ def read_votes_csv(
 
 
 def write_votes_csv(data: Dataset, path: str, names: Sequence[str] | None = None) -> None:
-    """Write a dataset in stored order; labels use `names` or their indices as strings."""
+    """Write a dataset in stored order; labels use `names` or their indices as strings.
+
+    A path that cannot be written is an InputError.
+    """
     c = data.stored_columns()
     label = list(names) if names is not None else [str(i) for i in range(data.num_labels)]
     truth = [label[y] if y >= 0 else "" for y in c["truth"].tolist()]
     worker = [w if w is not None else "" for w in c["worker_ids"]]
     task = c["task"].tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VOTES_HEADER)
-        writer.writerows(
-            zip(
-                map(c["task_ids"].__getitem__, task),
-                c["path"].tolist(),
-                map(worker.__getitem__, c["worker"].tolist()),
-                map(label.__getitem__, c["label"].tolist()),
-                map(truth.__getitem__, task),
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(VOTES_HEADER)
+            writer.writerows(
+                zip(
+                    map(c["task_ids"].__getitem__, task),
+                    c["path"].tolist(),
+                    map(worker.__getitem__, c["worker"].tolist()),
+                    map(label.__getitem__, c["label"].tolist()),
+                    map(truth.__getitem__, task),
+                )
             )
-        )
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def parse_int_list(text: str, what: str) -> list[int]:

@@ -757,10 +757,14 @@ def model_from_dict(doc: Mapping) -> ApmModel:
 
 
 def save_model(model: ApmModel | NbiModel, path: str) -> None:
+    """Write a model file; a path that cannot be written is an InputError."""
     doc = nbi_model_to_dict(model) if isinstance(model, NbiModel) else model_to_dict(model)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 _LOADERS = {"apm": model_from_dict, "nbi": nbi_model_from_dict}

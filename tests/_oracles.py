@@ -5,12 +5,13 @@ enumeration over (outcome, every latent path state), raw enumeration over all
 vote assignments for conditional entropy, and naive products for the
 independence-assuming posteriors. Nothing imports the package's inference or
 information-gain code paths, except the former implementations kept as
-bit-for-bit references, which must share the package's tables and kernels to
-share its bits: `whole_array_exact_conditional_entropy` for the blocked
-exact entropy; `ref_em_fit`, EM one restart after another, for the
-stacked `learning._em`; and `ref_execute` and `ref_score_fold`, plan
-execution by one `rng.choice` per drawn group and fold scoring by one pass
-per (strategy, budget) cell, for `evaluation._execute` and `_score_fold`.
+references, which share the package's tables and kernels:
+`whole_array_exact_conditional_entropy`, the log-space exact entropy that
+`exact_conditional_entropy` is held to within 1e-12; and, bit for bit,
+`ref_em_fit`, EM one restart after another, for the stacked
+`learning._em`, and `ref_execute` and `ref_score_fold`, plan execution by
+one `rng.choice` per drawn group and fold scoring by one pass per (strategy,
+budget) cell, for `evaluation._execute` and `_score_fold`.
 """
 
 from __future__ import annotations
@@ -111,20 +112,18 @@ def enum_conditional_entropy(model: ApmModel, counts) -> float:
 
 
 def whole_array_exact_conditional_entropy(model: ApmModel, counts) -> float:
-    """H(Y | X_S) as `exact_conditional_entropy` computed it before it scored
-    row blocks: the whole enumeration as one (V, K) array, each path's terms
-    added in path order, `logsumexp` over its strided label axis. Its tables
-    are taken row-major, as it took them: numpy lays out an elementwise
-    result after its inputs and sums an array in memory order, so a
-    column-major table would change the last bits of its sums."""
+    """H(Y | X_S) as `exact_conditional_entropy` once computed it, in log space:
+    the whole enumeration as one (V, K) array of log p(x, y), each path's
+    terms added in path order, `logsumexp` over its label axis, and
+    sum p(x, y) log(p(x) / p(x, y)) over every entry with p(x, y) > 0."""
     k = model.num_labels
     log_terms = log(model.prior)[None, :]
     log_mult = np.zeros(1)
     for i, s_i in enumerate(counts):
         if s_i == 0:
             continue
-        log_c, factor = _count_vector_table(model, i, s_i)
-        factor = np.ascontiguousarray(factor.T)
+        table = _count_vector_table(model, i, s_i)
+        log_c, factor = table.log_c, np.ascontiguousarray(table.factor.T)
         log_terms = (log_terms[:, None, :] + factor[None, :, :]).reshape(-1, k)
         log_mult = (log_mult[:, None] + log_c[None, :]).reshape(-1)
     log_pxy = log_terms + log_mult[:, None]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -744,6 +745,15 @@ class TestCliMalformedInputs:
         )
         self.assert_input_error(capsys, rc, f"unknown {what} 'bogus'")
 
+    def test_save_model_to_a_directory_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"cannot write {tmp_path}")):
+            save_model(load_model(EXAMPLE), str(tmp_path))
+
+    def test_write_votes_csv_to_a_directory_is_an_input_error(self, tmp_path):
+        data = generate(sym_model([0.5, 0.5], [0.9], [0.8]), [2], 3, seed=1)
+        with pytest.raises(InputError, match=re.escape(f"cannot write {tmp_path}")):
+            write_votes_csv(data, str(tmp_path))
+
     def test_unwritable_outputs(self, tmp_path, capsys):
         votes = self.votes(tmp_path)
         capsys.readouterr()
@@ -755,5 +765,6 @@ class TestCliMalformedInputs:
             ["sweep", "--votes", votes, "--budgets", "3", "--models", "mv", "--folds", "2"],
         ]
         for argv in commands:
-            rc = main(argv + ["--out", out])
-            self.assert_input_error(capsys, rc, f"cannot write {out}")
+            for target in (out, str(tmp_path)):  # a missing directory, or a directory
+                rc = main(argv + ["--out", target])
+                self.assert_input_error(capsys, rc, f"cannot write {target}")

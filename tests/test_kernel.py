@@ -17,6 +17,7 @@ import crowdplan.learning as learning
 from crowdplan._kernel import (
     count_evidence,
     direct_log_joints,
+    label_products,
     label_sum,
     logsumexp,
     vote_evidence,
@@ -236,6 +237,20 @@ def test_label_sum_starts_from_zero():
     """numpy's sum starts from 0.0, so a slice of -0.0 sums to +0.0."""
     a = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.5, -2.0]])
     same_bits(label_sum(a), a.sum(axis=-1))
+
+
+@PARITY
+@given(k=st.integers(2, 10), p=st.integers(1, 30), j=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_label_products_match_plain_sums(k, p, j, seed):
+    """The plain forms sum the (K, P, J) products over the label axis, first or
+    last; zeros included."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.random((k, p)), rng.random((k, j))
+    a[rng.random((k, p)) < 0.2] = 0.0
+    got = label_products(a, b)
+    check = same_bits if k <= 7 else close
+    check(got, (a[:, :, None] * b[:, None, :]).sum(axis=0))
+    check(got, (a.T[:, None, :] * b.T[None, :, :]).sum(axis=-1))
 
 
 @PARITY

@@ -1,4 +1,5 @@
-"""`tools/ledger.py`: a rerun records the same bytes, and a changed output is named."""
+"""`tools/ledger.py`: a rerun records the same bytes, a changed output is named, and
+a plan entry that moved is told apart by its parsed result."""
 
 import importlib.util
 import json
@@ -47,3 +48,31 @@ def test_ledger_reruns_the_same_and_names_an_edited_output(tmp_path, capsys):
     capsys.readouterr()
     assert ledger.main(["--compare", str(first), str(planted)]) == 1
     assert capsys.readouterr().out == "sweep/1/sweep: output\n"
+
+
+def test_plan_entries_keep_their_result_and_compare_by_it():
+    """A `plan` entry keeps the parsed result; `--compare` calls a difference in
+    `ig` alone "ig digits only" and one in counts or mode "plan changed"."""
+    ledger = _load_ledger()
+    before = ledger.record(["plan"], [1])
+    greedy = before["plan/1/a0.greedy.9"]["plan"]
+    assert (greedy["counts"], greedy["mode"]) == ([1, 1, 1], "exact")
+    assert all("plan" in entry for key, entry in before.items() if not key.endswith("inputs"))
+
+    after = json.loads(json.dumps(before))
+    nudged = after["plan/1/a0.greedy.9"]
+    nudged["plan"]["ig"] += 1e-15
+    nudged["stdout"] = "changed"
+    moved = after["plan/1/a0.opt.30"]
+    moved["plan"]["counts"] = [0, 0, 10]
+    moved["stdout"] = "changed"
+    also_stderr = after["plan/1/a0.equal.30"]
+    also_stderr["plan"]["ig"] += 1e-15
+    also_stderr["stdout"] = also_stderr["stderr"] = "changed"
+    opt = before["plan/1/a0.opt.30"]["plan"]
+    assert ledger.compare(before, after) == [
+        "plan/1/a0.equal.30: plan, stderr, stdout",
+        "plan/1/a0.greedy.9: ig digits only (|d ig| 1e-15)",
+        f"plan/1/a0.opt.30: plan changed: exact {opt['counts']} -> exact [0, 0, 10]",
+        "largest |d ig| of the ig-digit entries: 1e-15",
+    ]

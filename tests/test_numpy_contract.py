@@ -10,6 +10,10 @@ given.
   follows numpy's Floyd branch, so a population above 10,000 keeps `choice`.
 * `scatter_rows` relies on `np.bincount` adding its weights in input order,
   and `task_sum` on `np.cumsum` adding in order.
+* `label_sum`, `logsumexp` and `label_products` add a short label axis in
+  order, one pass per entry; they equal numpy's own sum over that axis, bit
+  for bit, because numpy adds 7 or fewer entries of a contiguous axis in
+  order too (from 8 it sums pairwise).
 """
 
 import numpy as np
@@ -146,3 +150,20 @@ def test_cumsum_adds_in_order(values, rows):
     a[1:] *= 3.0
     got = np.cumsum(a, axis=-1)[:, -1]
     assert got.tolist() == [_in_order(row) for row in a.tolist()]
+
+
+@CONTRACT
+@given(values=st.lists(MIXED, min_size=1, max_size=5).flatmap(
+    lambda rows: st.integers(1, 7).map(lambda n: [(row * n)[:n] for row in rows])))
+def test_sum_over_seven_or_fewer_entries_adds_in_order(values):
+    a = np.array(values)
+    assert a.sum(axis=-1).tolist() == [_in_order(row) for row in a.tolist()]
+    assert np.ascontiguousarray(a.T).sum(axis=0).tolist() == [_in_order(row) for row in a.tolist()]
+
+
+def test_sum_order_shows_from_eight_entries():
+    """1 plus seven halves of an ulp: in order each addition rounds back to 1,
+    while numpy's pairwise sum of 8 entries first adds the halves together."""
+    tiny = 2.0**-53
+    assert np.array([1.0] + [tiny] * 6).sum() == 1.0
+    assert np.array([1.0] + [tiny] * 7).sum() > 1.0

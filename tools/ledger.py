@@ -9,14 +9,19 @@ For each workload and seed it builds the requests and their inputs with
 `perfbench/workloads.py` (imported, never changed), runs the requests once, in
 order, as in-process calls to `crowdplan.cli.main`, and records one entry per
 request: the exit code and the sha256 of its stdout, its stderr and its output
-file (null when it writes none). Each (workload, seed) also gets an `inputs`
-entry, the workload's digest of its input files. The work directory's path is
-written as `<work>` in stdout and stderr, so ledgers made in different
-directories compare equal.
+file (null when it writes none). A `plan` request's entry also keeps its
+parsed result under `plan` (counts, cost, ig, stderr, mode, bound; null when
+the request failed). Each (workload, seed) also gets an `inputs` entry, the
+workload's digest of its input files. The work directory's path is written
+as `<work>` in stdout and stderr, so ledgers made in different directories
+compare equal.
 
 `--compare A B` prints each entry that differs, or is in one ledger only,
 with the fields that differ, and exits 1 if there is any; 0 means every byte
-recorded is the same.
+recorded is the same. A plan entry whose result differs in `ig` alone is
+reported as "ig digits only" with |ig A - ig B|, one whose counts or mode
+differ as "plan changed", and the largest |ig A - ig B| of the first kind is
+printed last.
 """
 
 from __future__ import annotations
@@ -62,25 +67,38 @@ def record(names: list[str], seeds: list[int]) -> dict[str, dict]:
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         rc = crowdplan.cli.main(list(req.argv))
                     output = req.output if req.output is not None and req.output.exists() else None
-                    entries[f"{name}/{seed}/{req.name}"] = {
+                    entry = entries[f"{name}/{seed}/{req.name}"] = {
                         "rc": rc,
                         "stdout": _sha(out.getvalue().replace(str(work), "<work>")),
                         "stderr": _sha(err.getvalue().replace(str(work), "<work>")),
                         "output": None if output is None else _sha(output.read_bytes()),
                     }
+                    if req.argv[0] == "plan":
+                        entry["plan"] = json.loads(out.getvalue().splitlines()[-1]) if rc == 0 else None
     return entries
 
 
 def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
     """One line per entry that differs between two ledgers' entries, sorted by name."""
     lines = []
+    deltas = []
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             lines.append(f"{key}: only in {'B' if key not in a else 'A'}")
-        elif a[key] != b[key]:
-            differ = (f for f in a[key].keys() | b[key].keys() if a[key].get(f) != b[key].get(f))
-            fields = sorted(differ)
+            continue
+        if a[key] == b[key]:
+            continue
+        fields = sorted(f for f in a[key].keys() | b[key].keys() if a[key].get(f) != b[key].get(f))
+        pa, pb = a[key].get("plan"), b[key].get("plan")
+        if pa and pb and (pa["counts"], pa["mode"]) != (pb["counts"], pb["mode"]):
+            lines.append(f"{key}: plan changed: {pa['mode']} {pa['counts']} -> {pb['mode']} {pb['counts']}")
+        elif pa and pb and fields == ["plan", "stdout"] and {**pa, "ig": 0} == {**pb, "ig": 0}:
+            deltas.append(abs(pa["ig"] - pb["ig"]))
+            lines.append(f"{key}: ig digits only (|d ig| {deltas[-1]:.2g})")
+        else:
             lines.append(f"{key}: {', '.join(fields)}")
+    if deltas:
+        lines.append(f"largest |d ig| of the ig-digit entries: {max(deltas):.2g}")
     return lines
 
 
