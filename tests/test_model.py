@@ -354,6 +354,32 @@ class TestDatasetColumns:
             np.testing.assert_array_equal(getattr(tiled, name), getattr(fresh, name), err_msg=name)
         assert tiled.workers == fresh.workers
 
+    def test_equality_is_layout_and_stored_votes(self):
+        """Tables are equal when their layouts, their tasks in stored order and each
+        (task, path)'s votes in stored order, worker ids included, are."""
+
+        def table(task_ids=("a", "b"), truth=(1, -1), task=(0, 0, 1), worker=(0, 1, 1),
+                  label=(1, 0, 1), worker_ids=("x", "y"), num_paths=None):
+            return Dataset.tabulate(
+                list(task_ids), list(truth), list(task), [0, 0, 1], list(worker), list(label),
+                list(worker_ids), 2, num_paths,
+            )
+
+        base = table()
+        assert base == table()
+        assert base == table(worker_ids=("y", "x"), worker=(1, 0, 0))  # same ids, other codes
+        assert base == table(worker_ids=("x", "y", "unused"))
+        assert base == table(num_paths=2)
+        assert base != table(task_ids=("b", "a"), truth=(-1, 1), task=(1, 1, 0))  # other task order
+        assert base != table(label=(0, 1, 1), worker=(1, 0, 1))  # task a's votes swapped
+        assert base != table(worker_ids=("x", "z"))
+        assert base != table(truth=(0, -1))
+        assert base != table(num_paths=3)
+        assert base != "a"
+        assert Dataset.tabulate(["t"], [1], [0], [0], [0], [1], ["a", "b"], 2) == Dataset.tabulate(
+            ["t"], [1], [0], [0], [0], [1], ["a"], 2
+        )
+
     @pytest.mark.parametrize(
         "task, path, worker, worker_ids",
         [
