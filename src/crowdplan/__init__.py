@@ -15,16 +15,7 @@ from .errors import (
     NumericError,
     ResourceLimitError,
 )
-from .evaluation import (
-    ExecutedSample,
-    FoldRow,
-    MetricRow,
-    SweepResult,
-    accuracy,
-    budget_sweep,
-    execute_plan_on_sample,
-    neg_log_likelihood,
-)
+from .evaluation import FoldRow, MetricRow, SweepResult, budget_sweep
 from .infogain import (
     IgConfig,
     IgEstimate,
@@ -37,11 +28,7 @@ from .infogain import (
     prior_entropy,
     sampled_conditional_entropies,
 )
-from .inference import (
-    ModelKind,
-    Posterior,
-    infer,
-)
+from .inference import ModelKind, table_posteriors
 from .io import read_votes_csv, write_votes_csv
 from .learning import (
     EmConfig,
@@ -59,7 +46,6 @@ from .model import (
     Dataset,
     LabelSpace,
     NbiModel,
-    TaskSample,
     load_model,
     plan_cost,
     save_model,
@@ -89,7 +75,6 @@ __all__ = [
     "CrowdPlanError",
     "Dataset",
     "EmConfig",
-    "ExecutedSample",
     "FitReport",
     "FoldRow",
     "IgConfig",
@@ -103,40 +88,35 @@ __all__ = [
     "NbiModel",
     "NumericError",
     "PlanResult",
-    "Posterior",
     "ResourceLimitError",
     "Strategy",
     "SubmodularityReport",
     "SweepResult",
-    "TaskSample",
     "TraceStep",
-    "accuracy",
     "approximation_bound",
     "baseline_plan",
     "budget_sweep",
     "build_plan",
     "check_submodularity",
     "exact_conditional_entropy",
-    "execute_plan_on_sample",
     "exhaustive_opt",
     "fit_em",
     "fit_nbi",
     "fit_supervised",
     "generate",
     "greedy_plan",
-    "infer",
     "information_gain",
     "information_gains",
     "inject_correlation",
     "load_model",
     "log_likelihood",
-    "neg_log_likelihood",
     "plan_cost",
     "prior_entropy",
     "quantile_paths",
     "read_votes_csv",
     "sampled_conditional_entropies",
     "save_model",
+    "table_posteriors",
     "validate_model",
     "with_costs",
     "with_labels",

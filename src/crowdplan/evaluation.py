@@ -41,14 +41,13 @@ import numpy as np
 from ._rng import _fold, derive_seed, substream, substream_words, substreams
 from .errors import InputError
 from .infogain import IgConfig
-from .inference import ModelKind, Posterior, table_posteriors
+from .inference import ModelKind, table_posteriors
 from .learning import EmConfig, fit_em, fit_nbi
 from .model import (
     AccessPlan,
     ApmModel,
     Dataset,
     NbiModel,
-    TaskSample,
     as_config,
     as_count,
     member,
@@ -80,32 +79,6 @@ def _neg_log_likelihood(at_truth: np.ndarray) -> float:
     for surprise in np.log(np.maximum(at_truth, _NLL_FLOOR)).tolist():
         total -= surprise
     return total
-
-
-def _same_length(posteriors: Sequence[Posterior], truths: Sequence[int]) -> None:
-    if len(posteriors) != len(truths):
-        raise InputError("posteriors and truths differ in length")
-
-
-def accuracy(posteriors: Sequence[Posterior], truths: Sequence[int]) -> float:
-    """Fraction of tasks whose predicted label matches the truth."""
-    _same_length(posteriors, truths)
-    return _accuracy(np.array([p.prediction for p in posteriors]), np.array(truths))
-
-
-def neg_log_likelihood(posteriors: Sequence[Posterior], truths: Sequence[int]) -> float:
-    """Sum of -log posterior mass on the true label, floored at 1e-12."""
-    _same_length(posteriors, truths)
-    return _neg_log_likelihood(np.array([p.probs[t] for p, t in zip(posteriors, truths)]))
-
-
-@dataclass(frozen=True)
-class ExecutedSample:
-    """A task restricted to the votes a plan actually buys."""
-
-    sample: TaskSample
-    short_filled: bool
-    skipped: bool
 
 
 def _draw_bounds(n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,25 +220,6 @@ def _draw(keep: np.ndarray, table: Dataset, seeds: Sequence[int], copy: np.ndarr
         for g, new in zip(by_choice.tolist(), opens[by_choice].tolist()):
             rng = next(streams) if new else rng
             keep[at[g] + rng.choice(int(n[g]), size=int(k[g]), replace=False)] = True
-
-
-def execute_plan_on_sample(
-    sample: TaskSample, plan: AccessPlan | Sequence[int], seed: int = 0
-) -> ExecutedSample:
-    """Draw the plan's vote counts from a task's recorded votes, per path.
-
-    Selection is without replacement; a path with fewer recorded votes than
-    requested contributes everything it has and the task is marked
-    short-filled. A task left with no votes at all is marked skipped. The
-    task's stream is opened only when some path has more votes than it needs;
-    the seed is checked either way.
-    """
-    plan = plan if isinstance(plan, AccessPlan) else AccessPlan(plan)
-    labels = [v for votes in sample.votes.values() for _, v in votes] + [sample.truth or 0]
-    table = Dataset([sample], len(plan.counts), max(labels) + 1)
-    bought, short = _execute(table, [plan], [seed])
-    executed = table.select(np.ones(1, dtype=bool), bought).samples[0]
-    return ExecutedSample(sample=executed, short_filled=bool(short[0]), skipped=not bought.any())
 
 
 @dataclass(frozen=True)

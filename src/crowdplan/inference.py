@@ -2,9 +2,8 @@
 
 `table_posteriors(kind, model, table)` checks a `Dataset` against the
 model's layout once and computes every posterior in one batched pass through
-the kernels in `_kernel`. `infer(kind, model, samples)` tabulates per-task
-objects first and wraps each row in a `Posterior`; the posterior of one task
-is `infer(kind, model, [sample])[0]`.
+the kernels in `_kernel`, as arrays in table order. The posterior of one task
+is that of a one-task table.
 
 All posteriors are computed in log space. The vote table sorts votes into a
 canonical order (task id, then path, then worker id, then label) before any
@@ -27,8 +26,6 @@ back to the prior and sets `degenerate_evidence`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +39,7 @@ from ._kernel import (
     vote_evidence,
 )
 from .errors import InputError, MissingWorkerCptError
-from .model import ApmModel, Dataset, NbiModel, TaskSample, member
+from .model import ApmModel, Dataset, NbiModel, member
 
 
 class ModelKind(str, enum.Enum):
@@ -50,24 +47,6 @@ class ModelKind(str, enum.Enum):
     NBI = "nbi"
     NBAP = "nbap"
     APM = "apm"
-
-
-@dataclass(frozen=True, eq=False)
-class Posterior:
-    """A distribution over outcomes plus its argmax summary.
-
-    `prediction` is the smallest index attaining the maximum probability.
-    """
-
-    probs: np.ndarray
-    prediction: int
-    confidence: float
-    degenerate_evidence: bool = False
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
 
 
 def _log_stack(rows: list[np.ndarray], k: int) -> np.ndarray:
@@ -154,17 +133,3 @@ def table_posteriors(
         probs[:, degenerate] = model.prior[:, None]
         probs = probs.T
     return probs, np.argmax(probs, axis=1), degenerate
-
-
-def infer(
-    kind: ModelKind | str, model: ApmModel | NbiModel, samples: Sequence[TaskSample]
-) -> list[Posterior]:
-    """Posteriors of many tasks in one batched pass, in the order of `samples`."""
-    table = Dataset(samples, None, model.num_labels)
-    back = np.argsort(table.order)
-    probs, pred, degenerate = (a[back] for a in table_posteriors(kind, model, table))
-    conf = probs[np.arange(len(back)), pred]
-    return [
-        Posterior(probs=p, prediction=int(y), confidence=float(c), degenerate_evidence=bool(d))
-        for p, y, c, d in zip(probs, pred, conf, degenerate)
-    ]

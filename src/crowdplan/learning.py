@@ -30,7 +30,6 @@ dataset, config, and seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
@@ -62,6 +61,7 @@ from .model import (
     NbiModel,
     as_config,
     as_count,
+    as_real,
     check_cells,
     validate_model,
 )
@@ -93,12 +93,9 @@ class EmConfig:
         for name in ("max_iters", "restarts"):
             object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
         _fold(self.seed)
-        for name in ("rel_tol", "smoothing_alpha"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InputError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not self.rel_tol > 0:
+        if not as_real(self.rel_tol, "rel_tol") > 0:
             raise InputError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not 0 <= self.smoothing_alpha < math.inf:
+        if not 0 <= as_real(self.smoothing_alpha, "smoothing_alpha") < math.inf:
             raise InputError(f"smoothing_alpha must be finite and >= 0, got {self.smoothing_alpha}")
 
 

@@ -18,13 +18,15 @@ tables and the prior, which carry a tolerance, are reported together by
 `validate_model`; loaders and fitters call it before handing a model out.
 
 A `Dataset` is stored as flat vote columns, checked against its layout once
-when it is built. Folds and vote subsets are row selections of it, and
-per-task `TaskSample` objects are a view built only when asked for.
+when `Dataset.tabulate` builds it. Folds and vote subsets are row selections
+of it. `TaskSample` is a checked record of one task's votes, for code that
+works task by task; no path in the package builds one.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -249,10 +251,9 @@ class Dataset:
     `order` and `stored` keep the stored order: tasks as given, then path,
     then each (task, path)'s votes as given.
 
-    `Dataset(samples, num_paths, num_labels)` tabulates per-task objects
-    (`num_paths=None` as in `tabulate`); `samples` is the per-task view, built
-    on first use. Datasets are equal when their layouts and their tasks, in
-    stored order, are.
+    `tabulate` builds a table; `select` and `tiled` derive one from another.
+    Tables are equal when their layouts, their tasks in stored order and each
+    (task, path)'s votes in stored order are, each vote's worker compared by id.
 
     Fields:
         task_ids: the task ids, sorted.
@@ -276,23 +277,6 @@ class Dataset:
     workers: tuple[str, ...]
     stored: np.ndarray
 
-    def __init__(self, samples: Sequence[TaskSample], num_paths: int | None, num_labels: int):
-        codes: dict[str | None, int] = {}
-        flat = np.fromiter(
-            (
-                x
-                for i, s in enumerate(samples)
-                for p, vs in s.votes.items()
-                for w, v in vs
-                for x in (i, p, codes.setdefault(None if w is None else str(w), len(codes)), v)
-            ),
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        truth = [-1 if s.truth is None else s.truth for s in samples]
-        ids = [s.task_id for s in samples]
-        columns = Dataset.tabulate(ids, truth, *flat.T, list(codes), num_labels, num_paths)
-        self.__dict__.update(columns.__dict__)
-
     @classmethod
     def _of(cls, **columns) -> Dataset:
         for value in columns.values():
@@ -310,8 +294,14 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        layout = (self.num_paths, self.num_labels)
-        return layout == (other.num_paths, other.num_labels) and self.samples == other.samples
+
+        def key(table: Dataset) -> tuple[list, list]:
+            c = table.stored_columns()
+            worker_ids = c.pop("worker_ids")
+            ids = [worker_ids[w] for w in c.pop("worker").tolist()]
+            return ids, [v.tolist() if isinstance(v, np.ndarray) else v for v in c.values()]
+
+        return key(self) == key(other)
 
     @classmethod
     def tabulate(
@@ -457,18 +447,6 @@ class Dataset:
             stored=(copy * v + self.stored).reshape(-1),
         )
 
-    @cached_property
-    def samples(self) -> tuple[TaskSample, ...]:
-        """The tasks as `TaskSample` objects, in stored order."""
-        c = self.stored_columns()
-        votes: list[dict] = [{} for _ in c["task_ids"]]
-        for i, p, w, v in zip(*(c[k].tolist() for k in ("task", "path", "worker", "label"))):
-            votes[i].setdefault(p, []).append((c["worker_ids"][w], v))
-        return tuple(
-            TaskSample(tid, {p: tuple(vs) for p, vs in vote.items()}, None if y < 0 else y)
-            for tid, vote, y in zip(c["task_ids"], votes, c["truth"].tolist())
-        )
-
     def first_unlabeled(self) -> str | None:
         """The id of the first task, in stored order, without a truth."""
         missing = np.flatnonzero(self.truth < 0)
@@ -511,6 +489,8 @@ def with_costs(model: ApmModel, costs: Sequence[Fraction | int | str]) -> ApmMod
 
 def with_labels(model: ApmModel | NbiModel, labels: LabelSpace) -> ApmModel | NbiModel:
     """Copy of a model with a different label space (same cardinality)."""
+    if not isinstance(labels, LabelSpace):
+        raise InputError(f"expected a LabelSpace, got {labels!r}")
     if labels.cardinality != model.num_labels:
         raise InputError("label cardinality mismatch")
     return replace(model, labels=labels)
@@ -525,6 +505,14 @@ def as_count(value, what: str, low: int = 0) -> int:
     if out < low:
         raise InputError(f"{what} must be >= {low}, got {out}")
     return out
+
+
+def as_real(value, what: str):
+    """`value`, once it is a real number other than NaN (ints, fractions and numpy
+    numbers count); anything else is an InputError."""
+    if not isinstance(value, numbers.Real) or value != value:
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def as_config(cfg, cls):
@@ -569,7 +557,11 @@ def plan_cost(model: ApmModel, plan: AccessPlan | Sequence[int]) -> Fraction:
 
 
 def validate_model(model: ApmModel) -> list[str]:
-    """Check every model invariant; return human-readable violations, empty if sound."""
+    """Check every model invariant; return human-readable violations, empty if sound.
+
+    Anything but an `ApmModel` is an InputError."""
+    if not isinstance(model, ApmModel):
+        raise InputError(f"expected an ApmModel, got {model!r}")
     k = model.num_labels
     out = _prior_violations(model.prior, k)
     sound: set[int] = set()

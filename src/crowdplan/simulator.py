@@ -33,7 +33,7 @@ import numpy as np
 
 from ._rng import categorical_rows, substreams
 from .errors import InputError
-from .model import AccessPlan, ApmModel, Cpt, Dataset, as_count, as_counts, check_cells
+from .model import AccessPlan, ApmModel, Cpt, Dataset, as_count, as_counts, as_real, check_cells
 
 
 def _vote_tables(model: ApmModel, path: int) -> tuple[list[str | None], np.ndarray]:
@@ -91,7 +91,7 @@ def generate(
 
 def inject_correlation(data: Dataset, p: float, seed: int = 0) -> Dataset:
     """Replace votes with the running within-path majority with probability p."""
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= as_real(p, "correlation probability") <= 1.0:
         raise InputError(f"correlation probability must be in [0, 1], got {p}")
     cols = data.stored_columns()
     task, path = cols["task"], cols["path"]
@@ -132,5 +132,7 @@ def quantile_paths(accuracies: Mapping[str, float], num_paths: int) -> dict[str,
     n = len(accuracies)
     if n < num_paths:
         raise InputError(f"{n} workers cannot fill {num_paths} paths")
-    ranked = sorted(accuracies.items(), key=lambda kv: (kv[1], kv[0]))
+    ranked = sorted(
+        accuracies.items(), key=lambda kv: (as_real(kv[1], f"accuracy of worker {kv[0]!r}"), kv[0])
+    )
     return {worker: rank * num_paths // n for rank, (worker, _) in enumerate(ranked)}

@@ -12,6 +12,11 @@ references, which share the package's tables and kernels:
 `learning._em`, and `ref_execute` and `ref_score_fold`, plan execution by
 one `rng.choice` per drawn group and fold scoring by one pass per (strategy,
 budget) cell, for `evaluation._execute` and `_score_fold`.
+
+The oracles take one task at a time, as a `TaskSample` record. `table_of`,
+`records_of` and `posteriors` carry such records to and from the package's
+tables: a table through `Dataset.tabulate`, records in stored order, and
+`table_posteriors` in the records' order.
 """
 
 from __future__ import annotations
@@ -169,6 +174,48 @@ def naive_path_posterior(model: ApmModel, sample: TaskSample) -> np.ndarray:
     if total == 0.0:
         return np.asarray(model.prior, dtype=np.float64).copy()
     return np.array([m / total for m in mass])
+
+
+# --- per-task records, tabulated and read back ---
+
+
+def table_of(samples, num_paths: int | None, num_labels: int) -> Dataset:
+    """`TaskSample` records as one checked table, through `Dataset.tabulate`
+    (`num_paths=None` as there); each record's votes are stored path by path."""
+    codes: dict[str | None, int] = {}
+    flat = np.fromiter(
+        (
+            x
+            for i, s in enumerate(samples)
+            for p, vs in s.votes.items()
+            for w, v in vs
+            for x in (i, p, codes.setdefault(None if w is None else str(w), len(codes)), v)
+        ),
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    truth = [-1 if s.truth is None else s.truth for s in samples]
+    ids = [s.task_id for s in samples]
+    return Dataset.tabulate(ids, truth, *flat.T, list(codes), num_labels, num_paths)
+
+
+def records_of(table: Dataset) -> tuple[TaskSample, ...]:
+    """The tasks of a table as `TaskSample` records, in stored order."""
+    c = table.stored_columns()
+    votes: list[dict] = [{} for _ in c["task_ids"]]
+    for i, p, w, v in zip(*(c[k].tolist() for k in ("task", "path", "worker", "label"))):
+        votes[i].setdefault(p, []).append((c["worker_ids"][w], v))
+    return tuple(
+        TaskSample(tid, {p: tuple(vs) for p, vs in vote.items()}, None if y < 0 else y)
+        for tid, vote, y in zip(c["task_ids"], votes, c["truth"].tolist())
+    )
+
+
+def posteriors(kind, model, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`table_posteriors` of the records' table, rows in the order of `samples`:
+    probabilities (n, K), predictions and degenerate flags."""
+    table = table_of(samples, None, model.num_labels)
+    back = np.argsort(table.order)
+    return tuple(a[back] for a in table_posteriors(kind, model, table))
 
 
 # --- model builders ---

@@ -23,15 +23,15 @@ from crowdplan.infogain import (
     exact_conditional_entropy,
     sampled_conditional_entropies,
 )
-from crowdplan.inference import infer
 from crowdplan.learning import EmConfig, fit_em, fit_supervised
-from crowdplan.model import Dataset, TaskSample
+from crowdplan.model import Dataset
 from crowdplan.planner import approximation_bound, exhaustive_opt, greedy_plan
 from crowdplan.simulator import generate, inject_correlation
 
 from _oracles import (
     aligned_worst_row_l1,
     enum_posterior,
+    posteriors,
     random_model,
     random_sample,
     sym_model,
@@ -57,7 +57,7 @@ def test_01_posterior_matches_full_joint_enumeration():
         sample = random_sample(rng, model, max_votes=2)
         if sum(len(v) for v in sample.votes.values()) > 4:
             sample = random_sample(rng, model, max_votes=1)
-        got = infer("apm", model, [sample])[0].probs
+        got = posteriors("apm", model, [sample])[0][0]
         want = enum_posterior(model, sample)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - start
@@ -158,13 +158,7 @@ def test_06_em_recovers_generating_parameters():
     data = generate(truth, [4, 4], 5000, seed=2)
     supervised_model, _ = fit_supervised(data, cfg=cfg)
     supervised_l1 = aligned_worst_row_l1(supervised_model, truth)
-    hidden = Dataset(
-        samples=tuple(
-            TaskSample(task_id=s.task_id, votes=s.votes) for s in data.samples
-        ),
-        num_paths=2,
-        num_labels=2,
-    )
+    hidden = Dataset.tabulate(**{**data.stored_columns(), "truth": np.full(len(data), -1)})
     hidden_model, _ = fit_em(hidden, cfg=cfg)
     hidden_l1 = aligned_worst_row_l1(hidden_model, truth)
     elapsed = time.perf_counter() - start

@@ -12,50 +12,41 @@ import crowdplan._rng as _rng
 import crowdplan.evaluation as evaluation
 from crowdplan._rng import stream_keys, substream, substream_words
 from crowdplan.errors import CrowdPlanError, InputError
-from crowdplan.evaluation import (
-    accuracy,
-    budget_sweep,
-    execute_plan_on_sample,
-    neg_log_likelihood,
-)
-from crowdplan.inference import Posterior
+from crowdplan.evaluation import _accuracy, _neg_log_likelihood, budget_sweep
 from crowdplan.learning import EmConfig
 from crowdplan.model import AccessPlan, Dataset, TaskSample
 from crowdplan.simulator import generate, inject_correlation
 
-from _oracles import ref_execute, ref_score_fold, sym_model
-
-
-def posterior_of(probs):
-    probs = np.asarray(probs, dtype=np.float64)
-    pred = int(np.argmax(probs))
-    return Posterior(
-        probs=probs, prediction=pred, confidence=float(probs[pred])
-    )
+from _oracles import records_of, ref_execute, ref_score_fold, sym_model, table_of
 
 
 class TestMetrics:
     def test_accuracy(self):
-        posts = [posterior_of([0.9, 0.1]), posterior_of([0.2, 0.8])]
-        assert accuracy(posts, [0, 1]) == 1.0
-        assert accuracy(posts, [1, 1]) == 0.5
-        assert accuracy([], []) == 0.0
+        pred = np.argmax([[0.9, 0.1], [0.2, 0.8]], axis=1)
+        assert _accuracy(pred, np.array([0, 1])) == 1.0
+        assert _accuracy(pred, np.array([1, 1])) == 0.5
+        assert _accuracy(pred[:0], np.array([], dtype=np.int64)) == 0.0
 
     def test_nll_sums_surprise(self):
-        posts = [posterior_of([0.9, 0.1]), posterior_of([0.2, 0.8])]
         want = -(math.log(0.9) + math.log(0.8))
-        assert neg_log_likelihood(posts, [0, 1]) == pytest.approx(want, abs=1e-12)
+        assert _neg_log_likelihood(np.array([0.9, 0.8])) == pytest.approx(want, abs=1e-12)
 
     def test_nll_floors_zero_mass(self):
-        posts = [posterior_of([1.0, 0.0])]
-        got = neg_log_likelihood(posts, [1])
+        got = _neg_log_likelihood(np.array([0.0]))
         assert got == pytest.approx(-math.log(1e-12), abs=1e-6)
 
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            accuracy([posterior_of([0.5, 0.5])], [0, 1])
-        with pytest.raises(InputError):
-            neg_log_likelihood([], [0])
+
+def execute(sample: TaskSample, counts, seed: int) -> tuple[Dataset, np.ndarray, bool]:
+    """One plan executed on a one-task table: the table, the mask of the votes
+    the plan buys and whether it short-fills the task."""
+    table = table_of([sample], len(counts), 2)
+    bought, short = evaluation._execute(table, [AccessPlan(counts)], [seed])
+    return table, bought, bool(short[0])
+
+
+def bought_votes(table: Dataset, bought: np.ndarray) -> TaskSample:
+    """The one task of `table` holding only the votes in `bought`."""
+    return records_of(table.select(np.ones(1, dtype=bool), bought))[0]
 
 
 class TestExecutePlan:
@@ -70,46 +61,44 @@ class TestExecutePlan:
         )
 
     def test_exact_subset_when_enough_votes(self):
-        ex = execute_plan_on_sample(self.sample(), [2, 1], seed=0)
-        assert len(ex.sample.votes_for(0)) == 2
-        assert len(ex.sample.votes_for(1)) == 1
-        assert not ex.short_filled
-        assert not ex.skipped
+        table, bought, short = execute(self.sample(), [2, 1], seed=0)
+        assert np.bincount(table.path_idx[bought], minlength=2).tolist() == [2, 1]
+        assert not short
 
     def test_subset_comes_from_recorded_votes(self):
         original = self.sample()
-        ex = execute_plan_on_sample(original, [2, 0], seed=3)
+        table, bought, _ = execute(original, [2, 0], seed=3)
         recorded = list(original.votes_for(0))
-        for vote in ex.sample.votes_for(0):
+        for vote in bought_votes(table, bought).votes_for(0):
             assert vote in recorded
 
     def test_short_fill_keeps_everything(self):
-        ex = execute_plan_on_sample(self.sample(), [5, 1], seed=0)
-        assert ex.short_filled
-        assert len(ex.sample.votes_for(0)) == 3
+        table, bought, short = execute(self.sample(), [5, 1], seed=0)
+        assert short
+        assert bought.all()
 
     def test_plan_on_missing_path_is_short(self):
         s = TaskSample(task_id="t", votes={0: ((None, 1),)}, truth=1)
-        ex = execute_plan_on_sample(s, [1, 2], seed=0)
-        assert ex.short_filled
-        assert ex.sample.votes_for(1) == ()
+        _, bought, short = execute(s, [1, 2], seed=0)
+        assert short
+        assert bought.tolist() == [True]
 
     def test_empty_execution_is_skipped(self):
         s = TaskSample(task_id="t", votes={0: ((None, 1),)}, truth=1)
-        ex = execute_plan_on_sample(s, [0, 0], seed=0)
-        assert ex.skipped
-        assert not ex.sample.votes
+        _, bought, short = execute(s, [0, 0], seed=0)
+        assert not bought.any()
+        assert not short
 
     def test_deterministic_per_task_id(self):
-        a = execute_plan_on_sample(self.sample(), [2, 1], seed=9)
-        b = execute_plan_on_sample(self.sample(), [2, 1], seed=9)
-        assert a.sample == b.sample
-        c = execute_plan_on_sample(self.sample(), [2, 1], seed=10)
-        assert isinstance(c.sample, TaskSample)
+        _, a, _ = execute(self.sample(), [2, 1], seed=9)
+        _, b, _ = execute(self.sample(), [2, 1], seed=9)
+        assert np.array_equal(a, b)
+        _, c, _ = execute(self.sample(), [2, 1], seed=10)
+        assert np.count_nonzero(c) == 3
 
     def test_truth_preserved(self):
-        ex = execute_plan_on_sample(self.sample(), [1, 1], seed=2)
-        assert ex.sample.truth == 0
+        table, bought, _ = execute(self.sample(), [1, 1], seed=2)
+        assert bought_votes(table, bought).truth == 0
 
     def test_stream_opened_only_to_subsample(self, monkeypatch):
         """A task whose every path has at most the votes it needs opens no stream."""
@@ -122,12 +111,13 @@ class TestExecutePlan:
 
         monkeypatch.setattr(_rng, "stream_keys", recording)
         for plan in ([3, 1], [5, 1], [0, 0], [3, 0], [4, 2]):
-            execute_plan_on_sample(self.sample(), plan, seed=0)
+            execute(self.sample(), plan, seed=0)
         assert opened == []
-        lazy = execute_plan_on_sample(self.sample(), [2, 1], seed=9)
+        table, lazy, _ = execute(self.sample(), [2, 1], seed=9)
         assert opened == [("exec", "t1")]
         eager = sorted(substream(9, "exec", "t1").choice(3, size=2, replace=False))
-        assert lazy.sample.votes_for(0) == tuple(self.sample().votes_for(0)[i] for i in eager)
+        want = tuple(self.sample().votes_for(0)[i] for i in eager)
+        assert bought_votes(table, lazy).votes_for(0) == want
 
 
 class TestBudgetSweep:
@@ -157,8 +147,8 @@ class TestBudgetSweep:
 
     def test_task_order_invariant(self):
         data = self.make_data(num_tasks=120)
-        reversed_data = Dataset(
-            samples=tuple(reversed(data.samples)),
+        reversed_data = table_of(
+            samples=tuple(reversed(records_of(data))),
             num_paths=data.num_paths,
             num_labels=data.num_labels,
         )
@@ -181,13 +171,7 @@ class TestBudgetSweep:
 
     def test_requires_truths(self):
         data = self.make_data(num_tasks=20)
-        unlabeled = Dataset(
-            samples=tuple(
-                TaskSample(task_id=s.task_id, votes=s.votes) for s in data.samples
-            ),
-            num_paths=data.num_paths,
-            num_labels=data.num_labels,
-        )
+        unlabeled = Dataset.tabulate(**{**data.stored_columns(), "truth": np.full(len(data), -1)})
         with pytest.raises(InputError):
             budget_sweep(
                 unlabeled, model_kinds=["apm"], strategies=["equal"], budgets=[3]
@@ -282,12 +266,12 @@ class TestShortFilled:
         m = sym_model([0.5, 0.5], [0.85, 0.75], [0.9, 0.8])
         full = generate(m, [3, 3], num_tasks, seed=21)
         samples = []
-        for j, s in enumerate(full.samples):
+        for j, s in enumerate(records_of(full)):
             votes = {0: s.votes[0]}
             if j % 4:
                 votes[1] = s.votes[1][: j % 4]
             samples.append(TaskSample(task_id=s.task_id, votes=votes, truth=s.truth))
-        return Dataset(samples=tuple(samples), num_paths=2, num_labels=2)
+        return table_of(samples=tuple(samples), num_paths=2, num_labels=2)
 
     def test_sweep_counts_short_filled_tasks(self):
         data = self.ragged_data()
@@ -296,12 +280,12 @@ class TestShortFilled:
         )
         # equal at budget 4 with unit costs asks for two votes on each path
         want = sum(
-            1 for s in data.samples if len(s.votes.get(1, ())) < 2
+            1 for s in records_of(data) if len(s.votes.get(1, ())) < 2
         )
-        assert 0 < want < len(data.samples)
+        assert 0 < want < len(data)
         for row in res.fold_rows + res.rows:
             assert row.tasks_short_filled == want
-            assert row.tasks_evaluated == len(data.samples)
+            assert row.tasks_evaluated == len(data)
             assert row.tasks_skipped == 0
 
     def test_sweep_csv_has_short_filled_column(self, tmp_path):
@@ -341,7 +325,7 @@ def _ragged(seed: int, num_tasks: int, max_votes: int, workers: int, wide: bool 
             if m
         }
         samples.append(TaskSample(f"t{t:02d}", votes, truth=int(rng.integers(0, 2))))
-    return Dataset(samples, 2, 2)
+    return table_of(samples, 2, 2)
 
 
 class TestReplayedSweep:
@@ -405,7 +389,7 @@ class TestReplayedSweep:
         want = [np.concatenate(m) for m in zip(*map(partial(ref_execute, table), plans, seeds))]
         # Under seed 9 the victim draws 2 of its 4 path-0 votes first: Floyd's first
         # draw is bounded to 0..2, and a low word of 0 is below (2**32 - 3) % 3 = 1.
-        victim = next(s.task_id for s in table.samples if len(s.votes_for(0)) == 4)
+        victim = next(s.task_id for s in records_of(table) if len(s.votes_for(0)) == 4)
         chosen = self.record_choice_tasks(monkeypatch)
 
         def same_as_reference():
@@ -431,7 +415,7 @@ class TestReplayedSweep:
         test_numpy_contract), so such a task calls it, and the others replay."""
         votes = tuple((None, j % 2) for j in range(10_001))
         big, small = TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]})
-        table = Dataset([big, small], 1, 2)
+        table = table_of([big, small], 1, 2)
         chosen = self.record_choice_tasks(monkeypatch)
         for size in (20, 500):
             chosen.clear()

@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 
 from crowdplan.errors import InputError, MissingWorkerCptError
-from crowdplan.inference import ModelKind, infer
-from crowdplan.model import Cpt, LabelSpace, NbiModel, TaskSample
+from crowdplan.inference import ModelKind, table_posteriors
+from crowdplan.model import LabelSpace, NbiModel, TaskSample
 
 from _oracles import (
     enum_posterior,
     naive_path_posterior,
     naive_worker_posterior,
+    posteriors,
     random_model,
     random_sample,
     sym_cpt,
     sym_model,
+    table_of,
 )
 
 
 def repeated(label, repeats):
     """One task with `repeats` pooled votes for `label` on path 0, its id the count."""
     return TaskSample(task_id=str(repeats), votes={0: ((None, label),) * repeats})
+
+
+def confidence(probs, pred):
+    return probs[np.arange(len(pred)), pred]
 
 
 def make_nbi(worker_accs, prior=(0.5, 0.5)):
@@ -33,27 +39,26 @@ class TestMajorityVote:
     def test_probs_are_vote_shares(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 1), (None, 1), (None, 0))})
-        p = infer("mv", m, [s])[0]
-        np.testing.assert_allclose(p.probs, [1 / 3, 2 / 3])
-        assert p.prediction == 1
+        probs, pred, _ = posteriors("mv", m, [s])
+        np.testing.assert_allclose(probs[0], [1 / 3, 2 / 3])
+        assert pred[0] == 1
 
     def test_tie_goes_to_lowest_label(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 1), (None, 0))})
-        assert infer("mv", m, [s])[0].prediction == 0
+        assert posteriors("mv", m, [s])[1][0] == 0
 
     def test_no_votes_is_uniform(self):
         m = sym_model([0.5, 0.5], [0.8], [0.9])
         s = TaskSample(task_id="t", votes={})
-        p = infer("mv", m, [s])[0]
-        np.testing.assert_allclose(p.probs, [0.5, 0.5])
+        np.testing.assert_allclose(posteriors("mv", m, [s])[0][0], [0.5, 0.5])
 
     def test_vote_order_irrelevant(self):
         m = sym_model([0.5, 0.5], [0.8, 0.8], [0.9, 0.9])
         a = TaskSample(task_id="t", votes={0: ((None, 1), (None, 0)), 1: ((None, 1),)})
         b = TaskSample(task_id="u", votes={1: ((None, 1),), 0: ((None, 0), (None, 1))})
-        pa, pb = infer("mv", m, [a, b])
-        assert np.array_equal(pa.probs, pb.probs)
+        pa, pb = posteriors("mv", m, [a, b])[0]
+        assert np.array_equal(pa, pb)
 
 
 class TestApmPosterior:
@@ -61,10 +66,10 @@ class TestApmPosterior:
         """One vote through a 0.9-accurate path read by a 0.8-accurate pool."""
         m = sym_model([0.5, 0.5], [0.9], [0.8])
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
-        p = infer("apm", m, [s])[0]
-        assert p.probs[1] == pytest.approx(0.74, abs=1e-12)
-        assert p.prediction == 1
-        assert p.confidence == pytest.approx(0.74, abs=1e-12)
+        probs, pred, _ = posteriors("apm", m, [s])
+        assert probs[0, 1] == pytest.approx(0.74, abs=1e-12)
+        assert pred[0] == 1
+        assert confidence(probs, pred)[0] == pytest.approx(0.74, abs=1e-12)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(101)
@@ -74,15 +79,15 @@ class TestApmPosterior:
             per_worker = bool(rng.integers(0, 2))
             m = random_model(rng, n, k=k, per_worker=per_worker)
             s = random_sample(rng, m)
-            got = infer("apm", m, [s])[0].probs
+            got = posteriors("apm", m, [s])[0][0]
             want = enum_posterior(m, s)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_empty_sample_returns_prior(self):
         m = sym_model([0.3, 0.7], [0.9], [0.8])
-        p = infer("apm", m, [TaskSample(task_id="t", votes={})])[0]
-        np.testing.assert_allclose(p.probs, [0.3, 0.7], atol=1e-15)
-        assert not p.degenerate_evidence
+        probs, _, degenerate = posteriors("apm", m, [TaskSample(task_id="t", votes={})])
+        np.testing.assert_allclose(probs[0], [0.3, 0.7], atol=1e-15)
+        assert not degenerate[0]
 
     def test_vote_order_within_path_is_bitwise_invariant(self):
         rng = np.random.default_rng(5)
@@ -95,15 +100,15 @@ class TestApmPosterior:
                 order = rng.permutation(len(votes))
                 shuffled[path] = tuple(votes[i] for i in order)
             s2 = TaskSample(task_id="t1", votes=shuffled)
-            a, b = infer("apm", m, [s, s2])
-            assert np.array_equal(a.probs, b.probs)
+            a, b = posteriors("apm", m, [s, s2])[0]
+            assert np.array_equal(a, b)
 
     def test_conflicting_certain_paths_flag_degenerate(self):
         m = sym_model([0.4, 0.6], [1.0, 1.0], [1.0, 1.0])
         s = TaskSample(task_id="t", votes={0: ((None, 0),), 1: ((None, 1),)})
-        p = infer("apm", m, [s])[0]
-        assert p.degenerate_evidence
-        np.testing.assert_allclose(p.probs, [0.4, 0.6])
+        probs, _, degenerate = posteriors("apm", m, [s])
+        assert degenerate[0]
+        np.testing.assert_allclose(probs[0], [0.4, 0.6])
 
     def test_per_worker_tables(self):
         m = sym_model([0.5, 0.5], [0.9], [0.8])
@@ -115,19 +120,18 @@ class TestApmPosterior:
             worker_cpts=({"a": sym_cpt(0.95), "b": sym_cpt(0.6)},),
         )
         s = TaskSample(task_id="t", votes={0: (("a", 1), ("b", 0))})
-        got = infer("apm", mixed, [s])[0].probs
+        got = posteriors("apm", mixed, [s])[0][0]
         want = enum_posterior(mixed, s)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
         with pytest.raises(MissingWorkerCptError):
-            infer("apm", mixed, [TaskSample(task_id="t", votes={0: (("zz", 1),)})])
+            posteriors("apm", mixed, [TaskSample(task_id="t", votes={0: (("zz", 1),)})])
 
 
 class TestNbiPosterior:
     def test_two_agreeing_reliable_workers(self):
         nm = make_nbi({"a": 0.9, "b": 0.9})
         s = TaskSample(task_id="t", votes={0: (("a", 0), ("b", 0))})
-        p = infer("nbi", nm, [s])[0]
-        assert p.probs[0] == pytest.approx(0.81 / 0.82, abs=1e-12)
+        assert posteriors("nbi", nm, [s])[0][0, 0] == pytest.approx(0.81 / 0.82, abs=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(77)
@@ -143,33 +147,33 @@ class TestNbiPosterior:
             s = TaskSample(task_id="t", votes={0: votes})
             rows = {w: nm.worker_cpts[w].rows for w in workers}
             want = naive_worker_posterior(nm.prior, rows, votes)
-            np.testing.assert_allclose(infer("nbi", nm, [s])[0].probs, want, atol=1e-12)
+            np.testing.assert_allclose(posteriors("nbi", nm, [s])[0][0], want, atol=1e-12)
 
     def test_votes_pool_across_paths(self):
         nm = make_nbi({"a": 0.9, "b": 0.8})
         one_path = TaskSample(task_id="t", votes={0: (("a", 1), ("b", 1))})
         two_paths = TaskSample(task_id="u", votes={0: (("a", 1),), 1: (("b", 1),)})
-        a, b = infer("nbi", nm, [one_path, two_paths])
-        assert np.array_equal(a.probs, b.probs)
+        a, b = posteriors("nbi", nm, [one_path, two_paths])[0]
+        assert np.array_equal(a, b)
 
     def test_unknown_worker_raises(self):
         nm = make_nbi({"a": 0.9})
         s = TaskSample(task_id="t", votes={0: (("ghost", 1),)})
         with pytest.raises(MissingWorkerCptError) as exc:
-            infer("nbi", nm, [s])
+            posteriors("nbi", nm, [s])
         assert exc.value.worker_id == "ghost"
 
     def test_vote_without_worker_id_raises(self):
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
         with pytest.raises(MissingWorkerCptError, match="no CPT for worker 'None'"):
-            infer("nbi", make_nbi({"a": 0.9}), [s])
+            posteriors("nbi", make_nbi({"a": 0.9}), [s])
 
     def test_conflicting_certain_workers_fall_back_to_prior(self):
         nm = make_nbi({"a": 1.0, "b": 1.0}, prior=(0.25, 0.75))
         s = TaskSample(task_id="t", votes={0: (("a", 0), ("b", 1))})
-        p = infer("nbi", nm, [s])[0]
-        assert p.degenerate_evidence
-        np.testing.assert_allclose(p.probs, [0.25, 0.75])
+        probs, _, degenerate = posteriors("nbi", nm, [s])
+        assert degenerate[0]
+        np.testing.assert_allclose(probs[0], [0.25, 0.75])
 
 
 class TestNbapPosterior:
@@ -177,10 +181,10 @@ class TestNbapPosterior:
         """With a perfectly faithful path the marginal is just the pool table."""
         m = sym_model([0.5, 0.5], [1.0], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 0), (None, 0))})
-        p = infer("nbap", m, [s])[0]
-        assert p.probs[0] == pytest.approx(0.81 / 0.82, abs=1e-12)
-        q = infer("apm", m, [s])[0]
-        assert p.probs[0] == pytest.approx(q.probs[0], abs=1e-12)
+        p = posteriors("nbap", m, [s])[0][0]
+        assert p[0] == pytest.approx(0.81 / 0.82, abs=1e-12)
+        q = posteriors("apm", m, [s])[0][0]
+        assert p[0] == pytest.approx(q[0], abs=1e-12)
 
     def test_matches_marginal_oracle(self):
         rng = np.random.default_rng(13)
@@ -188,7 +192,7 @@ class TestNbapPosterior:
             k = int(rng.integers(2, 4))
             m = random_model(rng, int(rng.integers(1, 4)), k=k)
             s = random_sample(rng, m)
-            got = infer("nbap", m, [s])[0].probs
+            got = posteriors("nbap", m, [s])[0][0]
             want = naive_path_posterior(m, s)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -197,7 +201,7 @@ class TestNbapPosterior:
         m = random_model(rng, 2, per_worker=True)
         s = TaskSample(task_id="t", votes={0: (("w0_0", 1),)})
         with pytest.raises(InputError):
-            infer("nbap", m, [s])
+            posteriors("nbap", m, [s])
 
 
 class TestConfidenceDamping:
@@ -210,33 +214,32 @@ class TestConfidenceDamping:
             worker_acc = float(rng.uniform(0.6, 0.95))
             m = sym_model([0.5, 0.5], [path_acc], [worker_acc])
             samples = [repeated(0, r) for r in range(2, 7)]
-            for apm, nbap in zip(infer("apm", m, samples), infer("nbap", m, samples)):
-                assert apm.confidence < nbap.confidence - 1e-12
+            apm, nbap = (confidence(*posteriors(kind, m, samples)[:2]) for kind in ("apm", "nbap"))
+            assert (apm < nbap - 1e-12).all()
 
     def test_frozen_two_vote_gap(self):
         m = sym_model([0.5, 0.5], [0.9], [0.9])
         s = TaskSample(task_id="t", votes={0: ((None, 0), (None, 0))})
-        assert infer("apm", m, [s])[0].probs[0] == pytest.approx(
+        assert posteriors("apm", m, [s])[0][0, 0] == pytest.approx(
             0.8902439024390244, abs=1e-12
         )
-        assert infer("nbap", m, [s])[0].probs[0] == pytest.approx(
+        assert posteriors("nbap", m, [s])[0][0, 0] == pytest.approx(
             0.9540295119182747, abs=1e-12
         )
 
     def test_gap_grows_with_repeats(self):
         m = sym_model([0.5, 0.5], [0.85], [0.8])
         samples = [repeated(0, r) for r in range(1, 8)]
-        gaps = [
-            nbap.confidence - apm.confidence
-            for apm, nbap in zip(infer("apm", m, samples), infer("nbap", m, samples))
-        ]
+        apm, nbap = (confidence(*posteriors(kind, m, samples)[:2]) for kind in ("apm", "nbap"))
+        gaps = (nbap - apm).tolist()
         assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
     def test_degenerate_path_gives_equality(self):
         m = sym_model([0.5, 0.5], [1.0], [0.8])
         samples = [repeated(0, r) for r in range(1, 6)]
-        for a, b in zip(infer("apm", m, samples), infer("nbap", m, samples)):
-            np.testing.assert_allclose(a.probs, b.probs, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(
+            posteriors("apm", m, samples)[0], posteriors("nbap", m, samples)[0], atol=1e-12, rtol=0
+        )
 
 
 class TestMonotoneAgreement:
@@ -249,8 +252,7 @@ class TestMonotoneAgreement:
                 [float(rng.uniform(0.55, 0.95))],
             )
             prev = 0.5
-            for post in infer("apm", m, [repeated(1, r) for r in range(1, 9)]):
-                cur = post.probs[1]
+            for cur in posteriors("apm", m, [repeated(1, r) for r in range(1, 9)])[0][:, 1]:
                 assert cur >= prev - 1e-12
                 prev = cur
 
@@ -263,28 +265,30 @@ class TestDispatch:
         sw = TaskSample(task_id="t", votes={0: (("a", 1),)})
         for kind in ModelKind:
             model, sample = (nm, sw) if kind is ModelKind.NBI else (m, s)
-            by_enum = infer(kind, model, [sample])[0].probs
-            assert np.array_equal(by_enum, infer(kind.value, model, [sample])[0].probs)
-        assert infer("mv", m, [s])[0].prediction == 1
-
+            by_enum = posteriors(kind, model, [sample])[0]
+            assert np.array_equal(by_enum, posteriors(kind.value, model, [sample])[0])
+        assert posteriors("mv", m, [s])[1][0] == 1
 
     def test_wrong_model_type(self):
         m = sym_model([0.5, 0.5], [0.9], [0.8])
         nm = make_nbi({"a": 0.9})
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
         with pytest.raises(InputError):
-            infer("nbi", m, [s])
+            posteriors("nbi", m, [s])
         with pytest.raises(InputError):
-            infer("apm", nm, [s])
+            posteriors("apm", nm, [s])
         with pytest.raises(InputError):
-            infer("nope", m, [s])
+            posteriors("nope", m, [s])
 
     def test_batch_is_checked_like_a_dataset(self):
-        """`infer` tabulates its samples as a Dataset: repeated task ids and bad truths fail."""
+        """A table is checked as it is built and again against the model's layout:
+        repeated task ids, and truths or paths beyond the model, fail."""
         m = sym_model([0.5, 0.5], [0.9], [0.8])
         s = TaskSample(task_id="t", votes={0: ((None, 1),)})
         with pytest.raises(InputError, match="duplicate task id 't'"):
-            infer("apm", m, [s, s])
-        with pytest.raises(InputError, match="truth 2"):
-            infer("mv", m, [TaskSample(task_id="t", votes={0: ((None, 1),)}, truth=2)])
-        assert len(infer("apm", m, [s, TaskSample(task_id="u", votes={})])) == 2
+            posteriors("apm", m, [s, s])
+        with pytest.raises(InputError, match="truth 2 outside 0..1"):
+            table_posteriors("mv", m, table_of([TaskSample("t", s.votes, truth=2)], 1, 3))
+        with pytest.raises(InputError, match="path index 1 outside 0..0"):
+            table_posteriors("apm", m, table_of([TaskSample("t", {1: s.votes[0]})], 2, 2))
+        assert len(posteriors("apm", m, [s, TaskSample(task_id="u", votes={})])[0]) == 2

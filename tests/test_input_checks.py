@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import crowdplan.evaluation as evaluation
 from crowdplan.cli import main
 from crowdplan.errors import InputError, ResourceLimitError
-from crowdplan.evaluation import budget_sweep, execute_plan_on_sample
+from crowdplan.evaluation import budget_sweep
 from crowdplan.inference import table_log_joint
 from crowdplan.infogain import (
     IgConfig,
@@ -38,16 +38,25 @@ from crowdplan.model import (
     TaskSample,
     model_from_dict,
     model_to_dict,
+    validate_model,
     with_costs,
+    with_labels,
 )
 from crowdplan.planner import baseline_plan, build_plan, greedy_plan
 from crowdplan.simulator import generate, inject_correlation, quantile_paths
 
-from _oracles import sym_model
+from _oracles import records_of, sym_model, table_of
 
 MODEL = sym_model([0.6, 0.4], [0.9, 0.8, 0.7], [0.85, 0.8, 0.75], costs=[1, 2, "1/2"])
 EXACT = IgConfig(mode=IgMode.EXACT)
 SAMPLE = TaskSample("t", {0: ((None, 0), (None, 1), (None, 0)), 1: ((None, 1),) * 3})
+SAMPLE_TABLE = table_of([SAMPLE], 2, 2)
+
+
+def execute(counts, seed=0) -> tuple[np.ndarray, bool]:
+    """The mask of SAMPLE's votes that one plan buys, and whether it short-fills SAMPLE."""
+    bought, short = evaluation._execute(SAMPLE_TABLE, [AccessPlan(counts)], [seed])
+    return bought, bool(short[0])
 
 
 @pytest.mark.parametrize(
@@ -83,19 +92,20 @@ def test_plan_counts_must_be_integers(counts):
 @pytest.mark.parametrize("plan", [[-1, 1], [1.7, 1]])
 def test_executed_plan_counts_are_checked(plan):
     with pytest.raises(InputError, match="plan count"):
-        execute_plan_on_sample(SAMPLE, plan)
+        execute(plan)
 
 
 @pytest.mark.parametrize("count", [2**31, 2**32, 2**63, 2**64])
 def test_huge_executed_plan_counts_short_fill(count):
-    executed = execute_plan_on_sample(SAMPLE, [count, 1])
-    assert executed.sample.votes_for(0) == SAMPLE.votes_for(0)
-    assert executed.short_filled
+    bought, short = execute([count, 1])
+    assert bought[SAMPLE_TABLE.path_idx == 0].all()
+    assert np.count_nonzero(bought[SAMPLE_TABLE.path_idx == 1]) == 1
+    assert short
 
 
 def test_path_outside_the_executed_plan():
     with pytest.raises(InputError, match="task t: path index 1 outside 0..0"):
-        execute_plan_on_sample(SAMPLE, [1])
+        table_of([SAMPLE], 1, 2)
 
 
 def test_fractional_plan_is_not_scored_as_truncated():
@@ -154,7 +164,7 @@ def test_tabulate_checks_index_columns(change, needle):
 
 def test_tabulate_takes_empty_columns():
     data = Dataset.tabulate(["t"], [1], [], [], [], [], [], 2)
-    assert data.samples == (TaskSample("t", {}, truth=1),)
+    assert records_of(data) == (TaskSample("t", {}, truth=1),)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +222,29 @@ def test_sampled_conditional_entropies_checks_its_config():
         sampled_conditional_entropies(MODEL, [[1, 1, 1]], cfg=5)
 
 
+@pytest.mark.parametrize("p, shown", [("a", "'a'"), (None, "None"), (math.nan, "nan")])
+def test_inject_correlation_probability_must_be_a_real_number(p, shown):
+    data = generate(MODEL, [1, 1, 1], 3)
+    with pytest.raises(InputError, match=f"probability must be a real number, got {shown}"):
+        inject_correlation(data, p)
+
+
+@pytest.mark.parametrize("accuracy, shown", [("x", "'x'"), (math.nan, "nan")])
+def test_quantile_paths_accuracies_must_be_real_numbers(accuracy, shown):
+    with pytest.raises(InputError, match=f"worker 'a' must be a real number, got {shown}"):
+        quantile_paths({"a": accuracy, "b": 0.6}, 2)
+
+
+def test_with_labels_needs_a_label_space():
+    with pytest.raises(InputError, match="expected a LabelSpace, got None"):
+        with_labels(MODEL, None)
+
+
+def test_validate_model_needs_an_apm_model():
+    with pytest.raises(InputError, match="expected an ApmModel, got None"):
+        validate_model(None)
+
+
 def test_unknown_ig_mode_names_the_choices():
     with pytest.raises(InputError, match="unknown IG mode 'x'; choose from exact, sampled, auto"):
         IgConfig(mode="x")
@@ -229,7 +262,7 @@ def test_unknown_ig_mode_names_the_choices():
         lambda: check_submodularity(MODEL, 0, seed=1.5),
         lambda: quantile_paths({"a": 0.5, "b": 0.7, "c": 0.9}, num_paths=2.5),
         lambda: inject_correlation(generate(MODEL, [1, 1, 1], 3), 0.5, seed=1.5),
-        lambda: execute_plan_on_sample(SAMPLE, [3, 3], seed=1.5),
+        lambda: execute([3, 3], seed=1.5),
         lambda: generate(MODEL, [1, 1, 1], 0, seed=1.5),
         lambda: table_log_joint("mv", MODEL, generate(MODEL, [1, 1, 1], 3)),
         lambda: replace(MODEL, path_cpts=MODEL.path_cpts[:2]),
@@ -342,8 +375,8 @@ def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks
     )
 
     def executed():
-        ex = execute_plan_on_sample(SAMPLE, [count, 1], seed=seed)
-        return [len(ex.sample.votes_for(p)) for p in (0, 1)]
+        bought, _ = execute([count, 1], seed=seed)
+        return np.bincount(SAMPLE_TABLE.path_idx[bought], minlength=2).tolist()
 
     check(good_count and good_seed, executed, lambda: [min(n, 3), 1])
 

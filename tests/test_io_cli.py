@@ -19,13 +19,13 @@ from crowdplan.errors import (
     NumericError,
     ResourceLimitError,
 )
-from crowdplan.inference import infer
+from crowdplan.inference import table_posteriors
 from crowdplan.io import parse_budgets, parse_int_list, read_votes_csv, write_votes_csv
 from crowdplan.evaluation import budget_sweep
 from crowdplan.model import Dataset, TaskSample, load_model, save_model
 from crowdplan.simulator import generate
 
-from _oracles import sym_model
+from _oracles import records_of, sym_model, table_of
 from test_golden import ragged_votes
 
 from importlib.resources import files
@@ -59,16 +59,17 @@ class TestReadVotes:
         )
         data, names = read_votes_csv(str(f))
         assert names == ("yes", "no")
-        assert data.samples[0].votes_for(0) == (("alice", 0), ("bob", 1))
-        assert data.samples[0].truth == 1
-        assert data.samples[1].truth is None
+        first, second = records_of(data)
+        assert first.votes_for(0) == (("alice", 0), ("bob", 1))
+        assert first.truth == 1
+        assert second.truth is None
 
     def test_fixed_label_set(self, tmp_path):
         f = tmp_path / "v.csv"
         write_csv(f, ["t1,0,,yes,", "t2,0,,no,"])
         data, names = read_votes_csv(str(f), names=("no", "yes"))
         assert names == ("no", "yes")
-        assert data.samples[0].votes_for(0)[0][1] == 1
+        assert records_of(data)[0].votes_for(0)[0][1] == 1
 
     def test_unknown_label_rejected(self, tmp_path):
         f = tmp_path / "v.csv"
@@ -131,7 +132,7 @@ class TestReadVotes:
 
     def test_write_uses_names(self, tmp_path):
         s = TaskSample(task_id="t", votes={0: (("w", 1),)}, truth=0)
-        data = Dataset(samples=(s,), num_paths=1, num_labels=2)
+        data = table_of(samples=(s,), num_paths=1, num_labels=2)
         f = tmp_path / "v.csv"
         write_votes_csv(data, str(f), names=("no", "yes"))
         rows = list(csv.DictReader(f.open()))
@@ -565,8 +566,8 @@ class TestCliInputChecks:
             load_model(EXAMPLE)
         )
         task = TaskSample(task_id="t", votes={0: (("a" if nbi else None, 2),)})
-        with pytest.raises(InputError, match="label 2"):
-            infer(kind, model, [task])
+        with pytest.raises(InputError, match="label 2 outside 0..1"):
+            table_posteriors(kind, model, table_of([task], None, 3))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("where", ["prior", "path_cpt", "shared_cpt"])

@@ -22,10 +22,10 @@ from crowdplan._kernel import (
     logsumexp,
     vote_evidence,
 )
-from crowdplan.inference import infer
-from crowdplan.model import Dataset, TaskSample
+from crowdplan.inference import table_posteriors
+from crowdplan.model import TaskSample
 
-from _oracles import enum_posterior, random_model
+from _oracles import enum_posterior, random_model, table_of
 
 PARITY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 BIT_K = st.integers(2, 7)
@@ -187,7 +187,7 @@ def vote_table(rng, k, paths, tasks=12, workers=4):
                 )
         truth = int(rng.integers(k)) if rng.random() < 0.5 else None
         samples.append(TaskSample(task_id=f"t{rng.integers(10**6)}-{t}", votes=votes, truth=truth))
-    return Dataset(samples, paths, k), samples
+    return table_of(samples, paths, k), samples
 
 
 def posteriors(rng, shape):
@@ -270,8 +270,8 @@ def test_nine_label_posterior_matches_enumeration():
     rng = np.random.default_rng(9)
     model = random_model(rng, 2, k=9)
     task = TaskSample(task_id="t", votes={0: ((None, 3), (None, 3), (None, 7)), 1: ((None, 0),)})
-    post = infer("apm", model, [task])[0]
-    np.testing.assert_allclose(post.probs, enum_posterior(model, task), atol=1e-12, rtol=0)
+    probs = table_posteriors("apm", model, table_of([task], None, 9))[0][0]
+    np.testing.assert_allclose(probs, enum_posterior(model, task), atol=1e-12, rtol=0)
 
 
 # --- scatter-adds ---
@@ -281,7 +281,7 @@ def test_nine_label_posterior_matches_enumeration():
 @given(k=st.integers(2, 10), paths=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_scatters_bits(k, paths, seed):
     rng = np.random.default_rng(seed)
-    t, samples = vote_table(rng, k, paths)
+    t, _ = vote_table(rng, k, paths)
     pairs, slot_idx = t.path_worker_slots()
     tables = log_tables(rng, len(pairs), k)
     same_bits(
@@ -312,12 +312,12 @@ def test_scatters_bits(k, paths, seed):
     got = lone(learning._nbi_mstep(t, q_y.T[:, None], alpha))
     for g, w in zip(got, ref_nbi_mstep(t, q_y, alpha)):
         same_bits(g, w)
-    got = np.stack([p.probs for p in infer("mv", random_model(rng, paths, k=k), samples)])
-    same_bits(got, ref_mv_probs(t, k))
+    got = table_posteriors("mv", random_model(rng, paths, k=k), t)[0]
+    same_bits(got[np.argsort(t.order)], ref_mv_probs(t, k))
 
 
 def test_empty_scatters():
-    t = Dataset([TaskSample(task_id="a", votes={})], 2, 3)
+    t = table_of([TaskSample(task_id="a", votes={})], 2, 3)
     _, slot_idx = t.path_worker_slots()
     same_bits(
         vote_evidence(t, slot_idx, np.zeros((0, 3, 3))).transpose(2, 1, 0),
@@ -353,12 +353,12 @@ def estep_table(rng, k, paths, truths):
     """A vote table with a voteless task and a task whose only vote, label
     k - 1 on path 0 by worker w0, has probability 0 under every state once
     `dead_column` is applied; `truths` is "none", "some" or "all"."""
-    t, _ = vote_table(rng, k, paths)
-    samples = [*t.samples, TaskSample("voteless", {}), TaskSample("dead", {0: (("w0", k - 1),)})]
+    _, samples = vote_table(rng, k, paths)
+    samples = [*samples, TaskSample("voteless", {}), TaskSample("dead", {0: (("w0", k - 1),)})]
     for i, s in enumerate(samples):
         known = truths == "all" or (truths == "some" and rng.random() < 0.5)
         samples[i] = TaskSample(s.task_id, s.votes, int(rng.integers(k)) if known else None)
-    return Dataset(samples, paths, k)
+    return table_of(samples, paths, k)
 
 
 def dead_column(tables, slot, label):
@@ -416,7 +416,7 @@ def test_esteps_match_task_major_references(k, paths, seed, truths):
 def test_esteps_without_tasks_or_votes(tasks):
     """n = 0, and V = 0: every path inactive, so each log joint is the log prior."""
     k, paths = 3, 2
-    t = Dataset(tasks, paths, k)
+    t = table_of(tasks, paths, k)
     rng = np.random.default_rng(0)
     slots = learning._slots(t, True)
     params = learning._Params(

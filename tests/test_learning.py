@@ -26,7 +26,7 @@ from crowdplan.model import (
 )
 from crowdplan.simulator import generate
 
-from _oracles import aligned_worst_row_l1, ref_em_fit, sym_cpt, sym_model
+from _oracles import aligned_worst_row_l1, records_of, ref_em_fit, sym_cpt, sym_model, table_of
 
 FAST = EmConfig(max_iters=200, restarts=2, seed=0)
 
@@ -39,7 +39,7 @@ class TestLogLikelihood:
     def test_uninformative_model_single_vote(self):
         """With every table uniform, one labeled vote carries mass 1/4."""
         m = uniform_model()
-        data = Dataset(
+        data = table_of(
             samples=(TaskSample(task_id="t", votes={0: ((None, 1),)}, truth=0),),
             num_paths=1,
             num_labels=2,
@@ -48,7 +48,7 @@ class TestLogLikelihood:
 
     def test_marginalizes_when_truth_unknown(self):
         m = uniform_model()
-        data = Dataset(
+        data = table_of(
             samples=(TaskSample(task_id="t", votes={0: ((None, 1),)}),),
             num_paths=1,
             num_labels=2,
@@ -59,26 +59,26 @@ class TestLogLikelihood:
         m = sym_model([0.4, 0.6], [0.9], [0.8])
         s1 = TaskSample(task_id="a", votes={0: ((None, 1),)}, truth=1)
         s2 = TaskSample(task_id="b", votes={0: ((None, 0), (None, 1))})
-        both = Dataset(samples=(s1, s2), num_paths=1, num_labels=2)
-        one = Dataset(samples=(s1,), num_paths=1, num_labels=2)
-        two = Dataset(samples=(s2,), num_paths=1, num_labels=2)
+        both = table_of(samples=(s1, s2), num_paths=1, num_labels=2)
+        one = table_of(samples=(s1,), num_paths=1, num_labels=2)
+        two = table_of(samples=(s2,), num_paths=1, num_labels=2)
         assert log_likelihood(m, both) == pytest.approx(
             log_likelihood(m, one) + log_likelihood(m, two), abs=1e-12
         )
 
     def test_empty_dataset_is_zero(self):
         m = uniform_model()
-        assert log_likelihood(m, Dataset(samples=(), num_paths=1, num_labels=2)) == 0.0
+        assert log_likelihood(m, table_of(samples=(), num_paths=1, num_labels=2)) == 0.0
 
     def test_nbi_label_outside_the_model_rejected(self):
         m = NbiModel(LabelSpace(2), np.array([0.5, 0.5]), worker_cpts={"w": sym_cpt(0.8)})
-        data = Dataset(samples=(TaskSample("t", {0: (("w", 2),)}),), num_paths=1, num_labels=3)
+        data = table_of(samples=(TaskSample("t", {0: (("w", 2),)}),), num_paths=1, num_labels=3)
         with pytest.raises(InputError, match="task t: label 2 outside 0..1"):
             log_likelihood(m, data)
 
     def test_layout_mismatch_rejected(self):
         m = uniform_model(num_paths=1)
-        data = Dataset(samples=(TaskSample("t", {1: ((None, 0),)}),), num_paths=2, num_labels=2)
+        data = table_of(samples=(TaskSample("t", {1: ((None, 0),)}),), num_paths=2, num_labels=2)
         with pytest.raises(InputError, match="task t: path index 1 outside 0..0"):
             log_likelihood(m, data)
 
@@ -114,14 +114,14 @@ class TestSupervised:
                     task_id=f"t{t}", votes={0: ((None, y), (None, y))}, truth=y
                 )
             )
-        data = Dataset(samples=tuple(samples), num_paths=1, num_labels=2)
+        data = table_of(samples=tuple(samples), num_paths=1, num_labels=2)
         cfg = EmConfig(max_iters=300, smoothing_alpha=0.0, restarts=1, seed=0)
         model, _ = fit_supervised(data, cfg=cfg)
         combined = model.path_cpts[0].rows @ model.worker_cpts[0].rows
         np.testing.assert_allclose(combined, np.eye(2), atol=5e-3)
 
     def test_requires_complete_truths(self):
-        data = Dataset(
+        data = table_of(
             samples=(TaskSample(task_id="t", votes={0: ((None, 1),)}),),
             num_paths=1,
             num_labels=2,
@@ -134,13 +134,7 @@ class TestEm:
     def test_objective_history_is_monotone(self):
         truth = sym_model([0.5, 0.5], [0.8, 0.8], [0.9, 0.75])
         data = generate(truth, [3, 3], 400, seed=3)
-        hidden = Dataset(
-            samples=tuple(
-                TaskSample(task_id=s.task_id, votes=s.votes) for s in data.samples
-            ),
-            num_paths=2,
-            num_labels=2,
-        )
+        hidden = Dataset.tabulate(**{**data.stored_columns(), "truth": np.full(len(data), -1)})
         for alpha in (0.0, 1.0):
             cfg = EmConfig(max_iters=120, smoothing_alpha=alpha, restarts=1, seed=1)
             _, report = fit_em(hidden, cfg=cfg)
@@ -163,14 +157,9 @@ class TestEm:
     def test_partial_labels_accepted(self):
         truth = sym_model([0.5, 0.5], [0.8], [0.85])
         data = generate(truth, [4], 500, seed=9)
-        half = Dataset(
-            samples=tuple(
-                s if i % 2 == 0 else TaskSample(task_id=s.task_id, votes=s.votes)
-                for i, s in enumerate(data.samples)
-            ),
-            num_paths=1,
-            num_labels=2,
-        )
+        columns = data.stored_columns()
+        columns["truth"][1::2] = -1  # every other task, in stored order, unlabeled
+        half = Dataset.tabulate(**columns)
         model, report = fit_em(half, cfg=FAST)
         assert validate_model(model) == []
         assert 0 <= report.restart_index < FAST.restarts
@@ -202,7 +191,7 @@ class TestEm:
             TaskSample(task_id=f"t{t}", votes={0: ((None, t % 2),)}, truth=t % 2)
             for t in range(40)
         )
-        data = Dataset(samples=samples, num_paths=2, num_labels=2)
+        data = table_of(samples=samples, num_paths=2, num_labels=2)
         model, report = fit_em(data, cfg=FAST)
         assert report.sparse_paths == (1,)
         np.testing.assert_allclose(model.worker_cpts[1].rows, 0.5)
@@ -257,7 +246,7 @@ class TestEm:
             )
             for t in range(6)
         )
-        data = Dataset(samples=samples, num_paths=80, num_labels=2)
+        data = table_of(samples=samples, num_paths=80, num_labels=2)
         model, report = fit_em(
             data, share_workers=False, cfg=EmConfig(max_iters=2, restarts=1)
         )
@@ -280,7 +269,7 @@ class TestEm:
             TaskSample("t0", {0: ((None, 0),), 40: ((None, 1),)}, truth=0),
             TaskSample("t1", {0: ((None, 1),)}, truth=1),
         )
-        data = Dataset(samples=samples, num_paths=None, num_labels=2)
+        data = table_of(samples=samples, num_paths=None, num_labels=2)
         model, report = fit_em(data, cfg=EmConfig(max_iters=3, restarts=1))
         assert model.num_paths == 41 and len(report.sparse_paths) == 39
         assert len(calls) == 2
@@ -299,7 +288,7 @@ class TestEm:
             TaskSample("t0", {0: ((None, 0),), 59: ((None, 1), (None, 1))}, truth=0),
             TaskSample("t1", {0: ((None, 1),)}, truth=1),
         )
-        data = Dataset(samples=samples, num_paths=60, num_labels=2)
+        data = table_of(samples=samples, num_paths=60, num_labels=2)
         model, report = fit_em(data, cfg=EmConfig(max_iters=3, restarts=1))
         assert len(report.sparse_paths) == 58
         # the prior, then a path table and a vote table for each of the two
@@ -315,7 +304,7 @@ class TestEm:
 
     def test_per_worker_mode_needs_votes(self):
         """Without a single vote there is no worker to fit a table for."""
-        data = Dataset(samples=(TaskSample("t0", {}),), num_paths=1, num_labels=2)
+        data = table_of(samples=(TaskSample("t0", {}),), num_paths=1, num_labels=2)
         with pytest.raises(InputError):
             fit_em(data, share_workers=False, cfg=FAST)
 
@@ -332,13 +321,7 @@ class TestNbi:
         )
         data = generate(per, [1] * len(accs), num_tasks, seed=seed)
         if hide_truth:
-            data = Dataset(
-                samples=tuple(
-                    TaskSample(task_id=s.task_id, votes=s.votes) for s in data.samples
-                ),
-                num_paths=data.num_paths,
-                num_labels=2,
-            )
+            data = Dataset.tabulate(**{**data.stored_columns(), "truth": np.full(len(data), -1)})
         return data
 
     def test_recovers_worker_accuracies(self):
@@ -403,8 +386,8 @@ class TestNbi:
         lonely = TaskSample(
             task_id="zz-extra", votes={0: (("drifter", 1),)}, truth=1
         )
-        data = Dataset(
-            samples=data.samples + (lonely,), num_paths=2, num_labels=2
+        data = table_of(
+            samples=records_of(data) + (lonely,), num_paths=2, num_labels=2
         )
         model, report = fit_nbi(data, cfg=FAST)
         assert "drifter" in model.sparse_workers
@@ -433,7 +416,7 @@ def noisy_table(rng, k, paths, truths, tasks=10, workers=4):
     for i, s in enumerate(samples):
         known = truths == "all" or (truths == "some" and rng.random() < 0.5)
         samples[i] = TaskSample(s.task_id, s.votes, int(rng.integers(k)) if known else None)
-    return Dataset(samples, paths, k)
+    return table_of(samples, paths, k)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -479,14 +462,14 @@ def test_stacked_em_matches_restart_by_restart(
 def test_oversize_stacked_fit_is_refused_before_it_allocates():
     """Restarts are fitted as one stack, so the size guard counts every restart's
     (K_y, K_z, N, n) posteriors: 3 * 10^2 * (100 * 5000 + 100) cells here."""
-    data = Dataset([TaskSample(f"t{i}", {}) for i in range(5000)], num_paths=100, num_labels=10)
+    data = table_of([TaskSample(f"t{i}", {}) for i in range(5000)], num_paths=100, num_labels=10)
     with pytest.raises(ResourceLimitError, match="posteriors needs 150030000 array cells"):
         fit_em(data, cfg=EmConfig(restarts=3))
 
 
 def test_oversize_stacked_nbi_fit_is_refused_before_it_allocates():
     """2 * 10^7 restarts of one vote: 2 * 10^7 * 2 * (1 * 2 + 1 + 1) cells."""
-    data = Dataset([TaskSample("t", {0: (("w", 1),)})], num_paths=1, num_labels=2)
+    data = table_of([TaskSample("t", {0: (("w", 1),)})], num_paths=1, num_labels=2)
     with pytest.raises(ResourceLimitError, match="posteriors needs 160000000 array cells"):
         fit_nbi(data, cfg=EmConfig(restarts=2 * 10**7))
 

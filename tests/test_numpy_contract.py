@@ -14,12 +14,17 @@ given.
   order, one pass per entry; they equal numpy's own sum over that axis, bit
   for bit, because numpy adds 7 or fewer entries of a contiguous axis in
   order too (from 8 it sums pairwise).
+* Every stream is a Philox4x64-10 keyed through `SeedSequence` mixing, which
+  `_rng.stream_keys` replays. `tests/test_rng.py` checks that replay against
+  numpy; here one key and the stream's first words are pinned as literals, so
+  a numpy that changed both the same way still fails.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crowdplan._rng import _fold
 from crowdplan.evaluation import _draw_bounds, _floyd, _lemire_rejects
 
 CONTRACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -167,3 +172,14 @@ def test_sum_order_shows_from_eight_entries():
     tiny = 2.0**-53
     assert np.array([1.0] + [tiny] * 6).sum() == 1.0
     assert np.array([1.0] + [tiny] * 7).sum() > 1.0
+
+
+def test_seed_sequence_key_and_philox_words_are_pinned():
+    """The key and first raw words of the stream that executes task t1 under seed 0."""
+    entropy = [_fold(0), _fold("exec"), _fold("t1")]
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    assert key.tolist() == [0xB457251D40378260, 0x23F1581B5505E4EE]
+    words = np.random.Philox(key=key).random_raw(4)
+    assert words.tolist() == [
+        0x7EDC3EC132D9B9A4, 0x82DD7FC0488223CF, 0x1AFDC5F26793E0B9, 0x609AD892CC0C1E1B
+    ]

@@ -31,7 +31,6 @@ import crowdplan.planner as planner
 from crowdplan._rng import derive_seed, substream
 from crowdplan.cli import main
 from crowdplan.errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
-from crowdplan.inference import infer
 from crowdplan.infogain import (
     IgConfig,
     IgEstimate,
@@ -49,7 +48,6 @@ from crowdplan.model import (
     AccessPlan,
     ApmModel,
     Cpt,
-    Dataset,
     LabelSpace,
     NbiModel,
     TaskSample,
@@ -66,7 +64,9 @@ from _oracles import (
     enum_posterior,
     naive_path_posterior,
     naive_worker_posterior,
+    posteriors,
     sym_model,
+    table_of,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -139,8 +139,8 @@ def has_per_worker_path(model):
 def test_apm_matches_enumeration(data):
     model = data.draw(apm_models())
     tasks = data.draw(task_lists(model.num_paths, model.num_labels, has_per_worker_path(model)))
-    for task, post in zip(tasks, infer("apm", model, tasks)):
-        np.testing.assert_allclose(post.probs, enum_posterior(model, task), atol=1e-12, rtol=0)
+    for task, probs in zip(tasks, posteriors("apm", model, tasks)[0]):
+        np.testing.assert_allclose(probs, enum_posterior(model, task), atol=1e-12, rtol=0)
 
 
 @PROPERTY
@@ -148,9 +148,9 @@ def test_apm_matches_enumeration(data):
 def test_nbap_matches_path_marginal_oracle(data):
     model = data.draw(apm_models(shared_only=True))
     tasks = data.draw(task_lists(model.num_paths, model.num_labels, per_worker=False))
-    for task, post in zip(tasks, infer("nbap", model, tasks)):
+    for task, probs in zip(tasks, posteriors("nbap", model, tasks)[0]):
         want = naive_path_posterior(model, task)
-        np.testing.assert_allclose(post.probs, want, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(probs, want, atol=1e-12, rtol=0)
 
 
 @PROPERTY
@@ -159,10 +159,10 @@ def test_nbi_matches_worker_oracle(data):
     model = data.draw(nbi_models())
     tasks = data.draw(task_lists(2, model.num_labels))
     rows = {w: t.rows for w, t in model.worker_cpts.items()}
-    for task, post in zip(tasks, infer("nbi", model, tasks)):
+    for task, probs in zip(tasks, posteriors("nbi", model, tasks)[0]):
         votes = [wv for p in sorted(task.votes) for wv in task.votes[p]]
         want = naive_worker_posterior(model.prior, rows, votes)
-        np.testing.assert_allclose(post.probs, want, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(probs, want, atol=1e-12, rtol=0)
 
 
 def shuffled(draw, tasks):
@@ -187,13 +187,13 @@ def test_permuting_votes_and_tasks_is_bitwise_invariant(data, kind):
         num_paths = model.num_paths
     per_worker = kind == "nbi" or (kind == "apm" and has_per_worker_path(model))
     tasks = data.draw(task_lists(num_paths, model.num_labels, per_worker, max_votes=10))
-    before = {t.task_id: p for t, p in zip(tasks, infer(kind, model, tasks))}
+    before = {t.task_id: p for t, p in zip(tasks, zip(*posteriors(kind, model, tasks)))}
     other = shuffled(data.draw, tasks)
-    for task, post in zip(other, infer(kind, model, other)):
-        want = before[task.task_id]
-        assert np.array_equal(post.probs, want.probs)
-        assert post.prediction == want.prediction
-        assert post.degenerate_evidence == want.degenerate_evidence
+    for task, (probs, pred, degenerate) in zip(other, zip(*posteriors(kind, model, other))):
+        want_probs, want_pred, want_degenerate = before[task.task_id]
+        assert np.array_equal(probs, want_probs)
+        assert pred == want_pred
+        assert degenerate == want_degenerate
 
 
 @PROPERTY
@@ -211,12 +211,12 @@ def test_log_likelihood_is_sum_of_oracle_log_joints(data):
         mass = joint[task.truth] if task.truth is not None else math.fsum(joint)
         want += math.log(mass) if mass > 0 else -math.inf
     layout = {"num_paths": model.num_paths, "num_labels": model.num_labels}
-    got = log_likelihood(model, Dataset(samples=tuple(tasks), **layout))
+    got = log_likelihood(model, table_of(samples=tuple(tasks), **layout))
     if math.isinf(want):
         assert got == want
     else:
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
-    other = Dataset(samples=tuple(shuffled(data.draw, tasks)), **layout)
+    other = table_of(samples=tuple(shuffled(data.draw, tasks)), **layout)
     assert log_likelihood(model, other) == got
 
 
@@ -239,7 +239,7 @@ def test_permuting_votes_and_tasks_leaves_learning_bitwise_unchanged(data, num_p
         return to_dict(model), report
 
     def learned(samples):
-        table = Dataset(samples=tuple(samples), num_paths=num_paths, num_labels=k)
+        table = table_of(samples=tuple(samples), num_paths=num_paths, num_labels=k)
         return [outcome(document, to_dict, fit, table) for to_dict, fit in fits]
 
     assert learned(shuffled(data.draw, tasks)) == learned(tasks)
@@ -617,7 +617,7 @@ def test_em_history_never_decreases(data, alpha):
     tasks = data.draw(
         task_lists(model.num_paths, model.num_labels, per_worker=not shared, labeled=True)
     )
-    dataset = Dataset(samples=tuple(tasks), num_paths=model.num_paths, num_labels=model.num_labels)
+    dataset = table_of(samples=tuple(tasks), num_paths=model.num_paths, num_labels=model.num_labels)
     cfg = EmConfig(max_iters=25, rel_tol=1e-12, smoothing_alpha=alpha, restarts=2, seed=1)
     if not shared and not any(t.total_votes for t in tasks):
         with pytest.raises(InputError):

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from crowdplan.errors import InputError
 from crowdplan.io import read_votes_csv
 
+from _oracles import records_of
+
 VOTES_HEADER = ("task_id", "path_id", "worker_id", "vote", "truth")
 
 
@@ -156,7 +158,7 @@ def votes_files(draw):
 
 
 def _stored(data):
-    return [(s.task_id, s.votes, s.truth) for s in data.samples]
+    return [(s.task_id, s.votes, s.truth) for s in records_of(data)]
 
 
 def _outcome(read, path, names):

@@ -19,7 +19,7 @@ from crowdplan.errors import InputError
 from crowdplan.model import AccessPathSpec, ApmModel, Cpt, Dataset, LabelSpace, TaskSample
 from crowdplan.simulator import generate, inject_correlation, quantile_paths
 
-from _oracles import sym_cpt, sym_model
+from _oracles import records_of, sym_cpt, sym_model, table_of
 
 PARITY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -139,7 +139,7 @@ def ragged_datasets(draw):
                 votes[i] = tuple(path)
         truth = draw(st.none() | st.integers(0, k - 1))
         samples.append(TaskSample(task_id=tid, votes=votes, truth=truth))
-    return Dataset(samples, n, k)
+    return table_of(samples, n, k)
 
 
 class TestBatchedDrawsMatchPerTaskLoops:
@@ -194,7 +194,7 @@ class TestStreams:
             TaskSample(task_id="empty", votes={}),
             TaskSample(task_id="pair", votes={0: ((None, 1),), 1: ((None, 0), (None, 1))}),
         )
-        inject_correlation(Dataset(samples, 2, 2), 0.5, seed=1)
+        inject_correlation(table_of(samples, 2, 2), 0.5, seed=1)
         assert opened == [("inject", "pair")]
 
 
@@ -216,7 +216,7 @@ class TestGenerate:
     def test_deterministic_tables_copy_the_truth(self):
         m = sym_model([0.3, 0.7], [1.0, 1.0], [1.0, 1.0])
         data = generate(m, [3, 2], 200, seed=0)
-        for s in data.samples:
+        for s in records_of(data):
             for path, votes in s.votes.items():
                 assert all(v == s.truth for _, v in votes)
 
@@ -233,8 +233,8 @@ class TestGenerate:
     def test_task_ids_and_counts(self):
         m = sym_model([0.5, 0.5], [0.8, 0.7], [0.9, 0.85])
         data = generate(m, [2, 0], 12, seed=1)
-        assert [s.task_id for s in data.samples] == [f"t{i:06d}" for i in range(12)]
-        for s in data.samples:
+        assert [s.task_id for s in records_of(data)] == [f"t{i:06d}" for i in range(12)]
+        for s in records_of(data):
             assert len(s.votes_for(0)) == 2
             assert s.votes_for(1) == ()
             assert s.truth is not None
@@ -242,14 +242,14 @@ class TestGenerate:
     def test_truth_frequency_tracks_prior(self):
         m = sym_model([0.9, 0.1], [0.9], [0.8])
         data = generate(m, [1], 20_000, seed=3)
-        share = np.mean([s.truth for s in data.samples])
+        share = np.mean([s.truth for s in records_of(data)])
         assert share == pytest.approx(0.1, abs=0.01)
 
     def test_vote_frequency_tracks_model_marginal(self):
         """p(x=1) = 0.1 * 0.74 + 0.9 * 0.26 for a 0.9 path with 0.8 workers."""
         m = sym_model([0.9, 0.1], [0.9], [0.8])
         data = generate(m, [1], 20_000, seed=5)
-        share = np.mean([s.votes_for(0)[0][1] for s in data.samples])
+        share = np.mean([s.votes_for(0)[0][1] for s in records_of(data)])
         assert share == pytest.approx(0.308, abs=0.01)
 
     def test_per_worker_round_robin(self):
@@ -262,7 +262,7 @@ class TestGenerate:
             worker_cpts=({"b": sym_cpt(0.8), "a": sym_cpt(0.9)},),
         )
         data = generate(m, [5], 20, seed=0)
-        for s in data.samples:
+        for s in records_of(data):
             workers = [w for w, _ in s.votes_for(0)]
             assert workers == ["a", "b", "a", "b", "a"]
 
@@ -285,7 +285,7 @@ def two_vote_dataset(num_tasks):
         )
         for i in range(num_tasks)
     )
-    return Dataset(samples=samples, num_paths=1, num_labels=2)
+    return table_of(samples=samples, num_paths=1, num_labels=2)
 
 
 class TestInjectCorrelation:
@@ -298,7 +298,7 @@ class TestInjectCorrelation:
         m = sym_model([0.5, 0.5], [0.8, 0.7], [0.9, 0.85])
         data = generate(m, [4, 3], 200, seed=2)
         bent = inject_correlation(data, 1.0, seed=9)
-        for s in bent.samples:
+        for s in records_of(bent):
             for path, votes in s.votes.items():
                 first = votes[0][1]
                 assert all(v == first for _, v in votes)
@@ -307,10 +307,10 @@ class TestInjectCorrelation:
         data = two_vote_dataset(20_000)
         bent = inject_correlation(data, 0.4, seed=17)
         flipped = sum(
-            1 for s in bent.samples if s.votes_for(0)[1][1] == 0
+            1 for s in records_of(bent) if s.votes_for(0)[1][1] == 0
         )
         assert flipped / len(data) == pytest.approx(0.4, abs=0.02)
-        assert all(s.votes_for(0)[0][1] == 0 for s in bent.samples)
+        assert all(s.votes_for(0)[0][1] == 0 for s in records_of(bent))
 
     def test_first_vote_and_metadata_untouched(self):
         base = sym_model([0.5, 0.5], [0.9], [0.8])
@@ -323,7 +323,7 @@ class TestInjectCorrelation:
         )
         data = generate(m, [4], 100, seed=1)
         bent = inject_correlation(data, 0.8, seed=3)
-        for before, after in zip(data.samples, bent.samples):
+        for before, after in zip(records_of(data), records_of(bent)):
             assert after.task_id == before.task_id
             assert after.truth == before.truth
             assert after.votes_for(0)[0] == before.votes_for(0)[0]
@@ -336,7 +336,7 @@ class TestInjectCorrelation:
         m = sym_model([0.4, 0.6], [0.8, 0.7], [0.75, 0.9])
         data = generate(m, [5, 4], 300, seed=23)
         bent = inject_correlation(data, 0.6, seed=29)
-        for before, after in zip(data.samples, bent.samples):
+        for before, after in zip(records_of(data), records_of(bent)):
             for path in before.votes:
                 old = [v for _, v in before.votes_for(path)]
                 new = [v for _, v in after.votes_for(path)]
