@@ -8,12 +8,12 @@ same vote subsets. Metrics come back per fold and averaged over folds.
 All aggregation runs over tasks in sorted task-id order and every random
 choice is keyed by task id, so metric rows do not depend on dataset order.
 
-Plan execution (`_execute`) draws each task's votes without replacement from
-the task's own stream, exactly as numpy's `Generator.choice` would, but
-replays the draws of all tasks together in arrays from the streams' raw
-Philox words: Floyd's algorithm (Bentley & Floyd, CACM 1987) on
-Lemire-bounded 32-bit draws (Lemire, ACM TOMACS 2019). A task whose draws
-the replay does not follow calls `choice` itself.
+Plan execution (`_execute`) draws each task's votes without replacement
+from the task's own stream: one raw 64-bit Philox word per vote, and a path
+keeps the votes with the smallest words, the unweighted case of
+Efraimidis & Spirakis (IPL 2006). Only raw bit-generator words are read,
+which numpy keeps fixed across releases, so the draws depend on no
+`Generator` method.
 
 A fold plans each (strategy, budget) cell on its own, since a cell's plan
 seed depends on its budget. It then executes and scores its cells in stacks:
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import _fold, derive_seed, substream, substream_words, substreams
+from ._rng import _fold, derive_seed, substream, substream_words
 from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, table_posteriors
@@ -57,14 +56,6 @@ from .model import (
 from .planner import Strategy, _coerce_budget, build_plan
 
 _NLL_FLOOR = 1e-12
-# numpy's `Generator.choice(n, k, replace=False)` runs Floyd's algorithm for
-# n <= 10,000; above that it may shuffle a tail of all n instead.
-_FLOYD_MAX_POPULATION = 10_000
-# A group drawing more votes than this takes `rng.choice`, so a replay makes
-# at most this many vectorised steps. Each step costs about 10 us, and the
-# replay of one such group among 80 small ones broke even with its `choice`
-# call near 20-30 picks, of 16 such groups near 40-48 (2-core x86, numpy 2.4).
-_REPLAY_MAX_PICKS = 32
 # A fold scores at most this many cells of its largest array per stack, so
 # the apm kernels' (K, K, N, tasks) float64 arrays stay near 8 MiB each.
 _STACK_CELLS = 2**20
@@ -81,47 +72,6 @@ def _neg_log_likelihood(at_truth: np.ndarray) -> float:
     return total
 
 
-def _draw_bounds(n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The group and inclusive upper bound of each 32-bit draw that
-    `choice(n[g], k[g], replace=False)` takes, groups in turn, 1 <= k < n.
-
-    Floyd's algorithm takes k draws bounded by n-k .. n-1, then the shuffle of
-    the k picks takes k - 1 draws bounded by k-1 .. 1.
-    """
-    per = 2 * k - 1
-    group = np.repeat(np.arange(len(k)), per)
-    step = np.arange(len(group)) - np.repeat(np.cumsum(per) - per, per)
-    kg = k[group]
-    return group, np.where(step < kg, n[group] - kg + step, 2 * kg - 2 - step)
-
-
-def _lemire_rejects(draws: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Whether numpy's Lemire bounding of each 32-bit draw to 0..bound rejects it,
-    so that numpy takes another draw: the low word of draw * (bound + 1) falls
-    below (2**32 - 1 - bound) mod (bound + 1)."""
-    return (draws * (bound + 1)) & 0xFFFFFFFF < (0xFFFFFFFF - bound) % (bound + 1)
-
-
-def _floyd(draws: np.ndarray, base: np.ndarray, n: np.ndarray, k: np.ndarray,
-           at: np.ndarray, out: np.ndarray) -> None:
-    """Set out[at[g] + i] for each i that `choice(n[g], k[g], replace=False)` picks.
-
-    Group g's Floyd draws are draws[base[g]:base[g] + k[g]], none of them
-    rejected, 1 <= k < n. Step t bounds each group's draw to 0..j with
-    j = n - k + t and picks it, or j when it is already picked. The shuffle
-    after Floyd only orders the picks, so it is not replayed. Groups run
-    together, one step per pick, the longest first.
-    """
-    longest = np.argsort(-k, kind="stable")
-    k, j0, base, at = k[longest], (n - k)[longest], base[longest], at[longest]
-    for t in range(int(k.max(initial=0))):
-        live = np.count_nonzero(k > t)
-        j = j0[:live] + t
-        pick = (draws[base[:live] + t] * (j + 1)) >> 32
-        pick = np.where(out[at[:live] + pick], j, pick)
-        out[at[:live] + pick] = True
-
-
 def _execute(
     table: Dataset, plans: Sequence[AccessPlan], seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,24 +79,13 @@ def _execute(
     over `table.tiled(len(plans))`: plan c executes on copy c, keyed by seeds[c].
 
     A (task, path) holding more votes than a plan asks for is a group: it
-    draws without replacement, by stored position, from its task's stream for
-    that plan, groups in path order. Only tasks with a group get a stream. A
-    task is short-filled when some path holds fewer votes than the plan asks
+    keeps the k votes whose words are smallest, equal words keeping the vote
+    stored first. A task with groups reads one raw word per vote of its groups,
+    groups in path order and votes in stored order, from its stream for that
+    plan (`_rng.substream_words`), so only tasks with a group open a stream.
+    A task is short-filled when some path holds fewer votes than the plan asks
     for. Counts above the table's vote count only short-fill, so they are
     capped at one more than it and every count fits an int64.
-
-    The draws equal `rng.choice(n, k, replace=False)` on the task's stream
-    (`_rng.substreams`), group after group, but are replayed in arrays for
-    every plan at once. A group of k from n takes 2k - 1 32-bit draws, the
-    low then the high half of each raw Philox word, so a task whose groups
-    take D draws reads ceil(D / 2) words from one `random_raw` call
-    (`_rng.substream_words`). Each draw is checked for a Lemire rejection,
-    and Floyd's algorithm then runs for every group at once (`_floyd`).
-
-    A task takes `rng.choice` itself instead, the only other route, when one
-    of its groups has n above `_FLOYD_MAX_POPULATION` (where numpy may take a
-    tail shuffle, whose picks differ) or k above `_REPLAY_MAX_PICKS`, or when
-    any of its draws is rejected (numpy would then take one more draw).
     """
     s = table.stored
     v = len(s)
@@ -161,65 +100,28 @@ def _execute(
         _fold(seed)  # checked even when nothing is drawn
     copy, group = np.divmod(np.flatnonzero(draw), len(start))
     if len(group):
-        g = start[group]
-        k = want[copy, group]
-        _draw(keep.reshape(-1), table, seeds, copy, copy * v + g, have[group], k, task[g])
+        n, owner = have[group], task[start[group]]
+        opens = np.flatnonzero((np.diff(copy, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0))
+        ids = [table.task_ids[t] for t in owner[opens].tolist()]
+        size = np.add.reduceat(n, opens)
+        cuts = np.searchsorted(copy[opens], np.arange(len(plans) + 1)).tolist()
+        words = np.concatenate([
+            substream_words(seed, ("exec",), ids[lo:hi], size[lo:hi])
+            for seed, lo, hi in zip(seeds, cuts, cuts[1:])
+            if hi > lo
+        ])
+        first = np.cumsum(n) - n
+        of = np.repeat(np.arange(len(n)), n)  # the group of each word, ascending
+        order = np.lexsort((words, of))  # group by group, smallest word first
+        rank = np.arange(len(words)) - first[of]  # of word order[i] in its group
+        at = (copy * v + start[group] - first)[of] + np.arange(len(words))
+        keep.reshape(-1)[at[order[rank < want[copy, group][of]]]] = True
     bought = np.empty_like(keep)
     bought[:, s] = keep
     cell = np.arange(len(plans))[:, None] * len(table) + task[start]  # (copy, task) of a group
     filled = np.bincount(cell[(want > 0) & (want <= have)], minlength=len(plans) * len(table))
     short = filled.reshape(len(plans), -1) < np.count_nonzero(counts, axis=1)[:, None]
     return bought.reshape(-1), short.reshape(-1)
-
-
-def _draw(keep: np.ndarray, table: Dataset, seeds: Sequence[int], copy: np.ndarray,
-          at: np.ndarray, n: np.ndarray, k: np.ndarray, task: np.ndarray) -> None:
-    """Set keep[at[g] + i] for each i that group g of task `task[g]` picks under
-    plan `copy[g]` (see `_execute`).
-
-    Groups come plan by plan, then task by task, each task's in path order,
-    with 1 <= k < n.
-    """
-    opens = (np.diff(copy, prepend=-1) != 0) | (np.diff(task, prepend=-1) != 0)
-    first = np.flatnonzero(opens)
-    of_task, tasks, copies = np.cumsum(opens) - 1, task[first], copy[first]
-    per = 2 * k - 1
-
-    def by_plan(mask: np.ndarray) -> list[tuple[int, list[str], slice]]:
-        """The seed, the task ids and the slice of the tasks in `mask` of each plan
-        holding any, in order."""
-        ids = [table.task_ids[t] for t in tasks[mask].tolist()]
-        cuts = np.searchsorted(copies[mask], np.arange(len(seeds) + 1)).tolist()
-        return [
-            (seed, ids[lo:hi], slice(lo, hi))
-            for seed, lo, hi in zip(seeds, cuts, cuts[1:])
-            if hi > lo
-        ]
-
-    slow = np.add.reduceat((n > _FLOYD_MAX_POPULATION) | (k > _REPLAY_MAX_PICKS), first) > 0
-    fast = np.flatnonzero(~slow[of_task])
-    if len(fast):
-        need = np.add.reduceat(per, first)[~slow]
-        size = (need + 1) // 2
-        words = np.concatenate(
-            [substream_words(seed, ("exec",), ids, size[cut]) for seed, ids, cut in by_plan(~slow)]
-        )
-        used = np.ones(2 * len(words), dtype=bool)
-        used[2 * np.cumsum(size)[need % 2 == 1] - 1] = False  # the spare half of an odd D
-        draws = words.astype("<u8", copy=False).view("<u4")[used].astype(np.int64)
-        group, bound = _draw_bounds(n[fast], k[fast])
-        slow[of_task[fast[group[_lemire_rejects(draws, bound)]]]] = True
-        ok = ~slow[of_task[fast]]
-        base = np.cumsum(per[fast]) - per[fast]
-        _floyd(draws, base[ok], n[fast][ok], k[fast][ok], at[fast][ok], keep)
-    if slow.any():
-        streams = chain.from_iterable(
-            substreams(seed, ("exec",), ids) for seed, ids, _ in by_plan(slow)
-        )
-        by_choice = np.flatnonzero(slow[of_task])
-        for g, new in zip(by_choice.tolist(), opens[by_choice].tolist()):
-            rng = next(streams) if new else rng
-            keep[at[g] + rng.choice(int(n[g]), size=int(k[g]), replace=False)] = True
 
 
 @dataclass(frozen=True)

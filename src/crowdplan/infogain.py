@@ -99,7 +99,17 @@ from ._kernel import (
 )
 from ._rng import _fold, categorical_rows, substream, substreams
 from .errors import InputError, NumericError, ResourceLimitError
-from .model import AccessPlan, ApmModel, Cpt, as_config, as_count, as_counts, check_cells, member
+from .model import (
+    AccessPlan,
+    ApmModel,
+    Cpt,
+    _frozen_array,
+    as_config,
+    as_count,
+    as_counts,
+    check_cells,
+    member,
+)
 
 EXACT_LIMIT = 1_000_000  # most count vectors one exact enumeration may hold
 _BLOCK = 8192  # draws per sampled block
@@ -156,7 +166,7 @@ def prior_entropy(prior: np.ndarray | Sequence[float]) -> float:
     InputError unless `prior` is a finite distribution: entries in [0, 1]
     summing to 1.
     """
-    p = np.asarray(prior, dtype=np.float64)
+    p = _frozen_array(prior, "prior", 1)
     found = Cpt(p[None]).violations("prior")
     if found:
         raise InputError("; ".join(found))

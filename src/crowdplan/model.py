@@ -46,7 +46,10 @@ MAX_CELLS = 2**27
 def _frozen_array(values, shape_hint: str, ndim: int) -> np.ndarray:
     # Its own copy: a caller's array stays writable, and later writes to it
     # cannot reach the model, whose content keys its exact tables.
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric entry
+        raise InputError(f"{shape_hint}: expected {ndim}-d array of real numbers ({exc})") from None
     if arr.ndim != ndim:
         raise InputError(f"{shape_hint}: expected {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)

@@ -10,8 +10,9 @@ references, which share the package's tables and kernels:
 `exact_conditional_entropy` is held to within 1e-12; and, bit for bit,
 `ref_em_fit`, EM one restart after another, for the stacked
 `learning._em`, and `ref_execute` and `ref_score_fold`, plan execution by
-one `rng.choice` per drawn group and fold scoring by one pass per (strategy,
-budget) cell, for `evaluation._execute` and `_score_fold`.
+one fresh stream per drawing task and one sort per drawn group, and fold
+scoring by one pass per (strategy, budget) cell, for `evaluation._execute`
+and `_score_fold`.
 
 The oracles take one task at a time, as a `TaskSample` record. `table_of`,
 `records_of` and `posteriors` carry such records to and from the package's
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from crowdplan import learning
-from crowdplan._rng import derive_seed, substreams
+from crowdplan._rng import derive_seed, substream
 from crowdplan._kernel import (
     apm_log_joints,
     direct_log_joints,
@@ -414,8 +415,10 @@ def ref_em_fit(data, kind: str, cfg):
 
 
 def ref_execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """`evaluation._execute` as it was before its draws were replayed in arrays:
-    one `rng.choice` call per drawn (task, path), on the task's stream."""
+    """`evaluation._execute` for one plan, group by group: each drawing task
+    opens a fresh `substream(seed, "exec", task_id)`, and each of its groups in
+    path order reads one raw word per vote and keeps the votes of the k
+    smallest words, the first stored among equal words."""
     s = table.stored
     counts = np.array([min(c, len(s) + 1) for c in plan.counts], dtype=np.int64)
     task, path = table.sample_idx[s], table.path_idx[s]
@@ -424,13 +427,13 @@ def ref_execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray
     want = counts[path[start]]
     draw = (want > 0) & (want < have)
     keep = np.arange(len(s)) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have)
-    groups = np.flatnonzero(draw)
-    owner = task[start[groups]]
-    opens = np.diff(owner, prepend=-1) != 0
-    streams = substreams(seed, ("exec",), [table.task_ids[t] for t in owner[opens].tolist()])
-    for g, new in zip(groups.tolist(), opens.tolist()):
-        rng = next(streams) if new else rng
-        keep[start[g] + rng.choice(int(have[g]), size=int(want[g]), replace=False)] = True
+    rng, owner = None, None
+    for g in np.flatnonzero(draw).tolist():
+        if task[start[g]] != owner:
+            owner = task[start[g]]
+            rng = substream(seed, "exec", table.task_ids[owner])
+        words = rng.bit_generator.random_raw(int(have[g]))
+        keep[start[g] + np.argsort(words, kind="stable")[: int(want[g])]] = True
     bought = np.empty_like(keep)
     bought[s] = keep
     filled = np.bincount(task[start[(want > 0) & (want <= have)]], minlength=len(table))

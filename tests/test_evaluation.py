@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import crowdplan._rng as _rng
 import crowdplan.evaluation as evaluation
-from crowdplan._rng import stream_keys, substream, substream_words
+from crowdplan._rng import stream_keys, substream
 from crowdplan.errors import CrowdPlanError, InputError
 from crowdplan.evaluation import _accuracy, _neg_log_likelihood, budget_sweep
 from crowdplan.learning import EmConfig
@@ -115,7 +114,8 @@ class TestExecutePlan:
         assert opened == []
         table, lazy, _ = execute(self.sample(), [2, 1], seed=9)
         assert opened == [("exec", "t1")]
-        eager = sorted(substream(9, "exec", "t1").choice(3, size=2, replace=False))
+        words = substream(9, "exec", "t1").bit_generator.random_raw(3)
+        eager = sorted(np.argsort(words, kind="stable")[:2])
         want = tuple(self.sample().votes_for(0)[i] for i in eager)
         assert bought_votes(table, lazy).votes_for(0) == want
 
@@ -310,8 +310,7 @@ def _ragged(seed: int, num_tasks: int, max_votes: int, workers: int, wide: bool 
 
     Task 0 has no votes, so every plan skips it, and task 1 has one vote per
     path, so a plan asking for two short-fills it. With `wide`, task 2 holds
-    80 votes on path 0, so a plan asking for 33 to 79 draws past the replay's
-    step limit.
+    80 votes on path 0, so a plan asking for up to 79 draws many of them.
     """
     rng = np.random.default_rng(seed)
     samples = []
@@ -329,23 +328,10 @@ def _ragged(seed: int, num_tasks: int, max_votes: int, workers: int, wide: bool 
 
 
 class TestReplayedSweep:
-    """The one-pass sweep and its replayed draws against one pass per cell and
-    one `rng.choice` per drawn group (`_oracles.ref_score_fold`, `ref_execute`)."""
+    """The one-pass sweep and its draws against one pass per cell and one sort
+    per drawn group (`_oracles.ref_score_fold`, `ref_execute`)."""
 
     EM = EmConfig(max_iters=4, restarts=2)
-
-    @staticmethod
-    def record_choice_tasks(monkeypatch) -> list:
-        """The (seed, task id) of each task that `_execute` sends to `rng.choice`, as it runs."""
-        chosen = []
-
-        def recording(seed, prefix, parts):
-            parts = list(parts)
-            chosen.extend((seed, part) for part in parts)
-            return _rng.substreams(seed, prefix, parts)
-
-        monkeypatch.setattr(evaluation, "substreams", recording)
-        return chosen
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
@@ -382,47 +368,55 @@ class TestReplayedSweep:
         with mock.patch.object(evaluation, "_score_fold", ref_score_fold):
             assert got == run()
 
-    def test_rejected_draw_sends_its_task_alone_to_choice(self, monkeypatch):
-        table = _ragged(5, 12, 6, 4)
-        plans = [AccessPlan((2, 1)), AccessPlan((1, 3)), AccessPlan((2, 1))]
-        seeds = [9, 10, 11]
-        want = [np.concatenate(m) for m in zip(*map(partial(ref_execute, table), plans, seeds))]
-        # Under seed 9 the victim draws 2 of its 4 path-0 votes first: Floyd's first
-        # draw is bounded to 0..2, and a low word of 0 is below (2**32 - 3) % 3 = 1.
-        victim = next(s.task_id for s in records_of(table) if len(s.votes_for(0)) == 4)
-        chosen = self.record_choice_tasks(monkeypatch)
-
-        def same_as_reference():
-            got = evaluation._execute(table, plans, seeds)
-            return all(np.array_equal(mask, ref) for mask, ref in zip(got, want))
-
-        assert same_as_reference()
-        assert chosen == []  # no task meets a rejection unforced
-
-        def first_low_word_zero(seed, prefix, parts, counts):
-            parts, counts = list(parts), list(counts)
-            words = substream_words(seed, prefix, parts, counts)
-            if seed == 9:
-                words[sum(counts[: parts.index(victim)])] &= np.uint64(0xFFFFFFFF00000000)
-            return words
-
-        monkeypatch.setattr(evaluation, "substream_words", first_low_word_zero)
-        assert same_as_reference()
-        assert chosen == [(9, victim)]
-
-    def test_population_above_floyd_limit_takes_choice(self, monkeypatch):
-        """numpy's choice may leave Floyd's algorithm above 10,000 votes (see
-        test_numpy_contract), so such a task calls it, and the others replay."""
+    def test_group_of_10001_votes_equals_reference(self):
+        """A group of 10,001 votes beside one of 600 keeps the votes of its
+        per-group reference, at 20 and at 500 picks."""
         votes = tuple((None, j % 2) for j in range(10_001))
         big, small = TaskSample("big", {0: votes}, truth=0), TaskSample("small", {0: votes[:600]})
         table = table_of([big, small], 1, 2)
-        chosen = self.record_choice_tasks(monkeypatch)
         for size in (20, 500):
-            chosen.clear()
             plan = AccessPlan((size,))
             got, want = evaluation._execute(table, [plan], [4]), ref_execute(table, plan, 4)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert chosen == [(4, "big")] + [(4, "small")] * (size > evaluation._REPLAY_MAX_PICKS)
+            assert np.count_nonzero(got[0]) == 2 * size
+
+    def test_draws_are_uniform(self):
+        """4,000 tasks keep 2 of their 5 votes: each of the 10 pairs and each vote
+        comes up as often as a uniform draw makes it, within 3 standard deviations."""
+        tasks, n, k = 4000, 5, 2
+        table = Dataset.tabulate(
+            [f"t{t:04d}" for t in range(tasks)], np.zeros(tasks, dtype=np.int64),
+            np.repeat(np.arange(tasks), n), np.zeros(tasks * n, dtype=np.int64),
+            np.tile(np.arange(n), tasks), np.zeros(tasks * n, dtype=np.int64),
+            [f"v{j}" for j in range(n)], 2,
+        )
+        bought, _ = evaluation._execute(table, [AccessPlan((k,))], [7])
+        owner, vote = table.sample_idx[bought], table.worker_idx[bought]
+        assert np.bincount(owner, minlength=tasks).tolist() == [k] * tasks
+        pair = np.bincount(owner, weights=2**vote).astype(np.int64)  # a bit per kept vote
+        pairs, per_pair = np.unique(pair, return_counts=True)
+        assert len(pairs) == math.comb(n, k)
+        for counts, p in ((per_pair, 1 / math.comb(n, k)), (np.bincount(vote), k / n)):
+            mean, sd = tasks * p, math.sqrt(tasks * p * (1 - p))
+            assert np.all(np.abs(counts - mean) < 3 * sd), counts
+
+    def test_equal_words_keep_the_votes_stored_first(self, monkeypatch):
+        def equal_words(seed, prefix, parts, counts):
+            return np.zeros(int(np.sum(counts)), dtype=np.uint64)
+
+        monkeypatch.setattr(evaluation, "substream_words", equal_words)
+        table = _ragged(5, 12, 6, 4)
+        s = table.stored
+        task, path = table.sample_idx[s], table.path_idx[s]
+        start = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(path, prepend=-1))
+        position = np.arange(len(s)) - np.repeat(start, np.diff(start, append=len(s)))
+        plans = [AccessPlan((2, 1)), AccessPlan((1, 3))]
+        bought, _ = evaluation._execute(table, plans, [9, 10])
+        for got, plan in zip(bought.reshape(len(plans), -1), plans):
+            want = np.empty_like(got)
+            want[s] = position < np.array(plan.counts)[path]
+            assert np.array_equal(got, want)
+        assert position.max() >= 3  # some group holds more votes than either plan keeps
 
     def test_many_budgets_score_in_several_stacks_bit_for_bit(self, monkeypatch):
         """A fold whose cells do not fit in one stack scores them stack by stack,

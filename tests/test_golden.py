@@ -4,6 +4,9 @@ Every output of a small seeded session is hashed: simulate with correlation
 injected, learn three ways, infer five ways and a four-model sweep. The
 digests were taken before the dataset layer became columnar, so a change that
 moves any byte of any output fails here, not only one that breaks a rerun.
+The sweep digests were taken again when plan execution began keeping the
+votes of each group's smallest raw words, which moved only the accuracy and
+NLL columns.
 
 The votes file is written by this test from a fixed seed. It is ragged (0 to
 4 votes per path) and per worker, its tasks are not in id order, truth sits on
@@ -64,7 +67,7 @@ PINNED = {
     "infer.mv": "c83647b9879bbe729f4a7c1c1a598bce954d78dcb7878f5926ebdb286ae1f72d",
     "infer.nbi": "50d76f480ac3901e4a28ce55987c6cb83a31f95912a35876dd920c5103fb5152",
     "infer.pw": "e7d77a682e140a6f653dd9f4fcb11b9ecedf2475928571fa2722cd71585871a8",
-    "sweep": "484d0c3a00c1eee2a261a0b040178de55464bf7141b1bb13d029cdebef839c99",
+    "sweep": "319e212dd163c407847056f0a4bcd8f6286ab35010e77f6e8cbe7743ff5b3caa",
 }
 
 
@@ -151,7 +154,7 @@ FOUR_LABEL_PINNED = {
     "infer.mv": "9b09448d2cd9b0933d337cedb7ef744fd6cc8796426ab595162bdaf609e89151",
     "infer.nbi": "096b7b64eafed9e2aecdd1dfc194c9c9dbad5d4967c91ec171e5d226e607477e",
     "infer.pw": "f7702fe7ffee83056f9f8467edde1f752cb4f4a447569a1e4493143e7b861f61",
-    "sweep": "bb502d37eecbed3e6f47dd8e5270035e9e78133df3022a682e00b924c96b85c4",
+    "sweep": "2c75476c5b10c7d7dc2b6e964a93a4b5ec757b8d1f8ca1c7f7079780cab9158a",
 }
 
 
@@ -292,12 +295,13 @@ SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
              "--costs", "1,2,3", "--samples", "300", "--max-iters", "10", "--restarts", "1",
              "--seed", "3", "--out", "{d}/sweep.csv")
 
-# sha256 of "<exit code>\0<stdout>\0<output file>", taken before greedy, equal
-# and rnd shared one purchase loop.
+# sha256 of "<exit code>\0<stdout>\0<output file>". Its plans were pinned before
+# greedy, equal and rnd shared one purchase loop; its metrics since plan
+# execution keeps the votes of each group's smallest raw words.
 SWEEP_ALL_PINNED = {
-    "auto": "9b66c50dc672a4cbb1e26ed86fcfdd8c803130d4e7603abbf139e39523ef4880",
-    "exact": "9b66c50dc672a4cbb1e26ed86fcfdd8c803130d4e7603abbf139e39523ef4880",
-    "sampled": "38a8cc873fd97d9afe02294c337f9ceb239713947c84a7a10bdd761ca9075dfd",
+    "auto": "9937e409f69c4da4c747463ef3652954bb02dd59c839032420eb9dd571f19034",
+    "exact": "9937e409f69c4da4c747463ef3652954bb02dd59c839032420eb9dd571f19034",
+    "sampled": "ae381b3b1c9e9b26a144b32f17f70054183c9fdb1841d6eafbbd32926f4b96ea",
 }
 
 

@@ -27,6 +27,7 @@ from crowdplan.infogain import (
     IgMode,
     check_submodularity,
     information_gain,
+    prior_entropy,
     sampled_conditional_entropies,
 )
 from crowdplan.learning import EmConfig, fit_em, fit_nbi
@@ -34,7 +35,10 @@ from crowdplan.model import (
     MAX_CELLS,
     AccessPathSpec,
     AccessPlan,
+    Cpt,
     Dataset,
+    LabelSpace,
+    NbiModel,
     TaskSample,
     model_from_dict,
     model_to_dict,
@@ -233,6 +237,26 @@ def test_inject_correlation_probability_must_be_a_real_number(p, shown):
 def test_quantile_paths_accuracies_must_be_real_numbers(accuracy, shown):
     with pytest.raises(InputError, match=f"worker 'a' must be a real number, got {shown}"):
         quantile_paths({"a": accuracy, "b": 0.6}, 2)
+
+
+def test_cpt_entries_must_be_real_numbers():
+    with pytest.raises(InputError, match=r"Cpt.rows: expected 2-d array of real numbers \(could"):
+        Cpt([[0.5, "x"], [0.5, 0.5]])
+
+
+def test_cpt_rows_must_be_of_one_length():
+    with pytest.raises(InputError, match=r"Cpt.rows: expected 2-d array of real numbers \(setting"):
+        Cpt([[1, 0], [0]])
+
+
+def test_nbi_prior_entries_must_be_real_numbers():
+    with pytest.raises(InputError, match=r"prior: expected 1-d array of real numbers \(could"):
+        NbiModel(LabelSpace(2), ["a", "b"], {})
+
+
+def test_prior_entropy_entries_must_be_real_numbers():
+    with pytest.raises(InputError, match=r"prior: expected 1-d array of real numbers \(could"):
+        prior_entropy(["a", "b"])
 
 
 def test_with_labels_needs_a_label_space():

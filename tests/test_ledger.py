@@ -1,5 +1,5 @@
 """`tools/ledger.py`: a rerun records the same bytes, a changed output is named, and
-a plan entry that moved is told apart by its parsed result."""
+a plan or sweep entry that moved is told apart by its parsed result or its rows."""
 
 import importlib.util
 import json
@@ -38,16 +38,22 @@ def test_ledger_reruns_the_same_and_names_an_edited_output(tmp_path, capsys):
 
     sweep = crowdplan.cli.budget_sweep
 
-    def edited(*args, **kwargs):
-        result = sweep(*args, **kwargs)
-        row = replace(result.fold_rows[0], accuracy=result.fold_rows[0].accuracy / 2)
-        return replace(result, fold_rows=(row,) + result.fold_rows[1:])
+    def edited(**change):
+        def run_edited(*args, **kwargs):
+            result = sweep(*args, **kwargs)
+            row = replace(result.fold_rows[0], **change)
+            return replace(result, fold_rows=(row,) + result.fold_rows[1:])
+        return run_edited
 
-    with mock.patch.object(crowdplan.cli, "budget_sweep", edited):
-        assert ledger.main(run + [str(planted)]) == 0
-    capsys.readouterr()
-    assert ledger.main(["--compare", str(first), str(planted)]) == 1
-    assert capsys.readouterr().out == "sweep/1/sweep: output\n"
+    # A sweep entry keeps the digest of its CSV without the accuracy and NLL
+    # columns, so an edit to those alone is told apart from one to any other.
+    for change, says in (({"accuracy": -1.0}, "sweep metrics only"),
+                         ({"tasks_skipped": -1}, "sweep rows changed: output, rows")):
+        with mock.patch.object(crowdplan.cli, "budget_sweep", edited(**change)):
+            assert ledger.main(run + [str(planted)]) == 0
+        capsys.readouterr()
+        assert ledger.main(["--compare", str(first), str(planted)]) == 1
+        assert capsys.readouterr().out == f"sweep/1/sweep: {says}\n"
 
 
 def test_plan_entries_keep_their_result_and_compare_by_it():

@@ -11,7 +11,9 @@ order, as in-process calls to `crowdplan.cli.main`, and records one entry per
 request: the exit code and the sha256 of its stdout, its stderr and its output
 file (null when it writes none). A `plan` request's entry also keeps its
 parsed result under `plan` (counts, cost, ig, stderr, mode, bound; null when
-the request failed). Each (workload, seed) also gets an `inputs` entry, the
+the request failed). A `sweep` request's entry also keeps `rows`, the sha256
+of its CSV without the `accuracy` and `neg_log_likelihood` columns (null
+when it writes none). Each (workload, seed) also gets an `inputs` entry, the
 workload's digest of its input files. The work directory's path is written
 as `<work>` in stdout and stderr, so ledgers made in different directories
 compare equal.
@@ -21,7 +23,9 @@ with the fields that differ, and exits 1 if there is any; 0 means every byte
 recorded is the same. A plan entry whose result differs in `ig` alone is
 reported as "ig digits only" with |ig A - ig B|, one whose counts or mode
 differ as "plan changed", and the largest |ig A - ig B| of the first kind is
-printed last.
+printed last. A sweep entry whose output differs with the same `rows` is
+reported as "sweep metrics only", one whose `rows` differ as "sweep rows
+changed".
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ os.environ.pop("CROWDPLAN_THREADS", None)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -51,6 +56,13 @@ import workloads  # noqa: E402
 
 def _sha(text: str | bytes) -> str:
     return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+def _rows(output: bytes) -> str:
+    """The sha256 of a sweep CSV without its metric columns."""
+    table = list(csv.reader(io.StringIO(output.decode())))
+    keep = [j for j, name in enumerate(table[0]) if name not in ("accuracy", "neg_log_likelihood")]
+    return _sha("\n".join(",".join(row[j] for j in keep) for row in table))
 
 
 def record(names: list[str], seeds: list[int]) -> dict[str, dict]:
@@ -73,6 +85,8 @@ def record(names: list[str], seeds: list[int]) -> dict[str, dict]:
                         "stderr": _sha(err.getvalue().replace(str(work), "<work>")),
                         "output": None if output is None else _sha(output.read_bytes()),
                     }
+                    if req.argv[0] == "sweep":
+                        entry["rows"] = None if output is None else _rows(output.read_bytes())
                     if req.argv[0] == "plan":
                         entry["plan"] = json.loads(out.getvalue().splitlines()[-1]) if rc == 0 else None
     return entries
@@ -95,6 +109,10 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
         elif pa and pb and fields == ["plan", "stdout"] and {**pa, "ig": 0} == {**pb, "ig": 0}:
             deltas.append(abs(pa["ig"] - pb["ig"]))
             lines.append(f"{key}: ig digits only (|d ig| {deltas[-1]:.2g})")
+        elif a[key].get("rows") and b[key].get("rows") and fields == ["output"]:
+            lines.append(f"{key}: sweep metrics only")
+        elif a[key].get("rows") and b[key].get("rows") and "rows" in fields:
+            lines.append(f"{key}: sweep rows changed: {', '.join(fields)}")
         else:
             lines.append(f"{key}: {', '.join(fields)}")
     if deltas:
