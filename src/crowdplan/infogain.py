@@ -36,22 +36,18 @@ exact
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
     model and average the exact posterior entropy H(Y | x) of each draw. Draws
-    are partitioned into fixed-size blocks with one counter-based stream per
-    (seed, block), so the result does not depend on evaluation order. The
-    standard error reported is std / sqrt(G).
+    are partitioned into fixed-size blocks. A block takes its outcomes y from
+    the counter-based stream (seed, "ig-block", block) and each voted path's
+    latent states and votes from its own stream (seed, "ig-block", block,
+    path), so the result does not depend on evaluation order, and a path's
+    factor table log p(x_i | y) depends only on the block, the path and its
+    vote count. The standard error reported is std / sqrt(G).
 
-    A block of n draws reads its stream in a fixed layout: n uniforms for the
-    outcomes, then for each voted path, in path order, n for its latent state
-    and n per vote. A path's factor table log p(x_i | y) is therefore fixed by
-    the path, the stream row where its draws start and its vote count.
     `sampled_conditional_entropies` scores several plans under one config: it
-    draws each block once, builds each distinct table once, and reduces each
-    plan's tables exactly as a lone call would, so every value equals that of
-    a call with the plan alone, bit for bit. A plan that votes on all
-    N paths and its N one-vote extensions need 3N - 1 tables per block
-    instead of (N + 1) N: the plan's N, one per extension for the path it
-    grows, and one per later path, whose draws every extension shifts by the
-    same single row.
+    draws each block once, builds each distinct (path, votes) table once, and
+    reduces each plan's tables exactly as a lone call would, so every value
+    equals that of a call with the plan alone, bit for bit. A plan that votes
+    on all N paths and its N one-vote extensions need 2N tables per block.
 
     A table gathers each draw's factors from the exact memo: c votes over K
     labels give one of C(c + K - 1, K - 1) count vectors (56 for c = 5,
@@ -448,7 +444,7 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     """log p(x_path | y) for each draw of `len(u) - 1` votes on one path.
 
     u[0] draws the path's latent state and u[1:] the votes, one row of
-    uniforms per vote, as `len(u)` consecutive draws of a block's stream.
+    uniforms per vote, as `len(u)` consecutive draws of the path's stream.
 
     Returns shape (K, draws). Each draw's label counts are coded as in
     `_digits`, and its column is gathered, along axis 1, from the memo's
@@ -484,29 +480,25 @@ def _sample_block(
 ) -> list[tuple[float, float]]:
     """Draw `size` vote sets per plan and return (sum H, sum H^2) per plan.
 
-    Every plan reads the block's one stream from the start (layout in the
-    module docstring), so each (path, stream row, votes) factor table is
-    built once per block, however many plans share it.
+    Each voted path reads its own stream from the start (see the module
+    docstring), so each (path, votes) factor table is built once per block,
+    however many plans share it, from the first 1 + votes rows of the
+    path's uniforms.
     """
-    rows = max(1 + sum(1 + c for c in counts if c > 0) for counts in plans)
     rng = substream(seed, "ig-block", block)
-    check_cells(rows * size, "sampled information gain")
-    u = rng.random(rows * size).reshape(rows, size)
-    y = categorical_rows(np.cumsum(model.prior)[None], u[0])
+    y = categorical_rows(np.cumsum(model.prior)[None], rng.random(size))
+    most = [max(counts[i] for counts in plans) for i in range(model.num_paths)]
+    paths = [i for i, m in enumerate(most) if m > 0]
+    check_cells((1 + max(most)) * size, "sampled information gain")
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for i, rng in zip(paths, substreams(seed, ("ig-block", block), paths)):
+        u = rng.random((1 + most[i]) * size).reshape(-1, size)
+        for c in {counts[i] for counts in plans} - {0}:
+            tables[i, c] = _path_factor(model, i, y, u[: 1 + c])
     log_prior = log(model.prior)
-    tables: dict[tuple[int, int, int], np.ndarray] = {}
     out = []
     for counts in plans:
-        factors = []
-        row = 1
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            key = (i, row, c)
-            if key not in tables:
-                tables[key] = _path_factor(model, i, y, u[row : row + 1 + c])
-            factors.append(tables[key])
-            row += 1 + c
+        factors = [tables[i, c] for i, c in enumerate(counts) if c > 0]
         log_joint = apm_log_joints(log_prior, np.stack(factors, axis=1))
         norm = logsumexp(log_joint, axis=0)
         log_post = log_joint - norm
@@ -526,7 +518,7 @@ def sampled_conditional_entropies(
 
     Each value equals that of a call with its plan alone, bit for bit: all
     plans read the same blocks of the same streams, and the factor table of a
-    path they draw from the same stream rows is built once.
+    (path, votes) they share is built once.
     """
     cfg = as_config(cfg, IgConfig)
     all_counts = [as_counts(plan, model.num_paths) for plan in plans]

@@ -48,7 +48,9 @@ def _frozen_array(values, shape_hint: str, ndim: int) -> np.ndarray:
     # cannot reach the model, whose content keys its exact tables.
     try:
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric entry
+        if np.isnan(arr).any() and None in np.array(values, dtype=object).ravel().tolist():
+            raise TypeError("an entry is None")  # numpy would store it as NaN
+    except (TypeError, ValueError) as exc:  # a ragged, non-numeric or None entry
         raise InputError(f"{shape_hint}: expected {ndim}-d array of real numbers ({exc})") from None
     if arr.ndim != ndim:
         raise InputError(f"{shape_hint}: expected {ndim}-d array, got shape {arr.shape}")

@@ -6,7 +6,10 @@ digests were taken before the dataset layer became columnar, so a change that
 moves any byte of any output fails here, not only one that breaks a rerun.
 The sweep digests were taken again when plan execution began keeping the
 votes of each group's smallest raw words, which moved only the accuracy and
-NLL columns.
+NLL columns. Every digest of an output that reads a random stream (simulate,
+the learns, the infers of learned models, rnd and sampled plans, the sweeps)
+was taken again when stream keys became BLAKE2b digests and sampled IG gave
+each path its own stream; the other digests did not move.
 
 The votes file is written by this test from a fixed seed. It is ragged (0 to
 4 votes per path) and per worker, its tasks are not in id order, truth sits on
@@ -58,16 +61,16 @@ SESSION = (
 # sha256 of (stdout with the directory replaced by "<d>", output file bytes)
 PINNED = {
     "votes.csv": "7e2ea72e44827c5a779b862e7466fb5e5f7ea6817d065480195394b721260ca3",
-    "simulate": "108833ffca5b6fe9f2b1d65a2cb9a692592a8e5e6da4a923624b80500f6ec99f",
-    "learn.apm": "9c33ad52a06d691fd07f57aaad7cd4049f87e81ad26ec643d6ce2496ce5ab47e",
-    "learn.pw": "5ab6eaeed167f4f0e2582705fd6043abfbc30abec2c7edf704d9fd3da9545d38",
+    "simulate": "8a9669e0a126887a933ff5eef3f1b098f6403bdf73406281524ba1d3fc084667",
+    "learn.apm": "5cd89f35641dac4b255626796b48d9f474edd28d05a9c1dab04dd844af313c25",
+    "learn.pw": "6e3df40c90d0954fc485b35074b33cd0d9c014064a363210cc4f5ebcfedf97b7",
     "learn.nbi": "b8ea5687a510d7a3556d1e1284a37a2032ae9ec9d7e6518bae8dc2c5e66fd9ab",
-    "infer.apm": "4e0783e36bac96245915833625c73e2bba7c37f67259063858588e2031ae0a6b",
-    "infer.nbap": "417691b91a935f25637726d0cc5f7205ec7d3be156fb37d7b0118296efd8e67d",
+    "infer.apm": "4cd094eb9f7ff78dae2e6b60281077402c7dc017eb8f1d142131a72f673ca79d",
+    "infer.nbap": "2f995d5dea7fd013613025f6efabdf49975b3532a766c3458dce730a06865177",
     "infer.mv": "c83647b9879bbe729f4a7c1c1a598bce954d78dcb7878f5926ebdb286ae1f72d",
     "infer.nbi": "50d76f480ac3901e4a28ce55987c6cb83a31f95912a35876dd920c5103fb5152",
-    "infer.pw": "e7d77a682e140a6f653dd9f4fcb11b9ecedf2475928571fa2722cd71585871a8",
-    "sweep": "319e212dd163c407847056f0a4bcd8f6286ab35010e77f6e8cbe7743ff5b3caa",
+    "infer.pw": "d99d978706a18bc68b79d360d683628e0f2238a64fb6cb1bc7b128756ff446c0",
+    "sweep": "d17300b1820ff95f4d789dbde1d197d8f9b63977c25cb767038da58933e5b542",
 }
 
 
@@ -143,18 +146,19 @@ FOUR_LABEL_SESSION = tuple(
     for name, argv, out in SESSION[1:]
 )
 
-# sha256 as in PINNED, taken before the kernels put the task axis last.
+# sha256 as in PINNED, taken before the kernels put the task axis last; its
+# stream-reading entries again when stream keys became BLAKE2b digests.
 FOUR_LABEL_PINNED = {
     "votes.csv": "e6d07e59fb9c4e7b80e3ce1aef718d4a2c4b741d22260619d69266924c1e76c3",
-    "learn.apm": "5ea6be9c8c0da32a2957f145dbf6a9f1f89de972a363270b7e7c392e909350e9",
-    "learn.pw": "5685878049021f337f6c48955ba650ace622469679da15e5e66d907f1c6fffea",
-    "learn.nbi": "72f9cdaabebc86c4c99ed4eff7da2d195c5d5ea4d8a8b9fa37eae7693abd6a3d",
-    "infer.apm": "ad87fd2743c1172ea9b07ec72955289bd9deab95723819c3940d1d5aa4778442",
-    "infer.nbap": "1c2154153bf00d49158f526c6a19a217b2defb589dc1905b1c1c75004d34dd53",
+    "learn.apm": "d5dca251c284f02f7c0785112914ac79540c6ae5c77a13a43d7b4a640d154beb",
+    "learn.pw": "7854543609313aa6388bfdc6a8097d6fb7e83c0d7ee581a93e5b0068f93dba10",
+    "learn.nbi": "9613560a6dc255020e94b031ab48b3f98a0fe11fc327efbc713aaa0207296b50",
+    "infer.apm": "c9cbeebaddcd817e242d8049911ed930f96c8ac03b22e6aa3b55617188b0e566",
+    "infer.nbap": "3e56ca8e8923d67b44b7b9ded8e9988cebf1d1fe25a54bd278e0b1286cdf5e3c",
     "infer.mv": "9b09448d2cd9b0933d337cedb7ef744fd6cc8796426ab595162bdaf609e89151",
-    "infer.nbi": "096b7b64eafed9e2aecdd1dfc194c9c9dbad5d4967c91ec171e5d226e607477e",
-    "infer.pw": "f7702fe7ffee83056f9f8467edde1f752cb4f4a447569a1e4493143e7b861f61",
-    "sweep": "2c75476c5b10c7d7dc2b6e964a93a4b5ec757b8d1f8ca1c7f7079780cab9158a",
+    "infer.nbi": "8ce0e77ac6acf499135bdfe6a923485c654d962591acf2e689e7d0d3d4f3e1d6",
+    "infer.pw": "e8cab142292d72d3ace7b2aaedabb85983b2bdaab4435362f9b03e3d938c84d5",
+    "sweep": "d3fa2837b547434954c9c3cb284f8c4dfd479d6597375214ec0f86071f691b1c",
 }
 
 
@@ -214,8 +218,9 @@ PER_WORKER_MODEL = {
              "x": [[0.95, 0.05, 0.0], [0.2, 0.6, 0.2], [0.0, 0.1, 0.9]]}},
     ],
 }
-# sha256 as in PINNED, taken before generation and injection were batched.
-PER_WORKER_SIMULATE = "cb619595053ff87df3c1a48a1a07d3198312d30d4668c7d1ae00b1e3590759be"
+# sha256 as in PINNED, taken before generation and injection were batched and
+# again when stream keys became BLAKE2b digests.
+PER_WORKER_SIMULATE = "da77e735da9d07d85f12d2383a5c53c6524684fe1bc3b6d41a408f1b15cd16d2"
 
 
 def test_per_worker_simulate_is_byte_identical_to_pinned(tmp_path, capsys):
@@ -245,7 +250,8 @@ PLAN_REQUESTS = tuple(
 # sha256 of "<exit code>\0<stdout>\0<stderr>" of `plan --model EXAMPLE ...`, taken
 # before greedy's step estimator and the plan result got one builder each.
 # The entries of plans scored in exact mode were taken again when exact IG
-# became H(C) - H(C | Y): only the last digits of "ig" moved, no plan.
+# became H(C) - H(C | Y): only the last digits of "ig" moved, no plan. The rnd
+# and sampled entries were taken again when stream keys became BLAKE2b digests.
 PLAN_PINNED = {
     "greedy@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "greedy@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
@@ -269,12 +275,12 @@ PLAN_PINNED = {
     "equal@30": "407f9436db62378018111a62943daa7d4c4045ef6401daebffbd3136c838f312",
     "rnd@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "rnd@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
-    "rnd@7/2": "f364cde7f0c74b1eb3bb52a2213c2fd3d30d054ff06d3f48b71d7d3cffb20b03",
-    "rnd@9": "abd3390e4bbfd1e1d84726139816e98271797af27fdc8f114bc4b7b0a107d5a4",
-    "rnd@30": "f7ef8244d608e5dc41c3843874a8ba460cdd6a02a867c5b061003319d72be8e0",
+    "rnd@7/2": "dee4fa8204b2c554ca0d749ae3dad957039f839568d2c1037d36339120244263",
+    "rnd@9": "1f6301939a7a87c63de0f8cc31a89dd9b10f4410502805e9002919db02a74f76",
+    "rnd@30": "e063276d2fb833c1df89d146e36af44f428b5f233899c9c4f03d576e0426c6bd",
     "greedy@30.exact": "ec40a50f65fdaaf6100a1260b596b8331c41fa6adba29932857fa740020b20ce",
     "greedy@30.auto": "ec40a50f65fdaaf6100a1260b596b8331c41fa6adba29932857fa740020b20ce",
-    "greedy@30.sampled": "6a42a9f1dce52c943464223f1a3b2b18c98063234695e723a9eac821dc769cc8",
+    "greedy@30.sampled": "2bb3073d48346e05d9968988ccfd9e05aa528254eeb189821ff52089db04c31f",
 }
 
 
@@ -297,11 +303,12 @@ SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
 
 # sha256 of "<exit code>\0<stdout>\0<output file>". Its plans were pinned before
 # greedy, equal and rnd shared one purchase loop; its metrics since plan
-# execution keeps the votes of each group's smallest raw words.
+# execution keeps the votes of each group's smallest raw words; all three
+# again when stream keys became BLAKE2b digests.
 SWEEP_ALL_PINNED = {
-    "auto": "9937e409f69c4da4c747463ef3652954bb02dd59c839032420eb9dd571f19034",
-    "exact": "9937e409f69c4da4c747463ef3652954bb02dd59c839032420eb9dd571f19034",
-    "sampled": "ae381b3b1c9e9b26a144b32f17f70054183c9fdb1841d6eafbbd32926f4b96ea",
+    "auto": "67a8b9afe0c58a4a7fb54fad63c98a32778f941b2ff7a4ad3a4d2ef8f3269d60",
+    "exact": "67a8b9afe0c58a4a7fb54fad63c98a32778f941b2ff7a4ad3a4d2ef8f3269d60",
+    "sampled": "5844be802d6e07c1a6d9d310af1695b24f15ae1a9557b3856ef3b4802a59fabe",
 }
 
 
@@ -358,10 +365,11 @@ WIDE_REQUESTS = (
 # sha256 as in PLAN_PINNED, taken before exact enumerations were scored in row
 # blocks and sampled path tables were gathered from the exact memo.
 # "greedy@26.exact" was taken again when exact IG became H(C) - H(C | Y): only
-# the last digits of "ig" moved, not the plan.
+# the last digits of "ig" moved, not the plan. "greedy@40.auto" was taken
+# again when stream keys became BLAKE2b digests.
 WIDE_PINNED = {
     "greedy@26.exact": "d0a617664c95ab2b23d15910f40d49172a276d5da036dd9fa1dca068cbe98b15",
-    "greedy@40.auto": "5e7aa8b58a77bfeaa16d896fdcb29f96fde869bb24ebd3dd46737f9123b3a2b6",
+    "greedy@40.auto": "0ebd63ef9927eec6d28f85bc7635c4133e347764f2613f62d9c1b31b33675234",
 }
 
 

@@ -259,6 +259,30 @@ def test_prior_entropy_entries_must_be_real_numbers():
         prior_entropy(["a", "b"])
 
 
+# numpy stores a None entry as NaN; each array input refuses it instead.
+NONE_ENTRY = r"expected \d-d array of real numbers \(an entry is None\)"
+
+
+def test_cpt_entries_must_not_be_none():
+    with pytest.raises(InputError, match="Cpt.rows: " + NONE_ENTRY):
+        Cpt([[None, 1], [0, 1]])
+
+
+def test_nbi_prior_entries_must_not_be_none():
+    with pytest.raises(InputError, match="prior: " + NONE_ENTRY):
+        NbiModel(LabelSpace(2), [None, 1.0], {})
+
+
+def test_apm_prior_entries_must_not_be_none():
+    with pytest.raises(InputError, match="prior: " + NONE_ENTRY):
+        replace(MODEL, prior=[None, 1.0])
+
+
+def test_prior_entropy_entries_must_not_be_none():
+    with pytest.raises(InputError, match="prior: " + NONE_ENTRY):
+        prior_entropy([0.5, None, 0.5])
+
+
 def test_with_labels_needs_a_label_space():
     with pytest.raises(InputError, match="expected a LabelSpace, got None"):
         with_labels(MODEL, None)

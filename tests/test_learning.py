@@ -348,8 +348,8 @@ class TestNbi:
     def test_unlabeled_fit_relabels_prior_and_tables_alike(self, monkeypatch):
         """Without truths, the fit's outcome labels are permuted to put worker
         agreement on the diagonal: the prior and every worker table's rows by
-        the same columns. Seed 4 draws tables whose fit needs the 3-cycle."""
-        k, rng = 3, np.random.default_rng(4)
+        the same columns. Seed 37 draws tables whose fit needs a 3-cycle."""
+        k, rng = 3, np.random.default_rng(37)
         per = sym_model([0.5, 0.5], [1.0] * 3, [0.5] * 3)
         per = type(per)(
             labels=LabelSpace(k),
@@ -358,9 +358,9 @@ class TestNbi:
             path_cpts=(Cpt(np.eye(k)),) * 3,
             worker_cpts=tuple({w: Cpt(rng.dirichlet([0.5] * k, size=k))} for w in "abc"),
         )
-        data = generate(per, [1, 1, 1], 60, seed=4)
+        data = generate(per, [1, 1, 1], 60, seed=37)
         data = Dataset.tabulate(**{**data.stored_columns(), "truth": np.full(len(data), -1)})
-        cfg = EmConfig(max_iters=50, restarts=1, seed=4)
+        cfg = EmConfig(max_iters=50, restarts=1, seed=37)
         cols = []
         real = learning._max_assignment
 
@@ -372,7 +372,7 @@ class TestNbi:
         model, _ = fit_nbi(data, cfg)
         monkeypatch.setattr(learning, "_max_assignment", lambda w: list(range(k)))
         raw, _ = fit_nbi(data, cfg)
-        assert cols == [[1, 2, 0]]
+        assert cols == [[2, 0, 1]]
         assert not model.sparse_workers
         np.testing.assert_array_equal(model.prior, raw.prior[cols[0]])
         for w in "abc":

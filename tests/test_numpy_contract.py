@@ -15,17 +15,15 @@ given.
   order, one pass per entry; they equal numpy's own sum over that axis, bit
   for bit, because numpy adds 7 or fewer entries of a contiguous axis in
   order too (from 8 it sums pairwise).
-* Every stream is a Philox4x64-10 keyed through `SeedSequence` mixing, which
-  `_rng.stream_keys` replays. `tests/test_rng.py` checks that replay against
-  numpy; here one key and the stream's first words are pinned as literals, so
-  a numpy that changed both the same way still fails.
+* Every stream is a Philox4x64-10 keyed directly with two 64-bit words,
+  which `_rng` derives with BLAKE2b (`tests/test_rng.py` checks that
+  recipe). Here one key's first raw words are pinned as literals, so a numpy
+  that changed Philox's output for a given key fails.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from crowdplan._rng import _fold
 
 CONTRACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 KEYS = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)).map(
@@ -108,12 +106,10 @@ def test_sum_order_shows_from_eight_entries():
     assert np.array([1.0] + [tiny] * 7).sum() > 1.0
 
 
-def test_seed_sequence_key_and_philox_words_are_pinned():
-    """The key and first raw words of the stream that executes task t1 under seed 0."""
-    entropy = [_fold(0), _fold("exec"), _fold("t1")]
-    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-    assert key.tolist() == [0xB457251D40378260, 0x23F1581B5505E4EE]
-    words = np.random.Philox(key=key).random_raw(4)
-    assert words.tolist() == [
-        0x7EDC3EC132D9B9A4, 0x82DD7FC0488223CF, 0x1AFDC5F26793E0B9, 0x609AD892CC0C1E1B
+def test_philox_words_for_a_key_are_pinned():
+    """The first raw words of Philox under the key of the stream that executes
+    task t1 under seed 0."""
+    bits = np.random.Philox(key=np.array([0x392277D9B7B616A7, 0x60D8DD83B61A3A3D], np.uint64))
+    assert bits.random_raw(4).tolist() == [
+        0x840755DF20FAD3DA, 0xF03A22940CABB5BD, 0x9FA8CD75CAE38C89, 0xD6492C6217D660FE
     ]

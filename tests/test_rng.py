@@ -1,47 +1,80 @@
-"""Batched stream keys against numpy, the oracle.
+"""Stream keys: one BLAKE2b recipe, its literal values, and the batched forms.
 
-`stream_keys` replays numpy's `SeedSequence` mixing for many parts at once,
-and `substreams` hands out one shared generator set to each key in turn;
+The Philox key of `substream(seed, *key)` is the 16-byte BLAKE2b digest of
+the 8-byte little-endian `_fold` of the seed and of each key part, read as two
+little-endian 64-bit words; `derive_seed` is the same hash at 8 bytes.
+`stream_keys` and `substreams` give many such streams at once, and
 `substream_words` reads each one's first raw words. All must give exactly the
-streams `substream` builds one at a time, so a numpy that changed its seeding
-would fail here.
+streams `substream` builds one at a time.
 """
+
+import hashlib
+from importlib.resources import files
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdplan._rng import _fold, stream_keys, substream, substream_words, substreams
+from crowdplan._rng import (
+    _fold,
+    derive_seed,
+    stream_keys,
+    substream,
+    substream_words,
+    substreams,
+)
+from crowdplan.cli import main
 from crowdplan.errors import InputError
+from crowdplan.model import save_model
+
+from _oracles import random_model
 
 PARITY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
 near = st.sampled_from([0, 2**32, 2**64 - 1]).flatmap(lambda v: st.integers(v - 3, v + 3))
 parts = st.one_of(near, st.integers(0, 2**64 - 1), st.text(max_size=3))
+prefixes = st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=3)), max_size=3).map(tuple)
+
+
+def key_of(seed, *key) -> list[int]:
+    return substream(seed, *key).bit_generator.state["state"]["key"].tolist()
 
 
 @PARITY
-@given(
-    st.one_of(near, st.text(max_size=3)),
-    st.lists(st.one_of(st.integers(0, 2**40), st.text(max_size=3)), max_size=3),
-    st.lists(parts, max_size=6),
-)
-def test_streams_match_numpy_seed_sequence(seed, prefix, drawn):
-    prefix, every = tuple(prefix), drawn + EDGES + ["t1"]
-    want = [
-        np.random.SeedSequence([_fold(seed), *map(_fold, prefix), _fold(part)])
-        .generate_state(2, np.uint64)
-        .tolist()
-        for part in every
+@given(st.one_of(near, st.text(max_size=3)), st.lists(parts, max_size=4))
+def test_key_is_the_blake2b_digest_of_the_folded_parts(seed, key):
+    def digest(size):
+        data = b"".join(_fold(part).to_bytes(8, "little") for part in (seed, *key))
+        return hashlib.blake2b(data, digest_size=size).digest()
+
+    assert key_of(seed, *key) == np.frombuffer(digest(16), "<u8").tolist()
+    assert derive_seed(seed, *key) == int.from_bytes(digest(8), "little")
+
+
+def test_key_and_first_words_are_pinned():
+    """The key and first raw words of the stream that executes task t1 under seed 0."""
+    assert key_of(0, "exec", "t1") == [0x392277D9B7B616A7, 0x60D8DD83B61A3A3D]
+    assert substream(0, "exec", "t1").bit_generator.random_raw(4).tolist() == [
+        0x840755DF20FAD3DA, 0xF03A22940CABB5BD, 0x9FA8CD75CAE38C89, 0xD6492C6217D660FE
     ]
-    assert stream_keys(seed, prefix, every).tolist() == want
+
+
+@PARITY
+@given(st.one_of(near, st.text(max_size=3)), prefixes, st.lists(parts, max_size=6))
+def test_batched_streams_equal_substream_and_distinct_keys_differ(seed, prefix, drawn):
+    every = drawn + EDGES + ["t1"]
+    assert stream_keys(seed, prefix, every).tolist() == [key_of(seed, *prefix, p) for p in every]
     for part, rng in zip(every, substreams(seed, prefix, every), strict=True):
         ref = substream(seed, *prefix, part)
         assert rng.random(13).tolist() == ref.random(13).tolist()
         choice = rng.choice(5, size=3, replace=False)
         assert choice.tolist() == ref.choice(5, size=3, replace=False).tolist()
+    # Key tuples that differ in one folded part or in length get distinct keys.
+    tuples = {tuple(map(_fold, (seed, *prefix, part))) for part in every}
+    tuples |= {tuple(map(_fold, (seed, *prefix[:n]))) for n in range(len(prefix) + 1)}
+    assert len({tuple(key_of(*t)) for t in tuples}) == len(tuples)
 
 
 @PARITY
@@ -67,3 +100,33 @@ def test_no_parts_still_check_the_seed_and_prefix():
     ):
         with pytest.raises(InputError, match="a seed must be an int or a str, got 1.5"):
             call()
+
+
+EXAMPLE = str(files("crowdplan") / "data" / "example_model.json")
+
+
+def test_cli_session_draws_no_seed_sequence(tmp_path, monkeypatch, capsys):
+    """Every stream of a CLI session is keyed without numpy's `SeedSequence`."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random.SeedSequence was called")
+
+    d, seed = str(tmp_path), ("--seed", "3")
+    save_model(random_model(np.random.default_rng(0), 3, per_worker=True), f"{d}/crowd.json")
+    em = ("--max-iters", "5", "--restarts", "2", *seed)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    for argv in (
+        ("simulate", "--model", f"{d}/crowd.json", "--plan", "2,2,2", "--tasks", "40",
+         "--inject-p", "0.2", *seed, "--out", f"{d}/votes.csv"),
+        ("learn", "--votes", f"{d}/votes.csv", *em, "--out", f"{d}/apm.json"),
+        ("learn", "--votes", f"{d}/votes.csv", "--model-kind", "nbi", *em,
+         "--out", f"{d}/nbi.json"),
+        ("plan", "--model", EXAMPLE, "--budget", "9", "--ig", "sampled", "--samples", "300",
+         *seed),
+        ("plan", "--model", EXAMPLE, "--budget", "9", "--strategy", "rnd", *seed),
+        ("sweep", "--votes", f"{d}/votes.csv", "--budgets", "4", "--folds", "2",
+         "--costs", "1,2,3", "--strategies", "greedy,rnd", "--models", "apm,nbi",
+         "--ig", "sampled", "--samples", "300", "--max-iters", "5", "--restarts", "1",
+         *seed, "--out", f"{d}/sweep.csv"),
+    ):
+        assert main(list(argv)) == 0, (argv[0], capsys.readouterr().err)
