@@ -29,15 +29,12 @@ the count vectors' own layout, label axis last; information gain transposes
 its result before `path_factors`). Scatter-adds follow the table's canonical
 vote order, so results do not depend on how the votes were stored.
 
-Every sum keeps the bits of the plain numpy call on the task-major layout:
+Sums over a label, state, path or task axis are numpy's own `sum`, so
+their bytes hold for a fixed numpy version and SIMD target (see README,
+Determinism). Two reductions are written out:
 
-* `label_sum` and `logsumexp` make one full-width elementwise pass per entry
-  of a short label, state or path axis, adding the entries in order from
-  0.0. numpy's own sum adds up to 7 entries in that same order, so for
-  K <= 7 every result equals `a.sum(axis)` bit for bit; from K = 8 numpy
-  sums a contiguous axis pairwise and the two may differ in the last bit.
-* `task_sum` adds along the contiguous task axis one task at a time, as
-  numpy sums a leading axis, where a plain sum would add pairwise.
+* `logsumexp` makes one full-width elementwise pass per entry of a short
+  label or state axis, adding the entries in order.
 * `np.add.at` is slow per index. `scatter_rows` runs one `np.bincount` per
   label instead, which adds its weights in input order, as `np.add.at`
   does, so the sums keep their bits for every K.
@@ -60,40 +57,6 @@ def _entries(a: np.ndarray, axis: int) -> list[np.ndarray]:
     """The slices of `a` along `axis`, in order, as views."""
     lead = (slice(None),) * (axis % a.ndim)
     return [a[lead + (j,)] for j in range(a.shape[axis])]
-
-
-def label_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum over a short label or path axis: 0.0 plus each entry in order, one pass each."""
-    out = 0.0
-    for col in _entries(a, axis):
-        out = out + col
-    return out
-
-
-def label_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[p, j] = the sum over labels y of a[y, p] * b[y, j], shape (P, J).
-
-    As `label_sum` adds: one full-width pass per label, 0.0 plus each label's
-    product in order (the first product stands for 0.0 plus it, which is the
-    same number unless it is -0.0). Not a matmul: its order of additions, and
-    so its last bits, would depend on the BLAS build and its thread count.
-    """
-    out = a[0][:, None] * b[0]
-    term = np.empty_like(out)
-    for y in range(1, len(a)):
-        out += np.multiply(a[y][:, None], b[y], out=term)
-    return out
-
-
-def task_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the trailing task axis, one task at a time in order, from the first.
-
-    numpy sums a contiguous axis pairwise; a running sum adds in order, as
-    numpy sums a leading axis, so the bits match those of a task-major layout.
-    """
-    if not a.shape[-1]:
-        return np.zeros(a.shape[:-1])
-    return np.cumsum(a, axis=-1)[..., -1]
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -158,7 +121,7 @@ def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
     """evidence[..., i, z] = sum_x counts[..., i, x] log p(x | z) on path i, with 0 log 0 = 0."""
     counts = counts[..., None, :]
     with np.errstate(invalid="ignore"):
-        return label_sum(np.where(counts > 0, counts * log_tables, 0.0))
+        return np.where(counts > 0, counts * log_tables, 0.0).sum(axis=-1)
 
 
 def path_factors(log_path_cpts: np.ndarray, evidence: np.ndarray):
@@ -186,7 +149,7 @@ def apm_log_joints(
     """
     if active is not None:
         factors = np.where(active, factors, 0.0)
-    return log_prior[..., None] + label_sum(factors, axis=-2)
+    return log_prior[..., None] + factors.sum(axis=-2)
 
 
 def direct_log_joints(

@@ -26,12 +26,11 @@ exact
     two sides, p(y, c') over every voted path but the last (with the prior)
     and the last path's p(c_last | y), each scaled by its largest label as
     the scaled forward algorithm scales its columns (Rabiner, Proc. IEEE
-    1989). The sum is added in order over y, not as a matmul, whose order
-    would follow the BLAS build. A sum below `_UNDERFLOW` is taken again by
-    `logsumexp`, which is -inf, no mass, only where every term is -inf; such
-    a p(c) moves H(C) by less than 1e-247, so what the recompute prevents is
-    0 * log 0, a NaN. Blocks of at most `_EXACT_ROWS` count vectors pass on
-    two sums each, so peak memory is one side plus one block.
+    1989), in one `np.einsum` per block. A sum below `_UNDERFLOW` is taken
+    again by `logsumexp`, which is -inf, no mass, only where every term is
+    -inf; such a p(c) moves H(C) by less than 1e-247, so what the recompute
+    prevents is 0 * log 0, a NaN. Blocks of at most `_EXACT_ROWS` count
+    vectors pass on two sums each, so peak memory is one side plus one block.
 
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
@@ -87,8 +86,6 @@ import numpy as np
 from ._kernel import (
     apm_log_joints,
     count_evidence,
-    label_products,
-    label_sum,
     log,
     logsumexp,
     path_factors,
@@ -218,47 +215,12 @@ def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray
     return factor[:, 0]
 
 
-_STIRLING = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_LOG_SQRT_2PI = 0.91893853320467274178
-
-
-def _lgam(x: int) -> float:
-    """log Gamma(x) at a positive integer x, as cephes `lgam` computes it.
-
-    This is the cephes routine behind `scipy.special.gammaln`, restricted to
-    positive integers: the exact product below 13, Stirling's series with
-    cephes' 5-term correction polynomial below 1000 and its 3-term form from
-    1000 on. It keeps cephes' operation order and takes logs with libm
-    (`math.log`), so every value equals `gammaln(x)` bit for bit.
-    """
-    if x < 13:
-        return math.log(float(math.factorial(x - 1)))
-    x = float(x)
-    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
-    if x > 1e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    s = _STIRLING[0]
-    for a in _STIRLING[1:]:
-        s = s * p + a
-    return q + s / x
-
-
 @lru_cache(maxsize=4096)
 def _count_vectors(votes: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every label count vector of `votes` votes over k labels, shape (V, k), and
     its log multinomial multiplicity log(votes!) - sum_j log(c_j!), shape (V,)."""
     vecs = _compositions(votes, k)
-    log_fact = np.array([_lgam(m + 1) for m in range(votes + 1)])
+    log_fact = np.array([math.lgamma(m + 1) for m in range(votes + 1)])
     log_c = log_fact[votes] - log_fact[vecs].sum(axis=1)
     log_c.setflags(write=False)
     return vecs, log_c
@@ -355,7 +317,7 @@ def _block(x: _Side, y: _Side) -> tuple[float, float]:
     """-sum p(c) log p(c) and sum p(c) over the count vectors c = (i, j) that pair
     column i of x with column j of y. Entry (i, j) is laid out at row i, so
     the longer side should be y, along the contiguous axis."""
-    pc = label_products(x.scaled, y.scaled)
+    pc = np.einsum("yp,yj->pj", x.scaled, y.scaled)
     low = None
     if pc.min() < _UNDERFLOW:
         low = np.nonzero(pc < _UNDERFLOW)
@@ -504,7 +466,7 @@ def _sample_block(
         log_post = log_joint - norm
         with np.errstate(invalid="ignore"):
             post = np.exp(log_post)
-            ent = -label_sum(np.where(post > 0, post * log_post, 0.0), axis=0)
+            ent = -np.where(post > 0, post * log_post, 0.0).sum(axis=0)
         out.append((float(ent.sum()), float((ent * ent).sum())))
     return out
 

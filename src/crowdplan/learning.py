@@ -41,12 +41,10 @@ from ._kernel import (
     apm_log_joints,
     direct_log_joints,
     label_columns,
-    label_sum,
     log,
     logsumexp,
     path_factors,
     scatter_rows,
-    task_sum,
     vote_evidence,
 )
 from ._rng import _fold, substream
@@ -224,13 +222,13 @@ def _label_scatter(num_tables: int, table_idx: np.ndarray, t: Dataset, rows: np.
 
 def _prior(q_y: np.ndarray, alpha: float) -> np.ndarray:
     """Each run's prior (R, K) from q_y (K, R, n), its rows contiguous as a lone prior's."""
-    return _normalize_rows(np.ascontiguousarray(task_sum(q_y).T) + alpha)
+    return _normalize_rows(np.ascontiguousarray(q_y.sum(axis=-1).T) + alpha)
 
 
 def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
     joint = q_y[:, None, :, None] * q_z                                 # (K_y, K_z, R, N, n)
-    path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 3, 0, 1)) + alpha
-    r = label_sum(joint, axis=0)                                        # (K_z, R, N, n)
+    path_counts = np.ascontiguousarray(joint.sum(axis=-1).transpose(2, 3, 0, 1)) + alpha
+    r = joint.sum(axis=0)                                               # (K_z, R, N, n)
     r = r.reshape(*r.shape[:2], -1)                                     # (K_z, R, N * n)
     table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=-1))
     return _Params(

@@ -34,12 +34,10 @@ from crowdplan._kernel import (
     apm_log_joints,
     direct_log_joints,
     label_columns,
-    label_sum,
     log,
     logsumexp,
     path_factors,
     scatter_rows,
-    task_sum,
     vote_evidence,
 )
 from crowdplan.evaluation import FoldRow, _accuracy, _neg_log_likelihood
@@ -341,10 +339,10 @@ def _ref_label_scatter(num_tables, table_idx, t, rows):
 
 def _ref_mstep(t, slots, q_y, q_z, alpha):
     norm = learning._normalize_rows
-    prior = norm(task_sum(q_y) + alpha)
+    prior = norm(q_y.sum(axis=-1) + alpha)
     joint = q_y[:, None, None, :] * q_z
-    path_counts = np.ascontiguousarray(task_sum(joint).transpose(2, 0, 1)) + alpha
-    r = label_sum(joint, axis=0).reshape(t.num_labels, -1)
+    path_counts = np.ascontiguousarray(joint.sum(axis=-1).transpose(2, 0, 1)) + alpha
+    r = joint.sum(axis=0).reshape(t.num_labels, -1)
     table_counts = _ref_label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=1))
     return prior, norm(path_counts), norm(table_counts + alpha)
 
@@ -357,7 +355,7 @@ def _ref_nbi_estep(params, t):
 
 
 def _ref_nbi_mstep(t, q_y, alpha):
-    prior = learning._normalize_rows(task_sum(q_y) + alpha)
+    prior = learning._normalize_rows(q_y.sum(axis=-1) + alpha)
     counts = _ref_label_scatter(
         len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=1)
     )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import crowdplan.infogain as infogain
 from crowdplan import cli
-from crowdplan._kernel import label_products, logsumexp
+from crowdplan._kernel import logsumexp
 from crowdplan._rng import categorical_rows
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.infogain import (
@@ -242,13 +242,14 @@ class TestBlockedExact:
         rows = self.SHAPES[shape](exact_count_vectors(counts, k), width)
         model = zeroed_model(k, len(counts), seed, zeros)
         blocks = []
+        block = infogain._block
 
-        def recording(a, b):
-            blocks.append(a.shape[1] * b.shape[1])
-            return label_products(a, b)
+        def recording(x, y):
+            blocks.append(len(x.top) * len(y.top))
+            return block(x, y)
 
         with mock.patch.object(infogain, "_EXACT_ROWS", rows), \
-                mock.patch.object(infogain, "label_products", recording):
+                mock.patch.object(infogain, "_block", recording):
             assert_agrees_with_references(model, counts)
         assert sum(blocks) == (exact_count_vectors(counts, k) if voted else 0)
         assert max(blocks, default=0) <= rows

@@ -1,11 +1,11 @@
 """The scoring kernels against the plain numpy forms they replace.
 
-`logsumexp` and the label-axis sums reduce a short axis as one pass per
-entry, and the scatter-adds run on `np.bincount`. The references below are
-the plain forms: numpy reductions over the axis, `np.einsum` and `np.add.at`.
-For K <= 7 both must agree bit for bit, ties, -inf entries and all -inf
-slices included; from K = 8 numpy sums pairwise, so there they agree to
-1e-12. Scatters keep their bits at every K.
+`logsumexp` reduces a short axis as one pass per entry, and the
+scatter-adds run on `np.bincount`. The references below are the plain forms:
+numpy reductions over the axis, `np.einsum` and `np.add.at`. For K <= 7 both
+must agree bit for bit, ties, -inf entries and all -inf slices included;
+from K = 8 numpy sums pairwise, so there they agree to 1e-12. Scatters keep
+their bits at every K.
 """
 
 import numpy as np
@@ -17,8 +17,6 @@ import crowdplan.learning as learning
 from crowdplan._kernel import (
     count_evidence,
     direct_log_joints,
-    label_products,
-    label_sum,
     logsumexp,
     vote_evidence,
 )
@@ -221,36 +219,9 @@ def test_logsumexp_all_minus_inf_and_ties():
 @given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_label_sums_bits(k, rows, seed):
     rng = np.random.default_rng(seed)
-    a = log_scores(rng, (rows, 3, k))
-    same_bits(label_sum(a), a.sum(axis=-1))
-    same_bits(label_sum(np.moveaxis(a, -1, 1), axis=1), a.sum(axis=-1))
     counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
     tables = log_tables(rng, 1, k)
     same_bits(count_evidence(counts, tables), ref_count_evidence(counts, tables))
-    post = posteriors(rng, (rows, k))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(post > 0, post * np.log(post), 0.0)
-    same_bits(label_sum(terms), terms.sum(axis=1))
-
-
-def test_label_sum_starts_from_zero():
-    """numpy's sum starts from 0.0, so a slice of -0.0 sums to +0.0."""
-    a = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.5, -2.0]])
-    same_bits(label_sum(a), a.sum(axis=-1))
-
-
-@PARITY
-@given(k=st.integers(2, 10), p=st.integers(1, 30), j=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_label_products_match_plain_sums(k, p, j, seed):
-    """The plain forms sum the (K, P, J) products over the label axis, first or
-    last; zeros included."""
-    rng = np.random.default_rng(seed)
-    a, b = rng.random((k, p)), rng.random((k, j))
-    a[rng.random((k, p)) < 0.2] = 0.0
-    got = label_products(a, b)
-    check = same_bits if k <= 7 else close
-    check(got, (a[:, :, None] * b[:, None, :]).sum(axis=0))
-    check(got, (a.T[:, None, :] * b.T[None, :, :]).sum(axis=-1))
 
 
 @PARITY
@@ -259,8 +230,6 @@ def test_wide_label_axes_within_1e12(k, rows, seed):
     rng = np.random.default_rng(seed)
     a = log_scores(rng, (rows, 2, k))
     close(logsumexp(a, axis=2), ref_logsumexp(a, axis=2))
-    finite = rng.normal(-3, 4, size=(rows, k))
-    close(label_sum(finite), finite.sum(axis=-1))
     counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
     tables = log_tables(rng, 1, k)
     close(count_evidence(counts, tables), ref_count_evidence(counts, tables))

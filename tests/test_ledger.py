@@ -1,5 +1,6 @@
 """`tools/ledger.py`: a rerun records the same bytes, a changed output is named, and
-a plan or sweep entry that moved is told apart by its parsed result or its rows."""
+a plan, sweep, learn or infer entry that moved is told apart by its parsed result,
+its rows, its fit report or its predictions."""
 
 import importlib.util
 import json
@@ -82,3 +83,44 @@ def test_plan_entries_keep_their_result_and_compare_by_it():
         f"plan/1/a0.opt.30: plan changed: exact {opt['counts']} -> exact [0, 0, 10]",
         "largest |d ig| of the ig-digit entries: 1e-15",
     ]
+
+
+def test_learn_and_infer_entries_keep_their_fit_and_predictions():
+    """A `learn` entry keeps its report without the final log-likelihood under
+    `fit`, an `infer` entry the digest of its task ids and predictions; a change
+    that keeps them is told apart from one that moves them."""
+    ledger = _load_ledger()
+    before = ledger.record(["crowd"], [1])
+    assert set(before["crowd/1/learn.apm"]["fit"]) == {
+        "iterations", "converged", "restart_index", "sparse_paths", "sparse_workers"
+    }
+    infers = sorted(key for key in before if "/infer." in key)
+    assert len(infers) == 5 and all(before[key]["predictions"] for key in infers)
+    assert ledger._predictions(b"task_id,prediction,confidence\r\nt1,a,0.5\r\n") == ledger._sha(
+        "task_id,prediction\nt1,a"
+    )
+
+    fit_em, posteriors = crowdplan.cli.fit_em, crowdplan.cli.table_posteriors
+
+    def refit(**change):
+        def run(*args, **kwargs):
+            model, report = fit_em(*args, **kwargs)
+            return model, replace(report, **{k: f(getattr(report, k)) for k, f in change.items()})
+        return run
+
+    def rescore(nudge, flip):
+        def run(*args, **kwargs):
+            probs, pred, degenerate = posteriors(*args, **kwargs)
+            return probs * nudge, (pred + flip) % probs.shape[1], degenerate
+        return run
+
+    learns = ("crowd/1/learn.apm", "crowd/1/learn.pw")  # the two fit by EM
+    for name, target, keys, says in (
+        ("fit_em", refit(final_log_likelihood=lambda v: v - 1.0), learns, "fit digits only"),
+        ("fit_em", refit(iterations=lambda v: v + 1), learns, "fit changed: fit, stdout"),
+        ("table_posteriors", rescore(1 - 2**-40, 0), infers, "posterior digits only"),
+        ("table_posteriors", rescore(1.0, 1), infers, "predictions changed: output, predictions"),
+    ):
+        with mock.patch.object(crowdplan.cli, name, target):
+            after = ledger.record(["crowd"], [1])
+        assert ledger.compare(before, after) == [f"{key}: {says}" for key in keys]

@@ -9,12 +9,18 @@ given.
   `random_raw` call, which continues the stream as one call per group would,
   and ranks them with `np.lexsort`, which orders 64-bit words unsigned and
   keeps input order among equal keys.
-* `scatter_rows` relies on `np.bincount` adding its weights in input order,
-  and `task_sum` on `np.cumsum` adding in order.
-* `label_sum`, `logsumexp` and `label_products` add a short label axis in
-  order, one pass per entry; they equal numpy's own sum over that axis, bit
-  for bit, because numpy adds 7 or fewer entries of a contiguous axis in
-  order too (from 8 it sums pairwise).
+* `scatter_rows` relies on `np.bincount` adding its weights in input order.
+* `logsumexp` adds a short label axis in order, one pass per entry; it
+  equals numpy's own sum over that axis, bit for bit, because numpy adds 7
+  or fewer entries of a contiguous axis in order too (from 8 it sums
+  pairwise).
+* Exact information gain takes its label products with
+  `np.einsum("yp,yj->pj")`, which on its non-negative sides adds the K
+  products in order over labels, starting from the first; numpy's sums over
+  a leading label, state or path axis add their entries in order too. The
+  other sums, over a contiguous task or draw axis, are pairwise. Their
+  bytes hold for a fixed numpy version and SIMD target, as README's
+  Determinism section states.
 * Every stream is a Philox4x64-10 keyed directly with two 64-bit words,
   which `_rng` derives with BLAKE2b (`tests/test_rng.py` checks that
   recipe). Here one key's first raw words are pinned as literals, so a numpy
@@ -22,7 +28,7 @@ given.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 CONTRACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -80,13 +86,37 @@ def test_bincount_order_shows_in_the_sum():
     assert np.bincount([0, 0, 0], weights=[1e16, -1e16, 1.0])[0] == 1.0
 
 
+def _mixed(rng, shape, low=-1.0):
+    """Values from 1e-8 to 1e8 in size, some exactly 0, from `low` times that up."""
+    a = rng.uniform(low, 1, shape) * 10.0 ** rng.integers(-8, 9, shape)
+    return np.where(rng.random(shape) < 0.1, 0.0, a)
+
+
 @CONTRACT
-@given(values=MIXED, rows=st.integers(1, 3))
-def test_cumsum_adds_in_order(values, rows):
-    a = np.array([values] * rows)
-    a[1:] *= 3.0
-    got = np.cumsum(a, axis=-1)[:, -1]
-    assert got.tolist() == [_in_order(row) for row in a.tolist()]
+@given(k=st.integers(2, 10), p=st.integers(1, 40), j=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_einsum_adds_label_products_in_order(k, p, j, seed):
+    """On non-negative sides, as exact information gain's scaled sides are. A
+    (1, 1) product is a dot product, which numpy adds in another order; a
+    product of -0.0 is added to a start of +0.0."""
+    assume(p * j > 1)
+    rng = np.random.default_rng(seed)
+    a, b = _mixed(rng, (k, p), low=0.0), _mixed(rng, (k, j), low=0.0)
+    want = a[0][:, None] * b[0]
+    for y in range(1, k):
+        want = want + a[y][:, None] * b[y]
+    assert np.array_equal(np.einsum("yp,yj->pj", a, b).view(np.int64), want.view(np.int64))
+
+
+@CONTRACT
+@given(k=st.integers(1, 10), shape=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_leading_axis_sum_adds_in_order(k, shape, seed):
+    a = _mixed(np.random.default_rng(seed), (k, *shape))
+    want = a[0]
+    for y in range(1, k):
+        want = want + a[y]
+    assert np.array_equal(a.sum(axis=0).view(np.int64), want.view(np.int64))
 
 
 @CONTRACT

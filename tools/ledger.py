@@ -13,10 +13,15 @@ file (null when it writes none). A `plan` request's entry also keeps its
 parsed result under `plan` (counts, cost, ig, stderr, mode, bound; null when
 the request failed). A `sweep` request's entry also keeps `rows`, the sha256
 of its CSV without the `accuracy` and `neg_log_likelihood` columns (null
-when it writes none). Each (workload, seed) also gets an `inputs` entry, the
-workload's digest of its input files. The work directory's path is written
-as `<work>` in stdout and stderr, so ledgers made in different directories
-compare equal.
+when it writes none). A `learn` request's entry also keeps its parsed report
+without `final_log_likelihood` under `fit` (iterations, converged, restart
+index, sparse lists; null when the request failed), and an `infer`
+request's entry the sha256 of its CSV's `task_id,prediction` columns under
+`predictions` (null when it writes none). Each (workload, seed) also gets an
+`inputs` entry, the workload's digest of its input files. The work
+directory's path is written as `<work>` in stdout and stderr, so ledgers
+made in different directories compare equal. To compare two trees, run this
+same file in each (it reads the package from the tree it sits in).
 
 `--compare A B` prints each entry that differs, or is in one ledger only,
 with the fields that differ, and exits 1 if there is any; 0 means every byte
@@ -25,7 +30,10 @@ reported as "ig digits only" with |ig A - ig B|, one whose counts or mode
 differ as "plan changed", and the largest |ig A - ig B| of the first kind is
 printed last. A sweep entry whose output differs with the same `rows` is
 reported as "sweep metrics only", one whose `rows` differ as "sweep rows
-changed".
+changed". Likewise a learn entry whose output or stdout differs with the
+same `fit` is "fit digits only", one whose `fit` differs "fit changed"; an
+infer entry whose output differs with the same `predictions` is "posterior
+digits only", one whose `predictions` differ "predictions changed".
 """
 
 from __future__ import annotations
@@ -58,11 +66,28 @@ def _sha(text: str | bytes) -> str:
     return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
 
 
+def _columns(output: bytes, keep) -> str:
+    """The sha256 of the columns of a CSV whose header names pass `keep`."""
+    table = list(csv.reader(io.StringIO(output.decode())))
+    cols = [j for j, name in enumerate(table[0]) if keep(name)]
+    return _sha("\n".join(",".join(row[j] for j in cols) for row in table))
+
+
 def _rows(output: bytes) -> str:
     """The sha256 of a sweep CSV without its metric columns."""
-    table = list(csv.reader(io.StringIO(output.decode())))
-    keep = [j for j, name in enumerate(table[0]) if name not in ("accuracy", "neg_log_likelihood")]
-    return _sha("\n".join(",".join(row[j] for j in keep) for row in table))
+    return _columns(output, lambda name: name not in ("accuracy", "neg_log_likelihood"))
+
+
+def _predictions(output: bytes) -> str:
+    """The sha256 of a posteriors CSV's task ids and predictions."""
+    return _columns(output, lambda name: name in ("task_id", "prediction"))
+
+
+def _fit(stdout: str) -> dict:
+    """A learn report without its final log-likelihood."""
+    report = json.loads(stdout.splitlines()[-1])
+    del report["final_log_likelihood"]
+    return report
 
 
 def record(names: list[str], seeds: list[int]) -> dict[str, dict]:
@@ -87,8 +112,14 @@ def record(names: list[str], seeds: list[int]) -> dict[str, dict]:
                     }
                     if req.argv[0] == "sweep":
                         entry["rows"] = None if output is None else _rows(output.read_bytes())
+                    if req.argv[0] == "infer":
+                        entry["predictions"] = (
+                            None if output is None else _predictions(output.read_bytes())
+                        )
                     if req.argv[0] == "plan":
                         entry["plan"] = json.loads(out.getvalue().splitlines()[-1]) if rc == 0 else None
+                    if req.argv[0] == "learn":
+                        entry["fit"] = _fit(out.getvalue()) if rc == 0 else None
     return entries
 
 
@@ -113,6 +144,14 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
             lines.append(f"{key}: sweep metrics only")
         elif a[key].get("rows") and b[key].get("rows") and "rows" in fields:
             lines.append(f"{key}: sweep rows changed: {', '.join(fields)}")
+        elif a[key].get("fit") and b[key].get("fit") and set(fields) <= {"output", "stdout"}:
+            lines.append(f"{key}: fit digits only")
+        elif a[key].get("fit") and b[key].get("fit") and "fit" in fields:
+            lines.append(f"{key}: fit changed: {', '.join(fields)}")
+        elif a[key].get("predictions") and b[key].get("predictions") and fields == ["output"]:
+            lines.append(f"{key}: posterior digits only")
+        elif a[key].get("predictions") and b[key].get("predictions") and "predictions" in fields:
+            lines.append(f"{key}: predictions changed: {', '.join(fields)}")
         else:
             lines.append(f"{key}: {', '.join(fields)}")
     if deltas:
