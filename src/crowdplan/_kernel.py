@@ -8,7 +8,7 @@ each pass is one inner loop over all n (or N * n) entries.
 
 EM fits all of its restarts at once, so the kernels it calls take an
 optional run axis R right after the label and state axes: evidence is
-(K_z, R, N, n), path terms (K_y, K_z, R, N, n) and log joints (K, R, n), from
+(K_z, R, N, n), state posteriors (K_y, K_z, R, N, n) and log joints (K, R, n), from
 tables with a leading run axis, (R, C, K, K). Without it (inference and
 information gain) every shape drops R. The vote gather takes each run's
 tables at a per-run offset, and a scatter runs over the bins r * size + j,
@@ -29,15 +29,16 @@ the count vectors' own layout, label axis last; information gain transposes
 its result before `path_factors`). Scatter-adds follow the table's canonical
 vote order, so results do not depend on how the votes were stored.
 
-Sums over a label, state, path or task axis are numpy's own `sum`, so
-their bytes hold for a fixed numpy version and SIMD target (see README,
-Determinism). Two reductions are written out:
+Every normalised sum (a path factor, a posterior, exact IG's p(c)) is scaled
+as in the scaled forward algorithm (Rabiner, Proc. IEEE 1989): `scale` takes
+one `exp` of each term less the axis's largest, and `normalise` sums in
+probability space. A scaled sum below `_UNDERFLOW`, whose log may be finite,
+is taken again by `_log_space`, which adds its axis in order, in log space.
 
-* `logsumexp` makes one full-width elementwise pass per entry of a short
-  label or state axis, adding the entries in order.
-* `np.add.at` is slow per index. `scatter_rows` runs one `np.bincount` per
-  label instead, which adds its weights in input order, as `np.add.at`
-  does, so the sums keep their bits for every K.
+Other sums are numpy's own `sum`, so their bytes hold for a fixed numpy
+version and SIMD target (see README, Determinism). `np.add.at` is slow per
+index, so `scatter_rows` runs one `np.bincount` per label, which adds its
+weights in input order as `np.add.at` does: the sums keep their bits.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ import numpy as np
 
 from .model import Dataset
 
+_UNDERFLOW = 1e-250  # scaled sums below this are taken again in log space
+_MOST_NEGATIVE = -1.7976931348623157e308  # the most negative float
+
 
 def log(x) -> np.ndarray:
     """Natural log with log 0 = -inf and no warning."""
@@ -53,29 +57,46 @@ def log(x) -> np.ndarray:
         return np.log(x)
 
 
-def _entries(a: np.ndarray, axis: int) -> list[np.ndarray]:
-    """The slices of `a` along `axis`, in order, as views."""
-    lead = (slice(None),) * (axis % a.ndim)
-    return [a[lead + (j,)] for j in range(a.shape[axis])]
-
-
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along `axis`; a slice of all -inf gives -inf, not NaN.
-
-    The largest terms are split off and the rest added through log1p, the
-    same arithmetic as scipy.special.logsumexp, without its per-call overhead.
-    """
-    cols = _entries(a, axis)
-    a_max = cols[0]
-    for col in cols[1:]:
-        a_max = np.maximum(a_max, col)
+def _log_space(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sum_k exp(terms[k]) and posterior exp(terms - that) over axis 0, in the
+    log1p arithmetic of scipy's logsumexp; all -inf gives -inf and a uniform posterior."""
+    top = terms.max(axis=0)
     m = rest = 0.0
     with np.errstate(invalid="ignore"):
-        for col in cols:
-            top = col == a_max
-            m = m + top
-            rest = rest + np.exp(col - a_max) * ~top
-    return np.where(np.isfinite(a_max), np.log1p(rest / m) + np.log(m) + a_max, a_max)
+        for row in terms:
+            at_top = row == top
+            m = m + at_top
+            rest = rest + np.exp(row - top) * ~at_top
+        norm = np.where(np.isfinite(top), np.log1p(rest / m) + np.log(m) + top, top)
+        post = np.exp(terms - norm)
+    return norm, np.where(np.isfinite(norm), post, 1.0 / len(terms))
+
+
+def scale(log_x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_x - top) and top, the largest of `log_x` along `axis` (dropped); a
+    slice of all -inf scales to zeros (no -inf - -inf is formed), its top -inf."""
+    top = log_x.max(axis=axis, keepdims=True)
+    e = log_x - np.maximum(top, _MOST_NEGATIVE)
+    return np.exp(e, out=e), top.squeeze(axis)
+
+
+def normalise(log_x: np.ndarray, weights=1.0, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """log s and the posterior w / s, for w = weights * exp(log_x), s its sum along
+    `axis` and the weights probabilities broadcasting against `log_x`. Both are
+    scaled by `scale`, and taken again in log space where s < `_UNDERFLOW`."""
+    w, top = scale(log_x, axis)
+    w = np.multiply(w, weights, out=w if np.shape(weights) == () else None)
+    s = w.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = np.divide(w, s, out=w)
+        s = s.squeeze(axis)
+        norm = np.log(s) + top
+    if (s < _UNDERFLOW).any():
+        low = np.nonzero(s < _UNDERFLOW)
+        terms = [np.moveaxis(np.broadcast_to(a, w.shape), axis, -1)[low] for a in (weights, log_x)]
+        norm[low], at_low = _log_space((log(terms[0]) + terms[1]).T)
+        np.moveaxis(post, axis, -1)[low] = at_low.T
+    return norm, post
 
 
 def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
@@ -124,17 +145,14 @@ def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
         return np.where(counts > 0, counts * log_tables, 0.0).sum(axis=-1)
 
 
-def path_factors(log_path_cpts: np.ndarray, evidence: np.ndarray):
-    """Sum out each path's latent state.
-
-    Returns terms[y, z, r, i, s] = log p(z | y) + evidence[z, r, i, s] and the
-    path factors log p(x_i | y) = logsumexp over z of the terms, shape
-    (K_y, R, N, n). The CPTs are (R, N, K, K); without the run axis, (N, K, K)
-    CPTs and (K_z, N, n) evidence, every result drops it.
+def path_factors(path_cpts: np.ndarray, evidence: np.ndarray):
+    """The path factors log p(x_i | y) = log sum_z p(z | y) p(x_i | z), shape
+    (K_y, R, N, n), and state posteriors q_z[y, z, r, i, s], (K_y, K_z, R, N, n),
+    by `normalise` from the CPTs p(z | y) (R, N, K, K) and the evidence
+    log p(x_i | z) (K_z, R, N, n). Without the run axis every shape drops it.
     """
-    d = log_path_cpts.ndim
-    terms = log_path_cpts.transpose(d - 2, d - 1, *range(d - 2))[..., None] + evidence[None]
-    return terms, logsumexp(terms, axis=1)
+    d = path_cpts.ndim
+    return normalise(evidence[None], path_cpts.transpose(d - 2, d - 1, *range(d - 2))[..., None], 1)
 
 
 def apm_log_joints(

@@ -5,10 +5,10 @@ model's layout once and computes every posterior in one batched pass through
 the kernels in `_kernel`, as arrays in table order. The posterior of one task
 is that of a one-task table.
 
-All posteriors are computed in log space. The vote table sorts votes into a
-canonical order (task id, then path, then worker id, then label) before any
-sum is taken, so shuffling the stored votes, or the tasks, changes nothing,
-bit for bit.
+Posteriors come from the scaled kernel `_kernel.normalise`. The vote table
+sorts votes into a canonical order (task id, then path, then worker id, then
+label) before any sum is taken, so shuffling the stored votes, or the tasks,
+changes nothing, bit for bit.
 
 The four model kinds:
 
@@ -34,7 +34,7 @@ from ._kernel import (
     direct_log_joints,
     label_columns,
     log,
-    logsumexp,
+    normalise,
     path_factors,
     vote_evidence,
 )
@@ -49,31 +49,29 @@ class ModelKind(str, enum.Enum):
     APM = "apm"
 
 
-def _log_stack(rows: list[np.ndarray], k: int) -> np.ndarray:
-    return log(np.array(rows, dtype=np.float64).reshape(-1, k, k))
+def _stack(rows: list[np.ndarray], k: int) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(-1, k, k)
 
 
 def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
     pairs, slot_idx = table.path_worker_slots()
-    log_tables = _log_stack(
-        [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs],
-        model.num_labels,
-    )
-    log_path_cpts = _log_stack([c.rows for c in model.path_cpts], model.num_labels)
-    _, factors = path_factors(log_path_cpts, vote_evidence(table, slot_idx, log_tables))
+    k = model.num_labels
+    tables = [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs]
+    evidence = vote_evidence(table, slot_idx, log(_stack(tables, k)))
+    factors, _ = path_factors(_stack([c.rows for c in model.path_cpts], k), evidence)
     return apm_log_joints(log(model.prior), factors, table.active)
 
 
 def _nbap(model: ApmModel, table: Dataset) -> np.ndarray:
     marginals = [pc.rows @ wc.rows for pc, wc in zip(model.path_cpts, model.worker_cpts)]
-    rows = label_columns(_log_stack(marginals, model.num_labels), table.path_idx, table.label)
+    rows = label_columns(log(_stack(marginals, model.num_labels)), table.path_idx, table.label)
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
 
 def _nbi(model: NbiModel, table: Dataset) -> np.ndarray:
     if (table.worker_idx < 0).any():
         raise MissingWorkerCptError(str(None))
-    log_tables = _log_stack([model.vote_cpt(w).rows for w in table.workers], model.num_labels)
+    log_tables = log(_stack([model.vote_cpt(w).rows for w in table.workers], model.num_labels))
     rows = label_columns(log_tables, table.worker_idx, table.label)
     return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
 
@@ -125,11 +123,8 @@ def table_posteriors(
         probs = np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / k)
         degenerate = np.zeros(n, dtype=bool)
     else:
-        log_joint = _LOG_JOINTS[kind](model, table)
-        norm = logsumexp(log_joint, axis=0)
+        norm, probs = normalise(_LOG_JOINTS[kind](model, table))
         degenerate = ~np.isfinite(norm)
-        with np.errstate(invalid="ignore"):
-            probs = np.exp(log_joint - norm)
         probs[:, degenerate] = model.prior[:, None]
         probs = probs.T
     return probs, np.argmax(probs, axis=1), degenerate

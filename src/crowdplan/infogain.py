@@ -24,13 +24,12 @@ exact
     memo keeps each term, prior-weighted, beside its path's table. Only H(C)
     is enumerated. Its p(c) = sum_y p(y, c) is a K-term sum of products of
     two sides, p(y, c') over every voted path but the last (with the prior)
-    and the last path's p(c_last | y), each scaled by its largest label as
-    the scaled forward algorithm scales its columns (Rabiner, Proc. IEEE
-    1989), in one `np.einsum` per block. A sum below `_UNDERFLOW` is taken
-    again by `logsumexp`, which is -inf, no mass, only where every term is
-    -inf; such a p(c) moves H(C) by less than 1e-247, so what the recompute
-    prevents is 0 * log 0, a NaN. Blocks of at most `_EXACT_ROWS` count
-    vectors pass on two sums each, so peak memory is one side plus one block.
+    and the last path's p(c_last | y), each scaled by `_kernel.scale`, in one
+    `np.einsum` per block. A sum below `_UNDERFLOW` is taken again by the
+    kernel's log-space recompute, -inf only where every term is -inf; such a
+    p(c) moves H(C) by less than 1e-247, so what the recompute prevents is
+    0 * log 0, a NaN. Blocks of at most `_EXACT_ROWS` count vectors pass on
+    two sums each, so peak memory is one side plus one block.
 
 sampled
     A Rao-Blackwellized Monte Carlo estimate: draw whole vote sets from the
@@ -84,11 +83,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._kernel import (
+    _MOST_NEGATIVE,
+    _UNDERFLOW,
+    _log_space,
     apm_log_joints,
     count_evidence,
     log,
-    logsumexp,
+    normalise,
     path_factors,
+    scale,
 )
 from ._rng import _fold, categorical_rows, substream, substreams
 from .errors import InputError, NumericError, ResourceLimitError
@@ -107,8 +110,6 @@ from .model import (
 EXACT_LIMIT = 1_000_000  # most count vectors one exact enumeration may hold
 _BLOCK = 8192  # draws per sampled block
 _EXACT_ROWS = 1 << 14  # most count vectors one exact block scores
-_UNDERFLOW = 1e-250  # scaled label sums below this are taken again in log space
-_MOST_NEGATIVE = -1.7976931348623157e308  # the most negative float
 _RANK_LIMIT = 1 << 16  # most codes a sampled table's dense rank array holds
 _NEG_TOL = 1e-9
 _AUDIT_VOTES = 3  # largest base vote count per path in check_submodularity
@@ -211,7 +212,7 @@ def exact_count_vectors(counts: Sequence[int], k: int) -> int:
 def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray:
     """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (K, V)."""
     evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
-    _, factor = path_factors(log(model.path_cpts[path].rows)[None], evidence.T)
+    factor, _ = path_factors(model.path_cpts[path].rows[None], evidence.T)
     return factor[:, 0]
 
 
@@ -227,9 +228,8 @@ def _count_vectors(votes: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Side(NamedTuple):
-    """Log probabilities of V count vectors under each label, (K, V), the same
-    scaled by each column's largest, (K, V), and that largest in log, (V,). A
-    column that is -inf under every label scales to zeros, its top -inf."""
+    """Log probabilities of V count vectors under each label, (K, V), and their
+    `scale`: scaled by each column's largest, (K, V), and that largest, (V,)."""
 
     log_p: np.ndarray
     scaled: np.ndarray
@@ -237,11 +237,7 @@ class _Side(NamedTuple):
 
 
 def _side(log_p: np.ndarray) -> _Side:
-    top = log_p.max(axis=0)
-    # A top of -inf is taken as the most negative float, so its column scales
-    # to exp(-inf) = 0 without forming -inf - -inf.
-    scaled = np.exp(log_p - np.maximum(top, _MOST_NEGATIVE))
-    return _Side(log_p, scaled, top)
+    return _Side(log_p, *scale(log_p))
 
 
 class _PathTable(NamedTuple):
@@ -321,7 +317,7 @@ def _block(x: _Side, y: _Side) -> tuple[float, float]:
     low = None
     if pc.min() < _UNDERFLOW:
         low = np.nonzero(pc < _UNDERFLOW)
-        redone = logsumexp(x.log_p[:, low[0]] + y.log_p[:, low[1]], axis=0)
+        redone, _ = _log_space(x.log_p[:, low[0]] + y.log_p[:, low[1]])
         pc[low] = 1.0  # its log is replaced below
     log_pc = np.log(pc)
     log_pc += x.top[:, None]
@@ -462,11 +458,9 @@ def _sample_block(
     for counts in plans:
         factors = [tables[i, c] for i, c in enumerate(counts) if c > 0]
         log_joint = apm_log_joints(log_prior, np.stack(factors, axis=1))
-        norm = logsumexp(log_joint, axis=0)
-        log_post = log_joint - norm
+        norm, post = normalise(log_joint)
         with np.errstate(invalid="ignore"):
-            post = np.exp(log_post)
-            ent = -np.where(post > 0, post * log_post, 0.0).sum(axis=0)
+            ent = -np.where(post > 0, post * (log_joint - norm), 0.0).sum(axis=0)
         out.append((float(ent.sum()), float((ent * ent).sum())))
     return out
 

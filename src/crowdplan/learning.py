@@ -42,7 +42,7 @@ from ._kernel import (
     direct_log_joints,
     label_columns,
     log,
-    logsumexp,
+    normalise,
     path_factors,
     scatter_rows,
     vote_evidence,
@@ -154,13 +154,9 @@ def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
 def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
     """q(y) of each task in each run from log p(y, x) (K, R, n), a point mass where
     the truth is known, shape (K, R, n), and each run's log-likelihood, shape (R,)."""
-    k = log_joint.shape[0]
-    norm = logsumexp(log_joint, axis=0)
-    with np.errstate(invalid="ignore"):
-        q_y = np.exp(log_joint - norm)
-    q_y = np.where(np.isfinite(norm), q_y, 1.0 / k)
+    norm, q_y = normalise(log_joint)
     known = truth >= 0
-    q_y[..., known] = np.eye(k)[:, None, truth[known]]
+    q_y[..., known] = np.eye(len(q_y))[:, None, truth[known]]
     at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None, None], axis=0)[0]
     return q_y, np.where(known, at_truth, norm).sum(axis=-1)
 
@@ -186,14 +182,11 @@ def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Par
     return _Params(prior=_init_prior(t.truth, k), path_cpts=path_cpts, tables=tables)
 
 
-def _estep(logs: _Params, t: Dataset, slots: _Slots):
-    """The posteriors and log-likelihoods of every run, from the logs of its parameters."""
+def _estep(params: _Params, logs: _Params, t: Dataset, slots: _Slots):
+    """The posteriors and log-likelihoods of every run, from its parameters and their logs."""
     evidence = vote_evidence(t, slots.idx, logs.tables)             # (K_z, R, N, n)
-    terms, f = path_factors(logs.path_cpts, evidence)               # f: (K_y, R, N, n)
+    f, q_z = path_factors(params.path_cpts, evidence)               # q_z: (K_y, K_z, R, N, n)
     log_joint = apm_log_joints(logs.prior.T, f, t.active)           # (K_y, R, n)
-    with np.errstate(invalid="ignore"):
-        q_z = np.exp(terms - f[:, None])                            # (K_y, K_z, R, N, n)
-    q_z = np.where(np.isfinite(f)[:, None], q_z, 1.0 / t.num_labels)
     q_y, loglik = _outcome_posterior(log_joint, t.truth)            # q_y: (K_y, R, n)
     return q_y, q_z, loglik
 
@@ -242,13 +235,13 @@ def _em(cfg: EmConfig, init, estep, mstep) -> tuple[tuple[np.ndarray, ...], FitR
     """EM on every restart at once; the highest final objective wins, the first on a tie.
 
     `init(restart)` gives one restart's parameters; the restarts are stacked
-    on a leading run axis. `estep(logs)` gives, from the logs of the stacked
-    parameters, the posteriors and each run's log-likelihood, `mstep(*posteriors)`
-    the next stacked parameters. A run stops once its objective changes by at
-    most `cfg.rel_tol` relative to its last, and leaves the stack with the
-    parameters it was evaluated at. Returns the winning restart's parameters
-    and a report of it; the fitter fills in `final_log_likelihood`, NaN here,
-    and its sparse list.
+    on a leading run axis. `estep(params, logs)` gives, from the stacked
+    parameters and their logs, the posteriors and each run's log-likelihood,
+    `mstep(*posteriors)` the next stacked parameters. A run stops once its
+    objective changes by at most `cfg.rel_tol` relative to its last, and
+    leaves the stack with the parameters it was evaluated at. Returns the
+    winning restart's parameters and a report of it; the fitter fills in
+    `final_log_likelihood`, NaN here, and its sparse list.
     """
     params = tuple(np.stack(p) for p in zip(*map(init, range(cfg.restarts))))
     live = list(range(cfg.restarts))  # the restart of each stacked run
@@ -256,7 +249,7 @@ def _em(cfg: EmConfig, init, estep, mstep) -> tuple[tuple[np.ndarray, ...], FitR
     final: list = [None] * cfg.restarts
     for _ in range(cfg.max_iters):
         logs = tuple(map(log, params))
-        *posteriors, loglik = estep(logs)
+        *posteriors, loglik = estep(params, logs)
         keep = []
         for j, objective in enumerate((loglik + _penalty(logs, cfg.smoothing_alpha)).tolist()):
             history = histories[live[j]]
@@ -400,7 +393,7 @@ def fit_em(
     params, report = _em(
         cfg,
         lambda restart: _init_params(data, slots, cfg, restart),
-        lambda logs: _estep(_Params(*logs), data, slots),
+        lambda params, logs: _estep(_Params(*params), _Params(*logs), data, slots),
         lambda q_y, q_z: _mstep(data, slots, q_y, q_z, cfg.smoothing_alpha),
     )
     model = _to_model(_Params(*params), data, slots, share_workers)
@@ -452,7 +445,7 @@ def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitRe
             _init_prior(data.truth, k),
             _blended_identities(len(data.workers), k, substream(cfg.seed, "nbi-init", restart)),
         ),
-        lambda logs: _nbi_estep(*logs, data),
+        lambda params, logs: _nbi_estep(*logs, data),
         lambda q_y: _nbi_mstep(data, q_y, cfg.smoothing_alpha),
     )
 

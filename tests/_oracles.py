@@ -7,7 +7,8 @@ independence-assuming posteriors. Nothing imports the package's inference or
 information-gain code paths, except the former implementations kept as
 references, which share the package's tables and kernels:
 `whole_array_exact_conditional_entropy`, the log-space exact entropy that
-`exact_conditional_entropy` is held to within 1e-12; and, bit for bit,
+`exact_conditional_entropy` is held to within 1e-12, normalised by scipy's
+`logsumexp` so that it shares no normaliser with the package; and, bit for bit,
 `ref_em_fit`, EM one restart after another, for the stacked
 `learning._em`, and `ref_execute` and `ref_score_fold`, plan execution by
 one fresh stream per drawing task and one sort per drawn group, and fold
@@ -27,6 +28,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import logsumexp
 
 from crowdplan import learning
 from crowdplan._rng import derive_seed, substream
@@ -35,7 +37,7 @@ from crowdplan._kernel import (
     direct_log_joints,
     label_columns,
     log,
-    logsumexp,
+    normalise,
     path_factors,
     scatter_rows,
     vote_evidence,
@@ -118,7 +120,7 @@ def enum_conditional_entropy(model: ApmModel, counts) -> float:
 def whole_array_exact_conditional_entropy(model: ApmModel, counts) -> float:
     """H(Y | X_S) as `exact_conditional_entropy` once computed it, in log space:
     the whole enumeration as one (V, K) array of log p(x, y), each path's
-    terms added in path order, `logsumexp` over its label axis, and
+    terms added in path order, scipy's `logsumexp` over its label axis, and
     sum p(x, y) log(p(x) / p(x, y)) over every entry with p(x, y) > 0."""
     k = model.num_labels
     log_terms = log(model.prior)[None, :]
@@ -303,10 +305,7 @@ def random_sample(rng: np.random.Generator, model: ApmModel, max_votes: int = 3)
 
 def _ref_outcome_posterior(log_joint, truth):
     k = log_joint.shape[0]
-    norm = logsumexp(log_joint, axis=0)
-    with np.errstate(invalid="ignore"):
-        q_y = np.exp(log_joint - norm)
-    q_y = np.where(np.isfinite(norm), q_y, 1.0 / k)
+    norm, q_y = normalise(log_joint)
     known = truth >= 0
     q_y[:, known] = np.eye(k)[:, truth[known]]
     at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None], axis=0)[0]
@@ -316,11 +315,8 @@ def _ref_outcome_posterior(log_joint, truth):
 def _ref_estep(params, t, slots):
     prior, path_cpts, tables = params
     evidence = vote_evidence(t, slots.idx, log(tables))
-    terms, f = path_factors(log(path_cpts), evidence)
+    f, q_z = path_factors(path_cpts, evidence)
     log_joint = apm_log_joints(log(prior), f, t.active)
-    with np.errstate(invalid="ignore"):
-        q_z = np.exp(terms - f[:, None])
-    q_z = np.where(np.isfinite(f)[:, None], q_z, 1.0 / t.num_labels)
     q_y, loglik = _ref_outcome_posterior(log_joint, t.truth)
     return q_y, q_z, loglik
 

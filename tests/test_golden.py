@@ -13,7 +13,10 @@ each path its own stream; the other digests did not move. The digests of
 fits, posteriors, exact `ig` values and sweep metrics were taken again when
 numpy's own sums and `einsum` replaced the in-order label and task sums and
 log-factorials came from `math.lgamma`: only last digits moved, no plan,
-fit report or prediction.
+fit report or prediction. The digests of fits, posteriors, exact `ig`
+values, rnd plans and sweep metrics were taken again when one scaled
+normaliser began to build every path factor and posterior: only last
+digits moved, no plan, fit report or prediction.
 
 The votes file is written by this test from a fixed seed. It is ragged (0 to
 4 votes per path) and per worker, its tasks are not in id order, truth sits on
@@ -66,15 +69,15 @@ SESSION = (
 PINNED = {
     "votes.csv": "7e2ea72e44827c5a779b862e7466fb5e5f7ea6817d065480195394b721260ca3",
     "simulate": "8a9669e0a126887a933ff5eef3f1b098f6403bdf73406281524ba1d3fc084667",
-    "learn.apm": "acf19e382fa98b6b243c3e843ad7c64ffeb5ac46ad175692869587b2bd0406cf",
-    "learn.pw": "85ffacf5fd99e234c2d08ea9fa0efb5bbef6edfc4035610ac5abd61fbe1dc40e",
+    "learn.apm": "684a227cd506c924da8c47a7bf6a185511f3ffc0a3e609f2c29091ed0b1d2093",
+    "learn.pw": "1beb8166712515be2f42afcbc8a0297e1baf70a2c18606286cbc2532517e62b6",
     "learn.nbi": "b8ea5687a510d7a3556d1e1284a37a2032ae9ec9d7e6518bae8dc2c5e66fd9ab",
-    "infer.apm": "d9565337d46f20fa03b7a4925f9338a0e6e73c795c94b2469d572c4db4f2bdd5",
-    "infer.nbap": "6f708d69c8c8195cb4b4260eccf534060ddc43488560eb7e1bf6b5aa5de04ab4",
+    "infer.apm": "3c29c7f89835db9c1950d5b8c6617dd1c60c0d3c1b0fd7fdb052fd3d938f01fa",
+    "infer.nbap": "450082cdb56b58ef291f963a67095c58c4b899406ccd371f52720f06475821eb",
     "infer.mv": "c83647b9879bbe729f4a7c1c1a598bce954d78dcb7878f5926ebdb286ae1f72d",
-    "infer.nbi": "50d76f480ac3901e4a28ce55987c6cb83a31f95912a35876dd920c5103fb5152",
-    "infer.pw": "d87e08ce38cb91bb70be60d412717e6e9ad4fc31d6c9ea3836285a8b8be8aff8",
-    "sweep": "76116add7e9ccad81bebdd9cc930c643ab33781f0ebef3a7b0d2c6ac925c26b0",
+    "infer.nbi": "7317c9ab294adb7eb3cc0e386b14c1ab655f5fdb025ae4413de9f088f9818deb",
+    "infer.pw": "cff187eb2a326b2891762b944ca324d64b0ada2a2a00f8d7bc1a315d42d309f9",
+    "sweep": "513e4c32e753888942452d2c9459e0e1540b184ca68acbc4ab9048ca56e87af4",
 }
 
 
@@ -154,15 +157,15 @@ FOUR_LABEL_SESSION = tuple(
 # stream-reading entries again when stream keys became BLAKE2b digests.
 FOUR_LABEL_PINNED = {
     "votes.csv": "e6d07e59fb9c4e7b80e3ce1aef718d4a2c4b741d22260619d69266924c1e76c3",
-    "learn.apm": "71cefa919f06a4897145539e2dbec7a10dcf7cea9e82be4d12b8796185462991",
-    "learn.pw": "3a793c5949a86090a4413834a0bbe72b715fcda74365f2f1a432ece5b0fd7707",
-    "learn.nbi": "ca4e7857c35dce37608a97acbd221839ffef65d865d9684c15329b96ec4361cd",
-    "infer.apm": "fdeb75a16a92e0849183d3c61e62bbdcf808c0711a26b8d16629c34d513cf05d",
-    "infer.nbap": "786cc8724c6f9d867a620088623ca5b72b6d9716fcb7e035a3a35a0f1200d91a",
+    "learn.apm": "08985d10a20f974bbc1c187a9b98478518f010ba35b38c3d787a5b13fb261403",
+    "learn.pw": "52344310e6cb7822d95fdbdb4d9cd44e9a6bc12ccd934328a65aa10cd15e16ba",
+    "learn.nbi": "9f31f27b68b994d6f2caa1143eaa1899980c281a048060d128a95d090d559ce5",
+    "infer.apm": "8931f066f6b2e7e1da34e5b1f8c5a0445334518aab173e7a5cec115f6e815399",
+    "infer.nbap": "e8fb9833d182cac2c0582e166b407df0966429d233ad70bcd53ca4f699c89b9f",
     "infer.mv": "9b09448d2cd9b0933d337cedb7ef744fd6cc8796426ab595162bdaf609e89151",
-    "infer.nbi": "5651728ca808861481190261f4db6a8bf9471a2f53a1e6853e9609ed290f2f80",
-    "infer.pw": "c78ea30d912c15f234f99123f6c9b514c6aaa3fe0db3d57f4ff7894a5c311729",
-    "sweep": "dfa0b9c51e9243de07d07fd1f48cd06d588c9cc0afb52c37545579adb174b8ef",
+    "infer.nbi": "54cc8a51ddbe0f1b4092bcc0a467021bcf048a3c2c05e98833cd27854bfb8049",
+    "infer.pw": "865a0842bc4fffa11bf39a4cff291aae180fe57f5649979fcdff1d03f0a52188",
+    "sweep": "0636e22ec5e7f53f8ff2a659b9c1463b0a75c6d0c14bfc4e45cddd991eb2cc95",
 }
 
 
@@ -261,12 +264,12 @@ PLAN_PINNED = {
     "greedy@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "greedy@7/2": "dee4fa8204b2c554ca0d749ae3dad957039f839568d2c1037d36339120244263",
     "greedy@9": "a7ab5fc9a517152d14061114182e2985af8180e7295d107e91cbfec2e983f60b",
-    "greedy@30": "7da549f454fdf9b34e37ee18afd0bf9c52ce7a0783252246e1a9a90989b65ba7",
+    "greedy@30": "5efd5d4278a03e58b3ccb9fe7a8f0b34cb0b352b9b69eb18a427f7e5994a2eb4",
     "opt@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "opt@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "opt@7/2": "dee4fa8204b2c554ca0d749ae3dad957039f839568d2c1037d36339120244263",
     "opt@9": "a7ab5fc9a517152d14061114182e2985af8180e7295d107e91cbfec2e983f60b",
-    "opt@30": "7da549f454fdf9b34e37ee18afd0bf9c52ce7a0783252246e1a9a90989b65ba7",
+    "opt@30": "5efd5d4278a03e58b3ccb9fe7a8f0b34cb0b352b9b69eb18a427f7e5994a2eb4",
     "best@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "best@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "best@7/2": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
@@ -276,14 +279,14 @@ PLAN_PINNED = {
     "equal@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "equal@7/2": "f364cde7f0c74b1eb3bb52a2213c2fd3d30d054ff06d3f48b71d7d3cffb20b03",
     "equal@9": "a7ab5fc9a517152d14061114182e2985af8180e7295d107e91cbfec2e983f60b",
-    "equal@30": "bed567b0fa493d2a2633ef561d89ba994cb1d98233aebe318223156ef08aca3e",
+    "equal@30": "72b0271043c19d4f9a222902233e066f27cec3a8c6979f4734dcb098d4db6bed",
     "rnd@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "rnd@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "rnd@7/2": "dee4fa8204b2c554ca0d749ae3dad957039f839568d2c1037d36339120244263",
-    "rnd@9": "aa1599bc79d7a585cab1a3cbba3cfc0c5086ad395c2b7dd071d0713884d0860b",
-    "rnd@30": "f14f472ec357ef99ccbc4338daa528b6ce86e800b6b0e70c3ddda4276c7d6ba2",
-    "greedy@30.exact": "7da549f454fdf9b34e37ee18afd0bf9c52ce7a0783252246e1a9a90989b65ba7",
-    "greedy@30.auto": "7da549f454fdf9b34e37ee18afd0bf9c52ce7a0783252246e1a9a90989b65ba7",
+    "rnd@9": "1f6301939a7a87c63de0f8cc31a89dd9b10f4410502805e9002919db02a74f76",
+    "rnd@30": "b9f5376633e1b1cb8fbd3bb2345d90b9afbae586c8d6cca4cb21a59d655bbb50",
+    "greedy@30.exact": "5efd5d4278a03e58b3ccb9fe7a8f0b34cb0b352b9b69eb18a427f7e5994a2eb4",
+    "greedy@30.auto": "5efd5d4278a03e58b3ccb9fe7a8f0b34cb0b352b9b69eb18a427f7e5994a2eb4",
     "greedy@30.sampled": "2bb3073d48346e05d9968988ccfd9e05aa528254eeb189821ff52089db04c31f",
 }
 
@@ -310,9 +313,9 @@ SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
 # execution keeps the votes of each group's smallest raw words; all three
 # again when stream keys became BLAKE2b digests.
 SWEEP_ALL_PINNED = {
-    "auto": "0b83529ce3d507adbe4cdd991723e32877731188d299d02822cb3f8c7dba60a8",
-    "exact": "0b83529ce3d507adbe4cdd991723e32877731188d299d02822cb3f8c7dba60a8",
-    "sampled": "594e9e396aaa52344c294c06595644b8baa59bb140187a37b9b7328e178cefcf",
+    "auto": "905cff80db7ca8a703db7c936f5c5731868932265935b02ead376cff821a5a6a",
+    "exact": "905cff80db7ca8a703db7c936f5c5731868932265935b02ead376cff821a5a6a",
+    "sampled": "a240c5488a1d45d3e618ccbb01f353bc7a1c8f3cedd60f9faa639f2aa508a0a7",
 }
 
 
@@ -373,7 +376,7 @@ WIDE_REQUESTS = (
 # again when stream keys became BLAKE2b digests.
 WIDE_PINNED = {
     "greedy@26.exact": "faba9db920d29f4d308f90998da24d289167601d7ec125c073b01f3b7e9c55d6",
-    "greedy@40.auto": "0ebd63ef9927eec6d28f85bc7635c4133e347764f2613f62d9c1b31b33675234",
+    "greedy@40.auto": "b3702e8ca1c930dd01d794e1b9eca698c168361afdb857cf5743130ea565baa6",
 }
 
 

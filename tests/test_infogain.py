@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import crowdplan.infogain as infogain
 from crowdplan import cli
-from crowdplan._kernel import logsumexp
 from crowdplan._rng import categorical_rows
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.infogain import (
@@ -270,8 +270,9 @@ class TestBlockedExact:
         the outcome: two votes for the other label have probability 1e-400,
         which scales to 0.0. Where the first two paths' votes point to label 0
         and the last path's to label 1, every scaled product is 0.0 while each
-        log term is finite, so the entry is taken again with `logsumexp`; taking
-        log 0 instead would give 0 * -inf = NaN."""
+        log term is finite, so the entry is taken again in log space by
+        `_log_space`, which must agree with scipy's `logsumexp`; taking log 0
+        instead would give 0 * -inf = NaN."""
         sharp = Cpt(np.array([[1.0, 1e-200], [1e-200, 1.0]]))
         model = ApmModel(
             labels=LabelSpace(2),
@@ -282,13 +283,16 @@ class TestBlockedExact:
         )
         redone = []
 
-        def recording(a, axis):
-            redone.append(a.shape[1])
-            return logsumexp(a, axis)
+        def recording(terms):
+            redone.append(terms.shape[1])
+            norm, post = original(terms)
+            np.testing.assert_allclose(norm, logsumexp(terms, axis=0), rtol=1e-12)
+            return norm, post
 
+        original = infogain._log_space
         for counts in ([2, 2, 2], [1, 3, 2]):
             redone.clear()
-            with mock.patch.object(infogain, "logsumexp", recording):
+            with mock.patch.object(infogain, "_log_space", recording):
                 got = assert_agrees_with_references(model, counts)
             assert redone and math.isfinite(got)
 

@@ -1,27 +1,32 @@
 """The scoring kernels against the plain numpy forms they replace.
 
-`logsumexp` reduces a short axis as one pass per entry, and the
-scatter-adds run on `np.bincount`. The references below are the plain forms:
-numpy reductions over the axis, `np.einsum` and `np.add.at`. For K <= 7 both
-must agree bit for bit, ties, -inf entries and all -inf slices included;
-from K = 8 numpy sums pairwise, so there they agree to 1e-12. Scatters keep
-their bits at every K.
+`normalise` sums scaled terms along a short axis, `_log_space` takes a sum
+again in log space as one pass per entry, and the scatter-adds run on
+`np.bincount`. The references below are the plain forms: numpy reductions
+over the axis, `np.einsum` and `np.add.at`. For K <= 7 both must agree bit
+for bit, ties, -inf entries and all -inf slices included; from K = 8 numpy
+sums pairwise, so there they agree to 1e-12. Scatters keep their bits at
+every K. The scaled normaliser also agrees with the log-space form to 1e-12,
+across gaps of more than 745 nats, where its scaled sums underflow.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 import crowdplan.learning as learning
 from crowdplan._kernel import (
+    _log_space,
     count_evidence,
     direct_log_joints,
-    logsumexp,
+    normalise,
+    path_factors,
     vote_evidence,
 )
 from crowdplan.inference import table_posteriors
-from crowdplan.model import TaskSample
+from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace, TaskSample
 
 from _oracles import enum_posterior, random_model, table_of
 
@@ -41,6 +46,23 @@ def ref_logsumexp(a, axis=-1):
         rest = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
     out = np.where(np.isfinite(a_max), np.log1p(rest / m) + np.log(m) + a_max, a_max)
     return np.squeeze(out, axis=axis)
+
+
+def ref_normalise(log_x, weights=1.0):
+    """The scaled normaliser along the last axis: e = exp(log_x - top), w = weights * e,
+    s = sum w; log s + top and w / s, taken again in log space where s < 1e-250."""
+    top = np.max(log_x, axis=-1, keepdims=True)
+    w = weights * np.exp(log_x - np.maximum(top, -np.finfo(np.float64).max))
+    s = np.sum(w, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.log(s) + top
+        post = w / s
+        low = (s < 1e-250)[..., 0]
+        terms = (np.log(np.broadcast_to(weights, w.shape)) + log_x)[low]
+        norm[low] = ref_logsumexp(terms)[:, None]
+        post[low] = np.exp(terms - norm[low])
+    post[low & ~np.isfinite(norm[..., 0])] = 1.0 / w.shape[-1]
+    return norm[..., 0], post
 
 
 def ref_count_evidence(counts, log_tables):
@@ -63,10 +85,7 @@ def ref_direct_log_joints(log_prior, sample_idx, vote_rows, num_samples):
 
 def ref_outcome_posterior(log_joint, truth):
     k = log_joint.shape[1]
-    norm = ref_logsumexp(log_joint, axis=1)
-    with np.errstate(invalid="ignore"):
-        q_y = np.exp(log_joint - norm[:, None])
-    q_y = np.where(np.isfinite(norm)[:, None], q_y, 1.0 / k)
+    norm, q_y = ref_normalise(log_joint)
     known = truth >= 0
     q_y[known] = np.eye(k)[truth[known]]
     at_truth = log_joint[np.arange(len(truth)), np.maximum(truth, 0)]
@@ -76,14 +95,10 @@ def ref_outcome_posterior(log_joint, truth):
 def ref_estep(params, t, slots):
     """q_y (n, K_y), q_z (n, N, K_y, K_z) and the log-likelihood, task-major."""
     evidence = ref_vote_evidence(t, slots.idx, learning.log(params.tables))
-    terms = learning.log(params.path_cpts)[None] + evidence[:, :, None, :]
-    f = ref_logsumexp(terms, axis=3)
+    f, q_z = ref_normalise(evidence[:, :, None, :], params.path_cpts[None])
     active = np.zeros((t.num_samples, t.num_paths), dtype=bool)
     active[t.sample_idx, t.path_idx] = True
     log_joint = learning.log(params.prior) + np.where(active[:, :, None], f, 0.0).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        q_z = np.exp(terms - f[:, :, :, None])
-    q_z = np.where(np.isfinite(f)[:, :, :, None], q_z, 1.0 / t.num_labels)
     q_y, loglik = ref_outcome_posterior(log_joint, t.truth)
     return q_y, q_z, loglik
 
@@ -129,8 +144,9 @@ def lone(stacked):
 
 def lone_estep(params, t, slots):
     """`learning._estep` on a stack of one run, in the unstacked layout."""
-    logs = learning._Params(*(learning.log(p)[None] for p in params))
-    q_y, q_z, loglik = learning._estep(logs, t, slots)
+    stacked = learning._Params(*(p[None] for p in params))
+    logs = learning._Params(*(learning.log(p) for p in stacked))
+    q_y, q_z, loglik = learning._estep(stacked, logs, t, slots)
     return q_y[:, 0], q_z[:, :, 0], loglik[0]
 
 
@@ -201,18 +217,84 @@ def posteriors(rng, shape):
 @PARITY
 @given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_logsumexp_bits(k, rows, seed):
+    """`_log_space` over a leading axis, in any layout of the rest."""
     rng = np.random.default_rng(seed)
     for lead, axis in (((rows,), 1), ((rows, 2, k), 3), ((rows, 3), 1), ((), 0)):
         a = np.moveaxis(log_scores(rng, lead + (k,)), -1, axis)
-        same_bits(logsumexp(a, axis=axis), ref_logsumexp(a, axis=axis))
+        same_bits(_log_space(np.moveaxis(a, axis, 0))[0], ref_logsumexp(a, axis=axis))
 
 
 def test_logsumexp_all_minus_inf_and_ties():
     a = np.array([[-np.inf] * 3, [0.5, 0.5, 0.5], [0.0, -np.inf, 0.0], [1.0, -np.inf, -np.inf]])
-    got = logsumexp(a, axis=1)
+    got, post = _log_space(a.T)
     same_bits(got, ref_logsumexp(a, axis=1))
     assert got[0] == -np.inf
     assert got[3] == 1.0
+    assert (post[:, 0] == 1.0 / 3).all()
+    assert post[:, 3].tolist() == [1.0, 0.0, 0.0]
+
+
+def gapped_scores(rng, shape):
+    """`log_scores` with some entries pushed 745 to 1,500 nats below the rest,
+    beyond the reach of a scaled double."""
+    a = log_scores(rng, shape)
+    far = rng.random(shape) < 0.3
+    a[far] -= rng.uniform(745.0, 1500.0, size=int(far.sum()))
+    return a
+
+
+def tiny_weights(rng, shape):
+    """Row-stochastic weights along the last axis, some exactly 0 and some below 1e-250."""
+    w = posteriors(rng, shape)
+    w[rng.random(shape) < 0.2] = 0.0
+    w[rng.random(shape) < 0.2] = 1e-280
+    w[..., 0] += 1e-3
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@PARITY
+@given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_normalise_bits(k, rows, seed):
+    """`normalise` and `path_factors`, label-major, against the task-major reference."""
+    rng = np.random.default_rng(seed)
+    log_x = gapped_scores(rng, (rows, k))
+    for g, w in zip(normalise(log_x.T), ref_normalise(log_x)):
+        same_bits(np.ascontiguousarray(g.T), w)
+    evidence = gapped_scores(rng, (rows, 3, k))                 # (n, N, K_z)
+    cpts = tiny_weights(rng, (3, k, k))                         # (N, K_y, K_z)
+    f, q_z = path_factors(cpts, evidence.transpose(2, 1, 0))
+    want_f, want_q = ref_normalise(evidence[:, :, None, :], cpts[None])
+    same_bits(np.ascontiguousarray(f.transpose(2, 1, 0)), want_f)
+    same_bits(np.ascontiguousarray(q_z.transpose(3, 2, 0, 1)), want_q)
+
+
+def log_space_form(log_x, weights):
+    """log sum w and w / sum w along the last axis, summed in log space by scipy."""
+    terms = np.log(weights) + log_x
+    norm = scipy_logsumexp(terms, axis=-1)
+    post = np.exp(terms - norm[..., None])
+    return norm, np.where(np.isfinite(norm)[..., None], post, 1.0 / terms.shape[-1])
+
+
+@PARITY
+@given(k=st.integers(2, 10), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_normalise_matches_the_log_space_form(k, rows, seed):
+    """The scaled path factors and posteriors equal the log-space ones to 1e-12,
+    ties, -inf entries, all -inf slices and gaps over 745 nats included."""
+    rng = np.random.default_rng(seed)
+    evidence = gapped_scores(rng, (rows, 3, k))
+    cpts = tiny_weights(rng, (3, k, k))
+    f, q_z = path_factors(cpts, evidence.transpose(2, 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_f, want_q = log_space_form(evidence[:, :, None, :], cpts[None])
+    close(f.transpose(2, 1, 0), want_f)
+    close(q_z.transpose(3, 2, 0, 1), want_q)
+    log_joint = gapped_scores(rng, (rows, k))
+    norm, post = normalise(log_joint.T)
+    with np.errstate(invalid="ignore"):
+        want_norm, want_post = log_space_form(log_joint, 1.0)
+    close(norm, want_norm)
+    close(post.T, want_post)
 
 
 @PARITY
@@ -229,7 +311,7 @@ def test_label_sums_bits(k, rows, seed):
 def test_wide_label_axes_within_1e12(k, rows, seed):
     rng = np.random.default_rng(seed)
     a = log_scores(rng, (rows, 2, k))
-    close(logsumexp(a, axis=2), ref_logsumexp(a, axis=2))
+    close(_log_space(np.moveaxis(a, 2, 0))[0], ref_logsumexp(a, axis=2))
     counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
     tables = log_tables(rng, 1, k)
     close(count_evidence(counts, tables), ref_count_evidence(counts, tables))
@@ -400,3 +482,75 @@ def test_esteps_without_tasks_or_votes(tasks):
     want_y, want_ll = ref_nbi_estep(params.prior, np.zeros((0, k, k)), t)
     same_bits(task_major(got_y), want_y)
     assert got_ll == want_ll
+
+
+# --- a path factor whose scaled sum underflows ---
+
+
+def underflow_model():
+    """K = 2. On path 0, y = 0 puts all its mass on state 1 and each vote for
+    label 0 costs state 1 100 nats, so 8 such votes give evidence [0, -800] and
+    p(x_0 | y = 0) = e^-800, which a scaled double cannot hold. On path 1 the
+    state copies the outcome, so 9 votes for label 0 favour y = 0 by 900 nats.
+    On path 2 label 1 is impossible under every state. The prior favours y = 1."""
+    votes = Cpt([[1.0, 0.0], [np.exp(-100.0), 1.0 - np.exp(-100.0)]])
+    return ApmModel(
+        labels=LabelSpace(2),
+        prior=np.array([0.4, 0.6]),
+        paths=tuple(AccessPathSpec(index=i, cost=1) for i in range(3)),
+        path_cpts=(Cpt([[0.0, 1.0], [0.5, 0.5]]), Cpt(np.eye(2)), Cpt(np.eye(2))),
+        worker_cpts=(votes, votes, Cpt([[1.0, 0.0], [1.0, 0.0]])),
+    )
+
+
+def log_space_joint(model, task):
+    """log p(y, x) of one task, every path's state summed out by scipy in log space."""
+    out = np.log(model.prior)
+    for i, path_votes in task.votes.items():
+        rows = model.worker_cpts[i].rows
+        with np.errstate(divide="ignore"):
+            evidence = sum(np.log(rows[:, label]) for _, label in path_votes)
+            out = out + scipy_logsumexp(np.log(model.path_cpts[i].rows) + evidence, axis=1)
+    return out
+
+
+def model_estep(model, table):
+    """`lone_estep` at a shared-worker model's own parameters."""
+    tables = [np.array([c.rows for c in cpts]) for cpts in (model.path_cpts, model.worker_cpts)]
+    return lone_estep(learning._Params(model.prior, *tables), table, learning._slots(table, True))
+
+
+def test_underflowed_path_factor_is_taken_again_in_log_space():
+    """Scaled sums give p(x_0 | y = 0) = e^-800 and p(x_1 | y = 1) = e^-900 as 0,
+    so without the recompute both outcomes lose all mass and the task falls
+    back to the prior's y = 1, though y = 0 wins by about 100 nats; the
+    log-space recompute keeps both factors."""
+    model = underflow_model()
+    task = TaskSample("t", {0: ((None, 0),) * 8, 1: ((None, 0),) * 9})
+    want = log_space_joint(model, task)
+    assert want[0] - want[1] > 99
+    table = table_of([task], 3, 2)
+    probs, prediction, degenerate = table_posteriors("apm", model, table)
+    assert prediction[0] == 0 and not degenerate[0]
+    np.testing.assert_allclose(probs[0], np.exp(want - scipy_logsumexp(want)), rtol=1e-12)
+    close(learning.log_likelihood(model, table), scipy_logsumexp(want))
+
+    q_y, q_z, loglik = model_estep(model, table)
+    assert not np.isnan(q_z).any() and not np.isnan(q_y).any()
+    assert q_z[0, :, 0, 0].tolist() == [0.0, 1.0]
+    close(loglik, scipy_logsumexp(want))
+
+
+def test_impossible_vote_gives_minus_inf_and_the_prior():
+    """A vote of probability 0 under every state: every log joint is -inf, so the
+    task is degenerate, its posterior the prior, its log-likelihood -inf, and its
+    state posteriors uniform."""
+    model = underflow_model()
+    table = table_of([TaskSample("t", {0: ((None, 0),), 2: ((None, 1),)})], 3, 2)
+    probs, _, degenerate = table_posteriors("apm", model, table)
+    assert degenerate[0] and probs[0].tolist() == [0.4, 0.6]
+    assert learning.log_likelihood(model, table) == -np.inf
+    q_y, q_z, loglik = model_estep(model, table)
+    assert loglik == -np.inf
+    assert q_y[:, 0].tolist() == [0.5, 0.5]
+    assert (q_z[:, :, 2, 0] == 0.5).all() and not np.isnan(q_z).any()

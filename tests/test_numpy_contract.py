@@ -10,9 +10,10 @@ given.
   and ranks them with `np.lexsort`, which orders 64-bit words unsigned and
   keeps input order among equal keys.
 * `scatter_rows` relies on `np.bincount` adding its weights in input order.
-* `logsumexp` adds a short label axis in order, one pass per entry; it
-  equals numpy's own sum over that axis, bit for bit, because numpy adds 7
-  or fewer entries of a contiguous axis in order too (from 8 it sums
+* `normalise` sums a short label or state axis with numpy's own sum, and
+  `_log_space` adds one in order, one pass per entry; both equal the
+  task-major references of `tests/test_kernel.py` bit for bit, because numpy
+  adds 7 or fewer entries of a contiguous axis in order too (from 8 it sums
   pairwise).
 * Exact information gain takes its label products with
   `np.einsum("yp,yj->pj")`, which on its non-negative sides adds the K

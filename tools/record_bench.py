@@ -1,0 +1,98 @@
+"""Record the benchmark's metrics for one tree as BENCH_<N>.json at the repository root.
+
+    python3 tools/record_bench.py N
+
+It runs `perfbench/run.py --workload all` in a subprocess, untraced and then
+traced, always at seed `SEED` for `SECONDS` per workload, so every BENCH file
+measures the same runs; nothing under `perfbench/` is changed. A workload's
+run clears only its own `perfbench/out/<workload>/`, so every workload's
+`report_trace<0|1>.json` is read after each `--workload all` run ends, before
+the traced run clears it. The file written holds, per workload, the
+end-to-end metrics of the untraced run, the per-layer metrics of the traced
+one, each run's request and failure counts, and the environment each run
+recorded; and, once, the seed, the seconds, the command and a sha256 of the
+package source measured.
+Exits 1 if a run failed or a report is missing, and then writes nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+OUT = ROOT / "perfbench" / "out"
+SEED = 1
+SECONDS = 25
+
+
+def source_digest() -> str:
+    """sha256 over the package's Python files, name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "crowdplan").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def run_all(trace: int) -> dict[str, dict]:
+    """One `--workload all` run; each workload's report, by name."""
+    argv = [sys.executable, str(RUN), "--workload", "all", "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    sys.stderr.write(proc.stderr)
+    reports = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("# perfbench "):
+            name = line.split()[2]
+            reports[name] = json.loads((OUT / name / f"report_trace{trace}.json").read_text())
+    if proc.returncode != 0:
+        raise SystemExit(f"record_bench: perfbench/run.py --trace {trace} exited {proc.returncode}")
+    return reports
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("n", type=int, help="the number in BENCH_<n>.json")
+    args = parser.parse_args(argv)
+    untraced = run_all(0)
+    traced = run_all(1)
+    workloads = {}
+    for name in sorted(untraced.keys() | traced.keys()):
+        if name not in untraced or name not in traced:
+            print(f"record_bench: no {'un' if name not in untraced else ''}traced report "
+                  f"for {name}", file=sys.stderr)
+            return 1
+        runs = {"untraced": untraced[name], "traced": traced[name]}
+        workloads[name] = {
+            "end_to_end": runs["untraced"]["metrics"],
+            "per_layer": runs["traced"]["metrics"],
+            **{f"{kind}_run": {"attempted": r["attempted"], "failed": len(r["failures"]),
+                               "passes": r.get("passes"), "env": r["env"]}
+               for kind, r in runs.items()},
+        }
+        if any(r["failures"] for r in runs.values()):
+            failures = [r["failures"] for r in runs.values()]
+            print(f"record_bench: {name} had failures: {failures}", file=sys.stderr)
+            return 1
+    bench = {
+        "bench": args.n,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "command": f"python3 perfbench/run.py --workload all --seed {SEED} "
+                   f"--seconds {SECONDS} --trace 0|1",
+        "source_sha256": source_digest(),
+        "workloads": workloads,
+    }
+    out = ROOT / f"BENCH_{args.n}.json"
+    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out.name}: {', '.join(workloads)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
