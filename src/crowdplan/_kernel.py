@@ -80,22 +80,26 @@ def scale(log_x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(e, out=e), top.squeeze(axis)
 
 
-def normalise(log_x: np.ndarray, weights=1.0, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def normalise(
+    log_x: np.ndarray, weights=1.0, axis: int = 0, posterior: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """log s and the posterior w / s, for w = weights * exp(log_x), s its sum along
     `axis` and the weights probabilities broadcasting against `log_x`. Both are
-    scaled by `scale`, and taken again in log space where s < `_UNDERFLOW`."""
+    scaled by `scale`, and taken again in log space where s < `_UNDERFLOW`.
+    Without `posterior`, None stands in for the posterior and log s keeps its bits."""
     w, top = scale(log_x, axis)
     w = np.multiply(w, weights, out=w if np.shape(weights) == () else None)
     s = w.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        post = np.divide(w, s, out=w)
+        post = np.divide(w, s, out=w) if posterior else None
         s = s.squeeze(axis)
         norm = np.log(s) + top
     if (s < _UNDERFLOW).any():
         low = np.nonzero(s < _UNDERFLOW)
         terms = [np.moveaxis(np.broadcast_to(a, w.shape), axis, -1)[low] for a in (weights, log_x)]
         norm[low], at_low = _log_space((log(terms[0]) + terms[1]).T)
-        np.moveaxis(post, axis, -1)[low] = at_low.T
+        if posterior:
+            np.moveaxis(post, axis, -1)[low] = at_low.T
     return norm, post
 
 
@@ -145,14 +149,16 @@ def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
         return np.where(counts > 0, counts * log_tables, 0.0).sum(axis=-1)
 
 
-def path_factors(path_cpts: np.ndarray, evidence: np.ndarray):
+def path_factors(path_cpts: np.ndarray, evidence: np.ndarray, posterior: bool = True):
     """The path factors log p(x_i | y) = log sum_z p(z | y) p(x_i | z), shape
     (K_y, R, N, n), and state posteriors q_z[y, z, r, i, s], (K_y, K_z, R, N, n),
     by `normalise` from the CPTs p(z | y) (R, N, K, K) and the evidence
     log p(x_i | z) (K_z, R, N, n). Without the run axis every shape drops it.
+    Only EM reads q_z; without `posterior` it is None, and the factors keep their bits.
     """
     d = path_cpts.ndim
-    return normalise(evidence[None], path_cpts.transpose(d - 2, d - 1, *range(d - 2))[..., None], 1)
+    weights = path_cpts.transpose(d - 2, d - 1, *range(d - 2))[..., None]
+    return normalise(evidence[None], weights, 1, posterior)
 
 
 def apm_log_joints(

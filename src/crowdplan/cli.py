@@ -111,12 +111,17 @@ def _cmd_infer(args) -> int:
     names = _names(model)
     data, _ = read_votes_csv(args.votes, names=names)
     probs, pred, degenerate = table_posteriors(args.model_kind, model, data)
-    rows = [
-        [task_id, names[y], repr(ps[y])] + [repr(p) for p in ps] + ["1" if d else "0"]
-        for task_id, ps, y, d in zip(
-            data.task_ids, probs.tolist(), pred.tolist(), degenerate.tolist()
-        )
-    ]
+    # Column by column: one repr per probability, the confidence among them.
+    k = probs.shape[1]
+    cells = list(map(repr, probs.ravel().tolist()))
+    pred = pred.tolist()
+    rows = list(zip(
+        data.task_ids,
+        [names[y] for y in pred],
+        [cells[t * k + y] for t, y in enumerate(pred)],
+        *(cells[j::k] for j in range(k)),
+        ["1" if d else "0" for d in degenerate.tolist()],
+    ))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

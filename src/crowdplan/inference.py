@@ -58,7 +58,8 @@ def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
     k = model.num_labels
     tables = [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs]
     evidence = vote_evidence(table, slot_idx, log(_stack(tables, k)))
-    factors, _ = path_factors(_stack([c.rows for c in model.path_cpts], k), evidence)
+    path_cpts = _stack([c.rows for c in model.path_cpts], k)
+    factors, _ = path_factors(path_cpts, evidence, posterior=False)
     return apm_log_joints(log(model.prior), factors, table.active)
 
 

@@ -46,6 +46,17 @@ sampled
     reduces each plan's tables exactly as a lone call would, so every value
     equals that of a call with the plan alone, bit for bit. A plan that votes
     on all N paths and its N one-vote extensions need 2N tables per block.
+    Vote j of a path reads only its latent state and the path's (1 + j)-th
+    row of uniforms, so its draws for c votes are the first c of its draws
+    for more: a block draws each path once, for the most votes it needs.
+
+    A greedy search scores its steps through one private holder of each
+    block's outcome draws and tables, which `greedy_plan` owns and drops when
+    it returns; a lone call makes its own and drops each block once scored.
+    A step drops the tables none of its plans use, so the holder keeps at
+    most the c_i and c_i + 1 tables of each path and no votes; after a vote
+    on path j the next step builds only (j, c_j + 2), redrawing j's stream
+    from its start, one table per block.
 
     A table gathers each draw's factors from the exact memo: c votes over K
     labels give one of C(c + K - 1, K - 1) count vectors (56 for c = 5,
@@ -212,7 +223,7 @@ def exact_count_vectors(counts: Sequence[int], k: int) -> int:
 def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray:
     """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (K, V)."""
     evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
-    factor, _ = path_factors(model.path_cpts[path].rows[None], evidence.T)
+    factor, _ = path_factors(model.path_cpts[path].rows[None], evidence.T, posterior=False)
     return factor[:, 0]
 
 
@@ -398,11 +409,20 @@ def _ranks(votes: int, k: int) -> np.ndarray:
     return rank
 
 
-def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """log p(x_path | y) for each draw of `len(u) - 1` votes on one path.
+def _draw_votes(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The votes on one path of each draw, shape (len(u) - 1, draws).
 
-    u[0] draws the path's latent state and u[1:] the votes, one row of
-    uniforms per vote, as `len(u)` consecutive draws of the path's stream.
+    u[0] draws the path's latent state given the outcomes y and u[1:] the
+    votes, one row of uniforms per vote, as `len(u)` consecutive draws of the
+    path's stream. Vote j reads u[0] and u[1 + j] alone, so the first c rows
+    are the votes a draw of c votes would give, bit for bit.
+    """
+    z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
+    return categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
+
+
+def _path_factor(model: ApmModel, path: int, v: np.ndarray) -> np.ndarray:
+    """log p(x_path | y) for each draw of the votes v (votes, draws) on one path.
 
     Returns shape (K, draws). Each draw's label counts are coded as in
     `_digits`, and its column is gathered, along axis 1, from the memo's
@@ -415,15 +435,13 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     code might not fit in int64.
     """
     k = model.num_labels
-    votes = len(u) - 1
-    z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
-    v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
+    votes, draws = v.shape
     codes = (votes + 1) ** (k - 1)
     if codes > np.iinfo(np.int64).max:
-        code = np.arange(v.shape[1])
+        code = np.arange(draws)
     else:
         code = _digits(votes, k)[v].sum(axis=0)
-        if codes <= _RANK_LIMIT and math.comb(votes + k - 1, k - 1) <= len(y):
+        if codes <= _RANK_LIMIT and math.comb(votes + k - 1, k - 1) <= draws:
             factor = _table(_memo(model), model, path, votes).factor
             return np.take(factor, _ranks(votes, k)[code], axis=1)
     distinct, group = np.unique(code, return_inverse=True)
@@ -433,26 +451,42 @@ def _path_factor(model: ApmModel, path: int, y: np.ndarray, u: np.ndarray) -> np
     return np.take(_factors(model, path, label_counts), group, axis=1)
 
 
-def _sample_block(
-    model: ApmModel, plans: Sequence[Sequence[int]], seed: int, block: int, size: int
-) -> list[tuple[float, float]]:
-    """Draw `size` vote sets per plan and return (sum H, sum H^2) per plan.
+class _Block(NamedTuple):
+    """A sampled block's outcome draws, (size,), and the factor tables, (K, size),
+    built from it so far, keyed by (path, votes)."""
 
-    Each voted path reads its own stream from the start (see the module
-    docstring), so each (path, votes) factor table is built once per block,
-    however many plans share it, from the first 1 + votes rows of the
-    path's uniforms.
-    """
+    y: np.ndarray
+    tables: dict[tuple[int, int], np.ndarray]
+
+
+def _new_block(model: ApmModel, seed: int, block: int, size: int) -> _Block:
     rng = substream(seed, "ig-block", block)
-    y = categorical_rows(np.cumsum(model.prior)[None], rng.random(size))
-    most = [max(counts[i] for counts in plans) for i in range(model.num_paths)]
-    paths = [i for i, m in enumerate(most) if m > 0]
-    check_cells((1 + max(most)) * size, "sampled information gain")
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for i, rng in zip(paths, substreams(seed, ("ig-block", block), paths)):
-        u = rng.random((1 + most[i]) * size).reshape(-1, size)
-        for c in {counts[i] for counts in plans} - {0}:
-            tables[i, c] = _path_factor(model, i, y, u[: 1 + c])
+    return _Block(categorical_rows(np.cumsum(model.prior)[None], rng.random(size)), {})
+
+
+def _sample_block(
+    model: ApmModel, plans: Sequence[Sequence[int]], seed: int, block: int, held: _Block
+) -> list[tuple[float, float]]:
+    """(sum H, sum H^2) per plan over the draws of one block.
+
+    Drops the held tables no plan uses and builds the ones missing. Each voted
+    path reads its own stream from the start (see the module docstring): a
+    path that misses tables draws its latent states and votes once, for the
+    most votes it misses, and builds each missing (path, votes) table from
+    the first rows of those votes.
+    """
+    y, tables = held
+    size = len(y)
+    used = {(i, c) for counts in plans for i, c in enumerate(counts) if c > 0}
+    for key in tables.keys() - used:
+        del tables[key]
+    missing = sorted(used - tables.keys())
+    most = dict(missing)  # sorted, so each path's largest count comes last
+    check_cells((1 + max(most.values(), default=0)) * size, "sampled information gain")
+    for i, rng in zip(most, substreams(seed, ("ig-block", block), most)):
+        v = _draw_votes(model, i, y, rng.random((1 + most[i]) * size).reshape(-1, size))
+        for c in (c for path, c in missing if path == i):
+            tables[i, c] = _path_factor(model, i, v[:c])
     log_prior = log(model.prior)
     out = []
     for counts in plans:
@@ -477,15 +511,29 @@ def sampled_conditional_entropies(
     (path, votes) they share is built once.
     """
     cfg = as_config(cfg, IgConfig)
-    all_counts = [as_counts(plan, model.num_paths) for plan in plans]
+    return _entropies(model, [as_counts(plan, model.num_paths) for plan in plans], cfg, None)
+
+
+def _entropies(
+    model: ApmModel,
+    all_counts: list[tuple[int, ...]],
+    cfg: IgConfig,
+    held: dict[int, _Block] | None,
+) -> list[tuple[float, float]]:
+    """`sampled_conditional_entropies` of checked counts. `held` keeps each block
+    by index across the calls that pass it, all under one model, seed and G;
+    None drops each block once it is scored, so a call holds one at a time."""
     for counts in all_counts:
         _require_shared(model, counts)
     voted = [counts for counts in all_counts if sum(counts) > 0]
     g = cfg.num_samples
     sums = [(0.0, 0.0)] * len(voted)
     for b in range((g + _BLOCK - 1) // _BLOCK if voted else 0):
-        block = _sample_block(model, voted, cfg.seed, b, min(_BLOCK, g - b * _BLOCK))
-        sums = [(h + sh, h2 + sh2) for (h, h2), (sh, sh2) in zip(sums, block)]
+        block = (held or {}).get(b) or _new_block(model, cfg.seed, b, min(_BLOCK, g - b * _BLOCK))
+        if held is not None:
+            held[b] = block
+        scored = _sample_block(model, voted, cfg.seed, b, block)
+        sums = [(h + sh, h2 + sh2) for (h, h2), (sh, sh2) in zip(sums, scored)]
     out = []
     totals = iter(sums)
     for counts in all_counts:
@@ -526,12 +574,22 @@ def information_gains(
     resolves for that plan alone. All sampled plans share one
     `sampled_conditional_entropies` call, which a lone call matches bit for bit.
     """
+    return _information_gains(model, plans, cfg, None)
+
+
+def _information_gains(
+    model: ApmModel,
+    plans: Sequence[AccessPlan | Sequence[int]],
+    cfg: IgConfig | None,
+    held: dict[int, _Block] | None,
+) -> list[IgEstimate]:
+    """`information_gains`, with the sampled blocks kept in `held` as `_entropies` says."""
     cfg = as_config(cfg, IgConfig)
     all_counts = [as_counts(plan, model.num_paths) for plan in plans]
     modes = [_resolve_mode(cfg, counts, model.num_labels) for counts in all_counts]
     h_prior = _memo(model)["h_prior"]
     sampled = [c for c, mode in zip(all_counts, modes) if mode is IgMode.SAMPLED and any(c)]
-    entropies = iter(sampled_conditional_entropies(model, sampled, cfg))
+    entropies = iter(_entropies(model, sampled, cfg, held))
     out = []
     for counts, mode in zip(all_counts, modes):
         value, stderr = 0.0, 0.0

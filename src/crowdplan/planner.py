@@ -27,18 +27,22 @@ marginal gain is kept: by diminishing returns it bounds the same vote's gain
 at any larger plan. A step re-scores candidates in order of their bounds,
 highest first, and stops once no unscored bound plus `_NEG_TOL` (slack for
 rounding) reaches the best fresh ratio, so it picks the same vote as scoring
-every candidate would. When the final plan resolves exact, its gain is the
-last winner's estimate.
+every candidate would.
 
-Sampled steps score the base plan and every affordable candidate in one
-`information_gains` call under the step's derived seed (common random
-numbers), which removes sampling noise from the comparison between
-candidates within a step. The call draws each block of votes once and builds
-each path's factor table once for all these plans (see the `infogain`
-docstring); each value is bit for bit the one a separate call would give, so
-the plan is the same as scoring the candidates one by one. A stale sampled
-value is not a bound, so nothing carries over between sampled steps.
-`exhaustive_opt` and `best` also score all their candidates in one call.
+Sampled steps score every affordable candidate in one `information_gains`
+call under the caller's seed: common random numbers within a step, which
+remove sampling noise from the comparison between candidates, and across
+steps, so the whole search runs on one fixed sample (sample-average
+approximation: Kleywegt, Shapiro & Homem-de-Mello 2002). The calls share
+one holder of each block's draws and path tables, dropped when the search
+returns (see the `infogain` docstring); each value is bit for bit the one a
+separate call would give. So the base gain of a sampled step is the previous
+sampled step's winning estimate, and only the first sampled step scores its
+base plan. No estimate carries into a step of the other mode: an exact step
+after a sampled one scores an exact base, and the other way round. The
+final plan keeps the last step's estimate of it when it resolves to that
+step's mode. `exhaustive_opt` and `best` also score all their candidates in
+one call.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._rng import _fold, derive_seed, substream
+from ._rng import _fold, substream
 from .errors import InputError, ResourceLimitError
 from .infogain import (
     _NEG_TOL,
     IgConfig,
     IgEstimate,
     IgMode,
+    _information_gains,
     _plus,
     _resolve_mode,
     information_gain,
@@ -155,11 +160,13 @@ def greedy_plan(
     costs = model.costs
     b = _coerce_budget(budget)
     trace: list[TraceStep] = []
-    # The exact estimate of the current plan, when the last step was exact.
+    # The estimate of the current plan from the last step, in that step's mode.
     known: IgEstimate | None = None
     # The latest exact marginal gain of one more vote per path: by
     # submodularity an upper bound on that gain at any larger plan.
     stale: dict[int, float] = {}
+    # Each sampled block's draws and path tables, kept from step to step.
+    held: dict = {}
 
     def pick(counts, affordable):
         nonlocal known
@@ -168,16 +175,18 @@ def greedy_plan(
             for i in affordable
         )
         step_cfg = replace(cfg, mode=IgMode.EXACT if exact else IgMode.SAMPLED)
+        if known is not None and known.mode is not step_cfg.mode:
+            known = None
         if exact:
             if known is None:
                 known = information_gain(model, counts, step_cfg)
-            base = known.value
         else:
-            step_cfg = replace(step_cfg, seed=derive_seed(cfg.seed, "greedy-step", len(trace)))
-            plans = [counts] + [_plus(counts, i) for i in affordable]
-            base_est, *ests = information_gains(model, plans, step_cfg)
-            base = base_est.value
+            plans = [counts] * (known is None) + [_plus(counts, i) for i in affordable]
+            ests = _information_gains(model, plans, step_cfg, held)
+            if known is None:
+                known, *ests = ests
             scored = dict(zip(affordable, ests))
+        base = known.value
 
         # Candidates in order of their bounds; a sampled step has none, and
         # takes its scored candidates in path order.
@@ -203,13 +212,12 @@ def greedy_plan(
                 best = (i, delta, ratio, est)
         if best is None:
             return None
-        i, delta, ratio, est = best
+        i, delta, ratio, known = best
         trace.append(TraceStep(step=len(trace), path=i, delta_ig=delta, ratio=ratio))
-        known = est if exact else None
         return i
 
     counts = _buy(model, b, pick)
-    if known is None or _resolve_mode(cfg, counts, model.num_labels) is not IgMode.EXACT:
+    if known is None or known.mode is not _resolve_mode(cfg, counts, model.num_labels):
         known = information_gain(model, counts, cfg)
     return _result(model, counts, known, trace)
 

@@ -16,7 +16,9 @@ log-factorials came from `math.lgamma`: only last digits moved, no plan,
 fit report or prediction. The digests of fits, posteriors, exact `ig`
 values, rnd plans and sweep metrics were taken again when one scaled
 normaliser began to build every path factor and posterior: only last
-digits moved, no plan, fit report or prediction.
+digits moved, no plan, fit report or prediction. The digests of outputs a
+sampled greedy step decides were taken again when a sampled greedy search
+came to run on one fixed sample, under the caller's seed at every step.
 
 The votes file is written by this test from a fixed seed. It is ragged (0 to
 4 votes per path) and per worker, its tasks are not in id order, truth sits on
@@ -258,7 +260,9 @@ PLAN_REQUESTS = tuple(
 # before greedy's step estimator and the plan result got one builder each.
 # The entries of plans scored in exact mode were taken again when exact IG
 # became H(C) - H(C | Y): only the last digits of "ig" moved, no plan. The rnd
-# and sampled entries were taken again when stream keys became BLAKE2b digests.
+# and sampled entries were taken again when stream keys became BLAKE2b digests,
+# and "greedy@30.sampled" again when a sampled greedy search came to run on one
+# fixed sample (the plan went [1, 4, 4] -> [2, 3, 4]).
 PLAN_PINNED = {
     "greedy@0": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
     "greedy@1": "9a8e4a847d50dc1373a0662813cafd62e7e01401ac5210b0154b608db8528aeb",
@@ -287,7 +291,7 @@ PLAN_PINNED = {
     "rnd@30": "b9f5376633e1b1cb8fbd3bb2345d90b9afbae586c8d6cca4cb21a59d655bbb50",
     "greedy@30.exact": "5efd5d4278a03e58b3ccb9fe7a8f0b34cb0b352b9b69eb18a427f7e5994a2eb4",
     "greedy@30.auto": "5efd5d4278a03e58b3ccb9fe7a8f0b34cb0b352b9b69eb18a427f7e5994a2eb4",
-    "greedy@30.sampled": "2bb3073d48346e05d9968988ccfd9e05aa528254eeb189821ff52089db04c31f",
+    "greedy@30.sampled": "83cdde228f2eb8f1b4030dbc59ce54bbe971106142820cad4ac2f1a5cb5cecd8",
 }
 
 
@@ -311,11 +315,12 @@ SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
 # sha256 of "<exit code>\0<stdout>\0<output file>". Its plans were pinned before
 # greedy, equal and rnd shared one purchase loop; its metrics since plan
 # execution keeps the votes of each group's smallest raw words; all three
-# again when stream keys became BLAKE2b digests.
+# again when stream keys became BLAKE2b digests; "sampled" again when a sampled
+# greedy search came to run on one fixed sample.
 SWEEP_ALL_PINNED = {
     "auto": "905cff80db7ca8a703db7c936f5c5731868932265935b02ead376cff821a5a6a",
     "exact": "905cff80db7ca8a703db7c936f5c5731868932265935b02ead376cff821a5a6a",
-    "sampled": "a240c5488a1d45d3e618ccbb01f353bc7a1c8f3cedd60f9faa639f2aa508a0a7",
+    "sampled": "48dfc6d87633c7d2f90387782669fb6982e04dbec9ef65fd1e4c47ce568abd05",
 }
 
 
@@ -373,10 +378,11 @@ WIDE_REQUESTS = (
 # blocks and sampled path tables were gathered from the exact memo.
 # "greedy@26.exact" was taken again when exact IG became H(C) - H(C | Y): only
 # the last digits of "ig" moved, not the plan. "greedy@40.auto" was taken
-# again when stream keys became BLAKE2b digests.
+# again when stream keys became BLAKE2b digests, and again when a sampled greedy
+# search came to run on one fixed sample (plan [5, 3, 4, 3, 3] -> [3, 3, 5, 3, 3]).
 WIDE_PINNED = {
     "greedy@26.exact": "faba9db920d29f4d308f90998da24d289167601d7ec125c073b01f3b7e9c55d6",
-    "greedy@40.auto": "b3702e8ca1c930dd01d794e1b9eca698c168361afdb857cf5743130ea565baa6",
+    "greedy@40.auto": "d57f3a7793d08a14472a78c210077cad29a28487f9ae7a0ed585bf58224b0ec2",
 }
 
 

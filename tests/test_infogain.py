@@ -488,24 +488,32 @@ class TestSharedBlocks:
     """A greedy step's plans share each block's streams and each path table they draw."""
 
     def test_step_builds_each_table_once_per_block(self, monkeypatch):
-        """Base tables 5 and candidates' own paths 5: 10 per block, not 6 x 5."""
+        """Base tables 5 and candidates' own paths 5: 10 per block, not 6 x 5,
+        from one draw of each path's latent states and votes per block."""
         model = random_model(np.random.default_rng(4), 5, k=4, costs=[1, 2, 2, 3, 4])
         cfg = IgConfig(mode=IgMode.SAMPLED, num_samples=8192 + 1, seed=2)
         base = [5, 4, 3, 3, 2]
         plans = [base] + [base[:i] + [base[i] + 1] + base[i + 1 :] for i in range(5)]
-        built = []
-        original = infogain._path_factor
+        built, drawn = [], []
+        path_factor, draw_votes = infogain._path_factor, infogain._draw_votes
 
-        def counting(model, path, *args):
-            built.append(path)
-            return original(model, path, *args)
+        def building(model, path, v):
+            built.append((path, len(v)))
+            return path_factor(model, path, v)
 
-        monkeypatch.setattr(infogain, "_path_factor", counting)
+        def drawing(model, path, y, u):
+            drawn.append((path, len(u) - 1))
+            return draw_votes(model, path, y, u)
+
+        monkeypatch.setattr(infogain, "_path_factor", building)
+        monkeypatch.setattr(infogain, "_draw_votes", drawing)
         together = sampled_conditional_entropies(model, plans, cfg)
         assert len(built) == 2 * 10  # two blocks
+        assert drawn == [(i, c + 1) for i, c in enumerate(base)] * 2
         built.clear()
+        drawn.clear()
         apart = [sampled_conditional_entropies(model, [plan], cfg)[0] for plan in plans]
-        assert len(built) == 2 * 30
+        assert len(built) == len(drawn) == 2 * 30
         assert together == apart
 
     def test_each_table_scores_each_distinct_count_vector_once(self, monkeypatch, fresh_memo):
@@ -522,9 +530,9 @@ class TestSharedBlocks:
         path_factor = infogain._path_factor
         build, factors = infogain._count_vector_table, infogain._factors
 
-        def drawing(model, path, y, u):
-            now["draws"] = len(y)
-            return path_factor(model, path, y, u)
+        def drawing(model, path, v):
+            now["draws"] = v.shape[1]
+            return path_factor(model, path, v)
 
         def building(model, path, votes):
             now["table"] = (path, votes)
@@ -557,7 +565,8 @@ class TestSharedBlocks:
 
 
 def per_draw_path_factor(model, path, y, u):
-    """`_path_factor` without grouping: every draw's label counts scored on their own."""
+    """`_path_factor` of the draws `_draw_votes` makes, without grouping: every
+    draw's label counts scored on their own."""
     z = categorical_rows(np.cumsum(model.path_cpts[path].rows, axis=1)[y], u[0])
     v = categorical_rows(np.cumsum(model.worker_cpts[path].rows, axis=1)[z], u[1:])
     label_counts = (v[:, :, None] == np.arange(model.num_labels)).sum(axis=0, dtype=np.float64)
@@ -596,7 +605,7 @@ def one_path_block(k, votes, draws, seed, zeros=False, same=False):
 
 
 def assert_same_bits(model, y, u):
-    got = infogain._path_factor(model, 0, y, u)
+    got = infogain._path_factor(model, 0, infogain._draw_votes(model, 0, y, u))
     want = per_draw_path_factor(model, 0, y, u)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
@@ -637,7 +646,7 @@ class TestDistinctCountVectors:
             return factors(model, path, label_counts)
 
         monkeypatch.setattr(infogain, "_factors", scoring)
-        infogain._path_factor(model, 0, y, u)
+        infogain._path_factor(model, 0, infogain._draw_votes(model, 0, y, u))
         assert rows == [1 if fits else 8192]
         monkeypatch.undo()
         assert_same_bits(model, y, u)

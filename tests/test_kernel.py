@@ -268,6 +268,21 @@ def test_normalise_bits(k, rows, seed):
     same_bits(np.ascontiguousarray(q_z.transpose(3, 2, 0, 1)), want_q)
 
 
+@PARITY
+@given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_factors_without_posteriors_keep_path_factors_bits(k, rows, seed):
+    """The factors-only path gives `path_factors`' own factors, bit for bit, with
+    and without a run axis, underflowed sums and all -inf slices included."""
+    rng = np.random.default_rng(seed)
+    for runs in ((), (2,)):
+        evidence = gapped_scores(rng, (k, *runs, 3, rows))          # (K_z, (R,) N, n)
+        evidence[:, ..., 0] = -np.inf
+        cpts = tiny_weights(rng, (*runs, 3, k, k))                   # ((R,) N, K_y, K_z)
+        factors, q_z = path_factors(cpts, evidence, posterior=False)
+        assert q_z is None
+        same_bits(factors, path_factors(cpts, evidence)[0])
+
+
 def log_space_form(log_x, weights):
     """log sum w and w / sum w along the last axis, summed in log space by scipy."""
     terms = np.log(weights) + log_x

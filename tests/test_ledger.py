@@ -59,7 +59,7 @@ def test_ledger_reruns_the_same_and_names_an_edited_output(tmp_path, capsys):
 
 def test_plan_entries_keep_their_result_and_compare_by_it():
     """A `plan` entry keeps the parsed result; `--compare` calls a difference in
-    `ig` alone "ig digits only" and one in counts or mode "plan changed"."""
+    `ig` or `stderr` alone "ig digits only" and one in counts or mode "plan changed"."""
     ledger = _load_ledger()
     before = ledger.record(["plan"], [1])
     greedy = before["plan/1/a0.greedy.9"]["plan"]
@@ -76,11 +76,17 @@ def test_plan_entries_keep_their_result_and_compare_by_it():
     also_stderr = after["plan/1/a0.equal.30"]
     also_stderr["plan"]["ig"] += 1e-15
     also_stderr["stdout"] = also_stderr["stderr"] = "changed"
+    sampled = after["plan/1/b.sampled"]
+    assert sampled["plan"]["mode"] == "sampled"
+    sampled["plan"]["stderr"] *= 1 + 2**-40  # a sampled estimate's standard error alone
+    sampled["stdout"] = "changed"
+    d_stderr = sampled["plan"]["stderr"] - before["plan/1/b.sampled"]["plan"]["stderr"]
     opt = before["plan/1/a0.opt.30"]["plan"]
     assert ledger.compare(before, after) == [
         "plan/1/a0.equal.30: plan, stderr, stdout",
         "plan/1/a0.greedy.9: ig digits only (|d ig| 1e-15)",
         f"plan/1/a0.opt.30: plan changed: exact {opt['counts']} -> exact [0, 0, 10]",
+        f"plan/1/b.sampled: ig digits only (|d ig| 0, |d stderr| {d_stderr:.2g})",
         "largest |d ig| of the ig-digit entries: 1e-15",
     ]
 

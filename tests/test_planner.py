@@ -1,10 +1,13 @@
 import itertools
 import math
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import crowdplan.infogain as infogain
 import crowdplan.planner as planner
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep
@@ -105,6 +108,69 @@ class TestGreedy:
         b = greedy_plan(m, 4, cfg)
         assert a.plan.counts == b.plan.counts
         assert a.ig.value == b.ig.value
+
+
+class TestSampledSearchHolder:
+    """A sampled greedy search runs on one sample, whose draws and path tables
+    it holds from step to step and drops when it returns."""
+
+    MODEL = sym_model([0.5, 0.5], [0.8] * 3, [0.75] * 3)
+    BLOCKS = 2
+    CFG = IgConfig(num_samples=8192 + 5)  # auto, two blocks
+
+    def test_first_sampled_step_builds_2n_tables_per_block_and_later_ones_1(self, monkeypatch):
+        """Auto takes exact steps until the patched `EXACT_LIMIT` sends a step's
+        candidates to sampling. That step starts from a plan that votes on all
+        three paths and builds its base's and candidates' tables, 2N per block;
+        each later step builds only the table its last vote opened, 1 per block;
+        and the final plan keeps the last step's estimate, so builds no table."""
+        built, steps = [], []
+        path_factor, scorer = infogain._path_factor, planner._information_gains
+
+        def counting(model, path, v):
+            built.append((path, len(v)))
+            return path_factor(model, path, v)
+
+        def step(model, plans, step_cfg, held):
+            before = len(built)
+            ests = scorer(model, plans, step_cfg, held)
+            steps.append((tuple(plans[0]), len(built) - before))
+            return ests
+
+        monkeypatch.setattr(infogain, "_path_factor", counting)
+        monkeypatch.setattr(planner, "_information_gains", step)
+        monkeypatch.setattr(infogain, "EXACT_LIMIT", 20)
+        result = greedy_plan(self.MODEL, 14, self.CFG)
+        (base, first), *later = steps
+        assert all(base) and sum(base) < 14
+        assert first == 2 * 3 * self.BLOCKS
+        assert len(later) == 14 - sum(base) - 1
+        assert [n for _, n in later] == [1 * self.BLOCKS] * len(later)
+        assert len(built) == first + self.BLOCKS * len(later)
+        assert sum(result.plan.counts) == 14 and result.ig.mode is IgMode.SAMPLED
+
+    def test_no_held_draw_outlives_the_search(self, monkeypatch):
+        """Every block's outcome draws and every path table are freed once
+        `greedy_plan` returns."""
+        held = []
+        new_block, path_factor = infogain._new_block, infogain._path_factor
+
+        def tracked_block(*args):
+            block = new_block(*args)
+            held.append(weakref.ref(block.y))
+            return block
+
+        def tracked_table(*args):
+            table = path_factor(*args)
+            held.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(infogain, "_new_block", tracked_block)
+        monkeypatch.setattr(infogain, "_path_factor", tracked_table)
+        result = greedy_plan(self.MODEL, 8, replace(self.CFG, mode=IgMode.SAMPLED))
+        assert sum(result.plan.counts) == 8
+        assert len(held) == self.BLOCKS * (1 + 3 + 7)  # y, then 3 tables, then 1 per step
+        assert [ref() for ref in held] == [None] * len(held)
 
 
 class TestExhaustive:

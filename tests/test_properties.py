@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import crowdplan.infogain as infogain
 import crowdplan.planner as planner
-from crowdplan._rng import derive_seed, substream
+from crowdplan._rng import substream
 from crowdplan.cli import main
 from crowdplan.errors import CrowdPlanError, InputError, NumericError, ResourceLimitError
 from crowdplan.infogain import (
@@ -257,7 +257,8 @@ def priced_models(draw):
 
 
 def eager_greedy(model, budget, cfg):
-    """Cost-scaled greedy that scores every affordable candidate at every step."""
+    """Cost-scaled greedy that scores every affordable candidate at every step,
+    each plan in its own call under the caller's config."""
     b = Fraction(budget)
     counts = [0] * model.num_paths
     spent = Fraction(0)
@@ -267,14 +268,11 @@ def eager_greedy(model, budget, cfg):
         affordable = [i for i, c in enumerate(model.costs) if c <= b - spent]
         if not affordable:
             break
-        step_cfg = cfg
-        if cfg.mode is not IgMode.EXACT:
-            step_cfg = replace(cfg, seed=derive_seed(cfg.seed, "greedy-step", step))
-        base = information_gain(model, counts, step_cfg).value
+        base = information_gain(model, counts, cfg).value
         best = None
         for i in affordable:
             counts[i] += 1
-            delta = information_gain(model, counts, step_cfg).value - base
+            delta = information_gain(model, counts, cfg).value - base
             counts[i] -= 1
             if delta <= 0:
                 continue
@@ -338,8 +336,10 @@ def test_greedy_ties_match_eager_reference(model, budget):
 def _step_groups(calls):
     """Split the plans a greedy run scores, in order, into steps.
 
-    Step t scores the plan it starts from (t votes) and candidates one vote
-    larger, and never scores a plan twice; any other call starts step t + 1.
+    Step t scores candidates one vote larger than the plan it starts from (t
+    votes), and that plan too unless the previous step's estimate of it
+    carries over; it never scores a plan twice, and any other call starts
+    step t + 1.
     """
     groups, step, seen = [], 0, set()
     for plan, mode in calls:
@@ -360,7 +360,7 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
     cfg = IgConfig(num_samples=samples, seed=3)
     calls = []
     scorer = planner.information_gain
-    batch_scorer = planner.information_gains
+    batch_scorer = planner._information_gains
 
     def recording(model, plan, step_cfg=None):
         est = scorer(model, plan, step_cfg)
@@ -368,23 +368,39 @@ def test_each_greedy_step_uses_one_estimator(model, budget, exact_limit, samples
             calls.append((tuple(plan), est.mode))
         return est
 
-    def recording_batch(model, plans, step_cfg=None):
-        ests = batch_scorer(model, plans, step_cfg)
+    def recording_batch(model, plans, step_cfg, held):
+        ests = batch_scorer(model, plans, step_cfg, held)
         calls.extend((tuple(plan), est.mode) for plan, est in zip(plans, ests))
         return ests
 
-    planner.information_gain = recording
-    planner.information_gains = recording_batch
-    try:
-        with patch.object(infogain, "EXACT_LIMIT", exact_limit):
-            result = greedy_plan(model, budget, cfg)
-    finally:
-        planner.information_gain = scorer
-        planner.information_gains = batch_scorer
+    with patch.object(planner, "information_gain", recording), patch.object(
+        planner, "_information_gains", recording_batch
+    ), patch.object(infogain, "EXACT_LIMIT", exact_limit):
+        result = greedy_plan(model, budget, cfg)
     groups = _step_groups(calls)
     assert len(groups) >= len(result.trace)
     for modes in groups:
         assert len(set(modes)) == 1, groups
+
+
+@PROPERTY
+@given(
+    priced_models(),
+    st.integers(0, 10),
+    st.sampled_from([1, 64, 8192 + 3]),
+    st.integers(0, 9),
+    st.sampled_from([IgMode.SAMPLED, IgMode.AUTO]),
+    st.integers(2, 60),
+)
+def test_sampled_search_keeps_a_lone_calls_estimate(model, budget, samples, seed, mode, limit):
+    """The final `ig` and `stderr` a greedy search keeps from its last sampled
+    step are, bit for bit, those of a lone `information_gain` call on its plan;
+    near auto's threshold the search mixes exact and sampled steps."""
+    cfg = IgConfig(mode=mode, num_samples=samples, seed=seed)
+    with patch.object(infogain, "EXACT_LIMIT", limit):
+        result = greedy_plan(model, budget, cfg)
+        want = information_gain(model, result.plan, cfg)
+    assert bits(result.ig) == bits(want)
 
 
 # --- sampled information gain ---

@@ -25,10 +25,11 @@ same file in each (it reads the package from the tree it sits in).
 
 `--compare A B` prints each entry that differs, or is in one ledger only,
 with the fields that differ, and exits 1 if there is any; 0 means every byte
-recorded is the same. A plan entry whose result differs in `ig` alone is
-reported as "ig digits only" with |ig A - ig B|, one whose counts or mode
-differ as "plan changed", and the largest |ig A - ig B| of the first kind is
-printed last. A sweep entry whose output differs with the same `rows` is
+recorded is the same. A plan entry whose result differs in `ig` or `stderr`
+alone is reported as "ig digits only" with |ig A - ig B| (and
+|stderr A - stderr B| where `stderr` moved), one whose counts or mode differ
+as "plan changed", and the largest |ig A - ig B| of the first kind is printed
+last. A sweep entry whose output differs with the same `rows` is
 reported as "sweep metrics only", one whose `rows` differ as "sweep rows
 changed". Likewise a learn entry whose output or stdout differs with the
 same `fit` is "fit digits only", one whose `fit` differs "fit changed"; an
@@ -123,6 +124,11 @@ def record(names: list[str], seeds: list[int]) -> dict[str, dict]:
     return entries
 
 
+def _digits_apart(plan: dict) -> dict:
+    """A plan result without the two fields whose last digits an estimate moves."""
+    return {**plan, "ig": 0, "stderr": 0}
+
+
 def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
     """One line per entry that differs between two ledgers' entries, sorted by name."""
     lines = []
@@ -137,9 +143,11 @@ def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
         pa, pb = a[key].get("plan"), b[key].get("plan")
         if pa and pb and (pa["counts"], pa["mode"]) != (pb["counts"], pb["mode"]):
             lines.append(f"{key}: plan changed: {pa['mode']} {pa['counts']} -> {pb['mode']} {pb['counts']}")
-        elif pa and pb and fields == ["plan", "stdout"] and {**pa, "ig": 0} == {**pb, "ig": 0}:
+        elif pa and pb and fields == ["plan", "stdout"] and _digits_apart(pa) == _digits_apart(pb):
             deltas.append(abs(pa["ig"] - pb["ig"]))
-            lines.append(f"{key}: ig digits only (|d ig| {deltas[-1]:.2g})")
+            stderr = abs(pa["stderr"] - pb["stderr"])
+            also = f", |d stderr| {stderr:.2g}" if stderr else ""
+            lines.append(f"{key}: ig digits only (|d ig| {deltas[-1]:.2g}{also})")
         elif a[key].get("rows") and b[key].get("rows") and fields == ["output"]:
             lines.append(f"{key}: sweep metrics only")
         elif a[key].get("rows") and b[key].get("rows") and "rows" in fields:
