@@ -58,6 +58,36 @@ def _frozen_array(values, shape_hint: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _lex_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The permutation `np.lexsort(keys)` gives, the last key primary, from few sort keys.
+
+    Each int64 key, less its least value, takes the bits its range needs, and
+    keys share an unsigned 64-bit word while they fit, the first key lowest;
+    a stable argsort of one word, or a lexsort of the words, gives the same
+    permutation. A table's keys fit one word unless their ranges are wide, as
+    a path id near 2**63 makes them.
+    """
+    if not len(keys[0]):
+        return np.arange(0)
+    words: list[np.ndarray] = []
+    used = 64
+    for key in keys:
+        low = int(key.min())
+        bits = (int(key.max()) - low).bit_length()
+        if not bits:
+            continue
+        offset = key.view(np.uint64) - np.uint64(low % 2**64)  # key - low, wrapped
+        if used + bits > 64:
+            words.append(offset)
+            used = bits
+        else:
+            words[-1] |= offset << np.uint64(used)
+            used += bits
+    if len(words) > 1:
+        return np.lexsort(words)
+    return np.argsort(words[0], kind="stable") if words else np.arange(len(keys[0]))
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """The set of possible task outcomes.
@@ -344,7 +374,7 @@ class Dataset:
                     f"{name} column: index {column[np.argmax(bad)]} outside 0..{len(ids) - 1}"
                 )
         worker = np.array([index.get(w, -1) for w in worker_ids], dtype=np.int64)[worker]
-        canon = np.lexsort((label, worker, path, rank[task]))
+        canon = _lex_order((label, worker, path, rank[task]))
         row_of = np.empty_like(canon)
         row_of[canon] = np.arange(len(canon))
         num_labels = as_count(num_labels, "num_labels", 1)
@@ -362,7 +392,7 @@ class Dataset:
             worker_idx=worker[canon],
             label=label[canon],
             workers=workers,
-            stored=row_of[np.lexsort((path, task))],
+            stored=row_of[_lex_order((path, task))],
         )._checked()
 
     def stored_columns(self) -> dict:

@@ -10,10 +10,11 @@ references, which share the package's tables and kernels:
 `exact_conditional_entropy` is held to within 1e-12, normalised by scipy's
 `logsumexp` so that it shares no normaliser with the package; and, bit for bit,
 `ref_em_fit`, EM one restart after another, for the stacked
-`learning._em`, and `ref_execute` and `ref_score_fold`, plan execution by
+`learning._em`, `ref_execute` and `ref_score_fold`, plan execution by
 one fresh stream per drawing task and one sort per drawn group, and fold
 scoring by one pass per (strategy, budget) cell, for `evaluation._execute`
-and `_score_fold`.
+and `_score_fold`, and `row_read_votes_csv`, the votes reader that coded one
+row at a time through `csv.reader`, for the columnar `read_votes_csv`.
 
 The oracles take one task at a time, as a `TaskSample` record. `table_of`,
 `records_of` and `posteriors` carry such records to and from the package's
@@ -23,9 +24,12 @@ tables: a table through `Dataset.tabulate`, records in stored order, and
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -42,8 +46,10 @@ from crowdplan._kernel import (
     scatter_rows,
     vote_evidence,
 )
+from crowdplan.errors import InputError
 from crowdplan.evaluation import FoldRow, _accuracy, _neg_log_likelihood
 from crowdplan.inference import ModelKind, table_posteriors
+from crowdplan.io import VOTES_HEADER
 from crowdplan.infogain import _count_vector_table
 from crowdplan.learning import fit_em, fit_nbi
 from crowdplan.model import (
@@ -520,3 +526,101 @@ def aligned_worst_row_l1(model: ApmModel, reference: ApmModel) -> float:
         if feasible:
             best = min(best, max(path_worst))
     return best
+
+
+class _BadField(Exception):
+    """A row's first failed check; the reader adds the line."""
+
+
+class _Codes(dict):
+    """One column's code per raw field; a miss strips the field and codes it."""
+
+    def __init__(self, code):
+        super().__init__()
+        self.code = code
+
+    def __missing__(self, raw: str) -> int:
+        out = self[raw] = self.code(raw.strip())
+        return out
+
+
+def row_read_votes_csv(
+    path: str, names: Sequence[str] | None = None
+) -> tuple[Dataset, tuple[str, ...]]:
+    """`read_votes_csv` as it stood before it coded whole columns: one row at a time.
+
+    Pass `names` to force an existing mapping (for example a model's labels);
+    otherwise labels are assigned indices in first-seen order.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read votes file: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    task_ids: dict[str, int] = {}
+    worker_ids: dict[str, int] = {}
+    label_ids = {n: i for i, n in enumerate(names or ())}
+
+    def task_code(text: str) -> int:
+        if not text:
+            raise _BadField("empty task_id")
+        return task_ids.setdefault(text, len(task_ids))
+
+    def path_code(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 2**63
+        if value >= 2**63:  # no integer, or one too large to index with
+            raise _BadField(f"bad path_id {text!r}")
+        if value < 0:
+            raise _BadField(f"negative path_id {value}")
+        return value
+
+    def label_code(text: str) -> int:  # -1 for an empty field
+        if text and text not in label_ids:
+            if names is not None:
+                raise _BadField(f"label {text!r} not in the model's label set")
+            label_ids[text] = len(label_ids)
+        return label_ids[text] if text else -1
+
+    tasks, paths, labels = _Codes(task_code), _Codes(path_code), _Codes(label_code)
+    workers = _Codes(lambda text: worker_ids.setdefault(text, len(worker_ids)))
+    truths: dict[int, int] = {}
+    codes: list[int] = []  # task, path, worker and vote of each vote in turn
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != VOTES_HEADER:
+            raise InputError(f"votes file must start with header {','.join(VOTES_HEADER)}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 5:
+                if row and (len(row) > 1 or row[0].strip()):  # blank rows are skipped
+                    raise _BadField(f"expected 5 fields, got {len(row)}")
+                continue
+            task_raw, path_raw, worker_raw, vote_raw, truth_raw = row
+            task = tasks[task_raw]
+            codes += (task, paths[path_raw], workers[worker_raw], labels[vote_raw])
+            if codes[-1] < 0:
+                raise _BadField("empty vote")
+            truth = labels[truth_raw]
+            if truth >= 0 and truths.setdefault(task, truth) != truth:
+                raise _BadField(f"task {task_raw.strip()} has conflicting truths")
+    except _BadField as exc:
+        raise InputError(f"line {line}: {exc}") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    label_names = tuple(label_ids) if names is None else tuple(names)
+    if len(label_names) < 2:
+        raise InputError("votes file mentions fewer than 2 distinct labels")
+    first_truth = np.full(len(task_ids), -1, dtype=np.int64)
+    first_truth[list(truths)] = list(truths.values())
+    columns = np.array(codes, dtype=np.int64).reshape(-1, 4).T
+    worker_names = [w or None for w in worker_ids]
+    data = Dataset.tabulate(list(task_ids), first_truth, *columns, worker_names, len(label_names))
+    return data, label_names

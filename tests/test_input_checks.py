@@ -22,6 +22,7 @@ from crowdplan.cli import main
 from crowdplan.errors import InputError, ResourceLimitError
 from crowdplan.evaluation import budget_sweep
 from crowdplan.inference import table_log_joint
+from crowdplan.io import read_votes_csv
 from crowdplan.infogain import (
     IgConfig,
     IgMode,
@@ -455,3 +456,25 @@ def test_planning_inputs_are_kept_exactly_or_rejected(cost, count, budget, tasks
         lambda: (t, [n * t, t, 0]),
         huge,
     )
+
+
+def utf8_error_at_line_3(tmp_path, ending: bytes) -> str:
+    """The error of a file whose third line holds a byte that is not UTF-8."""
+    rows = [b"task_id,path_id,worker_id,vote,truth", b"t1,0,,no,", b"t2,0,,y\xffes,", b"t3,0,,no,"]
+    f = tmp_path / "v.csv"
+    f.write_bytes(ending.join(rows) + ending)
+    with pytest.raises(InputError) as exc:
+        read_votes_csv(str(f))
+    assert str(exc.value) == f"{f}: line 3: not valid UTF-8 (invalid start byte)"
+
+
+def test_utf8_error_line_under_lf_endings(tmp_path):
+    utf8_error_at_line_3(tmp_path, b"\n")
+
+
+def test_utf8_error_line_under_crlf_endings(tmp_path):
+    utf8_error_at_line_3(tmp_path, b"\r\n")
+
+
+def test_utf8_error_line_under_lone_cr_endings(tmp_path):
+    utf8_error_at_line_3(tmp_path, b"\r")

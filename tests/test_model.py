@@ -5,6 +5,8 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdplan.errors import InputError
 from crowdplan.model import (
@@ -14,6 +16,7 @@ from crowdplan.model import (
     Cpt,
     Dataset,
     LabelSpace,
+    _lex_order,
     NbiModel,
     TaskSample,
     as_counts,
@@ -400,6 +403,81 @@ class TestDatasetColumns:
         np.testing.assert_array_equal(pairs, want_pairs)
         np.testing.assert_array_equal(idx, want_idx.reshape(-1))
         assert pairs.shape == want_pairs.shape and idx.shape == (len(task),)
+
+
+def _lexsort_tabulate(task_ids, truth, task, path, worker, label, worker_ids, **_):
+    """The order fields of a table as `Dataset.tabulate` sorted them with `np.lexsort`."""
+    by_id = np.array(sorted(range(len(task_ids)), key=task_ids.__getitem__), dtype=np.int64)
+    rank = np.empty_like(by_id)
+    rank[by_id] = np.arange(len(by_id))
+    index = {w: j for j, w in enumerate(sorted({w for w in worker_ids if w is not None}))}
+    worker = np.array([index.get(w, -1) for w in worker_ids], dtype=np.int64)[worker]
+    canon = np.lexsort((label, worker, path, rank[task]))
+    row_of = np.empty_like(canon)
+    row_of[canon] = np.arange(len(canon))
+    return dict(
+        order=by_id,
+        truth=truth[by_id],
+        sample_idx=rank[task][canon],
+        path_idx=path[canon],
+        worker_idx=worker[canon],
+        label=label[canon],
+        stored=row_of[np.lexsort((path, task))],
+    )
+
+
+def _near(top):
+    """Small values and values just under `top`, so that a key's range reaches `top`."""
+    return st.one_of(st.integers(0, min(3, top)), st.integers(max(0, top - 3), top))
+
+
+@st.composite
+def vote_columns(draw):
+    """`Dataset.tabulate`'s arguments; wide path and label ranges need a second sort word."""
+    n_tasks = draw(st.integers(1, 6))
+    n_workers = draw(st.integers(0, 4))
+    num_paths = draw(st.sampled_from([1, 3, 2**20, 2**63]))
+    num_labels = draw(st.sampled_from([2, 5, 2**40, 2**62]))
+
+    def column(values, size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int64)
+
+    votes = draw(st.integers(0, 40))
+    return dict(
+        task_ids=draw(st.permutations([f"t{i}" for i in range(n_tasks)])),
+        truth=column(st.integers(-1, 1), n_tasks),
+        task=column(st.integers(0, n_tasks - 1), votes),
+        path=column(_near(num_paths - 1), votes),
+        worker=column(st.integers(0, n_workers), votes),
+        label=column(_near(num_labels - 1), votes),
+        worker_ids=[None] + draw(st.permutations([f"w{i}" for i in range(n_workers)])),
+        num_labels=num_labels,
+        num_paths=num_paths,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vote_columns())
+def test_tabulate_sorts_as_lexsort(columns):
+    data = Dataset.tabulate(**columns)
+    for name, value in _lexsort_tabulate(**columns).items():
+        np.testing.assert_array_equal(getattr(data, name), value, err_msg=name)
+
+
+INT64_KEYS = st.integers(1, 4).flatmap(lambda keys: st.integers(0, 30).flatmap(
+    lambda size: st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), st.integers(-(2**63), 2**63 - 1)),
+                 min_size=size, max_size=size),
+        min_size=keys, max_size=keys,
+    )
+))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(INT64_KEYS)
+def test_lex_order_is_lexsort_for_any_int64_keys(keys):
+    keys = [np.array(key, dtype=np.int64) for key in keys]
+    np.testing.assert_array_equal(_lex_order(keys), np.lexsort(keys))
 
 
 class TestRebuilders:

@@ -1,0 +1,20 @@
+"""`tools/record_bench.py`'s read ladder runs end to end at a tiny size."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_read_ladder_times_each_size_in_its_own_interpreter():
+    path = ROOT / "tools" / "record_bench.py"
+    spec = importlib.util.spec_from_file_location("record_bench", path)
+    record_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_bench)
+    entries = record_bench.ladder((3, 7))
+    assert sorted(entries) == ["3", "7"]
+    # plan 3,3,3 puts 9 votes on every task
+    assert [entries[n]["rows"] for n in ("3", "7")] == [27, 63]
+    for entry in entries.values():
+        assert entry["best_s"] > 0 and entry["peak_rss_mb"] > 0
+        assert entry["us_per_row"] == entry["best_s"] / entry["rows"] * 1e6

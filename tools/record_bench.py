@@ -12,6 +12,13 @@ end-to-end metrics of the untraced run, the per-layer metrics of the traced
 one, each run's request and failure counts, and the environment each run
 recorded; and, once, the seed, the seconds, the command and a sha256 of the
 package source measured.
+
+It also runs the read ladder: for each of `LADDER_TASKS`, `simulate` writes
+the votes of that many tasks from the bundled model at plan `LADDER_PLAN`
+and seed `SEED`, and a fresh interpreter reads them with `read_votes_csv`
+`LADDER_RUNS` times. The file's `"ladder"` holds, per size, the rows read,
+the best read's seconds and microseconds per row, and that interpreter's
+peak RSS.
 Exits 1 if a run failed or a report is missing, and then writes nothing.
 """
 
@@ -20,8 +27,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +38,22 @@ RUN = ROOT / "perfbench" / "run.py"
 OUT = ROOT / "perfbench" / "out"
 SEED = 1
 SECONDS = 25
+MODEL = ROOT / "src" / "crowdplan" / "data" / "example_model.json"
+LADDER_TASKS = (2_000, 20_000, 200_000)
+LADDER_PLAN = "3,3,3"
+LADDER_RUNS = 3
+# The ladder's reader: a fresh interpreter per size, so each size has its own peak RSS.
+READ = """
+import json, resource, sys, time
+from crowdplan.io import read_votes_csv
+best = float("inf")
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    data, _ = read_votes_csv(sys.argv[1])
+    best = min(best, time.perf_counter() - start)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"rows": len(data.label), "best_s": best, "peak_rss_mb": peak}))
+"""
 
 
 def source_digest() -> str:
@@ -53,6 +78,32 @@ def run_all(trace: int) -> dict[str, dict]:
     if proc.returncode != 0:
         raise SystemExit(f"record_bench: perfbench/run.py --trace {trace} exited {proc.returncode}")
     return reports
+
+
+def _run(what: str, argv: list[str]) -> str:
+    """The stdout of a ladder step run on this tree's package."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"record_bench: ladder {what} exited {proc.returncode}")
+    return proc.stdout
+
+
+def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
+    """The read ladder's entry per number of tasks."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for tasks in sizes:
+            votes = Path(tmp) / f"votes_{tasks}.csv"
+            _run("simulate", ["-m", "crowdplan.cli", "simulate", "--model", str(MODEL),
+                              "--plan", LADDER_PLAN, "--tasks", str(tasks), "--seed", str(SEED),
+                              "--out", str(votes)])
+            read = json.loads(_run("read", ["-c", READ, str(votes), str(LADDER_RUNS)]))
+            votes.unlink()
+            out[str(tasks)] = {**read, "us_per_row": read["best_s"] / read["rows"] * 1e6}
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,6 +138,12 @@ def main(argv: list[str] | None = None) -> int:
                    f"--seconds {SECONDS} --trace 0|1",
         "source_sha256": source_digest(),
         "workloads": workloads,
+        "ladder": {
+            "simulate": f"simulate --model {MODEL.relative_to(ROOT)} --plan {LADDER_PLAN} "
+                        f"--seed {SEED}",
+            "runs": LADDER_RUNS,
+            "tasks": ladder(),
+        },
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
