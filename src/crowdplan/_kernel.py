@@ -6,13 +6,16 @@ last and is contiguous. K is only 2..10, so with the label axis last numpy
 would run each elementwise pass as n inner loops of K elements; label-major,
 each pass is one inner loop over all n (or N * n) entries.
 
-EM fits all of its restarts at once, so the kernels it calls take an
-optional run axis R right after the label and state axes: evidence is
-(K_z, R, N, n), state posteriors (K_y, K_z, R, N, n) and log joints (K, R, n), from
-tables with a leading run axis, (R, C, K, K). Without it (inference and
-information gain) every shape drops R. The vote gather takes each run's
-tables at a per-run offset, and a scatter runs over the bins r * size + j,
-so a run's sums are those it would get alone.
+EM fits all of its restarts at once, so the kernels it calls take a run
+axis R right after the label and state axes: evidence is (K_z, R, N, n),
+state posteriors (K_y, K_z, R, N, n) and log joints (K, R, n), from tables
+with a leading run axis, (R, C, K, K). Without it (information gain) every
+shape drops R; inference passes a single run. The vote kernels gather and
+scatter through indices that depend only on the votes, so a fit builds them
+once, before its first iteration, and an inference call once per call. Each
+index is label-major (`label_major`), entry z * V + v serving label z of
+vote v, so one `np.take` and one `np.bincount` per run cover every label,
+and a run's sums are those it would get alone.
 
 Two kernels give log p(y, x) for n tasks at once, shape (K, n):
 
@@ -37,7 +40,7 @@ is taken again by `_log_space`, which adds its axis in order, in log space.
 
 Other sums are numpy's own `sum`, so their bytes hold for a fixed numpy
 version and SIMD target (see README, Determinism). `np.add.at` is slow per
-index, so `scatter_rows` runs one `np.bincount` per label, which adds its
+index, so `scatter_rows` runs one `np.bincount` per run, which adds its
 weights in input order as `np.add.at` does: the sums keep their bits.
 """
 
@@ -81,14 +84,18 @@ def scale(log_x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normalise(
-    log_x: np.ndarray, weights=1.0, axis: int = 0, posterior: bool = True
+    log_x: np.ndarray, weights: np.ndarray | None = None, axis: int = 0, posterior: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """log s and the posterior w / s, for w = weights * exp(log_x), s its sum along
-    `axis` and the weights probabilities broadcasting against `log_x`. Both are
-    scaled by `scale`, and taken again in log space where s < `_UNDERFLOW`.
-    Without `posterior`, None stands in for the posterior and log s keeps its bits."""
+    """log s and the posterior w / s, for w = weights * exp(log_x) (exp(log_x) without
+    weights), s its sum along `axis` and the weights probabilities broadcasting
+    against `log_x`. Both are scaled by `scale`, and taken again in log space where
+    s < `_UNDERFLOW`. Without `posterior`, None stands in for the posterior and
+    log s keeps its bits."""
     w, top = scale(log_x, axis)
-    w = np.multiply(w, weights, out=w if np.shape(weights) == () else None)
+    if weights is None:
+        weights = 1.0
+    else:
+        w = w * weights
     s = w.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         post = np.divide(w, s, out=w) if posterior else None
@@ -103,43 +110,56 @@ def normalise(
     return norm, post
 
 
-def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """out[:, r, j] = the sum of rows[:, r, v] over every v with index[v] == j, shape
-    (K, R, size); rows without a run axis, (K, V), give (K, size).
+def label_major(index: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """index + z * stride for each label z in turn, shape (K * len(index),): entry
+    z * len(index) + v serves label z of entry v."""
+    return (np.arange(k)[:, None] * stride + index).reshape(-1)
 
-    One bincount per label, over the bins r * size + index, so each bin adds
-    its own run's columns in their order, from 0.0: the bits of `np.add.at`.
+
+def scatter_rows(sources, gather: np.ndarray, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[r], flattened, holds at j the sum of sources[r].flat[gather[i]] over every
+    i with bins[i] == j, for one source per run r.
+
+    One `np.take` and one `np.bincount` per run, so each bin adds its own run's
+    entries in index order, from 0.0: the bits of `np.add.at`.
     """
-    runs = rows.shape[1:-1]
-    num_runs = runs[0] if runs else 1
-    bins = (np.arange(num_runs)[:, None] * size + index).reshape(-1)
-    return np.stack(
-        [np.bincount(bins, weights=row.reshape(-1), minlength=num_runs * size) for row in rows],
-        dtype=np.float64,  # bincount returns ints when there are no columns
-    ).reshape(len(rows), *runs, size)
+    for run, source in zip(out, sources):
+        run[...] = np.bincount(bins, np.take(source, gather), run.size).reshape(run.shape)
+    return out
 
 
-def label_columns(log_tables: np.ndarray, table_idx: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """rows[z, r, v] = log_tables[r, table_idx[v], z, label[v]], shape (K, R, V): column
-    label[v] of each vote's K x K table in each run, taken in one flat gather with a
-    per-run offset. Tables without a run axis, (C, K, K), give (K, V)."""
-    *runs, tables, k, _ = log_tables.shape
-    num_runs = runs[0] if runs else 1
-    cells = np.arange(num_runs)[:, None] * (tables * k * k) + (table_idx * (k * k) + label)
-    rows = log_tables.reshape(-1)[np.arange(0, k * k, k)[:, None, None] + cells]
-    return rows.reshape(k, *runs, -1)
+def vote_columns(slot_idx: np.ndarray, label: np.ndarray, k: int) -> np.ndarray:
+    """Each vote's log p(label | z) in its slot's flattened (C, K, K) tables, slot * K * K
+    + z * K + label, label-major."""
+    return label_major(slot_idx * (k * k) + label, k, k)
 
 
-def vote_evidence(table: Dataset, slot_idx: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
+def vote_cells(table: Dataset) -> np.ndarray:
+    """Each vote's path-major evidence cell, z * N * n + path * n + task, label-major."""
+    return label_major(table.cells, table.num_labels, table.num_paths * table.num_samples)
+
+
+def vote_evidence(log_tables: np.ndarray, columns: np.ndarray, cells: np.ndarray, table: Dataset):
     """evidence[z, r, i, s]: the sum over task s's votes on path i of log p(x | z) in
-    run r, shape (K_z, R, N, n), or (K_z, N, n) for tables without a run axis.
+    run r, shape (K_z, R, N, n).
 
-    `log_tables[r, c]` is the log vote table (row z, column x) of slot c, and
-    `slot_idx` names each vote's slot. Votes are added by their path-major cells.
+    `log_tables[r, c]` is the log vote table (row z, column x) of slot c; `columns`
+    (`vote_columns`) and `cells` (`vote_cells`) place each vote in them and in the
+    evidence. Votes are added in table order.
     """
-    n, paths = table.num_samples, table.num_paths
-    rows = label_columns(log_tables, slot_idx, table.label)
-    return scatter_rows(table.cells, rows, paths * n).reshape(*rows.shape[:-1], paths, n)
+    out = np.empty((table.num_labels, len(log_tables), table.num_paths, table.num_samples))
+    scatter_rows(log_tables, columns, cells, out.swapaxes(0, 1))
+    return out
+
+
+def prior_first(table: Dataset, slot_idx: np.ndarray, num_slots: int):
+    """The columns and task bins of `direct_log_joints`: first the K * n log priors,
+    z * n + task, then each vote's `vote_columns` and its task z * n + task."""
+    k, n = table.num_labels, table.num_samples
+    priors = label_major(np.full(n, num_slots * k * k), k, k)
+    columns = np.concatenate([priors, vote_columns(slot_idx, table.label, k)])
+    tasks = np.concatenate([np.arange(k * n), label_major(table.sample_idx, k, n)])
+    return columns, tasks
 
 
 def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
@@ -177,15 +197,20 @@ def apm_log_joints(
 
 
 def direct_log_joints(
-    log_prior: np.ndarray, sample_idx: np.ndarray, vote_rows: np.ndarray, num_samples: int
+    log_prior: np.ndarray,
+    log_tables: np.ndarray,
+    columns: np.ndarray,
+    tasks: np.ndarray,
+    num_samples: int,
 ) -> np.ndarray:
-    """log p(y, x), shape (K, R, n), when vote j adds its own column
-    vote_rows[:, r, j] = log p(x_j | y) in run r. A prior (K,) and rows (K, V)
-    give (K, n).
+    """log p(y, x), shape (K, R, n), when each vote adds its own column log p(x | y) of
+    its slot's table, from the log priors (R, K) and tables (R, C, K, K).
 
-    Vote j belongs to task sample_idx[j]. Each task's log prior (K, R) goes in
-    ahead of its votes.
+    `columns` and `tasks` come from `prior_first`: each task's log prior goes in
+    ahead of its votes, gathered from an extra table C whose row y holds log p(y).
     """
-    index = np.concatenate([np.arange(num_samples), sample_idx])
-    prior = np.broadcast_to(log_prior[..., None], (*vote_rows.shape[:-1], num_samples))
-    return scatter_rows(index, np.concatenate([prior, vote_rows], axis=-1), num_samples)
+    runs, _, k, _ = log_tables.shape
+    out = np.empty((k, runs, num_samples))
+    sources = (np.append(t, np.repeat(p, k)) for t, p in zip(log_tables, log_prior))
+    scatter_rows(sources, columns, tasks, out.swapaxes(0, 1))
+    return out

@@ -32,10 +32,12 @@ import numpy as np
 from ._kernel import (
     apm_log_joints,
     direct_log_joints,
-    label_columns,
     log,
     normalise,
     path_factors,
+    prior_first,
+    vote_cells,
+    vote_columns,
     vote_evidence,
 )
 from .errors import InputError, MissingWorkerCptError
@@ -57,24 +59,30 @@ def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
     pairs, slot_idx = table.path_worker_slots()
     k = model.num_labels
     tables = [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs]
-    evidence = vote_evidence(table, slot_idx, log(_stack(tables, k)))
+    columns = vote_columns(slot_idx, table.label, k)
+    evidence = vote_evidence(log(_stack(tables, k))[None], columns, vote_cells(table), table)
     path_cpts = _stack([c.rows for c in model.path_cpts], k)
-    factors, _ = path_factors(path_cpts, evidence, posterior=False)
+    factors, _ = path_factors(path_cpts, evidence[:, 0], posterior=False)
     return apm_log_joints(log(model.prior), factors, table.active)
+
+
+def _direct(prior: np.ndarray, tables: list[np.ndarray], slot_idx: np.ndarray, table: Dataset):
+    """log p(y, x) (K, n) when vote j adds column label[j] of table slot_idx[j]."""
+    log_tables = log(_stack(tables, len(prior)))[None]
+    columns, tasks = prior_first(table, slot_idx, log_tables.shape[1])
+    return direct_log_joints(log(prior)[None], log_tables, columns, tasks, table.num_samples)[:, 0]
 
 
 def _nbap(model: ApmModel, table: Dataset) -> np.ndarray:
     marginals = [pc.rows @ wc.rows for pc, wc in zip(model.path_cpts, model.worker_cpts)]
-    rows = label_columns(log(_stack(marginals, model.num_labels)), table.path_idx, table.label)
-    return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
+    return _direct(model.prior, marginals, table.path_idx, table)
 
 
 def _nbi(model: NbiModel, table: Dataset) -> np.ndarray:
     if (table.worker_idx < 0).any():
         raise MissingWorkerCptError(str(None))
-    log_tables = log(_stack([model.vote_cpt(w).rows for w in table.workers], model.num_labels))
-    rows = label_columns(log_tables, table.worker_idx, table.label)
-    return direct_log_joints(log(model.prior), table.sample_idx, rows, table.num_samples)
+    tables = [model.vote_cpt(w).rows for w in table.workers]
+    return _direct(model.prior, tables, table.worker_idx, table)
 
 
 _LOG_JOINTS = {ModelKind.APM: _apm, ModelKind.NBAP: _nbap, ModelKind.NBI: _nbi}

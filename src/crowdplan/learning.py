@@ -21,6 +21,13 @@ history and stopping test; a run that stops leaves the stack. Every sum
 adds one run's terms in the order a lone restart adds them, so a stacked
 fit gives the bits of fitting its restarts one after another.
 
+Before the first iteration a fit lays out its votes once (`_Layout`): where
+each vote's entries lie in the flattened tables, in the evidence or joint
+cells and in the count tables, and the tasks whose truth is known. Every
+iteration then gathers and scatters through these indices one run at a time
+(`_kernel.scatter_rows`) and builds none of its own; the M-step also forms
+the joint posterior q(y) q(z | y) one run at a time.
+
 Latent path states are only identified up to relabeling, so after fitting,
 each path's states are permuted to put as much mass as possible on the
 diagonal of its p(z | y) table. Fitting is bitwise deterministic for a fixed
@@ -40,11 +47,13 @@ import numpy as np
 from ._kernel import (
     apm_log_joints,
     direct_log_joints,
-    label_columns,
     log,
     normalise,
     path_factors,
+    prior_first,
     scatter_rows,
+    vote_cells,
+    vote_columns,
     vote_evidence,
 )
 from ._rng import _fold, substream
@@ -151,14 +160,60 @@ def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
     return out
 
 
-def _outcome_posterior(log_joint: np.ndarray, truth: np.ndarray):
+class _Truths:
+    """The known truths of a table, laid out once: `known` marks the tasks with one,
+    `one_hot` (K, 1, n) holds their point masses, and `at(runs)` the flat index of
+    each task's truth entry in a (K, runs, n) log joint, made once per number of runs."""
+
+    def __init__(self, truth: np.ndarray, k: int):
+        self.known = truth >= 0
+        self.any = bool(self.known.any())
+        self.one_hot = np.eye(k)[:, None, np.maximum(truth, 0)]
+        self._entry = np.maximum(truth, 0) * len(truth)
+        self._at: dict[int, np.ndarray] = {}
+
+    def at(self, runs: int) -> np.ndarray:
+        if runs not in self._at:
+            n = len(self._entry)
+            self._at[runs] = self._entry * runs + np.arange(runs * n).reshape(runs, n)
+        return self._at[runs]
+
+
+def _outcome_posterior(log_joint: np.ndarray, truths: _Truths):
     """q(y) of each task in each run from log p(y, x) (K, R, n), a point mass where
     the truth is known, shape (K, R, n), and each run's log-likelihood, shape (R,)."""
     norm, q_y = normalise(log_joint)
-    known = truth >= 0
-    q_y[..., known] = np.eye(len(q_y))[:, None, truth[known]]
-    at_truth = np.take_along_axis(log_joint, np.maximum(truth, 0)[None, None], axis=0)[0]
-    return q_y, np.where(known, at_truth, norm).sum(axis=-1)
+    if truths.any:
+        np.copyto(q_y, truths.one_hot, where=truths.known)
+        np.copyto(norm, np.take(log_joint, truths.at(len(norm))), where=truths.known)
+    return q_y, norm.sum(axis=-1)
+
+
+class _Layout(NamedTuple):
+    """A fit's indices, built once before its first iteration. The E-step adds the
+    log tables' entries at `columns` into `cells`; the M-step adds the posteriors'
+    entries at `posterior` into the flat count tables (C, K, K) at `counts`, each
+    vote's own entry (`_kernel.vote_columns`). Both M-step indices are views."""
+    columns: np.ndarray
+    cells: np.ndarray
+    posterior: np.ndarray
+    counts: np.ndarray
+    truths: _Truths
+
+    @classmethod
+    def apm(cls, t: Dataset, slots: _Slots) -> _Layout:
+        """The evidence cells (`_kernel.vote_cells`), which are also where q_z is read."""
+        k, cells = t.num_labels, vote_cells(t)
+        columns = vote_columns(slots.idx, t.label, k)
+        return cls(columns, cells, cells, columns, _Truths(t.truth, k))
+
+    @classmethod
+    def nbi(cls, t: Dataset) -> _Layout:
+        """The priors ahead of the votes (`_kernel.prior_first`) for the E-step; the
+        M-step reads only the votes' part."""
+        k, priors = t.num_labels, t.num_labels * t.num_samples
+        columns, tasks = prior_first(t, t.worker_idx, len(t.workers))
+        return cls(columns, tasks, tasks[priors:], columns[priors:], _Truths(t.truth, k))
 
 
 def _blended_identities(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,12 +237,12 @@ def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Par
     return _Params(prior=_init_prior(t.truth, k), path_cpts=path_cpts, tables=tables)
 
 
-def _estep(params: _Params, logs: _Params, t: Dataset, slots: _Slots):
+def _estep(params: _Params, logs: _Params, t: Dataset, layout: _Layout):
     """The posteriors and log-likelihoods of every run, from its parameters and their logs."""
-    evidence = vote_evidence(t, slots.idx, logs.tables)             # (K_z, R, N, n)
+    evidence = vote_evidence(logs.tables, layout.columns, layout.cells, t)  # (K_z, R, N, n)
     f, q_z = path_factors(params.path_cpts, evidence)               # q_z: (K_y, K_z, R, N, n)
     log_joint = apm_log_joints(logs.prior.T, f, t.active)           # (K_y, R, n)
-    q_y, loglik = _outcome_posterior(log_joint, t.truth)            # q_y: (K_y, R, n)
+    q_y, loglik = _outcome_posterior(log_joint, layout.truths)      # q_y: (K_y, R, n)
     return q_y, q_z, loglik
 
 
@@ -206,27 +261,30 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(sums > 0, out, uniform)
 
 
-def _label_scatter(num_tables: int, table_idx: np.ndarray, t: Dataset, rows: np.ndarray):
-    """counts[r, c, z, x]: the sum of rows[z, r, v] over the votes v on table c with label x."""
-    k, runs = t.num_labels, rows.shape[1]
-    counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
-    return np.ascontiguousarray(counts.reshape(k, runs, num_tables, k).transpose(1, 2, 0, 3))
-
-
 def _prior(q_y: np.ndarray, alpha: float) -> np.ndarray:
     """Each run's prior (R, K) from q_y (K, R, n), its rows contiguous as a lone prior's."""
     return _normalize_rows(np.ascontiguousarray(q_y.sum(axis=-1).T) + alpha)
 
 
-def _mstep(t: Dataset, slots: _Slots, q_y: np.ndarray, q_z: np.ndarray, alpha: float) -> _Params:
-    joint = q_y[:, None, :, None] * q_z                                 # (K_y, K_z, R, N, n)
-    path_counts = np.ascontiguousarray(joint.sum(axis=-1).transpose(2, 3, 0, 1)) + alpha
-    r = joint.sum(axis=0)                                               # (K_z, R, N, n)
-    r = r.reshape(*r.shape[:2], -1)                                     # (K_z, R, N * n)
-    table_counts = _label_scatter(len(slots.path), slots.idx, t, np.take(r, t.cells, axis=-1))
+def _mstep(
+    layout: _Layout, num_tables: int, q_y: np.ndarray, q_z: np.ndarray, alpha: float
+) -> _Params:
+    """The next parameters of every run. The joint q(y) q(z | y) is formed one run at
+    a time, as each run's plane of q(z) is scattered into its count tables."""
+    k, runs, _ = q_y.shape
+    path_counts = np.empty((runs, q_z.shape[3], k, k))
+
+    def planes():
+        for r in range(runs):
+            joint = q_y[:, None, r, None] * q_z[:, :, r]                # (K_y, K_z, N, n)
+            path_counts[r] = joint.sum(axis=-1).transpose(2, 0, 1)
+            yield joint.sum(axis=0)                                     # (K_z, N, n)
+
+    table_counts = np.empty((runs, num_tables, k, k))
+    scatter_rows(planes(), layout.posterior, layout.counts, table_counts)
     return _Params(
         prior=_prior(q_y, alpha),
-        path_cpts=_normalize_rows(path_counts),
+        path_cpts=_normalize_rows(path_counts + alpha),
         tables=_normalize_rows(table_counts + alpha),
     )
 
@@ -261,6 +319,7 @@ def _em(cfg: EmConfig, init, estep, mstep) -> tuple[tuple[np.ndarray, ...], FitR
         if not keep:
             break
         params = mstep(*posteriors)
+        del posteriors  # so the next E-step's posteriors do not sit beside these
         if len(keep) < len(live):
             params = tuple(p[keep] for p in params)
             live = [live[j] for j in keep]
@@ -390,12 +449,14 @@ def fit_em(
         cfg.restarts * k**2 * (data.num_paths * max(data.num_samples, 1) + len(slots.path)),
         "fitting every restart's tables and posteriors",
     )
+    layout = _Layout.apm(data, slots)
     params, report = _em(
         cfg,
         lambda restart: _init_params(data, slots, cfg, restart),
-        lambda params, logs: _estep(_Params(*params), _Params(*logs), data, slots),
-        lambda q_y, q_z: _mstep(data, slots, q_y, q_z, cfg.smoothing_alpha),
+        lambda params, logs: _estep(_Params(*params), _Params(*logs), data, layout),
+        lambda q_y, q_z: _mstep(layout, len(slots.path), q_y, q_z, cfg.smoothing_alpha),
     )
+    del layout  # freed before the final log-likelihood lays out inference's own
     model = _to_model(_Params(*params), data, slots, share_workers)
     final = log_likelihood(model, data)
     return model, replace(report, final_log_likelihood=final, sparse_paths=_voteless_paths(data))
@@ -408,21 +469,23 @@ def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
         return 0.0
     kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM
     log_joint = table_log_joint(kind, model, data).T[:, None]  # one run: (K, 1, n)
-    return float(_outcome_posterior(log_joint, data.truth)[1][0])
+    return float(_outcome_posterior(log_joint, _Truths(data.truth, model.num_labels))[1][0])
 
 
 # --- per-worker naive Bayes (latent-class estimation over workers) ---
 
 
-def _nbi_estep(log_prior: np.ndarray, log_tables: np.ndarray, t: Dataset):
-    rows = label_columns(log_tables, t.worker_idx, t.label)                 # (K_y, R, V)
-    log_joint = direct_log_joints(log_prior.T, t.sample_idx, rows, t.num_samples)  # (K_y, R, n)
-    return _outcome_posterior(log_joint, t.truth)
+def _nbi_estep(log_prior: np.ndarray, log_tables: np.ndarray, t: Dataset, layout: _Layout):
+    log_joint = direct_log_joints(log_prior, log_tables, layout.columns, layout.cells,
+                                  t.num_samples)                            # (K_y, R, n)
+    return _outcome_posterior(log_joint, layout.truths)
 
 
-def _nbi_mstep(t: Dataset, q_y: np.ndarray, alpha: float):
-    counts = _label_scatter(len(t.workers), t.worker_idx, t, np.take(q_y, t.sample_idx, axis=-1))
-    return _prior(q_y, alpha), _normalize_rows(counts + alpha)              # q_y: (K_y, R, n)
+def _nbi_mstep(layout: _Layout, num_workers: int, q_y: np.ndarray, alpha: float):
+    k, runs, _ = q_y.shape                                                  # q_y: (K_y, R, n)
+    counts = np.empty((runs, num_workers, k, k))
+    scatter_rows(q_y.transpose(1, 0, 2), layout.posterior, layout.counts, counts)
+    return _prior(q_y, alpha), _normalize_rows(counts + alpha)
 
 
 def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitReport]:
@@ -439,15 +502,17 @@ def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitRe
         cfg.restarts * k * (len(data.workers) * k + data.num_samples + len(data.label)),
         "fitting every restart's tables and posteriors",
     )
+    layout = _Layout.nbi(data)
     (prior, tables), report = _em(
         cfg,
         lambda restart: (
             _init_prior(data.truth, k),
             _blended_identities(len(data.workers), k, substream(cfg.seed, "nbi-init", restart)),
         ),
-        lambda params, logs: _nbi_estep(*logs, data),
-        lambda q_y: _nbi_mstep(data, q_y, cfg.smoothing_alpha),
+        lambda params, logs: _nbi_estep(*logs, data, layout),
+        lambda q_y: _nbi_mstep(layout, len(data.workers), q_y, cfg.smoothing_alpha),
     )
+    del layout  # freed before the final log-likelihood lays out inference's own
 
     if not (data.truth >= 0).any() and data.workers:
         # No observed truths pin the outcome labels; relabel to put worker

@@ -349,12 +349,14 @@ class Dataset:
         `worker_ids[worker[j]]` (None for no id) and has label `label[j]`.
         `num_paths=None` takes one more than the largest path index voted on.
         """
-        seen: set = set()
-        for tid in task_ids:
-            if tid in seen:
-                raise InputError(f"duplicate task id {tid!r}")
-            seen.add(tid)
-        by_id = np.array(sorted(range(len(task_ids)), key=task_ids.__getitem__), dtype=np.int64)
+        if len(set(task_ids)) != len(task_ids):
+            seen: set = set()
+            for tid in task_ids:
+                if tid in seen:
+                    raise InputError(f"duplicate task id {tid!r}")
+                seen.add(tid)
+        sorted_ids = sorted(range(len(task_ids)), key=task_ids.__getitem__)
+        by_id = np.fromiter(sorted_ids, np.int64, len(sorted_ids))
         rank = np.empty_like(by_id)
         rank[by_id] = np.arange(len(by_id))
         workers = tuple(sorted({w for w in worker_ids if w is not None}))
@@ -384,7 +386,7 @@ class Dataset:
         return cls._of(
             num_paths=num_paths,
             num_labels=num_labels,
-            task_ids=tuple(task_ids[i] for i in by_id.tolist()),
+            task_ids=tuple(map(task_ids.__getitem__, sorted_ids)),
             order=by_id,
             truth=truth[by_id],
             sample_idx=rank[task][canon],

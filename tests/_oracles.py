@@ -9,8 +9,9 @@ references, which share the package's tables and kernels:
 `whole_array_exact_conditional_entropy`, the log-space exact entropy that
 `exact_conditional_entropy` is held to within 1e-12, normalised by scipy's
 `logsumexp` so that it shares no normaliser with the package; and, bit for bit,
-`ref_em_fit`, EM one restart after another, for the stacked
-`learning._em`, `ref_execute` and `ref_score_fold`, plan execution by
+`ref_em_fit`, EM one restart after another, for the stacked `learning._em`
+(its vote sums are `np.add.at` in vote order, not the package's vote
+kernels), `ref_execute` and `ref_score_fold`, plan execution by
 one fresh stream per drawing task and one sort per drawn group, and fold
 scoring by one pass per (strategy, budget) cell, for `evaluation._execute`
 and `_score_fold`, and `row_read_votes_csv`, the votes reader that coded one
@@ -36,16 +37,7 @@ from scipy.special import logsumexp
 
 from crowdplan import learning
 from crowdplan._rng import derive_seed, substream
-from crowdplan._kernel import (
-    apm_log_joints,
-    direct_log_joints,
-    label_columns,
-    log,
-    normalise,
-    path_factors,
-    scatter_rows,
-    vote_evidence,
-)
+from crowdplan._kernel import apm_log_joints, log, normalise, path_factors
 from crowdplan.errors import InputError
 from crowdplan.evaluation import FoldRow, _accuracy, _neg_log_likelihood
 from crowdplan.inference import ModelKind, table_posteriors
@@ -320,7 +312,10 @@ def _ref_outcome_posterior(log_joint, truth):
 
 def _ref_estep(params, t, slots):
     prior, path_cpts, tables = params
-    evidence = vote_evidence(t, slots.idx, log(tables))
+    k = t.num_labels
+    evidence = np.zeros((t.num_paths * t.num_samples, k))
+    np.add.at(evidence, t.cells, log(tables)[slots.idx, :, t.label])
+    evidence = np.ascontiguousarray(evidence.T).reshape(k, t.num_paths, t.num_samples)
     f, q_z = path_factors(path_cpts, evidence)
     log_joint = apm_log_joints(log(prior), f, t.active)
     q_y, loglik = _ref_outcome_posterior(log_joint, t.truth)
@@ -335,8 +330,9 @@ def _ref_penalty(params, alpha):
 
 def _ref_label_scatter(num_tables, table_idx, t, rows):
     k = t.num_labels
-    counts = scatter_rows(table_idx * k + t.label, rows, num_tables * k)
-    return np.ascontiguousarray(counts.reshape(k, num_tables, k).transpose(1, 0, 2))
+    counts = np.zeros((num_tables, k, k))
+    np.add.at(counts.transpose(0, 2, 1), (table_idx, t.label), rows.T)
+    return counts
 
 
 def _ref_mstep(t, slots, q_y, q_z, alpha):
@@ -351,9 +347,9 @@ def _ref_mstep(t, slots, q_y, q_z, alpha):
 
 def _ref_nbi_estep(params, t):
     prior, tables = params
-    rows = label_columns(log(tables), t.worker_idx, t.label)
-    log_joint = direct_log_joints(log(prior), t.sample_idx, rows, t.num_samples)
-    return _ref_outcome_posterior(log_joint, t.truth)
+    log_joint = np.tile(log(prior), (t.num_samples, 1))
+    np.add.at(log_joint, t.sample_idx, log(tables)[t.worker_idx, :, t.label])
+    return _ref_outcome_posterior(np.ascontiguousarray(log_joint.T), t.truth)
 
 
 def _ref_nbi_mstep(t, q_y, alpha):

@@ -23,6 +23,9 @@ from crowdplan._kernel import (
     direct_log_joints,
     normalise,
     path_factors,
+    prior_first,
+    vote_cells,
+    vote_columns,
     vote_evidence,
 )
 from crowdplan.inference import table_posteriors
@@ -146,14 +149,27 @@ def lone_estep(params, t, slots):
     """`learning._estep` on a stack of one run, in the unstacked layout."""
     stacked = learning._Params(*(p[None] for p in params))
     logs = learning._Params(*(learning.log(p) for p in stacked))
-    q_y, q_z, loglik = learning._estep(stacked, logs, t, slots)
+    q_y, q_z, loglik = learning._estep(stacked, logs, t, learning._Layout.apm(t, slots))
     return q_y[:, 0], q_z[:, :, 0], loglik[0]
 
 
 def lone_nbi_estep(prior, tables, t):
     """`learning._nbi_estep` on a stack of one run, in the unstacked layout."""
-    q_y, loglik = learning._nbi_estep(learning.log(prior)[None], learning.log(tables)[None], t)
+    logs = (learning.log(p)[None] for p in (prior, tables))
+    q_y, loglik = learning._nbi_estep(*logs, t, learning._Layout.nbi(t))
     return q_y[:, 0], loglik[0]
+
+
+def lone_evidence(t, slot_idx, log_tables):
+    """`vote_evidence` of one run, (K_z, N, n)."""
+    columns = vote_columns(slot_idx, t.label, t.num_labels)
+    return vote_evidence(log_tables[None], columns, vote_cells(t), t)[:, 0]
+
+
+def lone_direct(t, slot_idx, log_prior, log_tables):
+    """`direct_log_joints` of one run, (K, n)."""
+    columns, tasks = prior_first(t, slot_idx, len(log_tables))
+    return direct_log_joints(log_prior[None], log_tables[None], columns, tasks, t.num_samples)[:, 0]
 
 
 def same_bits(got, want):
@@ -351,14 +367,14 @@ def test_scatters_bits(k, paths, seed):
     pairs, slot_idx = t.path_worker_slots()
     tables = log_tables(rng, len(pairs), k)
     same_bits(
-        vote_evidence(t, slot_idx, tables).transpose(2, 1, 0),
+        lone_evidence(t, slot_idx, tables).transpose(2, 1, 0),
         ref_vote_evidence(t, slot_idx, tables),
     )
 
     log_prior = learning.log(posteriors(rng, (k,)))
     rows = tables[slot_idx, :, t.label]
     same_bits(
-        direct_log_joints(log_prior, t.sample_idx, rows.T, t.num_samples).T,
+        lone_direct(t, slot_idx, log_prior, tables).T,
         ref_direct_log_joints(log_prior, t.sample_idx, rows, t.num_samples),
     )
 
@@ -368,14 +384,15 @@ def test_scatters_bits(k, paths, seed):
     for share in (True, False):
         slots = learning._slots(t, share)
         q_z_one = q_z.transpose(2, 3, 1, 0)[:, :, None]
-        got = lone(learning._mstep(t, slots, q_y.T[:, None], q_z_one, alpha))
+        layout = learning._Layout.apm(t, slots)
+        got = lone(learning._mstep(layout, len(slots.path), q_y.T[:, None], q_z_one, alpha))
         want = ref_mstep(t, slots, q_y, q_z, alpha)
         for g, w in zip(got, want):
             if k <= 7:
                 same_bits(g, w)
             else:
                 close(g, w)
-    got = lone(learning._nbi_mstep(t, q_y.T[:, None], alpha))
+    got = lone(learning._nbi_mstep(learning._Layout.nbi(t), len(t.workers), q_y.T[:, None], alpha))
     for g, w in zip(got, ref_nbi_mstep(t, q_y, alpha)):
         same_bits(g, w)
     got = table_posteriors("mv", random_model(rng, paths, k=k), t)[0]
@@ -386,12 +403,12 @@ def test_empty_scatters():
     t = table_of([TaskSample(task_id="a", votes={})], 2, 3)
     _, slot_idx = t.path_worker_slots()
     same_bits(
-        vote_evidence(t, slot_idx, np.zeros((0, 3, 3))).transpose(2, 1, 0),
+        lone_evidence(t, slot_idx, np.zeros((0, 3, 3))).transpose(2, 1, 0),
         ref_vote_evidence(t, slot_idx, np.zeros((0, 3, 3))),
     )
     log_prior = np.log([0.2, 0.3, 0.5])
     same_bits(
-        direct_log_joints(log_prior, t.sample_idx, np.zeros((3, 0)), 1).T,
+        lone_direct(t, slot_idx, log_prior, np.zeros((0, 3, 3))).T,
         ref_direct_log_joints(log_prior, t.sample_idx, np.zeros((0, 3)), 1),
     )
 
@@ -400,10 +417,9 @@ def test_empty_scatters():
 def test_log_prior_goes_in_ahead_of_votes(k):
     """A task's sum starts from its log prior, as np.tile then np.add.at does."""
     log_prior = np.log(np.linspace(1.0, 2.0, k) / np.linspace(1.0, 2.0, k).sum())
-    rows = np.full((3, k), 1e-17)
-    idx = np.array([0, 0, 0])
-    want = ref_direct_log_joints(log_prior, idx, rows, 2)
-    same_bits(direct_log_joints(log_prior, idx, rows.T, 2).T, want)
+    t = table_of([TaskSample("a", {0: ((None, 0),) * 3}), TaskSample("b", {})], 1, k)
+    want = ref_direct_log_joints(log_prior, t.sample_idx, np.full((3, k), 1e-17), 2)
+    same_bits(lone_direct(t, t.path_idx, log_prior, np.full((1, k, k), 1e-17)).T, want)
 
 
 # --- E-steps ---

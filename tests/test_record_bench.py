@@ -1,4 +1,4 @@
-"""`tools/record_bench.py`'s read ladder runs end to end at a tiny size."""
+"""`tools/record_bench.py`'s ladder, read and learn rungs, runs end to end at a tiny size."""
 
 import importlib.util
 from pathlib import Path
@@ -18,3 +18,7 @@ def test_read_ladder_times_each_size_in_its_own_interpreter():
     for entry in entries.values():
         assert entry["best_s"] > 0 and entry["peak_rss_mb"] > 0
         assert entry["us_per_row"] == entry["best_s"] / entry["rows"] * 1e6
+        learn = entry["learn"]
+        assert learn["fit_s"] > 0 and learn["peak_rss_mb"] > 0
+        assert learn["us_per_task"] == learn["fit_s"] / learn["tasks"] * 1e6
+    assert [entries[n]["learn"]["tasks"] for n in ("3", "7")] == [3, 7]

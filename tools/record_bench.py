@@ -13,12 +13,15 @@ one, each run's request and failure counts, and the environment each run
 recorded; and, once, the seed, the seconds, the command and a sha256 of the
 package source measured.
 
-It also runs the read ladder: for each of `LADDER_TASKS`, `simulate` writes
-the votes of that many tasks from the bundled model at plan `LADDER_PLAN`
-and seed `SEED`, and a fresh interpreter reads them with `read_votes_csv`
-`LADDER_RUNS` times. The file's `"ladder"` holds, per size, the rows read,
-the best read's seconds and microseconds per row, and that interpreter's
-peak RSS.
+It also runs the ladder: for each of `LADDER_TASKS`, `simulate` writes the
+votes of that many tasks from the bundled model at plan `LADDER_PLAN` and
+seed `SEED`. On that file one fresh interpreter reads the votes with
+`read_votes_csv` `LADDER_RUNS` times (the read rung), and another reads
+them once and fits them with `fit_em` at the benchmark's EM arguments,
+`LEARN_ARGS` (the learn rung). The file's `"ladder"` holds, per size, the
+rows read, the best read's seconds and microseconds per row, and that
+interpreter's peak RSS; and under `"learn"` the fit's seconds, its
+microseconds per task and its interpreter's peak RSS.
 Exits 1 if a run failed or a report is missing, and then writes nothing.
 """
 
@@ -53,6 +56,20 @@ for _ in range(int(sys.argv[2])):
     best = min(best, time.perf_counter() - start)
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"rows": len(data.label), "best_s": best, "peak_rss_mb": peak}))
+"""
+# perfbench's EM arguments: 20 iterations that the tolerance never cuts short, 3 restarts.
+LEARN_ARGS = {"max_iters": 20, "rel_tol": 1e-12, "restarts": 3, "seed": SEED}
+# The ladder's learner: one fit, in its own interpreter.
+LEARN = """
+import json, resource, sys, time
+from crowdplan.io import read_votes_csv
+from crowdplan.learning import EmConfig, fit_em
+data, _ = read_votes_csv(sys.argv[1])
+start = time.perf_counter()
+fit_em(data, cfg=EmConfig(**json.loads(sys.argv[2])))
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"tasks": len(data), "fit_s": seconds, "peak_rss_mb": peak}))
 """
 
 
@@ -92,7 +109,8 @@ def _run(what: str, argv: list[str]) -> str:
 
 
 def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
-    """The read ladder's entry per number of tasks."""
+    """The ladder's entry per number of tasks: the read rung, with the learn rung
+    under `"learn"`."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for tasks in sizes:
@@ -101,8 +119,11 @@ def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
                               "--plan", LADDER_PLAN, "--tasks", str(tasks), "--seed", str(SEED),
                               "--out", str(votes)])
             read = json.loads(_run("read", ["-c", READ, str(votes), str(LADDER_RUNS)]))
+            learn = json.loads(_run("learn", ["-c", LEARN, str(votes), json.dumps(LEARN_ARGS)]))
             votes.unlink()
-            out[str(tasks)] = {**read, "us_per_row": read["best_s"] / read["rows"] * 1e6}
+            learn["us_per_task"] = learn["fit_s"] / learn["tasks"] * 1e6
+            out[str(tasks)] = {**read, "us_per_row": read["best_s"] / read["rows"] * 1e6,
+                               "learn": learn}
     return out
 
 
@@ -142,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             "simulate": f"simulate --model {MODEL.relative_to(ROOT)} --plan {LADDER_PLAN} "
                         f"--seed {SEED}",
             "runs": LADDER_RUNS,
+            "learn": LEARN_ARGS,
             "tasks": ladder(),
         },
     }
