@@ -1,8 +1,8 @@
 """Deterministic random-stream derivation.
 
-All randomness in the package flows through substreams keyed by a user seed
-plus a structural path (task index, block index, restart index, ...). Streams
-are backed by Philox, a counter-based generator, so any unit of work can be
+All randomness in the package flows through substreams or counter words
+keyed by a user seed plus a structural path (task index or id, block index,
+restart index, ...). Both are counter-based, so any unit of work can be
 computed in isolation, in any order, and still produce the same draws.
 
 String key parts are folded to fixed 64-bit integers with BLAKE2s so that ids
@@ -13,8 +13,11 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): the key of
 and each key part, folded and written as 8 little-endian bytes, read as two
 little-endian 64-bit words. `derive_seed` reads the same hash at 8 bytes,
 which BLAKE2's parameter block makes unrelated to the 16-byte digest.
-`substreams` gives one stream per task from one shared generator, and
-`substream_words` takes the first raw Philox words of each such stream.
+`substreams` gives one stream per task from one shared generator.
+
+Plan execution opens no stream: its words are SplitMix64's (Steele, Lea &
+Flood, OOPSLA 2014), `counter_words`, wrapping uint64 array ops that give a
+whole table's words in one pass, the same on every numpy SIMD target.
 """
 
 from __future__ import annotations
@@ -87,14 +90,17 @@ def substreams(seed: KeyPart, prefix: tuple, parts: Iterable) -> Iterator[np.ran
     return map(reset, keys)
 
 
-def substream_words(
-    seed: KeyPart, prefix: tuple, parts: Iterable, counts: Iterable[int]
-) -> np.ndarray:
-    """The first counts[i] raw 64-bit Philox words of `substream(seed, *prefix, part)`
-    for each part i, concatenated, from one `random_raw` call per part."""
-    streams = substreams(seed, prefix, parts)
-    words = [rng.bit_generator.random_raw(c) for rng, c in zip(streams, counts)]
-    return np.concatenate(words) if words else np.zeros(0, dtype=np.uint64)
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2^64 over the golden ratio, made odd
+
+
+def counter_words(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Word counters[i] (from 0) of SplitMix64 seeded with keys[i]: its finaliser of
+    keys[i] + (counters[i] + 1) * GAMMA, modulo 2^64. `keys` is a uint64 array,
+    `counters` one of non-negative integers."""
+    x = keys + (counters.astype(np.uint64) + 1) * GAMMA
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
 
 
 def derive_seed(seed: KeyPart, *key: KeyPart) -> int:

@@ -163,26 +163,13 @@ def _cmd_sweep(args) -> int:
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "model", "strategy", "budget", "fold", "accuracy", "neg_log_likelihood",
-                "tasks", "skipped", "short_filled",
-            ]
+        writer.writerow(["model", "strategy", "budget", "fold", "accuracy", "neg_log_likelihood",
+                         "tasks", "skipped", "short_filled"])
+        writer.writerows(
+            [r.model, r.strategy, str(r.budget), r.fold, repr(r.accuracy),
+             repr(r.neg_log_likelihood), r.tasks_evaluated, r.tasks_skipped, r.tasks_short_filled]
+            for r in result.fold_rows
         )
-        for r in result.fold_rows:
-            writer.writerow(
-                [
-                    r.model,
-                    r.strategy,
-                    str(r.budget),
-                    r.fold,
-                    repr(r.accuracy),
-                    repr(r.neg_log_likelihood),
-                    r.tasks_evaluated,
-                    r.tasks_skipped,
-                    r.tasks_short_filled,
-                ]
-            )
     print(f"wrote {len(result.fold_rows)} rows to {args.out}")
     return 0
 

@@ -8,12 +8,11 @@ same vote subsets. Metrics come back per fold and averaged over folds.
 All aggregation runs over tasks in sorted task-id order and every random
 choice is keyed by task id, so metric rows do not depend on dataset order.
 
-Plan execution (`_execute`) draws each task's votes without replacement
-from the task's own stream: one raw 64-bit Philox word per vote, and a path
-keeps the votes with the smallest words, the unweighted case of
-Efraimidis & Spirakis (IPL 2006). Only raw bit-generator words are read,
-which numpy keeps fixed across releases, so the draws depend on no
-`Generator` method.
+Plan execution (`_execute`) draws each task's votes without replacement:
+one 64-bit word per vote, from `_rng.counter_words` keyed by the cell's seed
+and the task id, and a path keeps the votes with the smallest words, the
+unweighted case of Efraimidis & Spirakis (IPL 2006). A stack's words take
+one pass of integer array ops and depend on no `Generator` method.
 
 A fold plans each (strategy, budget) cell on its own, since a cell's plan
 seed depends on its budget. It then executes and scores its cells in stacks:
@@ -33,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import _fold, derive_seed, substream, substream_words
+from ._rng import counter_words, derive_seed, substream
 from .errors import InputError
 from .infogain import IgConfig
 from .inference import ModelKind, table_posteriors
@@ -80,12 +80,13 @@ def _execute(
 
     A (task, path) holding more votes than a plan asks for is a group: it
     keeps the k votes whose words are smallest, equal words keeping the vote
-    stored first. A task with groups reads one raw word per vote of its groups,
-    groups in path order and votes in stored order, from its stream for that
-    plan (`_rng.substream_words`), so only tasks with a group open a stream.
-    A task is short-filled when some path holds fewer votes than the plan asks
-    for. Counts above the table's vote count only short-fill, so they are
-    capped at one more than it and every count fits an int64.
+    stored first. Plan c's word for the j-th vote of task t, counting its
+    votes in stored order (paths in order, then votes as stored), is word j
+    of `counter_words` keyed by `derive_seed(seeds[c], "exec")` XOR the
+    task's folded id, and only the votes of groups get one. A task is
+    short-filled when some path holds fewer votes than the plan asks for.
+    Counts above the table's vote count only short-fill, so they are capped
+    at one more than it and every count fits an int64.
     """
     s = table.stored
     v = len(s)
@@ -96,26 +97,19 @@ def _execute(
     want = counts[:, path[start]]
     draw = (want > 0) & (want < have)
     keep = np.arange(v) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have, axis=1)
-    for seed in seeds:
-        _fold(seed)  # checked even when nothing is drawn
+    bases = np.array([derive_seed(seed, "exec") for seed in seeds], dtype=np.uint64)
     copy, group = np.divmod(np.flatnonzero(draw), len(start))
     if len(group):
-        n, owner = have[group], task[start[group]]
-        opens = np.flatnonzero((np.diff(copy, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0))
-        ids = [table.task_ids[t] for t in owner[opens].tolist()]
-        size = np.add.reduceat(n, opens)
-        cuts = np.searchsorted(copy[opens], np.arange(len(plans) + 1)).tolist()
-        words = np.concatenate([
-            substream_words(seed, ("exec",), ids[lo:hi], size[lo:hi])
-            for seed, lo, hi in zip(seeds, cuts, cuts[1:])
-            if hi > lo
-        ])
+        n = have[group]
         first = np.cumsum(n) - n
         of = np.repeat(np.arange(len(n)), n)  # the group of each word, ascending
+        at = (start[group] - first)[of] + np.arange(len(of))  # the stored position of its vote
+        tasks = np.flatnonzero(np.diff(task, prepend=-1))
+        j = np.arange(v) - np.repeat(tasks, np.diff(tasks, append=v))  # position in its task
+        words = counter_words(bases[copy[of]] ^ table.folded_ids[task[at]], j[at])
         order = np.lexsort((words, of))  # group by group, smallest word first
         rank = np.arange(len(words)) - first[of]  # of word order[i] in its group
-        at = (copy * v + start[group] - first)[of] + np.arange(len(words))
-        keep.reshape(-1)[at[order[rank < want[copy, group][of]]]] = True
+        keep.reshape(-1)[(copy[of] * v + at)[order[rank < want[copy, group][of]]]] = True
     bought = np.empty_like(keep)
     bought[:, s] = keep
     cell = np.arange(len(plans))[:, None] * len(table) + task[start]  # (copy, task) of a group
@@ -162,13 +156,9 @@ def _test_folds(table: Dataset, folds: int, seed: int) -> list[np.ndarray]:
         return [np.ones(n, dtype=bool)]
     if folds > n:
         raise InputError(f"{folds} folds for {n} tasks")
-    order = substream(seed, "folds").permutation(n)
-    masks = []
-    for f in range(folds):
-        test = np.zeros(n, dtype=bool)
-        test[order[f::folds]] = True
-        masks.append(test)
-    return masks
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[substream(seed, "folds").permutation(n)] = np.arange(n) % folds
+    return [fold_of == f for f in range(folds)]
 
 
 def _score_fold(
@@ -311,21 +301,18 @@ def budget_sweep(
     for r in fold_rows:  # fold by fold, so each cell's sums run in fold order
         cells.setdefault((r.model, r.strategy, r.budget), []).append(r)
     averaged = []
-    for kind in kinds:
-        for strategy in strats:
-            for budget in budget_list:
-                cell = cells[kind.value, strategy.value, budget]
-                averaged.append(
-                    MetricRow(
-                        model=kind.value,
-                        strategy=strategy.value,
-                        budget=budget,
-                        accuracy=sum(r.accuracy for r in cell) / len(cell),
-                        neg_log_likelihood=sum(r.neg_log_likelihood for r in cell)
-                        / len(cell),
-                        tasks_evaluated=sum(r.tasks_evaluated for r in cell),
-                        tasks_skipped=sum(r.tasks_skipped for r in cell),
-                        tasks_short_filled=sum(r.tasks_short_filled for r in cell),
-                    )
-                )
+    for kind, strategy, budget in product(kinds, strats, budget_list):
+        cell = cells[kind.value, strategy.value, budget]
+        averaged.append(
+            MetricRow(
+                model=kind.value,
+                strategy=strategy.value,
+                budget=budget,
+                accuracy=sum(r.accuracy for r in cell) / len(cell),
+                neg_log_likelihood=sum(r.neg_log_likelihood for r in cell) / len(cell),
+                tasks_evaluated=sum(r.tasks_evaluated for r in cell),
+                tasks_skipped=sum(r.tasks_skipped for r in cell),
+                tasks_short_filled=sum(r.tasks_short_filled for r in cell),
+            )
+        )
     return SweepResult(rows=tuple(averaged), fold_rows=tuple(fold_rows))

@@ -56,9 +56,15 @@ def _stack(rows: list[np.ndarray], k: int) -> np.ndarray:
 
 
 def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
-    pairs, slot_idx = table.path_worker_slots()
-    k = model.num_labels
-    tables = [model.vote_cpt(int(p), table.workers[w] if w >= 0 else None).rows for p, w in pairs]
+    k, voted = model.num_labels, table.active.any(axis=1).tolist()
+    if all(model.is_shared(i) for i, v in enumerate(voted) if v):
+        # one table per voted path, so the path is the slot; a voteless one's is never read
+        tables = [wc.rows if v else np.ones((k, k)) for wc, v in zip(model.worker_cpts, voted)]
+        slot_idx = table.path_idx
+    else:
+        pairs, slot_idx = table.path_worker_slots()
+        workers = (None,) + table.workers  # worker index -1 is no id
+        tables = [model.vote_cpt(int(p), workers[w + 1]).rows for p, w in pairs]
     columns = vote_columns(slot_idx, table.label, k)
     evidence = vote_evidence(log(_stack(tables, k))[None], columns, vote_cells(table), table)
     path_cpts = _stack([c.rows for c in model.path_cpts], k)

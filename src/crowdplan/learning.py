@@ -149,7 +149,7 @@ def _slots(t: Dataset, share_workers: bool) -> _Slots:
 
 
 def _voteless_paths(t: Dataset) -> tuple[int, ...]:
-    return tuple(int(p) for p in np.setdiff1d(np.arange(t.num_paths), t.path_idx))
+    return tuple(np.flatnonzero(~t.active.any(axis=1)).tolist())
 
 
 def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
@@ -407,7 +407,7 @@ def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -
     path_cpts: list[Cpt] = [uniform] * t.num_paths
     worker_cpts: list = [uniform] * t.num_paths
     owned = _slots_by_path(slots, t.num_paths)
-    for i in np.unique(t.path_idx).tolist():
+    for i in np.flatnonzero(t.active.any(axis=1)).tolist():
         cols = _max_assignment(params.path_cpts[i])
         path_cpts[i] = Cpt(params.path_cpts[i][:, cols])
         if share_workers:

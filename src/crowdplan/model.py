@@ -36,6 +36,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from ._rng import _fold
 from .errors import InputError, MissingWorkerCptError, ResourceLimitError
 
 PROB_TOL = 1e-9
@@ -488,6 +489,12 @@ class Dataset:
         """The id of the first task, in stored order, without a truth."""
         missing = np.flatnonzero(self.truth < 0)
         return self.task_ids[missing[np.argmin(self.order[missing])]] if len(missing) else None
+
+    @cached_property
+    def folded_ids(self) -> np.ndarray:
+        """Each task id's `_rng._fold`, uint64, shape (n,); `select` and `tiled`
+        (which renames ids) do not carry it, so a derived table folds its own."""
+        return np.fromiter(map(_fold, self.task_ids), np.uint64, len(self))
 
     @cached_property
     def cells(self) -> np.ndarray:

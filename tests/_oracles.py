@@ -11,11 +11,12 @@ references, which share the package's tables and kernels:
 `logsumexp` so that it shares no normaliser with the package; and, bit for bit,
 `ref_em_fit`, EM one restart after another, for the stacked `learning._em`
 (its vote sums are `np.add.at` in vote order, not the package's vote
-kernels), `ref_execute` and `ref_score_fold`, plan execution by
-one fresh stream per drawing task and one sort per drawn group, and fold
-scoring by one pass per (strategy, budget) cell, for `evaluation._execute`
-and `_score_fold`, and `row_read_votes_csv`, the votes reader that coded one
-row at a time through `csv.reader`, for the columnar `read_votes_csv`.
+kernels), `ref_execute` and `ref_score_fold`, plan execution by words
+computed task by task in Python ints (keys hashed with `hashlib`) and one
+sort per drawn group, and fold scoring by one pass per (strategy, budget)
+cell, for `evaluation._execute` and `_score_fold`, and `row_read_votes_csv`,
+the votes reader that coded one row at a time through `csv.reader`, for the
+columnar `read_votes_csv`.
 
 The oracles take one task at a time, as a `TaskSample` record. `table_of`,
 `records_of` and `posteriors` carry such records to and from the package's
@@ -26,6 +27,7 @@ tables: a table through `Dataset.tabulate`, records in stored order, and
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from crowdplan import learning
-from crowdplan._rng import derive_seed, substream
+from crowdplan._rng import derive_seed
 from crowdplan._kernel import apm_log_joints, log, normalise, path_factors
 from crowdplan.errors import InputError
 from crowdplan.evaluation import FoldRow, _accuracy, _neg_log_likelihood
@@ -410,11 +412,35 @@ def ref_em_fit(data, kind: str, cfg):
 # --- plan execution and fold scoring, one (strategy, budget) cell at a time ---
 
 
+M64 = 2**64 - 1
+
+
+def _ref_fold(part: int | str) -> int:
+    if isinstance(part, str):
+        return int.from_bytes(hashlib.blake2s(part.encode(), digest_size=8).digest(), "little")
+    return part & M64
+
+
+def ref_mix(x: int) -> int:
+    """SplitMix64's finaliser of a 64-bit Python int."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & M64
+    return x ^ (x >> 31)
+
+
+def ref_word(seed: int | str, task_id: str, j: int) -> int:
+    """The word plan execution draws for the j-th vote (stored order) of task
+    `task_id` under cell seed `seed`: SplitMix64's j-th output from the key
+    BLAKE2b(seed, "exec") XOR the task id's fold."""
+    head = b"".join(_ref_fold(part).to_bytes(8, "little") for part in (seed, "exec"))
+    base = int.from_bytes(hashlib.blake2b(head, digest_size=8).digest(), "little")
+    return ref_mix(((base ^ _ref_fold(task_id)) + (j + 1) * 0x9E3779B97F4A7C15) & M64)
+
+
 def ref_execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """`evaluation._execute` for one plan, group by group: each drawing task
-    opens a fresh `substream(seed, "exec", task_id)`, and each of its groups in
-    path order reads one raw word per vote and keeps the votes of the k
-    smallest words, the first stored among equal words."""
+    """`evaluation._execute` for one plan, group by group: a group's votes get
+    their `ref_word`s, counted over all the task's votes, and it keeps the
+    votes of the k smallest words, the first stored among equal words."""
     s = table.stored
     counts = np.array([min(c, len(s) + 1) for c in plan.counts], dtype=np.int64)
     task, path = table.sample_idx[s], table.path_idx[s]
@@ -423,13 +449,15 @@ def ref_execute(table: Dataset, plan: AccessPlan, seed: int) -> tuple[np.ndarray
     want = counts[path[start]]
     draw = (want > 0) & (want < have)
     keep = np.arange(len(s)) - np.repeat(start, have) < np.repeat(np.where(draw, 0, want), have)
-    rng, owner = None, None
+    first_vote = {}  # each task's first position in stored order
+    for i, t in enumerate(task.tolist()):
+        first_vote.setdefault(t, i)
     for g in np.flatnonzero(draw).tolist():
-        if task[start[g]] != owner:
-            owner = task[start[g]]
-            rng = substream(seed, "exec", table.task_ids[owner])
-        words = rng.bit_generator.random_raw(int(have[g]))
-        keep[start[g] + np.argsort(words, kind="stable")[: int(want[g])]] = True
+        owner, lo = int(task[start[g]]), int(start[g])
+        j = range(lo - first_vote[owner], lo - first_vote[owner] + int(have[g]))
+        words = [ref_word(seed, table.task_ids[owner], i) for i in j]
+        ranked = sorted(range(len(words)), key=words.__getitem__)  # stable
+        keep[[lo + i for i in ranked[: int(want[g])]]] = True
     bought = np.empty_like(keep)
     bought[s] = keep
     filled = np.bincount(task[start[(want > 0) & (want <= have)]], minlength=len(table))

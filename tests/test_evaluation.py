@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 import crowdplan._rng as _rng
 import crowdplan.evaluation as evaluation
-from crowdplan._rng import stream_keys, substream
 from crowdplan.errors import CrowdPlanError, InputError
 from crowdplan.evaluation import _accuracy, _neg_log_likelihood, budget_sweep
 from crowdplan.learning import EmConfig
 from crowdplan.model import AccessPlan, Dataset, TaskSample
 from crowdplan.simulator import generate, inject_correlation
 
-from _oracles import records_of, ref_execute, ref_score_fold, sym_model, table_of
+from _oracles import records_of, ref_execute, ref_score_fold, ref_word, sym_model, table_of
 
 
 class TestMetrics:
@@ -99,25 +98,29 @@ class TestExecutePlan:
         table, bought, _ = execute(self.sample(), [1, 1], seed=2)
         assert bought_votes(table, bought).truth == 0
 
-    def test_stream_opened_only_to_subsample(self, monkeypatch):
-        """A task whose every path has at most the votes it needs opens no stream."""
-        opened = []
+    def test_words_drawn_only_to_subsample(self, monkeypatch):
+        """A task whose every path has at most the votes it needs costs no word; a
+        group's votes get the words of their positions among all the task's votes."""
+        drawn = []
 
-        def recording(seed, prefix, parts):
-            parts = list(parts)
-            opened.extend((*prefix, part) for part in parts)
-            return stream_keys(seed, prefix, parts)
+        def recording(keys, counters):
+            drawn.extend(counters.tolist())
+            return _rng.counter_words(keys, counters)
 
-        monkeypatch.setattr(_rng, "stream_keys", recording)
+        monkeypatch.setattr(evaluation, "counter_words", recording)
         for plan in ([3, 1], [5, 1], [0, 0], [3, 0], [4, 2]):
             execute(self.sample(), plan, seed=0)
-        assert opened == []
+        assert drawn == []
         table, lazy, _ = execute(self.sample(), [2, 1], seed=9)
-        assert opened == [("exec", "t1")]
-        words = substream(9, "exec", "t1").bit_generator.random_raw(3)
-        eager = sorted(np.argsort(words, kind="stable")[:2])
+        assert drawn == [0, 1, 2]
+        words = [ref_word(9, "t1", j) for j in range(3)]
+        eager = sorted(sorted(range(3), key=words.__getitem__)[:2])
         want = tuple(self.sample().votes_for(0)[i] for i in eager)
         assert bought_votes(table, lazy).votes_for(0) == want
+        drawn.clear()
+        second = TaskSample("t2", {0: ((None, 0),) * 2, 1: ((None, 1),) * 3}, truth=1)
+        execute(second, [2, 1], seed=9)
+        assert drawn == [2, 3, 4]  # path 1's votes come after path 0's two
 
 
 class TestBudgetSweep:
@@ -401,10 +404,10 @@ class TestReplayedSweep:
             assert np.all(np.abs(counts - mean) < 3 * sd), counts
 
     def test_equal_words_keep_the_votes_stored_first(self, monkeypatch):
-        def equal_words(seed, prefix, parts, counts):
-            return np.zeros(int(np.sum(counts)), dtype=np.uint64)
+        def equal_words(keys, counters):
+            return np.zeros(len(keys), dtype=np.uint64)
 
-        monkeypatch.setattr(evaluation, "substream_words", equal_words)
+        monkeypatch.setattr(evaluation, "counter_words", equal_words)
         table = _ragged(5, 12, 6, 4)
         s = table.stored
         task, path = table.sample_idx[s], table.path_idx[s]

@@ -19,6 +19,9 @@ normaliser began to build every path factor and posterior: only last
 digits moved, no plan, fit report or prediction. The digests of outputs a
 sampled greedy step decides were taken again when a sampled greedy search
 came to run on one fixed sample, under the caller's seed at every step.
+The sweep digests were taken again when plan execution's words came from
+one SplitMix64 mix instead of a Philox stream per task, which moved only
+the accuracy and NLL columns.
 
 The votes file is written by this test from a fixed seed. It is ragged (0 to
 4 votes per path) and per worker, its tasks are not in id order, truth sits on
@@ -79,7 +82,7 @@ PINNED = {
     "infer.mv": "c83647b9879bbe729f4a7c1c1a598bce954d78dcb7878f5926ebdb286ae1f72d",
     "infer.nbi": "7317c9ab294adb7eb3cc0e386b14c1ab655f5fdb025ae4413de9f088f9818deb",
     "infer.pw": "cff187eb2a326b2891762b944ca324d64b0ada2a2a00f8d7bc1a315d42d309f9",
-    "sweep": "513e4c32e753888942452d2c9459e0e1540b184ca68acbc4ab9048ca56e87af4",
+    "sweep": "0dfd5b1e72e9b6429d71dad7e16813176832382efe53d98e49e0953ef2131a7c",
 }
 
 
@@ -167,7 +170,7 @@ FOUR_LABEL_PINNED = {
     "infer.mv": "9b09448d2cd9b0933d337cedb7ef744fd6cc8796426ab595162bdaf609e89151",
     "infer.nbi": "54cc8a51ddbe0f1b4092bcc0a467021bcf048a3c2c05e98833cd27854bfb8049",
     "infer.pw": "865a0842bc4fffa11bf39a4cff291aae180fe57f5649979fcdff1d03f0a52188",
-    "sweep": "0636e22ec5e7f53f8ff2a659b9c1463b0a75c6d0c14bfc4e45cddd991eb2cc95",
+    "sweep": "cd8787ae5e3e1ddfc6d5ef6e57619e9405fd2a6786bae19662eab5c16256038c",
 }
 
 
@@ -316,11 +319,12 @@ SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
 # greedy, equal and rnd shared one purchase loop; its metrics since plan
 # execution keeps the votes of each group's smallest raw words; all three
 # again when stream keys became BLAKE2b digests; "sampled" again when a sampled
-# greedy search came to run on one fixed sample.
+# greedy search came to run on one fixed sample; all three again when plan
+# execution's words came from one SplitMix64 mix.
 SWEEP_ALL_PINNED = {
-    "auto": "905cff80db7ca8a703db7c936f5c5731868932265935b02ead376cff821a5a6a",
-    "exact": "905cff80db7ca8a703db7c936f5c5731868932265935b02ead376cff821a5a6a",
-    "sampled": "48dfc6d87633c7d2f90387782669fb6982e04dbec9ef65fd1e4c47ce568abd05",
+    "auto": "fe7cf8bac2777da341cd96c4e60c1cd8e6c1ca9721c6083501b8b29f83822000",
+    "exact": "fe7cf8bac2777da341cd96c4e60c1cd8e6c1ca9721c6083501b8b29f83822000",
+    "sampled": "d274b3c4ffb3dffa7478c40136a573511c7ac4d94f10f183d4d7d31fa95baf4c",
 }
 
 

@@ -100,6 +100,11 @@ def test_executed_plan_counts_are_checked(plan):
         execute(plan)
 
 
+def test_executed_plan_seed_is_checked_when_nothing_is_drawn():
+    with pytest.raises(InputError, match="a seed must be an int or a str, got 1.5"):
+        execute([0, 0], seed=1.5)
+
+
 @pytest.mark.parametrize("count", [2**31, 2**32, 2**63, 2**64])
 def test_huge_executed_plan_counts_short_fill(count):
     bought, short = execute([count, 1])

@@ -311,6 +311,7 @@ class TestDatasetColumns:
         data = table_of(samples, num_paths=3, num_labels=3)
         tasks = rng.random(40) < 0.5
         rows = rng.random(len(data.label)) < 0.6
+        assert len(data.folded_ids) == len(data)  # cached before the selection
         chosen = data.select(tasks, rows)
         # the j-th vote in stored order is row data.stored[j]
         picked = (rows & tasks[data.sample_idx])[data.stored].tolist()
@@ -326,7 +327,8 @@ class TestDatasetColumns:
         ]
         fresh = table_of(expect, num_paths=3, num_labels=3)
         assert records_of(chosen) == records_of(fresh)
-        for name in ("task_ids", "order", "truth", "sample_idx", "path_idx", "worker_idx"):
+        for name in ("task_ids", "order", "truth", "sample_idx", "path_idx", "worker_idx",
+                     "folded_ids"):
             np.testing.assert_array_equal(getattr(chosen, name), getattr(fresh, name), err_msg=name)
         for name in ("label", "workers", "stored"):
             np.testing.assert_array_equal(getattr(chosen, name), getattr(fresh, name), err_msg=name)
@@ -344,6 +346,7 @@ class TestDatasetColumns:
             for i in range(9)
         ]
         data = table_of(samples, num_paths=4, num_labels=2)
+        assert len(data.folded_ids) == len(data)  # cached before tiling renames the ids
         tiled = data.tiled(11)
         renamed = [
             TaskSample(f"{c:02d}:{s.task_id}", s.votes, s.truth) for c in range(11) for s in samples
@@ -351,7 +354,8 @@ class TestDatasetColumns:
         fresh = table_of(renamed, num_paths=4, num_labels=2)
         assert list(tiled.task_ids) == sorted(tiled.task_ids)
         assert tiled == fresh
-        for name in ("order", "truth", "sample_idx", "path_idx", "worker_idx", "label", "stored"):
+        for name in ("order", "truth", "sample_idx", "path_idx", "worker_idx", "label", "stored",
+                     "folded_ids"):
             np.testing.assert_array_equal(getattr(tiled, name), getattr(fresh, name), err_msg=name)
         assert tiled.workers == fresh.workers
 

@@ -5,10 +5,10 @@ fails names the primitive, instead of a golden digest failing with no reason
 given.
 
 * Plan execution (`evaluation._execute`) keeps the votes of each group's
-  smallest raw Philox words. It reads all of a task's words in one
-  `random_raw` call, which continues the stream as one call per group would,
-  and ranks them with `np.lexsort`, which orders 64-bit words unsigned and
-  keeps input order among equal keys.
+  smallest `_rng.counter_words`. Those are SplitMix64 words computed with
+  uint64 array `*`, `+`, `^` and `>>`, which wrap modulo 2^64 without a
+  warning, and they are ranked with `np.lexsort`, which orders 64-bit words
+  unsigned and keeps input order among equal keys.
 * `scatter_rows` relies on `np.bincount` adding its weights in input order.
 * `normalise` sums a short label or state axis with numpy's own sum, and
   `_log_space` adds one in order, one pass per entry; both equal the
@@ -28,22 +28,32 @@ given.
   that changed Philox's output for a given key fails.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 CONTRACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-KEYS = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)).map(
-    lambda key: np.array(key, dtype=np.uint64)
-)
+
+WORDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50)
 
 
 @CONTRACT
-@given(key=KEYS, first=st.integers(0, 40), second=st.integers(0, 40))
-def test_random_raw_calls_continue_one_stream(key, first, second):
-    bits = np.random.Philox(key=key)
-    parts = np.concatenate([bits.random_raw(first), bits.random_raw(second)])
-    assert np.array_equal(parts, np.random.Philox(key=key).random_raw(first + second))
+@given(a=WORDS, data=st.data())
+def test_uint64_array_arithmetic_wraps_silently(a, data):
+    b = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(a), max_size=len(a)))
+    shift = data.draw(st.integers(0, 63))
+    x, y = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [x * y, x + y, x ^ y, x >> shift, x * 0x94D049BB133111EB]
+    m = 2**64
+    want = [[p * q % m for p, q in zip(a, b)], [(p + q) % m for p, q in zip(a, b)],
+            [p ^ q for p, q in zip(a, b)], [p >> shift for p in a],
+            [p * 0x94D049BB133111EB % m for p in a]]
+    assert [g.dtype for g in got] == [np.uint64] * 5
+    assert [g.tolist() for g in got] == want
 
 
 @CONTRACT
@@ -138,8 +148,7 @@ def test_sum_order_shows_from_eight_entries():
 
 
 def test_philox_words_for_a_key_are_pinned():
-    """The first raw words of Philox under the key of the stream that executes
-    task t1 under seed 0."""
+    """The first raw words of Philox under the key of `substream(0, "exec", "t1")`."""
     bits = np.random.Philox(key=np.array([0x392277D9B7B616A7, 0x60D8DD83B61A3A3D], np.uint64))
     assert bits.random_raw(4).tolist() == [
         0x840755DF20FAD3DA, 0xF03A22940CABB5BD, 0x9FA8CD75CAE38C89, 0xD6492C6217D660FE

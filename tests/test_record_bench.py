@@ -1,4 +1,4 @@
-"""`tools/record_bench.py`'s ladder, read and learn rungs, runs end to end at a tiny size."""
+"""`tools/record_bench.py`'s ladder, read, learn and sweep rungs, runs end to end at a tiny size."""
 
 import importlib.util
 from pathlib import Path
@@ -11,14 +11,19 @@ def test_read_ladder_times_each_size_in_its_own_interpreter():
     spec = importlib.util.spec_from_file_location("record_bench", path)
     record_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record_bench)
-    entries = record_bench.ladder((3, 7))
-    assert sorted(entries) == ["3", "7"]
+    record_bench.SWEEP_MAX_TASKS = 5  # the sweep's 5 folds need 5 tasks
+    entries = record_bench.ladder((5, 7))
+    assert sorted(entries) == ["5", "7"]
     # plan 3,3,3 puts 9 votes on every task
-    assert [entries[n]["rows"] for n in ("3", "7")] == [27, 63]
+    assert [entries[n]["rows"] for n in ("5", "7")] == [45, 63]
     for entry in entries.values():
         assert entry["best_s"] > 0 and entry["peak_rss_mb"] > 0
         assert entry["us_per_row"] == entry["best_s"] / entry["rows"] * 1e6
         learn = entry["learn"]
         assert learn["fit_s"] > 0 and learn["peak_rss_mb"] > 0
         assert learn["us_per_task"] == learn["fit_s"] / learn["tasks"] * 1e6
-    assert [entries[n]["learn"]["tasks"] for n in ("3", "7")] == [3, 7]
+    assert [entries[n]["learn"]["tasks"] for n in ("5", "7")] == [5, 7]
+    sweep = entries["5"]["sweep"]
+    assert sweep["tasks"] == 5 and sweep["sweep_s"] > 0 and sweep["peak_rss_mb"] > 0
+    assert sweep["us_per_task"] == sweep["sweep_s"] / sweep["tasks"] * 1e6
+    assert "sweep" not in entries["7"]  # the rung stops above SWEEP_MAX_TASKS

@@ -1,11 +1,16 @@
-"""Stream keys: one BLAKE2b recipe, its literal values, and the batched forms.
+"""Stream keys and counter words: their recipes, literal values and batched forms.
 
 The Philox key of `substream(seed, *key)` is the 16-byte BLAKE2b digest of
 the 8-byte little-endian `_fold` of the seed and of each key part, read as two
 little-endian 64-bit words; `derive_seed` is the same hash at 8 bytes.
-`stream_keys` and `substreams` give many such streams at once, and
-`substream_words` reads each one's first raw words. All must give exactly the
-streams `substream` builds one at a time.
+`stream_keys` and `substreams` give many such streams at once, and must give
+exactly the streams `substream` builds one at a time.
+
+`counter_words` gives SplitMix64's outputs, word j of key k being its
+finaliser of k + (j + 1) * GAMMA; plan execution keys it with `derive_seed(seed,
+"exec")` XOR a task id's fold. Its pins are literal, it is checked against
+the Python-int reference `_oracles.ref_mix`, and adjacent keys and counters
+must give words with balanced, uncorrelated bits.
 """
 
 import hashlib
@@ -17,18 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdplan._rng import (
+    GAMMA,
     _fold,
+    counter_words,
     derive_seed,
     stream_keys,
     substream,
-    substream_words,
     substreams,
 )
 from crowdplan.cli import main
 from crowdplan.errors import InputError
 from crowdplan.model import save_model
 
-from _oracles import random_model
+from _oracles import M64, random_model, ref_mix, ref_word
 
 PARITY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -54,7 +60,7 @@ def test_key_is_the_blake2b_digest_of_the_folded_parts(seed, key):
 
 
 def test_key_and_first_words_are_pinned():
-    """The key and first raw words of the stream that executes task t1 under seed 0."""
+    """The key and first raw words of the stream (0, "exec", "t1")."""
     assert key_of(0, "exec", "t1") == [0x392277D9B7B616A7, 0x60D8DD83B61A3A3D]
     assert substream(0, "exec", "t1").bit_generator.random_raw(4).tolist() == [
         0x840755DF20FAD3DA, 0xF03A22940CABB5BD, 0x9FA8CD75CAE38C89, 0xD6492C6217D660FE
@@ -77,24 +83,54 @@ def test_batched_streams_equal_substream_and_distinct_keys_differ(seed, prefix, 
     assert len({tuple(key_of(*t)) for t in tuples}) == len(tuples)
 
 
+def test_mix_and_an_execution_word_are_pinned():
+    """SplitMix64 seeded with 0 gives these first three words (the reference
+    `splitmix64.c` does too); and the word of task t1's third vote under seed 0."""
+    first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert counter_words(np.zeros(3, np.uint64), np.arange(3)).tolist() == first
+    assert [ref_mix(j * GAMMA & M64) for j in (1, 2, 3)] == first
+    key = np.array([derive_seed(0, "exec") ^ _fold("t1")], dtype=np.uint64)
+    assert counter_words(key, np.array([2])).tolist() == [ref_word(0, "t1", 2)]
+    assert ref_word(0, "t1", 2) == 0x22330120429C018C
+
+
 @PARITY
-@given(st.integers(0, 2**64 - 1), st.lists(st.tuples(parts, st.integers(0, 9)), max_size=6))
-def test_words_are_each_streams_first_raw_words(seed, drawn):
-    every, counts = [part for part, _ in drawn], [count for _, count in drawn]
-    want = [substream(seed, "exec", part).bit_generator.random_raw(c) for part, c in drawn]
-    got = substream_words(seed, ("exec",), every, counts)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1)),
+                          st.integers(0, 2**40)), min_size=1, max_size=20))
+def test_counter_words_equal_the_python_int_recipe(drawn):
+    keys = np.array([k for k, _ in drawn], dtype=np.uint64)
+    counters = np.array([j for _, j in drawn], dtype=np.int64)
+    got = counter_words(keys, counters)
     assert got.dtype == np.uint64
-    assert got.tolist() == [w for words in want for w in words.tolist()]
+    assert got.tolist() == [ref_mix((k + (j + 1) * GAMMA) & M64) for k, j in drawn]
+
+
+@pytest.mark.parametrize("adjacent", ["keys", "counters"])
+def test_adjacent_keys_and_counters_give_uncorrelated_words(adjacent):
+    """10^4 words from keys h, h + 1, ... (counter 0) or from key h's counters
+    0, 1, ...: every bit is set in half the words, as is every bit of the XOR of
+    successive words, and successive words' uniforms do not correlate, each
+    within 4 standard deviations."""
+    n, start = 10_000, derive_seed(0, "exec")
+    run = np.arange(n, dtype=np.uint64)
+    if adjacent == "keys":
+        words = counter_words(np.uint64(start) + run, np.zeros(n, np.int64))
+    else:
+        words = counter_words(np.full(n, start, np.uint64), run)
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    flips = ((words[1:] ^ words[:-1])[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    for share, m in ((bits.mean(axis=0), n), (flips.mean(axis=0), n - 1)):
+        assert np.all(np.abs(share - 0.5) < 4 * 0.5 / np.sqrt(m)), share
+    u = (words >> np.uint64(11)) * 2.0**-53
+    assert abs(np.corrcoef(u[1:], u[:-1])[0, 1]) < 4 / np.sqrt(n - 1)
 
 
 def test_no_parts_still_check_the_seed_and_prefix():
     assert stream_keys(1, ("gen",), []).shape == (0, 2)
     assert list(substreams(1, ("gen",), range(0))) == []
-    assert substream_words(1, ("gen",), [], []).tolist() == []
     for call in (
         lambda: stream_keys(1.5, ("gen",), []),
         lambda: substreams(1.5, ("gen",), range(0)),
-        lambda: substream_words(1.5, ("gen",), [], []),
         lambda: stream_keys(1, (1.5,), []),
         lambda: stream_keys(1.5, ("gen",), [0]),
     ):

@@ -18,10 +18,15 @@ votes of that many tasks from the bundled model at plan `LADDER_PLAN` and
 seed `SEED`. On that file one fresh interpreter reads the votes with
 `read_votes_csv` `LADDER_RUNS` times (the read rung), and another reads
 them once and fits them with `fit_em` at the benchmark's EM arguments,
-`LEARN_ARGS` (the learn rung). The file's `"ladder"` holds, per size, the
-rows read, the best read's seconds and microseconds per row, and that
-interpreter's peak RSS; and under `"learn"` the fit's seconds, its
-microseconds per task and its interpreter's peak RSS.
+`LEARN_ARGS` (the learn rung). Up to `SWEEP_MAX_TASKS`, a third one reads
+them and runs `budget_sweep` at the benchmark's sweep arguments,
+`SWEEP_ARGS` with `LEARN_ARGS` as EM's (the sweep rung). The benchmark's
+`nbi` model is left out, since it needs a worker id on every vote and the
+ladder's file has none. The sweep rung stops at 20k tasks, so the ladder
+stays short: a 20k-task sweep already takes about 3 s. The file's `"ladder"` holds, per size, the rows
+read, the best read's seconds and microseconds per row, and that
+interpreter's peak RSS; and under `"learn"` and `"sweep"` the fit's or the
+sweep's seconds, its microseconds per task and its interpreter's peak RSS.
 Exits 1 if a run failed or a report is missing, and then writes nothing.
 """
 
@@ -72,6 +77,26 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"tasks": len(data), "fit_s": seconds, "peak_rss_mb": peak}))
 """
 
+# perfbench's sweep request, less its nbi model; EM runs at LEARN_ARGS.
+SWEEP_ARGS = {"model_kinds": ["apm", "nbap", "mv"], "strategies": ["greedy", "equal"],
+              "budgets": [6, 18, 30], "folds": 5, "costs": [2, 3, 4], "seed": SEED}
+SWEEP_MAX_TASKS = 20_000
+# The ladder's sweeper: one sweep, in its own interpreter, IG as the CLI's defaults.
+SWEEP = """
+import json, resource, sys, time
+from crowdplan.evaluation import budget_sweep
+from crowdplan.infogain import IgConfig
+from crowdplan.io import read_votes_csv
+from crowdplan.learning import EmConfig
+data, _ = read_votes_csv(sys.argv[1])
+args, em = json.loads(sys.argv[2]), EmConfig(**json.loads(sys.argv[3]))
+start = time.perf_counter()
+budget_sweep(data, ig_cfg=IgConfig(seed=args["seed"]), em_cfg=em, **args)
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"tasks": len(data), "sweep_s": seconds, "peak_rss_mb": peak}))
+"""
+
 
 def source_digest() -> str:
     """sha256 over the package's Python files, name and bytes, in name order."""
@@ -110,7 +135,7 @@ def _run(what: str, argv: list[str]) -> str:
 
 def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
     """The ladder's entry per number of tasks: the read rung, with the learn rung
-    under `"learn"`."""
+    under `"learn"` and, up to `SWEEP_MAX_TASKS`, the sweep rung under `"sweep"`."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for tasks in sizes:
@@ -120,10 +145,15 @@ def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
                               "--out", str(votes)])
             read = json.loads(_run("read", ["-c", READ, str(votes), str(LADDER_RUNS)]))
             learn = json.loads(_run("learn", ["-c", LEARN, str(votes), json.dumps(LEARN_ARGS)]))
-            votes.unlink()
             learn["us_per_task"] = learn["fit_s"] / learn["tasks"] * 1e6
             out[str(tasks)] = {**read, "us_per_row": read["best_s"] / read["rows"] * 1e6,
                                "learn": learn}
+            if tasks <= SWEEP_MAX_TASKS:
+                sweep = json.loads(_run("sweep", ["-c", SWEEP, str(votes), json.dumps(SWEEP_ARGS),
+                                                  json.dumps(LEARN_ARGS)]))
+                sweep["us_per_task"] = sweep["sweep_s"] / sweep["tasks"] * 1e6
+                out[str(tasks)]["sweep"] = sweep
+            votes.unlink()
     return out
 
 
@@ -164,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"--seed {SEED}",
             "runs": LADDER_RUNS,
             "learn": LEARN_ARGS,
+            "sweep": SWEEP_ARGS,
             "tasks": ladder(),
         },
     }
