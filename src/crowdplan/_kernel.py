@@ -10,27 +10,29 @@ EM fits all of its restarts at once, so the kernels it calls take a run
 axis R right after the label and state axes: evidence is (K_z, R, N, n),
 state posteriors (K_y, K_z, R, N, n) and log joints (K, R, n), from tables
 with a leading run axis, (R, C, K, K). Without it (information gain) every
-shape drops R; inference passes a single run. The vote kernels gather and
-scatter through indices that depend only on the votes, so a fit builds them
-once, before its first iteration, and an inference call once per call. Each
-index is label-major (`label_major`), entry z * V + v serving label z of
-vote v, so one `np.take` and one `np.bincount` per run cover every label,
-and a run's sums are those it would get alone.
+shape drops R; inference passes a single run.
 
-Two kernels give log p(y, x) for n tasks at once, shape (K, n):
+Evidence has one layout and one kernel. The layout is a table's label
+entries (`Entries`): each entry is m votes with one label, read from one
+slot's table and added to one cell, a label count vector stored by its
+non-zero entries. A table's entries are its runs of votes with one (cell,
+slot, label) in canonical order (`label_entries`); the cell is path * n +
+task for the access path model and the task for naive Bayes, the slot the
+table a vote reads. Exact information gain's count vectors give theirs
+directly, one per non-zero count. The entries depend only on the votes, so
+a fit builds them once, before its first iteration, and an inference call
+once per call. The kernel, `scatter_rows`, adds m times a gathered source
+entry into a bin: `evidence` gathers log p(label | z) from the tables into
+the cells, and EM's M-step gathers posteriors from the cells into the
+tables' count cells. Each index is label-major, entry z * E + e serving
+label z of entry e, so one gather and one `np.bincount` per run cover
+every label, and a run's sums are those it would get alone.
 
-* `apm_log_joints` sums the per-path factors of `path_factors`, which sum out
-  each path's latent state from evidence log p(x_i | z) of shape (K_z, N, n).
-  This is the access path model.
-* `direct_log_joints` adds one table column per vote straight onto the
-  outcome. This is naive Bayes over workers, and over paths (nbap) when the
-  columns come from the path marginals p(x | y) = sum_z p(z | y) p(x | z).
-
-Evidence comes from a `Dataset` (`vote_evidence`, over the path-major cells
-path * n + task) or from label count vectors (`count_evidence`, which keeps
-the count vectors' own layout, label axis last; information gain transposes
-its result before `path_factors`). Scatter-adds follow the table's canonical
-vote order, so results do not depend on how the votes were stored.
+From the evidence, `path_factors` sums out each path's latent state and
+`apm_log_joints` adds the voted paths' factors to the log prior: the access
+path model. Naive Bayes over workers (nbi), and over paths (nbap) with the
+path marginals p(x | y) = sum_z p(z | y) p(x | z) as tables, adds the log
+prior to the evidence of its task cells.
 
 Every normalised sum (a path factor, a posterior, exact IG's p(c)) is scaled
 as in the scaled forward algorithm (Rabiner, Proc. IEEE 1989): `scale` takes
@@ -41,10 +43,12 @@ is taken again by `_log_space`, which adds its axis in order, in log space.
 Other sums are numpy's own `sum`, so their bytes hold for a fixed numpy
 version and SIMD target (see README, Determinism). `np.add.at` is slow per
 index, so `scatter_rows` runs one `np.bincount` per run, which adds its
-weights in input order as `np.add.at` does: the sums keep their bits.
+weights in input order as `np.add.at` does: entries add in canonical order.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,57 +120,63 @@ def label_major(index: np.ndarray, k: int, stride: int) -> np.ndarray:
     return (np.arange(k)[:, None] * stride + index).reshape(-1)
 
 
-def scatter_rows(sources, gather: np.ndarray, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[r], flattened, holds at j the sum of sources[r].flat[gather[i]] over every
-    i with bins[i] == j, for one source per run r.
+class Entries(NamedTuple):
+    """E label entries, each m votes with one label in one slot's table that add to
+    one cell. The indices are label-major: index z * E + e serves state or
+    outcome z of entry e."""
 
-    One `np.take` and one `np.bincount` per run, so each bin adds its own run's
+    columns: np.ndarray    # (K * E,) slot * K * K + z * K + label, in flat (C, K, K) tables
+    cells: np.ndarray      # (K * E,) z * num_cells + cell
+    m: np.ndarray | None   # (K * E,) the multiplicity, float; None when every entry's is 1
+    num_cells: int
+
+
+def entries(k: int, num_cells: int, cell, slot, label, m) -> Entries:
+    """The `Entries` of E entries (cell, slot, label) of multiplicity m."""
+    columns = label_major(slot * (k * k) + label, k, k)
+    m = None if (m == 1).all() else np.tile(m.astype(np.float64), k)
+    return Entries(columns, label_major(cell, k, num_cells), m, num_cells)
+
+
+def label_entries(table: Dataset, slot: np.ndarray, per_path: bool = True) -> Entries:
+    """A table's label entries: each run of votes with one (cell, slot, label) in
+    canonical order, its length the multiplicity. The cell is path * n + task
+    (`per_path`) or the task, and `slot` (V,) the table each vote reads."""
+    cell = table.cells if per_path else table.sample_idx
+    new = np.zeros(cell.size, dtype=bool)  # where a run starts
+    new[:1] = True
+    for column in (cell, slot, table.label):
+        new[1:] |= column[1:] != column[:-1]
+    start = np.flatnonzero(new)
+    num_cells = table.num_samples * (table.num_paths if per_path else 1)
+    m = np.diff(start, append=cell.size)
+    return entries(table.num_labels, num_cells, cell[start], slot[start], table.label[start], m)
+
+
+def scatter_rows(
+    sources, gather: np.ndarray, bins: np.ndarray, m: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
+    """out[r], flattened, holds at j the sum of m[i] * sources[r].flat[gather[i]] over
+    every i with bins[i] == j, for one source per run r; m None stands for all 1,
+    whose multiply would change no bit.
+
+    One gather and one `np.bincount` per run, so each bin adds its own run's
     entries in index order, from 0.0: the bits of `np.add.at`.
     """
     for run, source in zip(out, sources):
-        run[...] = np.bincount(bins, np.take(source, gather), run.size).reshape(run.shape)
+        terms = source.reshape(-1)[gather]
+        if m is not None:
+            terms *= m
+        run[...] = np.bincount(bins, terms, run.size).reshape(run.shape)
     return out
 
 
-def vote_columns(slot_idx: np.ndarray, label: np.ndarray, k: int) -> np.ndarray:
-    """Each vote's log p(label | z) in its slot's flattened (C, K, K) tables, slot * K * K
-    + z * K + label, label-major."""
-    return label_major(slot_idx * (k * k) + label, k, k)
-
-
-def vote_cells(table: Dataset) -> np.ndarray:
-    """Each vote's path-major evidence cell, z * N * n + path * n + task, label-major."""
-    return label_major(table.cells, table.num_labels, table.num_paths * table.num_samples)
-
-
-def vote_evidence(log_tables: np.ndarray, columns: np.ndarray, cells: np.ndarray, table: Dataset):
-    """evidence[z, r, i, s]: the sum over task s's votes on path i of log p(x | z) in
-    run r, shape (K_z, R, N, n).
-
-    `log_tables[r, c]` is the log vote table (row z, column x) of slot c; `columns`
-    (`vote_columns`) and `cells` (`vote_cells`) place each vote in them and in the
-    evidence. Votes are added in table order.
-    """
-    out = np.empty((table.num_labels, len(log_tables), table.num_paths, table.num_samples))
-    scatter_rows(log_tables, columns, cells, out.swapaxes(0, 1))
+def evidence(log_tables: np.ndarray, e: Entries) -> np.ndarray:
+    """evidence[z, r, cell]: the sum over the cell's entries of m log p(label | z) in
+    its slot's table of run r, shape (K, R, num_cells), from log tables (R, C, K, K)."""
+    out = np.empty((log_tables.shape[-1], len(log_tables), e.num_cells))
+    scatter_rows(log_tables, e.columns, e.cells, e.m, out.swapaxes(0, 1))
     return out
-
-
-def prior_first(table: Dataset, slot_idx: np.ndarray, num_slots: int):
-    """The columns and task bins of `direct_log_joints`: first the K * n log priors,
-    z * n + task, then each vote's `vote_columns` and its task z * n + task."""
-    k, n = table.num_labels, table.num_samples
-    priors = label_major(np.full(n, num_slots * k * k), k, k)
-    columns = np.concatenate([priors, vote_columns(slot_idx, table.label, k)])
-    tasks = np.concatenate([np.arange(k * n), label_major(table.sample_idx, k, n)])
-    return columns, tasks
-
-
-def count_evidence(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
-    """evidence[..., i, z] = sum_x counts[..., i, x] log p(x | z) on path i, with 0 log 0 = 0."""
-    counts = counts[..., None, :]
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, counts * log_tables, 0.0).sum(axis=-1)
 
 
 def path_factors(path_cpts: np.ndarray, evidence: np.ndarray, posterior: bool = True):
@@ -194,23 +204,3 @@ def apm_log_joints(
     if active is not None:
         factors = np.where(active, factors, 0.0)
     return log_prior[..., None] + factors.sum(axis=-2)
-
-
-def direct_log_joints(
-    log_prior: np.ndarray,
-    log_tables: np.ndarray,
-    columns: np.ndarray,
-    tasks: np.ndarray,
-    num_samples: int,
-) -> np.ndarray:
-    """log p(y, x), shape (K, R, n), when each vote adds its own column log p(x | y) of
-    its slot's table, from the log priors (R, K) and tables (R, C, K, K).
-
-    `columns` and `tasks` come from `prior_first`: each task's log prior goes in
-    ahead of its votes, gathered from an extra table C whose row y holds log p(y).
-    """
-    runs, _, k, _ = log_tables.shape
-    out = np.empty((k, runs, num_samples))
-    sources = (np.append(t, np.repeat(p, k)) for t, p in zip(log_tables, log_prior))
-    scatter_rows(sources, columns, tasks, out.swapaxes(0, 1))
-    return out

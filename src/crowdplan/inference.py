@@ -5,6 +5,14 @@ model's layout once and computes every posterior in one batched pass through
 the kernels in `_kernel`, as arrays in table order. The posterior of one task
 is that of a one-task table.
 
+Each call lays its votes out once as label entries (`_kernel.label_entries`,
+the layout EM fits on): runs of votes with one (cell, slot, label), each
+adding m log p(label | .) through one kernel, `_kernel.evidence`. For apm a
+cell is path * n + task and a slot the path, or the (path, worker) pair
+where a voted path has per-worker tables; for nbap a cell is the task and a
+slot the path's marginal table, for nbi the task and the worker. nbap and
+nbi add the log prior after the votes.
+
 Posteriors come from the scaled kernel `_kernel.normalise`. The vote table
 sorts votes into a canonical order (task id, then path, then worker id, then
 label) before any sum is taken, so shuffling the stored votes, or the tasks,
@@ -26,20 +34,11 @@ back to the prior and sets `degenerate_evidence`.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import (
-    apm_log_joints,
-    direct_log_joints,
-    log,
-    normalise,
-    path_factors,
-    prior_first,
-    vote_cells,
-    vote_columns,
-    vote_evidence,
-)
+from ._kernel import Entries, apm_log_joints, evidence, label_entries, log, normalise, path_factors
 from .errors import InputError, MissingWorkerCptError
 from .model import ApmModel, Dataset, NbiModel, member
 
@@ -55,40 +54,59 @@ def _stack(rows: list[np.ndarray], k: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, k, k)
 
 
-def _apm(model: ApmModel, table: Dataset) -> np.ndarray:
+class Slots(NamedTuple):
+    """The vote tables of an apm table: each vote's slot, and each slot's path and worker."""
+
+    idx: np.ndarray                 # (V,) the slot of each vote
+    path: tuple[int, ...]           # owning path per slot
+    worker: tuple[str | None, ...]  # worker id per slot, None when shared
+
+
+def vote_slots(table: Dataset, shared: bool) -> Slots:
+    """One slot per path when `shared`, else one per distinct (path, worker) pair."""
+    if shared:
+        return Slots(table.path_idx, tuple(range(table.num_paths)), (None,) * table.num_paths)
+    pairs, idx = table.path_worker_slots()
+    workers = (None,) + table.workers  # worker index -1 is no id
+    paths, owners = pairs.T.tolist()
+    return Slots(idx, tuple(paths), tuple(workers[w + 1] for w in owners))
+
+
+def _apm(model: ApmModel, table: Dataset, slots: Slots | None = None,
+         entries: Entries | None = None) -> np.ndarray:
+    """log p(y, x) (K, n), through the given slots and their `label_entries`, or,
+    without them, through one slot per path when every voted path is shared."""
     k, voted = model.num_labels, table.active.any(axis=1).tolist()
-    if all(model.is_shared(i) for i, v in enumerate(voted) if v):
-        # one table per voted path, so the path is the slot; a voteless one's is never read
-        tables = [wc.rows if v else np.ones((k, k)) for wc, v in zip(model.worker_cpts, voted)]
-        slot_idx = table.path_idx
-    else:
-        pairs, slot_idx = table.path_worker_slots()
-        workers = (None,) + table.workers  # worker index -1 is no id
-        tables = [model.vote_cpt(int(p), workers[w + 1]).rows for p, w in pairs]
-    columns = vote_columns(slot_idx, table.label, k)
-    evidence = vote_evidence(log(_stack(tables, k))[None], columns, vote_cells(table), table)
+    if slots is None:
+        slots = vote_slots(table, all(model.is_shared(i) for i, v in enumerate(voted) if v))
+        entries = label_entries(table, slots.idx)
+    # a voteless path's table is never read
+    tables = [model.vote_cpt(p, w).rows if voted[p] else np.ones((k, k))
+              for p, w in zip(slots.path, slots.worker)]
+    cells = evidence(log(_stack(tables, k))[None], entries).reshape(k, *table.active.shape)
     path_cpts = _stack([c.rows for c in model.path_cpts], k)
-    factors, _ = path_factors(path_cpts, evidence[:, 0], posterior=False)
+    factors, _ = path_factors(path_cpts, cells, posterior=False)
     return apm_log_joints(log(model.prior), factors, table.active)
 
 
-def _direct(prior: np.ndarray, tables: list[np.ndarray], slot_idx: np.ndarray, table: Dataset):
-    """log p(y, x) (K, n) when vote j adds column label[j] of table slot_idx[j]."""
-    log_tables = log(_stack(tables, len(prior)))[None]
-    columns, tasks = prior_first(table, slot_idx, log_tables.shape[1])
-    return direct_log_joints(log(prior)[None], log_tables, columns, tasks, table.num_samples)[:, 0]
+def _direct(prior: np.ndarray, tables: list[np.ndarray], entries: Entries) -> np.ndarray:
+    """log p(y, x) (K, n): the log prior plus the evidence of task cells."""
+    return log(prior)[:, None] + evidence(log(_stack(tables, len(prior)))[None], entries)[:, 0]
 
 
 def _nbap(model: ApmModel, table: Dataset) -> np.ndarray:
     marginals = [pc.rows @ wc.rows for pc, wc in zip(model.path_cpts, model.worker_cpts)]
-    return _direct(model.prior, marginals, table.path_idx, table)
+    return _direct(model.prior, marginals, label_entries(table, table.path_idx, per_path=False))
 
 
-def _nbi(model: NbiModel, table: Dataset) -> np.ndarray:
+def _nbi(model: NbiModel, table: Dataset, entries: Entries | None = None) -> np.ndarray:
+    """log p(y, x) (K, n), through the given per-worker entries or the table's own."""
     if (table.worker_idx < 0).any():
         raise MissingWorkerCptError(str(None))
     tables = [model.vote_cpt(w).rows for w in table.workers]
-    return _direct(model.prior, tables, table.worker_idx, table)
+    if entries is None:
+        entries = label_entries(table, table.worker_idx, per_path=False)
+    return _direct(model.prior, tables, entries)
 
 
 _LOG_JOINTS = {ModelKind.APM: _apm, ModelKind.NBAP: _nbap, ModelKind.NBI: _nbi}

@@ -10,7 +10,10 @@ exact
     over paths of C(S_i + K - 1, K - 1), far below K^(sum S_i), and at most
     `EXACT_LIMIT`. Each path's count vectors and factors are built once per
     model content, kept in a memo here, and reused by every later plan that
-    puts the same number of votes on that path. The memo is found by what its
+    puts the same number of votes on that path. The count vectors are label
+    entries, one per non-zero (vector, label, count) cell, and their factors
+    come from the evidence kernel that inference and EM use
+    (`_kernel.evidence`). The memo is found by what its
     tables are computed from: the prior and each path's CPT and shared worker
     CPT, as shapes and bytes. So a model loaded again from the same file, or
     copied with new labels, reuses the tables of the first. A live model
@@ -98,7 +101,8 @@ from ._kernel import (
     _UNDERFLOW,
     _log_space,
     apm_log_joints,
-    count_evidence,
+    entries,
+    evidence,
     log,
     normalise,
     path_factors,
@@ -221,9 +225,12 @@ def exact_count_vectors(counts: Sequence[int], k: int) -> int:
 
 
 def _factors(model: ApmModel, path: int, label_counts: np.ndarray) -> np.ndarray:
-    """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (K, V)."""
-    evidence = count_evidence(label_counts[:, None, :], log(model.worker_cpts[path].rows)[None])
-    factor, _ = path_factors(model.path_cpts[path].rows[None], evidence.T, posterior=False)
+    """log p(x_path | y) for each row of label counts (V, K) on `path`, shape (K, V),
+    from the label entries of the non-zero counts, row by row."""
+    v, x = np.nonzero(label_counts)
+    e = entries(model.num_labels, len(label_counts), v, 0, x, label_counts[v, x])
+    cells = evidence(log(model.worker_cpts[path].rows)[None, None], e)  # (K_z, 1, V)
+    factor, _ = path_factors(model.path_cpts[path].rows[None], cells, posterior=False)
     return factor[:, 0]
 
 

@@ -21,12 +21,18 @@ history and stopping test; a run that stops leaves the stack. Every sum
 adds one run's terms in the order a lone restart adds them, so a stacked
 fit gives the bits of fitting its restarts one after another.
 
-Before the first iteration a fit lays out its votes once (`_Layout`): where
-each vote's entries lie in the flattened tables, in the evidence or joint
-cells and in the count tables, and the tasks whose truth is known. Every
-iteration then gathers and scatters through these indices one run at a time
-(`_kernel.scatter_rows`) and builds none of its own; the M-step also forms
-the joint posterior q(y) q(z | y) one run at a time.
+Before the first iteration a fit lays out its votes once (`_Layout`) as
+label entries (`_kernel.label_entries`): each run of votes with one (cell,
+slot, label) in canonical order, with its length m. For the access path
+model a cell is path * n + task and a slot the path (shared tables) or the
+(path, worker) pair; for `fit_nbi` the cell is the task and the slot the
+worker. Every iteration then runs one kernel (`_kernel.scatter_rows`) one
+run at a time, through these entries and no index of its own: the E-step
+adds m log p(label | z) into the cells, the M-step m q(z) at the cells into
+the tables' count cells, and it forms the joint posterior q(y) q(z | y) one
+run at a time. The final log-likelihood reads the fit's own slots and
+entries. A repeated label adds m log p once, not m times, so these sums
+equal the per-vote ones only to rounding.
 
 Latent path states are only identified up to relabeling, so after fitting,
 each path's states are permuted to put as much mass as possible on the
@@ -46,19 +52,16 @@ import numpy as np
 
 from ._kernel import (
     apm_log_joints,
-    direct_log_joints,
+    evidence,
+    label_entries,
     log,
     normalise,
     path_factors,
-    prior_first,
     scatter_rows,
-    vote_cells,
-    vote_columns,
-    vote_evidence,
 )
 from ._rng import _fold, substream
 from .errors import InputError, NumericError
-from .inference import ModelKind, table_log_joint
+from .inference import ModelKind, Slots, _apm, _nbi, table_log_joint, vote_slots
 from .model import (
     AccessPathSpec,
     ApmModel,
@@ -131,28 +134,19 @@ class _Params(NamedTuple):
     tables: np.ndarray         # (R, C, K, K), one vote table per slot, row z, col v
 
 
-class _Slots(NamedTuple):
-    idx: np.ndarray                 # (V,) which vote table generated each vote
-    path: tuple[int, ...]           # owning path per table
-    worker: tuple[str | None, ...]  # worker id per table, None when shared
-
-
-def _slots(t: Dataset, share_workers: bool) -> _Slots:
-    if share_workers:
-        return _Slots(t.path_idx, tuple(range(t.num_paths)), (None,) * t.num_paths)
-    if (t.worker_idx < 0).any():
+def _slots(t: Dataset, share_workers: bool) -> Slots:
+    if not share_workers and (t.worker_idx < 0).any():
         raise InputError("per-worker fitting requires a worker id on every vote")
-    if not t.worker_idx.size:
+    if not share_workers and not t.worker_idx.size:
         raise InputError("per-worker fitting needs at least one vote")
-    pairs, idx = t.path_worker_slots()
-    return _Slots(idx, tuple(int(p) for p, _ in pairs), tuple(t.workers[w] for _, w in pairs))
+    return vote_slots(t, share_workers)
 
 
 def _voteless_paths(t: Dataset) -> tuple[int, ...]:
     return tuple(np.flatnonzero(~t.active.any(axis=1)).tolist())
 
 
-def _slots_by_path(slots: _Slots, num_paths: int) -> list[list[int]]:
+def _slots_by_path(slots: Slots, num_paths: int) -> list[list[int]]:
     """The slots of each path, in slot order, from one scan of the slots."""
     out: list[list[int]] = [[] for _ in range(num_paths)]
     for slot, owner in enumerate(slots.path):
@@ -189,31 +183,16 @@ def _outcome_posterior(log_joint: np.ndarray, truths: _Truths):
     return q_y, norm.sum(axis=-1)
 
 
-class _Layout(NamedTuple):
-    """A fit's indices, built once before its first iteration. The E-step adds the
-    log tables' entries at `columns` into `cells`; the M-step adds the posteriors'
-    entries at `posterior` into the flat count tables (C, K, K) at `counts`, each
-    vote's own entry (`_kernel.vote_columns`). Both M-step indices are views."""
-    columns: np.ndarray
-    cells: np.ndarray
-    posterior: np.ndarray
-    counts: np.ndarray
-    truths: _Truths
+class _Layout:
+    """A fit's label entries (`_kernel.label_entries`), over path * n + task cells
+    (`per_path`) or task cells, and its known truths, laid out once before its
+    first iteration. The E-step adds the log tables' entries into the cells; the
+    M-step adds the posteriors' entries at the cells into the flat count tables
+    (C, K, K); each takes the entries' multiplicities as weights."""
 
-    @classmethod
-    def apm(cls, t: Dataset, slots: _Slots) -> _Layout:
-        """The evidence cells (`_kernel.vote_cells`), which are also where q_z is read."""
-        k, cells = t.num_labels, vote_cells(t)
-        columns = vote_columns(slots.idx, t.label, k)
-        return cls(columns, cells, cells, columns, _Truths(t.truth, k))
-
-    @classmethod
-    def nbi(cls, t: Dataset) -> _Layout:
-        """The priors ahead of the votes (`_kernel.prior_first`) for the E-step; the
-        M-step reads only the votes' part."""
-        k, priors = t.num_labels, t.num_labels * t.num_samples
-        columns, tasks = prior_first(t, t.worker_idx, len(t.workers))
-        return cls(columns, tasks, tasks[priors:], columns[priors:], _Truths(t.truth, k))
+    def __init__(self, t: Dataset, slot: np.ndarray, per_path: bool = True):
+        self.entries = label_entries(t, slot, per_path)
+        self.truths = _Truths(t.truth, t.num_labels)
 
 
 def _blended_identities(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,7 +208,7 @@ def _init_prior(y_known: np.ndarray, k: int) -> np.ndarray:
     return (counts + 1.0) / (counts.sum() + k)
 
 
-def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Params:
+def _init_params(t: Dataset, slots: Slots, cfg: EmConfig, restart: int) -> _Params:
     rng = substream(cfg.seed, "em-init", restart)
     k = t.num_labels
     path_cpts = _blended_identities(t.num_paths, k, rng)
@@ -239,8 +218,9 @@ def _init_params(t: Dataset, slots: _Slots, cfg: EmConfig, restart: int) -> _Par
 
 def _estep(params: _Params, logs: _Params, t: Dataset, layout: _Layout):
     """The posteriors and log-likelihoods of every run, from its parameters and their logs."""
-    evidence = vote_evidence(logs.tables, layout.columns, layout.cells, t)  # (K_z, R, N, n)
-    f, q_z = path_factors(params.path_cpts, evidence)               # q_z: (K_y, K_z, R, N, n)
+    cells = evidence(logs.tables, layout.entries)                   # (K_z, R, N * n)
+    cells = cells.reshape(*cells.shape[:2], t.num_paths, t.num_samples)
+    f, q_z = path_factors(params.path_cpts, cells)                  # q_z: (K_y, K_z, R, N, n)
     log_joint = apm_log_joints(logs.prior.T, f, t.active)           # (K_y, R, n)
     q_y, loglik = _outcome_posterior(log_joint, layout.truths)      # q_y: (K_y, R, n)
     return q_y, q_z, loglik
@@ -281,7 +261,8 @@ def _mstep(
             yield joint.sum(axis=0)                                     # (K_z, N, n)
 
     table_counts = np.empty((runs, num_tables, k, k))
-    scatter_rows(planes(), layout.posterior, layout.counts, table_counts)
+    e = layout.entries
+    scatter_rows(planes(), e.cells, e.columns, e.m, table_counts)
     return _Params(
         prior=_prior(q_y, alpha),
         path_cpts=_normalize_rows(path_counts + alpha),
@@ -395,7 +376,7 @@ def _max_assignment(weights: np.ndarray) -> list[int]:
     return col4row
 
 
-def _to_model(params: _Params, t: Dataset, slots: _Slots, share_workers: bool) -> ApmModel:
+def _to_model(params: _Params, t: Dataset, slots: Slots, share_workers: bool) -> ApmModel:
     """Assemble the fitted model in one pass over the voted paths.
 
     Each voted path's latent states are relabeled to maximize the diagonal of
@@ -449,16 +430,15 @@ def fit_em(
         cfg.restarts * k**2 * (data.num_paths * max(data.num_samples, 1) + len(slots.path)),
         "fitting every restart's tables and posteriors",
     )
-    layout = _Layout.apm(data, slots)
+    layout = _Layout(data, slots.idx)
     params, report = _em(
         cfg,
         lambda restart: _init_params(data, slots, cfg, restart),
         lambda params, logs: _estep(_Params(*params), _Params(*logs), data, layout),
         lambda q_y, q_z: _mstep(layout, len(slots.path), q_y, q_z, cfg.smoothing_alpha),
     )
-    del layout  # freed before the final log-likelihood lays out inference's own
     model = _to_model(_Params(*params), data, slots, share_workers)
-    final = log_likelihood(model, data)
+    final = _log_likelihood(_apm(model, data, slots, layout.entries), layout.truths)
     return model, replace(report, final_log_likelihood=final, sparse_paths=_voteless_paths(data))
 
 
@@ -468,23 +448,29 @@ def log_likelihood(model: ApmModel | NbiModel, data: Dataset) -> float:
     if not len(data):
         return 0.0
     kind = ModelKind.NBI if isinstance(model, NbiModel) else ModelKind.APM
-    log_joint = table_log_joint(kind, model, data).T[:, None]  # one run: (K, 1, n)
-    return float(_outcome_posterior(log_joint, _Truths(data.truth, model.num_labels))[1][0])
+    log_joint = table_log_joint(kind, model, data).T
+    return _log_likelihood(log_joint, _Truths(data.truth, model.num_labels))
+
+
+def _log_likelihood(log_joint: np.ndarray, truths: _Truths) -> float:
+    """The log-likelihood of log p(y, x) (K, n) with the known truths."""
+    return float(_outcome_posterior(log_joint[:, None], truths)[1][0])  # one run: (K, 1, n)
 
 
 # --- per-worker naive Bayes (latent-class estimation over workers) ---
 
 
-def _nbi_estep(log_prior: np.ndarray, log_tables: np.ndarray, t: Dataset, layout: _Layout):
-    log_joint = direct_log_joints(log_prior, log_tables, layout.columns, layout.cells,
-                                  t.num_samples)                            # (K_y, R, n)
+def _nbi_estep(log_prior: np.ndarray, log_tables: np.ndarray, layout: _Layout):
+    log_joint = evidence(log_tables, layout.entries)                        # (K_y, R, n)
+    log_joint += log_prior.T[..., None]  # the log prior goes in after the votes
     return _outcome_posterior(log_joint, layout.truths)
 
 
 def _nbi_mstep(layout: _Layout, num_workers: int, q_y: np.ndarray, alpha: float):
     k, runs, _ = q_y.shape                                                  # q_y: (K_y, R, n)
     counts = np.empty((runs, num_workers, k, k))
-    scatter_rows(q_y.transpose(1, 0, 2), layout.posterior, layout.counts, counts)
+    e = layout.entries
+    scatter_rows(q_y.transpose(1, 0, 2), e.cells, e.columns, e.m, counts)
     return _prior(q_y, alpha), _normalize_rows(counts + alpha)
 
 
@@ -502,17 +488,16 @@ def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitRe
         cfg.restarts * k * (len(data.workers) * k + data.num_samples + len(data.label)),
         "fitting every restart's tables and posteriors",
     )
-    layout = _Layout.nbi(data)
+    layout = _Layout(data, data.worker_idx, per_path=False)
     (prior, tables), report = _em(
         cfg,
         lambda restart: (
             _init_prior(data.truth, k),
             _blended_identities(len(data.workers), k, substream(cfg.seed, "nbi-init", restart)),
         ),
-        lambda params, logs: _nbi_estep(*logs, data, layout),
+        lambda params, logs: _nbi_estep(*logs, layout),
         lambda q_y: _nbi_mstep(layout, len(data.workers), q_y, cfg.smoothing_alpha),
     )
-    del layout  # freed before the final log-likelihood lays out inference's own
 
     if not (data.truth >= 0).any() and data.workers:
         # No observed truths pin the outcome labels; relabel to put worker
@@ -535,5 +520,5 @@ def fit_nbi(data: Dataset, cfg: EmConfig | None = None) -> tuple[NbiModel, FitRe
         worker_cpts=worker_cpts,
         sparse_workers=frozenset(sparse),
     )
-    final = log_likelihood(model, data)
+    final = _log_likelihood(_nbi(model, data, layout.entries), layout.truths)
     return model, replace(report, final_log_likelihood=final, sparse_workers=sparse)

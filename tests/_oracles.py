@@ -8,10 +8,11 @@ information-gain code paths, except the former implementations kept as
 references, which share the package's tables and kernels:
 `whole_array_exact_conditional_entropy`, the log-space exact entropy that
 `exact_conditional_entropy` is held to within 1e-12, normalised by scipy's
-`logsumexp` so that it shares no normaliser with the package; and, bit for bit,
-`ref_em_fit`, EM one restart after another, for the stacked `learning._em`
-(its vote sums are `np.add.at` in vote order, not the package's vote
-kernels), `ref_execute` and `ref_score_fold`, plan execution by words
+`logsumexp` so that it shares no normaliser with the package; `ref_em_fit`,
+EM one restart after another, which the stacked `learning._em` is held to
+within a relative 1e-12 (its vote sums are `np.add.at` in vote order, where
+the package adds m log p once for m equal votes); and, bit for bit,
+`ref_execute` and `ref_score_fold`, plan execution by words
 computed task by task in Python ints (keys hashed with `hashlib`) and one
 sort per drawn group, and fold scoring by one pass per (strategy, budget)
 cell, for `evaluation._execute` and `_score_fold`, and `row_read_votes_csv`,

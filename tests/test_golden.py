@@ -70,19 +70,22 @@ SESSION = (
                "--out", "{d}/sweep.csv"), "sweep.csv"),
 )
 
-# sha256 of (stdout with the directory replaced by "<d>", output file bytes)
+# sha256 of (stdout with the directory replaced by "<d>", output file bytes).
+# learn.apm, infer.apm, infer.nbap, infer.nbi and sweep were pinned again when
+# EM and inference came to sum label entries (m log p once for m equal votes,
+# nbi's and nbap's log prior after the votes); the per-worker steps kept theirs.
 PINNED = {
     "votes.csv": "7e2ea72e44827c5a779b862e7466fb5e5f7ea6817d065480195394b721260ca3",
     "simulate": "8a9669e0a126887a933ff5eef3f1b098f6403bdf73406281524ba1d3fc084667",
-    "learn.apm": "684a227cd506c924da8c47a7bf6a185511f3ffc0a3e609f2c29091ed0b1d2093",
+    "learn.apm": "04f538a642b417596e2988164893edc8f9ecd770b061c52bf4a26f771584dd30",
     "learn.pw": "1beb8166712515be2f42afcbc8a0297e1baf70a2c18606286cbc2532517e62b6",
     "learn.nbi": "b8ea5687a510d7a3556d1e1284a37a2032ae9ec9d7e6518bae8dc2c5e66fd9ab",
-    "infer.apm": "3c29c7f89835db9c1950d5b8c6617dd1c60c0d3c1b0fd7fdb052fd3d938f01fa",
-    "infer.nbap": "450082cdb56b58ef291f963a67095c58c4b899406ccd371f52720f06475821eb",
+    "infer.apm": "529d26a57c9846fc2275237a59f12f0ee75270e2790445cb11d8162b4d5d2963",
+    "infer.nbap": "29d156dada87130312d9c15637b55c904c3346b9af9df78a6da0fbf320dfb187",
     "infer.mv": "c83647b9879bbe729f4a7c1c1a598bce954d78dcb7878f5926ebdb286ae1f72d",
-    "infer.nbi": "7317c9ab294adb7eb3cc0e386b14c1ab655f5fdb025ae4413de9f088f9818deb",
+    "infer.nbi": "a7175a9a8951f3ad15fcc6e4e629fce09243f30131d89eec68d9335930b1a33f",
     "infer.pw": "cff187eb2a326b2891762b944ca324d64b0ada2a2a00f8d7bc1a315d42d309f9",
-    "sweep": "0dfd5b1e72e9b6429d71dad7e16813176832382efe53d98e49e0953ef2131a7c",
+    "sweep": "1471d16b59bfde7d8abae47770471f7d50f80522aa77075be798d2447c0cb8c0",
 }
 
 
@@ -159,18 +162,20 @@ FOUR_LABEL_SESSION = tuple(
 )
 
 # sha256 as in PINNED, taken before the kernels put the task axis last; its
-# stream-reading entries again when stream keys became BLAKE2b digests.
+# stream-reading entries again when stream keys became BLAKE2b digests; all
+# but votes.csv, learn.pw, infer.mv and infer.pw again when EM and inference
+# came to sum label entries.
 FOUR_LABEL_PINNED = {
     "votes.csv": "e6d07e59fb9c4e7b80e3ce1aef718d4a2c4b741d22260619d69266924c1e76c3",
-    "learn.apm": "08985d10a20f974bbc1c187a9b98478518f010ba35b38c3d787a5b13fb261403",
+    "learn.apm": "fd83d0f2ac35c198da5e44dee3ba221e87f6adc006edc06ce60d58358aa1c421",
     "learn.pw": "52344310e6cb7822d95fdbdb4d9cd44e9a6bc12ccd934328a65aa10cd15e16ba",
-    "learn.nbi": "9f31f27b68b994d6f2caa1143eaa1899980c281a048060d128a95d090d559ce5",
-    "infer.apm": "8931f066f6b2e7e1da34e5b1f8c5a0445334518aab173e7a5cec115f6e815399",
-    "infer.nbap": "e8fb9833d182cac2c0582e166b407df0966429d233ad70bcd53ca4f699c89b9f",
+    "learn.nbi": "fe469c27600524f889af1593f584ed12cb9262413b230bc906b5dd50e38f5220",
+    "infer.apm": "c9d6793ea7b433feaeb3e3bd6709a68a2c07908d87bdf6a644977248790a2b8f",
+    "infer.nbap": "3ce8e8c6001233c99642e9ac74945f2f80dac17bd0ca6a31f2995434e3093a5b",
     "infer.mv": "9b09448d2cd9b0933d337cedb7ef744fd6cc8796426ab595162bdaf609e89151",
-    "infer.nbi": "54cc8a51ddbe0f1b4092bcc0a467021bcf048a3c2c05e98833cd27854bfb8049",
+    "infer.nbi": "3c73487d3ca678b51d8367f935da1bf1a4f575502633b4e108dd9bb9629c090c",
     "infer.pw": "865a0842bc4fffa11bf39a4cff291aae180fe57f5649979fcdff1d03f0a52188",
-    "sweep": "cd8787ae5e3e1ddfc6d5ef6e57619e9405fd2a6786bae19662eab5c16256038c",
+    "sweep": "952e3c6c3308181fc184705c3896c6de623b44f4ae67dfa53f273871bafd1d65",
 }
 
 
@@ -320,11 +325,12 @@ SWEEP_ALL = ("sweep", "--votes", "{d}/votes.csv", "--models", "apm,mv",
 # execution keeps the votes of each group's smallest raw words; all three
 # again when stream keys became BLAKE2b digests; "sampled" again when a sampled
 # greedy search came to run on one fixed sample; all three again when plan
-# execution's words came from one SplitMix64 mix.
+# execution's words came from one SplitMix64 mix, and when EM and inference
+# came to sum label entries.
 SWEEP_ALL_PINNED = {
-    "auto": "fe7cf8bac2777da341cd96c4e60c1cd8e6c1ca9721c6083501b8b29f83822000",
-    "exact": "fe7cf8bac2777da341cd96c4e60c1cd8e6c1ca9721c6083501b8b29f83822000",
-    "sampled": "d274b3c4ffb3dffa7478c40136a573511c7ac4d94f10f183d4d7d31fa95baf4c",
+    "auto": "52dff62970131416405a1eccc9cdf00068b965dfe46075a0eb61a67c5e829339",
+    "exact": "52dff62970131416405a1eccc9cdf00068b965dfe46075a0eb61a67c5e829339",
+    "sampled": "1ef2b022d1097b9890d724938d5953ec6b8610f0ff85926e5156bda6f8894740",
 }
 
 

@@ -1,13 +1,16 @@
 """The scoring kernels against the plain numpy forms they replace.
 
 `normalise` sums scaled terms along a short axis, `_log_space` takes a sum
-again in log space as one pass per entry, and the scatter-adds run on
-`np.bincount`. The references below are the plain forms: numpy reductions
-over the axis, `np.einsum` and `np.add.at`. For K <= 7 both must agree bit
-for bit, ties, -inf entries and all -inf slices included; from K = 8 numpy
-sums pairwise, so there they agree to 1e-12. Scatters keep their bits at
-every K. The scaled normaliser also agrees with the log-space form to 1e-12,
-across gaps of more than 745 nats, where its scaled sums underflow.
+again in log space as one pass per entry, and the scatter-adds run over
+label entries on `np.bincount`. The references below are the plain forms:
+numpy reductions over the axis, `np.einsum` and `np.add.at` over every vote.
+For K <= 7 both must agree bit for bit, ties, -inf entries and all -inf
+slices included; from K = 8 numpy sums pairwise, so there they agree to
+1e-12. Scatters keep their bits at every K where every label entry holds one
+vote; an entry of m votes adds m log p once, where the per-vote form adds
+log p m times, so with repeated labels they agree to a relative 1e-12. The
+scaled normaliser also agrees with the log-space form to 1e-12, across gaps
+of more than 745 nats, where its scaled sums underflow.
 """
 
 import numpy as np
@@ -17,21 +20,19 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 import crowdplan.learning as learning
-from crowdplan._kernel import (
-    _log_space,
-    count_evidence,
-    direct_log_joints,
-    normalise,
-    path_factors,
-    prior_first,
-    vote_cells,
-    vote_columns,
-    vote_evidence,
-)
+from crowdplan._kernel import _log_space, entries, evidence, label_entries, normalise, path_factors
 from crowdplan.inference import table_posteriors
 from crowdplan.model import AccessPathSpec, ApmModel, Cpt, LabelSpace, TaskSample
 
-from _oracles import enum_posterior, random_model, table_of
+from _oracles import (
+    _ref_estep,
+    _ref_mstep,
+    _ref_nbi_estep,
+    _ref_nbi_mstep,
+    enum_posterior,
+    random_model,
+    table_of,
+)
 
 PARITY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 BIT_K = st.integers(2, 7)
@@ -81,9 +82,10 @@ def ref_vote_evidence(table, slot_idx, log_tables):
 
 
 def ref_direct_log_joints(log_prior, sample_idx, vote_rows, num_samples):
-    out = np.tile(log_prior, (num_samples, 1))
+    """Each task's votes added in order, then its log prior."""
+    out = np.zeros((num_samples, len(log_prior)))
     np.add.at(out, sample_idx, vote_rows)
-    return out
+    return out + log_prior
 
 
 def ref_outcome_posterior(log_joint, truth):
@@ -149,27 +151,39 @@ def lone_estep(params, t, slots):
     """`learning._estep` on a stack of one run, in the unstacked layout."""
     stacked = learning._Params(*(p[None] for p in params))
     logs = learning._Params(*(learning.log(p) for p in stacked))
-    q_y, q_z, loglik = learning._estep(stacked, logs, t, learning._Layout.apm(t, slots))
+    q_y, q_z, loglik = learning._estep(stacked, logs, t, learning._Layout(t, slots.idx))
     return q_y[:, 0], q_z[:, :, 0], loglik[0]
 
 
 def lone_nbi_estep(prior, tables, t):
     """`learning._nbi_estep` on a stack of one run, in the unstacked layout."""
     logs = (learning.log(p)[None] for p in (prior, tables))
-    q_y, loglik = learning._nbi_estep(*logs, t, learning._Layout.nbi(t))
+    q_y, loglik = learning._nbi_estep(*logs, nbi_layout(t))
     return q_y[:, 0], loglik[0]
 
 
+def nbi_layout(t):
+    return learning._Layout(t, t.worker_idx, per_path=False)
+
+
 def lone_evidence(t, slot_idx, log_tables):
-    """`vote_evidence` of one run, (K_z, N, n)."""
-    columns = vote_columns(slot_idx, t.label, t.num_labels)
-    return vote_evidence(log_tables[None], columns, vote_cells(t), t)[:, 0]
+    """`evidence` of one run over the (path, task) cells, (K_z, N, n)."""
+    cells = evidence(log_tables[None], label_entries(t, slot_idx))[:, 0]
+    return cells.reshape(-1, t.num_paths, t.num_samples)
 
 
 def lone_direct(t, slot_idx, log_prior, log_tables):
-    """`direct_log_joints` of one run, (K, n)."""
-    columns, tasks = prior_first(t, slot_idx, len(log_tables))
-    return direct_log_joints(log_prior[None], log_tables[None], columns, tasks, t.num_samples)[:, 0]
+    """The log prior plus `evidence` of one run over the task cells, (K, n), as
+    nbap (slot: the path) and nbi (slot: the worker) take it."""
+    return log_prior[:, None] + evidence(log_tables[None], label_entries(t, slot_idx, False))[:, 0]
+
+
+def count_evidence(counts, log_tables):
+    """`evidence` (V, K) of count vectors (V, K) from their non-zero entries, as exact
+    IG builds them."""
+    v, x = np.nonzero(counts)
+    e = entries(counts.shape[1], len(counts), v, 0, x, counts[v, x])
+    return evidence(log_tables[None], e)[:, 0].T
 
 
 def same_bits(got, want):
@@ -205,15 +219,21 @@ def log_tables(rng, n, k):
     return learning.log(p / p.sum(axis=-1, keepdims=True))
 
 
-def vote_table(rng, k, paths, tasks=12, workers=4):
+def vote_table(rng, k, paths, tasks=12, workers=4, distinct=False):
+    """Random votes; with `distinct`, no label twice in a task, so every label
+    entry of every layout holds one vote."""
     samples = [TaskSample(task_id="first", votes={0: (("w0", 0),)})]
     for t in range(tasks):
-        votes = {}
+        votes, unused = {}, list(rng.permutation(k)) if distinct else []
+
+        def label():
+            return unused.pop() if distinct else rng.integers(k)
+
         for p in range(paths):
-            n = int(rng.integers(0, 5))
+            n = int(rng.integers(0, min(5, len(unused) + 1) if distinct else 5))
             if n:
                 votes[p] = tuple(
-                    (f"w{int(rng.integers(workers))}", int(rng.integers(k))) for _ in range(n)
+                    (f"w{int(rng.integers(workers))}", int(label())) for _ in range(n)
                 )
         truth = int(rng.integers(k)) if rng.random() < 0.5 else None
         samples.append(TaskSample(task_id=f"t{rng.integers(10**6)}-{t}", votes=votes, truth=truth))
@@ -332,9 +352,9 @@ def test_normalise_matches_the_log_space_form(k, rows, seed):
 @given(k=BIT_K, rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_label_sums_bits(k, rows, seed):
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
+    counts = rng.integers(0, 4, size=(rows, k)).astype(np.float64)
     tables = log_tables(rng, 1, k)
-    same_bits(count_evidence(counts, tables), ref_count_evidence(counts, tables))
+    same_bits(count_evidence(counts, tables), ref_count_evidence(counts[:, None], tables)[:, 0])
 
 
 @PARITY
@@ -343,9 +363,9 @@ def test_wide_label_axes_within_1e12(k, rows, seed):
     rng = np.random.default_rng(seed)
     a = log_scores(rng, (rows, 2, k))
     close(_log_space(np.moveaxis(a, 2, 0))[0], ref_logsumexp(a, axis=2))
-    counts = rng.integers(0, 4, size=(rows, 1, k)).astype(np.float64)
+    counts = rng.integers(0, 4, size=(rows, k)).astype(np.float64)
     tables = log_tables(rng, 1, k)
-    close(count_evidence(counts, tables), ref_count_evidence(counts, tables))
+    close(count_evidence(counts, tables), ref_count_evidence(counts[:, None], tables)[:, 0])
 
 
 def test_nine_label_posterior_matches_enumeration():
@@ -359,23 +379,42 @@ def test_nine_label_posterior_matches_enumeration():
 # --- scatter-adds ---
 
 
+def agree_entries(got, want, exact):
+    """Bit for bit where `exact`; else to a relative 1e-12, as an entry of m votes
+    adds m log p where the per-vote form adds log p m times."""
+    if exact:
+        same_bits(got, want)
+    else:
+        close(got, want)
+
+
 @PARITY
-@given(k=st.integers(2, 10), paths=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_scatters_bits(k, paths, seed):
+@given(
+    k=st.integers(2, 10),
+    paths=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.booleans(),
+)
+def test_scatters_bits(k, paths, seed, distinct):
+    """The entry kernel against `np.add.at` over every vote: the evidence over
+    (path, task) and task cells and the M-steps' count tables. Bit for bit where
+    every entry holds one vote (no label twice in a task), at every K."""
     rng = np.random.default_rng(seed)
-    t, _ = vote_table(rng, k, paths)
+    t, _ = vote_table(rng, k, paths, distinct=distinct)
     pairs, slot_idx = t.path_worker_slots()
     tables = log_tables(rng, len(pairs), k)
-    same_bits(
+    agree_entries(
         lone_evidence(t, slot_idx, tables).transpose(2, 1, 0),
         ref_vote_evidence(t, slot_idx, tables),
+        distinct,
     )
 
     log_prior = learning.log(posteriors(rng, (k,)))
     rows = tables[slot_idx, :, t.label]
-    same_bits(
+    agree_entries(
         lone_direct(t, slot_idx, log_prior, tables).T,
         ref_direct_log_joints(log_prior, t.sample_idx, rows, t.num_samples),
+        distinct,
     )
 
     q_y = posteriors(rng, (t.num_samples, k))
@@ -384,17 +423,14 @@ def test_scatters_bits(k, paths, seed):
     for share in (True, False):
         slots = learning._slots(t, share)
         q_z_one = q_z.transpose(2, 3, 1, 0)[:, :, None]
-        layout = learning._Layout.apm(t, slots)
+        layout = learning._Layout(t, slots.idx)
         got = lone(learning._mstep(layout, len(slots.path), q_y.T[:, None], q_z_one, alpha))
         want = ref_mstep(t, slots, q_y, q_z, alpha)
         for g, w in zip(got, want):
-            if k <= 7:
-                same_bits(g, w)
-            else:
-                close(g, w)
-    got = lone(learning._nbi_mstep(learning._Layout.nbi(t), len(t.workers), q_y.T[:, None], alpha))
+            agree_entries(g, w, distinct and k <= 7)  # ref_mstep's einsum sums pairwise from K = 8
+    got = lone(learning._nbi_mstep(nbi_layout(t), len(t.workers), q_y.T[:, None], alpha))
     for g, w in zip(got, ref_nbi_mstep(t, q_y, alpha)):
-        same_bits(g, w)
+        agree_entries(g, w, distinct)
     got = table_posteriors("mv", random_model(rng, paths, k=k), t)[0]
     same_bits(got[np.argsort(t.order)], ref_mv_probs(t, k))
 
@@ -414,12 +450,34 @@ def test_empty_scatters():
 
 
 @pytest.mark.parametrize("k", [2, 4, 7])
-def test_log_prior_goes_in_ahead_of_votes(k):
-    """A task's sum starts from its log prior, as np.tile then np.add.at does."""
+def test_log_prior_goes_in_after_the_votes(k):
+    """A task's sum adds its votes in order from 0.0, then its log prior, as
+    np.add.at into zeros and then adding the prior does."""
     log_prior = np.log(np.linspace(1.0, 2.0, k) / np.linspace(1.0, 2.0, k).sum())
-    t = table_of([TaskSample("a", {0: ((None, 0),) * 3}), TaskSample("b", {})], 1, k)
-    want = ref_direct_log_joints(log_prior, t.sample_idx, np.full((3, k), 1e-17), 2)
-    same_bits(lone_direct(t, t.path_idx, log_prior, np.full((1, k, k), 1e-17)).T, want)
+    votes = tuple((None, x) for x in range(k))
+    t = table_of([TaskSample("a", {0: votes}), TaskSample("b", {})], 1, k)
+    log_table = -np.arange(1.0, k * k + 1.0).reshape(1, k, k) / 3.0
+    want = ref_direct_log_joints(log_prior, t.sample_idx, log_table[0][:, t.label].T, 2)
+    same_bits(lone_direct(t, t.path_idx, log_prior, log_table).T, want)
+
+
+def test_a_repeated_label_adds_m_log_p_once():
+    """Five votes for one label by one worker make one entry of m = 5 in every
+    layout, whose evidence is 5 log p, bit for bit. Labels that interleave
+    across workers (0, 1, 0 in canonical order) stay three entries of m = 1."""
+    k = 3
+    rng = np.random.default_rng(5)
+    repeated = TaskSample("a", {0: (("w0", 2),) * 5})
+    mixed = TaskSample("b", {0: (("w0", 0), ("w1", 1), ("w2", 0))})
+    t = table_of([repeated, mixed], 1, k)
+    tables = log_tables(rng, 3, k)
+    for slot, per_path in ((t.path_idx, True), (t.path_worker_slots()[1], True),
+                           (t.worker_idx, False)):
+        e = label_entries(t, slot, per_path)
+        assert e.m.reshape(k, -1)[0].tolist() == [5.0, 1.0, 1.0, 1.0]
+        got = evidence(tables[None], e)[:, 0].reshape(k, -1)  # (K, cells)
+        same_bits(got[:, 0], 5.0 * tables[slot[0], :, 2])
+    assert label_entries(table_of([mixed], 1, k), t.path_idx[5:]).m is None
 
 
 # --- E-steps ---
@@ -431,11 +489,12 @@ def task_major(q_y, q_z=None):
     return q_y.T if q_z is None else (q_y.T, q_z.transpose(3, 2, 0, 1))
 
 
-def estep_table(rng, k, paths, truths):
+def estep_table(rng, k, paths, truths, distinct=False):
     """A vote table with a voteless task and a task whose only vote, label
     k - 1 on path 0 by worker w0, has probability 0 under every state once
-    `dead_column` is applied; `truths` is "none", "some" or "all"."""
-    _, samples = vote_table(rng, k, paths)
+    `dead_column` is applied; `truths` is "none", "some" or "all"; `distinct`
+    as in `vote_table`."""
+    _, samples = vote_table(rng, k, paths, distinct=distinct)
     samples = [*samples, TaskSample("voteless", {}), TaskSample("dead", {0: (("w0", k - 1),)})]
     for i, s in enumerate(samples):
         known = truths == "all" or (truths == "some" and rng.random() < 0.5)
@@ -451,11 +510,9 @@ def dead_column(tables, slot, label):
     return tables / tables.sum(axis=-1, keepdims=True)
 
 
-def agree(got, want, k):
-    if k <= 7:
-        same_bits(got, want)
-    else:
-        close(got, want)
+def agree(got, want, k, distinct=True):
+    """Bit for bit for K <= 7 where every label entry holds one vote, else to 1e-12."""
+    agree_entries(got, want, k <= 7 and distinct)
 
 
 @PARITY
@@ -464,10 +521,11 @@ def agree(got, want, k):
     paths=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     truths=st.sampled_from(["none", "some", "all"]),
+    distinct=st.booleans(),
 )
-def test_esteps_match_task_major_references(k, paths, seed, truths):
+def test_esteps_match_task_major_references(k, paths, seed, truths, distinct):
     rng = np.random.default_rng(seed)
-    t = estep_table(rng, k, paths, truths)
+    t = estep_table(rng, k, paths, truths, distinct)
     dead = int(np.flatnonzero(np.array(t.task_ids) == "dead")[0])
     kill = rng.random() < 0.5
     for share in (True, False):
@@ -479,8 +537,8 @@ def test_esteps_match_task_major_references(k, paths, seed, truths):
         got_y, got_z, got_ll = lone_estep(params, t, slots)
         want_y, want_z, want_ll = ref_estep(params, t, slots)
         for g, w in zip(task_major(got_y, got_z), (want_y, want_z)):
-            agree(g, w, k)
-        agree(got_ll, want_ll, k)
+            agree(g, w, k, distinct)
+        agree(got_ll, want_ll, k, distinct)
         if kill and t.truth[dead] < 0:
             assert (want_y[dead] == 1.0 / k).all()
 
@@ -490,8 +548,8 @@ def test_esteps_match_task_major_references(k, paths, seed, truths):
     prior = posteriors(rng, (k,))
     got_y, got_ll = lone_nbi_estep(prior, workers, t)
     want_y, want_ll = ref_nbi_estep(prior, workers, t)
-    agree(task_major(got_y), want_y, k)
-    agree(got_ll, want_ll, k)
+    agree(task_major(got_y), want_y, k, distinct)
+    agree(got_ll, want_ll, k, distinct)
 
 
 @pytest.mark.parametrize("tasks", [[], [TaskSample("a", {}), TaskSample("b", {}, truth=1)]])
@@ -585,3 +643,87 @@ def test_impossible_vote_gives_minus_inf_and_the_prior():
     assert loglik == -np.inf
     assert q_y[:, 0].tolist() == [0.5, 0.5]
     assert (q_z[:, :, 2, 0] == 0.5).all() and not np.isnan(q_z).any()
+
+
+# --- label entries against the per-vote oracles ---
+
+ORACLE_RTOL = 1e-12  # an entry of m votes adds m log p once; the oracles add log p m times
+
+
+def near(got, want):
+    """Equal to a relative `ORACLE_RTOL`, the infinite entries equal."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.array_equal(got[~np.isfinite(got)], want[~np.isfinite(want)])
+    np.testing.assert_allclose(got[np.isfinite(got)], want[np.isfinite(want)], rtol=ORACLE_RTOL,
+                               atol=0)
+
+
+def repeating_table(rng, k, paths, tasks=12, workers=4):
+    """Votes whose labels repeat within a (task, path) and interleave across its
+    workers: each (task, path) draws 0 to 6 votes over two of the K labels. Task
+    "rep" holds five votes for one label by one worker on path 0, task "mix"
+    labels 0, 1, 0 from workers w0, w1, w2, and worker w0 votes on every path
+    of task "all"."""
+    samples = [
+        TaskSample("rep", {0: (("w0", k - 1),) * 5}),
+        TaskSample("mix", {0: (("w0", 0), ("w1", 1), ("w2", 0))}),
+        TaskSample("all", {p: (("w0", 1),) for p in range(paths)}),
+    ]
+    for t in range(tasks):
+        votes = {}
+        for p in range(paths):
+            pair = rng.choice(k, 2, replace=False)
+            n = int(rng.integers(0, 7))
+            if n:
+                labels = pair[rng.integers(2, size=n)]
+                votes[p] = tuple((f"w{int(rng.integers(workers))}", int(x)) for x in labels)
+        truth = int(rng.integers(k)) if rng.random() < 0.3 else None
+        samples.append(TaskSample(f"t{t}", votes, truth))
+    return table_of(samples, paths, k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["shared", "per-worker", "nbi"]),
+    k=st.integers(2, 10),
+    paths=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.0, 1.0]),
+)
+def test_entry_em_iteration_matches_the_per_vote_oracles(kind, k, paths, seed, alpha):
+    """The entry kernel's evidence, one E+M iteration of apm (shared or per-worker
+    tables) and one of nbi equal the per-vote `np.add.at` forms of
+    `tests/_oracles.py` to a relative `ORACLE_RTOL`, K = 2 to 10."""
+    rng = np.random.default_rng(seed)
+    t = repeating_table(rng, k, paths)
+    prior = posteriors(rng, (k,))
+    if kind == "nbi":
+        tables = posteriors(rng, (len(t.workers), k, k))
+        rows = learning.log(tables)[t.worker_idx, :, t.label]
+        want = ref_direct_log_joints(learning.log(prior), t.sample_idx, rows, t.num_samples)
+        near(lone_direct(t, t.worker_idx, learning.log(prior), learning.log(tables)).T, want)
+        got_y, got_ll = lone_nbi_estep(prior, tables, t)
+        want_y, want_ll = _ref_nbi_estep((prior, tables), t)
+        layout = nbi_layout(t)
+        got = lone(learning._nbi_mstep(layout, len(t.workers), got_y[:, None], alpha))
+        want = _ref_nbi_mstep(t, want_y, alpha)
+    else:
+        slots = learning._slots(t, kind == "shared")
+        tables = posteriors(rng, (len(slots.path), k, k))
+        params = learning._Params(prior, posteriors(rng, (paths, k, k)), tables)
+        got_e = lone_evidence(t, slots.idx, learning.log(tables)).transpose(2, 1, 0)
+        near(got_e, ref_vote_evidence(t, slots.idx, learning.log(tables)))
+        got_y, got_z, got_ll = lone_estep(params, t, slots)
+        want_y, want_z, want_ll = _ref_estep(params, t, slots)
+        near(got_z, want_z)
+        layout = learning._Layout(t, slots.idx)
+        q_z = got_z[:, :, None]
+        got = lone(learning._mstep(layout, len(slots.path), got_y[:, None], q_z, alpha))
+        want = _ref_mstep(t, slots, want_y, want_z, alpha)
+    assert layout.entries.m is not None  # "rep" holds an entry of m = 5
+    near(got_y, want_y)
+    near(got_ll, want_ll)
+    for g, w in zip(got, want):
+        near(g, w)

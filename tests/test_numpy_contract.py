@@ -9,7 +9,8 @@ given.
   uint64 array `*`, `+`, `^` and `>>`, which wrap modulo 2^64 without a
   warning, and they are ranked with `np.lexsort`, which orders 64-bit words
   unsigned and keeps input order among equal keys.
-* `scatter_rows` relies on `np.bincount` adding its weights in input order.
+* `scatter_rows` relies on `np.bincount` adding its weights, each label
+  entry's multiplicity times its gathered value, in input order.
 * `normalise` sums a short label or state axis with numpy's own sum, and
   `_log_space` adds one in order, one pass per entry; both equal the
   task-major references of `tests/test_kernel.py` bit for bit, because numpy

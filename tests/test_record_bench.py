@@ -1,4 +1,5 @@
-"""`tools/record_bench.py`'s ladder, read, learn and sweep rungs, runs end to end at a tiny size."""
+"""`tools/record_bench.py`'s ladder, read, learn, infer and sweep rungs, runs end to end at a
+tiny size."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +24,12 @@ def test_read_ladder_times_each_size_in_its_own_interpreter():
         assert learn["fit_s"] > 0 and learn["peak_rss_mb"] > 0
         assert learn["us_per_task"] == learn["fit_s"] / learn["tasks"] * 1e6
     assert [entries[n]["learn"]["tasks"] for n in ("5", "7")] == [5, 7]
+    for n in ("5", "7"):
+        infer = entries[n]["infer"]
+        assert infer["tasks"] == int(n) and infer["peak_rss_mb"] > 0
+        assert 0 < infer["read_s"] and 0 < infer["posteriors_s"]
+        assert infer["read_s"] + infer["posteriors_s"] < infer["infer_s"]
+        assert infer["us_per_task"] == infer["infer_s"] / infer["tasks"] * 1e6
     sweep = entries["5"]["sweep"]
     assert sweep["tasks"] == 5 and sweep["sweep_s"] > 0 and sweep["peak_rss_mb"] > 0
     assert sweep["us_per_task"] == sweep["sweep_s"] / sweep["tasks"] * 1e6

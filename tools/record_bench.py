@@ -18,15 +18,21 @@ votes of that many tasks from the bundled model at plan `LADDER_PLAN` and
 seed `SEED`. On that file one fresh interpreter reads the votes with
 `read_votes_csv` `LADDER_RUNS` times (the read rung), and another reads
 them once and fits them with `fit_em` at the benchmark's EM arguments,
-`LEARN_ARGS` (the learn rung). Up to `SWEEP_MAX_TASKS`, a third one reads
-them and runs `budget_sweep` at the benchmark's sweep arguments,
-`SWEEP_ARGS` with `LEARN_ARGS` as EM's (the sweep rung). The benchmark's
+`LEARN_ARGS` (the learn rung), and a third one runs the CLI's `infer` on it
+in process, apm posteriors under the bundled model written to a CSV (the
+infer rung). Up to `SWEEP_MAX_TASKS`, a fourth one reads them and runs
+`budget_sweep` at the benchmark's sweep arguments, `SWEEP_ARGS` with
+`LEARN_ARGS` as EM's (the sweep rung). The benchmark's
 `nbi` model is left out, since it needs a worker id on every vote and the
 ladder's file has none. The sweep rung stops at 20k tasks, so the ladder
 stays short: a 20k-task sweep already takes about 3 s. The file's `"ladder"` holds, per size, the rows
 read, the best read's seconds and microseconds per row, and that
-interpreter's peak RSS; and under `"learn"` and `"sweep"` the fit's or the
-sweep's seconds, its microseconds per task and its interpreter's peak RSS.
+interpreter's peak RSS; under `"learn"` and `"sweep"` the fit's or the
+sweep's seconds, its microseconds per task and its interpreter's peak RSS;
+and under `"infer"` the command's seconds, of which `read_s` in
+`read_votes_csv` and `posteriors_s` in `table_posteriors` (the rest loads the
+model and formats and writes the CSV), its microseconds per task and its
+interpreter's peak RSS.
 Exits 1 if a run failed or a report is missing, and then writes nothing.
 """
 
@@ -75,6 +81,35 @@ fit_em(data, cfg=EmConfig(**json.loads(sys.argv[2])))
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"tasks": len(data), "fit_s": seconds, "peak_rss_mb": peak}))
+"""
+# The ladder's inferrer: one `infer --model-kind apm` command, in process in its
+# own interpreter, with its read and its posteriors timed apart.
+INFER = """
+import contextlib, io, json, resource, sys, time
+import crowdplan.cli as cli
+spent = {"read_s": 0.0, "posteriors_s": 0.0}
+def timed(name, fn):
+    def call(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+    return call
+cli.read_votes_csv = timed("read_s", cli.read_votes_csv)
+cli.table_posteriors = timed("posteriors_s", cli.table_posteriors)
+argv = ["infer", "--model", sys.argv[1], "--votes", sys.argv[2], "--model-kind", "apm",
+        "--out", sys.argv[3]]
+said = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(said):
+    code = cli.main(argv)
+seconds = time.perf_counter() - start
+if code != 0:
+    sys.exit(code)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+tasks = int(said.getvalue().split()[1])  # "wrote N posteriors to ..."
+print(json.dumps({"tasks": tasks, "infer_s": seconds, **spent, "peak_rss_mb": peak}))
 """
 
 # perfbench's sweep request, less its nbi model; EM runs at LEARN_ARGS.
@@ -135,7 +170,8 @@ def _run(what: str, argv: list[str]) -> str:
 
 def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
     """The ladder's entry per number of tasks: the read rung, with the learn rung
-    under `"learn"` and, up to `SWEEP_MAX_TASKS`, the sweep rung under `"sweep"`."""
+    under `"learn"`, the infer rung under `"infer"` and, up to `SWEEP_MAX_TASKS`,
+    the sweep rung under `"sweep"`."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for tasks in sizes:
@@ -146,8 +182,11 @@ def ladder(sizes: tuple[int, ...] = LADDER_TASKS) -> dict[str, dict]:
             read = json.loads(_run("read", ["-c", READ, str(votes), str(LADDER_RUNS)]))
             learn = json.loads(_run("learn", ["-c", LEARN, str(votes), json.dumps(LEARN_ARGS)]))
             learn["us_per_task"] = learn["fit_s"] / learn["tasks"] * 1e6
+            infer = json.loads(_run("infer", ["-c", INFER, str(MODEL), str(votes),
+                                              str(Path(tmp) / "posteriors.csv")]))
+            infer["us_per_task"] = infer["infer_s"] / infer["tasks"] * 1e6
             out[str(tasks)] = {**read, "us_per_row": read["best_s"] / read["rows"] * 1e6,
-                               "learn": learn}
+                               "learn": learn, "infer": infer}
             if tasks <= SWEEP_MAX_TASKS:
                 sweep = json.loads(_run("sweep", ["-c", SWEEP, str(votes), json.dumps(SWEEP_ARGS),
                                                   json.dumps(LEARN_ARGS)]))
@@ -194,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"--seed {SEED}",
             "runs": LADDER_RUNS,
             "learn": LEARN_ARGS,
+            "infer": f"infer --model {MODEL.relative_to(ROOT)} --model-kind apm",
             "sweep": SWEEP_ARGS,
             "tasks": ladder(),
         },
